@@ -1,7 +1,7 @@
 """Hot numeric kernels, JIT-compiled with numba when available.
 
 Set ``PARAHAAR_NO_NUMBA=1`` to force the pure-numpy fallbacks (the two paths
-compute identical results; ``benchmarks/bench_accel.py`` compares them).
+compute identical results; ``tests/test_accel.py`` compares them).
 """
 
 import os

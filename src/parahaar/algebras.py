@@ -23,6 +23,7 @@ __all__ = [
     "car_paraproduct",
     "besov_car",
     "car_transference_check",
+    "car_transference_checks",
     "tensor_basis",
     "eta_lambda",
     "tensor_indices",
@@ -30,6 +31,7 @@ __all__ = [
     "tensor_paraproduct",
     "besov_tensor",
     "tensor_transference_check",
+    "tensor_transference_checks",
     "read_car_symbol",
     "write_car_symbol",
     "read_tensor_symbol",
@@ -173,8 +175,11 @@ def besov_car(bhat, n_gen: int, p) -> float:
 def car_transference_check(bhat, n_gen: int, p):
     """(lhs, rhs, residual): Schatten norm of the scalar matrix against the
     word-valued block matrix under the Tr (x) normalized-trace convention."""
-    from .spectral import schatten_norm
+    return car_transference_checks(bhat, n_gen, (p,))[0]
 
+
+def car_transference_checks(bhat, n_gen: int, p_values):
+    """car_transference_check at every p, from one SVD of each matrix."""
     subs = car_subsets(n_gen)
     dim = 2 ** _qubits(n_gen)
     scalar = car_paraproduct(bhat, n_gen)
@@ -189,9 +194,7 @@ def car_transference_check(bhat, n_gen: int, p):
                 big[ia * dim:(ia + 1) * dim, ib * dim:(ib + 1) * dim] = (
                     car_sign(A, B, n_gen) * scalar[ia, ib] * words[E]
                 )
-    lhs = schatten_norm(big, p, blockdim=dim)
-    rhs = schatten_norm(scalar, p)
-    return lhs, rhs, abs(lhs - rhs)
+    return _transference_residuals(big, scalar, dim, p_values)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +300,20 @@ def besov_tensor(bhat, d: int, levels: int, p) -> float:
     return float(total ** (1.0 / p))
 
 
-def tensor_transference_check(bhat, d: int, levels: int, p):
-    from .spectral import schatten_norm
+def _transference_residuals(big, scalar, dim, p_values):
+    from .spectral import schatten_norms
 
+    lhs = schatten_norms(big, p_values, blockdim=dim)
+    rhs = schatten_norms(scalar, p_values)
+    return [(a, b, abs(a - b)) for a, b in zip(lhs, rhs)]
+
+
+def tensor_transference_check(bhat, d: int, levels: int, p):
+    return tensor_transference_checks(bhat, d, levels, (p,))[0]
+
+
+def tensor_transference_checks(bhat, d: int, levels: int, p_values):
+    """tensor_transference_check at every p, from one SVD of each matrix."""
     idx = tensor_indices(d, levels)
     dim = d**levels
     scalar = tensor_paraproduct(bhat, d, levels)
@@ -312,9 +326,7 @@ def tensor_transference_check(bhat, d: int, levels: int, p):
                 big[ia * dim:(ia + 1) * dim, ib * dim:(ib + 1) * dim] = (
                     scalar[ia, ib] / np.conj(lam) * tensor_word(eta, d, levels)
                 )
-    lhs = schatten_norm(big, p, blockdim=dim)
-    rhs = schatten_norm(scalar, p)
-    return lhs, rhs, abs(lhs - rhs)
+    return _transference_residuals(big, scalar, dim, p_values)
 
 
 # ---------------------------------------------------------------------------

@@ -376,8 +376,9 @@ def check_blockdiag_contractive(rng, trials=200):
         if at < n:
             blocks.append(range(at, n))
         E = spectral.block_diagonal_project(T, blocks)
-        for p in (1.0, 2.0, 4.0):
-            worst = max(worst, spectral.schatten_norm(E, p) - spectral.schatten_norm(T, p))
+        ps = (1.0, 2.0, 4.0)
+        for e, t in zip(spectral.schatten_norms(E, ps), spectral.schatten_norms(T, ps)):
+            worst = max(worst, e - t)
         worst = max(worst, float(np.abs(spectral.block_diagonal_project(E, blocks) - E).max()))
     return _rec("blockdiag-contractive", "conditional-expectation-contraction", worst, SLACK)
 
@@ -394,9 +395,12 @@ def check_orthogonal_sum_lower(rng, trials=200):
             R[rr, :] = rng.standard_normal((len(rr), dim)) + 1j * rng.standard_normal((len(rr), dim))
             pieces.append(R)
         T = sum(pieces)
-        for p in (0.5, 1.0, 3.0):
-            lhs = spectral.schatten_norm(T, p) ** p
-            rhs = sum(spectral.schatten_norm(R, p) ** p for R in pieces) / n
+        ps = (0.5, 1.0, 3.0)
+        whole = spectral.schatten_norms(T, ps)
+        parts = [spectral.schatten_norms(R, ps) for R in pieces]
+        for k, p in enumerate(ps):
+            lhs = whole[k] ** p
+            rhs = sum(norm[k] ** p for norm in parts) / n
             worst = max(worst, (rhs - lhs) / max(1.0, rhs))
     return _rec("orthogonal-range-sum", "disjoint-range-lower-bound", worst, SLACK)
 
@@ -517,8 +521,7 @@ def transference_suite(seed=20240803):
     for ng in (2, 3):
         bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
                 for A in algebras.car_subsets(ng) if A}
-        for p in (1, 2, 3, 4):
-            _, _, resid = algebras.car_transference_check(bhat, ng, p)
+        for _, _, resid in algebras.car_transference_checks(bhat, ng, (1, 2, 3, 4)):
             worst = max(worst, resid)
     records.append(_rec("car-transference", "diagonal-conjugation-norm", worst, 1e-8))
 
@@ -526,8 +529,7 @@ def transference_suite(seed=20240803):
     for levels in (2, 3):
         bhat = {a: complex(rng.standard_normal(), rng.standard_normal())
                 for a in algebras.tensor_indices(2, levels) if a}
-        for p in (1, 2, 3, 4):
-            _, _, resid = algebras.tensor_transference_check(bhat, 2, levels, p)
+        for _, _, resid in algebras.tensor_transference_checks(bhat, 2, levels, (1, 2, 3, 4)):
             worst = max(worst, resid)
     records.append(_rec("tensor-transference", "diagonal-conjugation-norm", worst, 1e-8))
 
@@ -782,7 +784,7 @@ def calibrate_all(seed=20240901, trials=200, progress=None):
 
     sysg = build_system(DyadicParams(2, 6))
     b = random_symbol(sysg, rng)
-    rows = shifts.commutator_growth_sweep(sysg, b, 2.0, [(0, 0)], seeds=range(5))
+    rows = shifts.commutator_growth_sweep(sysg, b, [2.0], [(0, 0)], seeds=range(5))
     anchor = max(r["ratio"] for r in rows)
     calib["shift_growth_anchor"] = anchor
     calib["shift_growth_margin"] = 2.5
@@ -959,7 +961,7 @@ def calibrated_suite(calib, seed=20240902, trials=200):
     sysg = build_system(DyadicParams(2, 6))
     b = random_symbol(sysg, rng)
     rows = shifts.commutator_growth_sweep(
-        sysg, b, 2.0, [(i, j) for i in range(4) for j in range(4)], seeds=range(3))
+        sysg, b, [2.0], [(i, j) for i in range(4) for j in range(4)], seeds=range(3))
     anchor = calib["shift_growth_anchor"] * calib["shift_growth_margin"]
     worst = max(r["ratio"] / ((r["i"] ** 2 + r["j"] ** 2 + 1) ** 0.5) / anchor - 1.0
                 for r in rows)

@@ -101,9 +101,7 @@ def _experiment_shift_growth(cfg, rng, outdir):
     ij = [(i, j) for i in range(i_range[0], i_range[1] + 1)
           for j in range(j_range[0], j_range[1] + 1)]
     seeds = list(range(cfg.get("trials", 3)))
-    rows = []
-    for p in cfg.get("p", [2.0]):
-        rows.extend(shifts.commutator_growth_sweep(sys_, b, p, ij, seeds))
+    rows = shifts.commutator_growth_sweep(sys_, b, cfg.get("p", [2.0]), ij, seeds)
     _write_csv(os.path.join(outdir, "shift_growth.csv"),
                ["i", "j", "seed", "p", "norm", "besov", "ratio"], rows)
     worst = max(r["ratio"] / ((r["i"] ** r["p"] + r["j"] ** r["p"] + 1) ** (1 / r["p"]))

@@ -236,15 +236,6 @@ class FiniteDyadicSystem:
                 out.append(CubeId(k + 1, idx))
         return out
 
-    def parent(self, cube: CubeId):
-        if cube.scale == 0:
-            return None
-        first = self._cells[cube][0]
-        for cand in self.cubes_by_scale[cube.scale - 1]:
-            if first in set(self._cells[cand]):
-                return cand
-        raise RuntimeError("parent not found")
-
     def haar_values(self, h: HaarIndex):
         """Cell values of the wavelet h (unit L2 norm, zero mean)."""
         cube, color = h.cube, h.color
@@ -459,7 +450,11 @@ def _cube_rank(sys: FiniteDyadicSystem, cube: CubeId) -> int:
 
 
 def _cube_from_rank(sys: FiniteDyadicSystem, scale: int, rank: int) -> CubeId:
+    if not 0 <= scale < sys.params.depth:
+        raise ValueError(f"scale {scale} outside the Haar scales 0..{sys.params.depth - 1}")
     n = sys._axis_count(scale)
+    if not 0 <= rank < n ** sys.params.dim:
+        raise ValueError(f"cube rank {rank} outside 0..{n ** sys.params.dim - 1} at scale {scale}")
     idx = []
     for _ in range(sys.params.dim):
         idx.append(rank % n)
@@ -495,34 +490,52 @@ def write_symbol_file(path, sys: FiniteDyadicSystem, mean, table):
 
 
 def read_symbol_file(path, sys: FiniteDyadicSystem):
+    """Inverse of write_symbol_file; malformed lines raise ValueError(path:line)."""
     mean = None
     m = 1
     table = {}
+    lineno = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = int(line.split()[-1])
-                mean = np.zeros((m, m), dtype=complex)
-                continue
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if parts[0] == "mean":
-                if m == 1:
-                    mean[0, 0] = float(parts[1]) + 1j * float(parts[2])
-                else:
-                    mean[int(parts[1]), int(parts[2])] = float(parts[3]) + 1j * float(parts[4])
+            if not parts:
                 continue
-            scale, rank, color = int(parts[0]), int(parts[1]), int(parts[2])
-            h = HaarIndex(_cube_from_rank(sys, scale, rank), color)
-            if h not in table:
-                table[h] = np.zeros((m, m), dtype=complex)
-            if m == 1:
-                table[h][0, 0] = float(parts[3]) + 1j * float(parts[4])
-            else:
-                table[h][int(parts[3]), int(parts[4])] = float(parts[5]) + 1j * float(parts[6])
+            try:
+                if parts[0].startswith("#"):
+                    words = line.split("#", 1)[1].split()
+                    if words[:1] != ["blockdim"] or len(words) != 2 or int(words[1]) < 1:
+                        raise ValueError("the header must read '# blockdim <m>', m >= 1")
+                    if mean is not None:
+                        raise ValueError("a second '# blockdim' header")
+                    m = int(words[1])
+                    mean = np.zeros((m, m), dtype=complex)
+                    continue
+                if mean is None:
+                    raise ValueError("data before the '# blockdim' header")
+                if parts[0] == "mean":
+                    _read_entry(mean, parts[1:], m)
+                    continue
+                scale, rank, color = int(parts[0]), int(parts[1]), int(parts[2])
+                h = HaarIndex(_cube_from_rank(sys, scale, rank), color)
+                if h not in sys.haar_pos:
+                    raise ValueError(f"color {color} outside 1..{sys.n_colors}")
+                block = table.setdefault(h, np.zeros((m, m), dtype=complex))
+                _read_entry(block, parts[3:], m)
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if mean is None:
+        raise ValueError(f"{path}:{lineno}: no '# blockdim' header")
     return mean, table
+
+
+def _read_entry(block, fields, m):
+    """Set one entry of an m x m block from `re im` (m = 1) or `row col re im`."""
+    if len(fields) != (2 if m == 1 else 4):
+        raise ValueError(f"expected {2 if m == 1 else 4} fields after the index, got {len(fields)}")
+    r, c = (0, 0) if m == 1 else (int(fields[0]), int(fields[1]))
+    if not (0 <= r < m and 0 <= c < m):
+        raise ValueError(f"block entry ({r}, {c}) outside the {m} x {m} block")
+    block[r, c] = float(fields[-2]) + 1j * float(fields[-1])
 
 
 def write_grid_shift(path, shift: GridShift, dim: int = 1):

@@ -8,6 +8,14 @@ acted on as the (D*m, m) matrix of stacked block rows.
 The truncation window 1..N replaces the bi-infinite scale sums, and the
 pointwise-multiplication identity picks up the coarse boundary term
 K_b f = (E_0 b)(E_0 f), which the decompose() bundle carries explicitly.
+
+Three assemblies are independent oracles and stay dense on purpose:
+mult_op (the full multiplication operator, from the synthesized function),
+adjoint_paraproduct (pi_b^*, from cube averages) and the LambdaTilde_b of
+triangle_ops (from its same-cube entries).  The exact checks compare the
+faster assemblies against them: M_b = pi_b + Lambda_b + R_b + K_b and
+Lambda_b = pi_{b*}^* + LambdaTilde_b.  No operator is built from one of the
+identities it is checked by.
 """
 
 from __future__ import annotations
@@ -177,7 +185,7 @@ def paraproduct(sys, b: Symbol) -> np.ndarray:
 
 
 def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
-    """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f)."""
+    """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f); an oracle."""
     m = b.blockdim
     D = sys.dim_basis
     arr = b.coeff_array()
@@ -194,7 +202,10 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
 
 
 def mult_op(sys, b: Symbol) -> np.ndarray:
-    """Pointwise left multiplication by the synthesized step function."""
+    """Pointwise left multiplication by the synthesized step function.
+
+    A dense O(D^3) oracle for the decomposition M_b = pi + Lambda + R + K.
+    """
     return _mult_matrix(sys, b.function())
 
 
@@ -215,30 +226,52 @@ def _difference_function(sys, arr, k) -> StepFunction:
     return sys.synthesize(coeffs)
 
 
-def _expectation_function(sys, arr, k) -> StepFunction:
-    coeffs = arr.copy()
-    scales = sys.scale_of_row()
-    keep = (scales == -1) | (scales <= k - 1)
-    coeffs[~keep] = 0.0
-    return sys.synthesize(coeffs)
+def _scale_layouts(sys):
+    """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
+
+    cells (n_Q, cells per cube) lists the cells of each cube Q, cols
+    (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
+    coarse slot, the slots of Q's ancestors and Q's own slots: the support
+    of every function on Q that is constant on Q's children.
+    """
+    colors = range(1, sys.n_colors + 1)
+    above = np.zeros((sys.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestor slots
+    for s in range(sys.params.depth):
+        cubes = sys.cubes_by_scale[s]
+        cells = np.stack([sys.cells_of(c) for c in cubes])
+        cols = np.array([[sys.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
+        yield cells, cols, np.concatenate([above[cells[:, 0]], cols], axis=1)
+        own = np.empty((sys.n_cells, sys.n_colors), dtype=np.int64)
+        own[cells] = cols[:, None, :]
+        above = np.concatenate([above, own], axis=1)
 
 
 def triangle_ops(sys, b: Symbol):
     """Return (Lambda_b, LambdaTilde_b).
 
-    Lambda_b f = sum_k d_k b . d_k f from pointwise products; LambdaTilde_b
-    assembled directly from its same-cube color-convolution entries, block
-    diagonal over cubes.
+    Lambda_b = sum_k M_{d_k b} S_{k-1} from pointwise products, one batched
+    analysis per scale s: the column of the slot (Q, t) is the analysis of
+    d_{s+1} b . h_Q^t, restricted to its tree support.  LambdaTilde_b is an
+    independent oracle, assembled directly from its same-cube
+    color-convolution entries, block diagonal over cubes.
     """
     m = b.blockdim
     arr = b.coeff_array()
     N = sys.params.depth
     D = sys.dim_basis
-    lam = np.zeros((D * m, D * m), dtype=complex)
-    for k in range(1, N + 1):
-        dk = _difference_function(sys, arr, k)
-        sel = scale_selector(sys, k - 1, m)
-        lam += _mult_matrix(sys, dk) * sel[None, :]
+    basis = sys.basis_matrix
+    lam = np.zeros((D, m, D, m), dtype=complex)
+    for cells, cols, rows in _scale_layouts(sys):
+        haar = basis[cells[:, :, None], cols[:, None, :]]  # (Q, cell, color)
+        # d_{s+1} b on Q: only Q's own wavelets of scale s are nonzero there
+        diff = np.einsum("qct,qtij->qcij", haar, arr[cols])
+        prod = np.einsum("qcij,qct->qcitj", diff, haar)
+        # entries of the analysis matrix on Q's cells and support rows
+        analysis = basis[cells[:, None, :], rows[:, :, None]].conj() * sys.cell_measure
+        n_q, per = cells.shape
+        block = (analysis @ prod.reshape(n_q, per, -1)).reshape(n_q, rows.shape[1], m, -1, m)
+        lam[rows[:, :, None], :, cols[:, None, :], :] = block.transpose(0, 1, 3, 2, 4)
+    lam = lam.reshape(D * m, D * m)
 
     lam_tilde = np.zeros((D * m, D * m), dtype=complex)
     d = sys.params.d
@@ -263,16 +296,18 @@ def triangle_ops(sys, b: Symbol):
 
 
 def r_op(sys, b: Symbol) -> np.ndarray:
-    """R_b f = sum_{k=1..N} b_{k-1} . d_k f, with b_0 the coarse mean."""
+    """R_b f = sum_{k=1..N} b_{k-1} . d_k f, with b_0 the coarse mean.
+
+    R_b is block diagonal: every Haar slot of a scale-s cube Q carries the
+    m x m block E_s b on Q, the mean of b over Q; the coarse slot carries 0.
+    """
     m = b.blockdim
-    arr = b.coeff_array()
-    N = sys.params.depth
-    out = np.zeros((sys.dim_basis * m,) * 2, dtype=complex)
-    for k in range(1, N + 1):
-        bk = _expectation_function(sys, arr, k - 1)
-        sel = scale_selector(sys, k - 1, m)
-        out += _mult_matrix(sys, bk) * sel[None, :]
-    return out
+    values = b.function().values
+    out = np.zeros((sys.dim_basis, m, sys.dim_basis, m), dtype=complex)
+    for cells, cols, _ in _scale_layouts(sys):
+        means = values[cells].mean(axis=1)  # (Q, m, m)
+        out[cols, :, cols, :] = means[:, None]
+    return out.reshape(sys.dim_basis * m, sys.dim_basis * m)
 
 
 def coarse_op(sys, b: Symbol) -> np.ndarray:

@@ -135,30 +135,39 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     return phi, blocks
 
 
-def commutator_growth_sweep(sys, b: Symbol, p, ij_values, seeds):
-    """Rows of (i, j, seed, p, commutator norm, Besov norm, ratio)."""
+def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):
+    """Rows of (i, j, seed, p, commutator norm, Besov norm, ratio), p by p.
+
+    Each commutator [S, M_b] is assembled and decomposed once for all of
+    `p_values`.
+    """
     from .norms import besov_haar
-    from .spectral import schatten_norm
+    from .spectral import schatten_norms
 
     M = mult_op(sys, b)
-    besov = besov_haar(sys, b, p)
-    rows = []
+    by_shift = {}
     for (i, j) in ij_values:
         for seed in seeds:
             spec = random_shift(sys, i, j, seed)
             S = assemble_shift(sys, spec, b.blockdim)
-            norm = schatten_norm(S @ M - M @ S, p, blockdim=b.blockdim)
-            rows.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "seed": seed,
-                    "p": p,
-                    "norm": norm,
-                    "besov": besov,
-                    "ratio": norm / besov if besov else np.nan,
-                }
-            )
+            by_shift[i, j, seed] = schatten_norms(S @ M - M @ S, p_values, blockdim=b.blockdim)
+    rows = []
+    for k, p in enumerate(p_values):
+        besov = besov_haar(sys, b, p)
+        for (i, j) in ij_values:
+            for seed in seeds:
+                norm = by_shift[i, j, seed][k]
+                rows.append(
+                    {
+                        "i": i,
+                        "j": j,
+                        "seed": seed,
+                        "p": p,
+                        "norm": norm,
+                        "besov": besov,
+                        "ratio": norm / besov if besov else np.nan,
+                    }
+                )
     return rows
 
 

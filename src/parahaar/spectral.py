@@ -6,6 +6,7 @@ import numpy as np
 
 __all__ = [
     "schatten_norm",
+    "schatten_norms",
     "singular_values",
     "rank_one",
     "block_diagonal_project",
@@ -26,8 +27,20 @@ def schatten_norm(T, p, blockdim: int = 1) -> float:
     The division models the trace Tr (x) tr_m on B(l2) (x) M_m, i.e. the
     normalized trace on the m x m block factor.  p = inf returns the largest
     singular value (unaffected by the convention).
+
+    Every call decomposes T afresh; nothing is cached between calls.  For
+    norms of one matrix at several p, `schatten_norms` shares one SVD.
     """
+    return _from_singular_values(singular_values(T), p, blockdim)
+
+
+def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
+    """[schatten_norm(T, p, blockdim) for p in ps], from one SVD of T."""
     sv = singular_values(T)
+    return [_from_singular_values(sv, p, blockdim) for p in ps]
+
+
+def _from_singular_values(sv, p, blockdim) -> float:
     if p == np.inf or p == "inf":
         return float(sv[0]) if sv.size else 0.0
     p = float(p)

@@ -5,10 +5,12 @@ import pytest
 
 from parahaar.algebras import (besov_car, besov_tensor, car_generators,
                                car_paraproduct, car_sign, car_subsets,
-                               car_trace, car_transference_check, car_word,
+                               car_trace, car_transference_check,
+                               car_transference_checks, car_word,
                                eta_lambda, read_car_symbol, read_tensor_symbol,
                                tensor_basis, tensor_indices, tensor_paraproduct,
-                               tensor_transference_check, tensor_word,
+                               tensor_transference_check,
+                               tensor_transference_checks, tensor_word,
                                write_car_symbol, write_tensor_symbol)
 from parahaar.norms import block_lp
 
@@ -101,6 +103,18 @@ def test_car_transference(rng):
     lhs, rhs, resid = car_transference_check(single, 2, 2)
     assert resid < 1e-12 and lhs == pytest.approx(1.5)
     assert car_transference_check({}, 2, 2)[2] == 0.0
+
+
+def test_transference_checks_share_one_svd_per_matrix(rng):
+    ps = (1, 2, 3, 4)
+    bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
+            for A in car_subsets(3) if A}
+    assert car_transference_checks(bhat, 3, ps) == [car_transference_check(bhat, 3, p)
+                                                    for p in ps]
+    that = {a: complex(rng.standard_normal(), rng.standard_normal())
+            for a in tensor_indices(2, 2) if a}
+    assert tensor_transference_checks(that, 2, 2, ps) == [
+        tensor_transference_check(that, 2, 2, p) for p in ps]
 
 
 def test_tensor_basis_d2():

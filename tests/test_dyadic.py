@@ -244,6 +244,20 @@ def test_symbol_file_roundtrip(tmp_path, rng):
             assert np.allclose(table[h], b.coeffs[h])
 
 
+@pytest.mark.parametrize("body,line,message", [
+    ("mean 1.0 0.0\n0 0 1 2.0 0.0\n", 1, "blockdim"),        # no header
+    ("# blockdim 1\nmean 0.0 0.0\n0 5 1 1.0 0.0\n", 3, "rank 5"),  # rank out of range
+    ("# blockdim 1\nmean 0.0 0.0\n1 0 3 1.0 0.0\n", 3, "color 3"),  # d = 3: colors 1..2
+    ("# blockdim 1\nmean 0.0 0.0\n# blockdim 2\n", 3, "second"),
+])
+def test_symbol_file_rejects_malformed(tmp_path, body, line, message):
+    sys = build_system(DyadicParams(3, 2))
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
+        read_symbol_file(path, sys)
+
+
 def test_grid_shift_roundtrip(tmp_path):
     sh = GridShift((1, 0, 1, 1))
     path = tmp_path / "shift.txt"

@@ -7,8 +7,8 @@ from parahaar.norms import block_lp
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
                                    mult_op, paraproduct, r_op, random_symbol,
-                                   rank_piece, splitting, tail_maximal,
-                                   triangle_ops)
+                                   rank_piece, scale_selector, splitting,
+                                   tail_maximal, triangle_ops)
 from parahaar.spectral import schatten_norm, triangular_project
 
 
@@ -308,3 +308,46 @@ def test_commutator_identities_dim2(rng):
     assert np.abs((pa @ rb - rb @ pa + pa @ (pb + lam) - v)[:, haar]).max() < 1e-11
     tri = triangular_project(pa @ lam, sys.scale_of_row())
     assert np.abs(psi - tri).max() < 1e-11
+
+
+def _scale_sum_oracle(sys, b, keep):
+    """sum_k M_{b_k} S_{k-1} from dense multiplication operators, where b_k
+    keeps the Haar terms of b whose cube scale passes keep(scale, k)."""
+    out = 0.0
+    for k in range(1, sys.params.depth + 1):
+        part = Symbol(sys, {h: blk for h, blk in b.coeffs.items() if keep(h.cube.scale, k)},
+                      b.coarse_mean if keep(-1, k) else None, blockdim=b.blockdim)
+        out = out + mult_op(sys, part) * scale_selector(sys, k - 1, b.blockdim)[None, :]
+    return out
+
+
+@pytest.mark.parametrize("d,N,m,dim,shift", [
+    (2, 3, 1, 1, None), (3, 2, 2, 1, None), (5, 2, 1, 1, None), (2, 2, 1, 2, None),
+    (2, 3, 1, 1, (1, 0, 1)),
+])
+def test_lambda_and_r_against_multiplication_oracle(rng, d, N, m, dim, shift):
+    from parahaar.dyadic import GridShift
+
+    sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng, blockdim=m)
+    lam, _ = triangle_ops(sys, b)
+    # Lambda_b = sum_k M_{d_k b} S_{k-1}; R_b = sum_k M_{E_{k-1} b} S_{k-1}
+    lam_oracle = _scale_sum_oracle(sys, b, lambda s, k: s == k - 1)
+    r_oracle = _scale_sum_oracle(sys, b, lambda s, k: s <= k - 2)
+    assert np.abs(lam - lam_oracle).max() < 1e-12
+    assert np.abs(r_op(sys, b) - r_oracle).max() < 1e-12
+
+
+def test_r_block_diagonal(rng):
+    for d, m in ((3, 1), (2, 2)):
+        sys = build_system(DyadicParams(d, 3))
+        b = random_symbol(sys, rng, blockdim=m)
+        R = r_op(sys, b).reshape(sys.dim_basis, m, sys.dim_basis, m)
+        off = ~np.eye(sys.dim_basis, dtype=bool)
+        assert np.abs(R.transpose(0, 2, 1, 3)[off]).max() == 0.0
+        f = b.function().values
+        for h in sys.haar_indices:
+            row = sys.haar_pos[h]
+            mean = f[sys.cells_of(h.cube)].mean(axis=0)
+            assert np.abs(R[row, :, row, :] - mean).max() < 1e-13
+        assert np.abs(R[0, :, 0, :]).max() == 0.0

@@ -105,13 +105,23 @@ def test_phi_blockvalued(rng):
 def test_growth_sweep_rows(rng):
     sys = build_system(DyadicParams(2, 5))
     b = random_symbol(sys, rng)
-    rows = commutator_growth_sweep(sys, b, 2.0, [(0, 0), (1, 2)], seeds=[0, 1])
+    rows = commutator_growth_sweep(sys, b, [2.0], [(0, 0), (1, 2)], seeds=[0, 1])
     assert len(rows) == 4
     assert {r["i"] for r in rows} == {0, 1}
     assert all(r["norm"] >= 0 and r["besov"] > 0 for r in rows)
     const = Symbol(sys, {}, coarse_mean=np.array([[1.0]]))
-    rows0 = commutator_growth_sweep(sys, const, 2.0, [(1, 1)], seeds=[0])
+    rows0 = commutator_growth_sweep(sys, const, [2.0], [(1, 1)], seeds=[0])
     assert rows0[0]["norm"] < 1e-12
+
+
+def test_growth_sweep_several_p_equals_one_p_at_a_time(rng):
+    sys = build_system(DyadicParams(2, 4))
+    b = random_symbol(sys, rng)
+    ij = [(0, 0), (1, 0)]
+    both = commutator_growth_sweep(sys, b, [1.0, 2.0], ij, seeds=[0, 1])
+    assert both == (commutator_growth_sweep(sys, b, [1.0], ij, seeds=[0, 1])
+                    + commutator_growth_sweep(sys, b, [2.0], ij, seeds=[0, 1]))
+    assert [r["p"] for r in both] == [1.0] * 4 + [2.0] * 4
 
 
 def test_average_equivariance():

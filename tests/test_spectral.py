@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahaar.spectral import (block_diagonal_project, rank_one, schatten_norm,
-                               triangular_project)
+                               schatten_norms, triangular_project)
 
 
 def test_identity_norms():
@@ -121,3 +121,42 @@ def test_normalized_block_convention(rng):
     big = np.kron(A, np.eye(3))
     for p in (1, 2, 4):
         assert schatten_norm(big, p, blockdim=3) == pytest.approx(schatten_norm(A, p), rel=1e-12)
+
+
+def _fresh_norms(T):
+    sv = np.linalg.svd(np.asarray(T, dtype=complex), compute_uv=False)
+    kept = sv[sv > sv[0] * sv.size * np.finfo(float).eps]
+    return [float(np.sum(kept)), float(np.sum(kept**2) ** 0.5), float(sv[0])]
+
+
+def test_norms_match_fresh_svd_bitwise(rng):
+    T = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+    expected = _fresh_norms(T)
+    assert [schatten_norm(T, p) for p in (1, 2, np.inf)] == expected
+    assert schatten_norms(T, (1, 2, np.inf)) == expected
+
+
+def test_schatten_norms_equal_one_p_at_a_time(rng):
+    T = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    T[:, 0] = 0.0  # rank-deficient, so the noise cut applies
+    ps = (0.3, 1, 2.5, 4, np.inf)
+    for m in (1, 2):
+        assert schatten_norms(T, ps, blockdim=m) == [schatten_norm(T, p, m) for p in ps]
+    assert schatten_norms(T, ()) == []
+    with pytest.raises(ValueError):
+        schatten_norms(T, (1, -1))
+
+
+def test_norms_follow_in_place_mutation(rng):
+    T = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    before = [schatten_norm(T, p) for p in (1, 2, np.inf)]
+    T[3] *= 5.0
+    after = [schatten_norm(T, p) for p in (1, 2, np.inf)]
+    assert after == _fresh_norms(T)
+    assert after != before
+
+
+def test_real_and_complex_agree(rng):
+    A = rng.standard_normal((6, 6))
+    ps = (0.5, 1, 2, np.inf)
+    assert [schatten_norm(A, p) for p in ps] == schatten_norms(A.astype(complex), ps)
