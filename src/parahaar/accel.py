@@ -62,24 +62,6 @@ def _quadrant_masses_nb(re, im, w, ux, uy, qx, qy, tol):  # pragma: no cover
     return out
 
 
-def _side_masses_py(re, im, w, ux, uy, px, py, tol):
-    nu = -(re - px) * uy + (im - py) * ux
-    return np.array([w[nu >= -tol].sum(), w[nu <= tol].sum()])
-
-
-@njit(cache=True)
-def _side_masses_nb(re, im, w, ux, uy, px, py, tol):  # pragma: no cover
-    pos = 0.0
-    neg = 0.0
-    for k in range(re.shape[0]):
-        nu = -(re[k] - px) * uy + (im[k] - py) * ux
-        if nu >= -tol:
-            pos += w[k]
-        if nu <= tol:
-            neg += w[k]
-    return np.array([pos, neg])
-
-
 def _pair_power_weights_py(mids, vol, power):
     # mids: (ncell, nsub, dim) midpoints of the refinement subcells
     ncell = mids.shape[0]
@@ -116,14 +98,11 @@ def _pair_power_weights_nb(mids, vol, power):  # pragma: no cover
 
 if HAVE_NUMBA:
     quadrant_masses_kernel = _quadrant_masses_nb
-    side_masses_kernel = _side_masses_nb
     pair_power_weights = _pair_power_weights_nb
 else:
     quadrant_masses_kernel = _quadrant_masses_py
-    side_masses_kernel = _side_masses_py
     pair_power_weights = _pair_power_weights_py
 
 # numpy twins stay importable for the benchmark and for equivalence tests
 quadrant_masses_numpy = _quadrant_masses_py
-side_masses_numpy = _side_masses_py
 pair_power_weights_numpy = _pair_power_weights_py

@@ -279,18 +279,25 @@ class FiniteDyadicSystem:
 
     @property
     def cube_average_matrix(self):
-        """avg[r, beta] = mean over Haar cube r of basis function beta."""
+        """avg[r, beta] = mean over Haar cube r of basis function beta.
+
+        One row per Haar index; rows repeat across the colors of one cube.
+        The mean over a cube I of a basis function is nonzero only on I's
+        tree support: the coarse slot and the wavelets of I's strict
+        ancestors, each constant on I.  A wavelet of I itself or of a
+        subcube has mean zero on I, and one of a disjoint cube vanishes on
+        I, so every other entry is set to an exact 0 rather than left as
+        the roundoff of a dense mean.  The support entries are the same
+        `B[cells, support].mean(axis=0)` over I's cells that a dense mean
+        gives, bit for bit.
+        """
         if self._avg is None:
-            cubes = [h.cube for h in self.haar_indices]
-            # one row per Haar index; rows repeat across colors of one cube
-            A = np.zeros((len(cubes), self.dim_basis), dtype=complex)
+            A = np.zeros((len(self.haar_indices), self.dim_basis), dtype=complex)
             B = self.basis_matrix
-            cache = {}
-            for r, cube in enumerate(cubes):
-                if cube not in cache:
-                    cells = self._cells[cube]
-                    cache[cube] = B[cells].mean(axis=0)
-                A[r] = cache[cube]
+            for cells, cols, rows in _scale_layouts(self):
+                support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
+                means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
+                A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
             self._avg = A
         return self._avg
 
@@ -307,6 +314,26 @@ class FiniteDyadicSystem:
 
     def synthesize(self, coeffs):
         return StepFunction(np.einsum("cb,bij->cij", self.basis_matrix, coeffs))
+
+
+def _scale_layouts(sys: FiniteDyadicSystem):
+    """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
+
+    cells (n_Q, cells per cube) lists the cells of each cube Q, cols
+    (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
+    coarse slot, the slots of Q's ancestors and Q's own slots: the support
+    of every function on Q that is constant on Q's children.
+    """
+    colors = range(1, sys.n_colors + 1)
+    above = np.zeros((sys.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestor slots
+    for s in range(sys.params.depth):
+        cubes = sys.cubes_by_scale[s]
+        cells = np.stack([sys.cells_of(c) for c in cubes])
+        cols = np.array([[sys.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
+        yield cells, cols, np.concatenate([above[cells[:, 0]], cols], axis=1)
+        own = np.empty((sys.n_cells, sys.n_colors), dtype=np.int64)
+        own[cells] = cols[:, None, :]
+        above = np.concatenate([above, own], axis=1)
 
 
 def build_system(params: DyadicParams, shift: Optional[GridShift] = None):
@@ -494,6 +521,7 @@ def read_symbol_file(path, sys: FiniteDyadicSystem):
     mean = None
     m = 1
     table = {}
+    seen = set()  # (HaarIndex or "mean", row, col) of every entry read
     lineno = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -513,14 +541,18 @@ def read_symbol_file(path, sys: FiniteDyadicSystem):
                 if mean is None:
                     raise ValueError("data before the '# blockdim' header")
                 if parts[0] == "mean":
-                    _read_entry(mean, parts[1:], m)
-                    continue
-                scale, rank, color = int(parts[0]), int(parts[1]), int(parts[2])
-                h = HaarIndex(_cube_from_rank(sys, scale, rank), color)
-                if h not in sys.haar_pos:
-                    raise ValueError(f"color {color} outside 1..{sys.n_colors}")
-                block = table.setdefault(h, np.zeros((m, m), dtype=complex))
-                _read_entry(block, parts[3:], m)
+                    key, block, fields = "mean", mean, parts[1:]
+                else:
+                    scale, rank, color = int(parts[0]), int(parts[1]), int(parts[2])
+                    key = HaarIndex(_cube_from_rank(sys, scale, rank), color)
+                    if key not in sys.haar_pos:
+                        raise ValueError(f"color {color} outside 1..{sys.n_colors}")
+                    block = table.setdefault(key, np.zeros((m, m), dtype=complex))
+                    fields = parts[3:]
+                r, c = _read_entry(block, fields, m)
+                if (key, r, c) in seen:
+                    raise ValueError(f"a second entry ({r}, {c}) for {key}")
+                seen.add((key, r, c))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if mean is None:
@@ -529,13 +561,17 @@ def read_symbol_file(path, sys: FiniteDyadicSystem):
 
 
 def _read_entry(block, fields, m):
-    """Set one entry of an m x m block from `re im` (m = 1) or `row col re im`."""
+    """Set one entry of an m x m block from `re im` (m = 1) or `row col re im`.
+
+    Returns the (row, col) it set.
+    """
     if len(fields) != (2 if m == 1 else 4):
         raise ValueError(f"expected {2 if m == 1 else 4} fields after the index, got {len(fields)}")
     r, c = (0, 0) if m == 1 else (int(fields[0]), int(fields[1]))
     if not (0 <= r < m and 0 <= c < m):
         raise ValueError(f"block entry ({r}, {c}) outside the {m} x {m} block")
     block[r, c] = float(fields[-2]) + 1j * float(fields[-1])
+    return r, c
 
 
 def write_grid_shift(path, shift: GridShift, dim: int = 1):

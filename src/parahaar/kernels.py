@@ -27,8 +27,6 @@ __all__ = [
     "random_admissible_family",
     "nwo_quantity",
     "testing_quantity",
-    "write_grid_operator",
-    "read_grid_operator",
 ]
 
 
@@ -374,10 +372,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     total = 0.0
     for k in range(1, sys.params.depth):
         per = sys._axis_count(k)
-        if sys.params.dim == 1:
-            shift = max(1, min(A, per - 1))
-        else:
-            shift = max(1, min(A, per - 1))
+        shift = max(1, min(A, per - 1))
         for cube in sys.cubes_by_scale[k]:
             idx = list(cube.index)
             idx[0] = idx[0] + shift
@@ -408,31 +403,3 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
                     total += (A ** sys.params.dim * abs(pair)) ** p
     return float(total ** (1.0 / p))
 
-
-def write_grid_operator(path, T: GridOperator):
-    """Dense text export: a header line, then one `row col re im` per entry."""
-    with open(path, "w") as fh:
-        fh.write(f"# dim {T.dim} cells_per_axis {T.cells_per_axis}\n")
-        for r in range(T.n_cells):
-            for c in range(T.n_cells):
-                z = T.matrix[r, c]
-                if z != 0:
-                    fh.write(f"{r} {c} {float(z.real)!r} {float(z.imag)!r}\n")
-
-
-def read_grid_operator(path) -> GridOperator:
-    dim = cells_per_axis = None
-    entries = []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                parts = line.split()
-                dim, cells_per_axis = int(parts[2]), int(parts[4])
-                continue
-            r, c, re, im = line.split()
-            entries.append((int(r), int(c), float(re) + 1j * float(im)))
-    n = cells_per_axis**dim
-    M = np.zeros((n, n), dtype=complex)
-    for r, c, z in entries:
-        M[r, c] = z
-    return GridOperator(M, dim, cells_per_axis)

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction
+from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _scale_layouts
 
 __all__ = [
     "Symbol",
@@ -224,26 +224,6 @@ def _difference_function(sys, arr, k) -> StepFunction:
     scales = sys.scale_of_row()
     coeffs[scales != k - 1] = 0.0
     return sys.synthesize(coeffs)
-
-
-def _scale_layouts(sys):
-    """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
-
-    cells (n_Q, cells per cube) lists the cells of each cube Q, cols
-    (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
-    coarse slot, the slots of Q's ancestors and Q's own slots: the support
-    of every function on Q that is constant on Q's children.
-    """
-    colors = range(1, sys.n_colors + 1)
-    above = np.zeros((sys.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestor slots
-    for s in range(sys.params.depth):
-        cubes = sys.cubes_by_scale[s]
-        cells = np.stack([sys.cells_of(c) for c in cubes])
-        cols = np.array([[sys.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
-        yield cells, cols, np.concatenate([above[cells[:, 0]], cols], axis=1)
-        own = np.empty((sys.n_cells, sys.n_colors), dtype=np.int64)
-        own[cells] = cols[:, None, :]
-        above = np.concatenate([above, own], axis=1)
 
 
 def triangle_ops(sys, b: Symbol):

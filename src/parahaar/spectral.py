@@ -15,10 +15,30 @@ __all__ = [
 
 
 def singular_values(T) -> np.ndarray:
+    """All D singular values of the D x D matrix T, in descending order.
+
+    Rows and columns of T that are exactly zero are deflated before the SVD.
+    With permutations P, Q that move them last, T = P [C 0; 0 0] Q, where C
+    keeps the nonzero rows and columns.  Permutations are unitary, so the
+    singular values of T are those of C padded with zeros up to D: the
+    deflation is exact, not a truncation.  LAPACK then runs on C alone (the
+    paraproduct's coarse row and finest-scale columns are zero); a matrix
+    with no zero row or column goes to LAPACK as it is.
+    """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
-    return np.linalg.svd(T, compute_uv=False)
+    nonzero = T != 0
+    rows = nonzero.any(axis=1)
+    cols = nonzero.any(axis=0)
+    n, r, c = T.shape[0], np.count_nonzero(rows), np.count_nonzero(cols)
+    if r == n and c == n:
+        return np.linalg.svd(T, compute_uv=False)
+    sv = np.zeros(n)
+    if r and c:
+        core = T.compress(rows, axis=0).compress(cols, axis=1)
+        sv[: min(r, c)] = np.linalg.svd(core, compute_uv=False)
+    return sv
 
 
 def schatten_norm(T, p, blockdim: int = 1) -> float:

@@ -16,19 +16,6 @@ def test_quadrant_masses_paths_agree(rng):
                            accel.quadrant_masses_numpy(*args))
 
 
-def test_side_masses_paths_agree(rng):
-    for _ in range(50):
-        n = int(rng.integers(1, 200))
-        re = rng.standard_normal(n)
-        im = rng.standard_normal(n)
-        w = rng.uniform(0.1, 2.0, n)
-        ang = rng.uniform(0, np.pi)
-        args = (re, im, w, float(np.cos(ang)), float(np.sin(ang)),
-                float(rng.standard_normal()), float(rng.standard_normal()), 0.0)
-        assert np.allclose(accel.side_masses_kernel(*args),
-                           accel.side_masses_numpy(*args))
-
-
 def test_pair_weights_paths_agree(rng):
     mids = rng.uniform(0, 1, (6, 4, 2))
     a = accel.pair_power_weights(np.ascontiguousarray(mids), 0.01, 4.0)

@@ -249,6 +249,11 @@ def test_symbol_file_roundtrip(tmp_path, rng):
     ("# blockdim 1\nmean 0.0 0.0\n0 5 1 1.0 0.0\n", 3, "rank 5"),  # rank out of range
     ("# blockdim 1\nmean 0.0 0.0\n1 0 3 1.0 0.0\n", 3, "color 3"),  # d = 3: colors 1..2
     ("# blockdim 1\nmean 0.0 0.0\n# blockdim 2\n", 3, "second"),
+    ("# blockdim 1\nmean 0.0 0.0\n1 2 1 1.0 0.0\nmean 2.0 0.0\n", 4, r"second entry \(0, 0\) for mean"),
+    ("# blockdim 1\nmean 0.0 0.0\n1 2 1 1.0 0.0\n1 2 1 3.0 0.0\n", 4,
+     r"second entry \(0, 0\) for HaarIndex\(cube=CubeId\(scale=1, index=\(2,\)\), color=1\)"),
+    ("# blockdim 2\n0 0 1 1 0 1.0 0.0\n0 0 1 0 1 1.0 0.0\n0 0 1 1 0 2.0 0.0\n", 4,
+     r"second entry \(1, 0\) for HaarIndex"),
 ])
 def test_symbol_file_rejects_malformed(tmp_path, body, line, message):
     sys = build_system(DyadicParams(3, 2))
@@ -288,3 +293,30 @@ def test_difference_operator_algebra(rng):
                 assert np.abs(dj_dk.values - dk.values).max() < 1e-12
             else:
                 assert np.abs(dj_dk.values).max() < 1e-12
+
+
+def _strict_ancestor_support(sys, cube):
+    """Coarse slot plus the slots of cubes whose cells strictly contain `cube`'s."""
+    cells = set(sys.cells_of(cube).tolist())
+    support = np.zeros(sys.dim_basis, dtype=bool)
+    support[0] = True
+    for h in sys.haar_indices:
+        if h.cube.scale < cube.scale and cells <= set(sys.cells_of(h.cube).tolist()):
+            support[sys.haar_pos[h]] = True
+    return support
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [
+    (2, 4, 1, None), (3, 3, 1, None), (5, 2, 1, None), (2, 3, 2, None), (2, 3, 2, (3, 1, 2)),
+])
+def test_cube_averages_on_tree_support(d, N, dim, shift):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    avg = sys.cube_average_matrix
+    B = sys.basis_matrix
+    assert avg.shape == (len(sys.haar_indices), sys.dim_basis)
+    for r, h in enumerate(sys.haar_indices):
+        support = _strict_ancestor_support(sys, h.cube)
+        assert support.sum() == 1 + h.cube.scale * sys.n_colors
+        dense = B[sys.cells_of(h.cube)].mean(axis=0)
+        assert np.array_equal(avg[r, support], dense[support])
+        assert np.all(avg[r, ~support] == 0)

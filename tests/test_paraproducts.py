@@ -351,3 +351,16 @@ def test_r_block_diagonal(rng):
             mean = f[sys.cells_of(h.cube)].mean(axis=0)
             assert np.abs(R[row, :, row, :] - mean).max() < 1e-13
         assert np.abs(R[0, :, 0, :]).max() == 0.0
+
+
+@pytest.mark.parametrize("d,N,dim", [(3, 3, 1), (2, 3, 2)])
+def test_paraproduct_exact_zero_lines(rng, d, N, dim):
+    # E_{k-1} never sees a finest-scale wavelet, and there is no coarse output row
+    sys = build_system(DyadicParams(d, N, dim=dim))
+    for m in (1, 2):
+        b = random_symbol(sys, rng, blockdim=m)
+        P = paraproduct(sys, b).reshape(sys.dim_basis, m, sys.dim_basis, m)
+        finest = sys.scale_of_row() == N - 1
+        assert np.all(P[:, :, finest, :] == 0)
+        assert np.all(P[0] == 0)
+        assert np.all(P[:, :, ~finest, :].any(axis=(0, 1, 3)))  # nothing else is a zero column

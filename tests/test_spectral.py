@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahaar.spectral import (block_diagonal_project, rank_one, schatten_norm,
-                               schatten_norms, triangular_project)
+                               schatten_norms, singular_values, triangular_project)
 
 
 def test_identity_norms():
@@ -160,3 +160,59 @@ def test_real_and_complex_agree(rng):
     A = rng.standard_normal((6, 6))
     ps = (0.5, 1, 2, np.inf)
     assert [schatten_norm(A, p) for p in ps] == schatten_norms(A.astype(complex), ps)
+
+
+def _deflation_cases(rng):
+    """(name, T) pairs: random zero rows and/or columns, none, one entry, all zero."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    cases = []
+    for k in range(6):
+        T = cplx(12, 12)
+        if k % 3 != 1:
+            T[rng.choice(12, size=int(rng.integers(1, 8)), replace=False)] = 0.0
+        if k % 3 != 0:
+            T[:, rng.choice(12, size=int(rng.integers(1, 8)), replace=False)] = 0.0
+        cases.append((f"random-{k}", T))
+    one = np.zeros((7, 7), dtype=complex)
+    one[4, 2] = 3.0 - 4.0j
+    cases += [("single-entry", one), ("all-zero", np.zeros((5, 5)))]
+    # a blockdim m = 2 operator: the Kronecker factor zeroes pairs of rows/columns
+    A = cplx(6, 6)
+    A[[1, 4]] = 0.0
+    A[:, [0, 2, 5]] = 0.0
+    cases.append(("blockdim-2", np.kron(A, cplx(2, 2))))
+    return cases
+
+
+def test_deflated_singular_values_match_full_svd(rng):
+    for name, T in _deflation_cases(rng):
+        full = np.linalg.svd(T, compute_uv=False)
+        sv = singular_values(T)
+        assert sv.shape == (T.shape[0],), name
+        assert np.all(np.diff(sv) <= 0), name
+        assert np.abs(sv - full).max() <= 1e-13 * max(full[0], 1.0), name
+
+
+def test_deflated_norms_match_full_svd(rng):
+    ps = (0.5, 1, 2, 3, np.inf)
+    for name, T in _deflation_cases(rng):
+        m = 2 if name == "blockdim-2" else 1
+        full = np.linalg.svd(T, compute_uv=False)
+        expected = []
+        for p in ps:
+            if p == np.inf:
+                expected.append(full[0])
+                continue
+            kept = full[full > full[0] * full.size * np.finfo(float).eps] if full[0] > 0 else full
+            expected.append((np.sum(kept**p) / m) ** (1.0 / p))
+        got = schatten_norms(T, ps, blockdim=m)
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-300), name
+    assert schatten_norms(np.zeros((4, 4)), ps) == [0.0] * len(ps)
+
+
+def test_no_zero_line_goes_to_lapack_unchanged(rng):
+    T = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
+    T[3, :5] = 0.0  # zero entries, but no zero row or column
+    assert np.array_equal(singular_values(T), np.linalg.svd(T, compute_uv=False))
