@@ -165,6 +165,15 @@ EXPERIMENTS = {
     "weak-factorization": _experiment_weak_factorization,
 }
 
+# the config keys each experiment reads, besides "experiment", "seed" and "out"
+CONFIG_KEYS = {
+    "theorem1": {"d", "depth", "dim", "p", "blockdim", "trials"},
+    "median-verify": {"trials"},
+    "shift-growth": {"depth", "dim", "p", "i_range", "j_range", "trials"},
+    "covering": {"dim", "trials"},
+    "weak-factorization": {"kernel", "kernel_params", "cells", "A_values"},
+}
+
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
@@ -173,6 +182,12 @@ def cmd_run(args) -> int:
     if name not in EXPERIMENTS:
         print(f"error: unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}",
               file=_sys.stderr)
+        return 1
+    accepted = CONFIG_KEYS[name] | {"experiment", "seed", "out"}
+    unknown = sorted(set(cfg) - accepted)
+    if unknown:
+        print(f"error: unknown config key {unknown[0]!r} for experiment {name!r}; "
+              f"accepted keys: {', '.join(sorted(accepted))}", file=_sys.stderr)
         return 1
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:

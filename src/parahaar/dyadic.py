@@ -580,11 +580,25 @@ def write_grid_shift(path, shift: GridShift, dim: int = 1):
             fh.write(format(w, f"0{dim}b") + "\n")
 
 
-def read_grid_shift(path) -> GridShift:
+def read_grid_shift(path, dim: int = 1) -> GridShift:
+    """Inverse of write_grid_shift: one dim-bit binary digit per line.
+
+    A line that is not a binary numeral, a digit of more than dim bits and a
+    file without digits raise ValueError(path:line).
+    """
     digits = []
+    lineno = 0
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                digits.append(int(line, 2))
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip()
+            if not word:
+                continue
+            if set(word) - {"0", "1"}:
+                raise ValueError(f"{path}:{lineno}: {word!r} is not a binary digit")
+            digit = int(word, 2)
+            if digit >= 2**dim:
+                raise ValueError(f"{path}:{lineno}: digit {word} is not a {dim}-bit mask")
+            digits.append(digit)
+    if not digits:
+        raise ValueError(f"{path}:{lineno}: no shift digits")
     return GridShift(tuple(digits))

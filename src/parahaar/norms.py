@@ -7,7 +7,9 @@ which is exactly the windowed pair the telescoping constants control.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,10 +36,17 @@ BmoForms = namedtuple("BmoForms", ["conditional", "coefficient"])
 def block_lp(x, p) -> float:
     """L_p norm of an m x m block under the normalized trace."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    sv = np.linalg.svd(x, compute_uv=False)
+    return float(_block_lps(x[None], p)[0])
+
+
+def _block_lps(blocks, p) -> np.ndarray:
+    """block_lp of each block of an (n, m, m) stack, with one SVD call."""
+    sv = np.linalg.svd(blocks, compute_uv=False)
     if p == np.inf:
-        return float(sv[0])
-    return float((np.sum(sv ** p) / x.shape[0]) ** (1.0 / p))
+        return sv[:, 0]
+    means = np.sum(sv ** p, axis=-1) / blocks.shape[-2]
+    # the root stays a scalar pow: numpy's vectorized power may round differently
+    return np.array([x ** (1.0 / p) for x in means.tolist()])
 
 
 def function_lp(sys, f: StepFunction, p) -> float:
@@ -51,9 +60,12 @@ def besov_haar(sys, b: Symbol, p) -> float:
     if p <= 0:
         raise ValueError("p must be positive")
     total = 0.0
-    for h, block in b.coeffs.items():
-        w = sys.measure(h.cube) ** -0.5
-        total += (w * block_lp(block, p)) ** p
+    if b.coeffs:
+        lps = _block_lps(np.stack(list(b.coeffs.values())), p)
+        w = np.array([sys.measure(h.cube) ** -0.5 for h in b.coeffs])
+        # scalar pow and a sequential sum, in the order of b.coeffs
+        for term in (w * lps).tolist():
+            total += term ** p
     return float(total ** (1.0 / p))
 
 
@@ -176,21 +188,24 @@ def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
     return float((W * dist_p).sum() ** (1.0 / p))
 
 
+@functools.cache
 def _box_cell_weights(lo, hi, depth):
-    """Overlap measures of the rational interval [lo, hi) with the 2^depth cells."""
-    from fractions import Fraction
+    """Overlap measures of the rational interval [lo, hi) with the 2^depth cells.
 
+    A tuple of (cell, overlap) pairs in cell order; the arguments are exact
+    Fractions, so each distinct interval is computed once.
+    """
     n = 2**depth
     h = Fraction(1, n)
-    out = {}
+    out = []
     first = int(lo // h)
     last = int(max(first, -(-hi // h) - 1))
     for c in range(max(first, 0), min(last, n - 1) + 1):
         a = max(lo, c * h)
         b = min(hi, (c + 1) * h)
         if b > a:
-            out[c] = float(b - a)
-    return out
+            out.append((c, float(b - a)))
+    return tuple(out)
 
 
 def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> float:
@@ -200,8 +215,6 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
     Coefficients are exact overlap integrals of the piecewise-constant input
     against the shifted wavelets; scalar values only.
     """
-    from fractions import Fraction
-
     from .dyadic import _offset_at
 
     values = np.asarray(values, dtype=complex).ravel()
@@ -245,14 +258,14 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
                     sign = -1.0 if bin(beta & eta).count("1") % 2 else 1.0
                     if dim == 1:
                         wts = axis_halves[0][(beta >> 0) & 1]
-                        acc = sum(grid[c] * w for c, w in wts.items())
+                        acc = sum(grid[c] * w for c, w in wts)
                     else:
                         w0 = axis_halves[0][(beta >> 0) & 1]
                         w1 = axis_halves[1][(beta >> 1) & 1]
                         acc = sum(
                             grid[c0, c1] * u0 * u1
-                            for c0, u0 in w0.items()
-                            for c1, u1 in w1.items()
+                            for c0, u0 in w0
+                            for c1, u1 in w1
                         )
                     coeff += sign * acc
                 coeff *= meas ** -0.5  # wavelet amplitude |Q|^{-1/2}

@@ -111,13 +111,14 @@ class OperatorBundle:
 
 
 def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
-    """Standard-normal complex coefficients, optionally restricted to scales."""
-    table = {}
-    for h in sys.haar_indices:
-        if scales is not None and h.cube.scale not in scales:
-            continue
-        block = rng.standard_normal((blockdim, blockdim)) + 1j * rng.standard_normal((blockdim, blockdim))
-        table[h] = block
+    """Standard-normal complex coefficients, optionally restricted to scales.
+
+    One draw for all blocks: the generator stream is sequential, so index r
+    gets the same real and imaginary parts as a draw per index would give.
+    """
+    keys = [h for h in sys.haar_indices if scales is None or h.cube.scale in scales]
+    z = rng.standard_normal((len(keys), 2, blockdim, blockdim))
+    table = dict(zip(keys, z[:, 0] + 1j * z[:, 1]))
     mean = None
     if with_mean:
         mean = rng.standard_normal((blockdim, blockdim)) + 1j * rng.standard_normal((blockdim, blockdim))

@@ -19,6 +19,32 @@ def test_unknown_experiment(tmp_path, capsys):
     assert run_cli(["run", "--config", str(cfg)]) == 1
 
 
+def test_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1", "dpeth": 3, "trials": 2, "seed": 1}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "'dpeth'" in err and "depth" in err
+    assert not (tmp_path / "o").exists()
+
+
+# the key sets of the shipped configs (README and the benchmark's five), at small sizes
+@pytest.mark.parametrize("cfg", [
+    {"experiment": "theorem1", "d": 2, "depth": 3, "p": [0.5, 2.0], "trials": 2},
+    {"experiment": "theorem1", "depth": 3},
+    {"experiment": "median-verify", "trials": 20},
+    {"experiment": "weak-factorization", "cells": 256},
+    {"experiment": "shift-growth", "depth": 4, "p": [1.0, 2.0]},
+    {"experiment": "covering", "dim": 2},
+], ids=["theorem1-readme", "theorem1", "median-verify", "weak-factorization",
+        "shift-growth", "covering"])
+def test_shipped_config_keys_accepted(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**cfg, "seed": 4, "out": str(tmp_path / "o")}))
+    assert run_cli(["run", "--config", str(path)]) == 0
+    assert (tmp_path / "o" / "summary.json").exists()
+
+
 def test_seed_mandatory(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "theorem1"}))

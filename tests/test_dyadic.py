@@ -264,10 +264,26 @@ def test_symbol_file_rejects_malformed(tmp_path, body, line, message):
 
 
 def test_grid_shift_roundtrip(tmp_path):
-    sh = GridShift((1, 0, 1, 1))
-    path = tmp_path / "shift.txt"
-    write_grid_shift(path, sh, dim=1)
-    assert read_grid_shift(path) == sh
+    for dim, sh in ((1, GridShift((1, 0, 1, 1))), (2, GridShift((3, 0, 2, 1)))):
+        path = tmp_path / f"shift{dim}.txt"
+        write_grid_shift(path, sh, dim=dim)
+        assert read_grid_shift(path, dim=dim) == sh
+
+
+@pytest.mark.parametrize("body,dim,line,message", [
+    ("1\n11\n", 1, 2, "digit 11 is not a 1-bit mask"),
+    ("01\n100\n", 2, 2, "digit 100 is not a 2-bit mask"),
+    ("0\n2\n", 1, 2, "'2' is not a binary digit"),
+    ("10\n0b1\n", 2, 2, "'0b1' is not a binary digit"),
+    ("1\n1 0\n", 1, 2, "'1 0' is not a binary digit"),
+    ("", 1, 0, "no shift digits"),
+    ("\n\n", 2, 2, "no shift digits"),
+])
+def test_grid_shift_rejects_malformed(tmp_path, body, dim, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: {message}"):
+        read_grid_shift(path, dim=dim)
 
 
 def test_random_grid_shift(rng):

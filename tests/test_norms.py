@@ -5,7 +5,7 @@ from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                              build_system)
 from parahaar.norms import (besov_continuum, besov_diff, besov_haar,
                             besov_haar_adjacent, besov_osc, bmo_dyadic,
-                            bmo_operator)
+                            block_lp, bmo_operator)
 from parahaar.paraproducts import Symbol, random_symbol
 
 
@@ -160,3 +160,43 @@ def test_homogeneity_and_kernel(rng):
     const = Symbol(sys, {}, coarse_mean=np.array([[5.0]]))
     assert besov_haar(sys, const, 2) == 0.0
     assert besov_diff(sys, const, 2) == 0.0
+
+
+def _besov_haar_loop(sys, b, p):
+    """The per-coefficient reference: one SVD per block, terms summed in order."""
+    total = 0.0
+    for h, block in b.coeffs.items():
+        sv = np.linalg.svd(block, compute_uv=False)
+        lp = float(sv[0]) if p == np.inf else float((np.sum(sv ** p) / block.shape[0]) ** (1.0 / p))
+        total += (sys.measure(h.cube) ** -0.5 * lp) ** p
+    return float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("p", [0.5, 1, 2, 3, np.inf])
+@pytest.mark.parametrize("d,N,dim", [(2, 6, 1), (3, 4, 1), (2, 3, 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_besov_haar_matches_block_loop_bitwise(rng, d, N, dim, m, p):
+    sys = build_system(DyadicParams(d, N, dim))
+    symbols = [random_symbol(sys, rng, blockdim=m),
+               random_symbol(sys, rng, blockdim=m, scales={0, N - 1}),
+               Symbol(sys, {}, blockdim=m)]
+    for b in symbols:
+        assert besov_haar(sys, b, p) == _besov_haar_loop(sys, b, p)
+
+
+def test_block_lp_single_blocks(rng):
+    for m in (1, 2, 3, 5):
+        for p in (0.5, 1, 2, 3, np.inf):
+            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            sv = np.linalg.svd(x, compute_uv=False)
+            want = float(sv[0]) if p == np.inf else float((np.sum(sv ** p) / m) ** (1.0 / p))
+            assert block_lp(x, p) == want
+    assert block_lp(-2.5, 3) == 2.5
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 2)])
+def test_adjacent_repeat_call_is_stable(rng, dim, depth):
+    vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
+    for mask in range(2 ** dim):
+        first = besov_haar_adjacent(vals, 1.5, dim, mask, depth)
+        assert besov_haar_adjacent(vals, 1.5, dim, mask, depth) == first

@@ -364,3 +364,30 @@ def test_paraproduct_exact_zero_lines(rng, d, N, dim):
         assert np.all(P[:, :, finest, :] == 0)
         assert np.all(P[0] == 0)
         assert np.all(P[:, :, ~finest, :].any(axis=(0, 1, 3)))  # nothing else is a zero column
+
+
+def _random_symbol_loop(sys, rng, m, scales=None, with_mean=True):
+    """The per-index reference: a real and an imaginary draw per Haar index."""
+    table = {}
+    for h in sys.haar_indices:
+        if scales is None or h.cube.scale in scales:
+            table[h] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    mean = None
+    if with_mean:
+        mean = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    return table, mean
+
+
+@pytest.mark.parametrize("d,N,dim", [(2, 4, 1), (3, 3, 1), (2, 3, 2)])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("scales,with_mean", [(None, True), ({1, 2}, True), (None, False)])
+def test_random_symbol_matches_per_index_draws(d, N, dim, m, scales, with_mean):
+    sys = build_system(DyadicParams(d, N, dim))
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    b = random_symbol(sys, rng, blockdim=m, scales=scales, with_mean=with_mean)
+    table, mean = _random_symbol_loop(sys, ref, m, scales, with_mean)
+    assert list(b.coeffs) == list(table)
+    for h, block in table.items():
+        assert np.array_equal(b.coeffs[h], block)
+    assert np.array_equal(b.coarse_mean, mean if with_mean else np.zeros((m, m)))
+    assert rng.bit_generator.state == ref.bit_generator.state
