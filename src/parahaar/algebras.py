@@ -9,6 +9,8 @@ coefficients act on the empty-word column of the paraproduct matrix.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -344,16 +346,17 @@ def write_car_symbol(path, bhat):
 
 
 def read_car_symbol(path):
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) != 3:
-                continue
-            mask = int(parts[0])
-            A = tuple(k + 1 for k in range(mask.bit_length()) if (mask >> k) & 1)
-            out[A] = float(parts[1]) + 1j * float(parts[2])
-    return out
+    """Inverse of write_car_symbol; malformed lines raise ValueError(path:line)."""
+    return _read_word_file(path, _decode_mask)
+
+
+def _decode_mask(text: str):
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"mask {text!r} is not an integer")
+    mask = int(text)
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
+    return tuple(k + 1 for k in range(mask.bit_length()) if (mask >> k) & 1)
 
 
 def _encode_alpha(alpha) -> str:
@@ -363,7 +366,12 @@ def _encode_alpha(alpha) -> str:
 def _decode_alpha(text: str):
     if text == "e":
         return ()
-    return tuple(tuple(int(x) for x in part.split(".")) for part in text.split(";"))
+    if not re.fullmatch(r"[0-9]+\.[0-9]+(;[0-9]+\.[0-9]+)*", text):
+        raise ValueError(f"word {text!r} is neither 'e' nor 'i.j;i.j;...'")
+    alpha = tuple(tuple(int(x) for x in part.split(".")) for part in text.split(";"))
+    if min(min(pair) for pair in alpha) < 1:
+        raise ValueError(f"word {text!r} has an entry < 1")
+    return alpha
 
 
 def write_tensor_symbol(path, bhat):
@@ -374,11 +382,33 @@ def write_tensor_symbol(path, bhat):
 
 
 def read_tensor_symbol(path):
+    """Inverse of write_tensor_symbol; malformed lines raise ValueError(path:line)."""
+    return _read_word_file(path, _decode_alpha)
+
+
+def _read_word_file(path, decode):
+    """`word re im` lines into {key: coefficient}, the key being decode(word).
+
+    Blank lines are skipped.  A wrong field count, a word `decode` rejects, a
+    non-numeric or non-finite coefficient and a second line for the same key
+    raise ValueError("<path>:<line>: ...").
+    """
     out = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = line.split()
-            if len(parts) != 3:
+            if not parts:
                 continue
-            out[_decode_alpha(parts[0])] = float(parts[1]) + 1j * float(parts[2])
+            try:
+                if len(parts) != 3:
+                    raise ValueError(f"expected 3 fields (word re im), got {len(parts)}")
+                key = decode(parts[0])
+                real, imag = float(parts[1]), float(parts[2])
+                if not (math.isfinite(real) and math.isfinite(imag)):
+                    raise ValueError(f"coefficient {parts[1]} {parts[2]} is not finite")
+                if key in out:
+                    raise ValueError(f"a second line for word {parts[0]!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            out[key] = real + 1j * imag
     return out

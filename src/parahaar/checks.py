@@ -712,189 +712,211 @@ def kernel_suite(seed=20240806):
 
 
 # ---------------------------------------------------------------------------
-# Calibrated two-sided suites.
+# Calibrated two-sided suites.  One sampler per calibrated quantity: the
+# constants `calibrate_all` freezes and the ratios `calibrated_suite` judges
+# come from the same draws; only the trial counts differ.
 
 
-def _paraproduct_trials(d, depth, p_values, trials, rng, blockdim=1):
-    sys = build_system(DyadicParams(d, depth))
-    out = {p: [] for p in p_values}
-    for _ in range(trials):
+def _paraproduct_draws(sys, p_values, trials, rng, blockdim):
+    """Yield (trial, p, ||pi_b||_{S_p}, ||b||_{B_p}) for random symbols b."""
+    for trial in range(trials):
         b = random_symbol(sys, rng, blockdim=blockdim)
         sv = spectral.singular_values(paraproduct(sys, b))
         for p in p_values:
             norm = float((np.sum(sv**p) / blockdim) ** (1.0 / p))
-            out[p].append(norm / norms.besov_haar(sys, b, p))
+            yield trial, p, norm, norms.besov_haar(sys, b, p)
+
+
+def _paraproduct_trials(d, depth, p_values, trials, rng, blockdim=1):
+    """Ratios ||pi_b||_{S_p} / ||b||_{B_p} per p, on the d-adic depth-`depth` system."""
+    out = {p: [] for p in p_values}
+    sys = build_system(DyadicParams(d, depth))
+    for _, p, norm, besov in _paraproduct_draws(sys, p_values, trials, rng, blockdim):
+        out[p].append(norm / besov)
     return out
+
+
+def _diff_haar_trials(d, trials, rng):
+    """Difference-form over Haar-form Besov norms, depth-3 random symbols."""
+    sys = build_system(DyadicParams(d, 3))
+    out = {p: [] for p in (0.5, 1.0, 2.0, 4.0)}
+    for _ in range(trials):
+        b = random_symbol(sys, rng)
+        for p in out:
+            out[p].append(norms.besov_diff(sys, b, p) / norms.besov_haar(sys, b, p))
+    return out
+
+
+def _triangular_trials(p, trials, rng):
+    """S_p growth of the triangular projection on random 16 x 16 matrices."""
+    out = []
+    for _ in range(trials):
+        T = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        P = spectral.triangular_project(T, np.arange(16))
+        out.append(spectral.schatten_norm(P, p) / spectral.schatten_norm(T, p))
+    return out
+
+
+def _nwo_trials(dim, depth, trials, rng):
+    """NWO testing-pair sums over S_p norms of random grid operators."""
+    sys = build_system(DyadicParams(2, depth, dim=dim))
+    n = sys.n_cells
+    out = {p: [] for p in (1.5, 2.0, 3.0)}
+    for _ in range(trials):
+        V = kernels.GridOperator(
+            (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n,
+            dim, sys.axis_cells)
+        fams = kernels.random_admissible_family(sys, rng)
+        for p in out:
+            out[p].append(kernels.nwo_quantity(V, fams, p) / spectral.schatten_norm(V.matrix, p))
+    return out
+
+
+def _continuum_trials(dim, depth, trials, rng):
+    """Continuum over shifted-family Besov sums per p, and the grid upper ratio
+    ||b||_{B_2} / continuum at p = 2, on random step functions."""
+    n_axis = 2**depth
+    sys = build_system(DyadicParams(2, depth, dim=dim))
+    out = {p: [] for p in (1.5, 2.0, 3.0)}
+    upper = []
+    for _ in range(trials):
+        vals = rng.standard_normal(n_axis**dim) + 1j * rng.standard_normal(n_axis**dim)
+        for p in out:
+            cont = norms.besov_continuum(vals, p, dim=dim, refinement=4)
+            fam = sum(norms.besov_haar_adjacent(vals, p, dim, mask, depth) ** p
+                      for mask in range(2**dim))
+            out[p].append(cont**p / fam)
+        bsym = Symbol.from_function(sys, StepFunction(vals))
+        upper.append(norms.besov_haar(sys, bsym, 2.0)
+                     / norms.besov_continuum(vals, 2.0, dim=dim, refinement=4))
+    return out, upper
+
+
+def _theta_trials(trials, rng):
+    """Operator norm of theta_b = pi_b + Lambda_b over block BMO, 2 x 2 blocks."""
+    sys = build_system(DyadicParams(2, 4))
+    out = []
+    for _ in range(trials):
+        b = random_symbol(sys, rng, blockdim=2)
+        lam, _ = triangle_ops(sys, b)
+        theta = paraproduct(sys, b) + lam
+        out.append(spectral.schatten_norm(theta, np.inf)
+                   / max(1e-12, norms.bmo_operator(sys, b)))
+    return out
+
+
+def _testing_trials(trials, rng):
+    """Separated-cube testing quantity of [H, b] over ||b||_{B_2}."""
+    sys = build_system(DyadicParams(2, 5))
+    T = kernels.discretize(kernels.hilbert_kernel(), 32, refinement=2)
+    out = []
+    for _ in range(trials):
+        vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        C = kernels.commutator_grid_op(T, vals)
+        bsym = Symbol.from_function(sys, StepFunction(vals))
+        q = kernels.testing_quantity(C, sys, vals, A=4, p=2.0)
+        out.append(q / norms.besov_haar(sys, bsym, 2.0))
+    return out
+
+
+def _car_trials(ng, trials, rng):
+    """CAR word paraproduct S_p norms over their Besov functional."""
+    out = {p: [] for p in (1.0, 2.0, 4.0)}
+    for _ in range(trials):
+        bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
+                for A in algebras.car_subsets(ng) if A}
+        P = algebras.car_paraproduct(bhat, ng)
+        for p in out:
+            out[p].append(spectral.schatten_norm(P, p) / algebras.besov_car(bhat, ng, p))
+    return out
+
+
+def _tensor_trials(levels, trials, rng):
+    """Tensor-word (M_2 levels) paraproduct S_p norms over their Besov functional."""
+    out = {p: [] for p in (1.0, 2.0, 4.0)}
+    for _ in range(trials):
+        bhat = {a: complex(rng.standard_normal(), rng.standard_normal())
+                for a in algebras.tensor_indices(2, levels) if a}
+        P = algebras.tensor_paraproduct(bhat, 2, levels)
+        for p in out:
+            out[p].append(spectral.schatten_norm(P, p)
+                          / algebras.besov_tensor(bhat, 2, levels, p))
+    return out
+
+
+def _excess(vals, lo, hi, margin):
+    """How far the ratios `vals` leave [lo / margin, hi * margin]; <= 0 inside."""
+    return max(max(vals) / (hi * margin) - 1.0, (lo / margin) / min(vals) - 1.0)
 
 
 def calibrate_all(seed=20240901, trials=200, progress=None):
     """Measure every frozen constant; returns the calibration dictionary."""
     rng = np.random.default_rng(seed)
     calib = {"seed": seed, "trials": trials}
+    say = progress or (lambda line: None)
 
-    ratios = {}
+    calib["paraproduct_ratio"] = ratios = {}
     for d in (2, 3):
         for depth in (4, 5):
             res = _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0), trials, rng)
-            for p, vals in res.items():
-                ratios[f"{d},{p},{depth}"] = [min(vals), max(vals)]
-            if progress:
-                progress(f"paraproduct d={d} N={depth}")
-    calib["paraproduct_ratio"] = ratios
+            ratios.update({f"{d},{p},{depth}": [min(v), max(v)] for p, v in res.items()})
+            say(f"paraproduct d={d} N={depth}")
     calib["paraproduct_margin"] = 1.6
 
-    block = {}
-    for m in (1, 2, 3):
-        res = _paraproduct_trials(2, 4, (1.0, 2.0), max(40, trials // 4), rng, blockdim=m)
-        for p, vals in res.items():
-            block[f"{m},{p}"] = [min(vals), max(vals)]
-    calib["block_ratio"] = block
+    calib["block_ratio"] = {
+        f"{m},{p}": [min(v), max(v)] for m in (1, 2, 3)
+        for p, v in _paraproduct_trials(2, 4, (1.0, 2.0), max(40, trials // 4), rng,
+                                        blockdim=m).items()}
     calib["block_margin"] = 1.6
-    if progress:
-        progress("block ratios")
+    say("block ratios")
 
-    diff_ratio = {}
-    for d in (2, 3):
-        sysd = build_system(DyadicParams(d, 3))
-        vals = {p: [] for p in (0.5, 1.0, 2.0, 4.0)}
-        for _ in range(max(40, trials // 4)):
-            b = random_symbol(sysd, rng)
-            for p in vals:
-                vals[p].append(norms.besov_diff(sysd, b, p)
-                               / norms.besov_haar(sysd, b, p))
-        for p, v in vals.items():
-            diff_ratio[f"{d},{p}"] = [min(v), max(v)]
-    calib["diff_haar_ratio"] = diff_ratio
+    calib["diff_haar_ratio"] = {
+        f"{d},{p}": [min(v), max(v)]
+        for d in (2, 3) for p, v in _diff_haar_trials(d, max(40, trials // 4), rng).items()}
     calib["diff_haar_margin"] = 1.3
-    if progress:
-        progress("difference-form ratios")
+    say("difference-form ratios")
 
-    tri = {}
-    for p in (1.1, 2.0, 4.0, 10.0):
-        worst = 0.0
-        for _ in range(trials // 2):
-            T = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-            P = spectral.triangular_project(T, np.arange(16))
-            worst = max(worst, spectral.schatten_norm(P, p) / spectral.schatten_norm(T, p))
-        tri[str(p)] = worst
-    calib["triangular_growth"] = tri
+    calib["triangular_growth"] = {
+        str(p): max(_triangular_trials(p, trials // 2, rng), default=0.0)
+        for p in (1.1, 2.0, 4.0, 10.0)}
     calib["triangular_margin"] = 1.3
-    if progress:
-        progress("triangular growth")
+    say("triangular growth")
 
     sysg = build_system(DyadicParams(2, 6))
     b = random_symbol(sysg, rng)
     rows = shifts.commutator_growth_sweep(sysg, b, [2.0], [(0, 0)], seeds=range(5))
-    anchor = max(r["ratio"] for r in rows)
-    calib["shift_growth_anchor"] = anchor
+    calib["shift_growth_anchor"] = max(r["ratio"] for r in rows)
     calib["shift_growth_margin"] = 2.5
-    if progress:
-        progress("shift growth anchor")
+    say("shift growth anchor")
 
-    nwo = {}
-    for dim, depth in ((1, 5), (2, 3)):
-        sysn = build_system(DyadicParams(2, depth, dim=dim))
-        worst = {p: 0.0 for p in (1.5, 2.0, 3.0)}
-        for _ in range(10):
-            n = sysn.n_cells
-            V = kernels.GridOperator(
-                (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n,
-                dim, sysn.axis_cells)
-            fams = kernels.random_admissible_family(sysn, rng)
-            for p in worst:
-                worst[p] = max(worst[p], kernels.nwo_quantity(V, fams, p)
-                               / spectral.schatten_norm(V.matrix, p))
-        for p, w in worst.items():
-            nwo[f"{dim},{p}"] = w
-    calib["nwo_constant"] = nwo
+    calib["nwo_constant"] = {
+        f"{dim},{p}": max(v)
+        for dim, depth in ((1, 5), (2, 3)) for p, v in _nwo_trials(dim, depth, 10, rng).items()}
     calib["nwo_margin"] = 1.5
-    if progress:
-        progress("nwo constants")
+    say("nwo constants")
 
-    # continuum comparisons
-    comp = {}
+    calib["continuum_ratio"] = comp = {}
     for dim, depth in ((1, 4), (2, 3)):
-        ratios_c = {p: [] for p in (1.5, 2.0, 3.0)}
-        upper = []
-        n_axis = 2**depth
-        for _ in range(60):
-            vals = rng.standard_normal(n_axis**dim) + 1j * rng.standard_normal(n_axis**dim)
-            for p in ratios_c:
-                cont = norms.besov_continuum(vals, p, dim=dim, refinement=4)
-                fam_sum = sum(
-                    norms.besov_haar_adjacent(vals, p, dim, mask, depth) ** p
-                    for mask in range(2**dim))
-                ratios_c[p].append(cont**p / fam_sum)
-            sysc = build_system(DyadicParams(2, depth, dim=dim))
-            bsym = Symbol.from_function(sysc, StepFunction(vals))
-            upper.append(norms.besov_haar(sysc, bsym, 2.0)
-                         / norms.besov_continuum(vals, 2.0, dim=dim, refinement=4))
-        for p, vals_p in ratios_c.items():
-            comp[f"{dim},{p}"] = [min(vals_p), max(vals_p)]
+        res, upper = _continuum_trials(dim, depth, 60, rng)
+        comp.update({f"{dim},{p}": [min(v), max(v)] for p, v in res.items()})
         comp[f"grid_upper,{dim}"] = max(upper)
-        if progress:
-            progress(f"continuum comparisons dim={dim}")
-    calib["continuum_ratio"] = comp
+        say(f"continuum comparisons dim={dim}")
     calib["continuum_margin"] = 1.5
 
-    # bounded multiplier: operator norm of pi_b + Lambda_b against block BMO
-    worst = 0.0
-    syst = build_system(DyadicParams(2, 4))
-    for _ in range(40):
-        b = random_symbol(syst, rng, blockdim=2)
-        lam, _ = triangle_ops(syst, b)
-        theta = paraproduct(syst, b) + lam
-        worst = max(worst, spectral.schatten_norm(theta, np.inf)
-                    / max(1e-12, norms.bmo_operator(syst, b)))
-    calib["theta_bmo_constant"] = worst
+    calib["theta_bmo_constant"] = max(_theta_trials(40, rng))
     calib["theta_bmo_margin"] = 1.5
 
-    # Lemma 9.8-style testing quantity against the grid Besov norm
-    sysq = build_system(DyadicParams(2, 5))
-    T = kernels.discretize(kernels.hilbert_kernel(), 32, refinement=2)
-    lows = []
-    for _ in range(20):
-        vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        C = kernels.commutator_grid_op(T, vals)
-        bsym = Symbol.from_function(sysq, StepFunction(vals))
-        q = kernels.testing_quantity(C, sysq, vals, A=4, p=2.0)
-        lows.append(q / norms.besov_haar(sysq, bsym, 2.0))
-    calib["testing_lower"] = min(lows)
+    calib["testing_lower"] = min(_testing_trials(20, rng))
     calib["testing_margin"] = 1.5
-    if progress:
-        progress("testing quantity")
+    say("testing quantity")
 
-    # word-algebra paraproduct norms against their Besov functionals
-    car = {}
-    for ng in (2, 3):
-        vals = {p: [] for p in (1.0, 2.0, 4.0)}
-        for _ in range(100):
-            bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
-                    for A in algebras.car_subsets(ng) if A}
-            P = algebras.car_paraproduct(bhat, ng)
-            for p in vals:
-                vals[p].append(spectral.schatten_norm(P, p)
-                               / algebras.besov_car(bhat, ng, p))
-        for p, v in vals.items():
-            car[f"{ng},{p}"] = [min(v), max(v)]
-    calib["car_ratio"] = car
-    tens = {}
-    for levels in (2, 3):
-        vals = {p: [] for p in (1.0, 2.0, 4.0)}
-        for _ in range(100 if levels == 2 else 30):
-            bhat = {a: complex(rng.standard_normal(), rng.standard_normal())
-                    for a in algebras.tensor_indices(2, levels) if a}
-            P = algebras.tensor_paraproduct(bhat, 2, levels)
-            for p in vals:
-                vals[p].append(spectral.schatten_norm(P, p)
-                               / algebras.besov_tensor(bhat, 2, levels, p))
-        for p, v in vals.items():
-            tens[f"{levels},{p}"] = [min(v), max(v)]
-    calib["tensor_ratio"] = tens
+    calib["car_ratio"] = {
+        f"{ng},{p}": [min(v), max(v)] for ng in (2, 3) for p, v in _car_trials(ng, 100, rng).items()}
+    calib["tensor_ratio"] = {
+        f"{levels},{p}": [min(v), max(v)] for levels in (2, 3)
+        for p, v in _tensor_trials(levels, 100 if levels == 2 else 30, rng).items()}
     calib["word_margin"] = 1.6
-    if progress:
-        progress("word-algebra ratios")
-
+    say("word-algebra ratios")
     return calib
 
 
@@ -902,16 +924,11 @@ def calibrated_suite(calib, seed=20240902, trials=200):
     rng = np.random.default_rng(seed)
     records = []
 
-    worst = -np.inf
     margin = calib["paraproduct_margin"]
-    for d in (2, 3):
-        for depth in (4, 5):
-            res = _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0),
-                                      max(20, trials // 4), rng)
-            for p, vals in res.items():
-                lo, hi = calib["paraproduct_ratio"][f"{d},{p},{depth}"]
-                worst = max(worst, max(vals) / (hi * margin) - 1.0,
-                            (lo / margin) / min(vals) - 1.0)
+    worst = max(_excess(vals, *calib["paraproduct_ratio"][f"{d},{p},{depth}"], margin)
+                for d in (2, 3) for depth in (4, 5)
+                for p, vals in _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0),
+                                                   max(20, trials // 4), rng).items())
     records.append(_rec("paraproduct-equivalence", "two-sided-symbol-norm", worst, 0.0))
 
     worst = -np.inf
@@ -920,8 +937,7 @@ def calibrated_suite(calib, seed=20240902, trials=200):
         res = _paraproduct_trials(2, 4, (1.0, 2.0), 40, rng, blockdim=m)
         for p, vals in res.items():
             lo, hi = calib["block_ratio"][f"{m},{p}"]
-            worst = max(worst, max(vals) / (hi * calib["block_margin"]) - 1.0,
-                        lo / calib["block_margin"] / min(vals) - 1.0)
+            worst = max(worst, _excess(vals, lo, hi, calib["block_margin"]))
             centers.setdefault(p, []).append(0.5 * (lo + hi))
     spread = max(max(v) / min(v) for v in centers.values())
     rec = _rec("block-equivalence", "block-size-independence", worst, 0.0,
@@ -929,30 +945,18 @@ def calibrated_suite(calib, seed=20240902, trials=200):
     rec.passed = rec.passed and spread < 2.0
     records.append(rec)
 
-    worst = -np.inf
-    for d in (2, 3):
-        sysd = build_system(DyadicParams(d, 3))
-        for _ in range(30):
-            b = random_symbol(sysd, rng)
-            for p in (0.5, 1.0, 2.0, 4.0):
-                lo, hi = calib["diff_haar_ratio"][f"{d},{p}"]
-                r = norms.besov_diff(sysd, b, p) / norms.besov_haar(sysd, b, p)
-                worst = max(worst, r / (hi * calib["diff_haar_margin"]) - 1.0,
-                            lo / calib["diff_haar_margin"] / r - 1.0)
+    margin = calib["diff_haar_margin"]
+    worst = max(_excess(vals, *calib["diff_haar_ratio"][f"{d},{p}"], margin)
+                for d in (2, 3) for p, vals in _diff_haar_trials(d, 30, rng).items())
     records.append(_rec("difference-form-equivalence", "two-sided-difference-form",
                         worst, 0.0))
 
-    worst = -np.inf
-    for p in (1.1, 2.0, 4.0, 10.0):
-        cal = calib["triangular_growth"][str(p)]
-        for _ in range(trials // 4):
-            T = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-            P = spectral.triangular_project(T, np.arange(16))
-            ratio = spectral.schatten_norm(P, p) / spectral.schatten_norm(T, p)
-            worst = max(worst, ratio / (cal * calib["triangular_margin"]) - 1.0)
-    shape = max(calib["triangular_growth"][str(p)] / max(p, p / (p - 1.0))
+    growth = calib["triangular_growth"]
+    worst = max(max(_triangular_trials(p, trials // 4, rng), default=-np.inf)
+                / (growth[str(p)] * calib["triangular_margin"]) - 1.0
                 for p in (1.1, 2.0, 4.0, 10.0))
-    base = calib["triangular_growth"]["2.0"] / 2.0
+    shape = max(growth[str(p)] / max(p, p / (p - 1.0)) for p in (1.1, 2.0, 4.0, 10.0))
+    base = growth["2.0"] / 2.0
     rec = _rec("triangular-projection-growth", "projection-norm-shape", worst, 0.0,
                detail=f"shape/base {shape / base:.3f}")
     rec.passed = rec.passed and shape <= 4.0 * base
@@ -968,87 +972,38 @@ def calibrated_suite(calib, seed=20240902, trials=200):
     records.append(_rec("shift-commutator-growth", "complexity-normalized-ratio",
                         worst, 0.0))
 
-    worst = -np.inf
-    for dim, depth in ((1, 5), (2, 3)):
-        sysn = build_system(DyadicParams(2, depth, dim=dim))
-        n = sysn.n_cells
-        for _ in range(5):
-            V = kernels.GridOperator(
-                (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n,
-                dim, sysn.axis_cells)
-            fams = kernels.random_admissible_family(sysn, rng)
-            for p in (1.5, 2.0, 3.0):
-                cal = calib["nwo_constant"][f"{dim},{p}"] * calib["nwo_margin"]
-                ratio = kernels.nwo_quantity(V, fams, p) / spectral.schatten_norm(V.matrix, p)
-                worst = max(worst, ratio / cal - 1.0)
+    worst = max(max(vals) / (calib["nwo_constant"][f"{dim},{p}"] * calib["nwo_margin"]) - 1.0
+                for dim, depth in ((1, 5), (2, 3))
+                for p, vals in _nwo_trials(dim, depth, 5, rng).items())
     records.append(_rec("nwo-bound", "testing-pair-sums", worst, 0.0))
 
     worst = -np.inf
+    margin = calib["continuum_margin"]
     for dim, depth in ((1, 4), (2, 3)):
-        n_axis = 2**depth
-        sysc = build_system(DyadicParams(2, depth, dim=dim))
-        for _ in range(12):
-            vals = rng.standard_normal(n_axis**dim) + 1j * rng.standard_normal(n_axis**dim)
-            for p in (1.5, 2.0, 3.0):
-                lo, hi = calib["continuum_ratio"][f"{dim},{p}"]
-                cont = norms.besov_continuum(vals, p, dim=dim, refinement=4)
-                fam = sum(norms.besov_haar_adjacent(vals, p, dim, mask, depth) ** p
-                          for mask in range(2**dim))
-                r = cont**p / fam
-                worst = max(worst, r / (hi * calib["continuum_margin"]) - 1.0,
-                            lo / calib["continuum_margin"] / r - 1.0)
-            bsym = Symbol.from_function(sysc, StepFunction(vals))
-            up = calib["continuum_ratio"][f"grid_upper,{dim}"] * calib["continuum_margin"]
-            r = norms.besov_haar(sysc, bsym, 2.0) / norms.besov_continuum(
-                vals, 2.0, dim=dim, refinement=4)
-            worst = max(worst, r / up - 1.0)
+        res, upper = _continuum_trials(dim, depth, 12, rng)
+        for p, vals in res.items():
+            worst = max(worst, _excess(vals, *calib["continuum_ratio"][f"{dim},{p}"], margin))
+        up = calib["continuum_ratio"][f"grid_upper,{dim}"] * margin
+        worst = max(worst, max(upper) / up - 1.0)
     records.append(_rec("continuum-grid-equivalence", "window-besov-comparison",
                         worst, 0.0))
 
-    syst = build_system(DyadicParams(2, 4))
-    worst = -np.inf
-    for _ in range(10):
-        b = random_symbol(syst, rng, blockdim=2)
-        lam, _ = triangle_ops(syst, b)
-        theta = paraproduct(syst, b) + lam
-        ratio = spectral.schatten_norm(theta, np.inf) / max(1e-12, norms.bmo_operator(syst, b))
-        worst = max(worst, ratio / (calib["theta_bmo_constant"] * calib["theta_bmo_margin"]) - 1.0)
+    cal = calib["theta_bmo_constant"] * calib["theta_bmo_margin"]
+    worst = max(_theta_trials(10, rng)) / cal - 1.0
     records.append(_rec("bounded-multiplier", "operator-bmo-bound", worst, 0.0))
 
-    sysq = build_system(DyadicParams(2, 5))
-    T = kernels.discretize(kernels.hilbert_kernel(), 32, refinement=2)
-    worst = -np.inf
     floor = calib["testing_lower"] / calib["testing_margin"]
-    for _ in range(8):
-        vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-        C = kernels.commutator_grid_op(T, vals)
-        bsym = Symbol.from_function(sysq, StepFunction(vals))
-        q = kernels.testing_quantity(C, sysq, vals, A=4, p=2.0)
-        worst = max(worst, floor / (q / norms.besov_haar(sysq, bsym, 2.0)) - 1.0)
+    worst = floor / min(_testing_trials(8, rng)) - 1.0
     records.append(_rec("testing-quantity-floor", "separated-cube-domination", worst, 0.0))
 
-    worst = -np.inf
     margin = calib["word_margin"]
-    for ng in (2, 3):
-        for _ in range(25):
-            bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
-                    for A in algebras.car_subsets(ng) if A}
-            P = algebras.car_paraproduct(bhat, ng)
-            for p in (1.0, 2.0, 4.0):
-                lo, hi = calib["car_ratio"][f"{ng},{p}"]
-                r = spectral.schatten_norm(P, p) / algebras.besov_car(bhat, ng, p)
-                worst = max(worst, r / (hi * margin) - 1.0, lo / margin / r - 1.0)
-    for levels in (2, 3):
-        for _ in (range(25) if levels == 2 else range(8)):
-            bhat = {a: complex(rng.standard_normal(), rng.standard_normal())
-                    for a in algebras.tensor_indices(2, levels) if a}
-            P = algebras.tensor_paraproduct(bhat, 2, levels)
-            for p in (1.0, 2.0, 4.0):
-                lo, hi = calib["tensor_ratio"][f"{levels},{p}"]
-                r = spectral.schatten_norm(P, p) / algebras.besov_tensor(bhat, 2, levels, p)
-                worst = max(worst, r / (hi * margin) - 1.0, lo / margin / r - 1.0)
+    car = [_excess(vals, *calib["car_ratio"][f"{ng},{p}"], margin)
+           for ng in (2, 3) for p, vals in _car_trials(ng, 25, rng).items()]
+    tens = [_excess(vals, *calib["tensor_ratio"][f"{levels},{p}"], margin)
+            for levels in (2, 3)
+            for p, vals in _tensor_trials(levels, 25 if levels == 2 else 8, rng).items()]
     records.append(_rec("word-algebra-equivalence", "word-paraproduct-besov-ratio",
-                        worst, 0.0))
+                        max(car + tens), 0.0))
     return records
 
 

@@ -15,9 +15,9 @@ import sys as _sys
 
 import numpy as np
 
-from . import checks, kernels, median, norms, shifts, spectral
+from . import checks, kernels, median, shifts
 from .dyadic import DyadicParams, build_system, cover_cube, make_adjacent_family
-from .paraproducts import paraproduct, random_symbol
+from .paraproducts import random_symbol
 
 
 def _fmt(x) -> str:
@@ -49,15 +49,9 @@ def _experiment_theorem1(cfg, rng, outdir):
     sys_ = build_system(DyadicParams(cfg.get("d", 2), cfg.get("depth", 5), cfg.get("dim", 1)))
     p_values = cfg.get("p", [2.0])
     m = cfg.get("blockdim", 1)
-    rows = []
-    for trial in range(cfg.get("trials", 200)):
-        b = random_symbol(sys_, rng, blockdim=m)
-        sv = spectral.singular_values(paraproduct(sys_, b))
-        for p in p_values:
-            norm = float((np.sum(sv ** p) / m) ** (1.0 / p))
-            besov = norms.besov_haar(sys_, b, p)
-            rows.append({"trial": trial, "p": p, "norm": norm, "besov": besov,
-                         "ratio": norm / besov})
+    rows = [{"trial": trial, "p": p, "norm": norm, "besov": besov, "ratio": norm / besov}
+            for trial, p, norm, besov in checks._paraproduct_draws(
+                sys_, p_values, cfg.get("trials", 200), rng, m)]
     _write_csv(os.path.join(outdir, "theorem1.csv"),
                ["trial", "p", "norm", "besov", "ratio"], rows)
     ratios = [r["ratio"] for r in rows]

@@ -184,6 +184,7 @@ class FiniteDyadicSystem:
 
         self._basis = None
         self._avg = None
+        self._layouts = None
 
     def _axis_count(self, scale):
         return self.params.d**scale if self.params.dim == 1 else 2**scale
@@ -294,12 +295,40 @@ class FiniteDyadicSystem:
         if self._avg is None:
             A = np.zeros((len(self.haar_indices), self.dim_basis), dtype=complex)
             B = self.basis_matrix
-            for cells, cols, rows in _scale_layouts(self):
+            for cells, cols, rows in self.scale_layouts:
                 support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
                 means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
                 A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
             self._avg = A
         return self._avg
+
+    @property
+    def scale_layouts(self):
+        """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
+
+        cells (n_Q, cells per cube) lists the cells of each cube Q, cols
+        (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
+        coarse slot, the slots of Q's ancestors and Q's own slots: the support
+        of every function on Q that is constant on Q's children.  Built once
+        per system; the arrays are read-only.
+        """
+        if self._layouts is None:
+            colors = range(1, self.n_colors + 1)
+            above = np.zeros((self.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestors
+            layouts = []
+            for s in range(self.params.depth):
+                cubes = self.cubes_by_scale[s]
+                cells = np.stack([self._cells[c] for c in cubes])
+                cols = np.array([[self.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
+                rows = np.concatenate([above[cells[:, 0]], cols], axis=1)
+                for a in (cells, cols, rows):
+                    a.flags.writeable = False
+                layouts.append((cells, cols, rows))
+                own = np.empty((self.n_cells, self.n_colors), dtype=np.int64)
+                own[cells] = cols[:, None, :]
+                above = np.concatenate([above, own], axis=1)
+            self._layouts = tuple(layouts)
+        return self._layouts
 
     def scale_of_row(self):
         """Cube scale per basis position; -1 for the coarse slot."""
@@ -314,26 +343,6 @@ class FiniteDyadicSystem:
 
     def synthesize(self, coeffs):
         return StepFunction(np.einsum("cb,bij->cij", self.basis_matrix, coeffs))
-
-
-def _scale_layouts(sys: FiniteDyadicSystem):
-    """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
-
-    cells (n_Q, cells per cube) lists the cells of each cube Q, cols
-    (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
-    coarse slot, the slots of Q's ancestors and Q's own slots: the support
-    of every function on Q that is constant on Q's children.
-    """
-    colors = range(1, sys.n_colors + 1)
-    above = np.zeros((sys.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestor slots
-    for s in range(sys.params.depth):
-        cubes = sys.cubes_by_scale[s]
-        cells = np.stack([sys.cells_of(c) for c in cubes])
-        cols = np.array([[sys.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
-        yield cells, cols, np.concatenate([above[cells[:, 0]], cols], axis=1)
-        own = np.empty((sys.n_cells, sys.n_colors), dtype=np.int64)
-        own[cells] = cols[:, None, :]
-        above = np.concatenate([above, own], axis=1)
 
 
 def build_system(params: DyadicParams, shift: Optional[GridShift] = None):

@@ -243,22 +243,14 @@ class GridOperator:
         return (self.matrix.conj().T @ (values * mu)) / mu
 
 
-def _cell_midgrids(cells_per_axis, dim, refinement):
-    from .norms import grid_coords
-
-    h = 1.0 / cells_per_axis
-    sub = h / refinement
-    lowers = grid_coords(cells_per_axis**dim, cells_per_axis, dim) * h
-    offs = (grid_coords(refinement**dim, refinement, dim) + 0.5) * sub
-    return lowers[:, None, :] + offs[None, :, :]
-
-
 def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridOperator:
     """Cell-pair midpoint averages of the kernel; diagonal set to zero.
 
     The zero diagonal is the principal-value surrogate, unbiased exactly for
     antisymmetric convolution kernels and a documented bias otherwise.
     """
+    from .norms import _cell_midgrids
+
     dim = K.dim
     mids = _cell_midgrids(cells_per_axis, dim, refinement)
     n_cells, nsub, _ = mids.shape

@@ -15,7 +15,7 @@ import numpy as np
 
 from .accel import pair_power_weights
 from .dyadic import StepFunction, expectation
-from .paraproducts import Symbol
+from .paraproducts import Symbol, _difference_function
 
 __all__ = [
     "block_lp",
@@ -50,47 +50,56 @@ def _block_lps(blocks, p) -> np.ndarray:
 
 
 def function_lp(sys, f: StepFunction, p) -> float:
-    """L_p norm of a block step function, cells weighted by measure."""
+    """L_p norm of a block step function, cells weighted by measure.
+
+    At p = inf, the largest cell-wise operator norm.
+    """
     sv = np.linalg.svd(f.values, compute_uv=False)
+    if p == np.inf:
+        return float(sv[:, 0].max())
     per_cell = (sv ** p).sum(axis=1) / f.blockdim
     return float((sys.cell_measure * per_cell.sum()) ** (1.0 / p))
 
 
 def besov_haar(sys, b: Symbol, p) -> float:
+    """(sum_Q (|Q|^{-1/2} ||b_Q||_p)^p)^{1/p}; at p = inf the largest term."""
     if p <= 0:
         raise ValueError("p must be positive")
-    total = 0.0
-    if b.coeffs:
-        lps = _block_lps(np.stack(list(b.coeffs.values())), p)
-        w = np.array([sys.measure(h.cube) ** -0.5 for h in b.coeffs])
-        # scalar pow and a sequential sum, in the order of b.coeffs
-        for term in (w * lps).tolist():
-            total += term ** p
-    return float(total ** (1.0 / p))
+    if not b.coeffs:
+        return 0.0
+    lps = _block_lps(np.stack(list(b.coeffs.values())), p)
+    w = np.array([sys.measure(h.cube) ** -0.5 for h in b.coeffs])
+    return _weighted_sum((w * lps).tolist(), [1] * len(w), p)
 
 
 def besov_diff(sys, b: Symbol, p) -> float:
+    """(sum_k d^k ||d_k b||_p^p)^{1/p}; at p = inf, max_k ||d_k b||_inf."""
     if p <= 0:
         raise ValueError("p must be positive")
     arr = b.coeff_array()
-    scales = sys.scale_of_row()
-    total = 0.0
-    for k in range(1, sys.params.depth + 1):
-        coeffs = arr.copy()
-        coeffs[scales != k - 1] = 0.0
-        dk = sys.synthesize(coeffs)
-        total += sys.d_eff ** k * function_lp(sys, dk, p) ** p
-    return float(total ** (1.0 / p))
+    N = sys.params.depth
+    lps = [function_lp(sys, _difference_function(sys, arr, k), p) for k in range(1, N + 1)]
+    return _weighted_sum(lps, [sys.d_eff ** k for k in range(1, N + 1)], p)
 
 
 def besov_osc(sys, b: Symbol, p) -> float:
+    """(sum_{k<N} d^k ||b - E_k b||_p^p)^{1/p}; at p = inf, max_k ||b - E_k b||_inf."""
     if p < 1:
         raise ValueError("the oscillation form needs p >= 1")
     f = b.function()
+    N = sys.params.depth
+    lps = [function_lp(sys, f - expectation(sys, f, k), p) for k in range(N)]
+    return _weighted_sum(lps, [sys.d_eff ** k for k in range(N)], p)
+
+
+def _weighted_sum(terms, weights, p) -> float:
+    """(sum_i w_i t_i^p)^{1/p} by scalar pow and a sequential sum, in order;
+    its p -> inf limit max_i t_i at p = inf."""
+    if p == np.inf:
+        return max(terms)
     total = 0.0
-    for k in range(0, sys.params.depth):
-        diff = f - expectation(sys, f, k)
-        total += sys.d_eff ** k * function_lp(sys, diff, p) ** p
+    for w, t in zip(weights, terms):
+        total += w * t ** p
     return float(total ** (1.0 / p))
 
 
@@ -152,15 +161,20 @@ def grid_coords(n_cells: int, cells_per_axis: int, dim: int) -> np.ndarray:
     return np.stack([(c // cells_per_axis**t) % cells_per_axis for t in range(dim)], axis=-1)
 
 
+def _cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
+    """Midpoints of the refinement**dim subcells of each cell, (n_cells, n_sub, dim)."""
+    h = 1.0 / cells_per_axis
+    sub = h / refinement
+    lowers = grid_coords(cells_per_axis**dim, cells_per_axis, dim) * h
+    offs = (grid_coords(refinement**dim, refinement, dim) + 0.5) * sub
+    return lowers[:, None, :] + offs[None, :, :]
+
+
 def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
     key = (cells_per_axis, dim, refinement)
     if key not in _weights_cache:
-        n_cells = cells_per_axis ** dim
-        h = 1.0 / cells_per_axis
-        sub = h / refinement
-        lowers = grid_coords(n_cells, cells_per_axis, dim) * h
-        offs = (grid_coords(refinement**dim, refinement, dim) + 0.5) * sub
-        mids = lowers[:, None, :] + offs[None, :, :]
+        sub = 1.0 / cells_per_axis / refinement
+        mids = _cell_midgrids(cells_per_axis, dim, refinement)
         _weights_cache[key] = pair_power_weights(
             np.ascontiguousarray(mids.astype(float)), float(sub ** dim), float(2 * dim)
         )

@@ -25,7 +25,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _scale_layouts
+from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction
 
 __all__ = [
     "Symbol",
@@ -242,7 +242,7 @@ def triangle_ops(sys, b: Symbol):
     D = sys.dim_basis
     basis = sys.basis_matrix
     lam = np.zeros((D, m, D, m), dtype=complex)
-    for cells, cols, rows in _scale_layouts(sys):
+    for cells, cols, rows in sys.scale_layouts:
         haar = basis[cells[:, :, None], cols[:, None, :]]  # (Q, cell, color)
         # d_{s+1} b on Q: only Q's own wavelets of scale s are nonzero there
         diff = np.einsum("qct,qtij->qcij", haar, arr[cols])
@@ -285,7 +285,7 @@ def r_op(sys, b: Symbol) -> np.ndarray:
     m = b.blockdim
     values = b.function().values
     out = np.zeros((sys.dim_basis, m, sys.dim_basis, m), dtype=complex)
-    for cells, cols, _ in _scale_layouts(sys):
+    for cells, cols, _ in sys.scale_layouts:
         means = values[cells].mean(axis=1)  # (Q, m, m)
         out[cols, :, cols, :] = means[:, None]
     return out.reshape(sys.dim_basis * m, sys.dim_basis * m)

@@ -205,3 +205,33 @@ def test_symbol_files(tmp_path, rng):
     path2 = tmp_path / "tensor.txt"
     write_tensor_symbol(path2, that)
     assert read_tensor_symbol(path2) == that
+    # blank lines are allowed
+    path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
+    assert read_car_symbol(path) == bhat
+
+
+@pytest.mark.parametrize("reader,body,line,message", [
+    ("car", "3 1.0\n", 1, "expected 3 fields"),
+    ("car", "3 1.0 2.0\n5 1.0 2.0 0.0\n", 2, "expected 3 fields"),
+    ("car", "x 1.0 2.0\n", 1, "mask 'x' is not an integer"),
+    ("car", "1.5 1.0 2.0\n", 1, "mask '1.5' is not an integer"),
+    ("car", "-3 1.0 2.0\n", 1, "mask -3 is negative"),
+    ("car", "3 1.0 y\n", 1, "could not convert"),
+    ("car", "3 nan 2.0\n", 1, "not finite"),
+    ("car", "3 1.0 inf\n", 1, "not finite"),
+    ("car", "3 1.0 2.0\n\n03 1.0 2.0\n", 3, "a second line for word '03'"),
+    ("tensor", "1.2 1.0\n", 1, "expected 3 fields"),
+    ("tensor", "1.2;x 1.0 2.0\n", 1, "neither 'e' nor"),
+    ("tensor", "1.2; 1.0 2.0\n", 1, "neither 'e' nor"),
+    ("tensor", "1.2.3 1.0 2.0\n", 1, "neither 'e' nor"),
+    ("tensor", "-1.2 1.0 2.0\n", 1, "neither 'e' nor"),
+    ("tensor", "1.2;0.1 1.0 2.0\n", 1, "entry < 1"),
+    ("tensor", "1.2 1.0 -inf\n", 1, "not finite"),
+    ("tensor", "e 1.0 2.0\n1.2 0.0 1.0\ne 3.0 4.0\n", 3, "a second line for word 'e'"),
+])
+def test_word_file_rejects_malformed(tmp_path, reader, body, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    read = read_car_symbol if reader == "car" else read_tensor_symbol
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
+        read(path)

@@ -66,6 +66,17 @@ def test_run_deterministic(tmp_path):
     assert {"name", "paper_ref", "pass", "worst"} <= set(payload["assertions"][0])
 
 
+def test_theorem1_rows_are_the_paraproduct_sampler(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1", "d": 3, "depth": 3,
+                               "p": [0.5, 2.0], "trials": 4, "seed": 21}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "summary.json").read_text())["rows"]
+    ratios = checks._paraproduct_trials(3, 3, (0.5, 2.0), 4, np.random.default_rng(21))
+    assert [r["ratio"] for r in rows if r["p"] == 0.5] == ratios[0.5]
+    assert [r["ratio"] for r in rows if r["p"] == 2.0] == ratios[2.0]
+
+
 def test_run_median_experiment(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"experiment": "median-verify", "trials": 60, "seed": 3}))
@@ -122,11 +133,28 @@ def test_console_entry_point():
     assert "covering-dim1" in proc.stdout
 
 
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}/")
+        elif isinstance(value, list):
+            yield from ((f"{prefix}{key}[{i}]", x) for i, x in enumerate(value))
+        else:
+            yield f"{prefix}{key}", value
+
+
 def test_calibrate_command(tmp_path):
+    # the committed seed and trial count re-measure the committed constants,
+    # so calibrate still measures what calibration.json froze
     out = tmp_path / "cal.json"
-    assert run_cli(["calibrate", "--out", str(out), "--trials", "8", "--seed", "1"]) == 0
+    assert run_cli(["calibrate", "--out", str(out), "--trials", "200",
+                    "--seed", "20240901"]) == 0
     calib = json.loads(out.read_text())
     assert "paraproduct_ratio" in calib and "diff_haar_ratio" in calib
+    fresh, frozen = dict(_leaves(calib)), dict(_leaves(checks.load_calibration()))
+    assert fresh.keys() == frozen.keys()
+    for key, value in frozen.items():
+        assert fresh[key] == pytest.approx(value, rel=1e-6), key
     # a freshly measured file is itself a valid verify input
     recs = checks.calibrated_suite(calib, seed=99, trials=8)
     assert all(r.passed for r in recs)

@@ -336,3 +336,23 @@ def test_cube_averages_on_tree_support(d, N, dim, shift):
         dense = B[sys.cells_of(h.cube)].mean(axis=0)
         assert np.array_equal(avg[r, support], dense[support])
         assert np.all(avg[r, ~support] == 0)
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 3, 2, (3, 1, 2))])
+def test_scale_layouts_built_once_read_only(d, N, dim, shift):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    layouts = sys.scale_layouts
+    assert sys.scale_layouts is layouts and len(layouts) == N
+    for s, (cells, cols, rows) in enumerate(layouts):
+        cubes = sys.cubes_by_scale[s]
+        for q, cube in enumerate(cubes):
+            assert np.array_equal(cells[q], sys.cells_of(cube))
+            assert cols[q].tolist() == [sys.haar_pos[HaarIndex(cube, t)]
+                                        for t in range(1, sys.n_colors + 1)]
+            support = _strict_ancestor_support(sys, cube)
+            assert sorted(rows[q, :-sys.n_colors].tolist()) == np.flatnonzero(support).tolist()
+            assert rows[q, -sys.n_colors:].tolist() == cols[q].tolist()
+        for a in (cells, cols, rows):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0

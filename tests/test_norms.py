@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
-                             build_system)
+                             build_system, expectation)
 from parahaar.norms import (besov_continuum, besov_diff, besov_haar,
                             besov_haar_adjacent, besov_osc, bmo_dyadic,
-                            block_lp, bmo_operator)
+                            block_lp, bmo_operator, function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
 
 
@@ -163,13 +163,15 @@ def test_homogeneity_and_kernel(rng):
 
 
 def _besov_haar_loop(sys, b, p):
-    """The per-coefficient reference: one SVD per block, terms summed in order."""
+    """The per-coefficient reference: one SVD per block, terms summed in order
+    (at p = inf, the largest term; 0 for the empty symbol)."""
     total = 0.0
     for h, block in b.coeffs.items():
         sv = np.linalg.svd(block, compute_uv=False)
         lp = float(sv[0]) if p == np.inf else float((np.sum(sv ** p) / block.shape[0]) ** (1.0 / p))
-        total += (sys.measure(h.cube) ** -0.5 * lp) ** p
-    return float(total ** (1.0 / p))
+        term = sys.measure(h.cube) ** -0.5 * lp
+        total = max(total, term) if p == np.inf else total + term ** p
+    return total if p == np.inf else float(total ** (1.0 / p))
 
 
 @pytest.mark.parametrize("p", [0.5, 1, 2, 3, np.inf])
@@ -200,3 +202,73 @@ def test_adjacent_repeat_call_is_stable(rng, dim, depth):
     for mask in range(2 ** dim):
         first = besov_haar_adjacent(vals, 1.5, dim, mask, depth)
         assert besov_haar_adjacent(vals, 1.5, dim, mask, depth) == first
+
+
+# p = inf: each form is the p -> inf limit of its sum, the largest term
+
+
+def _cell_norm_max(f):
+    """max over cells of the operator norm of the cell's block, one cell at a time."""
+    return max(float(np.linalg.norm(f.values[c], 2)) for c in range(f.values.shape[0]))
+
+
+def _inf_forms(sys, b):
+    f = b.function()
+    scales = sys.scale_of_row()
+    arr = b.coeff_array()
+    diff = []
+    for k in range(1, sys.params.depth + 1):
+        coeffs = np.where((scales == k - 1)[:, None, None], arr, 0.0)
+        diff.append(_cell_norm_max(sys.synthesize(coeffs)))
+    osc = [_cell_norm_max(f - expectation(sys, f, k)) for k in range(sys.params.depth)]
+    haar = [sys.measure(h.cube) ** -0.5 * float(np.linalg.norm(blk, 2))
+            for h, blk in b.coeffs.items()]
+    return {"haar": max(haar, default=0.0), "diff": max(diff), "osc": max(osc),
+            "lp": _cell_norm_max(f)}
+
+
+def _forms(sys, b, p):
+    return {"haar": besov_haar(sys, b, p), "diff": besov_diff(sys, b, p),
+            "osc": besov_osc(sys, b, p), "lp": function_lp(sys, b.function(), p)}
+
+
+def _scaled(b, c):
+    return Symbol(b.sys, {h: c * blk for h, blk in b.coeffs.items()}, c * b.coarse_mean,
+                  blockdim=b.blockdim)
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(2, 4, 1, 1), (3, 3, 1, 2), (2, 2, 2, 1), (2, 3, 1, 3)])
+def test_forms_at_inf_are_max_of_terms(rng, d, N, dim, m):
+    sys = build_system(DyadicParams(d, N, dim))
+    for b in (random_symbol(sys, rng, blockdim=m),
+              random_symbol(sys, rng, blockdim=m, scales={N - 1})):
+        want = _inf_forms(sys, b)
+        got = _forms(sys, b, np.inf)
+        for name in want:
+            assert got[name] == pytest.approx(want[name], rel=1e-12), name
+    assert besov_haar(sys, Symbol(sys, {}, blockdim=m), np.inf) == 0.0
+
+
+@pytest.mark.parametrize("d,N,dim", [(2, 4, 1), (3, 3, 1), (2, 2, 2)])
+def test_forms_at_inf_are_homogeneous(rng, d, N, dim):
+    sys = build_system(DyadicParams(d, N, dim))
+    b = random_symbol(sys, rng)
+    base = _forms(sys, b, np.inf)
+    for c in (0.01, 100.0):
+        scaled = _forms(sys, _scaled(b, c), np.inf)
+        for name in base:
+            assert scaled[name] == pytest.approx(c * base[name], rel=1e-12), name
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(2, 4, 1, 1), (3, 3, 1, 2), (2, 2, 2, 1)])
+def test_forms_at_64_near_inf(rng, d, N, dim, m):
+    # each form sums fewer than n = m * n_cells**2 terms of at most its p = inf
+    # value, and its largest term is at least n**(-1/p) times that value
+    sys = build_system(DyadicParams(d, N, dim))
+    n = m * sys.n_cells ** 2
+    b = random_symbol(sys, rng, blockdim=m)
+    at_inf = _forms(sys, b, np.inf)
+    at_64 = _forms(sys, b, 64.0)
+    for name in at_inf:
+        ratio = at_64[name] / at_inf[name]
+        assert n ** (-1 / 64) <= ratio <= n ** (1 / 64), name
