@@ -9,8 +9,6 @@ coefficients act on the empty-word column of the paraproduct matrix.
 from __future__ import annotations
 
 import itertools
-import math
-import re
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -34,10 +32,6 @@ __all__ = [
     "besov_tensor",
     "tensor_transference_check",
     "tensor_transference_checks",
-    "read_car_symbol",
-    "write_car_symbol",
-    "read_tensor_symbol",
-    "write_tensor_symbol",
 ]
 
 
@@ -157,11 +151,14 @@ def car_paraproduct(bhat: Dict[Tuple[int, ...], complex], n_gen: int) -> np.ndar
 
 
 def besov_car(bhat, n_gen: int, p) -> float:
-    """(sum_k 2^k ||d_k b||_p^p)^(1/p) with the normalized-trace block norm."""
-    from .norms import block_lp
+    """(sum_k 2^k ||d_k b||_p^p)^(1/p) with the normalized-trace block norm;
+    at p = inf, max_k ||d_k b||_inf."""
+    from .norms import _weighted_sum, block_lp
 
+    if p <= 0:
+        raise ValueError("p must be positive")
     dim = 2 ** _qubits(n_gen)
-    total = 0.0
+    terms, weights = [], []
     for k in range(1, n_gen + 1):
         dk = np.zeros((dim, dim), dtype=complex)
         got = False
@@ -170,8 +167,9 @@ def besov_car(bhat, n_gen: int, p) -> float:
                 dk += coeff * car_word(A, n_gen)
                 got = True
         if got:
-            total += 2**k * block_lp(dk, p) ** p
-    return float(total ** (1.0 / p))
+            terms.append(block_lp(dk, p))
+            weights.append(2**k)
+    return _weighted_sum(terms, weights, p)
 
 
 def car_transference_check(bhat, n_gen: int, p):
@@ -273,6 +271,10 @@ def tensor_word(alpha, d: int, levels: int) -> np.ndarray:
 def tensor_paraproduct(bhat, d: int, levels: int) -> np.ndarray:
     """Entries conj(lam_{a,b}) bhat(eta_{a,b}) when max(a) > max(b), else 0."""
     idx = tensor_indices(d, levels)
+    known = set(idx)
+    for key in bhat:
+        if key not in known:
+            raise ValueError(f"coefficient {key} is not a word of tensor_indices({d}, {levels})")
     out = np.zeros((len(idx), len(idx)), dtype=complex)
     for ia, a in enumerate(idx):
         for ib, b in enumerate(idx):
@@ -286,10 +288,13 @@ def tensor_paraproduct(bhat, d: int, levels: int) -> np.ndarray:
 
 
 def besov_tensor(bhat, d: int, levels: int, p) -> float:
-    """(sum_k d^{2k} ||d_k b||_p^p)^(1/p), normalized trace on the word algebra."""
-    from .norms import block_lp
+    """(sum_k d^{2k} ||d_k b||_p^p)^(1/p), normalized trace on the word algebra;
+    at p = inf, max_k ||d_k b||_inf."""
+    from .norms import _weighted_sum, block_lp
 
-    total = 0.0
+    if p <= 0:
+        raise ValueError("p must be positive")
+    terms, weights = [], []
     for k in range(1, levels + 1):
         dk = None
         for a, coeff in bhat.items():
@@ -298,8 +303,9 @@ def besov_tensor(bhat, d: int, levels: int, p) -> float:
                     dk = np.zeros((d**levels, d**levels), dtype=complex)
                 dk += coeff * tensor_word(a, d, levels)
         if dk is not None:
-            total += float(d) ** (2 * k) * block_lp(dk, p) ** p
-    return float(total ** (1.0 / p))
+            terms.append(block_lp(dk, p))
+            weights.append(float(d) ** (2 * k))
+    return _weighted_sum(terms, weights, p)
 
 
 def _transference_residuals(big, scalar, dim, p_values):
@@ -329,86 +335,3 @@ def tensor_transference_checks(bhat, d: int, levels: int, p_values):
                     scalar[ia, ib] / np.conj(lam) * tensor_word(eta, d, levels)
                 )
     return _transference_residuals(big, scalar, dim, p_values)
-
-
-# ---------------------------------------------------------------------------
-# Coefficient files: `A-as-bitmask re im` and `alpha-encoding re im`.
-
-
-def write_car_symbol(path, bhat):
-    with open(path, "w") as fh:
-        for A, coeff in sorted(bhat.items()):
-            mask = 0
-            for k in A:
-                mask |= 1 << (k - 1)
-            z = complex(coeff)
-            fh.write(f"{mask} {z.real!r} {z.imag!r}\n")
-
-
-def read_car_symbol(path):
-    """Inverse of write_car_symbol; malformed lines raise ValueError(path:line)."""
-    return _read_word_file(path, _decode_mask)
-
-
-def _decode_mask(text: str):
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"mask {text!r} is not an integer")
-    mask = int(text)
-    if mask < 0:
-        raise ValueError(f"mask {mask} is negative")
-    return tuple(k + 1 for k in range(mask.bit_length()) if (mask >> k) & 1)
-
-
-def _encode_alpha(alpha) -> str:
-    return ";".join(f"{i}.{j}" for (i, j) in alpha) if alpha else "e"
-
-
-def _decode_alpha(text: str):
-    if text == "e":
-        return ()
-    if not re.fullmatch(r"[0-9]+\.[0-9]+(;[0-9]+\.[0-9]+)*", text):
-        raise ValueError(f"word {text!r} is neither 'e' nor 'i.j;i.j;...'")
-    alpha = tuple(tuple(int(x) for x in part.split(".")) for part in text.split(";"))
-    if min(min(pair) for pair in alpha) < 1:
-        raise ValueError(f"word {text!r} has an entry < 1")
-    return alpha
-
-
-def write_tensor_symbol(path, bhat):
-    with open(path, "w") as fh:
-        for alpha, coeff in sorted(bhat.items()):
-            z = complex(coeff)
-            fh.write(f"{_encode_alpha(alpha)} {z.real!r} {z.imag!r}\n")
-
-
-def read_tensor_symbol(path):
-    """Inverse of write_tensor_symbol; malformed lines raise ValueError(path:line)."""
-    return _read_word_file(path, _decode_alpha)
-
-
-def _read_word_file(path, decode):
-    """`word re im` lines into {key: coefficient}, the key being decode(word).
-
-    Blank lines are skipped.  A wrong field count, a word `decode` rejects, a
-    non-numeric or non-finite coefficient and a second line for the same key
-    raise ValueError("<path>:<line>: ...").
-    """
-    out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if len(parts) != 3:
-                    raise ValueError(f"expected 3 fields (word re im), got {len(parts)}")
-                key = decode(parts[0])
-                real, imag = float(parts[1]), float(parts[2])
-                if not (math.isfinite(real) and math.isfinite(imag)):
-                    raise ValueError(f"coefficient {parts[1]} {parts[2]} is not finite")
-                if key in out:
-                    raise ValueError(f"a second line for word {parts[0]!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            out[key] = real + 1j * imag
-    return out

@@ -219,6 +219,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    if args.trials < 2:
+        print("error: --trials must be at least 2", file=_sys.stderr)
+        return 1
     calib = checks.calibrate_all(seed=args.seed if args.seed is not None else 20240901,
                                  trials=args.trials,
                                  progress=lambda s: print(f"  {s}"))

@@ -32,10 +32,6 @@ __all__ = [
     "cover_cube",
     "LENGTH_RATIO_BOUND",
     "dilation_bound",
-    "write_symbol_file",
-    "read_symbol_file",
-    "write_grid_shift",
-    "read_grid_shift",
 ]
 
 # Covering constants for the per-coordinate one-third-shift family: the
@@ -418,9 +414,6 @@ class CoveringCube:
     lower: tuple  # Fractions, per axis
     side: Fraction
 
-    def contains_point(self, x) -> bool:
-        return all(lo <= xi <= lo + self.side for lo, xi in zip(self.lower, x))
-
 
 def make_adjacent_family(dim: int) -> AdjacentFamily:
     if dim < 1:
@@ -471,143 +464,3 @@ def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> C
                     h,
                 )
     raise RuntimeError("no covering cube found; input exceeds the supported range")
-
-
-# ---------------------------------------------------------------------------
-# Text formats: symbols (Haar coefficient tables) and grid shifts.
-
-
-def _cube_rank(sys: FiniteDyadicSystem, cube: CubeId) -> int:
-    n = sys._axis_count(cube.scale)
-    r = 0
-    for t in reversed(range(sys.params.dim)):
-        r = r * n + cube.index[t]
-    return r
-
-
-def _cube_from_rank(sys: FiniteDyadicSystem, scale: int, rank: int) -> CubeId:
-    if not 0 <= scale < sys.params.depth:
-        raise ValueError(f"scale {scale} outside the Haar scales 0..{sys.params.depth - 1}")
-    n = sys._axis_count(scale)
-    if not 0 <= rank < n ** sys.params.dim:
-        raise ValueError(f"cube rank {rank} outside 0..{n ** sys.params.dim - 1} at scale {scale}")
-    idx = []
-    for _ in range(sys.params.dim):
-        idx.append(rank % n)
-        rank //= n
-    return CubeId(scale, tuple(idx))
-
-
-def write_symbol_file(path, sys: FiniteDyadicSystem, mean, table):
-    """Lines: `scale index color re im` (m=1) or `scale index color row col re im`."""
-    mean = np.atleast_2d(np.asarray(mean, dtype=complex))
-    m = mean.shape[0]
-    with open(path, "w") as fh:
-        fh.write(f"# blockdim {m}\n")
-        if m == 1:
-            fh.write(f"mean {float(mean[0,0].real)!r} {float(mean[0,0].imag)!r}\n")
-        else:
-            for r in range(m):
-                for c in range(m):
-                    fh.write(f"mean {r} {c} {float(mean[r,c].real)!r} {float(mean[r,c].imag)!r}\n")
-        for h, block in table.items():
-            block = np.atleast_2d(np.asarray(block, dtype=complex))
-            rank = _cube_rank(sys, h.cube)
-            if m == 1:
-                z = block[0, 0]
-                fh.write(f"{h.cube.scale} {rank} {h.color} {float(z.real)!r} {float(z.imag)!r}\n")
-            else:
-                for r in range(m):
-                    for c in range(m):
-                        z = block[r, c]
-                        fh.write(
-                            f"{h.cube.scale} {rank} {h.color} {r} {c} {float(z.real)!r} {float(z.imag)!r}\n"
-                        )
-
-
-def read_symbol_file(path, sys: FiniteDyadicSystem):
-    """Inverse of write_symbol_file; malformed lines raise ValueError(path:line)."""
-    mean = None
-    m = 1
-    table = {}
-    seen = set()  # (HaarIndex or "mean", row, col) of every entry read
-    lineno = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                if parts[0].startswith("#"):
-                    words = line.split("#", 1)[1].split()
-                    if words[:1] != ["blockdim"] or len(words) != 2 or int(words[1]) < 1:
-                        raise ValueError("the header must read '# blockdim <m>', m >= 1")
-                    if mean is not None:
-                        raise ValueError("a second '# blockdim' header")
-                    m = int(words[1])
-                    mean = np.zeros((m, m), dtype=complex)
-                    continue
-                if mean is None:
-                    raise ValueError("data before the '# blockdim' header")
-                if parts[0] == "mean":
-                    key, block, fields = "mean", mean, parts[1:]
-                else:
-                    scale, rank, color = int(parts[0]), int(parts[1]), int(parts[2])
-                    key = HaarIndex(_cube_from_rank(sys, scale, rank), color)
-                    if key not in sys.haar_pos:
-                        raise ValueError(f"color {color} outside 1..{sys.n_colors}")
-                    block = table.setdefault(key, np.zeros((m, m), dtype=complex))
-                    fields = parts[3:]
-                r, c = _read_entry(block, fields, m)
-                if (key, r, c) in seen:
-                    raise ValueError(f"a second entry ({r}, {c}) for {key}")
-                seen.add((key, r, c))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if mean is None:
-        raise ValueError(f"{path}:{lineno}: no '# blockdim' header")
-    return mean, table
-
-
-def _read_entry(block, fields, m):
-    """Set one entry of an m x m block from `re im` (m = 1) or `row col re im`.
-
-    Returns the (row, col) it set.
-    """
-    if len(fields) != (2 if m == 1 else 4):
-        raise ValueError(f"expected {2 if m == 1 else 4} fields after the index, got {len(fields)}")
-    r, c = (0, 0) if m == 1 else (int(fields[0]), int(fields[1]))
-    if not (0 <= r < m and 0 <= c < m):
-        raise ValueError(f"block entry ({r}, {c}) outside the {m} x {m} block")
-    block[r, c] = float(fields[-2]) + 1j * float(fields[-1])
-    return r, c
-
-
-def write_grid_shift(path, shift: GridShift, dim: int = 1):
-    with open(path, "w") as fh:
-        for w in shift.omega:
-            fh.write(format(w, f"0{dim}b") + "\n")
-
-
-def read_grid_shift(path, dim: int = 1) -> GridShift:
-    """Inverse of write_grid_shift: one dim-bit binary digit per line.
-
-    A line that is not a binary numeral, a digit of more than dim bits and a
-    file without digits raise ValueError(path:line).
-    """
-    digits = []
-    lineno = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word:
-                continue
-            if set(word) - {"0", "1"}:
-                raise ValueError(f"{path}:{lineno}: {word!r} is not a binary digit")
-            digit = int(word, 2)
-            if digit >= 2**dim:
-                raise ValueError(f"{path}:{lineno}: digit {word} is not a {dim}-bit mask")
-            digits.append(digit)
-    if not digits:
-        raise ValueError(f"{path}:{lineno}: no shift digits")
-    return GridShift(tuple(digits))

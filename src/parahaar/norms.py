@@ -94,9 +94,9 @@ def besov_osc(sys, b: Symbol, p) -> float:
 
 def _weighted_sum(terms, weights, p) -> float:
     """(sum_i w_i t_i^p)^{1/p} by scalar pow and a sequential sum, in order;
-    its p -> inf limit max_i t_i at p = inf."""
+    its p -> inf limit max_i t_i at p = inf; 0.0 for no terms."""
     if p == np.inf:
-        return max(terms)
+        return max(terms, default=0.0)
     total = 0.0
     for w, t in zip(weights, terms):
         total += w * t ** p
@@ -152,9 +152,6 @@ def bmo_operator(sys, b: Symbol) -> float:
     return best
 
 
-_weights_cache = {}
-
-
 def grid_coords(n_cells: int, cells_per_axis: int, dim: int) -> np.ndarray:
     """Axis coordinates per cell id, axis 0 fastest (the system convention)."""
     c = np.arange(n_cells)
@@ -170,15 +167,16 @@ def _cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray
     return lowers[:, None, :] + offs[None, :, :]
 
 
+@functools.cache
 def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
-    key = (cells_per_axis, dim, refinement)
-    if key not in _weights_cache:
-        sub = 1.0 / cells_per_axis / refinement
-        mids = _cell_midgrids(cells_per_axis, dim, refinement)
-        _weights_cache[key] = pair_power_weights(
-            np.ascontiguousarray(mids.astype(float)), float(sub ** dim), float(2 * dim)
-        )
-    return _weights_cache[key]
+    """Read-only cell-pair quadrature weights of the continuum form."""
+    sub = 1.0 / cells_per_axis / refinement
+    mids = _cell_midgrids(cells_per_axis, dim, refinement)
+    W = pair_power_weights(
+        np.ascontiguousarray(mids.astype(float)), float(sub ** dim), float(2 * dim)
+    )
+    W.setflags(write=False)
+    return W
 
 
 def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
@@ -186,8 +184,11 @@ def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
 
     Same-cell pairs contribute 0 exactly; off-cell pairs use the midpoint
     rule with `refinement` subdivisions per axis (monotone increasing in the
-    refinement, the kernel being convex off the diagonal).
+    refinement, the kernel being convex off the diagonal).  At p = inf, the
+    p -> inf limit max_{x != y} ||b_x - b_y||_inf (W > 0 off the diagonal).
     """
+    if p <= 0:
+        raise ValueError("p must be positive")
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None, None]
@@ -198,28 +199,38 @@ def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
     W = _grid_weights(cells_per_axis, dim, refinement)
     diffs = values[:, None] - values[None, :]
     sv = np.linalg.svd(diffs, compute_uv=False)
+    if p == np.inf:
+        return float(sv[..., 0].max())  # same-cell pairs are 0
     dist_p = (sv ** p).sum(axis=-1) / values.shape[1]
     return float((W * dist_p).sum() ** (1.0 / p))
 
 
 @functools.cache
-def _box_cell_weights(lo, hi, depth):
-    """Overlap measures of the rational interval [lo, hi) with the 2^depth cells.
+def _half_overlaps(k: int, variant: int, depth: int):
+    """(L, R): overlaps of the left and right halves of each scale-k cube of
+    one axis of a shifted lattice, fully inside [0, 1), with the 2^depth cells.
 
-    A tuple of (cell, overlap) pairs in cell order; the arguments are exact
-    Fractions, so each distinct interval is computed once.
+    Both are read-only (n_cubes, 2^depth) arrays, cubes in lattice order.
+    Every edge is a multiple of 1/(3 * 2^depth), so the overlaps are counted
+    exactly in those units and rounded once.
     """
+    from .dyadic import _offset_at
+
     n = 2**depth
-    h = Fraction(1, n)
-    out = []
-    first = int(lo // h)
-    last = int(max(first, -(-hi // h) - 1))
-    for c in range(max(first, 0), min(last, n - 1) + 1):
-        a = max(lo, c * h)
-        b = min(hi, (c + 1) * h)
-        if b > a:
-            out.append((c, float(b - a)))
-    return tuple(out)
+    h = Fraction(1, 2**k)
+    off = _offset_at(k, variant)
+    m = np.arange(-(off // h), (1 - off) // h)
+    unit = Fraction(1, 3 * n)
+    lo = int(off / unit) + m[:, None] * int(h / unit)
+    half = int(h / 2 / unit)
+    cells = 3 * np.arange(n)
+
+    def overlap(a, b):
+        out = np.clip(np.minimum(b, cells + 3) - np.maximum(a, cells), 0, None) / (3 * n)
+        out.setflags(write=False)
+        return out
+
+    return overlap(lo, lo + half), overlap(lo + half, lo + 2 * half)
 
 
 def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> float:
@@ -227,61 +238,30 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
     shifted lattice of the covering family (cubes fully inside the window).
 
     Coefficients are exact overlap integrals of the piecewise-constant input
-    against the shifted wavelets; scalar values only.
+    against the shifted wavelets; scalar values only.  Terms run by scale,
+    then cube (last axis fastest), then colour; at p = inf, the largest term.
     """
-    from .dyadic import _offset_at
-
+    if p <= 0:
+        raise ValueError("p must be positive")
     values = np.asarray(values, dtype=complex).ravel()
     n_axis = 2**depth
     if values.size != n_axis**dim:
         raise ValueError("values must fill the standard grid")
     grid = values.reshape([n_axis] * dim, order="F")  # cell id = sum c_t n^t
-    total = 0.0
+    terms = []
     for k in range(depth):
-        h = Fraction(1, 2**k)
-        half = h / 2
-        axis_cubes = []
-        for t in range(dim):
-            off = _offset_at(k, (variant_mask >> t) & 1)
-            ms = []
-            m = int((0 - off) // h)
-            while off + m * h < 1:
-                if off + m * h >= 0 and off + (m + 1) * h <= 1:
-                    ms.append(m)
-                m += 1
-            axis_cubes.append((off, ms))
-        # iterate cube index tuples
-        import itertools as _it
-
-        for pos in _it.product(*(rng for (_, rng) in axis_cubes)):
-            # children weights per axis: (left overlap dict, right overlap dict)
-            axis_halves = []
+        halves = [_half_overlaps(k, (variant_mask >> t) & 1, depth) for t in range(dim)]
+        # colour eta takes L + R on axis t when bit t of eta is 0, else L - R
+        sums = [L + R for L, R in halves]
+        diffs = [L - R for L, R in halves]
+        coeffs = []
+        for eta in range(1, 2**dim):
+            c = grid
             for t in range(dim):
-                off = axis_cubes[t][0]
-                start = off + pos[t] * h
-                axis_halves.append(
-                    (
-                        _box_cell_weights(start, start + half, depth),
-                        _box_cell_weights(start + half, start + h, depth),
-                    )
-                )
-            meas = float(h) ** dim
-            for eta in range(1, 2**dim):
-                coeff = 0.0 + 0.0j
-                for beta in range(2**dim):
-                    sign = -1.0 if bin(beta & eta).count("1") % 2 else 1.0
-                    if dim == 1:
-                        wts = axis_halves[0][(beta >> 0) & 1]
-                        acc = sum(grid[c] * w for c, w in wts)
-                    else:
-                        w0 = axis_halves[0][(beta >> 0) & 1]
-                        w1 = axis_halves[1][(beta >> 1) & 1]
-                        acc = sum(
-                            grid[c0, c1] * u0 * u1
-                            for c0, u0 in w0
-                            for c1, u1 in w1
-                        )
-                    coeff += sign * acc
-                coeff *= meas ** -0.5  # wavelet amplitude |Q|^{-1/2}
-                total += (abs(coeff) / meas**0.5) ** p
-    return float(total ** (1.0 / p))
+                # contracts the leading cell axis; the cube axis goes last
+                c = np.tensordot(c, (diffs if (eta >> t) & 1 else sums)[t], axes=([0], [1]))
+            coeffs.append(c)
+        meas = 2.0 ** (-k * dim)
+        coeff = np.stack(coeffs, axis=-1).ravel() * meas**-0.5  # wavelet amplitude |Q|^{-1/2}
+        terms.extend((np.abs(coeff) / meas**0.5).tolist())
+    return _weighted_sum(terms, [1] * len(terms), p)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,11 +8,9 @@ from parahaar.algebras import (besov_car, besov_tensor, car_generators,
                                car_paraproduct, car_sign, car_subsets,
                                car_trace, car_transference_check,
                                car_transference_checks, car_word,
-                               eta_lambda, read_car_symbol, read_tensor_symbol,
-                               tensor_basis, tensor_indices, tensor_paraproduct,
-                               tensor_transference_check,
-                               tensor_transference_checks, tensor_word,
-                               write_car_symbol, write_tensor_symbol)
+                               eta_lambda, tensor_basis, tensor_indices,
+                               tensor_paraproduct, tensor_transference_check,
+                               tensor_transference_checks, tensor_word)
 from parahaar.norms import block_lp
 
 
@@ -183,6 +182,9 @@ def test_tensor_paraproduct_and_transference(rng):
     assert resid < 1e-12
     lhs0, rhs0, resid0 = tensor_transference_check({}, 2, 1, 2)
     assert lhs0 == rhs0 == 0.0
+    for word in (((1, 2), (9, 9)), ((1, 2), (2, 2)), ((1, 1), (1, 1), (1, 2))):
+        with pytest.raises(ValueError, match=re.escape(str(word))):
+            tensor_paraproduct({word: 1 + 2j}, 2, 2)
 
 
 def test_besov_tensor_single_level():
@@ -192,46 +194,3 @@ def test_besov_tensor_single_level():
         # single level k=2: weight d^{2k} = 2^4 inside the p-th root
         assert besov_tensor(bhat, 2, 2, p) == pytest.approx(
             2.0 ** (4.0 / p) * block_lp(dk, p))
-
-
-def test_symbol_files(tmp_path, rng):
-    bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
-            for A in car_subsets(3) if A}
-    path = tmp_path / "car.txt"
-    write_car_symbol(path, bhat)
-    assert read_car_symbol(path) == bhat
-    that = {a: complex(rng.standard_normal(), rng.standard_normal())
-            for a in tensor_indices(2, 2) if a}
-    path2 = tmp_path / "tensor.txt"
-    write_tensor_symbol(path2, that)
-    assert read_tensor_symbol(path2) == that
-    # blank lines are allowed
-    path.write_text("\n" + path.read_text().replace("\n", "\n\n"))
-    assert read_car_symbol(path) == bhat
-
-
-@pytest.mark.parametrize("reader,body,line,message", [
-    ("car", "3 1.0\n", 1, "expected 3 fields"),
-    ("car", "3 1.0 2.0\n5 1.0 2.0 0.0\n", 2, "expected 3 fields"),
-    ("car", "x 1.0 2.0\n", 1, "mask 'x' is not an integer"),
-    ("car", "1.5 1.0 2.0\n", 1, "mask '1.5' is not an integer"),
-    ("car", "-3 1.0 2.0\n", 1, "mask -3 is negative"),
-    ("car", "3 1.0 y\n", 1, "could not convert"),
-    ("car", "3 nan 2.0\n", 1, "not finite"),
-    ("car", "3 1.0 inf\n", 1, "not finite"),
-    ("car", "3 1.0 2.0\n\n03 1.0 2.0\n", 3, "a second line for word '03'"),
-    ("tensor", "1.2 1.0\n", 1, "expected 3 fields"),
-    ("tensor", "1.2;x 1.0 2.0\n", 1, "neither 'e' nor"),
-    ("tensor", "1.2; 1.0 2.0\n", 1, "neither 'e' nor"),
-    ("tensor", "1.2.3 1.0 2.0\n", 1, "neither 'e' nor"),
-    ("tensor", "-1.2 1.0 2.0\n", 1, "neither 'e' nor"),
-    ("tensor", "1.2;0.1 1.0 2.0\n", 1, "entry < 1"),
-    ("tensor", "1.2 1.0 -inf\n", 1, "not finite"),
-    ("tensor", "e 1.0 2.0\n1.2 0.0 1.0\ne 3.0 4.0\n", 3, "a second line for word 'e'"),
-])
-def test_word_file_rejects_malformed(tmp_path, reader, body, line, message):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    read = read_car_symbol if reader == "car" else read_tensor_symbol
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
-        read(path)

@@ -143,6 +143,14 @@ def _leaves(tree, prefix=""):
             yield f"{prefix}{key}", value
 
 
+@pytest.mark.parametrize("trials", ["0", "1", "-3"])
+def test_calibrate_rejects_too_few_trials(tmp_path, capsys, trials):
+    out = tmp_path / "cal.json"
+    assert run_cli(["calibrate", "--out", str(out), "--trials", trials]) == 1
+    assert capsys.readouterr().err == "error: --trials must be at least 2\n"
+    assert not out.exists()
+
+
 def test_calibrate_command(tmp_path):
     # the committed seed and trial count re-measure the committed constants,
     # so calibrate still measures what calibration.json froze

@@ -5,9 +5,8 @@ from parahaar.dyadic import (CubeId, DyadicParams, GridShift,
                              HaarIndex, StepFunction, build_system, cover_cube,
                              expectation, haar_function, haar_synthesize,
                              haar_transform, make_adjacent_family,
-                             martingale_difference, read_grid_shift,
-                             read_symbol_file, write_grid_shift,
-                             write_symbol_file, LENGTH_RATIO_BOUND, dilation_bound)
+                             martingale_difference, LENGTH_RATIO_BOUND,
+                             dilation_bound)
 
 
 def test_build_enumeration_d2():
@@ -227,63 +226,6 @@ def test_cover_contained_cube_count():
     q = cover_cube([0.301], 0.09, fam)
     per = float(q.side) / 0.09
     assert per <= LENGTH_RATIO_BOUND + 1e-12
-
-
-def test_symbol_file_roundtrip(tmp_path, rng):
-    from parahaar.paraproducts import random_symbol
-
-    sys = build_system(DyadicParams(3, 2))
-    for m in (1, 2):
-        b = random_symbol(sys, rng, blockdim=m)
-        path = tmp_path / f"sym{m}.txt"
-        write_symbol_file(path, sys, b.coarse_mean, b.coeffs)
-        mean, table = read_symbol_file(path, sys)
-        assert np.allclose(mean, b.coarse_mean)
-        assert set(table) == set(b.coeffs)
-        for h in table:
-            assert np.allclose(table[h], b.coeffs[h])
-
-
-@pytest.mark.parametrize("body,line,message", [
-    ("mean 1.0 0.0\n0 0 1 2.0 0.0\n", 1, "blockdim"),        # no header
-    ("# blockdim 1\nmean 0.0 0.0\n0 5 1 1.0 0.0\n", 3, "rank 5"),  # rank out of range
-    ("# blockdim 1\nmean 0.0 0.0\n1 0 3 1.0 0.0\n", 3, "color 3"),  # d = 3: colors 1..2
-    ("# blockdim 1\nmean 0.0 0.0\n# blockdim 2\n", 3, "second"),
-    ("# blockdim 1\nmean 0.0 0.0\n1 2 1 1.0 0.0\nmean 2.0 0.0\n", 4, r"second entry \(0, 0\) for mean"),
-    ("# blockdim 1\nmean 0.0 0.0\n1 2 1 1.0 0.0\n1 2 1 3.0 0.0\n", 4,
-     r"second entry \(0, 0\) for HaarIndex\(cube=CubeId\(scale=1, index=\(2,\)\), color=1\)"),
-    ("# blockdim 2\n0 0 1 1 0 1.0 0.0\n0 0 1 0 1 1.0 0.0\n0 0 1 1 0 2.0 0.0\n", 4,
-     r"second entry \(1, 0\) for HaarIndex"),
-])
-def test_symbol_file_rejects_malformed(tmp_path, body, line, message):
-    sys = build_system(DyadicParams(3, 2))
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
-        read_symbol_file(path, sys)
-
-
-def test_grid_shift_roundtrip(tmp_path):
-    for dim, sh in ((1, GridShift((1, 0, 1, 1))), (2, GridShift((3, 0, 2, 1)))):
-        path = tmp_path / f"shift{dim}.txt"
-        write_grid_shift(path, sh, dim=dim)
-        assert read_grid_shift(path, dim=dim) == sh
-
-
-@pytest.mark.parametrize("body,dim,line,message", [
-    ("1\n11\n", 1, 2, "digit 11 is not a 1-bit mask"),
-    ("01\n100\n", 2, 2, "digit 100 is not a 2-bit mask"),
-    ("0\n2\n", 1, 2, "'2' is not a binary digit"),
-    ("10\n0b1\n", 2, 2, "'0b1' is not a binary digit"),
-    ("1\n1 0\n", 1, 2, "'1 0' is not a binary digit"),
-    ("", 1, 0, "no shift digits"),
-    ("\n\n", 2, 2, "no shift digits"),
-])
-def test_grid_shift_rejects_malformed(tmp_path, body, dim, line, message):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: {message}"):
-        read_grid_shift(path, dim=dim)
 
 
 def test_random_grid_shift(rng):

@@ -1,11 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from parahaar.algebras import (besov_car, besov_tensor, car_subsets, car_word,
+                               tensor_indices, tensor_word)
 from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                              build_system, expectation)
-from parahaar.norms import (besov_continuum, besov_diff, besov_haar,
-                            besov_haar_adjacent, besov_osc, bmo_dyadic,
-                            block_lp, bmo_operator, function_lp)
+from parahaar.norms import (_grid_weights, _half_overlaps, besov_continuum,
+                            besov_diff, besov_haar, besov_haar_adjacent,
+                            besov_osc, bmo_dyadic, block_lp, bmo_operator,
+                            function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
 
 
@@ -204,6 +209,56 @@ def test_adjacent_repeat_call_is_stable(rng, dim, depth):
         assert besov_haar_adjacent(vals, 1.5, dim, mask, depth) == first
 
 
+def _adjacent_cell_terms(vals, dim, mask, depth):
+    """The terms |Q|^{-1/2} |<f, h_Q^eta>| of one shifted lattice, in order.
+
+    At scale k every cube edge and half edge is a multiple of 2^-(k+1)/3, so on
+    the refinement to 3 * 2^depth cells per axis each one is a cell edge: the
+    coefficients are plain signed cell sums, cubes and colours by explicit loops.
+    """
+    n = 2**depth
+    fine = np.asarray(vals, dtype=complex).reshape([n] * dim, order="F")
+    for t in range(dim):
+        fine = np.repeat(fine, 3, axis=t)
+    terms = []
+    for k in range(depth):
+        side = 3 * 2 ** (depth - k)  # cube side in fine cells
+        meas = 2.0 ** (-k * dim)
+        corners = []
+        for t in range(dim):
+            # variant 1 sits 2/3 of a cube to the right at even scales, 1/3 at odd
+            off = (2 if k % 2 == 0 else 1) * side // 3 if (mask >> t) & 1 else 0
+            corners.append([off + m * side for m in range(-1, 2**k + 1)
+                            if off + m * side >= 0 and off + (m + 1) * side <= 3 * n])
+        for corner in itertools.product(*corners):
+            for eta in range(1, 2**dim):
+                coeff = 0j
+                for cell in itertools.product(*(range(c, c + side) for c in corner)):
+                    right = [(eta >> t) & 1 and cell[t] - corner[t] >= side // 2
+                             for t in range(dim)]
+                    coeff += (-1) ** sum(right) * fine[cell]
+                coeff *= (1.0 / (3 * n)) ** dim * meas ** -0.5
+                terms.append(abs(coeff) / meas**0.5)
+    return terms
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3), (3, 2)])
+def test_adjacent_matches_refined_cell_loop(rng, dim, depth):
+    vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
+    for mask in range(2**dim):
+        terms = _adjacent_cell_terms(vals, dim, mask, depth)
+        for p in (1.5, 2.0, 3.0):
+            want = sum(t**p for t in terms) ** (1 / p)
+            assert besov_haar_adjacent(vals, p, dim, mask, depth) == pytest.approx(
+                want, rel=1e-12), (mask, p)
+
+
+def test_cached_weights_are_read_only():
+    for arr in (_grid_weights(4, 1, 4), *_half_overlaps(1, 1, 3)):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
 # p = inf: each form is the p -> inf limit of its sum, the largest term
 
 
@@ -272,3 +327,68 @@ def test_forms_at_64_near_inf(rng, d, N, dim, m):
     for name in at_inf:
         ratio = at_64[name] / at_inf[name]
         assert n ** (-1 / 64) <= ratio <= n ** (1 / 64), name
+
+
+def _level_norm_max(bhat, level, word):
+    """max over levels k of the operator norm of d_k b, one level at a time."""
+    best = 0.0
+    for k in {level(a) for a in bhat}:
+        dk = sum(c * word(a) for a, c in bhat.items() if level(a) == k)
+        best = max(best, float(np.linalg.norm(dk, 2)))
+    return best
+
+
+def _step_and_word_forms(rng):
+    """name -> (form(c, p) of c times a fixed input, its p = inf value by a max loop)."""
+    v1 = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    v2 = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    blocks = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
+    car = {A: complex(*rng.standard_normal(2)) for A in car_subsets(3) if A}
+    ten = {a: complex(*rng.standard_normal(2)) for a in tensor_indices(2, 2) if a}
+    return {
+        "adjacent-dim1": (lambda c, p: besov_haar_adjacent(c * v1, p, 1, 1, 4),
+                          max(_adjacent_cell_terms(v1, 1, 1, 4))),
+        "adjacent-dim2": (lambda c, p: besov_haar_adjacent(c * v2, p, 2, 2, 3),
+                          max(_adjacent_cell_terms(v2, 2, 2, 3))),
+        "continuum-dim1": (lambda c, p: besov_continuum(c * v1, p, dim=1),
+                           max(abs(x - y) for x in v1 for y in v1)),
+        "continuum-blocks": (lambda c, p: besov_continuum(c * blocks, p, dim=2),
+                             max(float(np.linalg.norm(x - y, 2)) for x in blocks for y in blocks)),
+        "car": (lambda c, p: besov_car({A: c * z for A, z in car.items()}, 3, p),
+                _level_norm_max(car, max, lambda A: car_word(A, 3))),
+        "tensor": (lambda c, p: besov_tensor({a: c * z for a, z in ten.items()}, 2, 2, p),
+                   _level_norm_max(ten, len, lambda a: tensor_word(a, 2, 2))),
+    }
+
+
+_STEP_AND_WORD = ["adjacent-dim1", "adjacent-dim2", "continuum-dim1", "continuum-blocks",
+                  "car", "tensor"]
+
+
+@pytest.mark.parametrize("name", _STEP_AND_WORD)
+def test_step_and_word_forms_at_inf_are_max_of_terms(rng, name):
+    form, want = _step_and_word_forms(rng)[name]
+    assert form(1.0, np.inf) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", _STEP_AND_WORD)
+def test_step_and_word_forms_at_inf_are_homogeneous(rng, name):
+    form, _ = _step_and_word_forms(rng)[name]
+    assert form(100.0, np.inf) == pytest.approx(100.0 * form(1.0, np.inf), rel=1e-12)
+
+
+def test_step_and_word_forms_empty_and_nonpositive_p():
+    # no term at all: depth 1 holds no shifted cube, and the symbols are empty
+    assert besov_haar_adjacent(np.arange(2.0), np.inf, 1, 1, 1) == 0.0
+    assert besov_car({}, 3, np.inf) == 0.0
+    assert besov_tensor({}, 2, 2, np.inf) == 0.0
+    assert besov_continuum(np.ones(4), np.inf) == 0.0
+    for p in (0, -1.5):
+        with pytest.raises(ValueError, match="p must be positive"):
+            besov_haar_adjacent(np.ones(4), p, 1, 0, 2)
+        with pytest.raises(ValueError, match="p must be positive"):
+            besov_continuum(np.ones(4), p)
+        with pytest.raises(ValueError, match="p must be positive"):
+            besov_car({(1,): 1.0}, 3, p)
+        with pytest.raises(ValueError, match="p must be positive"):
+            besov_tensor({((1, 2),): 1.0}, 2, 1, p)
