@@ -32,6 +32,8 @@ __all__ = [
     "cover_cube",
     "LENGTH_RATIO_BOUND",
     "dilation_bound",
+    "write_grid_shift",
+    "read_grid_shift",
 ]
 
 # Covering constants for the per-coordinate one-third-shift family: the
@@ -464,3 +466,37 @@ def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> C
                     h,
                 )
     raise RuntimeError("no covering cube found; input exceeds the supported range")
+
+
+# ---------------------------------------------------------------------------
+# Text format: grid shifts.
+
+
+def write_grid_shift(path, shift: GridShift, dim: int = 1):
+    with open(path, "w") as fh:
+        for w in shift.omega:
+            fh.write(format(w, f"0{dim}b") + "\n")
+
+
+def read_grid_shift(path, dim: int = 1) -> GridShift:
+    """Inverse of write_grid_shift: one dim-bit binary digit per line.
+
+    A line that is not a binary numeral, a digit of more than dim bits and a
+    file without digits raise ValueError(path:line).
+    """
+    digits = []
+    lineno = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            word = line.strip()
+            if not word:
+                continue
+            if set(word) - {"0", "1"}:
+                raise ValueError(f"{path}:{lineno}: {word!r} is not a binary digit")
+            digit = int(word, 2)
+            if digit >= 2**dim:
+                raise ValueError(f"{path}:{lineno}: digit {word} is not a {dim}-bit mask")
+            digits.append(digit)
+    if not digits:
+        raise ValueError(f"{path}:{lineno}: no shift digits")
+    return GridShift(tuple(digits))

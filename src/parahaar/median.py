@@ -28,6 +28,10 @@ __all__ = [
     "quadrant_masses",
     "quadrant_sets",
     "stats",
+    "read_point_file",
+    "write_point_file",
+    "read_frame_file",
+    "write_frame_file",
 ]
 
 
@@ -496,3 +500,79 @@ def quadrant_sets(values_i, values_hat, measure_i=1.0, measure_hat=1.0, tol=None
     e_sets = [np.nonzero(mask)[0] for mask in cones(rot * (vi - alpha))]
     f_sets = [np.nonzero(mask)[0] for mask in cones(rot * (alpha - vh))]
     return theta, alpha, e_sets, f_sets
+
+
+# ---------------------------------------------------------------------------
+# Text formats.
+
+
+def write_point_file(path, pts: WeightedPointSet):
+    with open(path, "w") as fh:
+        for z, w in zip(pts.z, pts.w):
+            fh.write(f"{float(z.real)!r} {float(z.imag)!r} {float(w)!r}\n")
+
+
+def read_point_file(path) -> WeightedPointSet:
+    """Inverse of write_point_file: one `re im weight` line per point.
+
+    Blank lines are skipped; any other line without exactly three finite
+    numbers, or with a weight that is not positive, raises
+    ValueError("<path>:<line>: ...").
+    """
+    zs, ws = [], []
+    lineno = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.split():
+                continue
+            try:
+                x, y, w = _finite_fields(line, ("re", "im", "weight"))
+                if w <= 0:
+                    raise ValueError(f"weight {w!r} is not positive")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            zs.append(x + 1j * y)
+            ws.append(w)
+    if not zs:
+        raise ValueError(f"{path}:{lineno}: no points")
+    return WeightedPointSet(zs, ws)
+
+
+def write_frame_file(path, frame: QuadrantFrame):
+    with open(path, "w") as fh:
+        fh.write(f"{float(frame.theta)!r} {float(frame.c1)!r} {float(frame.c2)!r}\n")
+
+
+def read_frame_file(path) -> QuadrantFrame:
+    """Inverse of write_frame_file: a single `theta c1 c2` line.
+
+    Blank lines are skipped; a line without exactly three finite numbers, a
+    second frame line or no frame line raises ValueError("<path>:<line>: ...").
+    """
+    frame = None
+    lineno = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.split():
+                continue
+            try:
+                if frame is not None:
+                    raise ValueError("a second frame line")
+                frame = QuadrantFrame(*_finite_fields(line, ("theta", "c1", "c2")))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if frame is None:
+        raise ValueError(f"{path}:{lineno}: no frame line")
+    return frame
+
+
+def _finite_fields(line, names):
+    """The whitespace-separated fields of `line` as finite floats, one per name."""
+    parts = line.split()
+    if len(parts) != len(names):
+        raise ValueError(f"expected {len(names)} fields ({' '.join(names)}), got {len(parts)}")
+    values = [float(x) for x in parts]
+    for name, x in zip(names, values):
+        if not math.isfinite(x):
+            raise ValueError(f"{name} {x!r} is not finite")
+    return values

@@ -5,7 +5,8 @@ from parahaar.dyadic import (CubeId, DyadicParams, GridShift,
                              HaarIndex, StepFunction, build_system, cover_cube,
                              expectation, haar_function, haar_synthesize,
                              haar_transform, make_adjacent_family,
-                             martingale_difference, LENGTH_RATIO_BOUND,
+                             martingale_difference, read_grid_shift,
+                             write_grid_shift, LENGTH_RATIO_BOUND,
                              dilation_bound)
 
 
@@ -226,6 +227,29 @@ def test_cover_contained_cube_count():
     q = cover_cube([0.301], 0.09, fam)
     per = float(q.side) / 0.09
     assert per <= LENGTH_RATIO_BOUND + 1e-12
+
+
+def test_grid_shift_roundtrip(tmp_path):
+    for dim, sh in ((1, GridShift((1, 0, 1, 1))), (2, GridShift((3, 0, 2, 1)))):
+        path = tmp_path / f"shift{dim}.txt"
+        write_grid_shift(path, sh, dim=dim)
+        assert read_grid_shift(path, dim=dim) == sh
+
+
+@pytest.mark.parametrize("body,dim,line,message", [
+    ("1\n11\n", 1, 2, "digit 11 is not a 1-bit mask"),
+    ("01\n100\n", 2, 2, "digit 100 is not a 2-bit mask"),
+    ("0\n2\n", 1, 2, "'2' is not a binary digit"),
+    ("10\n0b1\n", 2, 2, "'0b1' is not a binary digit"),
+    ("1\n1 0\n", 1, 2, "'1 0' is not a binary digit"),
+    ("", 1, 0, "no shift digits"),
+    ("\n\n", 2, 2, "no shift digits"),
+])
+def test_grid_shift_rejects_malformed(tmp_path, body, dim, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: {message}"):
+        read_grid_shift(path, dim=dim)
 
 
 def test_random_grid_shift(rng):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import parahaar.median as med
 from parahaar.median import (QuadrantFrame, WeightedPointSet, complex_median,
                              halfplane_median, quadrant_masses, quadrant_sets,
-                             quadrant_split)
+                             quadrant_split, read_frame_file, read_point_file,
+                             write_frame_file, write_point_file)
 
 
 def masses_ok(pts, frame, factor=16.0):
@@ -208,3 +209,50 @@ def test_quadrant_sets_inequalities(rng):
                     worst = max(worst, abs(w.imag) - w.real)
         assert union == set(range(ni))  # the cones cover the near cube
     assert worst <= 1e-9
+
+
+def test_point_and_frame_files(tmp_path, rng):
+    pts = WeightedPointSet(rng.standard_normal(5) + 1j * rng.standard_normal(5),
+                           rng.uniform(0.5, 1.5, 5))
+    p = tmp_path / "pts.txt"
+    write_point_file(p, pts)
+    p.write_text(p.read_text().replace("\n", "\n\n", 2))  # blank lines are allowed
+    loaded = read_point_file(p)
+    assert np.array_equal(loaded.z, pts.z) and np.array_equal(loaded.w, pts.w)
+    frame = QuadrantFrame(1.234, -0.5, 0.75)
+    fpath = tmp_path / "frame.txt"
+    write_frame_file(fpath, frame)
+    assert read_frame_file(fpath) == frame
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("1.0 2.0 1.0\n3.0 4.0\n", 2, "expected 3 fields"),
+    ("1.0 2.0 1.0 7.0\n", 1, "expected 3 fields"),
+    ("1.0 x 1.0\n", 1, "could not convert"),
+    ("1.0 2.0 0.0\n", 1, "weight 0.0 is not positive"),
+    ("1.0 2.0 -1.0\n", 1, "not positive"),
+    ("nan 2.0 1.0\n", 1, "re nan is not finite"),
+    ("1.0 2.0 inf\n", 1, "weight inf is not finite"),
+    ("\n\n", 2, "no points"),
+    ("", 0, "no points"),
+])
+def test_point_file_rejects_malformed(tmp_path, body, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
+        read_point_file(path)
+
+
+@pytest.mark.parametrize("body,line,message", [
+    ("1.0 2.0\n", 1, "expected 3 fields"),
+    ("1.0 2.0 3.0 4.0\n", 1, "expected 3 fields"),
+    ("1.0 2.0 3.0\n1.0 2.0 3.0\n", 2, "second frame line"),
+    ("1.0 inf 3.0\n", 1, "c1 inf is not finite"),
+    ("1.0 a 3.0\n", 1, "could not convert"),
+    ("\n", 1, "no frame line"),
+])
+def test_frame_file_rejects_malformed(tmp_path, body, line, message):
+    path = tmp_path / "bad.txt"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
+        read_frame_file(path)
