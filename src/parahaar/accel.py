@@ -28,15 +28,20 @@ def pair_power_weights(mids, vol, power):
     """vol^2 * sum over subcell pairs of |x - y|^-power, per ordered cell pair.
 
     mids: (ncell, nsub, dim) midpoints of the refinement subcells; the
-    diagonal (same-cell pairs) is 0.
+    diagonal (same-cell pairs) is 0.  One row a at a time against every other
+    cell b: squared distances add axis by axis in axis order, and each pair's
+    nsub x nsub terms are summed as one contiguous block, so every entry is
+    the same floating-point sum as a per-pair loop gives.
     """
-    ncell = mids.shape[0]
+    ncell, nsub, dim = mids.shape
+    coords = [np.ascontiguousarray(mids[:, :, t]) for t in range(dim)]
     out = np.zeros((ncell, ncell))
     for a in range(ncell):
-        for b in range(ncell):
-            if a == b:
-                continue
-            diff = mids[a][:, None, :] - mids[b][None, :, :]
-            r2 = (diff * diff).sum(axis=2)
-            out[a, b] = vol * vol * (r2 ** (-power / 2.0)).sum()
+        others = np.arange(ncell) != a
+        r2 = np.zeros((ncell - 1, nsub, nsub))
+        for x in coords:
+            diff = x[a][None, :, None] - x[others][:, None, :]
+            r2 += diff * diff
+        terms = (r2 ** (-power / 2.0)).reshape(ncell - 1, nsub * nsub)
+        out[a, others] = vol * vol * terms.sum(axis=1)
     return out

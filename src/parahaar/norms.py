@@ -243,10 +243,11 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
     """
     if p <= 0:
         raise ValueError("p must be positive")
-    values = np.asarray(values, dtype=complex).ravel()
+    values = np.asarray(values, dtype=complex)
     n_axis = 2**depth
-    if values.size != n_axis**dim:
-        raise ValueError("values must fill the standard grid")
+    if values.shape != (n_axis**dim,):
+        raise ValueError(f"values must be one scalar per cell of the standard grid, "
+                         f"shape ({n_axis**dim},); got shape {values.shape}")
     grid = values.reshape([n_axis] * dim, order="F")  # cell id = sum c_t n^t
     terms = []
     for k in range(depth):

@@ -23,7 +23,24 @@ def singular_values(T) -> np.ndarray:
     singular values of T are those of C padded with zeros up to D: the
     deflation is exact, not a truncation.  LAPACK then runs on C alone (the
     paraproduct's coarse row and finest-scale columns are zero); a matrix
-    with no zero row or column goes to LAPACK as it is.
+    with no zero row or column goes on as it is.
+
+    Real up to row phases.  When C has at least 32 rows and 32 columns, let
+    u_i be the phase of the first nonzero entry of row i of C.  If
+    |Im(conj(u_i) C_ij)| <= 4 eps |C_ij| for every entry (relative to the
+    entry, so exact zeros must stay zero), LAPACK runs on the real matrix
+    A_ij = Re(conj(u_i) C_ij), at about half the price of the complex SVD;
+    otherwise, and for a smaller C, it runs on C unchanged, bit for bit as
+    without this rule.  A d = 2 paraproduct with a scalar symbol (dim 1 or
+    2) always passes, since its Haar functions are real signs: row (I, t) is
+    b_I^t times real cube averages.  diag(u) is unitary, so C and A + iE
+    share their singular values, where E is the discarded imaginary part.
+    By Weyl's inequality each sigma moves by at most
+    ||E||_2 <= ||E||_F <= 4 eps ||C||_F <= 4 eps sqrt(D) sigma_max, plus
+    the rounding of forming A (a few eps per entry): the order of LAPACK's
+    own backward error.  That covers the checks that read these values at
+    fixed tolerances: S_2 against the Frobenius norm at 1e-12 relative, and
+    the calibrated ratios against their frozen bands at 1e-6 relative.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -32,13 +49,42 @@ def singular_values(T) -> np.ndarray:
     rows = nonzero.any(axis=1)
     cols = nonzero.any(axis=0)
     n, r, c = T.shape[0], np.count_nonzero(rows), np.count_nonzero(cols)
-    if r == n and c == n:
-        return np.linalg.svd(T, compute_uv=False)
     sv = np.zeros(n)
     if r and c:
-        core = T.compress(rows, axis=0).compress(cols, axis=1)
-        sv[: min(r, c)] = np.linalg.svd(core, compute_uv=False)
+        core = T if r == n and c == n else T.compress(rows, axis=0).compress(cols, axis=1)
+        real = _real_up_to_row_phases(core) if min(r, c) >= _REAL_PATH_MIN else None
+        sv[: min(r, c)] = np.linalg.svd(core if real is None else real, compute_uv=False)
     return sv
+
+
+# Below this, the test costs about what the real SVD saves: on d = 2
+# paraproduct cores (2^k - 1) x 2^(k-1), test plus real SVD against the
+# complex SVD is 35 vs 19 us at k = 4, even at k = 5 and 123 vs 143 us at
+# k = 6 (one thread, 2-core x86_64, OpenBLAS 0.3.31).
+_REAL_PATH_MIN = 32
+
+
+def _real_up_to_row_phases(C):
+    """Re(conj(u_i) C_ij) if every |Im(conj(u_i) C_ij)| <= 4 eps |C_ij|, else None.
+
+    u_i is the phase of the first nonzero entry of row i; every row of C
+    must have one.  Works in two float temporaries and leaves C as it is.
+    """
+    lead = C[np.arange(C.shape[0]), (C != 0).argmax(axis=1)]
+    u = lead / np.abs(lead)
+    ur, ui = u.real[:, None], u.imag[:, None]
+    resid = ur * C.imag
+    buf = ui * C.real
+    resid -= buf
+    np.abs(resid, out=resid)
+    np.abs(C, out=buf)
+    buf *= 4 * np.finfo(float).eps
+    if not (resid <= buf).all():  # NaN fails too
+        return None
+    np.multiply(ur, C.real, out=resid)
+    np.multiply(ui, C.imag, out=buf)
+    resid += buf
+    return resid
 
 
 def schatten_norm(T, p, blockdim: int = 1) -> float:

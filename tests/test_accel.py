@@ -46,3 +46,28 @@ def test_pair_weights_match_two_cell_sum(rng):
                 acc = sum(float(np.sum((x - y) ** 2)) ** (-power / 2)
                           for x in mids[a] for y in mids[b])
                 assert np.isclose(got[a, b], vol * vol * acc, rtol=1e-12, atol=0)
+
+
+def _pair_power_weights_loop(mids, vol, power):
+    """One numpy sum per ordered cell pair: the reference the kernel must equal bit for bit."""
+    ncell = mids.shape[0]
+    out = np.zeros((ncell, ncell))
+    for a in range(ncell):
+        for b in range(ncell):
+            if a != b:
+                diff = mids[a][:, None, :] - mids[b][None, :, :]
+                r2 = (diff * diff).sum(axis=2)
+                out[a, b] = vol * vol * (r2 ** (-power / 2.0)).sum()
+    return out
+
+
+def test_pair_weights_equal_pair_loop_bitwise(rng):
+    from parahaar.norms import _cell_midgrids
+
+    cases = [(rng.uniform(0, 1, (9, 7, dim)), dim) for dim in (1, 2, 3)]
+    cases += [(np.ascontiguousarray(_cell_midgrids(n, dim, 4).astype(float)), dim)
+              for n, dim in ((16, 1), (4, 2))]
+    for mids, dim in cases:
+        vol = 0.013**dim  # not a power of 2, so the order of the products shows
+        got = accel.pair_power_weights(mids, vol, 2.0 * dim)
+        assert np.array_equal(got, _pair_power_weights_loop(mids, vol, 2.0 * dim)), mids.shape

@@ -145,6 +145,15 @@ def test_continuum_rejects_ragged():
         besov_continuum(np.zeros(10), 2, dim=2)
 
 
+def test_adjacent_rejects_all_but_one_scalar_per_cell(rng):
+    blocks = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
+    # 64 entries = 2^6 cells at dim 1, but they are 16 blocks, not 64 scalars
+    for vals, dim, depth in ((blocks, 1, 6), (np.ones((8, 8)), 2, 3), (np.ones((64, 1)), 1, 6),
+                             (np.ones(63), 1, 6), (np.ones(64), 2, 2)):
+        with pytest.raises(ValueError, match="one scalar per cell"):
+            besov_haar_adjacent(vals, 2.0, dim, 0, depth)
+
+
 def test_adjacent_matches_standard(rng):
     for dim, depth in ((1, 3), (2, 2)):
         sys = build_system(DyadicParams(2, depth, dim=dim))

@@ -216,3 +216,114 @@ def test_no_zero_line_goes_to_lapack_unchanged(rng):
     T = rng.standard_normal((11, 11)) + 1j * rng.standard_normal((11, 11))
     T[3, :5] = 0.0  # zero entries, but no zero row or column
     assert np.array_equal(singular_values(T), np.linalg.svd(T, compute_uv=False))
+
+
+# -- real LAPACK for matrices that are real up to row phases ----------------
+
+EPS = np.finfo(float).eps
+
+
+def _core(T):
+    """T without its exactly-zero rows and columns, as `singular_values` deflates it."""
+    T = np.asarray(T, dtype=complex)
+    nonzero = T != 0
+    return T[np.ix_(nonzero.any(axis=1), nonzero.any(axis=0))]
+
+
+@pytest.fixture
+def svd_dtypes(monkeypatch):
+    """dtype of every matrix that reaches np.linalg.svd during the test."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def _paraproduct_matrix(d, depth, dim, blockdim=1, seed=0):
+    from parahaar.dyadic import DyadicParams, build_system
+    from parahaar.paraproducts import paraproduct, random_symbol
+
+    sys_ = build_system(DyadicParams(d, depth, dim))
+    return paraproduct(sys_, random_symbol(sys_, np.random.default_rng(seed), blockdim))
+
+
+def _phase_real_cases(rng):
+    """(name, T): d = 2 paraproducts up to D = 1024 and diag(phases) @ real A,
+    each with a deflated core of at least 32 rows and columns."""
+    cases = [(f"d2-dim1-depth{k}", _paraproduct_matrix(2, k, 1, seed=k)) for k in (6, 8, 10)]
+    cases += [(f"d2-dim2-depth{k}", _paraproduct_matrix(2, k, 2, seed=k)) for k in (4, 5)]
+    for n in (40, 120):
+        A = rng.standard_normal((n, n))
+        A[:, :3] = 0.0  # each row's first nonzero entry lies past column 0
+        A[n // 2] = 0.0  # a zero row, deflated
+        phase = np.exp(2j * np.pi * rng.uniform(size=n))
+        phase[:4] = [1, -1, 1j, -1j]
+        cases.append((f"phases-{n}", phase[:, None] * A))
+        low = rng.standard_normal((n, 3)) @ rng.standard_normal((3, n))  # rank 3
+        cases.append((f"phases-rank3-{n}", phase[:, None] * low))
+    return cases
+
+
+def test_phase_real_path_matches_complex_lapack(rng, svd_dtypes):
+    for name, T in _phase_real_cases(rng):
+        core = _core(T)
+        del svd_dtypes[:]
+        sv = singular_values(T)
+        assert svd_dtypes == [np.dtype(float)], name  # the real path ran
+        ref = np.linalg.svd(core, compute_uv=False)
+        k = ref.size
+        assert np.all(sv[k:] == 0.0), name
+        assert np.abs(sv[:k] - ref).max() <= 16 * EPS * ref[0] * np.sqrt(T.shape[0]), name
+
+
+def _fallback_cases(rng):
+    """(name, T) whose core is not real up to row phases, or has fewer than 32 rows or columns."""
+    n = 40
+    generic = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    generic[4] = 0.0
+    phase = np.exp(2j * np.pi * rng.uniform(size=n))
+    near = phase[:, None] * rng.standard_normal((n, n))
+    near[7, 11] += 1e-10j
+    edge = phase[:, None] * np.ones((n, n))
+    edge[2, 3] *= np.exp(64j * EPS)  # a relative residue of 64 eps in one entry
+    small = phase[:31, None] * rng.standard_normal((31, 31))
+    return [
+        ("d3-dim1", _paraproduct_matrix(3, 5, 1)),
+        ("d2-block2", _paraproduct_matrix(2, 6, 1, blockdim=2)),
+        ("generic", generic),
+        ("phase-real-plus-1e-10i", near),
+        ("phase-real-plus-64-eps", edge),
+        ("small-phase-real", small),
+        ("small-d2-dim1", _paraproduct_matrix(2, 5, 1)),  # core 31 x 16
+    ]
+
+
+def test_fallback_is_complex_lapack_bit_for_bit(rng, svd_dtypes):
+    for name, T in _fallback_cases(rng):
+        core = _core(T)
+        del svd_dtypes[:]
+        sv = singular_values(T)
+        assert svd_dtypes == [np.dtype(complex)], name
+        ref = np.linalg.svd(core, compute_uv=False)
+        assert np.array_equal(sv[: ref.size], ref), name
+        assert np.all(sv[ref.size:] == 0.0), name
+
+
+def test_singular_values_leave_the_input_alone(rng):
+    for name, T in _phase_real_cases(rng) + _fallback_cases(rng):
+        T = np.asarray(T, dtype=complex)
+        before = T.copy()
+        T.setflags(write=False)  # an in-place write would raise
+        singular_values(T)
+        assert np.array_equal(T, before), name
+
+
+def test_phase_real_s2_is_frobenius(rng):
+    for name, T in _phase_real_cases(rng):
+        frob = np.linalg.norm(T)
+        assert abs(schatten_norm(T, 2) - frob) <= 1e-12 * frob, name
