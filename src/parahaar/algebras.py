@@ -8,7 +8,9 @@ coefficients act on the empty-word column of the paraproduct matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from typing import Dict, Sequence, Tuple
 
 import numpy as np
@@ -22,6 +24,7 @@ __all__ = [
     "car_subsets",
     "car_paraproduct",
     "besov_car",
+    "besov_cars",
     "car_transference_check",
     "car_transference_checks",
     "tensor_basis",
@@ -30,6 +33,7 @@ __all__ = [
     "tensor_word",
     "tensor_paraproduct",
     "besov_tensor",
+    "besov_tensors",
     "tensor_transference_check",
     "tensor_transference_checks",
 ]
@@ -46,8 +50,12 @@ def _qubits(n_gen: int) -> int:
     return (n_gen + 1) // 2
 
 
+@functools.cache
 def car_generators(n_gen: int):
-    """Self-adjoint unitaries c_1..c_n with c_j c_k + c_k c_j = 2 delta_jk."""
+    """Self-adjoint unitaries c_1..c_n with c_j c_k + c_k c_j = 2 delta_jk.
+
+    A tuple of read-only arrays, built once per n_gen.
+    """
     if n_gen < 1:
         raise ValueError("need at least one generator")
     s0, s1, s2 = pauli_matrices()
@@ -62,8 +70,9 @@ def car_generators(n_gen: int):
         M = factors[0]
         for f in factors[1:]:
             M = np.kron(M, f)
+        M.setflags(write=False)
         gens.append(M)
-    return gens
+    return tuple(gens)
 
 
 def car_word(subset: Sequence[int], n_gen: int) -> np.ndarray:
@@ -153,12 +162,17 @@ def car_paraproduct(bhat: Dict[Tuple[int, ...], complex], n_gen: int) -> np.ndar
 def besov_car(bhat, n_gen: int, p) -> float:
     """(sum_k 2^k ||d_k b||_p^p)^(1/p) with the normalized-trace block norm;
     at p = inf, max_k ||d_k b||_inf."""
-    from .norms import _weighted_sum, block_lp
+    return besov_cars(bhat, n_gen, (p,))[0]
 
-    if p <= 0:
-        raise ValueError("p must be positive")
+
+def besov_cars(bhat, n_gen: int, ps) -> list[float]:
+    """[besov_car(bhat, n_gen, p) for p in ps]: each d_k b is summed once and
+    all levels share one batched SVD."""
+    from .norms import _require_positive
+
+    _require_positive(ps)
     dim = 2 ** _qubits(n_gen)
-    terms, weights = [], []
+    blocks, weights = [], []
     for k in range(1, n_gen + 1):
         dk = np.zeros((dim, dim), dtype=complex)
         got = False
@@ -167,9 +181,19 @@ def besov_car(bhat, n_gen: int, p) -> float:
                 dk += coeff * car_word(A, n_gen)
                 got = True
         if got:
-            terms.append(block_lp(dk, p))
+            blocks.append(dk)
             weights.append(2**k)
-    return _weighted_sum(terms, weights, p)
+    return _level_sums(blocks, weights, ps)
+
+
+def _level_sums(blocks, weights, ps) -> list[float]:
+    """(sum_k w_k ||d_k b||_p^p)^(1/p) per p over the word-level blocks d_k b."""
+    from .norms import _block_lps, _weighted_sum
+
+    if not blocks:
+        return [0.0] * len(ps)
+    return [_weighted_sum(lps.tolist(), weights, p)
+            for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
 
 
 def car_transference_check(bhat, n_gen: int, p):
@@ -261,10 +285,21 @@ def tensor_indices(d: int, levels: int):
 
 
 def tensor_word(alpha, d: int, levels: int) -> np.ndarray:
+    """U_alpha on `levels` tensor factors, identity above the word's top level.
+
+    A read-only array, built once per (alpha, d, levels).
+    """
+    alpha = tuple((operator.index(i), operator.index(j)) for i, j in alpha)
+    return _tensor_word(alpha, operator.index(d), operator.index(levels))
+
+
+@functools.cache
+def _tensor_word(alpha, d, levels):
     M = np.eye(1, dtype=complex)
     for lvl in range(levels):
         ij = alpha[lvl] if lvl < len(alpha) else (d, d)
         M = np.kron(M, tensor_basis(ij[0], ij[1], d))
+    M.setflags(write=False)
     return M
 
 
@@ -290,11 +325,16 @@ def tensor_paraproduct(bhat, d: int, levels: int) -> np.ndarray:
 def besov_tensor(bhat, d: int, levels: int, p) -> float:
     """(sum_k d^{2k} ||d_k b||_p^p)^(1/p), normalized trace on the word algebra;
     at p = inf, max_k ||d_k b||_inf."""
-    from .norms import _weighted_sum, block_lp
+    return besov_tensors(bhat, d, levels, (p,))[0]
 
-    if p <= 0:
-        raise ValueError("p must be positive")
-    terms, weights = [], []
+
+def besov_tensors(bhat, d: int, levels: int, ps) -> list[float]:
+    """[besov_tensor(bhat, d, levels, p) for p in ps]: each d_k b is summed
+    once and all levels share one batched SVD."""
+    from .norms import _require_positive
+
+    _require_positive(ps)
+    blocks, weights = [], []
     for k in range(1, levels + 1):
         dk = None
         for a, coeff in bhat.items():
@@ -303,9 +343,9 @@ def besov_tensor(bhat, d: int, levels: int, p) -> float:
                     dk = np.zeros((d**levels, d**levels), dtype=complex)
                 dk += coeff * tensor_word(a, d, levels)
         if dk is not None:
-            terms.append(block_lp(dk, p))
+            blocks.append(dk)
             weights.append(float(d) ** (2 * k))
-    return _weighted_sum(terms, weights, p)
+    return _level_sums(blocks, weights, ps)
 
 
 def _transference_residuals(big, scalar, dim, p_values):

@@ -722,9 +722,9 @@ def _paraproduct_draws(sys, p_values, trials, rng, blockdim):
     for trial in range(trials):
         b = random_symbol(sys, rng, blockdim=blockdim)
         sv = spectral.singular_values(paraproduct(sys, b))
-        for p in p_values:
+        for p, besov in zip(p_values, norms.besov_haars(sys, b, p_values)):
             norm = float((np.sum(sv**p) / blockdim) ** (1.0 / p))
-            yield trial, p, norm, norms.besov_haar(sys, b, p)
+            yield trial, p, norm, besov
 
 
 def _paraproduct_trials(d, depth, p_values, trials, rng, blockdim=1):
@@ -739,11 +739,13 @@ def _paraproduct_trials(d, depth, p_values, trials, rng, blockdim=1):
 def _diff_haar_trials(d, trials, rng):
     """Difference-form over Haar-form Besov norms, depth-3 random symbols."""
     sys = build_system(DyadicParams(d, 3))
-    out = {p: [] for p in (0.5, 1.0, 2.0, 4.0)}
+    ps = (0.5, 1.0, 2.0, 4.0)
+    out = {p: [] for p in ps}
     for _ in range(trials):
         b = random_symbol(sys, rng)
-        for p in out:
-            out[p].append(norms.besov_diff(sys, b, p) / norms.besov_haar(sys, b, p))
+        for p, diff, haar in zip(ps, norms.besov_diffs(sys, b, ps),
+                                 norms.besov_haars(sys, b, ps)):
+            out[p].append(diff / haar)
     return out
 
 
@@ -761,14 +763,16 @@ def _nwo_trials(dim, depth, trials, rng):
     """NWO testing-pair sums over S_p norms of random grid operators."""
     sys = build_system(DyadicParams(2, depth, dim=dim))
     n = sys.n_cells
-    out = {p: [] for p in (1.5, 2.0, 3.0)}
+    ps = (1.5, 2.0, 3.0)
+    out = {p: [] for p in ps}
     for _ in range(trials):
         V = kernels.GridOperator(
             (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n,
             dim, sys.axis_cells)
         fams = kernels.random_admissible_family(sys, rng)
-        for p in out:
-            out[p].append(kernels.nwo_quantity(V, fams, p) / spectral.schatten_norm(V.matrix, p))
+        for p, nwo, norm in zip(ps, kernels.nwo_quantities(V, fams, ps),
+                                spectral.schatten_norms(V.matrix, ps)):
+            out[p].append(nwo / norm)
     return out
 
 
@@ -777,18 +781,19 @@ def _continuum_trials(dim, depth, trials, rng):
     ||b||_{B_2} / continuum at p = 2, on random step functions."""
     n_axis = 2**depth
     sys = build_system(DyadicParams(2, depth, dim=dim))
-    out = {p: [] for p in (1.5, 2.0, 3.0)}
+    ps = (1.5, 2.0, 3.0)
+    out = {p: [] for p in ps}
     upper = []
     for _ in range(trials):
         vals = rng.standard_normal(n_axis**dim) + 1j * rng.standard_normal(n_axis**dim)
-        for p in out:
-            cont = norms.besov_continuum(vals, p, dim=dim, refinement=4)
-            fam = sum(norms.besov_haar_adjacent(vals, p, dim, mask, depth) ** p
-                      for mask in range(2**dim))
-            out[p].append(cont**p / fam)
+        conts = norms.besov_continuums(vals, ps, dim=dim, refinement=4)
+        lattices = [norms.besov_haar_adjacents(vals, ps, dim, mask, depth)
+                    for mask in range(2**dim)]
+        for i, p in enumerate(ps):
+            fam = sum(sums[i] ** p for sums in lattices)
+            out[p].append(conts[i] ** p / fam)
         bsym = Symbol.from_function(sys, StepFunction(vals))
-        upper.append(norms.besov_haar(sys, bsym, 2.0)
-                     / norms.besov_continuum(vals, 2.0, dim=dim, refinement=4))
+        upper.append(norms.besov_haar(sys, bsym, 2.0) / conts[ps.index(2.0)])
     return out, upper
 
 
@@ -821,26 +826,29 @@ def _testing_trials(trials, rng):
 
 def _car_trials(ng, trials, rng):
     """CAR word paraproduct S_p norms over their Besov functional."""
-    out = {p: [] for p in (1.0, 2.0, 4.0)}
+    ps = (1.0, 2.0, 4.0)
+    out = {p: [] for p in ps}
     for _ in range(trials):
         bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
                 for A in algebras.car_subsets(ng) if A}
         P = algebras.car_paraproduct(bhat, ng)
-        for p in out:
-            out[p].append(spectral.schatten_norm(P, p) / algebras.besov_car(bhat, ng, p))
+        for p, norm, besov in zip(ps, spectral.schatten_norms(P, ps),
+                                  algebras.besov_cars(bhat, ng, ps)):
+            out[p].append(norm / besov)
     return out
 
 
 def _tensor_trials(levels, trials, rng):
     """Tensor-word (M_2 levels) paraproduct S_p norms over their Besov functional."""
-    out = {p: [] for p in (1.0, 2.0, 4.0)}
+    ps = (1.0, 2.0, 4.0)
+    out = {p: [] for p in ps}
     for _ in range(trials):
         bhat = {a: complex(rng.standard_normal(), rng.standard_normal())
                 for a in algebras.tensor_indices(2, levels) if a}
         P = algebras.tensor_paraproduct(bhat, 2, levels)
-        for p in out:
-            out[p].append(spectral.schatten_norm(P, p)
-                          / algebras.besov_tensor(bhat, 2, levels, p))
+        for p, norm, besov in zip(ps, spectral.schatten_norms(P, ps),
+                                  algebras.besov_tensors(bhat, 2, levels, ps)):
+            out[p].append(norm / besov)
     return out
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "weak_factorization",
     "random_admissible_family",
     "nwo_quantity",
+    "nwo_quantities",
     "testing_quantity",
 ]
 
@@ -340,12 +341,20 @@ def random_admissible_family(sys, rng):
 
 def nwo_quantity(V: GridOperator, families, p) -> float:
     """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family."""
+    return nwo_quantities(V, families, (p,))[0]
+
+
+def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
+    """[nwo_quantity(V, families, p) for p in ps], each pairing taken once."""
     mu = V.cell_measure
-    total = 0.0
-    for e, f in families:
-        pair = np.vdot(e, V.apply(f)) * mu
-        total += abs(pair) ** p
-    return float(total ** (1.0 / p))
+    pairs = [abs(np.vdot(e, V.apply(f)) * mu) for e, f in families]
+    out = []
+    for p in ps:
+        total = 0.0
+        for a in pairs:
+            total += a ** p
+        out.append(float(total ** (1.0 / p)))
+    return out
 
 
 def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:

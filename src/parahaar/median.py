@@ -28,8 +28,6 @@ __all__ = [
     "quadrant_masses",
     "quadrant_sets",
     "stats",
-    "read_point_file",
-    "write_point_file",
     "read_frame_file",
     "write_frame_file",
 ]
@@ -192,31 +190,34 @@ def _quarter_interval(angles, weights, apex_w, quarter):
     """
     if angles.size == 0:
         return 0.0, math.pi, -1, -1
-    order = np.argsort(angles, kind="stable")
+    # ndarray methods, not the np.* wrappers: this runs at every base point
+    order = angles.argsort(kind="stable")
     a_sorted = angles[order]
     w_sorted = weights[order]
-    cum = np.cumsum(w_sorted)
+    cum = w_sorted.cumsum()
     total = cum[-1] + apex_w
     need = quarter - apex_w
     eps = 1e-12 * max(total, 1.0)
     if need <= eps:
-        lo, ilo = 0.0, -1
-    else:
-        k = int(np.searchsorted(cum, need - eps))
-        k = min(k, len(order) - 1)
-        lo, ilo = float(a_sorted[k]), int(order[k])
-    rev = np.cumsum(w_sorted[::-1])
-    if need <= eps:
-        hi, ihi = math.pi, -1
-    else:
-        k = int(np.searchsorted(rev, need - eps))
-        k = min(k, len(order) - 1)
-        hi, ihi = float(a_sorted[len(order) - 1 - k]), int(order[len(order) - 1 - k])
-    return lo, hi, ilo, ihi
+        return 0.0, math.pi, -1, -1
+    last = len(order) - 1
+    k = min(int(cum.searchsorted(need - eps)), last)
+    lo, ilo = float(a_sorted[k]), int(order[k])
+    k = last - min(int(w_sorted[::-1].cumsum().searchsorted(need - eps)), last)
+    return lo, float(a_sorted[k]), ilo, int(order[k])
+
+
+def _exact_key(x):
+    """Memo key of a float: its value and its sign, so -0.0 and 0.0 differ."""
+    return x, math.copysign(1.0, x)
 
 
 class _SplitData:
-    """S1 / S4 atom data in normalized coordinates (base line = real axis)."""
+    """S1 / S4 atom data in normalized coordinates (base line = real axis).
+
+    One instance serves one frame search: it remembers the intervals of
+    every base point it has been asked about, keyed on the exact float.
+    """
 
     def __init__(self, pts, c, a1, a2):
         self.c = c
@@ -232,28 +233,35 @@ class _SplitData:
         self.q1 = self.w[self.s1].sum() / 4.0
         self.q4 = self.w[self.s4].sum() / 4.0
         self.scale = max(1.0, float(np.abs(z).max()))
+        # per side: z, w, Re z and Im z clipped to the side's half-plane
+        z1, z4 = z[self.s1], z[self.s4]
+        self._side1 = (z1, self.w[self.s1], z1.real, np.maximum(z1.imag, 0.0))
+        self._side4 = (z4, self.w[self.s4], z4.real, np.maximum(-z4.imag, 0.0))
+        self._memo = {}
 
     def intervals(self, x):
         """rho-intervals at base point x for the S1 and the S4 constraints."""
-        z1 = self.z[self.s1]
-        w1 = self.w[self.s1]
-        apex1 = np.abs(z1 - x) <= 1e-15 * self.scale
-        th = np.arctan2(np.maximum(z1.imag, 0.0)[~apex1], (z1.real - x)[~apex1])
-        lo1, hi1, i1, j1 = _quarter_interval(th, w1[~apex1], w1[apex1].sum(), self.q1)
-        idx1 = self.s1[~apex1]
-        atom_lo1 = int(idx1[i1]) if i1 >= 0 else -1
-        atom_hi1 = int(idx1[j1]) if j1 >= 0 else -1
+        key = _exact_key(x)
+        out = self._memo.get(key)
+        if out is None:
+            lo1, hi1, atom_lo1, atom_hi1 = self._side_interval(self._side1, self.s1, self.q1, x)
+            plo, phi_, atom_plo, atom_phi = self._side_interval(self._side4, self.s4, self.q4, x)
+            out = self._memo[key] = ((lo1, hi1, atom_lo1, atom_hi1),
+                                     (math.pi - phi_, math.pi - plo, atom_phi, atom_plo))
+        return out
 
-        z4 = self.z[self.s4]
-        w4 = self.w[self.s4]
-        apex4 = np.abs(z4 - x) <= 1e-15 * self.scale
-        ph = np.arctan2(np.maximum(-z4.imag, 0.0)[~apex4], (z4.real - x)[~apex4])
-        plo, phi_, i4, j4 = _quarter_interval(ph, w4[~apex4], w4[apex4].sum(), self.q4)
-        lo4, hi4 = math.pi - phi_, math.pi - plo
-        idx4 = self.s4[~apex4]
-        atom_lo4 = int(idx4[j4]) if j4 >= 0 else -1
-        atom_hi4 = int(idx4[i4]) if i4 >= 0 else -1
-        return (lo1, hi1, atom_lo1, atom_hi1), (lo4, hi4, atom_lo4, atom_hi4)
+    def _side_interval(self, side, idx, quarter, x):
+        """_quarter_interval of one side's angles seen from x, atoms as indices."""
+        z, w, re, im = side
+        apex = np.abs(z - x) <= 1e-15 * self.scale
+        if apex.any():
+            keep = ~apex
+            ang = np.arctan2(im[keep], (re - x)[keep])
+            lo, hi, i, j = _quarter_interval(ang, w[keep], w[apex].sum(), quarter)
+            idx = idx[keep]
+        else:
+            lo, hi, i, j = _quarter_interval(np.arctan2(im, re - x), w, 0.0, quarter)
+        return lo, hi, int(idx[i]) if i >= 0 else -1, int(idx[j]) if j >= 0 else -1
 
 
 def _certify(pts, frame, slack=None):
@@ -351,9 +359,19 @@ def _search_frame(work, c, a1, a2):
         return None
     A = _inf_median(data.z[data.s1].real, data.w[data.s1], 2 * data.q1)
     B = _inf_median(data.z[data.s4].real, data.w[data.s4], 2 * data.q4)
+    failed = set()  # base points whose attempt found no frame; a retry would too
+
+    def attempt(x):
+        key = _exact_key(x)
+        if key in failed:
+            return None
+        frame = _try_frames_at(work, data, c, a1, a2, x)
+        if frame is None:
+            failed.add(key)
+        return frame
 
     for x in (A, B):
-        frame = _try_frames_at(work, data, c, a1, a2, x)
+        frame = attempt(x)
         if frame is not None:
             return frame
 
@@ -365,7 +383,7 @@ def _search_frame(work, c, a1, a2):
 
     oA, oB = order(A), order(B)
     if oA == 0:
-        return _try_frames_at(work, data, c, a1, a2, A)
+        return attempt(A)
     if oB == 0 or oA == oB:
         candidates = [B]
     else:
@@ -374,7 +392,7 @@ def _search_frame(work, c, a1, a2):
             xm = 0.5 * (xl + xh)
             om = order(xm)
             if om == 0:
-                frame = _try_frames_at(work, data, c, a1, a2, xm)
+                frame = attempt(xm)
                 if frame is not None:
                     return frame
                 break
@@ -402,7 +420,7 @@ def _search_frame(work, c, a1, a2):
         if not np.isfinite(x) or x in seen:
             continue
         seen.add(x)
-        frame = _try_frames_at(work, data, c, a1, a2, x)
+        frame = attempt(x)
         if frame is not None:
             return frame
     # boundary configurations: mass concentrated on a ray (handled via the
@@ -504,38 +522,6 @@ def quadrant_sets(values_i, values_hat, measure_i=1.0, measure_hat=1.0, tol=None
 
 # ---------------------------------------------------------------------------
 # Text formats.
-
-
-def write_point_file(path, pts: WeightedPointSet):
-    with open(path, "w") as fh:
-        for z, w in zip(pts.z, pts.w):
-            fh.write(f"{float(z.real)!r} {float(z.imag)!r} {float(w)!r}\n")
-
-
-def read_point_file(path) -> WeightedPointSet:
-    """Inverse of write_point_file: one `re im weight` line per point.
-
-    Blank lines are skipped; any other line without exactly three finite
-    numbers, or with a weight that is not positive, raises
-    ValueError("<path>:<line>: ...").
-    """
-    zs, ws = [], []
-    lineno = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.split():
-                continue
-            try:
-                x, y, w = _finite_fields(line, ("re", "im", "weight"))
-                if w <= 0:
-                    raise ValueError(f"weight {w!r} is not positive")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            zs.append(x + 1j * y)
-            ws.append(w)
-    if not zs:
-        raise ValueError(f"{path}:{lineno}: no points")
-    return WeightedPointSet(zs, ws)
 
 
 def write_frame_file(path, frame: QuadrantFrame):

@@ -21,12 +21,16 @@ __all__ = [
     "block_lp",
     "function_lp",
     "besov_haar",
+    "besov_haars",
     "besov_diff",
+    "besov_diffs",
     "besov_osc",
     "bmo_dyadic",
     "bmo_operator",
     "besov_continuum",
+    "besov_continuums",
     "besov_haar_adjacent",
+    "besov_haar_adjacents",
     "BmoForms",
 ]
 
@@ -36,17 +40,21 @@ BmoForms = namedtuple("BmoForms", ["conditional", "coefficient"])
 def block_lp(x, p) -> float:
     """L_p norm of an m x m block under the normalized trace."""
     x = np.atleast_2d(np.asarray(x, dtype=complex))
-    return float(_block_lps(x[None], p)[0])
+    return float(_block_lps(x[None], (p,))[0][0])
 
 
-def _block_lps(blocks, p) -> np.ndarray:
-    """block_lp of each block of an (n, m, m) stack, with one SVD call."""
+def _block_lps(blocks, ps) -> list:
+    """[block_lp of each block of an (n, m, m) stack for p in ps], one SVD call."""
     sv = np.linalg.svd(blocks, compute_uv=False)
-    if p == np.inf:
-        return sv[:, 0]
-    means = np.sum(sv ** p, axis=-1) / blocks.shape[-2]
-    # the root stays a scalar pow: numpy's vectorized power may round differently
-    return np.array([x ** (1.0 / p) for x in means.tolist()])
+    out = []
+    for p in ps:
+        if p == np.inf:
+            out.append(sv[:, 0])
+            continue
+        means = np.sum(sv ** p, axis=-1) / blocks.shape[-2]
+        # the root stays a scalar pow: numpy's vectorized power may round differently
+        out.append(np.array([x ** (1.0 / p) for x in means.tolist()]))
+    return out
 
 
 def function_lp(sys, f: StepFunction, p) -> float:
@@ -54,32 +62,56 @@ def function_lp(sys, f: StepFunction, p) -> float:
 
     At p = inf, the largest cell-wise operator norm.
     """
+    return _function_lps(sys, f, (p,))[0]
+
+
+def _function_lps(sys, f: StepFunction, ps) -> list[float]:
+    """[function_lp(sys, f, p) for p in ps], from one SVD call."""
     sv = np.linalg.svd(f.values, compute_uv=False)
-    if p == np.inf:
-        return float(sv[:, 0].max())
-    per_cell = (sv ** p).sum(axis=1) / f.blockdim
-    return float((sys.cell_measure * per_cell.sum()) ** (1.0 / p))
+    out = []
+    for p in ps:
+        if p == np.inf:
+            out.append(float(sv[:, 0].max()))
+            continue
+        per_cell = (sv ** p).sum(axis=1) / f.blockdim
+        out.append(float((sys.cell_measure * per_cell.sum()) ** (1.0 / p)))
+    return out
+
+
+def _require_positive(ps):
+    if any(p <= 0 for p in ps):
+        raise ValueError("p must be positive")
 
 
 def besov_haar(sys, b: Symbol, p) -> float:
     """(sum_Q (|Q|^{-1/2} ||b_Q||_p)^p)^{1/p}; at p = inf the largest term."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    return besov_haars(sys, b, (p,))[0]
+
+
+def besov_haars(sys, b: Symbol, ps) -> list[float]:
+    """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
+    _require_positive(ps)
     if not b.coeffs:
-        return 0.0
-    lps = _block_lps(np.stack(list(b.coeffs.values())), p)
+        return [0.0] * len(ps)
     w = np.array([sys.measure(h.cube) ** -0.5 for h in b.coeffs])
-    return _weighted_sum((w * lps).tolist(), [1] * len(w), p)
+    return [_weighted_sum((w * lps).tolist(), [1] * len(w), p)
+            for p, lps in zip(ps, _block_lps(np.stack(list(b.coeffs.values())), ps))]
 
 
 def besov_diff(sys, b: Symbol, p) -> float:
     """(sum_k d^k ||d_k b||_p^p)^{1/p}; at p = inf, max_k ||d_k b||_inf."""
-    if p <= 0:
-        raise ValueError("p must be positive")
+    return besov_diffs(sys, b, (p,))[0]
+
+
+def besov_diffs(sys, b: Symbol, ps) -> list[float]:
+    """[besov_diff(sys, b, p) for p in ps], synthesizing and decomposing each
+    d_k b once."""
+    _require_positive(ps)
     arr = b.coeff_array()
     N = sys.params.depth
-    lps = [function_lp(sys, _difference_function(sys, arr, k), p) for k in range(1, N + 1)]
-    return _weighted_sum(lps, [sys.d_eff ** k for k in range(1, N + 1)], p)
+    by_k = [_function_lps(sys, _difference_function(sys, arr, k), ps) for k in range(1, N + 1)]
+    weights = [sys.d_eff ** k for k in range(1, N + 1)]
+    return [_weighted_sum([lps[i] for lps in by_k], weights, p) for i, p in enumerate(ps)]
 
 
 def besov_osc(sys, b: Symbol, p) -> float:
@@ -187,8 +219,13 @@ def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
     refinement, the kernel being convex off the diagonal).  At p = inf, the
     p -> inf limit max_{x != y} ||b_x - b_y||_inf (W > 0 off the diagonal).
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    return besov_continuums(values, (p,), dim, refinement)[0]
+
+
+def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[float]:
+    """[besov_continuum(values, p, dim, refinement) for p in ps], from one SVD
+    of the cell-pair differences."""
+    _require_positive(ps)
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None, None]
@@ -199,10 +236,14 @@ def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
     W = _grid_weights(cells_per_axis, dim, refinement)
     diffs = values[:, None] - values[None, :]
     sv = np.linalg.svd(diffs, compute_uv=False)
-    if p == np.inf:
-        return float(sv[..., 0].max())  # same-cell pairs are 0
-    dist_p = (sv ** p).sum(axis=-1) / values.shape[1]
-    return float((W * dist_p).sum() ** (1.0 / p))
+    out = []
+    for p in ps:
+        if p == np.inf:
+            out.append(float(sv[..., 0].max()))  # same-cell pairs are 0
+            continue
+        dist_p = (sv ** p).sum(axis=-1) / values.shape[1]
+        out.append(float((W * dist_p).sum() ** (1.0 / p)))
+    return out
 
 
 @functools.cache
@@ -241,8 +282,12 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
     against the shifted wavelets; scalar values only.  Terms run by scale,
     then cube (last axis fastest), then colour; at p = inf, the largest term.
     """
-    if p <= 0:
-        raise ValueError("p must be positive")
+    return besov_haar_adjacents(values, (p,), dim, variant_mask, depth)[0]
+
+
+def besov_haar_adjacents(values, ps, dim: int, variant_mask: int, depth: int) -> list[float]:
+    """[besov_haar_adjacent(values, p, ...) for p in ps], from one set of terms."""
+    _require_positive(ps)
     values = np.asarray(values, dtype=complex)
     n_axis = 2**depth
     if values.shape != (n_axis**dim,):
@@ -265,4 +310,4 @@ def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> f
         meas = 2.0 ** (-k * dim)
         coeff = np.stack(coeffs, axis=-1).ravel() * meas**-0.5  # wavelet amplitude |Q|^{-1/2}
         terms.extend((np.abs(coeff) / meas**0.5).tolist())
-    return _weighted_sum(terms, [1] * len(terms), p)
+    return [_weighted_sum(terms, [1] * len(terms), p) for p in ps]

@@ -318,10 +318,14 @@ def band(sys, b: Symbol, n: int, m_scale: int) -> np.ndarray:
     N = sys.params.depth
     if not (0 <= n < N and 0 <= m_scale < N):
         raise ValueError("band scales must lie inside the window")
-    p = paraproduct(sys, b)
-    sel_in = scale_selector(sys, n, b.blockdim)
-    sel_out = scale_selector(sys, m_scale, b.blockdim)
-    return sel_out[:, None] * p * sel_in[None, :]
+    return _select_band(sys, paraproduct(sys, b), n, m_scale, b.blockdim)
+
+
+def _select_band(sys, pi, n, m_scale, blockdim):
+    """Rows of pi at Haar scale m_scale, columns at Haar scale n; the rest 0."""
+    sel_in = scale_selector(sys, n, blockdim)
+    sel_out = scale_selector(sys, m_scale, blockdim)
+    return sel_out[:, None] * pi * sel_in[None, :]
 
 
 def splitting(sys, b: Symbol, n_step: int, k: int):
@@ -332,6 +336,7 @@ def splitting(sys, b: Symbol, n_step: int, k: int):
         raise ValueError("k must lie in 0..n_step-1")
     N = sys.params.depth
     D = sys.dim_basis * b.blockdim
+    pi = paraproduct(sys, b)
     diag = np.zeros((D, D), dtype=complex)
     off = np.zeros((D, D), dtype=complex)
     for mm in range(-N, N + 1):
@@ -342,7 +347,7 @@ def splitting(sys, b: Symbol, n_step: int, k: int):
             in_scale = n_step * nn + k
             if not (0 <= in_scale < N):
                 continue
-            block = band(sys, b, in_scale, out_scale)
+            block = _select_band(sys, pi, in_scale, out_scale, b.blockdim)
             if nn == mm:
                 diag += block
             else:

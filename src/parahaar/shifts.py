@@ -139,9 +139,9 @@ def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):
     """Rows of (i, j, seed, p, commutator norm, Besov norm, ratio), p by p.
 
     Each commutator [S, M_b] is assembled and decomposed once for all of
-    `p_values`.
+    `p_values`, and so are the Haar blocks of b.
     """
-    from .norms import besov_haar
+    from .norms import besov_haars
     from .spectral import schatten_norms
 
     M = mult_op(sys, b)
@@ -152,8 +152,7 @@ def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):
             S = assemble_shift(sys, spec, b.blockdim)
             by_shift[i, j, seed] = schatten_norms(S @ M - M @ S, p_values, blockdim=b.blockdim)
     rows = []
-    for k, p in enumerate(p_values):
-        besov = besov_haar(sys, b, p)
+    for k, (p, besov) in enumerate(zip(p_values, besov_haars(sys, b, p_values))):
         for (i, j) in ij_values:
             for seed in seeds:
                 norm = by_shift[i, j, seed][k]

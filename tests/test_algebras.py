@@ -4,11 +4,13 @@ import re
 import numpy as np
 import pytest
 
-from parahaar.algebras import (besov_car, besov_tensor, car_generators,
+from parahaar.algebras import (besov_car, besov_cars, besov_tensor,
+                               besov_tensors, car_generators,
                                car_paraproduct, car_sign, car_subsets,
                                car_trace, car_transference_check,
                                car_transference_checks, car_word,
-                               eta_lambda, tensor_basis, tensor_indices,
+                               eta_lambda, pauli_matrices, tensor_basis,
+                               tensor_indices,
                                tensor_paraproduct, tensor_transference_check,
                                tensor_transference_checks, tensor_word)
 from parahaar.norms import block_lp
@@ -194,3 +196,75 @@ def test_besov_tensor_single_level():
         # single level k=2: weight d^{2k} = 2^4 inside the p-th root
         assert besov_tensor(bhat, 2, 2, p) == pytest.approx(
             2.0 ** (4.0 / p) * block_lp(dk, p))
+
+
+PLURAL_PS = (0.5, 1, 2, 4, np.inf)
+
+
+def _word_besov_loop(bhat, level, word, weight, p):
+    """Per-p reference: each level summed, and its block decomposed, afresh."""
+    total = 0.0
+    for k in sorted({level(a) for a, c in bhat.items() if c}):
+        dk = sum(c * word(a) for a, c in bhat.items() if level(a) == k and c)
+        sv = np.linalg.svd(dk, compute_uv=False)
+        if p == np.inf:
+            total = max(total, float(sv[0]))
+            continue
+        total += weight(k) * float((np.sum(sv ** p) / dk.shape[0]) ** (1.0 / p)) ** p
+    return total if p == np.inf else float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("ng", [2, 3, 4])
+def test_besov_cars_equal_per_p_loop(rng, ng):
+    full = {A: complex(*rng.standard_normal(2)) for A in car_subsets(ng) if A}
+    sparse = {A: z for A, z in full.items() if max(A) != 2}  # level 2 left empty
+    for bhat in (full, sparse, {}):
+        want = [_word_besov_loop(bhat, max, lambda A: car_word(A, ng), lambda k: 2**k, p)
+                for p in PLURAL_PS]
+        assert besov_cars(bhat, ng, PLURAL_PS) == want
+
+
+@pytest.mark.parametrize("d,levels", [(2, 2), (2, 3), (3, 2)])
+def test_besov_tensors_equal_per_p_loop(rng, d, levels):
+    full = {a: complex(*rng.standard_normal(2)) for a in tensor_indices(d, levels) if a}
+    top = {a: z for a, z in full.items() if len(a) == levels}
+    for bhat in (full, top, {}):
+        want = [_word_besov_loop(bhat, len, lambda a: tensor_word(a, d, levels),
+                                 lambda k: float(d) ** (2 * k), p) for p in PLURAL_PS]
+        assert besov_tensors(bhat, d, levels, PLURAL_PS) == want
+
+
+def _kron_chain(factors):
+    M = np.eye(1, dtype=complex)
+    for f in factors:
+        M = np.kron(M, f)
+    return M
+
+
+@pytest.mark.parametrize("ng", [1, 2, 5, 6])
+def test_car_generators_are_read_only_kron_products(ng):
+    s0, s1, s2 = pauli_matrices()
+    q = (ng + 1) // 2
+    gens = car_generators(ng)
+    assert car_generators(ng) is gens and len(gens) == ng
+    for k, g in enumerate(gens, start=1):
+        pos = (k + 1) // 2
+        fresh = _kron_chain([s0] * (pos - 1) + [s1 if k % 2 else s2] + [np.eye(2)] * (q - pos))
+        assert np.array_equal(g, fresh)
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("d,levels", [(2, 1), (2, 3), (3, 2)])
+def test_tensor_words_are_read_only_kron_products(d, levels):
+    for a in tensor_indices(d, levels):
+        padded = list(a) + [(d, d)] * (levels - len(a))
+        fresh = _kron_chain([tensor_basis(i, j, d) for i, j in padded])
+        got = tensor_word(a, d, levels)
+        assert np.array_equal(got, fresh)
+        assert not got.flags.writeable
+        # lists, numpy integers and tuples name the same cached word
+        assert tensor_word([list(map(np.int64, ij)) for ij in a], d, levels) is got
+    with pytest.raises(TypeError):
+        tensor_word(((1.0, 2),), 2, 1)

@@ -5,7 +5,8 @@ from parahaar.dyadic import DyadicParams, build_system
 from parahaar.kernels import (GridOperator, commutator_grid_op, discretize,
                               hilbert_kernel, homogeneous_sign_kernel,
                               multiplication_grid_op, nondegenerate_probe,
-                              nwo_quantity, random_admissible_family,
+                              nwo_quantities, nwo_quantity,
+                              random_admissible_family,
                               standard_check,
                               weak_factorization, KernelSpec)
 from parahaar.kernels import testing_quantity as tq_separated
@@ -132,6 +133,22 @@ def test_nwo_quantity_bounded(rng):
                          1, n)
         for p in (1.5, 2.0, 3.0):
             assert nwo_quantity(V, fams, p) <= 3.0 * schatten_norm(V.matrix, p)
+
+
+def test_nwo_quantities_equal_per_p_loop(rng):
+    sys = build_system(DyadicParams(2, 3, dim=2))
+    n = sys.n_cells
+    fams = random_admissible_family(sys, rng)
+    V = GridOperator((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n, 2, 8)
+    ps = (0.5, 1, 2, 4, np.inf)
+    want = []
+    for p in ps:  # each pairing taken afresh for every p
+        total = 0.0
+        for e, f in fams:
+            total += abs(np.vdot(e, V.apply(f)) * V.cell_measure) ** p
+        want.append(float(total ** (1.0 / p)))
+    assert nwo_quantities(V, fams, ps) == want
+    assert [nwo_quantity(V, fams, p) for p in ps] == want
 
 
 def test_testing_quantity_positive(rng):

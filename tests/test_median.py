@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import parahaar.median as med
 from parahaar.median import (QuadrantFrame, WeightedPointSet, complex_median,
                              halfplane_median, quadrant_masses, quadrant_sets,
-                             quadrant_split, read_frame_file, read_point_file,
-                             write_frame_file, write_point_file)
+                             quadrant_split, read_frame_file,
+                             write_frame_file)
 
 
 def masses_ok(pts, frame, factor=16.0):
@@ -211,36 +211,12 @@ def test_quadrant_sets_inequalities(rng):
     assert worst <= 1e-9
 
 
-def test_point_and_frame_files(tmp_path, rng):
-    pts = WeightedPointSet(rng.standard_normal(5) + 1j * rng.standard_normal(5),
-                           rng.uniform(0.5, 1.5, 5))
-    p = tmp_path / "pts.txt"
-    write_point_file(p, pts)
-    p.write_text(p.read_text().replace("\n", "\n\n", 2))  # blank lines are allowed
-    loaded = read_point_file(p)
-    assert np.array_equal(loaded.z, pts.z) and np.array_equal(loaded.w, pts.w)
+def test_frame_file_roundtrip(tmp_path):
     frame = QuadrantFrame(1.234, -0.5, 0.75)
-    fpath = tmp_path / "frame.txt"
-    write_frame_file(fpath, frame)
-    assert read_frame_file(fpath) == frame
-
-
-@pytest.mark.parametrize("body,line,message", [
-    ("1.0 2.0 1.0\n3.0 4.0\n", 2, "expected 3 fields"),
-    ("1.0 2.0 1.0 7.0\n", 1, "expected 3 fields"),
-    ("1.0 x 1.0\n", 1, "could not convert"),
-    ("1.0 2.0 0.0\n", 1, "weight 0.0 is not positive"),
-    ("1.0 2.0 -1.0\n", 1, "not positive"),
-    ("nan 2.0 1.0\n", 1, "re nan is not finite"),
-    ("1.0 2.0 inf\n", 1, "weight inf is not finite"),
-    ("\n\n", 2, "no points"),
-    ("", 0, "no points"),
-])
-def test_point_file_rejects_malformed(tmp_path, body, line, message):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
-        read_point_file(path)
+    path = tmp_path / "frame.txt"
+    write_frame_file(path, frame)
+    path.write_text("\n" + path.read_text() + "\n")  # blank lines are allowed
+    assert read_frame_file(path) == frame
 
 
 @pytest.mark.parametrize("body,line,message", [
@@ -256,3 +232,88 @@ def test_frame_file_rejects_malformed(tmp_path, body, line, message):
     path.write_text(body)
     with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
         read_frame_file(path)
+
+
+# -- the per-search memo of base-point intervals and failed attempts
+
+
+def _intervals_reference(data, x):
+    """The S1 / S4 rho-intervals at x, computed afresh with the apex masks."""
+    out = []
+    for idx, q, sign in ((data.s1, data.q1, 1.0), (data.s4, data.q4, -1.0)):
+        z, w = data.z[idx], data.w[idx]
+        apex = np.abs(z - x) <= 1e-15 * data.scale
+        ang = np.arctan2(np.maximum(sign * z.imag, 0.0)[~apex], (z.real - x)[~apex])
+        lo, hi, i, j = med._quarter_interval(ang, w[~apex], w[apex].sum(), q)
+        kept = idx[~apex]
+        atom_i = int(kept[i]) if i >= 0 else -1
+        atom_j = int(kept[j]) if j >= 0 else -1
+        out.append((lo, hi, atom_i, atom_j) if sign > 0
+                   else (math.pi - hi, math.pi - lo, atom_j, atom_i))
+    return tuple(out)
+
+
+def test_memoized_intervals_equal_fresh_computation(rng):
+    upper = rng.standard_normal(12) + 1j * np.abs(rng.standard_normal(12))
+    lower = rng.standard_normal(12) - 1j * np.abs(rng.standard_normal(12))
+    base_line = np.array([-1.5, -0.5, 0.5, 1.0, 1.0])  # atoms on the base line
+    apex = np.array([0.0, -0.0, 0.25 + 1e-17j])  # atoms at the base points 0 and 0.25
+    for c in (0.0, -0.75):
+        z = np.concatenate([upper, lower, base_line, apex]) + 1j * c
+        pts = WeightedPointSet(z, rng.uniform(0.5, 2.0, z.size))
+        data = med._SplitData(pts, c, 0.75, -0.75)
+        xs = [0.0, -0.0, 0.25, 0.5, 1.0, -1.5, *rng.standard_normal(6), *data.z.real]
+        for x in xs + xs[::-1]:  # the second pass reads the memo
+            assert data.intervals(x) == _intervals_reference(data, x)
+        assert {k for k in data._memo if k[0] == 0.0} == {(0.0, 1.0), (0.0, -1.0)}
+
+
+def _median_suite_sets(rng, n_sets):
+    """Point sets of the five kinds `checks.median_suite` draws, in its order."""
+    for t in range(n_sets):
+        kind = t % 5
+        if kind == 0:
+            n = int(rng.integers(1, 80))
+            yield WeightedPointSet(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                                   rng.uniform(0.25, 2.0, n))
+        elif kind == 1:
+            n = int(rng.integers(1, 20))
+            base = complex(rng.standard_normal(), rng.standard_normal())
+            yield WeightedPointSet(np.repeat(base, n), np.full(n, 0.5))
+        elif kind == 2:
+            n = int(rng.integers(2, 50))
+            d = np.exp(1j * rng.uniform(0, np.pi))
+            yield WeightedPointSet(
+                rng.standard_normal(n) * d + complex(rng.standard_normal(), rng.standard_normal()),
+                rng.integers(1, 5, n) * 0.25)
+        elif kind == 3:
+            n = int(rng.integers(4, 60))
+            z = (rng.integers(-4, 5, n) + 1j * rng.integers(-4, 5, n)).astype(complex) * 0.5
+            yield WeightedPointSet(z, rng.integers(1, 4, n) * 0.5)
+        else:
+            n = int(rng.integers(4, 40))
+            centers = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            z = rng.choice(centers, n) + 1e-13 * (rng.standard_normal(n)
+                                                  + 1j * rng.standard_normal(n))
+            yield WeightedPointSet(z, np.ones(n))
+
+
+def test_median_frames_do_not_depend_on_the_memo(rng, monkeypatch):
+    sets = list(_median_suite_sets(rng, 250))
+    calls = []
+    fresh_side = med._SplitData._side_interval
+
+    def counted(self, *args):
+        calls.append(1)
+        return fresh_side(self, *args)
+
+    monkeypatch.setattr(med._SplitData, "_side_interval", counted)
+    med.stats.reset()
+    memo = [complex_median(pts) for pts in sets]
+    memo_counts = (med.stats.fallbacks, med.stats.boundary_cases, len(calls))
+    calls.clear()
+    monkeypatch.setattr(med, "_exact_key", lambda x: object())  # no key ever matches
+    med.stats.reset()
+    assert [complex_median(pts) for pts in sets] == memo
+    assert (med.stats.fallbacks, med.stats.boundary_cases) == memo_counts[:2]
+    assert memo_counts[2] < len(calls)

@@ -8,9 +8,10 @@ from parahaar.algebras import (besov_car, besov_tensor, car_subsets, car_word,
 from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                              build_system, expectation)
 from parahaar.norms import (_grid_weights, _half_overlaps, besov_continuum,
-                            besov_diff, besov_haar, besov_haar_adjacent,
-                            besov_osc, bmo_dyadic, block_lp, bmo_operator,
-                            function_lp)
+                            besov_continuums, besov_diff, besov_diffs,
+                            besov_haar, besov_haar_adjacent,
+                            besov_haar_adjacents, besov_haars, besov_osc,
+                            bmo_dyadic, block_lp, bmo_operator, function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
 
 
@@ -401,3 +402,92 @@ def test_step_and_word_forms_empty_and_nonpositive_p():
             besov_car({(1,): 1.0}, 3, p)
         with pytest.raises(ValueError, match="p must be positive"):
             besov_tensor({((1, 2),): 1.0}, 2, 1, p)
+
+
+# -- plural forms: every p from one decomposition, bit for bit the per-p loop
+
+PLURAL_PS = (0.5, 1, 2, 4, np.inf)
+
+
+def _besov_diff_loop(sys, b, p):
+    """Per-p reference: synthesize each d_k b and take its cell SVDs afresh."""
+    arr = b.coeff_array()
+    scales = sys.scale_of_row()
+    total = 0.0
+    for k in range(1, sys.params.depth + 1):
+        coeffs = arr.copy()
+        coeffs[scales != k - 1] = 0.0
+        sv = np.linalg.svd(sys.synthesize(coeffs).values, compute_uv=False)
+        if p == np.inf:
+            total = max(total, float(sv[:, 0].max()))
+            continue
+        lp = float((sys.cell_measure * ((sv ** p).sum(axis=1) / b.blockdim).sum()) ** (1.0 / p))
+        total += sys.d_eff ** k * lp ** p
+    return total if p == np.inf else float(total ** (1.0 / p))
+
+
+def _besov_continuum_loop(values, p, dim):
+    """Per-p reference: the cell-pair differences decomposed afresh."""
+    values = np.asarray(values, dtype=complex)
+    if values.ndim == 1:
+        values = values[:, None, None]
+    W = _grid_weights(round(values.shape[0] ** (1.0 / dim)), dim, 4)
+    sv = np.linalg.svd(values[:, None] - values[None, :], compute_uv=False)
+    if p == np.inf:
+        return float(sv[..., 0].max())
+    return float((W * ((sv ** p).sum(axis=-1) / values.shape[1])).sum() ** (1.0 / p))
+
+
+def _besov_adjacent_loop(values, p, dim, mask, depth):
+    """Per-p reference: the shifted coefficients contracted afresh, summed in order."""
+    grid = np.asarray(values, dtype=complex).reshape([2**depth] * dim, order="F")
+    total = 0.0
+    for k in range(depth):
+        halves = [_half_overlaps(k, (mask >> t) & 1, depth) for t in range(dim)]
+        coeffs = []
+        for eta in range(1, 2**dim):
+            c = grid
+            for t in range(dim):
+                L, R = halves[t]
+                c = np.tensordot(c, L - R if (eta >> t) & 1 else L + R, axes=([0], [1]))
+            coeffs.append(c)
+        meas = 2.0 ** (-k * dim)
+        coeff = np.stack(coeffs, axis=-1).ravel() * meas**-0.5
+        for term in (np.abs(coeff) / meas**0.5).tolist():
+            total = max(total, term) if p == np.inf else total + term ** p
+    return total if p == np.inf else float(total ** (1.0 / p))
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(2, 5, 1, 1), (3, 3, 1, 2), (2, 3, 2, 1)])
+def test_besov_haars_and_diffs_equal_per_p_loops(rng, d, N, dim, m):
+    sys = build_system(DyadicParams(d, N, dim))
+    for b in (random_symbol(sys, rng, blockdim=m), Symbol(sys, {}, blockdim=m)):
+        assert besov_haars(sys, b, PLURAL_PS) == [_besov_haar_loop(sys, b, p) for p in PLURAL_PS]
+        assert besov_diffs(sys, b, PLURAL_PS) == [_besov_diff_loop(sys, b, p) for p in PLURAL_PS]
+
+
+@pytest.mark.parametrize("dim,depth,blockdim", [(1, 4, 1), (2, 2, 1), (2, 2, 2)])
+def test_besov_continuums_equal_per_p_loop(rng, dim, depth, blockdim):
+    shape = (2 ** (depth * dim),) + ((blockdim, blockdim) if blockdim > 1 else ())
+    vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert besov_continuums(vals, PLURAL_PS, dim=dim) == [
+        _besov_continuum_loop(vals, p, dim) for p in PLURAL_PS]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 3)])
+def test_besov_haar_adjacents_equal_per_p_loop(rng, dim, depth):
+    vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
+    for mask in range(2**dim):
+        assert besov_haar_adjacents(vals, PLURAL_PS, dim, mask, depth) == [
+            _besov_adjacent_loop(vals, p, dim, mask, depth) for p in PLURAL_PS]
+
+
+def test_plural_forms_reject_any_nonpositive_p(rng):
+    sys = build_system(DyadicParams(2, 3))
+    b = random_symbol(sys, rng)
+    for ps in ((2.0, 0), (-1.0, 2.0)):
+        for form in (lambda: besov_haars(sys, b, ps), lambda: besov_diffs(sys, b, ps),
+                     lambda: besov_continuums(np.ones(4), ps),
+                     lambda: besov_haar_adjacents(np.ones(4), ps, 1, 0, 2)):
+            with pytest.raises(ValueError, match="p must be positive"):
+                form()
