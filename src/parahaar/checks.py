@@ -631,19 +631,24 @@ def median_suite(seed=20240804, n_sets=1000, n_pairs=500):
 # Covering.
 
 
+def _covering_draws(dim, n, rng):
+    """Yield (lower corner, side, covering cube) for n random cubes in [0,1)^dim."""
+    fam = make_adjacent_family(dim)
+    for _ in range(n):
+        side = float(rng.uniform(0.001, 0.3))
+        lo = [float(rng.uniform(0, 1.0 - side)) for _ in range(dim)]
+        yield lo, side, cover_cube(lo, side, fam)
+
+
 def covering_suite(seed=20240805, n_cubes=1000):
     rng = np.random.default_rng(seed)
     records = []
     for dim in (1, 2):
-        fam = make_adjacent_family(dim)
         c_n = dilation_bound(dim)
         worst_len = -np.inf
         worst_dil = -np.inf
         worst_cont = 0.0
-        for _ in range(n_cubes):
-            side = float(rng.uniform(0.001, 0.3))
-            lo = [float(rng.uniform(0, 1.0 - side)) for _ in range(dim)]
-            q = cover_cube(lo, side, fam)
+        for lo, side, q in _covering_draws(dim, n_cubes, rng):
             worst_len = max(worst_len, float(q.side) - LENGTH_RATIO_BOUND * side)
             for t in range(dim):
                 if not (float(q.lower[t]) <= lo[t] + 1e-15
@@ -694,14 +699,9 @@ def kernel_suite(seed=20240806):
                         abs(prh["y0"][0] - (0.3 + 10 * 0.01)), 1e-14))
 
     T = kernels.discretize(K, 256, refinement=2)
-    q_cells = np.arange(8, 12)
-    f = np.zeros(256, dtype=complex)
-    f[q_cells[:2]] = 1.0
-    f[q_cells[2:]] = -1.0
     ratios = []
     worst = 0.0
-    for A in (8, 16, 32):
-        out = kernels.weak_factorization(f, q_cells, q_cells + 4 * A, T)
+    for out in _two_cube_sweep(T, (8, 16, 32)):
         worst = max(worst, out["residual"], abs(out["ftilde_mean"]))
         ratios.append(out["remainder_ratio"])
     rec = _rec("weak-factorization", "two-cube-reconstruction", worst, 1e-12,
@@ -709,6 +709,16 @@ def kernel_suite(seed=20240806):
     rec.passed = rec.passed and ratios[0] > ratios[1] > ratios[2]
     records.append(rec)
     return records
+
+
+def _two_cube_sweep(T, A_values):
+    """weak_factorization of one mean-zero f on cells 8..11 against the far
+    cube 4 A cells to the right, for each separation A."""
+    q_cells = np.arange(8, 12)
+    f = np.zeros(T.n_cells, dtype=complex)
+    f[q_cells[:2]] = 1.0
+    f[q_cells[2:]] = -1.0
+    return [kernels.weak_factorization(f, q_cells, q_cells + 4 * A, T) for A in A_values]
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +731,8 @@ def _paraproduct_draws(sys, p_values, trials, rng, blockdim):
     """Yield (trial, p, ||pi_b||_{S_p}, ||b||_{B_p}) for random symbols b."""
     for trial in range(trials):
         b = random_symbol(sys, rng, blockdim=blockdim)
-        sv = spectral.singular_values(paraproduct(sys, b))
-        for p, besov in zip(p_values, norms.besov_haars(sys, b, p_values)):
-            norm = float((np.sum(sv**p) / blockdim) ** (1.0 / p))
+        s_p = spectral.schatten_norms(paraproduct(sys, b), p_values, blockdim)
+        for p, norm, besov in zip(p_values, s_p, norms.besov_haars(sys, b, p_values)):
             yield trial, p, norm, besov
 
 

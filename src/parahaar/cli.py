@@ -16,7 +16,8 @@ import sys as _sys
 import numpy as np
 
 from . import checks, kernels, median, shifts
-from .dyadic import DyadicParams, build_system, cover_cube, make_adjacent_family
+from .checks import CheckRecord
+from .dyadic import LENGTH_RATIO_BOUND, DyadicParams, build_system, dilation_bound
 from .paraproducts import random_symbol
 
 
@@ -33,11 +34,11 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
 
 
-def _write_summary(path, experiment, seed, assertions, rows):
+def _write_summary(path, experiment, seed, records, rows):
     payload = {
         "experiment": experiment,
         "seed": seed,
-        "assertions": [a.as_dict() if hasattr(a, "as_dict") else a for a in assertions],
+        "assertions": [r.as_dict() for r in records],
         "rows": rows,
     }
     with open(path, "w") as fh:
@@ -46,27 +47,22 @@ def _write_summary(path, experiment, seed, assertions, rows):
 
 
 def _experiment_theorem1(cfg, rng, outdir):
-    sys_ = build_system(DyadicParams(cfg.get("d", 2), cfg.get("depth", 5), cfg.get("dim", 1)))
-    p_values = cfg.get("p", [2.0])
-    m = cfg.get("blockdim", 1)
+    sys_ = build_system(DyadicParams(cfg["d"], cfg["depth"], cfg["dim"]))
     rows = [{"trial": trial, "p": p, "norm": norm, "besov": besov, "ratio": norm / besov}
             for trial, p, norm, besov in checks._paraproduct_draws(
-                sys_, p_values, cfg.get("trials", 200), rng, m)]
+                sys_, cfg["p"], cfg["trials"], rng, cfg["blockdim"])]
     _write_csv(os.path.join(outdir, "theorem1.csv"),
                ["trial", "p", "norm", "besov", "ratio"], rows)
     ratios = [r["ratio"] for r in rows]
-    summary = [{"name": "ratio-range", "paper_ref": "two-sided-symbol-norm",
-                "pass": True, "worst": max(ratios),
-                "detail": f"min={min(ratios)!r} mean={sum(ratios)/len(ratios)!r}"}]
-    return summary, rows
+    return [CheckRecord("ratio-range", "two-sided-symbol-norm", True, max(ratios),
+                        f"min={min(ratios)!r} mean={sum(ratios)/len(ratios)!r}")], rows
 
 
 def _experiment_median_verify(cfg, rng, outdir):
-    n_sets = cfg.get("trials", 1000)
     median.stats.reset()
     rows = []
     ok = True
-    for t in range(n_sets):
+    for t in range(cfg["trials"]):
         n = int(rng.integers(1, 64))
         pts = median.WeightedPointSet(
             rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -77,126 +73,145 @@ def _experiment_median_verify(cfg, rng, outdir):
         ok = ok and margin >= -1e-12 * max(1.0, pts.total)
         rows.append({"set": t, "n": n, "margin": margin})
     _write_csv(os.path.join(outdir, "median.csv"), ["set", "n", "margin"], rows)
-    summary = [
-        {"name": "sixteenth-mass", "paper_ref": "closed-quadrant-mass",
-         "pass": ok, "worst": min(r["margin"] for r in rows), "detail": ""},
-        {"name": "fallbacks", "paper_ref": "constructive-path-coverage",
-         "pass": median.stats.fallbacks == 0, "worst": float(median.stats.fallbacks),
-         "detail": f"boundary={median.stats.boundary_cases}"},
-    ]
-    return summary, rows
+    return [
+        CheckRecord("sixteenth-mass", "closed-quadrant-mass", ok,
+                    min(r["margin"] for r in rows)),
+        CheckRecord("fallbacks", "constructive-path-coverage", median.stats.fallbacks == 0,
+                    float(median.stats.fallbacks), f"boundary={median.stats.boundary_cases}"),
+    ], rows
 
 
 def _experiment_shift_growth(cfg, rng, outdir):
-    sys_ = build_system(DyadicParams(2, cfg.get("depth", 6), cfg.get("dim", 1)))
+    sys_ = build_system(DyadicParams(2, cfg["depth"], cfg["dim"]))
     b = random_symbol(sys_, rng)
-    i_range = cfg.get("i_range", [0, 3])
-    j_range = cfg.get("j_range", [0, 3])
-    ij = [(i, j) for i in range(i_range[0], i_range[1] + 1)
-          for j in range(j_range[0], j_range[1] + 1)]
-    seeds = list(range(cfg.get("trials", 3)))
-    rows = shifts.commutator_growth_sweep(sys_, b, cfg.get("p", [2.0]), ij, seeds)
+    (i_lo, i_hi), (j_lo, j_hi) = cfg["i_range"], cfg["j_range"]
+    ij = [(i, j) for i in range(i_lo, i_hi + 1) for j in range(j_lo, j_hi + 1)]
+    rows = shifts.commutator_growth_sweep(sys_, b, cfg["p"], ij, list(range(cfg["trials"])))
     _write_csv(os.path.join(outdir, "shift_growth.csv"),
                ["i", "j", "seed", "p", "norm", "besov", "ratio"], rows)
     worst = max(r["ratio"] / ((r["i"] ** r["p"] + r["j"] ** r["p"] + 1) ** (1 / r["p"]))
                 for r in rows)
-    summary = [{"name": "normalized-growth", "paper_ref": "complexity-normalized-ratio",
-                "pass": True, "worst": worst, "detail": ""}]
-    return summary, rows
+    return [CheckRecord("normalized-growth", "complexity-normalized-ratio", True, worst)], rows
 
 
 def _experiment_covering(cfg, rng, outdir):
-    dim = cfg.get("dim", 1)
-    fam = make_adjacent_family(dim)
     rows = []
     ok = True
-    from .dyadic import LENGTH_RATIO_BOUND, dilation_bound
-
-    for t in range(cfg.get("trials", 1000)):
-        side = float(rng.uniform(0.001, 0.3))
-        lo = [float(rng.uniform(0, 1 - side)) for _ in range(dim)]
-        q = cover_cube(lo, side, fam)
+    for t, (lo, side, q) in enumerate(checks._covering_draws(cfg["dim"], cfg["trials"], rng)):
         ratio = float(q.side) / side
         ok = ok and ratio <= LENGTH_RATIO_BOUND + 1e-12
         rows.append({"cube": t, "side": side, "q_side": float(q.side),
                      "grid": q.grid, "ratio": ratio})
     _write_csv(os.path.join(outdir, "covering.csv"),
                ["cube", "side", "q_side", "grid", "ratio"], rows)
-    summary = [{"name": "length-ratio", "paper_ref": "shifted-grid-covering",
-                "pass": ok, "worst": max(r["ratio"] for r in rows),
-                "detail": f"dilation bound {dilation_bound(dim)}"}]
-    return summary, rows
+    return [CheckRecord("length-ratio", "shifted-grid-covering", ok,
+                        max(r["ratio"] for r in rows),
+                        f"dilation bound {dilation_bound(cfg['dim'])}")], rows
 
 
 def _experiment_weak_factorization(cfg, rng, outdir):
-    K = kernels.kernel_by_name(cfg.get("kernel", "hilbert"),
-                               **cfg.get("kernel_params", {}))
-    T = kernels.discretize(K, cfg.get("cells", 256), refinement=2)
-    q_cells = np.arange(8, 12)
-    f = np.zeros(T.n_cells, dtype=complex)
-    f[q_cells[:2]] = 1.0
-    f[q_cells[2:]] = -1.0
-    rows = []
-    for A in cfg.get("A_values", [8, 16, 32]):
-        out = kernels.weak_factorization(f, q_cells, q_cells + 4 * A, T)
-        rows.append({"A": A, "residual": out["residual"],
-                     "remainder_ratio": out["remainder_ratio"],
-                     "h_ratio": out["h_ratio"]})
+    T = kernels.discretize(kernels.hilbert_kernel(), cfg["cells"], refinement=2)
+    rows = [{"A": A, "residual": out["residual"], "remainder_ratio": out["remainder_ratio"],
+             "h_ratio": out["h_ratio"]}
+            for A, out in zip(cfg["A_values"], checks._two_cube_sweep(T, cfg["A_values"]))]
     _write_csv(os.path.join(outdir, "weak_factorization.csv"),
                ["A", "residual", "remainder_ratio", "h_ratio"], rows)
     dec = all(rows[i]["remainder_ratio"] > rows[i + 1]["remainder_ratio"]
               for i in range(len(rows) - 1))
-    summary = [{"name": "remainder-decay", "paper_ref": "two-cube-reconstruction",
-                "pass": dec, "worst": rows[-1]["remainder_ratio"], "detail": ""}]
-    return summary, rows
+    return [CheckRecord("remainder-decay", "two-cube-reconstruction", dec,
+                        rows[-1]["remainder_ratio"])], rows
 
 
+# Each experiment: its function and the config keys it reads with their
+# defaults, besides "experiment", "seed" and "out".  `_bad_value` holds every
+# config value to the type of its default.
 EXPERIMENTS = {
-    "theorem1": _experiment_theorem1,
-    "median-verify": _experiment_median_verify,
-    "shift-growth": _experiment_shift_growth,
-    "covering": _experiment_covering,
-    "weak-factorization": _experiment_weak_factorization,
+    "theorem1": (_experiment_theorem1,
+                 {"d": 2, "depth": 5, "dim": 1, "p": [2.0], "blockdim": 1, "trials": 200}),
+    "median-verify": (_experiment_median_verify, {"trials": 1000}),
+    "shift-growth": (_experiment_shift_growth,
+                     {"depth": 6, "dim": 1, "p": [2.0], "i_range": [0, 3], "j_range": [0, 3],
+                      "trials": 3}),
+    "covering": (_experiment_covering, {"dim": 1, "trials": 1000}),
+    "weak-factorization": (_experiment_weak_factorization,
+                           {"cells": 256, "A_values": [8, 16, 32]}),
 }
 
-# the config keys each experiment reads, besides "experiment", "seed" and "out"
-CONFIG_KEYS = {
-    "theorem1": {"d", "depth", "dim", "p", "blockdim", "trials"},
-    "median-verify": {"trials"},
-    "shift-growth": {"depth", "dim", "p", "i_range", "j_range", "trials"},
-    "covering": {"dim", "trials"},
-    "weak-factorization": {"kernel", "kernel_params", "cells", "A_values"},
-}
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _bad_value(key, value, default):
+    """Why `value` cannot stand in for `default` under `key`; None if it can."""
+    if _is_int(default):
+        least = 2 if key == "d" else 1
+        return None if _is_int(value) and value >= least else f"must be an integer >= {least}"
+    if not isinstance(value, list) or not value:
+        return "must be a nonempty list"
+    if key.endswith("_range"):
+        ok = len(value) == 2 and all(map(_is_int, value)) and 0 <= value[0] <= value[1]
+        return None if ok else "must be [lo, hi] with integers 0 <= lo <= hi"
+    if _is_int(default[0]):
+        ok = all(_is_int(x) and x >= 1 for x in value)
+        return None if ok else "must list integers >= 1"
+    ok = all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in value)
+    return None if ok else "must list numbers > 0 (Infinity allowed)"
+
+
+def _config_error(cfg, defaults):
+    """'<key>' and why its value is rejected, for the first bad key; None if none is."""
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+        return "'seed' must be an integer >= 0"
+    if not isinstance(cfg.get("out", "."), str):
+        return "'out' must be a string"
+    for key, default in defaults.items():
+        why = _bad_value(key, cfg[key], default)
+        if why:
+            return f"{key!r} {why}, got {json.dumps(cfg[key])}"
+    if cfg.get("dim", 1) > 1 and cfg.get("d", 2) != 2:
+        return "'d' must be 2 when dim > 1"
+    if "i_range" in cfg and max(cfg["i_range"][1], cfg["j_range"][1]) >= cfg["depth"]:
+        return "'depth' must exceed every i and j of i_range and j_range"
+    # _two_cube_sweep's near cube is cells 8..11 and its far cube 4 A cells further
+    if "A_values" in cfg and 12 + 4 * max(cfg["A_values"]) > cfg["cells"]:
+        return "'A_values' must keep the far cube inside the grid: 12 + 4 max(A) <= cells"
+    return None
 
 
 def cmd_run(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    name = cfg.get("experiment")
+    name = cfg.get("experiment") if isinstance(cfg, dict) else None
     if name not in EXPERIMENTS:
         print(f"error: unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}",
               file=_sys.stderr)
         return 1
-    accepted = CONFIG_KEYS[name] | {"experiment", "seed", "out"}
+    experiment, defaults = EXPERIMENTS[name]
+    accepted = set(defaults) | {"experiment", "seed", "out"}
     unknown = sorted(set(cfg) - accepted)
     if unknown:
         print(f"error: unknown config key {unknown[0]!r} for experiment {name!r}; "
               f"accepted keys: {', '.join(sorted(accepted))}", file=_sys.stderr)
         return 1
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if "seed" not in cfg:
         print("error: a seed is mandatory (config key 'seed' or --seed)", file=_sys.stderr)
+        return 1
+    cfg = {**defaults, **cfg}
+    error = _config_error(cfg, defaults)
+    if error:
+        print(f"error: config key {error}", file=_sys.stderr)
         return 1
     outdir = args.out or cfg.get("out", ".")
     os.makedirs(outdir, exist_ok=True)
-    rng = np.random.default_rng(int(seed))
-    summary, rows = EXPERIMENTS[name](cfg, rng, outdir)
-    _write_summary(os.path.join(outdir, "summary.json"), name, int(seed), summary, rows)
-    bad = [a for a in summary if not a["pass"]]
-    for a in summary:
-        flag = "PASS" if a["pass"] else "FAIL"
-        print(f"[{flag}] {a['name']} ({a['paper_ref']}) worst={a['worst']!r}")
-    return 1 if bad else 0
+    records, rows = experiment(cfg, np.random.default_rng(cfg["seed"]), outdir)
+    _write_summary(os.path.join(outdir, "summary.json"), name, cfg["seed"], records, rows)
+    for r in records:
+        flag = "PASS" if r.passed else "FAIL"
+        print(f"[{flag}] {r.name} ({r.paper_ref}) worst={r.worst!r}")
+    return 0 if all(r.passed for r in records) else 1
 
 
 def cmd_verify(args) -> int:

@@ -12,11 +12,12 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from .norms import _cell_midgrids, _weighted_sum
+
 __all__ = [
     "KernelSpec",
     "hilbert_kernel",
     "homogeneous_sign_kernel",
-    "kernel_by_name",
     "standard_check",
     "nondegenerate_probe",
     "GridOperator",
@@ -77,19 +78,6 @@ def homogeneous_sign_kernel() -> KernelSpec:
 
     return KernelSpec(ev, 1, C=1.0, alpha=1.0,
                       nondegeneracy=("homogeneous", omega, np.array([1.0])), name="sign")
-
-
-def kernel_by_name(name: str, **params) -> KernelSpec:
-    """Kernel registry for config files: 'hilbert' or 'sign'."""
-    table = {"hilbert": hilbert_kernel, "sign": homogeneous_sign_kernel}
-    if name not in table:
-        raise KeyError(f"unknown kernel {name!r}; choose from {sorted(table)}")
-    spec = table[name]()
-    if params:
-        from dataclasses import replace
-
-        spec = replace(spec, **params)
-    return spec
 
 
 def _as_points(x, dim):
@@ -250,8 +238,6 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     The zero diagonal is the principal-value surrogate, unbiased exactly for
     antisymmetric convolution kernels and a documented bias otherwise.
     """
-    from .norms import _cell_midgrids
-
     dim = K.dim
     mids = _cell_midgrids(cells_per_axis, dim, refinement)
     n_cells, nsub, _ = mids.shape
@@ -340,7 +326,8 @@ def random_admissible_family(sys, rng):
 
 
 def nwo_quantity(V: GridOperator, families, p) -> float:
-    """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family."""
+    """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family;
+    max_I |<e_I, V f_I>| at p = inf."""
     return nwo_quantities(V, families, (p,))[0]
 
 
@@ -348,13 +335,7 @@ def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
     """[nwo_quantity(V, families, p) for p in ps], each pairing taken once."""
     mu = V.cell_measure
     pairs = [abs(np.vdot(e, V.apply(f)) * mu) for e, f in families]
-    out = []
-    for p in ps:
-        total = 0.0
-        for a in pairs:
-            total += a ** p
-        out.append(float(total ** (1.0 / p)))
-    return out
+    return [float(_weighted_sum(pairs, [1] * len(pairs), p)) for p in ps]
 
 
 def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
@@ -362,7 +343,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
 
     For every dyadic cube I with a same-scale partner at distance ~ A cells,
     builds the four quadrant-matched (E_s, F_s) test pairs of each child of
-    I and sums A^{dim p} |<e, C f>|^p.
+    I and sums A^{dim p} |<e, C f>|^p; at p = inf, the largest A^dim |<e, C f>|.
     """
     from .median import quadrant_sets
 
@@ -370,7 +351,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
         raise ValueError("system and operator dimensions differ")
     b_values = np.asarray(b_values, dtype=complex)
     mu = C.cell_measure
-    total = 0.0
+    terms = []
     for k in range(1, sys.params.depth):
         per = sys._axis_count(k)
         shift = max(1, min(A, per - 1))
@@ -400,7 +381,6 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
                     f = np.zeros(C.n_cells, dtype=complex)
                     sel = cells_i[np.intersect1d(e_sets[s], np.nonzero(in_child)[0])]
                     f[sel] = 1.0 / np.sqrt(meas_q)
-                    pair = np.vdot(e, C.apply(f)) * mu
-                    total += (A ** sys.params.dim * abs(pair)) ** p
-    return float(total ** (1.0 / p))
+                    terms.append(A ** sys.params.dim * abs(np.vdot(e, C.apply(f)) * mu))
+    return float(_weighted_sum(terms, [1] * len(terms), p))
 

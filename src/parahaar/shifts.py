@@ -184,8 +184,8 @@ def phase_rule(sys, I, J, K):
     return bound * np.exp(2j * np.pi * (rel_i / n_i + rel_j / (2 * n_j)))
 
 
-def averaged_shift_cell_matrix(params, i, j, rule=phase_rule):
-    """Mean over all grid shifts of the rule-built shift, as a cell matrix."""
+def averaged_shift_cell_matrix(params, i, j):
+    """Mean over all grid shifts of the phase_rule-built shift, as a cell matrix."""
     from .dyadic import FiniteDyadicSystem, GridShift
 
     if params.dim != 1 or params.d != 2:
@@ -202,7 +202,7 @@ def averaged_shift_cell_matrix(params, i, j, rule=phase_rule):
             for K in sysw.cubes_by_scale[k]:
                 for I in _generation(sysw, K, i):
                     for J in _generation(sysw, K, j):
-                        coeffs[(I, J, K, 1, 1)] = rule(sysw, I, J, K)
+                        coeffs[(I, J, K, 1, 1)] = phase_rule(sysw, I, J, K)
         S = assemble_shift(sysw, ShiftSpec(i, j, 1, coeffs))
         acc += sysw.basis_matrix @ S @ sysw.analysis_matrix
         count += 1

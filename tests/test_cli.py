@@ -7,6 +7,9 @@ import pytest
 
 import parahaar.checks as checks
 import parahaar.cli as cli
+from parahaar.dyadic import DyadicParams, build_system
+from parahaar.paraproducts import paraproduct, random_symbol
+from parahaar.spectral import schatten_norm
 
 
 def run_cli(args):
@@ -75,6 +78,61 @@ def test_theorem1_rows_are_the_paraproduct_sampler(tmp_path):
     ratios = checks._paraproduct_trials(3, 3, (0.5, 2.0), 4, np.random.default_rng(21))
     assert [r["ratio"] for r in rows if r["p"] == 0.5] == ratios[0.5]
     assert [r["ratio"] for r in rows if r["p"] == 2.0] == ratios[2.0]
+
+
+def test_theorem1_inf_rows_are_the_operator_norm(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1", "d": 2, "depth": 4,
+                               "p": [2.0, float("inf")], "trials": 3, "seed": 1}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "summary.json").read_text())["rows"]
+    sys_ = build_system(DyadicParams(2, 4))
+    rng = np.random.default_rng(1)
+    want = [schatten_norm(paraproduct(sys_, random_symbol(sys_, rng)), np.inf)
+            for _ in range(3)]
+    assert [r["norm"] for r in rows if r["p"] == np.inf] == want
+    assert want[0] == pytest.approx(9.41, abs=0.005)
+
+
+def _wf(**kw):
+    return {"experiment": "weak-factorization", **kw}
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"experiment": "theorem1", "p": 2.0}, "p"),
+    ({"experiment": "theorem1", "p": ["2"]}, "p"),
+    ({"experiment": "theorem1", "p": [0.0]}, "p"),
+    ({"experiment": "theorem1", "p": []}, "p"),
+    ({"experiment": "theorem1", "p": [True]}, "p"),
+    ({"experiment": "theorem1", "trials": 0}, "trials"),
+    ({"experiment": "median-verify", "trials": 0}, "trials"),
+    ({"experiment": "shift-growth", "trials": 0}, "trials"),
+    ({"experiment": "covering", "trials": 0}, "trials"),
+    ({"experiment": "covering", "trials": True}, "trials"),
+    ({"experiment": "covering", "dim": 1.0}, "dim"),
+    ({"experiment": "theorem1", "d": 1}, "d"),
+    ({"experiment": "theorem1", "d": 3, "dim": 2}, "d"),
+    ({"experiment": "theorem1", "blockdim": "2"}, "blockdim"),
+    ({"experiment": "shift-growth", "i_range": [2, 1]}, "i_range"),
+    ({"experiment": "shift-growth", "j_range": [-1, 1]}, "j_range"),
+    ({"experiment": "shift-growth", "i_range": [0, 1, 2]}, "i_range"),
+    ({"experiment": "shift-growth", "depth": 3}, "depth"),
+    (_wf(A_values=[]), "A_values"),
+    (_wf(A_values=[8.5]), "A_values"),
+    (_wf(cells=8), "A_values"),
+    (_wf(cells=256, A_values=[64]), "A_values"),
+    ({"experiment": "covering", "seed": 1.5}, "seed"),
+    ({"experiment": "covering", "seed": -1}, "seed"),
+    ({"experiment": "covering", "out": 5}, "out"),
+])
+def test_malformed_config_rejected(tmp_path, capsys, cfg, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "out": str(tmp_path / "o"), **cfg}))
+    assert run_cli(["run", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: config key {key!r} ")
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_median_experiment(tmp_path):

@@ -144,11 +144,42 @@ def test_nwo_quantities_equal_per_p_loop(rng):
     want = []
     for p in ps:  # each pairing taken afresh for every p
         total = 0.0
-        for e, f in fams:
-            total += abs(np.vdot(e, V.apply(f)) * V.cell_measure) ** p
-        want.append(float(total ** (1.0 / p)))
+        terms = [abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in fams]
+        for t in terms:
+            total += t ** p
+        want.append(float(max(terms)) if p == np.inf else float(total ** (1.0 / p)))
     assert nwo_quantities(V, fams, ps) == want
     assert [nwo_quantity(V, fams, p) for p in ps] == want
+
+
+def _scaled(V, s):
+    return GridOperator(s * V.matrix, V.dim, V.cells_per_axis)
+
+
+def test_nwo_quantity_at_inf_is_the_largest_pairing(rng):
+    sys = build_system(DyadicParams(2, 4))
+    n = sys.n_cells
+    fams = random_admissible_family(sys, rng)
+    V = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1, n)
+    top = max(abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in fams)
+    assert nwo_quantity(V, fams, np.inf) == top
+    for s in (1e-3, 1e3):  # homogeneous of degree 1, like every finite p
+        assert nwo_quantity(_scaled(V, s), fams, np.inf) == pytest.approx(s * top, rel=1e-12)
+
+
+def test_testing_quantity_at_inf_is_the_largest_term(rng):
+    sys = build_system(DyadicParams(2, 5))
+    T = discretize(hilbert_kernel(), 32, refinement=2)
+    vals = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    C = commutator_grid_op(T, vals)
+    top = tq_separated(C, sys, vals, A=4, p=np.inf)
+    for s in (0.01, 100.0):
+        assert tq_separated(_scaled(C, s), sys, vals, A=4, p=np.inf) == \
+            pytest.approx(s * top, rel=1e-12)
+    # scaled so the largest term is 1, every term^p <= 1 and one equals 1:
+    # 1 <= q_p <= (number of terms)^(1/p), and 240^(1/300) < 1.02
+    q = tq_separated(_scaled(C, 1 / top), sys, vals, A=4, p=300.0)
+    assert 1 - 1e-12 <= q <= 1.02
 
 
 def test_testing_quantity_positive(rng):

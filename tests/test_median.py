@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 import parahaar.median as med
 from parahaar.median import (QuadrantFrame, WeightedPointSet, complex_median,
                              halfplane_median, quadrant_masses, quadrant_sets,
-                             quadrant_split, read_frame_file,
-                             write_frame_file)
+                             quadrant_split)
 
 
 def masses_ok(pts, frame, factor=16.0):
@@ -209,29 +208,6 @@ def test_quadrant_sets_inequalities(rng):
                     worst = max(worst, abs(w.imag) - w.real)
         assert union == set(range(ni))  # the cones cover the near cube
     assert worst <= 1e-9
-
-
-def test_frame_file_roundtrip(tmp_path):
-    frame = QuadrantFrame(1.234, -0.5, 0.75)
-    path = tmp_path / "frame.txt"
-    write_frame_file(path, frame)
-    path.write_text("\n" + path.read_text() + "\n")  # blank lines are allowed
-    assert read_frame_file(path) == frame
-
-
-@pytest.mark.parametrize("body,line,message", [
-    ("1.0 2.0\n", 1, "expected 3 fields"),
-    ("1.0 2.0 3.0 4.0\n", 1, "expected 3 fields"),
-    ("1.0 2.0 3.0\n1.0 2.0 3.0\n", 2, "second frame line"),
-    ("1.0 inf 3.0\n", 1, "c1 inf is not finite"),
-    ("1.0 a 3.0\n", 1, "could not convert"),
-    ("\n", 1, "no frame line"),
-])
-def test_frame_file_rejects_malformed(tmp_path, body, line, message):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: .*{message}"):
-        read_frame_file(path)
 
 
 # -- the per-search memo of base-point intervals and failed attempts
