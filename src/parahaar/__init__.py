@@ -5,8 +5,7 @@ medians, and non-degenerate-kernel machinery."""
 
 from .dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift,
                      HaarIndex, StepFunction, build_system, cover_cube,
-                     expectation, haar_function, haar_synthesize,
-                     haar_transform, make_adjacent_family,
+                     expectation, haar_function, make_adjacent_family,
                      martingale_difference)
 from .median import QuadrantFrame, WeightedPointSet, complex_median, quadrant_masses
 from .paraproducts import OperatorBundle, Symbol, decompose, paraproduct
@@ -23,8 +22,6 @@ __all__ = [
     "cover_cube",
     "expectation",
     "haar_function",
-    "haar_synthesize",
-    "haar_transform",
     "make_adjacent_family",
     "martingale_difference",
     "QuadrantFrame",

@@ -20,8 +20,8 @@ from .dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                      build_system, cover_cube, dilation_bound, expectation,
                      make_adjacent_family, martingale_difference,
                      LENGTH_RATIO_BOUND)
-from .paraproducts import (Symbol, band, commutator_pieces, decompose,
-                           paraproduct, adjoint_paraproduct, r_op,
+from .paraproducts import (Symbol, _scalar_lift, band, commutator_pieces,
+                           decompose, paraproduct, adjoint_paraproduct, r_op,
                            random_symbol, rank_piece, splitting, triangle_ops)
 
 EXACT_TOL = 1e-12
@@ -140,9 +140,8 @@ def check_triangle_split(rng):
             w = sys.measure(cube) ** -0.5
             BI = np.zeros((d, d), dtype=complex)
             for i in range(1, d):
-                blk = b.coeffs.get(HaarIndex(cube, i))
-                if blk is not None:
-                    BI += w * blk[0, 0] * np.linalg.matrix_power(A, i)
+                blk = b.blocks[sys.haar_pos[HaarIndex(cube, i)]]
+                BI += w * blk[0, 0] * np.linalg.matrix_power(A, i)
             for s in range(1, d):
                 for t in range(1, d):
                     if s == t:
@@ -206,9 +205,7 @@ def check_commutator_identities(rng):
             a = random_symbol(sys, rng, blockdim=1)
             b = random_symbol(sys, rng, blockdim=m)
             psi, v = commutator_pieces(sys, a, b)
-            am = Symbol(sys, {h: np.eye(m) * blk[0, 0] for h, blk in a.coeffs.items()},
-                        np.eye(m) * a.coarse_mean[0, 0], blockdim=m) if m > 1 else a
-            pa = paraproduct(sys, am)
+            pa = paraproduct(sys, _scalar_lift(a, m))
             pb = paraproduct(sys, b)
             rb = r_op(sys, b)
             lam, _ = triangle_ops(sys, b)
@@ -318,9 +315,9 @@ def check_band_bound(rng, trials=200):
             mm = int(rng.integers(n + 1, 4))
             lhs = spectral.schatten_norm(band(sys, b, n, mm), p) ** p
             rhs = 0.0
-            for h, blk in b.coeffs.items():
-                if h.cube.scale == mm:
-                    rhs += (norms.block_lp(blk, p) / sys.measure(h.cube) ** 0.5) ** p
+            root_measure = sys.measure(sys.cubes_by_scale[mm][0]) ** 0.5
+            for blk in b.blocks[sys.scale_of_row() == mm]:
+                rhs += (norms.block_lp(blk, p) / root_measure) ** p
             rhs *= (sys.params.d - 1) * sys.params.d ** ((n - mm) * p / 2.0)
             worst = max(worst, (lhs - rhs) / max(1.0, rhs))
     return _rec("band-norm-bound", "offdiagonal-band-decay", worst, SLACK)
@@ -356,7 +353,7 @@ def check_rank_piece_lower(rng, trials=200):
             b = random_symbol(sys, rng)
             norm = spectral.schatten_norm(paraproduct(sys, b), p)
             best = max((norms.block_lp(blk, p) / sys.measure(h.cube) ** 0.5)
-                       for h, blk in b.coeffs.items())
+                       for h, blk in zip(sys.haar_indices, b.blocks[1:]))
             worst = max(worst, (best - norm) / max(1.0, best))
     return _rec("rank-piece-lower-bound", "single-piece-domination", worst, SLACK)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys as _sys
 
@@ -34,6 +35,17 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
 
 
+def _finite_json(x):
+    """x with every non-finite float written as the CSV writes it: "inf", "-inf", "nan"."""
+    if isinstance(x, float) and not math.isfinite(x):
+        return repr(float(x))
+    if isinstance(x, dict):
+        return {k: _finite_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_json(v) for v in x]
+    return x
+
+
 def _write_summary(path, experiment, seed, records, rows):
     payload = {
         "experiment": experiment,
@@ -42,7 +54,7 @@ def _write_summary(path, experiment, seed, records, rows):
         "rows": rows,
     }
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        json.dump(_finite_json(payload), fh, indent=1, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

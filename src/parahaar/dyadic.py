@@ -26,14 +26,10 @@ __all__ = [
     "haar_function",
     "expectation",
     "martingale_difference",
-    "haar_transform",
-    "haar_synthesize",
     "make_adjacent_family",
     "cover_cube",
     "LENGTH_RATIO_BOUND",
     "dilation_bound",
-    "write_grid_shift",
-    "read_grid_shift",
 ]
 
 # Covering constants for the per-coordinate one-third-shift family: the
@@ -368,23 +364,6 @@ def martingale_difference(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> S
     return expectation(sys, f, k) - expectation(sys, f, k - 1)
 
 
-def haar_transform(sys: FiniteDyadicSystem, f: StepFunction):
-    """Return (coarse mean block, {HaarIndex: coefficient block})."""
-    coeffs = sys.coeffs(f)
-    table = {h: coeffs[1 + r] for r, h in enumerate(sys.haar_indices)}
-    return coeffs[0], table
-
-
-def haar_synthesize(sys: FiniteDyadicSystem, mean, table) -> StepFunction:
-    mean = np.atleast_2d(np.asarray(mean, dtype=complex))
-    m = mean.shape[0]
-    coeffs = np.zeros((sys.dim_basis, m, m), dtype=complex)
-    coeffs[0] = mean
-    for h, block in table.items():
-        coeffs[sys.haar_pos[h]] = np.atleast_2d(np.asarray(block, dtype=complex))
-    return sys.synthesize(coeffs)
-
-
 # ---------------------------------------------------------------------------
 # Adjacent (one-third shifted) grid family and cube covering.
 
@@ -467,36 +446,3 @@ def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> C
                 )
     raise RuntimeError("no covering cube found; input exceeds the supported range")
 
-
-# ---------------------------------------------------------------------------
-# Text format: grid shifts.
-
-
-def write_grid_shift(path, shift: GridShift, dim: int = 1):
-    with open(path, "w") as fh:
-        for w in shift.omega:
-            fh.write(format(w, f"0{dim}b") + "\n")
-
-
-def read_grid_shift(path, dim: int = 1) -> GridShift:
-    """Inverse of write_grid_shift: one dim-bit binary digit per line.
-
-    A line that is not a binary numeral, a digit of more than dim bits and a
-    file without digits raise ValueError(path:line).
-    """
-    digits = []
-    lineno = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            word = line.strip()
-            if not word:
-                continue
-            if set(word) - {"0", "1"}:
-                raise ValueError(f"{path}:{lineno}: {word!r} is not a binary digit")
-            digit = int(word, 2)
-            if digit >= 2**dim:
-                raise ValueError(f"{path}:{lineno}: digit {word} is not a {dim}-bit mask")
-            digits.append(digit)
-    if not digits:
-        raise ValueError(f"{path}:{lineno}: no shift digits")
-    return GridShift(tuple(digits))

@@ -83,17 +83,8 @@ class QuadrantFrame:
         return self.c2 * u + self.c1 * 1j * u
 
 
-def _normalize_frame(theta, point) -> QuadrantFrame:
-    """Frame with L1 through `point` at angle theta, L2 orthogonal through point."""
-    theta = theta % math.pi
-    u = _direction(theta)
-    n = 1j * u
-    c1 = (n.conjugate() * point).real
-    c2 = (u.conjugate() * point).real
-    return QuadrantFrame(theta, c1, c2)
-
-
 def _frame_from_two_points(theta, p_on_l1, p_on_l2) -> QuadrantFrame:
+    """Frame with L1 at angle theta through p_on_l1, L2 orthogonal through p_on_l2."""
     theta = theta % math.pi
     u = _direction(theta)
     n = 1j * u
@@ -311,7 +302,8 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
     if frame is None:
         raise RuntimeError("complex median: no certified frame found")
     if mirrored:
-        frame = _normalize_frame((math.pi - frame.theta) % math.pi, -frame.center.conjugate())
+        point = -frame.center.conjugate()
+        frame = _frame_from_two_points((math.pi - frame.theta) % math.pi, point, point)
         ok, _ = _certify(pts, frame)
         if not ok:
             stats.fallbacks += 1
@@ -452,7 +444,7 @@ def _ray_concentration_frame(work, data, c, a1, a2):
                 # sweep lines through tpoint over the other quadrant's angles
                 gam = np.angle(zo - (tpoint - 1j * c)) % math.pi
                 for gamma in np.unique(np.concatenate([gam, [rho + math.pi / 2]])):
-                    frame = _normalize_frame(gamma, tpoint)
+                    frame = _frame_from_two_points(gamma, tpoint, tpoint)
                     ok, _ = _certify(work, frame)
                     if ok:
                         return frame

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, expectation
+from .dyadic import HaarIndex, StepFunction, expectation
 from .paraproducts import Symbol, _difference_function
 
 __all__ = [
@@ -91,11 +91,11 @@ def besov_haar(sys, b: Symbol, p) -> float:
 def besov_haars(sys, b: Symbol, ps) -> list[float]:
     """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
     _require_positive(ps)
-    if not b.coeffs:
-        return [0.0] * len(ps)
-    w = np.array([sys.measure(h.cube) ** -0.5 for h in b.coeffs])
+    # sys.measure's scalar expression, once per scale
+    w = np.array([float(sys.d_eff ** -s) ** -0.5 for s in range(sys.params.depth)])
+    w = w[sys.scale_of_row()[1:]]
     return [_weighted_sum((w * lps).tolist(), [1] * len(w), p)
-            for p, lps in zip(ps, _block_lps(np.stack(list(b.coeffs.values())), ps))]
+            for p, lps in zip(ps, _block_lps(b.blocks[1:], ps))]
 
 
 def besov_diff(sys, b: Symbol, p) -> float:
@@ -107,9 +107,8 @@ def besov_diffs(sys, b: Symbol, ps) -> list[float]:
     """[besov_diff(sys, b, p) for p in ps], synthesizing and decomposing each
     d_k b once."""
     _require_positive(ps)
-    arr = b.coeff_array()
     N = sys.params.depth
-    by_k = [_function_lps(sys, _difference_function(sys, arr, k), ps) for k in range(1, N + 1)]
+    by_k = [_function_lps(sys, _difference_function(sys, b.blocks, k), ps) for k in range(1, N + 1)]
     weights = [sys.d_eff ** k for k in range(1, N + 1)]
     return [_weighted_sum([lps[i] for lps in by_k], weights, p) for i, p in enumerate(ps)]
 
@@ -157,12 +156,8 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
     for k in range(N - 1, -1, -1):
         for cube in sys.cubes_by_scale[k]:
             total = 0.0
-            from .dyadic import HaarIndex
-
             for color in range(1, sys.n_colors + 1):
-                blk = b.coeffs.get(HaarIndex(cube, color))
-                if blk is not None:
-                    total += abs(blk[0, 0]) ** 2
+                total += abs(b.blocks[sys.haar_pos[HaarIndex(cube, color)], 0, 0]) ** 2
             if k < N - 1:
                 total += sum(mass[kid] for kid in sys.children(cube))
             mass[cube] = total

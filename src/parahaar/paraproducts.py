@@ -21,6 +21,7 @@ identities it is checked by.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, Optional
 
 import numpy as np
@@ -51,52 +52,78 @@ __all__ = [
 
 
 class Symbol:
-    """Haar multiplier: coefficient blocks per Haar index plus a coarse mean."""
+    """Haar multiplier b, stored as its coefficient array.
+
+    `blocks` is a read-only (dim_basis, m, m) array in basis order, the
+    layout `sys.coeffs` returns: row 0 is the coarse mean and row 1 + r the
+    block of `sys.haar_indices[r]`.  The constructor takes a
+    {HaarIndex: block} table (absent indices are zero); `from_blocks` takes
+    the array.
+    """
 
     def __init__(self, sys: FiniteDyadicSystem, coeffs: Dict[HaarIndex, np.ndarray],
                  coarse_mean=None, blockdim: Optional[int] = None):
         if blockdim is None:
-            if coeffs:
-                blockdim = np.atleast_2d(next(iter(coeffs.values()))).shape[0]
-            elif coarse_mean is not None:
-                blockdim = np.atleast_2d(coarse_mean).shape[0]
-            else:
-                blockdim = 1
-        self.sys = sys
-        self.blockdim = blockdim
-        self.coeffs = {}
+            first = next(iter(coeffs.values()), coarse_mean)
+            blockdim = 1 if first is None else np.atleast_2d(first).shape[0]
+        blocks = np.zeros((sys.dim_basis, blockdim, blockdim), dtype=complex)
         for h, block in coeffs.items():
             if h not in sys.haar_pos:
                 raise KeyError(f"index {h} does not belong to the system")
-            block = np.atleast_2d(np.asarray(block, dtype=complex))
-            if block.shape != (blockdim, blockdim):
-                raise ValueError("all blocks must share the block dimension")
-            self.coeffs[h] = block
-        if coarse_mean is None:
-            coarse_mean = np.zeros((blockdim, blockdim), dtype=complex)
-        self.coarse_mean = np.atleast_2d(np.asarray(coarse_mean, dtype=complex))
+            blocks[sys.haar_pos[h]] = _square_block(block, blockdim)
+        if coarse_mean is not None:
+            blocks[0] = _square_block(coarse_mean, blockdim)
+        self._adopt(sys, blocks)
+
+    def _adopt(self, sys, blocks):
+        blocks.flags.writeable = False
+        self.sys = sys
+        self.blocks = blocks
+        self.blockdim = blocks.shape[1]
+        self.coarse_mean = blocks[0]
+
+    @classmethod
+    def from_blocks(cls, sys: FiniteDyadicSystem, blocks) -> "Symbol":
+        """Symbol with the given (dim_basis, m, m) coefficient array (copied)."""
+        blocks = np.array(blocks, dtype=complex)
+        if blocks.ndim != 3 or blocks.shape != (sys.dim_basis, blocks.shape[2], blocks.shape[2]):
+            raise ValueError(f"blocks must have shape ({sys.dim_basis}, m, m), got {blocks.shape}")
+        b = cls.__new__(cls)
+        b._adopt(sys, blocks)
+        return b
 
     @classmethod
     def from_function(cls, sys: FiniteDyadicSystem, f: StepFunction) -> "Symbol":
-        coeffs = sys.coeffs(f)
-        table = {h: coeffs[1 + r] for r, h in enumerate(sys.haar_indices)
-                 if np.any(coeffs[1 + r])}
-        return cls(sys, table, coeffs[0], blockdim=f.blockdim)
+        return cls.from_blocks(sys, sys.coeffs(f))
 
-    def coeff_array(self) -> np.ndarray:
-        out = np.zeros((self.sys.dim_basis, self.blockdim, self.blockdim), dtype=complex)
-        out[0] = self.coarse_mean
-        for h, block in self.coeffs.items():
-            out[self.sys.haar_pos[h]] = block
-        return out
+    @property
+    def coeffs(self):
+        """Read-only {HaarIndex: block} view of the nonzero Haar blocks, in basis order."""
+        return MappingProxyType({h: blk for h, blk in zip(self.sys.haar_indices, self.blocks[1:])
+                                 if np.any(blk)})
 
     def function(self) -> StepFunction:
-        return self.sys.synthesize(self.coeff_array())
+        return self.sys.synthesize(self.blocks)
 
     def star(self) -> "Symbol":
         """Symbol of the pointwise adjoint function b*."""
         f = self.function()
         return Symbol.from_function(self.sys, StepFunction(np.conj(np.swapaxes(f.values, 1, 2))))
+
+
+def _square_block(block, m) -> np.ndarray:
+    block = np.atleast_2d(np.asarray(block, dtype=complex))
+    if block.shape != (m, m):
+        raise ValueError(f"every block, the coarse mean included, must be {m} x {m}; "
+                         f"got shape {block.shape}")
+    return block
+
+
+def _scalar_lift(a: Symbol, m: int) -> Symbol:
+    """The scalar symbol a as the m x m symbol a I_m."""
+    if m == 1:
+        return a
+    return Symbol.from_blocks(a.sys, np.eye(m) * a.blocks[:, :1, :1])
 
 
 @dataclass
@@ -116,13 +143,15 @@ def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
     One draw for all blocks: the generator stream is sequential, so index r
     gets the same real and imaginary parts as a draw per index would give.
     """
-    keys = [h for h in sys.haar_indices if scales is None or h.cube.scale in scales]
-    z = rng.standard_normal((len(keys), 2, blockdim, blockdim))
-    table = dict(zip(keys, z[:, 0] + 1j * z[:, 1]))
-    mean = None
+    rows = [r for r, h in enumerate(sys.haar_indices, start=1)
+            if scales is None or h.cube.scale in scales]
+    z = rng.standard_normal((len(rows), 2, blockdim, blockdim))
+    blocks = np.zeros((sys.dim_basis, blockdim, blockdim), dtype=complex)
+    blocks[rows] = z[:, 0] + 1j * z[:, 1]
     if with_mean:
-        mean = rng.standard_normal((blockdim, blockdim)) + 1j * rng.standard_normal((blockdim, blockdim))
-    return Symbol(sys, table, mean, blockdim=blockdim)
+        shape = (blockdim, blockdim)
+        blocks[0] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return Symbol.from_blocks(sys, blocks)
 
 
 def _block_expand(blocks_rows, scalars) -> np.ndarray:
@@ -174,13 +203,11 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
 
 def paraproduct(sys, b: Symbol) -> np.ndarray:
     """Matrix of f -> sum h_I^i b_I^i <1_I/|I|, f> in the coarse+Haar basis."""
-    m = b.blockdim
     D = sys.dim_basis
-    arr = b.coeff_array()
     avg = sys.cube_average_matrix  # (haar rows, D)
     rows = np.zeros((D, D), dtype=complex)
     rows[1:, :] = avg
-    blocks = arr.copy()
+    blocks = b.blocks.copy()
     blocks[0] = 0.0  # no coarse output row
     return _block_expand(blocks, rows)
 
@@ -189,12 +216,11 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
     """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f); an oracle."""
     m = b.blockdim
     D = sys.dim_basis
-    arr = b.coeff_array()
     avg = sys.cube_average_matrix
     out = np.zeros((D * m, D * m), dtype=complex)
     for r in range(len(sys.haar_indices)):
         col = 1 + r
-        block = arr[col].conj().T
+        block = b.blocks[col].conj().T
         # output function is (1_I/|I|) b_I^{i*}; its basis coefficients are
         # the conjugated cube averages
         pattern = avg[r].conj()
@@ -237,7 +263,7 @@ def triangle_ops(sys, b: Symbol):
     color-convolution entries, block diagonal over cubes.
     """
     m = b.blockdim
-    arr = b.coeff_array()
+    arr = b.blocks
     N = sys.params.depth
     D = sys.dim_basis
     basis = sys.basis_matrix
@@ -360,11 +386,8 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
     if a.blockdim != 1:
         raise ValueError("the outer symbol must be scalar")
     m = b.blockdim
-    if m > 1:
-        a = Symbol(sys, {h: np.eye(m) * blk[0, 0] for h, blk in a.coeffs.items()},
-                   np.eye(m) * a.coarse_mean[0, 0], blockdim=m)
-    arr_a = a.coeff_array()
-    arr_b = b.coeff_array()
+    arr_a = _scalar_lift(a, m).blocks
+    arr_b = b.blocks
     N = sys.params.depth
     D = sys.dim_basis * m
 
@@ -395,11 +418,10 @@ def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:
         raise KeyError(f"{h} is not an index of the system")
     m = b.blockdim
     D = sys.dim_basis
-    r = sys.haar_pos[h] - 1
-    block = b.coeffs.get(h, np.zeros((m, m), dtype=complex))
-    out = np.zeros((D * m, D * m), dtype=complex)
     row = sys.haar_pos[h]
-    pattern = sys.cube_average_matrix[r]
+    block = b.blocks[row]
+    out = np.zeros((D * m, D * m), dtype=complex)
+    pattern = sys.cube_average_matrix[row - 1]
     out[row * m:(row + 1) * m, :] = np.einsum("ij,g->igj", block, pattern).reshape(m, D * m)
     return out
 

@@ -90,8 +90,24 @@ def test_theorem1_inf_rows_are_the_operator_norm(tmp_path):
     rng = np.random.default_rng(1)
     want = [schatten_norm(paraproduct(sys_, random_symbol(sys_, rng)), np.inf)
             for _ in range(3)]
-    assert [r["norm"] for r in rows if r["p"] == np.inf] == want
+    assert [r["norm"] for r in rows if float(r["p"]) == np.inf] == want
     assert want[0] == pytest.approx(9.41, abs=0.005)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_summary_is_strict_json(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1", "depth": 3, "trials": 1,
+                               "p": [2.0, float("inf")], "seed": 1}))
+    assert run_cli(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text(), parse_constant=_reject_constant)
+    # non-finite floats are written as the CSV writes them
+    assert [r["p"] for r in summary["rows"]] == [2.0, "inf"]
+    csv_p = [line.split(",")[1] for line in (tmp_path / "theorem1.csv").read_text().splitlines()]
+    assert csv_p == ["p", "2.0", "inf"]
 
 
 def _wf(**kw):

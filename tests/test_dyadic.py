@@ -3,11 +3,10 @@ import pytest
 
 from parahaar.dyadic import (CubeId, DyadicParams, GridShift,
                              HaarIndex, StepFunction, build_system, cover_cube,
-                             expectation, haar_function, haar_synthesize,
-                             haar_transform, make_adjacent_family,
-                             martingale_difference, read_grid_shift,
-                             write_grid_shift, LENGTH_RATIO_BOUND,
+                             expectation, haar_function, make_adjacent_family,
+                             martingale_difference, LENGTH_RATIO_BOUND,
                              dilation_bound)
+from parahaar.paraproducts import Symbol
 
 
 def test_build_enumeration_d2():
@@ -151,25 +150,25 @@ def test_reconstruction(rng):
 def test_transform_single_coefficient():
     sys = build_system(DyadicParams(2, 2))
     h = HaarIndex(CubeId(1, (0,)), 1)
-    mean, table = haar_transform(sys, haar_function(sys, h))
-    assert abs(mean[0, 0]) < 1e-14
-    for key, val in table.items():
+    b = Symbol.from_function(sys, haar_function(sys, h))
+    assert abs(b.coarse_mean[0, 0]) < 1e-14
+    for key, val in zip(sys.haar_indices, b.blocks[1:]):
         expect = 1.0 if key == h else 0.0
         assert abs(val[0, 0] - expect) < 1e-13
 
 
 def test_transform_constant():
     sys = build_system(DyadicParams(2, 2))
-    mean, table = haar_transform(sys, StepFunction(np.ones(4)))
-    assert abs(mean[0, 0] - 1.0) < 1e-14
-    assert all(abs(v[0, 0]) < 1e-14 for v in table.values())
+    b = Symbol.from_function(sys, StepFunction(np.ones(4)))
+    assert abs(b.coarse_mean[0, 0] - 1.0) < 1e-14
+    assert all(abs(v[0, 0]) < 1e-14 for v in b.blocks[1:])
 
 
 def test_roundtrip_parseval(rng):
     sys = build_system(DyadicParams(3, 3))
     f = StepFunction(rng.standard_normal(27) + 1j * rng.standard_normal(27))
-    mean, table = haar_transform(sys, f)
-    g = haar_synthesize(sys, mean, table)
+    b = Symbol.from_function(sys, f)
+    g = Symbol(sys, b.coeffs, b.coarse_mean).function()
     assert np.abs(g.values - f.values).max() < 1e-12
     coeffs = sys.coeffs(f)
     lhs = (np.abs(coeffs) ** 2).sum()
@@ -180,8 +179,8 @@ def test_roundtrip_parseval(rng):
 def test_block_roundtrip(rng):
     sys = build_system(DyadicParams(2, 2, dim=2))
     f = StepFunction(rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2)))
-    mean, table = haar_transform(sys, f)
-    g = haar_synthesize(sys, mean, table)
+    b = Symbol.from_function(sys, f)
+    g = Symbol(sys, b.coeffs, b.coarse_mean).function()
     assert np.abs(g.values - f.values).max() < 1e-12
 
 
@@ -227,29 +226,6 @@ def test_cover_contained_cube_count():
     q = cover_cube([0.301], 0.09, fam)
     per = float(q.side) / 0.09
     assert per <= LENGTH_RATIO_BOUND + 1e-12
-
-
-def test_grid_shift_roundtrip(tmp_path):
-    for dim, sh in ((1, GridShift((1, 0, 1, 1))), (2, GridShift((3, 0, 2, 1)))):
-        path = tmp_path / f"shift{dim}.txt"
-        write_grid_shift(path, sh, dim=dim)
-        assert read_grid_shift(path, dim=dim) == sh
-
-
-@pytest.mark.parametrize("body,dim,line,message", [
-    ("1\n11\n", 1, 2, "digit 11 is not a 1-bit mask"),
-    ("01\n100\n", 2, 2, "digit 100 is not a 2-bit mask"),
-    ("0\n2\n", 1, 2, "'2' is not a binary digit"),
-    ("10\n0b1\n", 2, 2, "'0b1' is not a binary digit"),
-    ("1\n1 0\n", 1, 2, "'1 0' is not a binary digit"),
-    ("", 1, 0, "no shift digits"),
-    ("\n\n", 2, 2, "no shift digits"),
-])
-def test_grid_shift_rejects_malformed(tmp_path, body, dim, line, message):
-    path = tmp_path / "bad.txt"
-    path.write_text(body)
-    with pytest.raises(ValueError, match=f"bad.txt:{line}: {message}"):
-        read_grid_shift(path, dim=dim)
 
 
 def test_random_grid_shift(rng):

@@ -134,7 +134,7 @@ def test_equivariance_certificates(rng):
         theta_new = (frame.theta + rot) % math.pi
         center_new = a * frame.center + b
         flip = (frame.theta + rot) % (2 * math.pi) >= math.pi
-        new = med._normalize_frame(theta_new, center_new)
+        new = med._frame_from_two_points(theta_new, center_new, center_new)
         assert masses_ok(moved, new)
 
 

@@ -280,7 +280,7 @@ def _cell_norm_max(f):
 def _inf_forms(sys, b):
     f = b.function()
     scales = sys.scale_of_row()
-    arr = b.coeff_array()
+    arr = b.blocks
     diff = []
     for k in range(1, sys.params.depth + 1):
         coeffs = np.where((scales == k - 1)[:, None, None], arr, 0.0)
@@ -411,7 +411,7 @@ PLURAL_PS = (0.5, 1, 2, 4, np.inf)
 
 def _besov_diff_loop(sys, b, p):
     """Per-p reference: synthesize each d_k b and take its cell SVDs afresh."""
-    arr = b.coeff_array()
+    arr = b.blocks
     scales = sys.scale_of_row()
     total = 0.0
     for k in range(1, sys.params.depth + 1):

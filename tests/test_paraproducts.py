@@ -391,3 +391,40 @@ def test_random_symbol_matches_per_index_draws(d, N, dim, m, scales, with_mean):
         assert np.array_equal(b.coeffs[h], block)
     assert np.array_equal(b.coarse_mean, mean if with_mean else np.zeros((m, m)))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("with_block,mean,blockdim", [
+    (False, [[3.0]], 2),      # a 1 x 1 mean on a 2 x 2 symbol
+    (True, np.eye(2), None),  # a 2 x 2 mean next to 1 x 1 blocks
+])
+def test_symbol_rejects_coarse_mean_of_wrong_shape(with_block, mean, blockdim):
+    sys = build_system(DyadicParams(2, 2))
+    table = {sys.haar_indices[0]: [[1.0]]} if with_block else {}
+    with pytest.raises(ValueError, match="coarse mean included"):
+        Symbol(sys, table, coarse_mean=mean, blockdim=blockdim)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_symbol_blocks_are_the_basis_coefficients(rng, m):
+    sys = build_system(DyadicParams(3, 2))
+    f = StepFunction(rng.standard_normal((sys.n_cells, m, m)))
+    b = Symbol.from_function(sys, f)
+    assert np.array_equal(b.blocks, sys.coeffs(f))
+    assert b.blockdim == m and np.array_equal(b.coarse_mean, b.blocks[0])
+    # the table constructor and the array constructor give the same symbol
+    assert np.array_equal(Symbol(sys, b.coeffs, b.coarse_mean).blocks, b.blocks)
+    assert list(b.coeffs) == [h for h, blk in zip(sys.haar_indices, b.blocks[1:]) if np.any(blk)]
+    with pytest.raises(ValueError):
+        b.blocks[1] = 0.0
+    with pytest.raises(TypeError):
+        b.coeffs[sys.haar_indices[0]] = np.zeros((m, m))
+    with pytest.raises(ValueError, match="blocks must have shape"):
+        Symbol.from_blocks(sys, b.blocks[1:])
+
+
+def test_from_blocks_copies_its_input():
+    sys = build_system(DyadicParams(2, 2))
+    blocks = np.zeros((sys.dim_basis, 1, 1), dtype=complex)
+    b = Symbol.from_blocks(sys, blocks)
+    blocks[1] = 5.0
+    assert blocks.flags.writeable and not b.blocks.any()
