@@ -45,12 +45,74 @@ def _rec(name, ref, worst, bound, detail=""):
     return CheckRecord(name, ref, bool(worst <= bound), float(worst), detail)
 
 
-def load_calibration(path=None):
+def _read_calibration(path):
     if path is not None:
         with open(path) as fh:
             return json.load(fh)
     with resources.files("parahaar").joinpath("calibration.json").open() as fh:
         return json.load(fh)
+
+
+def _positive(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and 0 < x < math.inf
+
+
+def _shape_error(key, value, shape):
+    """Why `value` under `key` does not have the `shape` of the packaged value
+    with finite positive numbers; None if it does."""
+    if isinstance(shape, dict):
+        if not isinstance(value, dict):
+            return f"key {key!r} must be an object, got {json.dumps(value)}"
+        for sub in sorted(shape.keys() | value.keys()):
+            if sub not in value or sub not in shape:
+                return f"key '{key}/{sub}' is {'missing' if sub in shape else 'unknown'}"
+            why = _shape_error(f"{key}/{sub}", value[sub], shape[sub])
+            if why:
+                return why
+        return None
+    if isinstance(shape, list):
+        if (isinstance(value, list) and len(value) == 2 and all(map(_positive, value))
+                and value[0] <= value[1]):
+            return None
+        return f"key {key!r} must be [lo, hi] with 0 < lo <= hi, got {json.dumps(value)}"
+    if _positive(value):
+        return None
+    return f"key {key!r} must be a finite number > 0, got {json.dumps(value)}"
+
+
+def _calibration_error(calib):
+    """Why `calibrated_suite` cannot judge against `calib`, naming the first bad
+    key of the CALIBRATED table; None if it can."""
+    if not isinstance(calib, dict):
+        return f"file must hold a JSON object, got a {type(calib).__name__}"
+    packaged = _read_calibration(None)
+    for _, _, margin_key, _, keys in CALIBRATED:
+        for key in (margin_key, *keys):
+            if key not in calib:
+                return f"key {key!r} is missing"
+        margin = calib[margin_key]
+        if not (_positive(margin) and margin >= 1):
+            return f"key {margin_key!r} must be a number >= 1, got {json.dumps(margin)}"
+        for key in keys:
+            why = _shape_error(key, calib[key], packaged[key])
+            if why:
+                return why
+    return None
+
+
+def load_calibration(path=None):
+    """The calibration dictionary at `path`, the packaged one by default.  Raises
+    ValueError, naming the key, unless each key of the CALIBRATED table has the
+    packaged file's shape, each value is a finite number > 0 or [lo, hi] with
+    0 < lo <= hi, and each margin is >= 1."""
+    try:
+        calib = _read_calibration(path)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"calibration file is not JSON: {exc}") from exc
+    error = _calibration_error(calib)
+    if error:
+        raise ValueError(f"calibration {error}")
+    return calib
 
 
 # ---------------------------------------------------------------------------
@@ -858,167 +920,126 @@ def _tensor_trials(levels, trials, rng):
     return out
 
 
-def _excess(vals, lo, hi, margin):
-    """How far the ratios `vals` leave [lo / margin, hi * margin]; <= 0 inside."""
-    return max(max(vals) / (hi * margin) - 1.0, (lo / margin) / min(vals) - 1.0)
+# The calibrated records: (record, paper ref, margin key, margin, calibration
+# keys).  Each judges the fresh values of its keys against the frozen ones widened
+# by its margin (a key named *_lower holds a minimum); `calibrate` writes the margins.
+CALIBRATED = (
+    ("paraproduct-equivalence", "two-sided-symbol-norm", "paraproduct_margin", 1.6,
+     ("paraproduct_ratio",)),
+    ("block-equivalence", "block-size-independence", "block_margin", 1.6, ("block_ratio",)),
+    ("difference-form-equivalence", "two-sided-difference-form", "diff_haar_margin", 1.3,
+     ("diff_haar_ratio",)),
+    ("triangular-projection-growth", "projection-norm-shape", "triangular_margin", 1.3,
+     ("triangular_growth",)),
+    ("shift-commutator-growth", "complexity-normalized-ratio", "shift_growth_margin", 2.5,
+     ("shift_growth_anchor",)),
+    ("nwo-bound", "testing-pair-sums", "nwo_margin", 1.5, ("nwo_constant",)),
+    ("continuum-grid-equivalence", "window-besov-comparison", "continuum_margin", 1.5,
+     ("continuum_ratio",)),
+    ("bounded-multiplier", "operator-bmo-bound", "theta_bmo_margin", 1.5,
+     ("theta_bmo_constant",)),
+    ("testing-quantity-floor", "separated-cube-domination", "testing_margin", 1.5,
+     ("testing_lower",)),
+    ("word-algebra-equivalence", "word-paraproduct-besov-ratio", "word_margin", 1.6,
+     ("car_ratio", "tensor_ratio")),
+)
+
+
+def _measure(rng, trials, calibrating, progress=None):
+    """Every calibrated quantity, drawn in one fixed order: a dictionary shaped
+    like calibration.json, with [min, max] for each two-sided ratio, the max
+    for each upper constant and the min for `testing_lower`.  Trial counts are
+    those of `calibrate` when `calibrating`, else those of `verify`."""
+    def n(calibrate_count, verify_count):
+        return calibrate_count if calibrating else verify_count
+
+    say = progress or (lambda line: None)
+    out = {"paraproduct_ratio": {}, "continuum_ratio": {}}
+    for d, depth in ((2, 4), (2, 5), (3, 4), (3, 5)):
+        res = _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0),
+                                  n(trials, max(20, trials // 4)), rng)
+        out["paraproduct_ratio"].update(
+            {f"{d},{p},{depth}": [min(v), max(v)] for p, v in res.items()})
+        say(f"paraproduct d={d} N={depth}")
+    out["block_ratio"] = {
+        f"{m},{p}": [min(v), max(v)] for m in (1, 2, 3)
+        for p, v in _paraproduct_trials(2, 4, (1.0, 2.0), n(max(40, trials // 4), 40), rng,
+                                        blockdim=m).items()}
+    say("block ratios")
+    out["diff_haar_ratio"] = {
+        f"{d},{p}": [min(v), max(v)] for d in (2, 3)
+        for p, v in _diff_haar_trials(d, n(max(40, trials // 4), 30), rng).items()}
+    say("difference-form ratios")
+    out["triangular_growth"] = {
+        str(p): max(_triangular_trials(p, n(trials // 2, trials // 4), rng), default=0.0)
+        for p in (1.1, 2.0, 4.0, 10.0)}
+    say("triangular growth")
+    # commutator ratios over the complexity weight (i^2 + j^2 + 1)^(1/2); the
+    # calibration sweep has only (i, j) = (0, 0), where the weight is exactly 1
+    sysg = build_system(DyadicParams(2, 6))
+    rows = shifts.commutator_growth_sweep(
+        sysg, random_symbol(sysg, rng), [2.0],
+        n([(0, 0)], [(i, j) for i in range(4) for j in range(4)]), seeds=range(n(5, 3)))
+    out["shift_growth_anchor"] = max(r["ratio"] / (r["i"] ** 2 + r["j"] ** 2 + 1) ** 0.5
+                                     for r in rows)
+    say("shift growth anchor")
+    out["nwo_constant"] = {
+        f"{dim},{p}": max(v) for dim, depth in ((1, 5), (2, 3))
+        for p, v in _nwo_trials(dim, depth, n(10, 5), rng).items()}
+    say("nwo constants")
+    for dim, depth in ((1, 4), (2, 3)):
+        res, upper = _continuum_trials(dim, depth, n(60, 12), rng)
+        out["continuum_ratio"].update({f"{dim},{p}": [min(v), max(v)] for p, v in res.items()})
+        out["continuum_ratio"][f"grid_upper,{dim}"] = max(upper)
+        say(f"continuum comparisons dim={dim}")
+    out["theta_bmo_constant"] = max(_theta_trials(n(40, 10), rng))
+    out["testing_lower"] = min(_testing_trials(n(20, 8), rng))
+    say("testing quantity")
+    out["car_ratio"] = {
+        f"{ng},{p}": [min(v), max(v)] for ng in (2, 3)
+        for p, v in _car_trials(ng, n(100, 25), rng).items()}
+    out["tensor_ratio"] = {
+        f"{levels},{p}": [min(v), max(v)] for levels, count in ((2, n(100, 25)), (3, n(30, 8)))
+        for p, v in _tensor_trials(levels, count, rng).items()}
+    say("word-algebra ratios")
+    return out
+
+
+def _excess(fresh, frozen, margin, lower=False):
+    """How far fresh values leave the frozen ones widened by `margin` (<= 0 inside):
+    a max past frozen * margin, a min (`lower`) or a band's lo below frozen / margin."""
+    if isinstance(fresh, dict):
+        return max(_excess(v, frozen[k], margin, lower) for k, v in fresh.items())
+    if isinstance(fresh, list):
+        return max(_excess(fresh[1], frozen[1], margin), _excess(fresh[0], frozen[0], margin, True))
+    return (frozen / margin) / fresh - 1.0 if lower else fresh / (frozen * margin) - 1.0
 
 
 def calibrate_all(seed=20240901, trials=200, progress=None):
     """Measure every frozen constant; returns the calibration dictionary."""
-    rng = np.random.default_rng(seed)
-    calib = {"seed": seed, "trials": trials}
-    say = progress or (lambda line: None)
-
-    calib["paraproduct_ratio"] = ratios = {}
-    for d in (2, 3):
-        for depth in (4, 5):
-            res = _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0), trials, rng)
-            ratios.update({f"{d},{p},{depth}": [min(v), max(v)] for p, v in res.items()})
-            say(f"paraproduct d={d} N={depth}")
-    calib["paraproduct_margin"] = 1.6
-
-    calib["block_ratio"] = {
-        f"{m},{p}": [min(v), max(v)] for m in (1, 2, 3)
-        for p, v in _paraproduct_trials(2, 4, (1.0, 2.0), max(40, trials // 4), rng,
-                                        blockdim=m).items()}
-    calib["block_margin"] = 1.6
-    say("block ratios")
-
-    calib["diff_haar_ratio"] = {
-        f"{d},{p}": [min(v), max(v)]
-        for d in (2, 3) for p, v in _diff_haar_trials(d, max(40, trials // 4), rng).items()}
-    calib["diff_haar_margin"] = 1.3
-    say("difference-form ratios")
-
-    calib["triangular_growth"] = {
-        str(p): max(_triangular_trials(p, trials // 2, rng), default=0.0)
-        for p in (1.1, 2.0, 4.0, 10.0)}
-    calib["triangular_margin"] = 1.3
-    say("triangular growth")
-
-    sysg = build_system(DyadicParams(2, 6))
-    b = random_symbol(sysg, rng)
-    rows = shifts.commutator_growth_sweep(sysg, b, [2.0], [(0, 0)], seeds=range(5))
-    calib["shift_growth_anchor"] = max(r["ratio"] for r in rows)
-    calib["shift_growth_margin"] = 2.5
-    say("shift growth anchor")
-
-    calib["nwo_constant"] = {
-        f"{dim},{p}": max(v)
-        for dim, depth in ((1, 5), (2, 3)) for p, v in _nwo_trials(dim, depth, 10, rng).items()}
-    calib["nwo_margin"] = 1.5
-    say("nwo constants")
-
-    calib["continuum_ratio"] = comp = {}
-    for dim, depth in ((1, 4), (2, 3)):
-        res, upper = _continuum_trials(dim, depth, 60, rng)
-        comp.update({f"{dim},{p}": [min(v), max(v)] for p, v in res.items()})
-        comp[f"grid_upper,{dim}"] = max(upper)
-        say(f"continuum comparisons dim={dim}")
-    calib["continuum_margin"] = 1.5
-
-    calib["theta_bmo_constant"] = max(_theta_trials(40, rng))
-    calib["theta_bmo_margin"] = 1.5
-
-    calib["testing_lower"] = min(_testing_trials(20, rng))
-    calib["testing_margin"] = 1.5
-    say("testing quantity")
-
-    calib["car_ratio"] = {
-        f"{ng},{p}": [min(v), max(v)] for ng in (2, 3) for p, v in _car_trials(ng, 100, rng).items()}
-    calib["tensor_ratio"] = {
-        f"{levels},{p}": [min(v), max(v)] for levels in (2, 3)
-        for p, v in _tensor_trials(levels, 100 if levels == 2 else 30, rng).items()}
-    calib["word_margin"] = 1.6
-    say("word-algebra ratios")
-    return calib
+    return {**_measure(np.random.default_rng(seed), trials, True, progress),
+            "seed": seed, "trials": trials,
+            **{margin_key: margin for _, _, margin_key, margin, _ in CALIBRATED}}
 
 
 def calibrated_suite(calib, seed=20240902, trials=200):
-    rng = np.random.default_rng(seed)
-    records = []
-
-    margin = calib["paraproduct_margin"]
-    worst = max(_excess(vals, *calib["paraproduct_ratio"][f"{d},{p},{depth}"], margin)
-                for d in (2, 3) for depth in (4, 5)
-                for p, vals in _paraproduct_trials(d, depth, (0.5, 1.0, 2.0, 4.0),
-                                                   max(20, trials // 4), rng).items())
-    records.append(_rec("paraproduct-equivalence", "two-sided-symbol-norm", worst, 0.0))
-
-    worst = -np.inf
+    fresh = _measure(np.random.default_rng(seed), trials, False)
+    records = {name: _rec(name, ref, max(_excess(fresh[key], calib[key], calib[margin_key],
+                                                 key.endswith("_lower")) for key in keys), 0.0)
+               for name, ref, margin_key, _, keys in CALIBRATED}
+    # two conditions on the frozen constants alone: the block bands centre alike
+    # for every block size, and the triangular growth follows max(p, p / (p - 1))
     centers = {}
-    for m in (1, 2, 3):
-        res = _paraproduct_trials(2, 4, (1.0, 2.0), 40, rng, blockdim=m)
-        for p, vals in res.items():
-            lo, hi = calib["block_ratio"][f"{m},{p}"]
-            worst = max(worst, _excess(vals, lo, hi, calib["block_margin"]))
-            centers.setdefault(p, []).append(0.5 * (lo + hi))
-    spread = max(max(v) / min(v) for v in centers.values())
-    rec = _rec("block-equivalence", "block-size-independence", worst, 0.0,
-               detail=f"center spread {spread:.3f}")
-    rec.passed = rec.passed and spread < 2.0
-    records.append(rec)
-
-    margin = calib["diff_haar_margin"]
-    worst = max(_excess(vals, *calib["diff_haar_ratio"][f"{d},{p}"], margin)
-                for d in (2, 3) for p, vals in _diff_haar_trials(d, 30, rng).items())
-    records.append(_rec("difference-form-equivalence", "two-sided-difference-form",
-                        worst, 0.0))
-
+    for key, (lo, hi) in calib["block_ratio"].items():
+        centers.setdefault(key.split(",")[1], []).append(0.5 * (lo + hi))
+    spread = max(max(c) / min(c) for c in centers.values())
     growth = calib["triangular_growth"]
-    worst = max(max(_triangular_trials(p, trials // 4, rng), default=-np.inf)
-                / (growth[str(p)] * calib["triangular_margin"]) - 1.0
-                for p in (1.1, 2.0, 4.0, 10.0))
-    shape = max(growth[str(p)] / max(p, p / (p - 1.0)) for p in (1.1, 2.0, 4.0, 10.0))
+    shape = max(g / max(float(p), float(p) / (float(p) - 1.0)) for p, g in growth.items())
     base = growth["2.0"] / 2.0
-    rec = _rec("triangular-projection-growth", "projection-norm-shape", worst, 0.0,
-               detail=f"shape/base {shape / base:.3f}")
-    rec.passed = rec.passed and shape <= 4.0 * base
-    records.append(rec)
-
-    sysg = build_system(DyadicParams(2, 6))
-    b = random_symbol(sysg, rng)
-    rows = shifts.commutator_growth_sweep(
-        sysg, b, [2.0], [(i, j) for i in range(4) for j in range(4)], seeds=range(3))
-    anchor = calib["shift_growth_anchor"] * calib["shift_growth_margin"]
-    worst = max(r["ratio"] / ((r["i"] ** 2 + r["j"] ** 2 + 1) ** 0.5) / anchor - 1.0
-                for r in rows)
-    records.append(_rec("shift-commutator-growth", "complexity-normalized-ratio",
-                        worst, 0.0))
-
-    worst = max(max(vals) / (calib["nwo_constant"][f"{dim},{p}"] * calib["nwo_margin"]) - 1.0
-                for dim, depth in ((1, 5), (2, 3))
-                for p, vals in _nwo_trials(dim, depth, 5, rng).items())
-    records.append(_rec("nwo-bound", "testing-pair-sums", worst, 0.0))
-
-    worst = -np.inf
-    margin = calib["continuum_margin"]
-    for dim, depth in ((1, 4), (2, 3)):
-        res, upper = _continuum_trials(dim, depth, 12, rng)
-        for p, vals in res.items():
-            worst = max(worst, _excess(vals, *calib["continuum_ratio"][f"{dim},{p}"], margin))
-        up = calib["continuum_ratio"][f"grid_upper,{dim}"] * margin
-        worst = max(worst, max(upper) / up - 1.0)
-    records.append(_rec("continuum-grid-equivalence", "window-besov-comparison",
-                        worst, 0.0))
-
-    cal = calib["theta_bmo_constant"] * calib["theta_bmo_margin"]
-    worst = max(_theta_trials(10, rng)) / cal - 1.0
-    records.append(_rec("bounded-multiplier", "operator-bmo-bound", worst, 0.0))
-
-    floor = calib["testing_lower"] / calib["testing_margin"]
-    worst = floor / min(_testing_trials(8, rng)) - 1.0
-    records.append(_rec("testing-quantity-floor", "separated-cube-domination", worst, 0.0))
-
-    margin = calib["word_margin"]
-    car = [_excess(vals, *calib["car_ratio"][f"{ng},{p}"], margin)
-           for ng in (2, 3) for p, vals in _car_trials(ng, 25, rng).items()]
-    tens = [_excess(vals, *calib["tensor_ratio"][f"{levels},{p}"], margin)
-            for levels in (2, 3)
-            for p, vals in _tensor_trials(levels, 25 if levels == 2 else 8, rng).items()]
-    records.append(_rec("word-algebra-equivalence", "word-paraproduct-besov-ratio",
-                        max(car + tens), 0.0))
-    return records
+    block, tri = records["block-equivalence"], records["triangular-projection-growth"]
+    block.passed, block.detail = block.passed and spread < 2.0, f"center spread {spread:.3f}"
+    tri.passed, tri.detail = tri.passed and shape <= 4.0 * base, f"shape/base {shape / base:.3f}"
+    return list(records.values())
 
 
 # ---------------------------------------------------------------------------

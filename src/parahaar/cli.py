@@ -227,7 +227,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    calib = checks.load_calibration(args.calibration)
+    try:
+        calib = checks.load_calibration(args.calibration)
+    except ValueError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
     records = checks.run_suite(args.suite, calib)
     for r in records:
         flag = "PASS" if r.passed else "FAIL"

@@ -22,7 +22,6 @@ __all__ = [
     "nondegenerate_probe",
     "GridOperator",
     "discretize",
-    "multiplication_grid_op",
     "commutator_grid_op",
     "weak_factorization",
     "random_admissible_family",
@@ -249,12 +248,6 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     np.fill_diagonal(avg, 0.0)
     mu = cells_per_axis ** (-dim)
     return GridOperator(avg * mu, dim, cells_per_axis)
-
-
-def multiplication_grid_op(values, dim: int) -> GridOperator:
-    values = np.asarray(values, dtype=complex)
-    cpa = round(values.size ** (1.0 / dim))
-    return GridOperator(np.diag(values), dim, cpa)
 
 
 def commutator_grid_op(T: GridOperator, b_values) -> GridOperator:

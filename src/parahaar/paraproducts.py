@@ -44,7 +44,6 @@ __all__ = [
     "splitting",
     "commutator_pieces",
     "rank_piece",
-    "tail_maximal",
     "scale_selector",
     "expectation_projector",
     "apply_op",
@@ -425,27 +424,3 @@ def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:
     out[row * m:(row + 1) * m, :] = np.einsum("ij,g->igj", block, pattern).reshape(m, D * m)
     return out
 
-
-def tail_maximal(sys, a: Symbol, f: StepFunction) -> StepFunction:
-    """Cellwise sup over k of |E_{k-1}((a - a_{k-1})(f - f_{k-1}))|."""
-    if a.blockdim != 1:
-        raise ValueError("the symbol must be scalar")
-    from .dyadic import expectation
-
-    a_fun = a.function()
-    if f.blockdim > 1:
-        a_vals = np.einsum("c,ij->cij", a_fun.scalar(), np.eye(f.blockdim))
-        a_fun = StepFunction(a_vals)
-    N = sys.params.depth
-    best = np.zeros(f.n_cells)
-    for k in range(1, N + 1):
-        a_tail = a_fun - expectation(sys, a_fun, k - 1)
-        f_tail = StepFunction(f.values) - expectation(sys, f, k - 1)
-        prod = StepFunction(np.einsum("cij,cjk->cik", a_tail.values, f_tail.values))
-        cond = expectation(sys, prod, k - 1)
-        if f.blockdim == 1:
-            mag = np.abs(cond.scalar())
-        else:
-            mag = np.linalg.svd(cond.values, compute_uv=False)[:, 0]
-        best = np.maximum(best, mag)
-    return StepFunction(best.astype(complex))

@@ -8,7 +8,6 @@ __all__ = [
     "schatten_norm",
     "schatten_norms",
     "singular_values",
-    "rank_one",
     "block_diagonal_project",
     "triangular_project",
 ]
@@ -116,15 +115,6 @@ def _from_singular_values(sv, p, blockdim) -> float:
         # drop numerical-rank noise, which p < 1 would otherwise amplify
         sv = sv[sv > sv[0] * sv.size * np.finfo(float).eps]
     return float((np.sum(sv**p) / blockdim) ** (1.0 / p))
-
-
-def rank_one(u, v) -> np.ndarray:
-    """Matrix of w -> u <v, w> (first argument of <,> conjugated)."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValueError("u and v must be vectors of equal length")
-    return np.outer(u, v.conj())
 
 
 def block_diagonal_project(T, blocks) -> np.ndarray:

@@ -240,3 +240,50 @@ def test_calibrate_command(tmp_path):
     # a freshly measured file is itself a valid verify input
     recs = checks.calibrated_suite(calib, seed=99, trials=8)
     assert all(r.passed for r in recs)
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda c: {k: v for k, v in c.items() if k != "tensor_ratio"},
+     "key 'tensor_ratio' is missing"),
+    (lambda c: {**c, "word_margin": "1.6"}, "key 'word_margin' must be a number >= 1"),
+    (lambda c: {**c, "block_ratio": {**c["block_ratio"], "1,1.0": [0.5]}},
+     "key 'block_ratio/1,1.0' must be [lo, hi] with 0 < lo <= hi"),
+    (lambda c: {**c, "nwo_margin": 0}, "key 'nwo_margin' must be a number >= 1"),
+    (lambda c: [c], "file must hold a JSON object"),
+    (lambda c: {**c, "car_ratio": {**c["car_ratio"], "2,1.0": [0.5, 0.4]}},
+     "key 'car_ratio/2,1.0' must be [lo, hi] with 0 < lo <= hi"),
+    (lambda c: "{", "file is not JSON"),
+], ids=["missing-key", "string-margin", "short-band", "zero-margin", "top-level-list",
+        "inverted-band", "not-json"])
+def test_malformed_calibration_rejected(tmp_path, capsys, edit, named):
+    path = tmp_path / "cal.json"
+    calib = edit(checks.load_calibration())
+    path.write_text(calib if isinstance(calib, str) else json.dumps(calib))
+    assert run_cli(["verify", "--suite", "all", "--calibration", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: calibration {named}")
+
+
+def test_calibrated_table_covers_the_file():
+    named = [key for _, _, margin_key, _, keys in checks.CALIBRATED
+             for key in (margin_key, *keys)]
+    assert sorted(named) == sorted(set(checks.load_calibration()) - {"seed", "trials"})
+
+
+def _scaled(tree, factor):
+    if isinstance(tree, dict):
+        return {k: _scaled(v, factor) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [x * factor for x in tree]
+    return tree * factor
+
+
+def test_every_calibrated_record_judges_its_keys():
+    # bands and upper constants shrunk 1000-fold, the lower constant raised
+    # 1000-fold: every record must fail
+    frozen = checks.load_calibration()
+    moved = {**frozen, **{key: _scaled(frozen[key], 1e3 if key == "testing_lower" else 1e-3)
+                          for *_, keys in checks.CALIBRATED for key in keys}}
+    recs = checks.calibrated_suite(moved, seed=99, trials=8)
+    assert [r.name for r in recs if not r.passed] == [row[0] for row in checks.CALIBRATED]

@@ -4,7 +4,7 @@ import pytest
 from parahaar.dyadic import DyadicParams, build_system
 from parahaar.kernels import (GridOperator, commutator_grid_op, discretize,
                               hilbert_kernel, homogeneous_sign_kernel,
-                              multiplication_grid_op, nondegenerate_probe,
+                              nondegenerate_probe,
                               nwo_quantities, nwo_quantity,
                               random_admissible_family,
                               standard_check,
@@ -196,6 +196,6 @@ def test_testing_quantity_positive(rng):
 
 def test_grid_ops_apply(rng):
     vals = rng.standard_normal(8)
-    M = multiplication_grid_op(vals, 1)
+    M = GridOperator(np.diag(vals.astype(complex)), 1, 8)
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.allclose(M.apply(f), vals * f)

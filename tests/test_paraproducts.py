@@ -8,7 +8,7 @@ from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
                                    mult_op, paraproduct, r_op, random_symbol,
                                    rank_piece, scale_selector, splitting,
-                                   tail_maximal, triangle_ops)
+                                   triangle_ops)
 from parahaar.spectral import schatten_norm, triangular_project
 
 
@@ -249,19 +249,6 @@ def test_linearity_in_symbol(rng):
                    b1.coarse_mean + 2 * b2.coarse_mean)
     for op in (paraproduct, adjoint_paraproduct, mult_op, r_op):
         assert np.abs(op(sys, combo) - op(sys, b1) - 2 * op(sys, b2)).max() < 1e-11
-
-
-def test_tail_maximal(rng):
-    sys = build_system(DyadicParams(2, 3))
-    const = Symbol(sys, {}, coarse_mean=np.array([[3.0]]))
-    f = StepFunction(rng.standard_normal(8))
-    assert np.abs(tail_maximal(sys, const, f).values).max() < 1e-14
-    a = random_symbol(sys, rng)
-    assert np.abs(tail_maximal(sys, a, StepFunction(np.ones(8))).values).max() < 1e-14
-    h = HaarIndex(CubeId(0, (0,)), 1)
-    ah = unit_symbol(sys, CubeId(0, (0,)), 1)
-    out = tail_maximal(sys, ah, haar_function(sys, h))
-    assert out.values[:, 0, 0].real.max() == pytest.approx(1.0, abs=1e-13)
 
 
 def test_matrix_free_application(rng):
