@@ -192,8 +192,15 @@ def _config_error(cfg, defaults):
 
 
 def cmd_run(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(args.config) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        print(f"error: config file cannot be read: {exc}", file=_sys.stderr)
+        return 1
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        print(f"error: config file is not JSON: {exc}", file=_sys.stderr)
+        return 1
     name = cfg.get("experiment") if isinstance(cfg, dict) else None
     if name not in EXPERIMENTS:
         print(f"error: unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}",

@@ -179,6 +179,7 @@ class FiniteDyadicSystem:
         self._basis = None
         self._avg = None
         self._layouts = None
+        self._descendants = {}
 
     def _axis_count(self, scale):
         return self.params.d**scale if self.params.dim == 1 else 2**scale
@@ -230,6 +231,32 @@ class FiniteDyadicSystem:
                 )
                 out.append(CubeId(k + 1, idx))
         return out
+
+    def descendants(self, k: int, g: int):
+        """Generation-g descendants of every scale-k cube, as (n_k, d_eff**g) ranks.
+
+        Row r lists the positions in `cubes_by_scale[k + g]` of the
+        descendants of `cubes_by_scale[k][r]`, in the order that applying
+        `children` g times lists them.  Each table is built from `children`
+        on first use and kept; the arrays are read-only.
+        """
+        if not (0 <= k and 0 <= g and k + g <= self.params.depth):
+            raise ValueError(f"generation {g} below scale {k} leaves the window")
+        table = self._descendants.get((k, g))
+        if table is None:
+            cubes = self.cubes_by_scale[k]
+            if g == 0:
+                table = np.arange(len(cubes))[:, None]
+            elif g == 1:
+                kids = np.array([kid.index for c in cubes for kid in self.children(c)])
+                shape = (self._axis_count(k + 1),) * self.params.dim
+                table = np.ravel_multi_index(kids.T, shape).reshape(len(cubes), self.d_eff)
+            else:
+                table = self.descendants(k + g - 1, 1)[self.descendants(k, g - 1)]
+                table = table.reshape(len(cubes), -1)
+            table.flags.writeable = False
+            self._descendants[k, g] = table
+        return table
 
     def haar_values(self, h: HaarIndex):
         """Cell values of the wavelet h (unit L2 norm, zero mean)."""

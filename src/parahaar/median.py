@@ -54,13 +54,11 @@ class WeightedPointSet:
             raise ValueError("point set must be nonempty")
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
-
-    @property
-    def total(self):
-        return float(self.w.sum())
+        self.total = float(self.w.sum())
+        self._scale = max(1.0, float(np.abs(self.z).max()))
 
     def scale(self):
-        return max(1.0, float(np.abs(self.z).max()))
+        return self._scale
 
 
 @dataclass(frozen=True)
@@ -313,6 +311,22 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
     return frame
 
 
+def _offsets(work, u, a1, a2, c):
+    """L2 offsets to try along u, computed only as far as they are read.
+
+    L2 preferably crosses the base line between the two ray origins, but any
+    certified offset is admissible: the midpoint of the origins' projections,
+    then the projection median, then every atom projection in between.
+    """
+    t_a = (np.conj(u) * complex(a1, c)).real
+    t_b = (np.conj(u) * complex(a2, c)).real
+    yield 0.5 * (t_a + t_b)
+    proj = (work.z * np.conj(u)).real
+    yield _inf_median(proj, work.w, work.total / 2.0)
+    t_lo, t_hi = min(t_a, t_b), max(t_a, t_b)
+    yield from np.unique(proj[(proj > t_lo) & (proj < t_hi)])
+
+
 def _try_frames_at(work, data, c, a1, a2, x):
     """All certified-frame attempts the overlap at base point x suggests."""
     (lo1, hi1, al1, ah1), (lo4, hi4, al4, ah4) = data.intervals(x)
@@ -324,17 +338,9 @@ def _try_frames_at(work, data, c, a1, a2, x):
         lo = hi = 0.5 * (lo + hi)  # touching up to rounding
     base = complex(x, c)
     for rho in (0.5 * (lo + hi), lo, hi):
-        # L2 preferably crosses the base line between the two ray origins,
-        # but any certified offset is admissible
         u = _direction(rho)
         c1 = (np.conj(1j * u) * base).real
-        t_a = (np.conj(u) * complex(a1, c)).real
-        t_b = (np.conj(u) * complex(a2, c)).real
-        t_lo, t_hi = min(t_a, t_b), max(t_a, t_b)
-        proj = (work.z * np.conj(u)).real
-        cands = [0.5 * (t_a + t_b), _inf_median(proj, work.w, work.total / 2.0)]
-        cands.extend(np.unique(proj[(proj > t_lo) & (proj < t_hi)]))
-        for c2 in cands:
+        for c2 in _offsets(work, u, a1, a2, c):
             frame = QuadrantFrame(rho % math.pi, float(c1), float(c2))
             ok, _ = _certify(work, frame)
             if ok:

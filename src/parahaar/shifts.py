@@ -8,12 +8,12 @@ carry coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from itertools import chain
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import CubeId, FiniteDyadicSystem, HaarIndex
+from .dyadic import CubeId, FiniteDyadicSystem
 from .paraproducts import Symbol, mult_op, r_op
 
 __all__ = [
@@ -35,75 +35,162 @@ def coefficient_radius(dim: int, i: int, j: int, k_scale: int) -> float:
     return float(np.sqrt(d_eff ** (-(k_scale + i)) * d_eff ** (-(k_scale + j))) / size_k)
 
 
-@dataclass
 class ShiftSpec:
-    i: int
-    j: int
-    dim: int
-    coeffs: Dict[Tuple[CubeId, CubeId, CubeId, int, int], complex] = field(default_factory=dict)
+    """The coefficients a(I, J, K, xi, eta) of a shift of complexity (i, j).
 
-    def __post_init__(self):
-        for (I, J, K, xi, eta), a in self.coeffs.items():
-            bound = coefficient_radius(self.dim, self.i, self.j, K.scale)
-            if abs(a) > bound * (1 + 1e-12):
-                raise ValueError(
-                    f"coefficient {abs(a):.6g} exceeds bound {bound:.6g} at K={K}"
-                )
+    Stored as read-only arrays with one entry per coefficient: `cubes`
+    (n, 3, 1 + dim) holds the labels of I, J and K, each a scale followed by
+    the cube's index; `colors` (n, 2) holds xi and eta; `values` (n,) the
+    coefficients.  `random_shift` keeps them in (K, I, J, xi, eta) order.  The
+    constructor takes a {(I, J, K, xi, eta): a} table of CubeIds;
+    `from_arrays` takes the arrays.  Both reject a coefficient that is not
+    finite or exceeds the radius at K's scale.
+    """
+
+    def __init__(self, i: int, j: int, dim: int,
+                 coeffs: Optional[Dict[Tuple[CubeId, CubeId, CubeId, int, int], complex]] = None):
+        coeffs = {} if coeffs is None else coeffs
+        keys = list(coeffs)
+        labels = [(cube.scale, *cube.index) for key in keys for cube in key[:3]]
+        if any(len(label) != 1 + dim for label in labels):
+            n = next(n for n, label in enumerate(labels) if len(label) != 1 + dim)
+            raise ValueError(f"entry {keys[n // 3]} has a cube that is not {dim}-dimensional")
+        # fromiter over plain values: a CubeId key hashes slowly, and np.array
+        # of tuples or numpy scalars converts one element at a time
+        n = len(keys)
+        self._adopt(i, j, dim,
+                    np.fromiter(chain.from_iterable(labels), np.int64).reshape(n, 3, 1 + dim),
+                    np.fromiter(chain.from_iterable(key[3:] for key in keys), np.int64)
+                    .reshape(n, 2),
+                    np.fromiter(coeffs.values(), complex, n))
+
+    @classmethod
+    def from_arrays(cls, i: int, j: int, dim: int, cubes, colors, values) -> "ShiftSpec":
+        """Spec with the given label, colour and value arrays (copied)."""
+        cubes = np.array(cubes, dtype=np.int64)
+        colors = np.array(colors, dtype=np.int64)
+        values = np.array(values, dtype=complex)
+        n = len(values)
+        if values.shape != (n,) or cubes.shape != (n, 3, 1 + dim) or colors.shape != (n, 2):
+            raise ValueError(f"need cubes ({n}, 3, {1 + dim}), colors ({n}, 2) and values ({n},); "
+                             f"got {cubes.shape}, {colors.shape} and {values.shape}")
+        spec = cls.__new__(cls)
+        spec._adopt(i, j, dim, cubes, colors, values)
+        return spec
+
+    def _adopt(self, i, j, dim, cubes, colors, values):
+        for a in (cubes, colors, values):
+            a.flags.writeable = False
+        self.i, self.j, self.dim = i, j, dim
+        self.cubes, self.colors, self.values = cubes, colors, values
+        bound = self.bounds()
+        # hypot is the scalar abs bit for bit; a NaN fails the comparison
+        outside = ~(np.hypot(values.real, values.imag) <= bound * (1 + 1e-12))
+        if outside.any():
+            n = int(outside.argmax())
+            raise ValueError(f"coefficient {abs(values[n]):.6g} at {self.entry(n)} "
+                             f"is not within the bound {bound[n]:.6g}")
+
+    def bounds(self) -> np.ndarray:
+        """coefficient_radius at each coefficient's K scale."""
+        scales, inverse = np.unique(self.cubes[:, 2, 0], return_inverse=True)
+        radius = np.array([coefficient_radius(self.dim, self.i, self.j, int(k)) for k in scales])
+        return radius[inverse.reshape(-1)]
+
+    def entry(self, n: int):
+        """Coefficient n's key (I, J, K, xi, eta)."""
+        I, J, K = (CubeId(int(c[0]), tuple(int(x) for x in c[1:])) for c in self.cubes[n])
+        return I, J, K, int(self.colors[n, 0]), int(self.colors[n, 1])
 
 
-def _generation(sys: FiniteDyadicSystem, cube: CubeId, g: int):
-    level = [cube]
-    for _ in range(g):
-        level = [kid for c in level for kid in sys.children(c)]
-    return level
+def _cube_labels(sys: FiniteDyadicSystem, scale, rank) -> np.ndarray:
+    """Labels, scale then index on a last axis, of the cubes `cubes_by_scale[scale][rank]`."""
+    scale, rank = np.broadcast_arrays(scale, rank)
+    count = np.array([sys._axis_count(s) for s in range(sys.params.depth + 1)])[scale]
+    index = []
+    for _ in range(sys.params.dim):  # C order, last axis fastest
+        index.insert(0, rank % count)
+        rank = rank // count
+    return np.stack([scale, *index], axis=-1)
 
 
 def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
-    """Coefficients uniform on the maximal-radius disk, per-K contractive."""
+    """Coefficients uniform on the maximal-radius disk, per-K contractive.
+
+    One draw fills every coefficient's radius and angle fractions in
+    (K, I, J, xi, eta, [radius, angle]) order, K by scale and then in
+    `cubes_by_scale` order, I and J in `descendants` order; one batched SVD
+    gives the norm of every K block.
+    """
     if sys.params.d != 2:
         raise ValueError("shifts are defined on binary systems")
     N = sys.params.depth
     if max(i, j) + 1 > N:
         raise ValueError("window too shallow for this complexity")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    dim = sys.params.dim
-    coeffs = {}
-    for k in range(0, N - max(i, j)):
-        for K in sys.cubes_by_scale[k]:
-            gen_i = _generation(sys, K, i)
-            gen_j = _generation(sys, K, j)
-            bound = coefficient_radius(dim, i, j, k)
-            block = {}
-            for I in gen_i:
-                for J in gen_j:
-                    for xi in range(1, sys.n_colors + 1):
-                        for eta in range(1, sys.n_colors + 1):
-                            r = np.sqrt(rng.uniform(0.0, 1.0)) * bound
-                            phi = rng.uniform(0.0, 2 * np.pi)
-                            block[(I, J, K, xi, eta)] = r * np.exp(1j * phi)
-            # the coefficient bound alone gives contractivity only for dim 1;
-            # rescale the K-block so property (1) holds in every dimension
-            rows = {key[1] for key in block}
-            cols = {key[0] for key in block}
-            rpos = {(J, eta): a for a, (J, eta) in enumerate(
-                (J, eta) for J in sorted(rows, key=lambda c: c.index) for eta in range(1, sys.n_colors + 1))}
-            cpos = {(I, xi): a for a, (I, xi) in enumerate(
-                (I, xi) for I in sorted(cols, key=lambda c: c.index) for xi in range(1, sys.n_colors + 1))}
-            M = np.zeros((len(rpos), len(cpos)), dtype=complex)
-            for (I, J, K2, xi, eta), a in block.items():
-                M[rpos[(J, eta)], cpos[(I, xi)]] = a
-            norm = np.linalg.svd(M, compute_uv=False)[0]
-            if norm > 1.0:
-                block = {key: a / norm for key, a in block.items()}
-            coeffs.update(block)
-    return ShiftSpec(i, j, dim, coeffs)
+    dim, n_c = sys.params.dim, sys.n_colors
+    scales = range(N - max(i, j))
+    counts = [len(sys.cubes_by_scale[k]) for k in scales]
+    scale = np.repeat(scales, counts)  # of each K
+    own = np.concatenate([np.arange(n) for n in counts])  # each K's rank in its scale
+    gen_i = np.concatenate([sys.descendants(k, i) for k in scales])
+    gen_j = np.concatenate([sys.descendants(k, j) for k in scales])
+    (n_K, n_I), n_J = gen_i.shape, gen_j.shape[1]
+    shape = (n_K, n_I, n_J, n_c, n_c)
+    radius = np.array([coefficient_radius(dim, i, j, k) for k in scales])[scale]
+    u, v = np.moveaxis(rng.random(shape + (2,)), -1, 0)
+    block = np.sqrt(u) * radius[:, None, None, None, None] * np.exp(1j * (2 * np.pi * v))
+    # the coefficient bound alone gives contractivity only for dim 1;
+    # rescale each K-block so property (1) holds in every dimension.  A
+    # block's rows are J by index, then eta; its columns I by index, then xi
+    M = block.transpose(0, 2, 4, 1, 3)
+    M = np.take_along_axis(M, gen_j.argsort(axis=1)[:, :, None, None, None], axis=1)
+    M = np.take_along_axis(M, gen_i.argsort(axis=1)[:, None, None, :, None], axis=3)
+    norm = np.linalg.svd(M.reshape(n_K, n_J * n_c, n_I * n_c), compute_uv=False)[:, 0]
+    norm = norm[:, None, None, None, None]
+    cubes = np.empty(shape + (3, 1 + dim), dtype=np.int64)
+    cubes[..., 0, :] = _cube_labels(sys, scale[:, None] + i, gen_i)[:, :, None, None, None]
+    cubes[..., 1, :] = _cube_labels(sys, scale[:, None] + j, gen_j)[:, None, :, None, None]
+    cubes[..., 2, :] = _cube_labels(sys, scale, own)[:, None, None, None, None]
+    colors = np.empty(shape + (2,), dtype=np.int64)
+    colors[..., 0] = np.arange(1, n_c + 1)[:, None]
+    colors[..., 1] = np.arange(1, n_c + 1)
+    return ShiftSpec.from_arrays(i, j, dim, cubes.reshape(-1, 3, 1 + dim), colors.reshape(-1, 2),
+                                 np.where(norm > 1.0, block / norm, block).ravel())
+
+
+def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
+    """Basis positions (rows, cols) of each coefficient's (J, eta) and (I, xi).
+
+    Raises ValueError naming the first entry whose cubes or colours the
+    system cannot hold: a Haar cube has a scale in 0..depth-1 and an index
+    inside the window, and a colour lies in 1..n_colors.
+    """
+    N, dim, n_c = sys.params.depth, sys.params.dim, sys.n_colors
+    if spec.dim != dim:
+        raise ValueError(f"a {spec.dim}-dimensional shift on a {dim}-dimensional system")
+    counts = np.array([sys._axis_count(s) for s in range(N)])
+    # basis position of the first Haar slot of each scale
+    first = 1 + n_c * np.concatenate([[0], np.cumsum(counts**dim)[:-1]])
+    scale, index = spec.cubes[:, :, 0], spec.cubes[:, :, 1:]
+    fits = (0 <= scale) & (scale < N)
+    count = counts[np.where(fits, scale, 0)]
+    fits &= np.all((0 <= index) & (index < count[:, :, None]), axis=2)
+    fits = fits.all(axis=1) & np.all((1 <= spec.colors) & (spec.colors <= n_c), axis=1)
+    if not fits.all():
+        n = int(fits.argmin())
+        raise ValueError(f"entry {spec.entry(n)} has a cube or colour the system cannot hold "
+                         f"(Haar scales 0..{N - 1}, colours 1..{n_c})")
+    rank = np.zeros(scale.shape, dtype=np.int64)
+    for t in range(dim):
+        rank = rank * count + index[:, :, t]
+    pos = first[scale[:, :2]] + n_c * rank[:, :2] + spec.colors - 1
+    return pos[:, 1], pos[:, 0]
 
 
 def assemble_shift(sys: FiniteDyadicSystem, spec: ShiftSpec, blockdim: int = 1) -> np.ndarray:
-    D = sys.dim_basis
-    S = np.zeros((D, D), dtype=complex)
-    for (I, J, K, xi, eta), a in spec.coeffs.items():
-        S[sys.haar_pos[HaarIndex(J, eta)], sys.haar_pos[HaarIndex(I, xi)]] += a
+    S = np.zeros((sys.dim_basis, sys.dim_basis), dtype=complex)
+    np.add.at(S, _slots(sys, spec), spec.values)
     if blockdim > 1:
         S = np.kron(S, np.eye(blockdim))
     return S
@@ -115,24 +202,28 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     S = assemble_shift(sys, spec, m)
     R = r_op(sys, b)
     phi = S @ R - R @ S
+    if not len(spec.values):
+        return phi, {}
 
     f = b.function()
-    avg = {}
+    width = spec.cubes.shape[2]
+    cubes, inverse = np.unique(spec.cubes[:, :2].reshape(-1, width), axis=0, return_inverse=True)
+    avg = np.stack([f.values[sys.cells_of(CubeId(int(c[0]), tuple(int(x) for x in c[1:])))]
+                    .mean(axis=0) for c in cubes])
+    inverse = inverse.reshape(-1, 2)
+    terms = spec.values[:, None, None] * (avg[inverse[:, 0]] - avg[inverse[:, 1]])
 
-    def cube_avg(c):
-        if c not in avg:
-            cells = sys.cells_of(c)
-            avg[c] = f.values[cells].mean(axis=0)
-        return avg[c]
-
+    rows, cols = _slots(sys, spec)
+    owners, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True,
+                                     return_inverse=True)
+    owner = owner.reshape(-1)
     D = sys.dim_basis
-    blocks = {}
-    for (I, J, K, xi, eta), a in spec.coeffs.items():
-        B = blocks.setdefault(K, np.zeros((D * m, D * m), dtype=complex))
-        row = sys.haar_pos[HaarIndex(J, eta)]
-        col = sys.haar_pos[HaarIndex(I, xi)]
-        B[row * m:(row + 1) * m, col * m:(col + 1) * m] += a * (cube_avg(I) - cube_avg(J))
-    return phi, blocks
+    B = np.zeros((len(owners), D * m, D * m), dtype=complex)
+    band = np.arange(m)
+    np.add.at(B, (owner[:, None, None], rows[:, None, None] * m + band[:, None],
+                  cols[:, None, None] * m + band), terms)
+    # one block per K, in the order the Ks first appear
+    return phi, {spec.entry(n)[2]: B[owner[n]] for n in np.sort(first)}
 
 
 def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):
@@ -197,11 +288,13 @@ def averaged_shift_cell_matrix(params, i, j):
     for word in range(2**N):
         omega = tuple((word >> s) & 1 for s in range(N))
         sysw = FiniteDyadicSystem(params, GridShift(omega))
+        cubes = sysw.cubes_by_scale
         coeffs = {}
         for k in range(0, N - max(i, j)):
-            for K in sysw.cubes_by_scale[k]:
-                for I in _generation(sysw, K, i):
-                    for J in _generation(sysw, K, j):
+            for K, gen_i, gen_j in zip(cubes[k], sysw.descendants(k, i).tolist(),
+                                       sysw.descendants(k, j).tolist()):
+                for I in (cubes[k + i][r] for r in gen_i):
+                    for J in (cubes[k + j][r] for r in gen_j):
                         coeffs[(I, J, K, 1, 1)] = phase_rule(sysw, I, J, K)
         S = assemble_shift(sysw, ShiftSpec(i, j, 1, coeffs))
         acc += sysw.basis_matrix @ S @ sysw.analysis_matrix

@@ -217,6 +217,22 @@ def _leaves(tree, prefix=""):
             yield f"{prefix}{key}", value
 
 
+@pytest.mark.parametrize("args, file_text, named", [
+    (["run", "--config"], None, "config file cannot be read"),
+    (["run", "--config"], "{", "config file is not JSON"),
+    (["verify", "--suite", "covering", "--calibration"], None, "calibration file cannot be read"),
+], ids=["missing-config", "config-not-json", "missing-calibration"])
+def test_unreadable_input_file_rejected(tmp_path, capsys, args, file_text, named):
+    path = tmp_path / "input.json"
+    if file_text is not None:
+        path.write_text(file_text)
+    assert run_cli(args + [str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {named}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("trials", ["0", "1", "-3"])
 def test_calibrate_rejects_too_few_trials(tmp_path, capsys, trials):
     out = tmp_path / "cal.json"

@@ -298,3 +298,21 @@ def test_scale_layouts_built_once_read_only(d, N, dim, shift):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 4, 1, (1, 0, 1, 1)),
+                                           (2, 3, 2, (3, 1, 2))])
+def test_descendants_repeat_children(d, N, dim, shift):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    assert sys._descendants == {}  # nothing is built with the system
+    for k in range(N + 1):
+        for g in range(N + 1 - k):
+            table = sys.descendants(k, g)
+            assert sys.descendants(k, g) is table and not table.flags.writeable
+            for K, ranks in zip(sys.cubes_by_scale[k], table):
+                level = [K]
+                for _ in range(g):
+                    level = [kid for c in level for kid in sys.children(c)]
+                assert [sys.cubes_by_scale[k + g][r] for r in ranks] == level
+    with pytest.raises(ValueError):
+        sys.descendants(1, N)

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from parahaar.dyadic import CubeId, DyadicParams, GridShift, build_system
+from parahaar.dyadic import CubeId, DyadicParams, GridShift, HaarIndex, build_system
 from parahaar.paraproducts import Symbol, random_symbol
 from parahaar.shifts import (ShiftSpec, assemble_shift, averaged_shift_cell_matrix,
                              coefficient_radius, commutator_growth_sweep,
@@ -19,18 +21,99 @@ def test_spec_rejects_violation():
     K = CubeId(0, (0,))
     I = CubeId(1, (0,))
     J = CubeId(1, (1,))
+    for bad in (0.51, np.nan, complex(np.nan, 0.0), np.inf):
+        with pytest.raises(ValueError):
+            ShiftSpec(1, 1, 1, {(I, J, K, 1, 1): bad})
     with pytest.raises(ValueError):
-        ShiftSpec(1, 1, 1, {(I, J, K, 1, 1): 0.51})
+        ShiftSpec(1, 1, 1, {(I, CubeId(1, (1, 0)), K, 1, 1): 0.1})  # a 2-d label in a 1-d spec
     ShiftSpec(1, 1, 1, {(I, J, K, 1, 1): 0.5})  # at the bound is fine
+    # colours and labels the system cannot hold are named at assembly, never aliased
+    sys = build_system(DyadicParams(2, 2))
+    b = random_symbol(sys, np.random.default_rng(0))
+    for key in ((I, J, K, 5, 1), (I, J, K, 1, 0), (CubeId(1, (2,)), J, K, 1, 1),
+                (I, CubeId(2, (0,)), K, 1, 1), (I, J, CubeId(-1, (0,)), 1, 1)):
+        spec = ShiftSpec(1, 1, 1, {(I, J, K, 1, 1): 0.1, key: 0.1})
+        for build in (lambda: assemble_shift(sys, spec), lambda: phi_blocks(sys, spec, b)):
+            with pytest.raises(ValueError, match=re.escape(str(key))):
+                build()
+    with pytest.raises(ValueError):
+        assemble_shift(build_system(DyadicParams(2, 2, dim=2)), ShiftSpec(1, 1, 1, {}))
 
 
 def test_random_shift_deterministic():
     sys = build_system(DyadicParams(2, 4))
     s1 = random_shift(sys, 1, 2, 99)
     s2 = random_shift(sys, 1, 2, 99)
-    assert s1.coeffs.keys() == s2.coeffs.keys()
-    for k in s1.coeffs:
-        assert s1.coeffs[k] == s2.coeffs[k]
+    for name in ("cubes", "colors", "values"):
+        assert np.array_equal(getattr(s1, name), getattr(s2, name))
+        assert not getattr(s1, name).flags.writeable
+    assert len(s1.values) == (1 + 2) * 2 * 4  # K at scales 0 and 1, 2 cubes I, 4 cubes J
+    I, J, K, xi, eta = s1.entry(0)
+    assert (K, xi, eta) == (CubeId(0, (0,)), 1, 1)
+    assert I in sys.children(K) and J in sys.children(sys.children(K)[0])
+
+
+# Reference for the array path of random_shift and assemble_shift: the scalar
+# draws, the coefficient dict, one SVD per cube K and HaarIndex lookups, one
+# coefficient at a time.
+def _reference_shift_matrix(sys, i, j, rng, blockdim=1):
+    def generation(cube, g):
+        level = [cube]
+        for _ in range(g):
+            level = [kid for c in level for kid in sys.children(c)]
+        return level
+
+    colors = range(1, sys.n_colors + 1)
+    coeffs = {}
+    for k in range(0, sys.params.depth - max(i, j)):
+        bound = coefficient_radius(sys.params.dim, i, j, k)
+        for K in sys.cubes_by_scale[k]:
+            block = {}
+            for I in generation(K, i):
+                for J in generation(K, j):
+                    for xi in colors:
+                        for eta in colors:
+                            r = np.sqrt(rng.uniform(0.0, 1.0)) * bound
+                            phi = rng.uniform(0.0, 2 * np.pi)
+                            block[(I, J, xi, eta)] = r * np.exp(1j * phi)
+            rows = [(J, eta) for J in sorted(generation(K, j), key=lambda c: c.index)
+                    for eta in colors]
+            cols = [(I, xi) for I in sorted(generation(K, i), key=lambda c: c.index)
+                    for xi in colors]
+            M = np.zeros((len(rows), len(cols)), dtype=complex)
+            for (I, J, xi, eta), a in block.items():
+                M[rows.index((J, eta)), cols.index((I, xi))] = a
+            norm = np.linalg.svd(M, compute_uv=False)[0]
+            coeffs.update({key: a / norm if norm > 1.0 else a for key, a in block.items()})
+    S = np.zeros((sys.dim_basis, sys.dim_basis), dtype=complex)
+    for (I, J, xi, eta), a in coeffs.items():
+        S[sys.haar_pos[HaarIndex(J, eta)], sys.haar_pos[HaarIndex(I, xi)]] += a
+    return np.kron(S, np.eye(blockdim)) if blockdim > 1 else S
+
+
+@pytest.mark.parametrize("depth, dim, shift, blockdim", [
+    (5, 1, None, 1), (3, 2, None, 1), (4, 1, (1, 0, 1, 1), 1), (3, 2, (3, 1, 2), 1),
+    (4, 1, None, 2),
+])
+def test_array_path_equals_reference(depth, dim, shift, blockdim):
+    sys = build_system(DyadicParams(2, depth, dim), None if shift is None else GridShift(shift))
+    for i in range(3):
+        for j in range(3):
+            if max(i, j) + 1 > depth:
+                continue
+            for seed in (0, 1):
+                ref = _reference_shift_matrix(sys, i, j, np.random.default_rng(seed), blockdim)
+                S = assemble_shift(sys, random_shift(sys, i, j, seed), blockdim)
+                assert np.array_equal(S, ref), (i, j, seed)
+
+
+def test_array_path_shares_a_generator():
+    sys = build_system(DyadicParams(2, 4))
+    ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+    for i, j in ((0, 0), (1, 2), (2, 1)):
+        assert np.array_equal(assemble_shift(sys, random_shift(sys, i, j, ours)),
+                              _reference_shift_matrix(sys, i, j, ref))
+    assert ours.random() == ref.random()
 
 
 def test_window_too_shallow():
@@ -47,8 +130,6 @@ def test_assemble_zero_and_rank_one():
     spec = ShiftSpec(0, 1, 1, {(K, J, K, 1, 1): 0.3j})
     S = assemble_shift(sys, spec)
     assert schatten_norm(S, np.inf) == pytest.approx(0.3)
-    from parahaar.dyadic import HaarIndex
-
     assert S[sys.haar_pos[HaarIndex(J, 1)], sys.haar_pos[HaarIndex(K, 1)]] == 0.3j
 
 
