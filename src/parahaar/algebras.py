@@ -4,6 +4,11 @@ unitary-conjugation norm-transference checks.
 
 Word levels count generators; the empty word sits at level 0, so level-1
 coefficients act on the empty-word column of the paraproduct matrix.
+
+Both algebras share one word table, `_WordTable`: the words in public order,
+their levels, and u_a u_b^* = phase u_prod for every pair by index arithmetic.
+The paraproduct, Besov form and transference check are written once against
+it; the explicit matrix products `car_word` and `tensor_word` are its oracles.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -23,18 +28,14 @@ __all__ = [
     "car_sign",
     "car_subsets",
     "car_paraproduct",
-    "besov_car",
     "besov_cars",
-    "car_transference_check",
     "car_transference_checks",
     "tensor_basis",
     "eta_lambda",
     "tensor_indices",
     "tensor_word",
     "tensor_paraproduct",
-    "besov_tensor",
     "besov_tensors",
-    "tensor_transference_check",
     "tensor_transference_checks",
 ]
 
@@ -78,8 +79,8 @@ def car_generators(n_gen: int):
 def car_word(subset: Sequence[int], n_gen: int) -> np.ndarray:
     """c_A = product of generators in increasing order; c_empty = identity."""
     subset = sorted(set(subset))
-    if subset and subset[-1] > n_gen:
-        raise ValueError(f"subset {subset} exceeds generator range {n_gen}")
+    if subset and (subset[0] < 1 or subset[-1] > n_gen):
+        raise ValueError(f"subset {subset} lies outside the generators 1..{n_gen}")
     gens = car_generators(n_gen)
     M = np.eye(2 ** _qubits(n_gen), dtype=complex)
     for k in subset:
@@ -92,41 +93,11 @@ def car_trace(x) -> complex:
     return complex(np.trace(x) / x.shape[0])
 
 
-def car_sign(A, B, n_gen: int, fast: bool = True) -> int:
-    """Sign s with c_A c_B^* = s c_{A xor B}.
-
-    The fast path counts anticommutations; it must agree with the explicit
-    matrix product, which remains the ground truth at small sizes.
-    """
-    A = sorted(set(A))
-    B = sorted(set(B))
-    if fast:
-        # c_B^* = (-1)^{|B|(|B|-1)/2} c_B (reversing the word), and moving
-        # each generator of B leftwards through c_A costs one sign per
-        # element of A strictly larger than it, plus the self-cancellation
-        sign = 1
-        nb = len(B)
-        if (nb * (nb - 1) // 2) % 2:
-            sign = -sign
-        word = list(A)
-        for g in B:
-            # commute g through the part of `word` to the right of its slot
-            crossings = sum(1 for h in word if h > g)
-            if crossings % 2:
-                sign = -sign
-            if g in word:
-                word.remove(g)
-            else:
-                word.append(g)
-                word.sort()
-        return sign
-    M = car_word(A, n_gen) @ car_word(B, n_gen).conj().T
-    target = car_word(sorted(set(A) ^ set(B)), n_gen)
-    val = np.trace(target.conj().T @ M) / M.shape[0]
-    s = int(round(val.real))
-    if abs(val - s) > 1e-10 or s not in (-1, 1):
-        raise RuntimeError("word product is not +-1 times a basis word")
-    return s
+def car_sign(A, B, n_gen: int) -> int:
+    """Sign s with c_A c_B^* = s c_{A xor B}, read from the word table."""
+    table = _car_table(n_gen)
+    a, b = (_position(table, tuple(sorted(set(X)))) for X in (A, B))
+    return int(table.phases[table.phase_code[a, b]].real)
 
 
 def car_subsets(n_gen: int):
@@ -136,152 +107,57 @@ def car_subsets(n_gen: int):
     return sorted(subs, key=lambda s: (max(s) if s else 0, len(s), s))
 
 
-def _level(subset) -> int:
-    return max(subset) if subset else 0
-
-
 def car_paraproduct(bhat: Dict[Tuple[int, ...], complex], n_gen: int) -> np.ndarray:
     """Matrix (A, B) -> sign * bhat[A xor B] when max(A) > max(B), else 0."""
-    subs = car_subsets(n_gen)
-    pos = {s: i for i, s in enumerate(subs)}
-    for key in bhat:
-        if key and max(key) > n_gen:
-            raise ValueError(f"coefficient {key} outside the configured level")
-    out = np.zeros((len(subs), len(subs)), dtype=complex)
-    for ia, A in enumerate(subs):
-        for ib, B in enumerate(subs):
-            if _level(A) <= _level(B):
-                continue
-            E = tuple(sorted(set(A) ^ set(B)))
-            coeff = bhat.get(E, 0.0)
-            if coeff:
-                out[ia, ib] = car_sign(A, B, n_gen) * coeff
-    return out
-
-
-def besov_car(bhat, n_gen: int, p) -> float:
-    """(sum_k 2^k ||d_k b||_p^p)^(1/p) with the normalized-trace block norm;
-    at p = inf, max_k ||d_k b||_inf."""
-    return besov_cars(bhat, n_gen, (p,))[0]
+    return _paraproduct(_car_table(n_gen), bhat)
 
 
 def besov_cars(bhat, n_gen: int, ps) -> list[float]:
-    """[besov_car(bhat, n_gen, p) for p in ps]: each d_k b is summed once and
-    all levels share one batched SVD."""
-    from .norms import _require_positive
-
-    _require_positive(ps)
-    dim = 2 ** _qubits(n_gen)
-    blocks, weights = [], []
-    for k in range(1, n_gen + 1):
-        dk = np.zeros((dim, dim), dtype=complex)
-        got = False
-        for A, coeff in bhat.items():
-            if _level(A) == k and coeff:
-                dk += coeff * car_word(A, n_gen)
-                got = True
-        if got:
-            blocks.append(dk)
-            weights.append(2**k)
-    return _level_sums(blocks, weights, ps)
-
-
-def _level_sums(blocks, weights, ps) -> list[float]:
-    """(sum_k w_k ||d_k b||_p^p)^(1/p) per p over the word-level blocks d_k b."""
-    from .norms import _block_lps, _weighted_sum
-
-    if not blocks:
-        return [0.0] * len(ps)
-    return [_weighted_sum(lps.tolist(), weights, p)
-            for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
-
-
-def car_transference_check(bhat, n_gen: int, p):
-    """(lhs, rhs, residual): Schatten norm of the scalar matrix against the
-    word-valued block matrix under the Tr (x) normalized-trace convention."""
-    return car_transference_checks(bhat, n_gen, (p,))[0]
+    """(sum_k 2^k ||d_k b||_p^p)^(1/p) per p, with the normalized-trace block
+    norm; at p = inf, max_k ||d_k b||_inf."""
+    return _besov(_car_table(n_gen), bhat, ps)
 
 
 def car_transference_checks(bhat, n_gen: int, p_values):
-    """car_transference_check at every p, from one SVD of each matrix."""
-    subs = car_subsets(n_gen)
-    dim = 2 ** _qubits(n_gen)
-    scalar = car_paraproduct(bhat, n_gen)
-    big = np.zeros((len(subs) * dim, len(subs) * dim), dtype=complex)
-    words = {s: car_word(s, n_gen) for s in subs}
-    for ia, A in enumerate(subs):
-        for ib, B in enumerate(subs):
-            if scalar[ia, ib]:
-                E = tuple(sorted(set(A) ^ set(B)))
-                # the word-valued entry is bhat(E) c_E: the sign inside the
-                # scalar entry cancels against the one in c_A c_B^*
-                big[ia * dim:(ia + 1) * dim, ib * dim:(ib + 1) * dim] = (
-                    car_sign(A, B, n_gen) * scalar[ia, ib] * words[E]
-                )
-    return _transference_residuals(big, scalar, dim, p_values)
+    """(lhs, rhs, residual) per p: Schatten norm of the scalar matrix against
+    the word-valued block matrix under the Tr (x) normalized-trace convention."""
+    return _transference_checks(_car_table(n_gen), bhat, p_values)
 
 
 # ---------------------------------------------------------------------------
 # Tensor products of d x d matrix algebras.
 
 
-def _cycle_power(d: int, j: int, l: int) -> int:
-    """sigma^j(l) for the d-cycle sigma = (1 2 ... d), arguments in 1..d."""
-    return (l + j - 1) % d + 1
-
-
 def tensor_basis(i: int, j: int, d: int) -> np.ndarray:
-    """U_(i,j) = sum_l omega^{i l} e_{l, sigma^j(l)}; U_(d,d) = identity."""
+    """U_(i,j) = sum_l omega^{i l} e_{l, sigma^j(l)} for the d-cycle
+    sigma = (1 2 ... d); U_(d,d) = identity."""
     if not (1 <= i <= d and 1 <= j <= d):
         raise ValueError("indices must lie in 1..d")
     omega = np.exp(2j * np.pi / d)
     U = np.zeros((d, d), dtype=complex)
     for l in range(1, d + 1):
-        U[l - 1, _cycle_power(d, j, l) - 1] = omega ** ((i * l) % d)
+        U[l - 1, (l + j - 1) % d] = omega ** ((i * l) % d)
     return U
-
-
-def _mod_rep(x: int, d: int) -> int:
-    """Representative of x modulo d inside [1, d]."""
-    return (x - 1) % d + 1
 
 
 def eta_lambda(alpha, beta, d: int):
     """(eta, lam) with U_alpha U_beta^* = lam U_eta; |lam| = 1.
 
-    alpha, beta are tuples of (i, j) pairs per level (level = position + 1),
-    trailing identity pairs (d, d) trimmed away.
+    alpha, beta are words of `tensor_indices`: tuples of (i, j) pairs per
+    level (level = position + 1), trailing identity pairs (d, d) trimmed away.
     """
-    la, lb = len(alpha), len(beta)
-    top = max(la, lb)
-    lam = 1.0 + 0j
-    omega = np.exp(2j * np.pi / d)
-    ent = []
-    for lvl in range(top):
-        it, jt = alpha[lvl] if lvl < la else (d, d)
-        ib, jb = beta[lvl] if lvl < lb else (d, d)
-        if lvl < lb:
-            # factor from U_(it,jt) U_(ib,jb)^*
-            lam *= omega ** ((-ib * (jt - jb)) % d)
-            ent.append((_mod_rep(it - ib, d), _mod_rep(jt - jb, d)))
-        else:
-            ent.append((it, jt))
-    while ent and ent[-1] == (d, d):
-        ent.pop()
-    return tuple(ent), lam
+    alpha, beta = tuple(map(tuple, alpha)), tuple(map(tuple, beta))
+    table = _tensor_table(d, max(len(alpha), len(beta), 1))
+    a, b = _position(table, alpha), _position(table, beta)
+    return table.words[table.prod[a, b]], table.phases[table.phase_code[a, b]]
 
 
 def tensor_indices(d: int, levels: int):
-    """All words with entries in [1,d]^2 whose top level is not (d, d)."""
-    out = [()]
-    for top in range(1, levels + 1):
-        lower = list(itertools.product(itertools.product(range(1, d + 1), repeat=2), repeat=top - 1))
-        for prefix in lower:
-            for last in itertools.product(range(1, d + 1), repeat=2):
-                if last == (d, d):
-                    continue
-                out.append(prefix + (last,))
-    return sorted(out, key=lambda a: (len(a), a))
+    """All words with entries in [1,d]^2 whose top level is not (d, d),
+    ordered by (length, lex); empty first."""
+    pairs = list(itertools.product(range(1, d + 1), repeat=2))
+    return [()] + [w for top in range(1, levels + 1)
+                   for w in itertools.product(pairs, repeat=top) if w[-1] != (d, d)]
 
 
 def tensor_word(alpha, d: int, levels: int) -> np.ndarray:
@@ -305,73 +181,157 @@ def _tensor_word(alpha, d, levels):
 
 def tensor_paraproduct(bhat, d: int, levels: int) -> np.ndarray:
     """Entries conj(lam_{a,b}) bhat(eta_{a,b}) when max(a) > max(b), else 0."""
-    idx = tensor_indices(d, levels)
-    known = set(idx)
-    for key in bhat:
-        if key not in known:
-            raise ValueError(f"coefficient {key} is not a word of tensor_indices({d}, {levels})")
-    out = np.zeros((len(idx), len(idx)), dtype=complex)
-    for ia, a in enumerate(idx):
-        for ib, b in enumerate(idx):
-            if len(a) <= len(b):
-                continue
-            eta, lam = eta_lambda(a, b, d)
-            coeff = bhat.get(eta, 0.0)
-            if coeff:
-                out[ia, ib] = np.conj(lam) * coeff
-    return out
-
-
-def besov_tensor(bhat, d: int, levels: int, p) -> float:
-    """(sum_k d^{2k} ||d_k b||_p^p)^(1/p), normalized trace on the word algebra;
-    at p = inf, max_k ||d_k b||_inf."""
-    return besov_tensors(bhat, d, levels, (p,))[0]
+    return _paraproduct(_tensor_table(d, levels), bhat)
 
 
 def besov_tensors(bhat, d: int, levels: int, ps) -> list[float]:
-    """[besov_tensor(bhat, d, levels, p) for p in ps]: each d_k b is summed
-    once and all levels share one batched SVD."""
-    from .norms import _require_positive
-
-    _require_positive(ps)
-    blocks, weights = [], []
-    for k in range(1, levels + 1):
-        dk = None
-        for a, coeff in bhat.items():
-            if len(a) == k and coeff:
-                if dk is None:
-                    dk = np.zeros((d**levels, d**levels), dtype=complex)
-                dk += coeff * tensor_word(a, d, levels)
-        if dk is not None:
-            blocks.append(dk)
-            weights.append(float(d) ** (2 * k))
-    return _level_sums(blocks, weights, ps)
-
-
-def _transference_residuals(big, scalar, dim, p_values):
-    from .spectral import schatten_norms
-
-    lhs = schatten_norms(big, p_values, blockdim=dim)
-    rhs = schatten_norms(scalar, p_values)
-    return [(a, b, abs(a - b)) for a, b in zip(lhs, rhs)]
-
-
-def tensor_transference_check(bhat, d: int, levels: int, p):
-    return tensor_transference_checks(bhat, d, levels, (p,))[0]
+    """(sum_k d^{2k} ||d_k b||_p^p)^(1/p) per p, normalized trace on the word
+    algebra; at p = inf, max_k ||d_k b||_inf."""
+    return _besov(_tensor_table(d, levels), bhat, ps)
 
 
 def tensor_transference_checks(bhat, d: int, levels: int, p_values):
-    """tensor_transference_check at every p, from one SVD of each matrix."""
-    idx = tensor_indices(d, levels)
-    dim = d**levels
-    scalar = tensor_paraproduct(bhat, d, levels)
-    big = np.zeros((len(idx) * dim, len(idx) * dim), dtype=complex)
-    for ia, a in enumerate(idx):
-        for ib, b in enumerate(idx):
-            if scalar[ia, ib]:
-                eta, lam = eta_lambda(a, b, d)
-                # block = bhat(eta) U_eta; the scalar entry is conj(lam) bhat(eta)
-                big[ia * dim:(ia + 1) * dim, ib * dim:(ib + 1) * dim] = (
-                    scalar[ia, ib] / np.conj(lam) * tensor_word(eta, d, levels)
-                )
-    return _transference_residuals(big, scalar, dim, p_values)
+    """(lhs, rhs, residual) per p, as `car_transference_checks`."""
+    return _transference_checks(_tensor_table(d, levels), bhat, p_values)
+
+
+# ---------------------------------------------------------------------------
+# The word table and the three operations written against it.
+
+
+class _WordTable(NamedTuple):
+    """Words u_a in public order with u_a u_b^* = phases[phase_code[a, b]] u_prod[a, b]."""
+    name: str              # the call listing the words, for error messages
+    words: list
+    index: dict            # word -> position
+    level: np.ndarray      # (N,) nondecreasing
+    prod: np.ndarray       # (N, N) positions
+    phase_code: np.ndarray  # (N, N) positions in `phases`
+    phases: np.ndarray     # distinct phases, complex
+    weight: float          # the level-k Besov term carries weight ** k
+    word: Callable         # word -> its explicit matrix
+
+
+def _table(name, words, level, prod, phase_code, phases, weight, word):
+    """The table with its phase codes in the narrowest dtype that holds them."""
+    return _WordTable(name, words, {w: i for i, w in enumerate(words)}, np.asarray(level), prod,
+                      phase_code.astype(np.min_scalar_type(len(phases) - 1), copy=False),
+                      np.asarray(phases, dtype=complex), weight, word)
+
+
+@functools.cache
+def _car_table(n_gen: int) -> _WordTable:
+    words = car_subsets(n_gen)
+    masks = np.array([sum(1 << (g - 1) for g in w) for w in words],
+                     dtype=np.min_scalar_type(2**n_gen - 1))  # bit g-1 is c_g
+    pos = np.empty(2**n_gen, dtype=np.min_scalar_type(len(words) - 1))
+    pos[masks] = np.arange(len(words))
+    popcount = np.zeros(2**n_gen, dtype=np.uint8)
+    for g in range(n_gen):
+        popcount[1 << g:2 << g] = popcount[:1 << g] + 1
+    # c_B^* reverses c_B, a sign (-1)^{|B|(|B|-1)/2}; then each b in B moves
+    # left through every a > b of A, one sign each
+    size = popcount[masks].astype(np.int64)
+    parity = np.tile(((size * (size - 1) // 2) % 2).astype(np.uint8), (len(words), 1))
+    for g in range(n_gen):
+        parity ^= (popcount[masks >> (g + 1)] & 1)[:, None] & ((masks >> g) & 1).astype(np.uint8)
+    return _table(f"car_subsets({n_gen})", words, [max(w, default=0) for w in words],
+                  pos[masks[:, None] ^ masks], parity, [1, -1], 2.0,
+                  functools.partial(car_word, n_gen=n_gen))
+
+
+@functools.cache
+def _tensor_table(d: int, levels: int) -> _WordTable:
+    words = tensor_indices(d, levels)
+    n = len(words)
+    # per-level digits modulo d, the identity pair (d, d) above the top level
+    digits = np.array([list(w) + [(d, d)] * (levels - len(w)) for w in words],
+                      dtype=np.int32).reshape(n, levels, 2) % d
+    key, eta_key, phase_code = (np.zeros(shape, dtype=np.int32) for shape in (n, (n, n), (n, n)))
+    for lvl in range(levels):
+        i, j = digits[:, lvl, 0], digits[:, lvl, 1]
+        key += (i * d + j) * d ** (2 * lvl)
+        # U_(it,jt) U_(ib,jb)^* = omega^{-ib (jt - jb)} U_(it-ib, jt-jb)
+        dj = j[:, None] - j
+        eta_key += ((i[:, None] - i) % d * d + dj % d) * d ** (2 * lvl)
+        phase_code += (-i * dj) % d * d**lvl
+    pos = np.empty(d ** (2 * levels), dtype=np.min_scalar_type(n - 1))
+    pos[key] = np.arange(n)
+    # each phase multiplied level by level from the lowest, as a scalar
+    omega = np.exp(2j * np.pi / d)
+    powers = [omega**k for k in range(d)]
+    phases = []
+    for code in range(d**levels):
+        lam = 1.0 + 0j
+        for lvl in range(levels):
+            lam *= powers[code // d**lvl % d]
+        phases.append(lam)
+    return _table(f"tensor_indices({d}, {levels})", words, [len(w) for w in words],
+                  pos[eta_key], phase_code, phases, float(d) ** 2,
+                  functools.partial(tensor_word, d=d, levels=levels))
+
+
+def _position(table: _WordTable, word) -> int:
+    try:
+        return table.index[word]
+    except KeyError:
+        raise ValueError(f"{word} is not a word of {table.name}") from None
+
+
+def _coefficients(table: _WordTable, bhat) -> np.ndarray:
+    """bhat as a vector over the table's words; a key that is not a word raises."""
+    c = np.zeros(len(table.words), dtype=complex)
+    for key, value in bhat.items():
+        c[_position(table, key)] = value
+    return c
+
+
+def _paraproduct(table: _WordTable, bhat) -> np.ndarray:
+    """Entries conj(phase_ab) bhat(prod_ab) where level(a) > level(b), else 0."""
+    c = _coefficients(table, bhat)
+    # every phase times every coefficient in real arithmetic, which rounds as
+    # the scalar complex product does and numpy's vectorized one may not
+    conj = table.phases.conj()[:, None]
+    terms = np.zeros((len(conj), len(c)), dtype=complex)
+    terms.real = conj.real * c.real - conj.imag * c.imag
+    terms.imag = conj.real * c.imag + conj.imag * c.real
+    terms[:, c == 0] = 0
+    out = terms[table.phase_code, table.prod]
+    out[table.level[:, None] <= table.level] = 0
+    return out
+
+
+def _besov(table: _WordTable, bhat, ps) -> list[float]:
+    """Levels summed in word order; all levels share one batched SVD."""
+    from .norms import _block_lps, _require_positive, _weighted_sum
+
+    _require_positive(ps)
+    c = _coefficients(table, bhat)
+    blocks, weights = [], []
+    for k in range(1, int(table.level[-1]) + 1):
+        at = np.flatnonzero((table.level == k) & (c != 0))
+        if at.size:
+            blocks.append(sum(c[i] * table.word(table.words[i]) for i in at))
+            weights.append(table.weight**k)
+    if not blocks:
+        return [0.0] * len(ps)
+    return [_weighted_sum(lps.tolist(), weights, p)
+            for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
+
+
+def _transference_checks(table: _WordTable, bhat, p_values):
+    """(lhs, rhs, residual) per p, from one SVD of each matrix."""
+    from .spectral import schatten_norms
+
+    scalar = _paraproduct(table, bhat)
+    words = np.stack([table.word(w) for w in table.words])
+    n, dim = len(words), words.shape[1]
+    a, b = np.nonzero(scalar)
+    # the word-valued entry is bhat(prod) u_prod: the scalar entry over the
+    # phase it carries, so the phase cancels against the one in u_a u_b^*
+    coef = scalar[a, b] / table.phases.conj()[table.phase_code[a, b]]
+    big = np.zeros((n, dim, n, dim), dtype=complex)
+    big[a, :, b, :] = coef[:, None, None] * words[table.prod[a, b]]
+    lhs = schatten_norms(big.reshape(n * dim, n * dim), p_values, blockdim=dim)
+    rhs = schatten_norms(scalar, p_values)
+    return [(x, y, abs(x - y)) for x, y in zip(lhs, rhs)]

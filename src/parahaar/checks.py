@@ -547,8 +547,10 @@ def transference_suite(seed=20240803):
                                         size=rng.integers(0, ng + 1), replace=False)))
             B = tuple(sorted(rng.choice(range(1, ng + 1),
                                         size=rng.integers(0, ng + 1), replace=False)))
-            if algebras.car_sign(A, B, ng, fast=True) != algebras.car_sign(A, B, ng, fast=False):
-                worst = max(worst, 1.0)
+            # oracle: the word table's sign against the explicit matrix product
+            prod = algebras.car_word(A, ng) @ algebras.car_word(B, ng).conj().T
+            tgt = algebras.car_sign(A, B, ng) * algebras.car_word(set(A) ^ set(B), ng)
+            worst = max(worst, float(np.abs(prod - tgt).max()))
     records.append(_rec("car-relations", "anticommutation-products", worst, EXACT_TOL))
 
     worst = 0.0
@@ -567,6 +569,7 @@ def transference_suite(seed=20240803):
                         tgt = om ** (j * k) * algebras.tensor_basis(
                             (i + k - 1) % d + 1, (j + l - 1) % d + 1, d)
                         worst = max(worst, float(np.abs(U @ V - tgt).max()))
+    # oracle: the word table's (eta, lam) against explicit Kronecker products
     idx = algebras.tensor_indices(2, 3)
     for _ in range(100):
         a = idx[rng.integers(0, len(idx))]

@@ -25,7 +25,6 @@ __all__ = [
     "commutator_grid_op",
     "weak_factorization",
     "random_admissible_family",
-    "nwo_quantity",
     "nwo_quantities",
     "testing_quantity",
 ]
@@ -318,14 +317,9 @@ def random_admissible_family(sys, rng):
     return fams
 
 
-def nwo_quantity(V: GridOperator, families, p) -> float:
-    """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family;
-    max_I |<e_I, V f_I>| at p = inf."""
-    return nwo_quantities(V, families, (p,))[0]
-
-
 def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
-    """[nwo_quantity(V, families, p) for p in ps], each pairing taken once."""
+    """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family at
+    each p in ps, each pairing taken once; max_I |<e_I, V f_I>| at p = inf."""
     mu = V.cell_measure
     pairs = [abs(np.vdot(e, V.apply(f)) * mu) for e, f in families]
     return [float(_weighted_sum(pairs, [1] * len(pairs), p)) for p in ps]

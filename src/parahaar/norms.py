@@ -27,9 +27,7 @@ __all__ = [
     "besov_osc",
     "bmo_dyadic",
     "bmo_operator",
-    "besov_continuum",
     "besov_continuums",
-    "besov_haar_adjacent",
     "besov_haar_adjacents",
     "BmoForms",
 ]
@@ -206,20 +204,15 @@ def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
     return W
 
 
-def besov_continuum(values, p, dim: int = 1, refinement: int = 4) -> float:
-    """Double-integral Besov functional of a step function on a uniform grid.
+def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[float]:
+    """Double-integral Besov functional of a step function on a uniform grid,
+    at each p in ps, from one SVD of the cell-pair differences.
 
     Same-cell pairs contribute 0 exactly; off-cell pairs use the midpoint
     rule with `refinement` subdivisions per axis (monotone increasing in the
     refinement, the kernel being convex off the diagonal).  At p = inf, the
     p -> inf limit max_{x != y} ||b_x - b_y||_inf (W > 0 off the diagonal).
     """
-    return besov_continuums(values, (p,), dim, refinement)[0]
-
-
-def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[float]:
-    """[besov_continuum(values, p, dim, refinement) for p in ps], from one SVD
-    of the cell-pair differences."""
     _require_positive(ps)
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
@@ -269,19 +262,15 @@ def _half_overlaps(k: int, variant: int, depth: int):
     return overlap(lo, lo + half), overlap(lo + half, lo + 2 * half)
 
 
-def besov_haar_adjacent(values, p, dim: int, variant_mask: int, depth: int) -> float:
+def besov_haar_adjacents(values, ps, dim: int, variant_mask: int, depth: int) -> list[float]:
     """Haar-coefficient Besov sum of a standard-grid step function over one
-    shifted lattice of the covering family (cubes fully inside the window).
+    shifted lattice of the covering family (cubes fully inside the window), at
+    each p in ps, from one set of terms.
 
     Coefficients are exact overlap integrals of the piecewise-constant input
     against the shifted wavelets; scalar values only.  Terms run by scale,
     then cube (last axis fastest), then colour; at p = inf, the largest term.
     """
-    return besov_haar_adjacents(values, (p,), dim, variant_mask, depth)[0]
-
-
-def besov_haar_adjacents(values, ps, dim: int, variant_mask: int, depth: int) -> list[float]:
-    """[besov_haar_adjacent(values, p, ...) for p in ps], from one set of terms."""
     _require_positive(ps)
     values = np.asarray(values, dtype=complex)
     n_axis = 2**depth

@@ -4,16 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from parahaar.algebras import (besov_car, besov_cars, besov_tensor,
+from parahaar.algebras import (_car_table, _tensor_table, besov_cars,
                                besov_tensors, car_generators,
                                car_paraproduct, car_sign, car_subsets,
-                               car_trace, car_transference_check,
-                               car_transference_checks, car_word,
+                               car_trace, car_transference_checks, car_word,
                                eta_lambda, pauli_matrices, tensor_basis,
-                               tensor_indices,
-                               tensor_paraproduct, tensor_transference_check,
+                               tensor_indices, tensor_paraproduct,
                                tensor_transference_checks, tensor_word)
 from parahaar.norms import block_lp
+from parahaar.spectral import schatten_norms
 
 
 def test_pauli_construction():
@@ -56,16 +55,6 @@ def test_word_orthonormality():
             assert abs(val - (1.0 if A == B else 0.0)) < 1e-13
 
 
-def test_sign_paths_agree(rng):
-    ng = 6
-    for _ in range(60):
-        A = tuple(sorted(rng.choice(range(1, ng + 1), size=rng.integers(0, ng + 1),
-                                    replace=False)))
-        B = tuple(sorted(rng.choice(range(1, ng + 1), size=rng.integers(0, ng + 1),
-                                    replace=False)))
-        assert car_sign(A, B, ng, fast=True) == car_sign(A, B, ng, fast=False)
-
-
 def test_car_paraproduct_structure(rng):
     subs = car_subsets(3)
     pos = {s: i for i, s in enumerate(subs)}
@@ -88,34 +77,32 @@ def test_besov_car_single_level():
     for k in (1, 2, 3):
         bhat = {(k,): 2.0}
         dk = 2.0 * car_word((k,), 3)
-        for p in (1, 2, 3):
-            assert besov_car(bhat, 3, p) == pytest.approx(
-                2 ** (k / p) * block_lp(dk, p))
+        for p, got in zip((1, 2, 3), besov_cars(bhat, 3, (1, 2, 3))):
+            assert got == pytest.approx(2 ** (k / p) * block_lp(dk, p))
 
 
 def test_car_transference(rng):
     for ng in (2, 3):
         bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
                 for A in car_subsets(ng) if A}
-        for p in (1, 2, 3, 4):
-            lhs, rhs, resid = car_transference_check(bhat, ng, p)
+        for lhs, rhs, resid in car_transference_checks(bhat, ng, (1, 2, 3, 4)):
             assert resid < 1e-8
     single = {(1,): 1.5}
-    lhs, rhs, resid = car_transference_check(single, 2, 2)
+    [(lhs, rhs, resid)] = car_transference_checks(single, 2, (2,))
     assert resid < 1e-12 and lhs == pytest.approx(1.5)
-    assert car_transference_check({}, 2, 2)[2] == 0.0
+    assert car_transference_checks({}, 2, (2,))[0][2] == 0.0
 
 
 def test_transference_checks_share_one_svd_per_matrix(rng):
     ps = (1, 2, 3, 4)
     bhat = {A: complex(rng.standard_normal(), rng.standard_normal())
             for A in car_subsets(3) if A}
-    assert car_transference_checks(bhat, 3, ps) == [car_transference_check(bhat, 3, p)
+    assert car_transference_checks(bhat, 3, ps) == [car_transference_checks(bhat, 3, (p,))[0]
                                                     for p in ps]
     that = {a: complex(rng.standard_normal(), rng.standard_normal())
             for a in tensor_indices(2, 2) if a}
     assert tensor_transference_checks(that, 2, 2, ps) == [
-        tensor_transference_check(that, 2, 2, p) for p in ps]
+        tensor_transference_checks(that, 2, 2, (p,))[0] for p in ps]
 
 
 def test_tensor_basis_d2():
@@ -176,13 +163,11 @@ def test_tensor_paraproduct_and_transference(rng):
         idx = tensor_indices(2, levels)
         for i, j in zip(*np.nonzero(P)):
             assert len(idx[i]) > len(idx[j])
-        for p in (1, 2, 3, 4):
-            lhs, rhs, resid = tensor_transference_check(bhat, 2, levels, p)
+        for lhs, rhs, resid in tensor_transference_checks(bhat, 2, levels, (1, 2, 3, 4)):
             assert resid < 1e-8
     single = {((1, 2),): 0.7}
-    lhs, rhs, resid = tensor_transference_check(single, 2, 1, 2)
-    assert resid < 1e-12
-    lhs0, rhs0, resid0 = tensor_transference_check({}, 2, 1, 2)
+    assert tensor_transference_checks(single, 2, 1, (2,))[0][2] < 1e-12
+    [(lhs0, rhs0, resid0)] = tensor_transference_checks({}, 2, 1, (2,))
     assert lhs0 == rhs0 == 0.0
     for word in (((1, 2), (9, 9)), ((1, 2), (2, 2)), ((1, 1), (1, 1), (1, 2))):
         with pytest.raises(ValueError, match=re.escape(str(word))):
@@ -191,11 +176,10 @@ def test_tensor_paraproduct_and_transference(rng):
 
 def test_besov_tensor_single_level():
     bhat = {((1, 1), (1, 2)): 3.0}
-    for p in (1, 2):
-        dk = 3.0 * tensor_word(((1, 1), (1, 2)), 2, 2)
+    dk = 3.0 * tensor_word(((1, 1), (1, 2)), 2, 2)
+    for p, got in zip((1, 2), besov_tensors(bhat, 2, 2, (1, 2))):
         # single level k=2: weight d^{2k} = 2^4 inside the p-th root
-        assert besov_tensor(bhat, 2, 2, p) == pytest.approx(
-            2.0 ** (4.0 / p) * block_lp(dk, p))
+        assert got == pytest.approx(2.0 ** (4.0 / p) * block_lp(dk, p))
 
 
 PLURAL_PS = (0.5, 1, 2, 4, np.inf)
@@ -268,3 +252,163 @@ def test_tensor_words_are_read_only_kron_products(d, levels):
         assert tensor_word([list(map(np.int64, ij)) for ij in a], d, levels) is got
     with pytest.raises(TypeError):
         tensor_word(((1.0, 2),), 2, 1)
+
+
+# -- the word table against explicit matrix products and the per-entry loops
+
+
+@pytest.mark.parametrize("ng", [1, 2, 3, 4, 5, 6])
+def test_car_table_every_pair_matches_matrix_products(ng):
+    table = _car_table(ng)
+    assert table.words == car_subsets(ng)
+    W = np.stack([car_word(A, ng) for A in table.words])
+    products = np.einsum("aij,bkj->abik", W, W.conj())
+    assert np.array_equal(products, table.phases[table.phase_code][:, :, None, None] * W[table.prod])
+    for a, A in enumerate(table.words):
+        for b, B in enumerate(table.words):
+            assert np.array_equal(products[a, b], car_sign(A, B, ng) * car_word(set(A) ^ set(B), ng))
+
+
+@pytest.mark.parametrize("d,levels", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_tensor_table_every_pair_matches_matrix_products(d, levels):
+    table = _tensor_table(d, levels)
+    assert table.words == tensor_indices(d, levels)
+    W = np.stack([tensor_word(a, d, levels) for a in table.words])
+    products = np.einsum("aij,bkj->abik", W, W.conj())
+    want = table.phases[table.phase_code][:, :, None, None] * W[table.prod]
+    assert np.abs(products - want).max() < 1e-12
+    assert np.abs(np.abs(table.phases) - 1).max() < 1e-14
+
+
+def _reference_sign(A, B):
+    """s with c_A c_B^* = s c_{A xor B}: c_B^* reverses B, then each generator
+    of B is commuted through the word to its slot, one at a time."""
+    sign = -1 if (len(B) * (len(B) - 1) // 2) % 2 else 1
+    word = list(A)
+    for g in B:
+        if sum(1 for h in word if h > g) % 2:
+            sign = -sign
+        if g in word:
+            word.remove(g)
+        else:
+            word.append(g)
+            word.sort()
+    return sign
+
+
+def _reference_car_paraproduct(bhat, n_gen):
+    """The per-entry loop the word table replaced."""
+    subs = car_subsets(n_gen)
+    out = np.zeros((len(subs), len(subs)), dtype=complex)
+    for ia, A in enumerate(subs):
+        for ib, B in enumerate(subs):
+            if max(A, default=0) <= max(B, default=0):
+                continue
+            coeff = bhat.get(tuple(sorted(set(A) ^ set(B))), 0.0)
+            if coeff:
+                out[ia, ib] = _reference_sign(A, B) * coeff
+    return out
+
+
+def _reference_eta_lambda(alpha, beta, d):
+    """(eta, lam) with U_alpha U_beta^* = lam U_eta, level by level."""
+    la, lb = len(alpha), len(beta)
+    lam = 1.0 + 0j
+    omega = np.exp(2j * np.pi / d)
+    ent = []
+    for lvl in range(max(la, lb)):
+        it, jt = alpha[lvl] if lvl < la else (d, d)
+        ib, jb = beta[lvl] if lvl < lb else (d, d)
+        if lvl < lb:
+            lam *= omega ** ((-ib * (jt - jb)) % d)
+            ent.append(((it - ib - 1) % d + 1, (jt - jb - 1) % d + 1))
+        else:
+            ent.append((it, jt))
+    while ent and ent[-1] == (d, d):
+        ent.pop()
+    return tuple(ent), lam
+
+
+def _reference_tensor_paraproduct(bhat, d, levels):
+    """The per-entry loop the word table replaced."""
+    idx = tensor_indices(d, levels)
+    out = np.zeros((len(idx), len(idx)), dtype=complex)
+    for ia, a in enumerate(idx):
+        for ib, b in enumerate(idx):
+            if len(a) <= len(b):
+                continue
+            eta, lam = _reference_eta_lambda(a, b, d)
+            coeff = bhat.get(eta, 0.0)
+            if coeff:
+                out[ia, ib] = np.conj(lam) * coeff
+    return out
+
+
+def _draws(rng, words):
+    """A complex coefficient on every word, a real one on some, and none."""
+    full = {w: complex(*rng.standard_normal(2)) for w in words if w}
+    sparse = {w: float(rng.standard_normal()) for w in words if w and rng.random() < 0.3}
+    return full, sparse, {}
+
+
+@pytest.mark.parametrize("ng", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_car_paraproduct_equals_per_entry_loop(rng, ng):
+    for bhat in _draws(rng, car_subsets(ng)):
+        assert np.array_equal(car_paraproduct(bhat, ng), _reference_car_paraproduct(bhat, ng))
+
+
+@pytest.mark.parametrize("d,levels", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2)])
+def test_tensor_paraproduct_equals_per_entry_loop(rng, d, levels):
+    for bhat in _draws(rng, tensor_indices(d, levels)):
+        assert np.array_equal(tensor_paraproduct(bhat, d, levels),
+                              _reference_tensor_paraproduct(bhat, d, levels))
+
+
+def test_eta_lambda_equals_level_loop():
+    for a, b in itertools.product(tensor_indices(3, 2), repeat=2):
+        assert eta_lambda(a, b, 3) == _reference_eta_lambda(a, b, 3)
+
+
+# -- sizes the per-entry loops could not reach.  Each word e of level k is
+# u_a u_b^* for 2^(k-1) CAR pairs, or d^(2(k-1)) tensor pairs, with level(a) >
+# level(b), while its Besov weight is 2^k or d^(2k): S_2 = 2^(-1/2) B_2 and
+# S_2 = B_2 / d exactly, under these weights.
+
+
+def test_car_s2_over_b2_at_ten_generators(rng):
+    ng = 10
+    bhat = {A: complex(*rng.standard_normal(2)) for A in car_subsets(ng) if A}
+    [s2] = schatten_norms(car_paraproduct(bhat, ng), (2,))
+    [b2] = besov_cars(bhat, ng, (2,))
+    assert s2 == pytest.approx(2 ** -0.5 * b2, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,levels", [(2, 5), (3, 3)])
+def test_tensor_s2_over_b2_at_deep_levels(rng, d, levels):
+    bhat = {a: complex(*rng.standard_normal(2)) for a in tensor_indices(d, levels) if a}
+    [s2] = schatten_norms(tensor_paraproduct(bhat, d, levels), (2,))
+    [b2] = besov_tensors(bhat, d, levels, (2,))
+    assert s2 == pytest.approx(b2 / d, rel=1e-12)
+
+
+# -- coefficient keys: one conversion for every form, a key that is no word raises
+
+_CAR_FORMS = (lambda b: car_paraproduct(b, 2), lambda b: besov_cars(b, 2, (2.0,)),
+              lambda b: car_transference_checks(b, 2, (2.0,)))
+_TENSOR_FORMS = (lambda b: tensor_paraproduct(b, 2, 2), lambda b: besov_tensors(b, 2, 2, (2.0,)),
+                 lambda b: tensor_transference_checks(b, 2, 2, (2.0,)))
+
+
+@pytest.mark.parametrize("forms,key", [(_CAR_FORMS, (2, 1)), (_CAR_FORMS, (0,)),
+                                       (_TENSOR_FORMS, ((2, 2),))],
+                         ids=["car-unsorted", "car-generator-0", "tensor-identity-top"])
+def test_every_form_rejects_a_key_that_is_not_a_word(forms, key):
+    for form in forms:
+        with pytest.raises(ValueError, match=re.escape(f"{key} is not a word")):
+            form({key: 1.0})
+
+
+def test_car_word_rejects_generators_outside_range():
+    for subset in ((0,), (-1, 2), (3,)):
+        with pytest.raises(ValueError, match="outside the generators"):
+            car_word(subset, 2)

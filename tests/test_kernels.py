@@ -5,7 +5,7 @@ from parahaar.dyadic import DyadicParams, build_system
 from parahaar.kernels import (GridOperator, commutator_grid_op, discretize,
                               hilbert_kernel, homogeneous_sign_kernel,
                               nondegenerate_probe,
-                              nwo_quantities, nwo_quantity,
+                              nwo_quantities,
                               random_admissible_family,
                               standard_check,
                               weak_factorization, KernelSpec)
@@ -131,8 +131,8 @@ def test_nwo_quantity_bounded(rng):
     for _ in range(5):
         V = GridOperator((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n,
                          1, n)
-        for p in (1.5, 2.0, 3.0):
-            assert nwo_quantity(V, fams, p) <= 3.0 * schatten_norm(V.matrix, p)
+        for p, q in zip((1.5, 2.0, 3.0), nwo_quantities(V, fams, (1.5, 2.0, 3.0))):
+            assert q <= 3.0 * schatten_norm(V.matrix, p)
 
 
 def test_nwo_quantities_equal_per_p_loop(rng):
@@ -149,7 +149,7 @@ def test_nwo_quantities_equal_per_p_loop(rng):
             total += t ** p
         want.append(float(max(terms)) if p == np.inf else float(total ** (1.0 / p)))
     assert nwo_quantities(V, fams, ps) == want
-    assert [nwo_quantity(V, fams, p) for p in ps] == want
+    assert [nwo_quantities(V, fams, (p,))[0] for p in ps] == want
 
 
 def _scaled(V, s):
@@ -162,9 +162,9 @@ def test_nwo_quantity_at_inf_is_the_largest_pairing(rng):
     fams = random_admissible_family(sys, rng)
     V = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1, n)
     top = max(abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in fams)
-    assert nwo_quantity(V, fams, np.inf) == top
+    assert nwo_quantities(V, fams, (np.inf,)) == [top]
     for s in (1e-3, 1e3):  # homogeneous of degree 1, like every finite p
-        assert nwo_quantity(_scaled(V, s), fams, np.inf) == pytest.approx(s * top, rel=1e-12)
+        assert nwo_quantities(_scaled(V, s), fams, (np.inf,))[0] == pytest.approx(s * top, rel=1e-12)
 
 
 def test_testing_quantity_at_inf_is_the_largest_term(rng):

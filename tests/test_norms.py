@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from parahaar.algebras import (besov_car, besov_tensor, car_subsets, car_word,
+from parahaar.algebras import (besov_cars, besov_tensors, car_subsets, car_word,
                                tensor_indices, tensor_word)
 from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                              build_system, expectation)
-from parahaar.norms import (_grid_weights, _half_overlaps, besov_continuum,
+from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_continuums, besov_diff, besov_diffs,
-                            besov_haar, besov_haar_adjacent,
+                            besov_haar,
                             besov_haar_adjacents, besov_haars, besov_osc,
                             bmo_dyadic, block_lp, bmo_operator, function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
@@ -120,8 +120,8 @@ def test_bmo_operator(rng):
 
 
 def test_continuum_constant_zero():
-    assert besov_continuum(np.full(16, 3.0 + 1j), 2, dim=1) == 0.0
-    assert besov_continuum(np.full(16, 1.0), 1.5, dim=2) == 0.0
+    assert besov_continuums(np.full(16, 3.0 + 1j), (2,), dim=1) == [0.0]
+    assert besov_continuums(np.full(16, 1.0), (1.5,), dim=2) == [0.0]
 
 
 def test_continuum_adjacent_halves_increment():
@@ -129,7 +129,7 @@ def test_continuum_adjacent_halves_increment():
     # doubling (the annulus constant of the jump across the midpoint)
     vals = np.zeros(64)
     vals[:32] = 1.0
-    sq = [besov_continuum(vals, 2, dim=1, refinement=r) ** 2 for r in (2, 4, 8, 16)]
+    sq = [besov_continuums(vals, (2,), dim=1, refinement=r)[0] ** 2 for r in (2, 4, 8, 16)]
     for lo, hi in zip(sq, sq[1:]):
         assert hi > lo  # monotone under refinement
     assert sq[-1] - sq[-2] == pytest.approx(2 * np.log(2), abs=2e-4)
@@ -137,13 +137,13 @@ def test_continuum_adjacent_halves_increment():
 
 def test_continuum_homogeneous(rng):
     vals = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    a = besov_continuum(vals, 2, dim=1)
-    assert besov_continuum(3 * vals, 2, dim=1) == pytest.approx(3 * a, rel=1e-12)
+    [a] = besov_continuums(vals, (2,), dim=1)
+    assert besov_continuums(3 * vals, (2,), dim=1)[0] == pytest.approx(3 * a, rel=1e-12)
 
 
 def test_continuum_rejects_ragged():
     with pytest.raises(ValueError):
-        besov_continuum(np.zeros(10), 2, dim=2)
+        besov_continuums(np.zeros(10), (2,), dim=2)
 
 
 def test_adjacent_rejects_all_but_one_scalar_per_cell(rng):
@@ -152,7 +152,7 @@ def test_adjacent_rejects_all_but_one_scalar_per_cell(rng):
     for vals, dim, depth in ((blocks, 1, 6), (np.ones((8, 8)), 2, 3), (np.ones((64, 1)), 1, 6),
                              (np.ones(63), 1, 6), (np.ones(64), 2, 2)):
         with pytest.raises(ValueError, match="one scalar per cell"):
-            besov_haar_adjacent(vals, 2.0, dim, 0, depth)
+            besov_haar_adjacents(vals, (2.0,), dim, 0, depth)
 
 
 def test_adjacent_matches_standard(rng):
@@ -160,9 +160,8 @@ def test_adjacent_matches_standard(rng):
         sys = build_system(DyadicParams(2, depth, dim=dim))
         vals = rng.standard_normal(sys.n_cells) + 1j * rng.standard_normal(sys.n_cells)
         b = Symbol.from_function(sys, StepFunction(vals))
-        for p in (1.5, 2.0):
-            assert besov_haar_adjacent(vals, p, dim, 0, depth) == pytest.approx(
-                besov_haar(sys, b, p), rel=1e-10)
+        for p, got in zip((1.5, 2.0), besov_haar_adjacents(vals, (1.5, 2.0), dim, 0, depth)):
+            assert got == pytest.approx(besov_haar(sys, b, p), rel=1e-10)
 
 
 def test_homogeneity_and_kernel(rng):
@@ -215,8 +214,8 @@ def test_block_lp_single_blocks(rng):
 def test_adjacent_repeat_call_is_stable(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
     for mask in range(2 ** dim):
-        first = besov_haar_adjacent(vals, 1.5, dim, mask, depth)
-        assert besov_haar_adjacent(vals, 1.5, dim, mask, depth) == first
+        first = besov_haar_adjacents(vals, (1.5,), dim, mask, depth)
+        assert besov_haar_adjacents(vals, (1.5,), dim, mask, depth) == first
 
 
 def _adjacent_cell_terms(vals, dim, mask, depth):
@@ -257,10 +256,10 @@ def test_adjacent_matches_refined_cell_loop(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
     for mask in range(2**dim):
         terms = _adjacent_cell_terms(vals, dim, mask, depth)
-        for p in (1.5, 2.0, 3.0):
+        ps = (1.5, 2.0, 3.0)
+        for p, got in zip(ps, besov_haar_adjacents(vals, ps, dim, mask, depth)):
             want = sum(t**p for t in terms) ** (1 / p)
-            assert besov_haar_adjacent(vals, p, dim, mask, depth) == pytest.approx(
-                want, rel=1e-12), (mask, p)
+            assert got == pytest.approx(want, rel=1e-12), (mask, p)
 
 
 def test_cached_weights_are_read_only():
@@ -356,17 +355,17 @@ def _step_and_word_forms(rng):
     car = {A: complex(*rng.standard_normal(2)) for A in car_subsets(3) if A}
     ten = {a: complex(*rng.standard_normal(2)) for a in tensor_indices(2, 2) if a}
     return {
-        "adjacent-dim1": (lambda c, p: besov_haar_adjacent(c * v1, p, 1, 1, 4),
+        "adjacent-dim1": (lambda c, p: besov_haar_adjacents(c * v1, (p,), 1, 1, 4)[0],
                           max(_adjacent_cell_terms(v1, 1, 1, 4))),
-        "adjacent-dim2": (lambda c, p: besov_haar_adjacent(c * v2, p, 2, 2, 3),
+        "adjacent-dim2": (lambda c, p: besov_haar_adjacents(c * v2, (p,), 2, 2, 3)[0],
                           max(_adjacent_cell_terms(v2, 2, 2, 3))),
-        "continuum-dim1": (lambda c, p: besov_continuum(c * v1, p, dim=1),
+        "continuum-dim1": (lambda c, p: besov_continuums(c * v1, (p,), dim=1)[0],
                            max(abs(x - y) for x in v1 for y in v1)),
-        "continuum-blocks": (lambda c, p: besov_continuum(c * blocks, p, dim=2),
+        "continuum-blocks": (lambda c, p: besov_continuums(c * blocks, (p,), dim=2)[0],
                              max(float(np.linalg.norm(x - y, 2)) for x in blocks for y in blocks)),
-        "car": (lambda c, p: besov_car({A: c * z for A, z in car.items()}, 3, p),
+        "car": (lambda c, p: besov_cars({A: c * z for A, z in car.items()}, 3, (p,))[0],
                 _level_norm_max(car, max, lambda A: car_word(A, 3))),
-        "tensor": (lambda c, p: besov_tensor({a: c * z for a, z in ten.items()}, 2, 2, p),
+        "tensor": (lambda c, p: besov_tensors({a: c * z for a, z in ten.items()}, 2, 2, (p,))[0],
                    _level_norm_max(ten, len, lambda a: tensor_word(a, 2, 2))),
     }
 
@@ -389,19 +388,19 @@ def test_step_and_word_forms_at_inf_are_homogeneous(rng, name):
 
 def test_step_and_word_forms_empty_and_nonpositive_p():
     # no term at all: depth 1 holds no shifted cube, and the symbols are empty
-    assert besov_haar_adjacent(np.arange(2.0), np.inf, 1, 1, 1) == 0.0
-    assert besov_car({}, 3, np.inf) == 0.0
-    assert besov_tensor({}, 2, 2, np.inf) == 0.0
-    assert besov_continuum(np.ones(4), np.inf) == 0.0
+    assert besov_haar_adjacents(np.arange(2.0), (np.inf,), 1, 1, 1) == [0.0]
+    assert besov_cars({}, 3, (np.inf,)) == [0.0]
+    assert besov_tensors({}, 2, 2, (np.inf,)) == [0.0]
+    assert besov_continuums(np.ones(4), (np.inf,)) == [0.0]
     for p in (0, -1.5):
         with pytest.raises(ValueError, match="p must be positive"):
-            besov_haar_adjacent(np.ones(4), p, 1, 0, 2)
+            besov_haar_adjacents(np.ones(4), (p,), 1, 0, 2)
         with pytest.raises(ValueError, match="p must be positive"):
-            besov_continuum(np.ones(4), p)
+            besov_continuums(np.ones(4), (p,))
         with pytest.raises(ValueError, match="p must be positive"):
-            besov_car({(1,): 1.0}, 3, p)
+            besov_cars({(1,): 1.0}, 3, (p,))
         with pytest.raises(ValueError, match="p must be positive"):
-            besov_tensor({((1, 2),): 1.0}, 2, 1, p)
+            besov_tensors({((1, 2),): 1.0}, 2, 1, (p,))
 
 
 # -- plural forms: every p from one decomposition, bit for bit the per-p loop

@@ -1,7 +1,6 @@
 import ast
 import importlib
 import pathlib
-import re
 from collections import Counter
 
 import pytest
@@ -30,31 +29,44 @@ def test_file_io_stays_at_the_boundary(name):
 
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-# kept although nothing in the package calls them: independent oracles
-ORACLES = ("apply_paraproduct",)
+# kept although nothing in the package calls them: independent oracles, or
+# helpers the tests use
+ORACLES = {
+    "apply_paraproduct": "an independent oracle of the dense paraproduct",
+    "apply_op": "the tests apply operators to functions with it",
+}
 
 
-def _words(path):
-    """Every word of a file, comments and docstrings included, outside `__all__`."""
-    text = path.read_text()
+def _references(path):
+    """Every name a file's code refers to: names, attributes and imported
+    names; definitions, `__all__`, comments and docstrings do not count."""
+    tree = ast.parse(path.read_text())
     skip = set()
-    for node in ast.parse(text).body:
+    for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
                                                 for t in node.targets):
-            skip.update(range(node.lineno, node.end_lineno + 1))
-    return Counter(word for number, line in enumerate(text.splitlines(), 1)
-                   if number not in skip for word in re.findall(r"\w+", line))
+            skip.update(map(id, ast.walk(node)))
+    refs = Counter()
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Name):
+            refs[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            refs[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            refs[node.name] += 1
+    return refs
 
 
 def test_no_dead_code():
-    """Every top-level function and class of the package is named in the package
-    or the benchmark besides its own definition and `__all__`; a re-export by
-    `parahaar/__init__.py` names it."""
-    words = sum(map(_words, [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]), Counter())
+    """Every top-level function and class of the package is referred to by code
+    of the package or the benchmark; a re-export by `parahaar/__init__.py`
+    counts, a mention in a docstring or comment does not."""
+    refs = sum(map(_references, [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]), Counter())
     defined = [(path.stem, node.name) for path in SRC.glob("*.py")
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
-    definitions = Counter(name for _, name in defined)
     dead = sorted(f"{module}.{name}" for module, name in defined
-                  if words[name] <= definitions[name] and name not in ORACLES)
+                  if not refs[name] and name not in ORACLES)
     assert dead == []
