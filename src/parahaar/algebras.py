@@ -163,18 +163,16 @@ def tensor_indices(d: int, levels: int):
 def tensor_word(alpha, d: int, levels: int) -> np.ndarray:
     """U_alpha on `levels` tensor factors, identity above the word's top level.
 
-    A read-only array, built once per (alpha, d, levels).
+    A read-only array, built on each call: a cache would keep every word of
+    a table alive, d^(2 levels) matrices of side d^levels.
     """
-    alpha = tuple((operator.index(i), operator.index(j)) for i, j in alpha)
-    return _tensor_word(alpha, operator.index(d), operator.index(levels))
-
-
-@functools.cache
-def _tensor_word(alpha, d, levels):
+    alpha = [(operator.index(i), operator.index(j)) for i, j in alpha]
+    d, levels = operator.index(d), operator.index(levels)
     M = np.eye(1, dtype=complex)
     for lvl in range(levels):
-        ij = alpha[lvl] if lvl < len(alpha) else (d, d)
-        M = np.kron(M, tensor_basis(ij[0], ij[1], d))
+        i, j = alpha[lvl] if lvl < len(alpha) else (d, d)
+        # np.kron's products without its overhead
+        M = (M[:, None, :, None] * tensor_basis(i, j, d)[:, None]).reshape(len(M) * d, -1)
     M.setflags(write=False)
     return M
 

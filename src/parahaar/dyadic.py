@@ -9,6 +9,7 @@ exact union of its children), and the shifted-grid covering family.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -127,6 +128,14 @@ class GridShift:
 
 
 class FiniteDyadicSystem:
+    """The cubes, cells and Haar basis of one window, numbered by index arithmetic.
+
+    A scale-k cube's rank in `cubes_by_scale[k]` is `cube_rank` of its index
+    (inverse `cube_index`), its wavelet of colour c sits at basis position
+    `slot(k, rank, c)`, and row `rank` of the read-only `cells_by_scale[k]`
+    holds its sorted cells.  Only these methods write the numbering down.
+    """
+
     def __init__(self, params: DyadicParams, shift: Optional[GridShift] = None):
         self.params = params
         d, N, dim = params.d, params.depth, params.dim
@@ -146,114 +155,122 @@ class FiniteDyadicSystem:
         self.n_cells = self.d_eff**N
         self.cell_measure = 1.0 / self.n_cells
 
-        # per-axis cell offsets of the shifted grids, in finest-cell units
-        self._axis_offset = np.zeros((dim, N + 1), dtype=np.int64)
-        if shift is not None:
-            for t in range(dim):
-                for k in range(N, -1, -1):
-                    off = 0
-                    for s in range(k, N):
-                        off += ((shift.omega[s] >> t) & 1) * 2 ** (N - s - 1)
-                    self._axis_offset[t, k] = off
+        # per axis, the shift digit of each scale 0..N-1 and the offset of
+        # each scale's grid in finest cells, sum_{s >= k} digit_s 2^(N-s-1)
+        omega = np.array(shift.omega if shift is not None else [0] * N, dtype=np.int64)
+        self._digits = (omega >> np.arange(dim)[:, None]) & 1
+        step = np.append(self._digits * 2 ** (N - 1 - np.arange(N)), np.zeros((dim, 1), int), 1)
+        offset = np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
 
         self.cubes_by_scale = [
-            [
-                CubeId(k, idx)
-                for idx in np.ndindex(*([self._axis_count(k)] * dim))
-            ]
+            [CubeId(k, idx) for idx in itertools.product(range(self.axis_count(k)), repeat=dim)]
             for k in range(N + 1)
         ]
-        self._cells = {}
+        tables = []
         for k in range(N + 1):
-            for cube in self.cubes_by_scale[k]:
-                self._cells[cube] = self._compute_cells(cube)
+            count = self.axis_count(k)
+            per = self.axis_cells // count
+            cells = np.zeros((count,) * dim + (per,) * dim, dtype=np.int64)
+            for t in range(dim):  # cell id = sum_t (axis-t cell) * axis_cells**t
+                run = np.arange(count)[:, None] * per + np.arange(per) + offset[t, k]
+                shape = [1] * (2 * dim)
+                shape[t], shape[dim + t] = count, per
+                cells += self.axis_cells**t * (run % self.axis_cells).reshape(shape)
+            cells = np.sort(cells.reshape(count**dim, per**dim), axis=1)
+            cells.flags.writeable = False
+            tables.append(cells)
+        self.cells_by_scale = tuple(tables)
 
-        self.haar_indices = []
-        for k in range(N):
-            for cube in self.cubes_by_scale[k]:
-                for color in range(1, self.n_colors + 1):
-                    self.haar_indices.append(HaarIndex(cube, color))
+        colors = range(1, self.n_colors + 1)
+        self.haar_indices = [HaarIndex(cube, color) for k in range(N)
+                             for cube in self.cubes_by_scale[k] for color in colors]
         self.dim_basis = 1 + len(self.haar_indices)
-        self.haar_pos = {h: 1 + r for r, h in enumerate(self.haar_indices)}
+        self.haar_pos = dict(zip(self.haar_indices, range(1, self.dim_basis)))
+        sizes = [1] + [self.n_colors * len(c) for c in self.cubes_by_scale[:N]]  # coarse first
+        self._first_slot = np.cumsum(sizes)  # of each scale's Haar slots; scale N's is dim_basis
+        self._scale_of_row = np.repeat(np.arange(-1, N), sizes)
+        self._scale_of_row.flags.writeable = False
 
         self._basis = None
         self._avg = None
         self._layouts = None
         self._descendants = {}
 
-    def _axis_count(self, scale):
-        return self.params.d**scale if self.params.dim == 1 else 2**scale
+    def axis_count(self, scale):
+        """Cubes per axis at `scale`, an int or an integer array."""
+        return (self.params.d if self.params.dim == 1 else 2) ** scale
 
-    def _axis_cell_range(self, t, scale, pos):
-        per = self.axis_cells // self._axis_count(scale)
-        start = pos * per + self._axis_offset[t, scale]
-        return (np.arange(per) + start) % self.axis_cells
+    def cube_rank(self, scale, index):
+        """Position of the cube (scale, index) in `cubes_by_scale[scale]`: its
+        index read in C order.  `index` holds one entry per axis, ints or
+        integer arrays (a (dim, ...) array works); nothing is validated."""
+        count = self.axis_count(scale)
+        rank = 0
+        for i in index:
+            rank = rank * count + i
+        return rank
 
-    def _compute_cells(self, cube: CubeId):
-        dim = self.params.dim
-        ranges = [self._axis_cell_range(t, cube.scale, cube.index[t]) for t in range(dim)]
-        cells = ranges[0]
-        for t in range(1, dim):
-            cells = cells[:, None] + self.axis_cells**t * ranges[t][None, :]
-            cells = cells.ravel()
-        return np.sort(cells.astype(np.int64))
+    def cube_index(self, scale, rank):
+        """Inverse of `cube_rank`: the per-axis indices of `rank`, as a tuple."""
+        count = self.axis_count(scale)
+        index = []
+        for _ in range(self.params.dim):  # C order, last axis fastest
+            index.insert(0, rank % count)
+            rank = rank // count
+        return tuple(index)
+
+    def slot(self, scale, rank, color):
+        """Basis position of the colour-`color` wavelet of the cube (scale, rank):
+        the scale's first slot + n_colors * rank + color - 1."""
+        return self._first_slot[scale] + self.n_colors * rank + color - 1
+
+    def _rank(self, cube: CubeId):
+        """`cube_rank` of a cube label; KeyError naming a label the window lacks."""
+        k, index = cube.scale, cube.index
+        if not (0 <= k <= self.params.depth and len(index) == self.params.dim
+                and all(0 <= i < self.axis_count(k) for i in index)):
+            raise KeyError(f"{cube} is not a cube of the system")
+        return self.cube_rank(k, index)
 
     def cells_of(self, cube: CubeId):
-        return self._cells[cube]
+        return self.cells_by_scale[cube.scale][self._rank(cube)]
 
     def measure(self, cube: CubeId):
         return float(self.d_eff ** (-cube.scale))
 
     def children(self, cube: CubeId):
         """Children in canonical order (Haar child q / bitmask beta order)."""
-        k = cube.scale
-        if k >= self.params.depth:
+        rank = self._rank(cube)
+        if cube.scale == self.params.depth:
             raise ValueError("finest cubes have no children")
-        dim = self.params.dim
-        out = []
-        if dim == 1:
-            d = self.params.d
-            base = cube.index[0] * d
-            dig = 0
-            if self.shift is not None:
-                dig = self.shift.omega[k] & 1
-            for q in range(d):
-                out.append(CubeId(k + 1, ((base + dig + q) % self._axis_count(k + 1),)))
-        else:
-            digs = [0] * dim
-            if self.shift is not None:
-                digs = [(self.shift.omega[k] >> t) & 1 for t in range(dim)]
-            for beta in range(2**dim):
-                idx = tuple(
-                    (2 * cube.index[t] + digs[t] + ((beta >> t) & 1))
-                    % self._axis_count(k + 1)
-                    for t in range(dim)
-                )
-                out.append(CubeId(k + 1, idx))
-        return out
+        kids = self.cubes_by_scale[cube.scale + 1]
+        return [kids[r] for r in self.descendants(cube.scale, 1)[rank].tolist()]
 
     def descendants(self, k: int, g: int):
         """Generation-g descendants of every scale-k cube, as (n_k, d_eff**g) ranks.
 
         Row r lists the positions in `cubes_by_scale[k + g]` of the
-        descendants of `cubes_by_scale[k][r]`, in the order that applying
-        `children` g times lists them.  Each table is built from `children`
-        on first use and kept; the arrays are read-only.
+        descendants of `cubes_by_scale[k][r]`, in the order `children` lists
+        them: on each axis t, child q of index i sits at base * i + the
+        scale's shift digit + digit t of q in base `base`, modulo the axis
+        count.  Each table is built on first use and kept; read-only.
         """
         if not (0 <= k and 0 <= g and k + g <= self.params.depth):
             raise ValueError(f"generation {g} below scale {k} leaves the window")
         table = self._descendants.get((k, g))
         if table is None:
-            cubes = self.cubes_by_scale[k]
+            n = len(self.cubes_by_scale[k])
             if g == 0:
-                table = np.arange(len(cubes))[:, None]
+                table = np.arange(n)[:, None]
             elif g == 1:
-                kids = np.array([kid.index for c in cubes for kid in self.children(c)])
-                shape = (self._axis_count(k + 1),) * self.params.dim
-                table = np.ravel_multi_index(kids.T, shape).reshape(len(cubes), self.d_eff)
+                base = self.axis_count(1)
+                q = np.arange(self.d_eff) // base ** np.arange(self.params.dim)[:, None] % base
+                index = np.array(self.cube_index(k, np.arange(n)))[:, :, None]
+                kids = base * index + self._digits[:, k, None, None] + q[:, None, :]
+                table = self.cube_rank(k + 1, kids % self.axis_count(k + 1))
             else:
                 table = self.descendants(k + g - 1, 1)[self.descendants(k, g - 1)]
-                table = table.reshape(len(cubes), -1)
+                table = table.reshape(n, -1)
             table.flags.writeable = False
             self._descendants[k, g] = table
         return table
@@ -263,25 +280,26 @@ class FiniteDyadicSystem:
         cube, color = h.cube, h.color
         if not (1 <= color <= self.n_colors):
             raise ValueError(f"color {color} out of range 1..{self.n_colors}")
-        if cube.scale >= self.params.depth:
+        rank, k = self._rank(cube), cube.scale
+        if k == self.params.depth:
             raise ValueError("Haar cubes live at scales 0..N-1")
+        kids = self.cells_by_scale[k + 1][self.descendants(k, 1)[rank]]
         vals = np.zeros(self.n_cells, dtype=complex)
-        kids = self.children(cube)
         if self.params.dim == 1:
             d = self.params.d
-            amp = d ** (cube.scale / 2.0)
-            for q, kid in enumerate(kids):
+            amp = d ** (k / 2.0)
+            for q, cells in enumerate(kids):
                 rot = (color * (q + 1)) % d
                 if 2 * rot % d == 0:
                     phase = 1.0 if rot == 0 else -1.0  # exact for half turns
                 else:
                     phase = np.exp(2j * np.pi * rot / d)
-                vals[self._cells[kid]] = amp * phase
+                vals[cells] = amp * phase
         else:
-            amp = 2.0 ** (cube.scale * self.params.dim / 2.0)
-            for beta, kid in enumerate(kids):
+            amp = 2.0 ** (k * self.params.dim / 2.0)
+            for beta, cells in enumerate(kids):
                 sign = -1.0 if bin(beta & color).count("1") % 2 else 1.0
-                vals[self._cells[kid]] = amp * sign
+                vals[cells] = amp * sign
         return vals
 
     @property
@@ -327,22 +345,21 @@ class FiniteDyadicSystem:
     def scale_layouts(self):
         """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
 
-        cells (n_Q, cells per cube) lists the cells of each cube Q, cols
-        (n_Q, n_colors) its Haar slots, and rows (n_Q, 1 + (s+1) n_colors) the
-        coarse slot, the slots of Q's ancestors and Q's own slots: the support
-        of every function on Q that is constant on Q's children.  Built once
-        per system; the arrays are read-only.
+        cells (n_Q, cells per cube) is `cells_by_scale[s]`, cols (n_Q,
+        n_colors) the Haar slots of each cube Q, and rows (n_Q, 1 + (s+1)
+        n_colors) the coarse slot, the slots of Q's ancestors and Q's own
+        slots: the support of every function on Q that is constant on Q's
+        children.  Built once per system; the arrays are read-only.
         """
         if self._layouts is None:
-            colors = range(1, self.n_colors + 1)
+            colors = np.arange(1, self.n_colors + 1)
             above = np.zeros((self.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestors
             layouts = []
             for s in range(self.params.depth):
-                cubes = self.cubes_by_scale[s]
-                cells = np.stack([self._cells[c] for c in cubes])
-                cols = np.array([[self.haar_pos[HaarIndex(c, t)] for t in colors] for c in cubes])
+                cells = self.cells_by_scale[s]
+                cols = self.slot(s, np.arange(len(cells))[:, None], colors)
                 rows = np.concatenate([above[cells[:, 0]], cols], axis=1)
-                for a in (cells, cols, rows):
+                for a in (cols, rows):
                     a.flags.writeable = False
                 layouts.append((cells, cols, rows))
                 own = np.empty((self.n_cells, self.n_colors), dtype=np.int64)
@@ -352,11 +369,8 @@ class FiniteDyadicSystem:
         return self._layouts
 
     def scale_of_row(self):
-        """Cube scale per basis position; -1 for the coarse slot."""
-        out = np.full(self.dim_basis, -1, dtype=int)
-        for r, h in enumerate(self.haar_indices):
-            out[1 + r] = h.cube.scale
-        return out
+        """Cube scale per basis position; -1 for the coarse slot (read-only)."""
+        return self._scale_of_row
 
     def coeffs(self, f: StepFunction):
         """Basis coefficients, shape (dim_basis, m, m)."""
@@ -378,10 +392,9 @@ def expectation(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> StepFunctio
     """Conditional expectation onto scale-k cubes, broadcast to the cells."""
     if not (0 <= k <= sys.params.depth):
         raise ValueError(f"scale {k} outside 0..{sys.params.depth}")
+    cells = sys.cells_by_scale[k]
     out = np.empty_like(f.values)
-    for cube in sys.cubes_by_scale[k]:
-        cells = sys.cells_of(cube)
-        out[cells] = f.values[cells].mean(axis=0)
+    out[cells] = f.values[cells].mean(axis=1, keepdims=True)
     return StepFunction(out)
 
 

@@ -12,6 +12,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from .dyadic import CubeId
 from .norms import _cell_midgrids, _weighted_sum
 
 __all__ = [
@@ -340,7 +341,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     mu = C.cell_measure
     terms = []
     for k in range(1, sys.params.depth):
-        per = sys._axis_count(k)
+        per = sys.axis_count(k)
         shift = max(1, min(A, per - 1))
         for cube in sys.cubes_by_scale[k]:
             idx = list(cube.index)
@@ -349,8 +350,6 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
                 idx[0] = cube.index[0] - shift
                 if idx[0] < 0:
                     continue
-            from .dyadic import CubeId
-
             partner = CubeId(k, tuple(idx))
             cells_i = sys.cells_of(cube)
             cells_hat = sys.cells_of(partner)

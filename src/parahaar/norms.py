@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import HaarIndex, StepFunction, expectation
+from .dyadic import StepFunction, expectation
 from .paraproducts import Symbol, _difference_function
 
 __all__ = [
@@ -150,16 +150,13 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
         form_a = max(form_a, float(np.sqrt(cond.scalar().real.max())))
 
     form_b = 0.0
-    mass = {}
-    for k in range(N - 1, -1, -1):
-        for cube in sys.cubes_by_scale[k]:
-            total = 0.0
-            for color in range(1, sys.n_colors + 1):
-                total += abs(b.blocks[sys.haar_pos[HaarIndex(cube, color)], 0, 0]) ** 2
-            if k < N - 1:
-                total += sum(mass[kid] for kid in sys.children(cube))
-            mass[cube] = total
-            form_b = max(form_b, float(np.sqrt(total / sys.measure(cube))))
+    energy = np.abs(b.blocks[:, 0, 0]) ** 2
+    for k in range(N - 1, -1, -1):  # per cube, its colours' mass, then its children's
+        total = sum(energy[cols] for cols in sys.scale_layouts[k][1].T)
+        if k < N - 1:
+            total = total + sum(mass[kids] for kids in sys.descendants(k, 1).T)
+        mass = total
+        form_b = max(form_b, float(np.sqrt(total / float(sys.d_eff ** (-k))).max()))
     return BmoForms(form_a, form_b)
 
 
@@ -171,9 +168,7 @@ def bmo_operator(sys, b: Symbol) -> float:
         fk = expectation(sys, f, k)
         dev = f - fk
         sv = np.linalg.svd(dev.values, compute_uv=False)[:, 0] ** 2
-        for cube in sys.cubes_by_scale[k]:
-            cells = sys.cells_of(cube)
-            best = max(best, float(np.sqrt(sv[cells].mean())))
+        best = max(best, float(np.sqrt(sv[sys.cells_by_scale[k]].mean(axis=1)).max()))
     return best
 
 

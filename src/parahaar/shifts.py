@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import CubeId, FiniteDyadicSystem
+from .dyadic import CubeId, FiniteDyadicSystem, GridShift
 from .paraproducts import Symbol, mult_op, r_op
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "phi_blocks",
     "commutator_growth_sweep",
     "averaged_shift_cell_matrix",
-    "phase_rule",
 ]
 
 
@@ -106,12 +105,30 @@ class ShiftSpec:
 def _cube_labels(sys: FiniteDyadicSystem, scale, rank) -> np.ndarray:
     """Labels, scale then index on a last axis, of the cubes `cubes_by_scale[scale][rank]`."""
     scale, rank = np.broadcast_arrays(scale, rank)
-    count = np.array([sys._axis_count(s) for s in range(sys.params.depth + 1)])[scale]
-    index = []
-    for _ in range(sys.params.dim):  # C order, last axis fastest
-        index.insert(0, rank % count)
-        rank = rank // count
-    return np.stack([scale, *index], axis=-1)
+    return np.stack([scale, *sys.cube_index(scale, rank)], axis=-1)
+
+
+def _generations(sys: FiniteDyadicSystem, i: int, j: int):
+    """(radius, gen_i, gen_j, cubes) of every K whose generations i and j fit the window.
+
+    K runs by scale and then in `cubes_by_scale` order.  radius (n_K,) is the
+    coefficient radius at K's scale, gen_i (n_K, n_I) and gen_j (n_K, n_J) are
+    K's `descendants` rows, and cubes (n_K, n_I, n_J, 3, 1 + dim) the labels
+    of I, J and K.
+    """
+    dim = sys.params.dim
+    scales = range(sys.params.depth - max(i, j))
+    counts = [len(sys.cubes_by_scale[k]) for k in scales]
+    scale = np.repeat(scales, counts)  # of each K
+    own = np.concatenate([np.arange(n) for n in counts])  # each K's rank in its scale
+    gen_i = np.concatenate([sys.descendants(k, i) for k in scales])
+    gen_j = np.concatenate([sys.descendants(k, j) for k in scales])
+    radius = np.array([coefficient_radius(dim, i, j, k) for k in scales])[scale]
+    cubes = np.empty(gen_i.shape + gen_j.shape[1:] + (3, 1 + dim), dtype=np.int64)
+    cubes[:, :, :, 0] = _cube_labels(sys, scale[:, None] + i, gen_i)[:, :, None]
+    cubes[:, :, :, 1] = _cube_labels(sys, scale[:, None] + j, gen_j)[:, None, :]
+    cubes[:, :, :, 2] = _cube_labels(sys, scale, own)[:, None, None]
+    return radius, gen_i, gen_j, cubes
 
 
 def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
@@ -129,15 +146,9 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
         raise ValueError("window too shallow for this complexity")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim, n_c = sys.params.dim, sys.n_colors
-    scales = range(N - max(i, j))
-    counts = [len(sys.cubes_by_scale[k]) for k in scales]
-    scale = np.repeat(scales, counts)  # of each K
-    own = np.concatenate([np.arange(n) for n in counts])  # each K's rank in its scale
-    gen_i = np.concatenate([sys.descendants(k, i) for k in scales])
-    gen_j = np.concatenate([sys.descendants(k, j) for k in scales])
+    radius, gen_i, gen_j, labels = _generations(sys, i, j)
     (n_K, n_I), n_J = gen_i.shape, gen_j.shape[1]
     shape = (n_K, n_I, n_J, n_c, n_c)
-    radius = np.array([coefficient_radius(dim, i, j, k) for k in scales])[scale]
     u, v = np.moveaxis(rng.random(shape + (2,)), -1, 0)
     block = np.sqrt(u) * radius[:, None, None, None, None] * np.exp(1j * (2 * np.pi * v))
     # the coefficient bound alone gives contractivity only for dim 1;
@@ -148,10 +159,7 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
     M = np.take_along_axis(M, gen_i.argsort(axis=1)[:, None, None, :, None], axis=3)
     norm = np.linalg.svd(M.reshape(n_K, n_J * n_c, n_I * n_c), compute_uv=False)[:, 0]
     norm = norm[:, None, None, None, None]
-    cubes = np.empty(shape + (3, 1 + dim), dtype=np.int64)
-    cubes[..., 0, :] = _cube_labels(sys, scale[:, None] + i, gen_i)[:, :, None, None, None]
-    cubes[..., 1, :] = _cube_labels(sys, scale[:, None] + j, gen_j)[:, None, :, None, None]
-    cubes[..., 2, :] = _cube_labels(sys, scale, own)[:, None, None, None, None]
+    cubes = np.broadcast_to(labels[:, :, :, None, None], shape + labels.shape[3:])
     colors = np.empty(shape + (2,), dtype=np.int64)
     colors[..., 0] = np.arange(1, n_c + 1)[:, None]
     colors[..., 1] = np.arange(1, n_c + 1)
@@ -169,9 +177,7 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
     N, dim, n_c = sys.params.depth, sys.params.dim, sys.n_colors
     if spec.dim != dim:
         raise ValueError(f"a {spec.dim}-dimensional shift on a {dim}-dimensional system")
-    counts = np.array([sys._axis_count(s) for s in range(N)])
-    # basis position of the first Haar slot of each scale
-    first = 1 + n_c * np.concatenate([[0], np.cumsum(counts**dim)[:-1]])
+    counts = sys.axis_count(np.arange(N))
     scale, index = spec.cubes[:, :, 0], spec.cubes[:, :, 1:]
     fits = (0 <= scale) & (scale < N)
     count = counts[np.where(fits, scale, 0)]
@@ -181,10 +187,8 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
         n = int(fits.argmin())
         raise ValueError(f"entry {spec.entry(n)} has a cube or colour the system cannot hold "
                          f"(Haar scales 0..{N - 1}, colours 1..{n_c})")
-    rank = np.zeros(scale.shape, dtype=np.int64)
-    for t in range(dim):
-        rank = rank * count + index[:, :, t]
-    pos = first[scale[:, :2]] + n_c * rank[:, :2] + spec.colors - 1
+    scale, index = scale[:, :2], np.moveaxis(index[:, :2], -1, 0)
+    pos = sys.slot(scale, sys.cube_rank(scale, index), spec.colors)
     return pos[:, 1], pos[:, 0]
 
 
@@ -261,42 +265,26 @@ def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):
     return rows
 
 
-def phase_rule(sys, I, J, K):
-    """Maximal-magnitude coefficient depending only on relative positions."""
-    start = lambda c: (c.index[0] * (sys.axis_cells // sys._axis_count(c.scale))
-                       + sys._axis_offset[0, c.scale]) % sys.axis_cells
-    per_i = sys.axis_cells // sys._axis_count(I.scale)
-    per_j = sys.axis_cells // sys._axis_count(J.scale)
-    rel_i = ((start(I) - start(K)) % sys.axis_cells) // per_i
-    rel_j = ((start(J) - start(K)) % sys.axis_cells) // per_j
-    bound = coefficient_radius(sys.params.dim, I.scale - K.scale, J.scale - K.scale, K.scale)
-    n_i = 2 ** (I.scale - K.scale)
-    n_j = 2 ** (J.scale - K.scale)
-    return bound * np.exp(2j * np.pi * (rel_i / n_i + rel_j / (2 * n_j)))
-
-
 def averaged_shift_cell_matrix(params, i, j):
-    """Mean over all grid shifts of the phase_rule-built shift, as a cell matrix."""
-    from .dyadic import FiniteDyadicSystem, GridShift
+    """Mean over all grid shifts of a maximal shift with relative phases, as a cell matrix.
 
+    On each grid the coefficient of (I, J, K) has the largest allowed
+    magnitude and the phase exp(2 pi i (n / 2^i + m / 2^(j+1))), where I is
+    the n-th and J the m-th cube of its generation in `descendants` order.
+    In one dimension that cube starts n|I| (m|J|) after K, cyclically, in
+    every shifted grid, so the phase depends only on relative positions.
+    """
     if params.dim != 1 or params.d != 2:
         raise ValueError("the averaging harness is one-dimensional binary")
     N = params.depth
     n_cells = 2**N
     acc = np.zeros((n_cells, n_cells), dtype=complex)
-    count = 0
+    phase = 2j * np.pi * (np.arange(2**i)[:, None] / 2**i + np.arange(2**j) / (2 * 2**j))
     for word in range(2**N):
-        omega = tuple((word >> s) & 1 for s in range(N))
-        sysw = FiniteDyadicSystem(params, GridShift(omega))
-        cubes = sysw.cubes_by_scale
-        coeffs = {}
-        for k in range(0, N - max(i, j)):
-            for K, gen_i, gen_j in zip(cubes[k], sysw.descendants(k, i).tolist(),
-                                       sysw.descendants(k, j).tolist()):
-                for I in (cubes[k + i][r] for r in gen_i):
-                    for J in (cubes[k + j][r] for r in gen_j):
-                        coeffs[(I, J, K, 1, 1)] = phase_rule(sysw, I, J, K)
-        S = assemble_shift(sysw, ShiftSpec(i, j, 1, coeffs))
-        acc += sysw.basis_matrix @ S @ sysw.analysis_matrix
-        count += 1
-    return acc / count
+        sysw = FiniteDyadicSystem(params, GridShift(tuple((word >> s) & 1 for s in range(N))))
+        radius, _, _, cubes = _generations(sysw, i, j)
+        values = radius[:, None, None] * np.exp(phase)
+        spec = ShiftSpec.from_arrays(i, j, 1, cubes.reshape(-1, 3, 2),
+                                     np.ones((values.size, 2)), values.ravel())
+        acc += sysw.basis_matrix @ assemble_shift(sysw, spec) @ sysw.analysis_matrix
+    return acc / 2**N

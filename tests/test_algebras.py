@@ -248,8 +248,8 @@ def test_tensor_words_are_read_only_kron_products(d, levels):
         got = tensor_word(a, d, levels)
         assert np.array_equal(got, fresh)
         assert not got.flags.writeable
-        # lists, numpy integers and tuples name the same cached word
-        assert tensor_word([list(map(np.int64, ij)) for ij in a], d, levels) is got
+        # lists, numpy integers and tuples name the same word
+        assert np.array_equal(tensor_word([list(map(np.int64, ij)) for ij in a], d, levels), got)
     with pytest.raises(TypeError):
         tensor_word(((1.0, 2),), 2, 1)
 

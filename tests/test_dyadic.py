@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -288,9 +290,6 @@ def test_scale_layouts_built_once_read_only(d, N, dim, shift):
     for s, (cells, cols, rows) in enumerate(layouts):
         cubes = sys.cubes_by_scale[s]
         for q, cube in enumerate(cubes):
-            assert np.array_equal(cells[q], sys.cells_of(cube))
-            assert cols[q].tolist() == [sys.haar_pos[HaarIndex(cube, t)]
-                                        for t in range(1, sys.n_colors + 1)]
             support = _strict_ancestor_support(sys, cube)
             assert sorted(rows[q, :-sys.n_colors].tolist()) == np.flatnonzero(support).tolist()
             assert rows[q, -sys.n_colors:].tolist() == cols[q].tolist()
@@ -312,7 +311,145 @@ def test_descendants_repeat_children(d, N, dim, shift):
             for K, ranks in zip(sys.cubes_by_scale[k], table):
                 level = [K]
                 for _ in range(g):
-                    level = [kid for c in level for kid in sys.children(c)]
+                    level = [kid for c in level for kid in _reference_children(sys, c)]
                 assert [sys.cubes_by_scale[k + g][r] for r in ranks] == level
     with pytest.raises(ValueError):
         sys.descendants(1, N)
+
+
+# References for the tables, written from the parameters and the shift alone:
+# the per-cube cell ranges and the per-cube children loop.
+
+
+def _reference_axis_count(sys, scale):
+    return sys.params.d**scale if sys.params.dim == 1 else 2**scale
+
+
+def _reference_offset(sys, t, scale):
+    """Offset of the scale's grid on axis t, in finest cells."""
+    if sys.shift is None:
+        return 0
+    N = sys.params.depth
+    return sum(((sys.shift.omega[s] >> t) & 1) * 2 ** (N - s - 1) for s in range(scale, N))
+
+
+def _reference_cells(sys, cube):
+    dim = sys.params.dim
+    per = sys.axis_cells // _reference_axis_count(sys, cube.scale)
+    ranges = [(np.arange(per) + cube.index[t] * per + _reference_offset(sys, t, cube.scale))
+              % sys.axis_cells for t in range(dim)]
+    cells = ranges[0]
+    for t in range(1, dim):
+        cells = cells[:, None] + sys.axis_cells**t * ranges[t][None, :]
+        cells = cells.ravel()
+    return np.sort(cells.astype(np.int64))
+
+
+def _reference_children(sys, cube):
+    k = cube.scale
+    dim = sys.params.dim
+    count = _reference_axis_count(sys, k + 1)
+    out = []
+    if dim == 1:
+        d = sys.params.d
+        dig = sys.shift.omega[k] & 1 if sys.shift is not None else 0
+        for q in range(d):
+            out.append(CubeId(k + 1, ((cube.index[0] * d + dig + q) % count,)))
+    else:
+        digs = [0] * dim
+        if sys.shift is not None:
+            digs = [(sys.shift.omega[k] >> t) & 1 for t in range(dim)]
+        for beta in range(2**dim):
+            out.append(CubeId(k + 1, tuple((2 * cube.index[t] + digs[t] + ((beta >> t) & 1)) % count
+                                           for t in range(dim))))
+    return out
+
+
+TABLE_CASES = [
+    (2, 4, 1, None), (2, 4, 1, (1, 0, 1, 1)), (3, 3, 1, None), (5, 2, 1, None),
+    (2, 3, 2, None), (2, 3, 2, (3, 1, 2)), (2, 2, 3, None), (2, 2, 3, (5, 6)),
+]
+
+
+@pytest.mark.parametrize("d,N,dim,shift", TABLE_CASES)
+def test_tables_equal_reference_loops(d, N, dim, shift):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    layouts = sys.scale_layouts
+    rank = {cube: r for cubes in sys.cubes_by_scale for r, cube in enumerate(cubes)}
+    scales = [-1]
+    for k in range(N + 1):
+        cubes = sys.cubes_by_scale[k]
+        assert len(cubes) == _reference_axis_count(sys, k) ** dim
+        table = sys.cells_by_scale[k]
+        assert not table.flags.writeable
+        for r, cube in enumerate(cubes):
+            ref = _reference_cells(sys, cube)
+            assert np.array_equal(table[r], ref) and np.array_equal(sys.cells_of(cube), ref)
+            assert sys.cube_rank(k, cube.index) == r
+            assert sys.cube_index(k, r) == cube.index
+            if k == N:
+                continue
+            kids = _reference_children(sys, cube)
+            assert sys.descendants(k, 1)[r].tolist() == [rank[kid] for kid in kids]
+            assert sys.children(cube) == kids
+            cols = [sys.haar_pos[HaarIndex(cube, t)] for t in range(1, sys.n_colors + 1)]
+            assert [sys.slot(k, r, t) for t in range(1, sys.n_colors + 1)] == cols
+            assert layouts[k][1][r].tolist() == cols
+            assert np.array_equal(layouts[k][0][r], ref)
+            scales += [k] * sys.n_colors
+        ranks = np.arange(len(cubes))
+        assert np.array_equal(sys.cube_rank(k, sys.cube_index(k, ranks)), ranks)
+    assert sys.scale_of_row().tolist() == scales == [-1] + [h.cube.scale for h in sys.haar_indices]
+    assert not sys.scale_of_row().flags.writeable
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 4, 1, (1, 0, 1, 1)),
+                                           (2, 3, 2, (3, 1, 2))])
+def test_expectation_equals_per_cube_loop(d, N, dim, shift, rng):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    for m in (1, 2):
+        f = StepFunction(rng.standard_normal((sys.n_cells, m, m))
+                         + 1j * rng.standard_normal((sys.n_cells, m, m)))
+        for k in range(N + 1):
+            ref = np.empty_like(f.values)
+            for cube in sys.cubes_by_scale[k]:
+                cells = _reference_cells(sys, cube)
+                ref[cells] = f.values[cells].mean(axis=0)
+            assert np.array_equal(expectation(sys, f, k).values, ref)
+
+
+# Cube labels outside the window are named, never read as another cube.
+
+
+def test_children_of_an_index_past_the_window():
+    sys = build_system(DyadicParams(2, 3))
+    with pytest.raises(KeyError, match=re.escape(str(CubeId(0, (5,))))):
+        sys.children(CubeId(0, (5,)))
+
+
+def test_children_of_an_index_past_a_finer_scale():
+    sys = build_system(DyadicParams(2, 3))
+    with pytest.raises(KeyError, match=re.escape(str(CubeId(1, (7,))))):
+        sys.children(CubeId(1, (7,)))
+
+
+def test_haar_values_of_an_index_past_the_window():
+    sys = build_system(DyadicParams(2, 3))
+    with pytest.raises(KeyError, match=re.escape(str(CubeId(1, (7,))))):
+        sys.haar_values(HaarIndex(CubeId(1, (7,)), 1))
+
+
+def test_children_of_a_negative_scale():
+    sys = build_system(DyadicParams(2, 3))
+    cube = CubeId(-1, (0,))
+    for read in (sys.children, lambda c: sys.haar_values(HaarIndex(c, 1))):
+        with pytest.raises(KeyError, match=re.escape(str(cube))):
+            read(cube)
+
+
+def test_one_axis_label_on_a_two_dimensional_system():
+    sys = build_system(DyadicParams(2, 3, dim=2))
+    cube = CubeId(0, (0,))
+    for read in (sys.cells_of, sys.children, lambda c: sys.haar_values(HaarIndex(c, 1))):
+        with pytest.raises(KeyError, match=re.escape(str(cube))):
+            read(cube)

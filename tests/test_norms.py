@@ -5,7 +5,7 @@ import pytest
 
 from parahaar.algebras import (besov_cars, besov_tensors, car_subsets, car_word,
                                tensor_indices, tensor_word)
-from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
+from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
                              build_system, expectation)
 from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_continuums, besov_diff, besov_diffs,
@@ -117,6 +117,33 @@ def test_bmo_operator(rng):
     h = sys.haar_values(HaarIndex(CubeId(0, (0,)), 1))
     blockfun = StepFunction(np.einsum("c,ij->cij", h, np.diag([1.0, 0.0])))
     assert bmo_operator(sys, Symbol.from_function(sys, blockfun)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [(2, 5, 1, None), (3, 3, 1, None),
+                                           (2, 4, 1, (1, 0, 1, 1)), (2, 3, 2, (3, 1, 2))])
+def test_bmo_forms_equal_per_cube_loops(d, N, dim, shift, rng):
+    """The scale-by-scale forms against per-cube loops over labels, bit for bit."""
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng)
+    form_b, mass = 0.0, {}
+    for k in range(N - 1, -1, -1):
+        for cube in sys.cubes_by_scale[k]:
+            total = 0.0
+            for color in range(1, sys.n_colors + 1):
+                total += abs(b.blocks[sys.haar_pos[HaarIndex(cube, color)], 0, 0]) ** 2
+            if k < N - 1:
+                total += sum(mass[kid] for kid in sys.children(cube))
+            mass[cube] = total
+            form_b = max(form_b, float(np.sqrt(total / sys.measure(cube))))
+    assert bmo_dyadic(sys, b).coefficient == form_b
+    b = random_symbol(sys, rng, blockdim=2)
+    f = b.function()
+    best = 0.0
+    for k in range(N):
+        sv = np.linalg.svd((f - expectation(sys, f, k)).values, compute_uv=False)[:, 0] ** 2
+        for cube in sys.cubes_by_scale[k]:
+            best = max(best, float(np.sqrt(sv[sys.cells_of(cube)].mean())))
+    assert bmo_operator(sys, b) == best
 
 
 def test_continuum_constant_zero():

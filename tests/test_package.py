@@ -70,3 +70,21 @@ def test_no_dead_code():
     dead = sorted(f"{module}.{name}" for module, name in defined
                   if not refs[name] and name not in ORACLES)
     assert dead == []
+
+
+def test_only_dyadic_reads_the_system_internals():
+    """The private attributes and methods of FiniteDyadicSystem (the tables,
+    the shift digits, the slot offsets) are read in `dyadic.py` alone; every
+    other module goes through the public numbering."""
+    tree = ast.parse((SRC / "dyadic.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "FiniteDyadicSystem")
+    private = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    private |= {node.attr for node in ast.walk(cls) if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "self"}
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    assert {"_rank", "_digits", "_first_slot"} <= private
+    reads = sorted(f"{path.stem}: {node.attr}" for path in SRC.glob("*.py") if path.stem != "dyadic"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr in private)
+    assert reads == []

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from parahaar.dyadic import CubeId, DyadicParams, GridShift, HaarIndex, build_system
+from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift, HaarIndex,
+                             build_system)
 from parahaar.paraproducts import Symbol, random_symbol
 from parahaar.shifts import (ShiftSpec, assemble_shift, averaged_shift_cell_matrix,
                              coefficient_radius, commutator_growth_sweep,
@@ -220,3 +221,45 @@ def test_shifted_system_shift(rng):
     spec = random_shift(sys, 1, 1, 11)
     S = assemble_shift(sys, spec)
     assert schatten_norm(S, np.inf) <= 1.0 + 1e-10
+
+
+# Reference for averaged_shift_cell_matrix: the coefficient of (I, J, K) from
+# the cells where I, J and K start, one dict-built spec per grid shift.
+def _phase_rule(sys, I, J, K):
+    N, A = sys.params.depth, sys.axis_cells
+
+    def start(c):
+        offset = sum((sys.shift.omega[s] & 1) * 2 ** (N - s - 1) for s in range(c.scale, N))
+        return (c.index[0] * (A // 2**c.scale) + offset) % A
+
+    rel_i = ((start(I) - start(K)) % A) // (A // 2**I.scale)
+    rel_j = ((start(J) - start(K)) % A) // (A // 2**J.scale)
+    bound = coefficient_radius(1, I.scale - K.scale, J.scale - K.scale, K.scale)
+    n_i = 2 ** (I.scale - K.scale)
+    n_j = 2 ** (J.scale - K.scale)
+    return bound * np.exp(2j * np.pi * (rel_i / n_i + rel_j / (2 * n_j)))
+
+
+def _reference_averaged_shift(params, i, j):
+    N = params.depth
+    acc = np.zeros((2**N, 2**N), dtype=complex)
+    for word in range(2**N):
+        sysw = FiniteDyadicSystem(params, GridShift(tuple((word >> s) & 1 for s in range(N))))
+        cubes = sysw.cubes_by_scale
+        coeffs = {}
+        for k in range(0, N - max(i, j)):
+            for K, gen_i, gen_j in zip(cubes[k], sysw.descendants(k, i).tolist(),
+                                       sysw.descendants(k, j).tolist()):
+                for I in (cubes[k + i][r] for r in gen_i):
+                    for J in (cubes[k + j][r] for r in gen_j):
+                        coeffs[(I, J, K, 1, 1)] = _phase_rule(sysw, I, J, K)
+        S = assemble_shift(sysw, ShiftSpec(i, j, 1, coeffs))
+        acc += sysw.basis_matrix @ S @ sysw.analysis_matrix
+    return acc / 2**N
+
+
+@pytest.mark.parametrize("depth, i, j", [(6, 1, 0), (5, 2, 1), (5, 0, 2), (4, 1, 1)])
+def test_averaged_shift_equals_phase_rule_reference(depth, i, j):
+    params = DyadicParams(2, depth)
+    assert np.array_equal(averaged_shift_cell_matrix(params, i, j),
+                          _reference_averaged_shift(params, i, j))
