@@ -242,17 +242,21 @@ def _car_table(n_gen: int) -> _WordTable:
 def _tensor_table(d: int, levels: int) -> _WordTable:
     words = tensor_indices(d, levels)
     n = len(words)
-    # per-level digits modulo d, the identity pair (d, d) above the top level
+    # per-level digits modulo d, the identity pair (d, d) above the top level,
+    # in a dtype that holds d * d; the keys in the narrowest unsigned dtypes
     digits = np.array([list(w) + [(d, d)] * (levels - len(w)) for w in words],
-                      dtype=np.int32).reshape(n, levels, 2) % d
-    key, eta_key, phase_code = (np.zeros(shape, dtype=np.int32) for shape in (n, (n, n), (n, n)))
+                      dtype=np.min_scalar_type(d * d)).reshape(n, levels, 2) % d
+    key_type = np.min_scalar_type(d ** (2 * levels) - 1)
+    key, eta_key = np.zeros(n, dtype=key_type), np.zeros((n, n), dtype=key_type)
+    phase_code = np.zeros((n, n), dtype=np.min_scalar_type(d**levels - 1))
     for lvl in range(levels):
         i, j = digits[:, lvl, 0], digits[:, lvl, 1]
-        key += (i * d + j) * d ** (2 * lvl)
-        # U_(it,jt) U_(ib,jb)^* = omega^{-ib (jt - jb)} U_(it-ib, jt-jb)
-        dj = j[:, None] - j
-        eta_key += ((i[:, None] - i) % d * d + dj % d) * d ** (2 * lvl)
-        phase_code += (-i * dj) % d * d**lvl
+        key += (i * d + j).astype(key_type) * d ** (2 * lvl)
+        # U_(it,jt) U_(ib,jb)^* = omega^{-ib (jt - jb)} U_(it-ib, jt-jb); each
+        # difference top - bottom taken unsigned, as (top + d - bottom) mod d
+        dj = (j[:, None] + (d - j)) % d
+        eta_key += ((i[:, None] + (d - i)) % d * d + dj).astype(key_type) * d ** (2 * lvl)
+        phase_code += (i * (d - dj) % d).astype(phase_code.dtype) * d**lvl
     pos = np.empty(d ** (2 * levels), dtype=np.min_scalar_type(n - 1))
     pos[key] = np.arange(n)
     # each phase multiplied level by level from the lowest, as a scalar

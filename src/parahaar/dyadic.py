@@ -10,6 +10,7 @@ exact union of its children), and the shifted-grid covering family.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -44,6 +45,18 @@ def dilation_bound(dim: int) -> float:
     return 11.0
 
 
+def _is_integer(x) -> bool:
+    """An int or numpy integer, not a bool: what a scale, index or colour may be."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _integer_field(name, value) -> int:
+    """`value` as an int; ValueError naming the field for a float, bool or other."""
+    if _is_integer(value):
+        return operator.index(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DyadicParams:
     d: int
@@ -51,6 +64,8 @@ class DyadicParams:
     dim: int = 1
 
     def __post_init__(self):
+        for name in ("d", "depth", "dim"):
+            object.__setattr__(self, name, _integer_field(name, getattr(self, name)))
         if self.d < 2:
             raise ValueError(f"branching factor must be >= 2, got {self.d}")
         if self.depth < 1:
@@ -120,7 +135,8 @@ class GridShift:
     omega: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", tuple(int(w) for w in self.omega))
+        object.__setattr__(self, "omega", tuple(_integer_field(f"omega[{s}]", w)
+                                                for s, w in enumerate(self.omega)))
 
     @staticmethod
     def random(depth, dim, rng):
@@ -130,10 +146,12 @@ class GridShift:
 class FiniteDyadicSystem:
     """The cubes, cells and Haar basis of one window, numbered by index arithmetic.
 
-    A scale-k cube's rank in `cubes_by_scale[k]` is `cube_rank` of its index
-    (inverse `cube_index`), its wavelet of colour c sits at basis position
-    `slot(k, rank, c)`, and row `rank` of the read-only `cells_by_scale[k]`
-    holds its sorted cells.  Only these methods write the numbering down.
+    A scale-k cube's rank is `cube_rank` of its index (inverse `cube_index`),
+    its wavelet of colour c sits at basis position `slot(k, rank, c)`, and row
+    `rank` of the read-only `cells_by_scale[k]` holds its sorted cells.  Only
+    these methods write the numbering down, and the build makes arrays alone:
+    the labels `cubes_by_scale` and `haar_indices` are built on first read,
+    and `position` takes a wavelet label to its slot.
     """
 
     def __init__(self, params: DyadicParams, shift: Optional[GridShift] = None):
@@ -162,10 +180,9 @@ class FiniteDyadicSystem:
         step = np.append(self._digits * 2 ** (N - 1 - np.arange(N)), np.zeros((dim, 1), int), 1)
         offset = np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
 
-        self.cubes_by_scale = [
-            [CubeId(k, idx) for idx in itertools.product(range(self.axis_count(k)), repeat=dim)]
-            for k in range(N + 1)
-        ]
+        # cell ids are computed in int64 and kept in the narrowest signed dtype
+        # of at least 32 bits that holds them
+        dtype = np.promote_types(np.int32, np.min_scalar_type(1 - self.n_cells))
         tables = []
         for k in range(N + 1):
             count = self.axis_count(k)
@@ -176,25 +193,40 @@ class FiniteDyadicSystem:
                 shape = [1] * (2 * dim)
                 shape[t], shape[dim + t] = count, per
                 cells += self.axis_cells**t * (run % self.axis_cells).reshape(shape)
-            cells = np.sort(cells.reshape(count**dim, per**dim), axis=1)
+            cells = np.sort(cells.reshape(count**dim, per**dim).astype(dtype), axis=1)
             cells.flags.writeable = False
             tables.append(cells)
         self.cells_by_scale = tuple(tables)
 
-        colors = range(1, self.n_colors + 1)
-        self.haar_indices = [HaarIndex(cube, color) for k in range(N)
-                             for cube in self.cubes_by_scale[k] for color in colors]
-        self.dim_basis = 1 + len(self.haar_indices)
-        self.haar_pos = dict(zip(self.haar_indices, range(1, self.dim_basis)))
-        sizes = [1] + [self.n_colors * len(c) for c in self.cubes_by_scale[:N]]  # coarse first
+        sizes = [1] + [self.n_colors * len(c) for c in tables[:N]]  # coarse first
         self._first_slot = np.cumsum(sizes)  # of each scale's Haar slots; scale N's is dim_basis
+        self.dim_basis = int(self._first_slot[N])
         self._scale_of_row = np.repeat(np.arange(-1, N), sizes)
         self._scale_of_row.flags.writeable = False
 
+        self._cubes = None
+        self._haar = None
         self._basis = None
         self._avg = None
         self._layouts = None
         self._descendants = {}
+
+    @property
+    def cubes_by_scale(self):
+        """Per scale 0..N, the cube labels in rank order; built on first read."""
+        if self._cubes is None:
+            self._cubes = tuple(tuple(CubeId(k, self.cube_index(k, r)) for r in range(len(cells)))
+                                for k, cells in enumerate(self.cells_by_scale))
+        return self._cubes
+
+    @property
+    def haar_indices(self):
+        """The wavelet labels, `haar_indices[r]` at basis position 1 + r; built on first read."""
+        if self._haar is None:
+            colors = range(1, self.n_colors + 1)
+            self._haar = tuple(HaarIndex(cube, color) for cubes in self.cubes_by_scale[:-1]
+                               for cube in cubes for color in colors)
+        return self._haar
 
     def axis_count(self, scale):
         """Cubes per axis at `scale`, an int or an integer array."""
@@ -226,25 +258,38 @@ class FiniteDyadicSystem:
 
     def _rank(self, cube: CubeId):
         """`cube_rank` of a cube label; KeyError naming a label the window lacks."""
-        k, index = cube.scale, cube.index
-        if not (0 <= k <= self.params.depth and len(index) == self.params.dim
-                and all(0 <= i < self.axis_count(k) for i in index)):
+        if not (isinstance(cube, CubeId) and _is_integer(cube.scale)
+                and 0 <= cube.scale <= self.params.depth and len(cube.index) == self.params.dim
+                and all(_is_integer(i) and 0 <= i < self.axis_count(cube.scale)
+                        for i in cube.index)):
             raise KeyError(f"{cube} is not a cube of the system")
-        return self.cube_rank(k, index)
+        return self.cube_rank(cube.scale, cube.index)
+
+    def position(self, h: HaarIndex) -> int:
+        """Basis position of the wavelet label h, `slot` of its cube's rank and
+        colour; KeyError naming a label the window lacks."""
+        if isinstance(h, HaarIndex):
+            rank = self._rank(h.cube)
+            if (h.cube.scale < self.params.depth and _is_integer(h.color)
+                    and 1 <= h.color <= self.n_colors):
+                return int(self.slot(h.cube.scale, rank, h.color))
+        raise KeyError(f"{h} is not an index of the system")
 
     def cells_of(self, cube: CubeId):
-        return self.cells_by_scale[cube.scale][self._rank(cube)]
+        rank = self._rank(cube)
+        return self.cells_by_scale[cube.scale][rank]
 
     def measure(self, cube: CubeId):
+        self._rank(cube)  # KeyError for a label outside the window
         return float(self.d_eff ** (-cube.scale))
 
     def children(self, cube: CubeId):
         """Children in canonical order (Haar child q / bitmask beta order)."""
-        rank = self._rank(cube)
-        if cube.scale == self.params.depth:
+        rank, k = self._rank(cube), cube.scale
+        if k == self.params.depth:
             raise ValueError("finest cubes have no children")
-        kids = self.cubes_by_scale[cube.scale + 1]
-        return [kids[r] for r in self.descendants(cube.scale, 1)[rank].tolist()]
+        return [CubeId(k + 1, self.cube_index(k + 1, r))
+                for r in self.descendants(k, 1)[rank].tolist()]
 
     def descendants(self, k: int, g: int):
         """Generation-g descendants of every scale-k cube, as (n_k, d_eff**g) ranks.
@@ -259,7 +304,7 @@ class FiniteDyadicSystem:
             raise ValueError(f"generation {g} below scale {k} leaves the window")
         table = self._descendants.get((k, g))
         if table is None:
-            n = len(self.cubes_by_scale[k])
+            n = len(self.cells_by_scale[k])
             if g == 0:
                 table = np.arange(n)[:, None]
             elif g == 1:
@@ -275,41 +320,49 @@ class FiniteDyadicSystem:
             self._descendants[k, g] = table
         return table
 
-    def haar_values(self, h: HaarIndex):
-        """Cell values of the wavelet h (unit L2 norm, zero mean)."""
-        cube, color = h.cube, h.color
-        if not (1 <= color <= self.n_colors):
-            raise ValueError(f"color {color} out of range 1..{self.n_colors}")
-        rank, k = self._rank(cube), cube.scale
-        if k == self.params.depth:
-            raise ValueError("Haar cubes live at scales 0..N-1")
-        kids = self.cells_by_scale[k + 1][self.descendants(k, 1)[rank]]
-        vals = np.zeros(self.n_cells, dtype=complex)
-        if self.params.dim == 1:
-            d = self.params.d
-            amp = d ** (k / 2.0)
-            for q, cells in enumerate(kids):
+    def child_values(self, k):
+        """(d_eff, n_colors) values of every scale-k wavelet on the children of
+        its cube, in `descendants` order: the amplitude |I|^{-1/2} times the
+        colour's phase on the child, a d-th root of unity in one dimension and
+        the sign (-1)^{|beta & colour|} on child beta in several."""
+        d, dim = self.params.d, self.params.dim
+        amp = d ** (k / 2.0) if dim == 1 else 2.0 ** (k * dim / 2.0)
+        table = np.empty((self.d_eff, self.n_colors), dtype=complex)
+        for q, color in itertools.product(range(self.d_eff), range(1, self.n_colors + 1)):
+            if dim > 1:
+                phase = -1.0 if bin(q & color).count("1") % 2 else 1.0
+            else:
                 rot = (color * (q + 1)) % d
                 if 2 * rot % d == 0:
                     phase = 1.0 if rot == 0 else -1.0  # exact for half turns
                 else:
                     phase = np.exp(2j * np.pi * rot / d)
-                vals[cells] = amp * phase
-        else:
-            amp = 2.0 ** (k * self.params.dim / 2.0)
-            for beta, cells in enumerate(kids):
-                sign = -1.0 if bin(beta & color).count("1") % 2 else 1.0
-                vals[cells] = amp * sign
+            table[q, color - 1] = amp * phase
+        return table
+
+    def haar_values(self, h: HaarIndex):
+        """Cell values of the wavelet h (unit L2 norm, zero mean)."""
+        cube, color = h.cube, h.color
+        if not (_is_integer(color) and 1 <= color <= self.n_colors):
+            raise ValueError(f"color {color} out of range 1..{self.n_colors}")
+        rank, k = self._rank(cube), cube.scale
+        if k == self.params.depth:
+            raise ValueError("Haar cubes live at scales 0..N-1")
+        vals = np.zeros(self.n_cells, dtype=complex)
+        kids = self.cells_by_scale[k + 1][self.descendants(k, 1)[rank]]  # (child, cell)
+        vals[kids] = self.child_values(k)[:, color - 1, None]
         return vals
 
     @property
     def basis_matrix(self):
-        """Columns = basis step functions on cells (coarse first, then Haar)."""
+        """Columns = basis step functions on cells (coarse first, then Haar),
+        written one scale at a time from `child_values`."""
         if self._basis is None:
             B = np.zeros((self.n_cells, self.dim_basis), dtype=complex)
             B[:, 0] = 1.0
-            for r, h in enumerate(self.haar_indices):
-                B[:, 1 + r] = self.haar_values(h)
+            for k, (_, cols, _) in enumerate(self.scale_layouts):
+                kids = self.cells_by_scale[k + 1][self.descendants(k, 1)]  # (cube, child, cell)
+                B[kids[..., None], cols[:, None, None, :]] = self.child_values(k)[:, None, :]
             self._basis = B
         return self._basis
 
@@ -332,7 +385,7 @@ class FiniteDyadicSystem:
         gives, bit for bit.
         """
         if self._avg is None:
-            A = np.zeros((len(self.haar_indices), self.dim_basis), dtype=complex)
+            A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=complex)
             B = self.basis_matrix
             for cells, cols, rows in self.scale_layouts:
                 support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors

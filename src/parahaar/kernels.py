@@ -12,7 +12,6 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import CubeId
 from .norms import _cell_midgrids, _weighted_sum
 
 __all__ = [
@@ -307,9 +306,8 @@ def random_admissible_family(sys, rng):
     """Per Haar cube, a random cell vector supported there with sup <= |I|^{-1/2}."""
     fams = []
     for k in range(sys.params.depth):
-        for cube in sys.cubes_by_scale[k]:
-            cells = sys.cells_of(cube)
-            bound = sys.measure(cube) ** -0.5
+        bound = float(sys.d_eff**-k) ** -0.5  # sys.measure's expression
+        for cells in sys.cells_by_scale[k]:  # the cubes in rank order
             e = np.zeros(sys.n_cells, dtype=complex)
             f = np.zeros(sys.n_cells, dtype=complex)
             e[cells] = bound * np.sqrt(rng.uniform(0, 1, cells.size)) * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size))
@@ -343,23 +341,19 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     for k in range(1, sys.params.depth):
         per = sys.axis_count(k)
         shift = max(1, min(A, per - 1))
-        for cube in sys.cubes_by_scale[k]:
-            idx = list(cube.index)
-            idx[0] = idx[0] + shift
-            if idx[0] >= per:
-                idx[0] = cube.index[0] - shift
-                if idx[0] < 0:
-                    continue
-            partner = CubeId(k, tuple(idx))
-            cells_i = sys.cells_of(cube)
-            cells_hat = sys.cells_of(partner)
-            meas = sys.measure(cube)
+        # the measures of a scale-k cube and of its children, as sys.measure
+        meas, meas_q = float(sys.d_eff**-k), float(sys.d_eff ** -(k + 1))
+        cells, kids = sys.cells_by_scale[k], sys.descendants(k, 1)
+        for rank, cells_i in enumerate(cells):
+            idx = list(sys.cube_index(k, rank))
+            idx[0] = idx[0] + shift if idx[0] + shift < per else idx[0] - shift
+            if idx[0] < 0:
+                continue
+            cells_hat = cells[sys.cube_rank(k, idx)]
             theta, alpha, e_sets, f_sets = quadrant_sets(
                 b_values[cells_i], b_values[cells_hat], meas, meas
             )
-            for child in sys.children(cube):
-                cells_q = sys.cells_of(child)
-                meas_q = sys.measure(child)
+            for cells_q in sys.cells_by_scale[k + 1][kids[rank]]:
                 in_child = np.isin(cells_i, cells_q)
                 for s in range(4):
                     e = np.zeros(C.n_cells, dtype=complex)

@@ -54,8 +54,8 @@ class Symbol:
     """Haar multiplier b, stored as its coefficient array.
 
     `blocks` is a read-only (dim_basis, m, m) array in basis order, the
-    layout `sys.coeffs` returns: row 0 is the coarse mean and row 1 + r the
-    block of `sys.haar_indices[r]`.  The constructor takes a
+    layout `sys.coeffs` returns: row 0 is the coarse mean and row
+    `sys.position(h)` the block of the wavelet h.  The constructor takes a
     {HaarIndex: block} table (absent indices are zero); `from_blocks` takes
     the array.
     """
@@ -67,9 +67,7 @@ class Symbol:
             blockdim = 1 if first is None else np.atleast_2d(first).shape[0]
         blocks = np.zeros((sys.dim_basis, blockdim, blockdim), dtype=complex)
         for h, block in coeffs.items():
-            if h not in sys.haar_pos:
-                raise KeyError(f"index {h} does not belong to the system")
-            blocks[sys.haar_pos[h]] = _square_block(block, blockdim)
+            blocks[sys.position(h)] = _square_block(block, blockdim)
         if coarse_mean is not None:
             blocks[0] = _square_block(coarse_mean, blockdim)
         self._adopt(sys, blocks)
@@ -139,11 +137,12 @@ class OperatorBundle:
 def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
     """Standard-normal complex coefficients, optionally restricted to scales.
 
-    One draw for all blocks: the generator stream is sequential, so index r
-    gets the same real and imaginary parts as a draw per index would give.
+    One draw for all blocks, the kept Haar rows in basis order: the generator
+    stream is sequential, so each row gets the same real and imaginary parts
+    as a draw per index would give.
     """
-    rows = [r for r, h in enumerate(sys.haar_indices, start=1)
-            if scales is None or h.cube.scale in scales]
+    kept = [k for k in range(sys.params.depth) if scales is None or k in scales]
+    rows = np.flatnonzero(np.isin(sys.scale_of_row(), kept))
     z = rng.standard_normal((len(rows), 2, blockdim, blockdim))
     blocks = np.zeros((sys.dim_basis, blockdim, blockdim), dtype=complex)
     blocks[rows] = z[:, 0] + 1j * z[:, 1]
@@ -183,20 +182,19 @@ def apply_op(op: np.ndarray, sys, f: StepFunction) -> StepFunction:
 def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
     """Matrix-free action: sum over indices of h_I^i b_I^i (mean of f on I).
 
-    Agrees with apply_op(paraproduct(sys, b), sys, f); the dense matrix stays
-    canonical for norm computation.
+    One pass per scale, O(n m^2), with h_I^i on each child of I read from
+    `sys.child_values`: an independent oracle of apply_op(paraproduct(sys, b),
+    sys, f), which goes through the basis and average matrices.
     """
     m = b.blockdim
     if f.blockdim != m:
         raise ValueError("block dimensions of symbol and input differ")
     out = np.zeros_like(f.values)
-    means = {}
-    for h, block in b.coeffs.items():
-        cube = h.cube
-        if cube not in means:
-            means[cube] = f.values[sys.cells_of(cube)].mean(axis=0)
-        hv = sys.haar_values(h)
-        out += np.einsum("c,ij->cij", hv, block @ means[cube])
+    for k, (cells, cols, _) in enumerate(sys.scale_layouts):
+        means = f.values[cells].mean(axis=1)  # (cube, m, m)
+        terms = b.blocks[cols] @ means[:, None]  # (cube, colour, m, m)
+        kids = sys.cells_by_scale[k + 1][sys.descendants(k, 1)]  # (cube, child, cell)
+        out[kids] += np.einsum("qt,itab->iqab", sys.child_values(k), terms)[:, :, None]
     return StepFunction(out)
 
 
@@ -217,7 +215,7 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
     D = sys.dim_basis
     avg = sys.cube_average_matrix
     out = np.zeros((D * m, D * m), dtype=complex)
-    for r in range(len(sys.haar_indices)):
+    for r in range(D - 1):
         col = 1 + r
         block = b.blocks[col].conj().T
         # output function is (1_I/|I|) b_I^{i*}; its basis coefficients are
@@ -263,7 +261,6 @@ def triangle_ops(sys, b: Symbol):
     """
     m = b.blockdim
     arr = b.blocks
-    N = sys.params.depth
     D = sys.dim_basis
     basis = sys.basis_matrix
     lam = np.zeros((D, m, D, m), dtype=complex)
@@ -279,26 +276,15 @@ def triangle_ops(sys, b: Symbol):
         lam[rows[:, :, None], :, cols[:, None, :], :] = block.transpose(0, 1, 3, 2, 4)
     lam = lam.reshape(D * m, D * m)
 
-    lam_tilde = np.zeros((D * m, D * m), dtype=complex)
-    d = sys.params.d
-    dim = sys.params.dim
-    for cube in (c for k in range(N) for c in sys.cubes_by_scale[k]):
-        weight = sys.measure(cube) ** -0.5
-        for s in range(1, sys.n_colors + 1):
-            row = sys.haar_pos[HaarIndex(cube, s)]
-            for t in range(1, sys.n_colors + 1):
-                if s == t:
-                    continue
-                if dim == 1:
-                    i = (s - t) % d
-                    if i == 0:
-                        continue
-                else:
-                    i = s ^ t
-                block = arr[sys.haar_pos[HaarIndex(cube, i)]]
-                col = sys.haar_pos[HaarIndex(cube, t)]
-                lam_tilde[row * m:(row + 1) * m, col * m:(col + 1) * m] = weight * block
-    return lam, lam_tilde
+    # LambdaTilde: row (Q, s), column (Q, t) carries |Q|^{-1/2} b_Q^i for s != t,
+    # with colour i = (s - t) mod d, or s xor t in several dimensions
+    lam_tilde = np.zeros((D, m, D, m), dtype=complex)
+    s, t = np.nonzero(~np.eye(sys.n_colors, dtype=bool))  # colour - 1 of each pair
+    i = (s - t) % sys.params.d - 1 if sys.params.dim == 1 else ((s + 1) ^ (t + 1)) - 1
+    for k, (_, cols, _) in enumerate(sys.scale_layouts):
+        weight = float(sys.d_eff**-k) ** -0.5  # sys.measure's expression
+        lam_tilde[cols[:, s], :, cols[:, t], :] = weight * arr[cols[:, i]]
+    return lam, lam_tilde.reshape(D * m, D * m)
 
 
 def r_op(sys, b: Symbol) -> np.ndarray:
@@ -412,12 +398,9 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
 
 
 def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:
-    h = HaarIndex(cube, color)
-    if h not in sys.haar_pos:
-        raise KeyError(f"{h} is not an index of the system")
     m = b.blockdim
     D = sys.dim_basis
-    row = sys.haar_pos[h]
+    row = sys.position(HaarIndex(cube, color))
     block = b.blocks[row]
     out = np.zeros((D * m, D * m), dtype=complex)
     pattern = sys.cube_average_matrix[row - 1]

@@ -103,7 +103,7 @@ class ShiftSpec:
 
 
 def _cube_labels(sys: FiniteDyadicSystem, scale, rank) -> np.ndarray:
-    """Labels, scale then index on a last axis, of the cubes `cubes_by_scale[scale][rank]`."""
+    """Labels, scale then index on a last axis, of the cubes (scale, rank)."""
     scale, rank = np.broadcast_arrays(scale, rank)
     return np.stack([scale, *sys.cube_index(scale, rank)], axis=-1)
 
@@ -111,14 +111,14 @@ def _cube_labels(sys: FiniteDyadicSystem, scale, rank) -> np.ndarray:
 def _generations(sys: FiniteDyadicSystem, i: int, j: int):
     """(radius, gen_i, gen_j, cubes) of every K whose generations i and j fit the window.
 
-    K runs by scale and then in `cubes_by_scale` order.  radius (n_K,) is the
+    K runs by scale and then by rank.  radius (n_K,) is the
     coefficient radius at K's scale, gen_i (n_K, n_I) and gen_j (n_K, n_J) are
     K's `descendants` rows, and cubes (n_K, n_I, n_J, 3, 1 + dim) the labels
     of I, J and K.
     """
     dim = sys.params.dim
     scales = range(sys.params.depth - max(i, j))
-    counts = [len(sys.cubes_by_scale[k]) for k in scales]
+    counts = [len(sys.cells_by_scale[k]) for k in scales]
     scale = np.repeat(scales, counts)  # of each K
     own = np.concatenate([np.arange(n) for n in counts])  # each K's rank in its scale
     gen_i = np.concatenate([sys.descendants(k, i) for k in scales])
@@ -136,7 +136,7 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
 
     One draw fills every coefficient's radius and angle fractions in
     (K, I, J, xi, eta, [radius, angle]) order, K by scale and then in
-    `cubes_by_scale` order, I and J in `descendants` order; one batched SVD
+    rank order, I and J in `descendants` order; one batched SVD
     gives the norm of every K block.
     """
     if sys.params.d != 2:
@@ -212,8 +212,8 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     f = b.function()
     width = spec.cubes.shape[2]
     cubes, inverse = np.unique(spec.cubes[:, :2].reshape(-1, width), axis=0, return_inverse=True)
-    avg = np.stack([f.values[sys.cells_of(CubeId(int(c[0]), tuple(int(x) for x in c[1:])))]
-                    .mean(axis=0) for c in cubes])
+    avg = np.stack([f.values[sys.cells_by_scale[c[0]][sys.cube_rank(c[0], c[1:])]].mean(axis=0)
+                    for c in cubes])  # `_slots` has checked every label
     inverse = inverse.reshape(-1, 2)
     terms = spec.values[:, None, None] * (avg[inverse[:, 0]] - avg[inverse[:, 1]])
 

@@ -257,6 +257,32 @@ def test_tensor_words_are_read_only_kron_products(d, levels):
 # -- the word table against explicit matrix products and the per-entry loops
 
 
+def _reference_tensor_codes(d, levels):
+    """(prod, phase_code) of the tensor table through signed int32 (n, n) keys."""
+    words = tensor_indices(d, levels)
+    n = len(words)
+    digits = np.array([list(w) + [(d, d)] * (levels - len(w)) for w in words],
+                      dtype=np.int32).reshape(n, levels, 2) % d
+    key, eta_key, phase_code = (np.zeros(shape, dtype=np.int32) for shape in (n, (n, n), (n, n)))
+    for lvl in range(levels):
+        i, j = digits[:, lvl, 0], digits[:, lvl, 1]
+        key += (i * d + j) * d ** (2 * lvl)
+        dj = j[:, None] - j
+        eta_key += ((i[:, None] - i) % d * d + dj % d) * d ** (2 * lvl)
+        phase_code += (-i * dj) % d * d**lvl
+    pos = np.empty(d ** (2 * levels), dtype=np.min_scalar_type(n - 1))
+    pos[key] = np.arange(n)
+    return pos[eta_key], phase_code.astype(np.min_scalar_type(d**levels - 1))
+
+
+@pytest.mark.parametrize("d,levels", [(2, 1), (2, 3), (3, 2), (2, 5), (3, 3), (5, 2)])
+def test_tensor_codes_equal_signed_reference(d, levels):
+    table = _tensor_table(d, levels)
+    prod, phase_code = _reference_tensor_codes(d, levels)
+    for got, want in ((table.prod, prod), (table.phase_code, phase_code)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("ng", [1, 2, 3, 4, 5, 6])
 def test_car_table_every_pair_matches_matrix_products(ng):
     table = _car_table(ng)

@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import numpy as np
@@ -262,7 +263,7 @@ def _strict_ancestor_support(sys, cube):
     support[0] = True
     for h in sys.haar_indices:
         if h.cube.scale < cube.scale and cells <= set(sys.cells_of(h.cube).tolist()):
-            support[sys.haar_pos[h]] = True
+            support[sys.position(h)] = True
     return support
 
 
@@ -392,7 +393,7 @@ def test_tables_equal_reference_loops(d, N, dim, shift):
             kids = _reference_children(sys, cube)
             assert sys.descendants(k, 1)[r].tolist() == [rank[kid] for kid in kids]
             assert sys.children(cube) == kids
-            cols = [sys.haar_pos[HaarIndex(cube, t)] for t in range(1, sys.n_colors + 1)]
+            cols = [sys.position(HaarIndex(cube, t)) for t in range(1, sys.n_colors + 1)]
             assert [sys.slot(k, r, t) for t in range(1, sys.n_colors + 1)] == cols
             assert layouts[k][1][r].tolist() == cols
             assert np.array_equal(layouts[k][0][r], ref)
@@ -442,7 +443,7 @@ def test_haar_values_of_an_index_past_the_window():
 def test_children_of_a_negative_scale():
     sys = build_system(DyadicParams(2, 3))
     cube = CubeId(-1, (0,))
-    for read in (sys.children, lambda c: sys.haar_values(HaarIndex(c, 1))):
+    for read in (sys.children, sys.measure, lambda c: sys.haar_values(HaarIndex(c, 1))):
         with pytest.raises(KeyError, match=re.escape(str(cube))):
             read(cube)
 
@@ -453,3 +454,133 @@ def test_one_axis_label_on_a_two_dimensional_system():
     for read in (sys.cells_of, sys.children, lambda c: sys.haar_values(HaarIndex(c, 1))):
         with pytest.raises(KeyError, match=re.escape(str(cube))):
             read(cube)
+
+
+@pytest.mark.parametrize("cube", [CubeId(0, (0.5,)), CubeId(1, (1.0,)), CubeId(1.0, (1,)),
+                                  CubeId(1, (True,)), CubeId(0, ("0",))])
+def test_a_label_that_is_not_integer(cube):
+    sys = build_system(DyadicParams(2, 3))
+    for read in (sys.cells_of, sys.children, sys.measure,
+                 lambda c: sys.position(HaarIndex(c, 1))):
+        with pytest.raises(KeyError, match=re.escape(str(cube))):
+            read(cube)
+
+
+def test_numpy_integer_labels_are_accepted():
+    sys = build_system(DyadicParams(3, 3, dim=1))
+    cube = CubeId(np.int64(2), (np.int32(7),))
+    assert np.array_equal(sys.cells_of(cube), sys.cells_of(CubeId(2, (7,))))
+    assert sys.position(HaarIndex(cube, np.int64(2))) == sys.position(HaarIndex(CubeId(2, (7,)), 2))
+
+
+@pytest.mark.parametrize("d,dim", [(3, 1), (2, 2)])
+def test_position_rejects_a_colour_or_scale_outside_the_basis(d, dim):
+    sys = build_system(DyadicParams(d, 2, dim))
+    N, top = sys.params.depth, CubeId(0, (0,) * dim)
+    for h in (HaarIndex(top, 0), HaarIndex(top, sys.n_colors + 1), HaarIndex(top, 1.5),
+              HaarIndex(top, -1), HaarIndex(CubeId(N, (0,) * dim), 1)):
+        with pytest.raises(KeyError, match=re.escape(str(h))):
+            sys.position(h)
+
+
+# `position` replaces the {HaarIndex: position} dict the system used to build
+# next to the tree: it agrees with that dict on every label and rejects every
+# key the dict lacked.
+
+
+def _reference_positions(sys):
+    """Every wavelet label by scale, index (in `itertools.product` order) and colour."""
+    labels = [HaarIndex(CubeId(k, index), color) for k in range(sys.params.depth)
+              for index in itertools.product(range(_reference_axis_count(sys, k)),
+                                             repeat=sys.params.dim)
+              for color in range(1, sys.n_colors + 1)]
+    return {h: r for r, h in enumerate(labels, start=1)}
+
+
+@pytest.mark.parametrize("d,N,dim", [(2, 3, 1), (3, 2, 1), (2, 2, 2)])
+def test_position_equals_the_label_dict(d, N, dim):
+    sys = build_system(DyadicParams(d, N, dim))
+    ref = _reference_positions(sys)
+    assert sys.haar_indices == tuple(ref)
+    assert [sys.position(h) for h in ref] == list(ref.values()) == list(range(1, sys.dim_basis))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_symbol_rejects_every_key_the_label_dict_rejects(dim):
+    sys = build_system(DyadicParams(2 if dim == 2 else 3, 2, dim))
+    ref = _reference_positions(sys)
+    zero, N = (0,) * dim, sys.params.depth
+    top = CubeId(0, zero)
+    keys = [HaarIndex(top, 0), HaarIndex(top, sys.n_colors + 1), HaarIndex(top, 1.5),
+            HaarIndex(CubeId(N, zero), 1), HaarIndex(CubeId(-1, zero), 1),
+            HaarIndex(CubeId(0, (5,) * dim), 1), HaarIndex(CubeId(0, (0.5,) * dim), 1),
+            HaarIndex(CubeId(0, zero + (0,)), 1), HaarIndex((0, zero), 1), top, (top, 1), "h"]
+    for key in keys:
+        assert key not in ref
+        with pytest.raises(KeyError):
+            Symbol(sys, {key: 1.0})
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda: GridShift((1.7, 0)), "omega[0]"),
+    (lambda: GridShift((0, True)), "omega[1]"),
+    (lambda: GridShift(("1",)), "omega[0]"),
+    (lambda: DyadicParams(2, 2.5), "depth"),
+    (lambda: DyadicParams(2, True), "depth"),
+    (lambda: DyadicParams(2.0, 3), "d"),
+    (lambda: DyadicParams(2, 3, dim=1.0), "dim"),
+    (lambda: DyadicParams(np.float64(3), 2), "d"),
+])
+def test_parameters_that_are_not_integers(make, field):
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer")):
+        make()
+
+
+def test_numpy_integer_parameters_are_accepted():
+    params = DyadicParams(np.int64(3), np.int32(2), dim=np.uint8(1))
+    assert params == DyadicParams(3, 2) and all(type(x) is int for x in vars(params).values())
+    assert GridShift(np.array([1, 0, 1])).omega == (1, 0, 1)
+
+
+def test_build_allocates_little_beyond_the_cell_tables():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sys = build_system(DyadicParams(2, 14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tables = sum(cells.nbytes for cells in sys.cells_by_scale)
+    assert all(cells.dtype == np.int32 for cells in sys.cells_by_scale)
+    assert peak <= 2 * tables
+
+
+def test_no_label_is_built_on_the_array_path(monkeypatch, rng):
+    from parahaar import dyadic, kernels, norms
+    from parahaar.paraproducts import apply_paraproduct, paraproduct, random_symbol, triangle_ops
+
+    built = []
+    for cls in (dyadic.CubeId, dyadic.HaarIndex):
+        init = cls.__init__
+
+        def counting(self, *args, _init=init, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    CubeId(0, (0,))  # the wrappers are in place
+    assert built == ["CubeId"]
+    built.clear()
+    for params in (DyadicParams(2, 6), DyadicParams(3, 3), DyadicParams(2, 3, dim=2)):
+        sys = build_system(params)
+        N = params.depth
+        for m, scales in ((1, None), (2, {0, N - 1})):
+            b = random_symbol(sys, rng, blockdim=m, scales=scales)
+            f = StepFunction(rng.standard_normal((sys.n_cells, m, m)))
+            paraproduct(sys, b)
+            triangle_ops(sys, b)
+            apply_paraproduct(sys, b, f)
+            norms.besov_haar(sys, b, 1.0)
+        kernels.random_admissible_family(sys, rng)
+    assert built == []

@@ -130,7 +130,7 @@ def test_bmo_forms_equal_per_cube_loops(d, N, dim, shift, rng):
         for cube in sys.cubes_by_scale[k]:
             total = 0.0
             for color in range(1, sys.n_colors + 1):
-                total += abs(b.blocks[sys.haar_pos[HaarIndex(cube, color)], 0, 0]) ** 2
+                total += abs(b.blocks[sys.position(HaarIndex(cube, color)), 0, 0]) ** 2
             if k < N - 1:
                 total += sum(mass[kid] for kid in sys.children(cube))
             mass[cube] = total

@@ -78,8 +78,8 @@ def test_lambda_tilde_color_shift_d3():
     sys = build_system(DyadicParams(3, 1))
     b = unit_symbol(sys, CubeId(0, (0,)), 1)
     _, lt = triangle_ops(sys, b)
-    row = sys.haar_pos[HaarIndex(CubeId(0, (0,)), 2)]
-    col = sys.haar_pos[HaarIndex(CubeId(0, (0,)), 1)]
+    row = sys.position(HaarIndex(CubeId(0, (0,)), 2))
+    col = sys.position(HaarIndex(CubeId(0, (0,)), 1))
     assert lt[row, col] == pytest.approx(1.0)
     assert np.abs(lt).sum() == pytest.approx(1.0)
 
@@ -334,7 +334,7 @@ def test_r_block_diagonal(rng):
         assert np.abs(R.transpose(0, 2, 1, 3)[off]).max() == 0.0
         f = b.function().values
         for h in sys.haar_indices:
-            row = sys.haar_pos[h]
+            row = sys.position(h)
             mean = f[sys.cells_of(h.cube)].mean(axis=0)
             assert np.abs(R[row, :, row, :] - mean).max() < 1e-13
         assert np.abs(R[0, :, 0, :]).max() == 0.0
@@ -367,7 +367,8 @@ def _random_symbol_loop(sys, rng, m, scales=None, with_mean=True):
 
 @pytest.mark.parametrize("d,N,dim", [(2, 4, 1), (3, 3, 1), (2, 3, 2)])
 @pytest.mark.parametrize("m", [1, 2, 3])
-@pytest.mark.parametrize("scales,with_mean", [(None, True), ({1, 2}, True), (None, False)])
+@pytest.mark.parametrize("scales,with_mean", [(None, True), ({1, 2}, True), (None, False),
+                                               ({0, 3}, True)])
 def test_random_symbol_matches_per_index_draws(d, N, dim, m, scales, with_mean):
     sys = build_system(DyadicParams(d, N, dim))
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)

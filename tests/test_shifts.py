@@ -88,7 +88,7 @@ def _reference_shift_matrix(sys, i, j, rng, blockdim=1):
             coeffs.update({key: a / norm if norm > 1.0 else a for key, a in block.items()})
     S = np.zeros((sys.dim_basis, sys.dim_basis), dtype=complex)
     for (I, J, xi, eta), a in coeffs.items():
-        S[sys.haar_pos[HaarIndex(J, eta)], sys.haar_pos[HaarIndex(I, xi)]] += a
+        S[sys.position(HaarIndex(J, eta)), sys.position(HaarIndex(I, xi))] += a
     return np.kron(S, np.eye(blockdim)) if blockdim > 1 else S
 
 
@@ -131,7 +131,7 @@ def test_assemble_zero_and_rank_one():
     spec = ShiftSpec(0, 1, 1, {(K, J, K, 1, 1): 0.3j})
     S = assemble_shift(sys, spec)
     assert schatten_norm(S, np.inf) == pytest.approx(0.3)
-    assert S[sys.haar_pos[HaarIndex(J, 1)], sys.haar_pos[HaarIndex(K, 1)]] == 0.3j
+    assert S[sys.position(HaarIndex(J, 1)), sys.position(HaarIndex(K, 1))] == 0.3j
 
 
 def test_contractivity(rng):
