@@ -470,14 +470,10 @@ def _offset_at(scale: int, variant: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AdjacentFamily:
+    """The 2^dim grids of one-third-shifted cubes; bit t of a grid number is
+    the variant (0 unshifted, 1 shifted) of its axis t."""
+
     dim: int
-
-    @property
-    def n_grids(self):
-        return 2**self.dim
-
-    def variants(self, grid: int):
-        return tuple((grid >> t) & 1 for t in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -514,28 +510,24 @@ def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> C
     k = 0
     while Fraction(1, 2 ** (k + 1)) >= L:
         k += 1
+    # the variants act on each axis on their own, so the fitting grid of
+    # lowest number takes, on every axis, the lowest variant that fits there
     for scale in range(k, -5, -1):
         h = Fraction(1, 2**scale) if scale >= 0 else Fraction(2**-scale)
-        for grid in range(family.n_grids):
-            idx = []
-            for t in range(dim):
-                off = _offset_at(scale, family.variants(grid)[t])
+        grid, idx, corner = 0, [], []
+        for t in range(dim):
+            for variant in (0, 1):
+                off = _offset_at(scale, variant)
                 m0 = (lo[t] - off) // h
                 # B_t fits in cell m0 iff its right endpoint stays inside
                 if lo[t] + L <= off + (m0 + 1) * h:
-                    idx.append(int(m0))
-                else:
                     break
-            if len(idx) == dim:
-                return CoveringCube(
-                    grid,
-                    scale,
-                    tuple(idx),
-                    tuple(
-                        _offset_at(scale, family.variants(grid)[t]) + idx[t] * h
-                        for t in range(dim)
-                    ),
-                    h,
-                )
+            else:
+                break
+            grid |= variant << t
+            idx.append(m0)
+            corner.append(off + m0 * h)
+        else:
+            return CoveringCube(grid, scale, tuple(idx), tuple(corner), h)
     raise RuntimeError("no covering cube found; input exceeds the supported range")
 

@@ -122,12 +122,12 @@ def standard_check(K: KernelSpec, samples: Sequence[Tuple]) -> dict:
     return {"worst_size_ratio": worst_size, "worst_diff_ratio": worst_diff, "violations": violations}
 
 
-def _ball_samples(center, r, dim, count=5):
+def _ball_samples(center, r, dim):
     center = np.asarray(center, dtype=float).reshape(dim)
     offs = [np.zeros(dim)]
     for t in range(dim):
         for s in (-1.0, 1.0):
-            for frac in np.linspace(1.0 / count, 1.0, count):
+            for frac in np.linspace(0.2, 1.0, 5):
                 e = np.zeros(dim)
                 e[t] = s * frac * r
                 offs.append(e)
@@ -350,9 +350,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
             if idx[0] < 0:
                 continue
             cells_hat = cells[sys.cube_rank(k, idx)]
-            theta, alpha, e_sets, f_sets = quadrant_sets(
-                b_values[cells_i], b_values[cells_hat], meas, meas
-            )
+            _, _, e_sets, f_sets = quadrant_sets(b_values[cells_i], b_values[cells_hat], meas)
             for cells_q in sys.cells_by_scale[k + 1][kids[rank]]:
                 in_child = np.isin(cells_i, cells_q)
                 for s in range(4):

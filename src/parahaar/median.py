@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -89,10 +88,9 @@ def _frame_from_two_points(theta, p_on_l1, p_on_l2) -> QuadrantFrame:
     return QuadrantFrame(theta, (n.conjugate() * p_on_l1).real, (u.conjugate() * p_on_l2).real)
 
 
-def quadrant_masses(pts: WeightedPointSet, frame: QuadrantFrame, tol: Optional[float] = None):
+def quadrant_masses(pts: WeightedPointSet, frame: QuadrantFrame):
     """Closed-quadrant masses; boundary atoms count in every adjacent quadrant."""
-    if tol is None:
-        tol = 1e-12 * max(pts.scale(), abs(frame.c1), abs(frame.c2), 1.0)
+    tol = 1e-12 * max(pts.scale(), abs(frame.c1), abs(frame.c2), 1.0)
     u = _direction(frame.theta)
     q = frame.center
     return quadrant_masses_kernel(
@@ -482,12 +480,13 @@ def _fallback_frame(work, c, a1, a2):
 # Quadrant sets for cube pairs (the separated-cube testing machinery).
 
 
-def quadrant_sets(values_i, values_hat, measure_i=1.0, measure_hat=1.0, tol=None):
+def quadrant_sets(values_i, values_hat, measure_hat=1.0):
     """(theta, alpha, E sets, F sets) from the median frame of the far cube.
 
     E_s collects the cells of I whose value sits in the s-th closed cone
     around alpha (axes at +-pi/4 to the rotation), F_s the cells of the far
-    cube whose value, reflected through alpha, sits in the same cone.
+    cube whose value, reflected through alpha, sits in the same cone.  The
+    far cube's cells share the mass `measure_hat` equally in the median.
     """
     vi = np.asarray(values_i, dtype=complex).ravel()
     vh = np.asarray(values_hat, dtype=complex).ravel()
@@ -497,8 +496,7 @@ def quadrant_sets(values_i, values_hat, measure_i=1.0, measure_hat=1.0, tol=None
     frame = complex_median(pts)
     alpha = frame.center
     theta = (math.pi / 4 - frame.theta) % (2 * math.pi)
-    if tol is None:
-        tol = 1e-12 * max(1.0, float(np.abs(vh).max()), float(np.abs(vi).max()), abs(alpha))
+    tol = 1e-12 * max(1.0, float(np.abs(vh).max()), float(np.abs(vi).max()), abs(alpha))
 
     def cones(w):
         re, im = w.real, w.imag

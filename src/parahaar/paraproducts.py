@@ -7,15 +7,24 @@ acted on as the (D*m, m) matrix of stacked block rows.
 
 The truncation window 1..N replaces the bi-infinite scale sums, and the
 pointwise-multiplication identity picks up the coarse boundary term
-K_b f = (E_0 b)(E_0 f), which the decompose() bundle carries explicitly.
+K_b f = (E_0 b)(E_0 f).  `decompose` returns the five operators of
+M_b = pi_b + Lambda_b + R_b + K_b and nothing else: the OperatorBundle
+fields `pi` (paraproduct), `lam` (triangle_op), `r` (r_op), `coarse`
+(coarse_op) and `mult` (mult_op).
 
-Three assemblies are independent oracles and stay dense on purpose:
-mult_op (the full multiplication operator, from the synthesized function),
-adjoint_paraproduct (pi_b^*, from cube averages) and the LambdaTilde_b of
-triangle_ops (from its same-cube entries).  The exact checks compare the
-faster assemblies against them: M_b = pi_b + Lambda_b + R_b + K_b and
-Lambda_b = pi_{b*}^* + LambdaTilde_b.  No operator is built from one of the
-identities it is checked by.
+Four assemblies are independent oracles and stay dense on purpose; each is
+built where a check compares against it:
+- mult_op, the full multiplication operator from the synthesized function:
+  the bundle's `mult`, against which checks.check_decompose (and the
+  benchmark) judge the other four fields;
+- adjoint_paraproduct, pi_b^* from cube averages, called by
+  checks.check_adjoint (against paraproduct's conjugate transpose) and
+  checks.check_triangle_split;
+- triangle_tilde, LambdaTilde_b from its same-cube entries, called by
+  checks.check_triangle_split (Lambda_b = pi_{b*}^* + LambdaTilde_b);
+- apply_paraproduct, the matrix-free action, called by the tests against
+  paraproduct.
+No operator is built from one of the identities it is checked by.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ __all__ = [
     "paraproduct",
     "apply_paraproduct",
     "adjoint_paraproduct",
-    "triangle_ops",
+    "triangle_op",
+    "triangle_tilde",
     "r_op",
     "mult_op",
     "coarse_op",
@@ -125,10 +135,10 @@ def _scalar_lift(a: Symbol, m: int) -> Symbol:
 
 @dataclass
 class OperatorBundle:
+    """The pieces of M_b = pi + lam + r + coarse, and the oracle `mult` = M_b."""
+
     pi: np.ndarray
-    pi_adj: np.ndarray
     lam: np.ndarray
-    lam_tilde: np.ndarray
     r: np.ndarray
     mult: np.ndarray
     coarse: np.ndarray
@@ -150,13 +160,6 @@ def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
         shape = (blockdim, blockdim)
         blocks[0] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return Symbol.from_blocks(sys, blocks)
-
-
-def _block_expand(blocks_rows, scalars) -> np.ndarray:
-    """rows of blocks (D, m, m) times a scalar row pattern (D, D) -> (Dm, Dm)."""
-    D, m, _ = blocks_rows.shape
-    out = np.einsum("rij,rg->rigj", blocks_rows, scalars)
-    return out.reshape(D * m, D * m)
 
 
 def scale_selector(sys, cube_scale: int, blockdim: int = 1) -> np.ndarray:
@@ -199,18 +202,23 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
 
 
 def paraproduct(sys, b: Symbol) -> np.ndarray:
-    """Matrix of f -> sum h_I^i b_I^i <1_I/|I|, f> in the coarse+Haar basis."""
-    D = sys.dim_basis
-    avg = sys.cube_average_matrix  # (haar rows, D)
-    rows = np.zeros((D, D), dtype=complex)
-    rows[1:, :] = avg
-    blocks = b.blocks.copy()
-    blocks[0] = 0.0  # no coarse output row
-    return _block_expand(blocks, rows)
+    """Matrix of f -> sum h_I^i b_I^i <1_I/|I|, f> in the coarse+Haar basis.
+
+    Block row (I, i) is b_I^i times the cube averages of the basis on I; the
+    coarse output row stays zero.
+    """
+    D, m = sys.dim_basis, b.blockdim
+    out = np.zeros((D, m, D, m), dtype=complex)
+    np.einsum("rij,rg->rigj", b.blocks[1:], sys.cube_average_matrix, out=out[1:])
+    return out.reshape(D * m, D * m)
 
 
 def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
-    """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f); an oracle."""
+    """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f); an oracle.
+
+    Called only by the checks that compare against it: checks.check_adjoint
+    (pi_b^* = paraproduct^H) and checks.check_triangle_split (pi_{b*}^*).
+    """
     m = b.blockdim
     D = sys.dim_basis
     avg = sys.cube_average_matrix
@@ -228,7 +236,9 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
 def mult_op(sys, b: Symbol) -> np.ndarray:
     """Pointwise left multiplication by the synthesized step function.
 
-    A dense O(D^3) oracle for the decomposition M_b = pi + Lambda + R + K.
+    A dense O(D^3) oracle for the decomposition M_b = pi + Lambda + R + K:
+    `decompose` returns it as the bundle's `mult`, which
+    checks.check_decompose compares the other four pieces against.
     """
     return _mult_matrix(sys, b.function())
 
@@ -250,14 +260,11 @@ def _difference_function(sys, arr, k) -> StepFunction:
     return sys.synthesize(coeffs)
 
 
-def triangle_ops(sys, b: Symbol):
-    """Return (Lambda_b, LambdaTilde_b).
+def triangle_op(sys, b: Symbol) -> np.ndarray:
+    """Lambda_b = sum_k M_{d_k b} S_{k-1}, from pointwise products.
 
-    Lambda_b = sum_k M_{d_k b} S_{k-1} from pointwise products, one batched
-    analysis per scale s: the column of the slot (Q, t) is the analysis of
-    d_{s+1} b . h_Q^t, restricted to its tree support.  LambdaTilde_b is an
-    independent oracle, assembled directly from its same-cube
-    color-convolution entries, block diagonal over cubes.
+    One batched analysis per scale s: the column of the slot (Q, t) is the
+    analysis of d_{s+1} b . h_Q^t, restricted to its tree support.
     """
     m = b.blockdim
     arr = b.blocks
@@ -274,17 +281,27 @@ def triangle_ops(sys, b: Symbol):
         n_q, per = cells.shape
         block = (analysis @ prod.reshape(n_q, per, -1)).reshape(n_q, rows.shape[1], m, -1, m)
         lam[rows[:, :, None], :, cols[:, None, :], :] = block.transpose(0, 1, 3, 2, 4)
-    lam = lam.reshape(D * m, D * m)
+    return lam.reshape(D * m, D * m)
 
-    # LambdaTilde: row (Q, s), column (Q, t) carries |Q|^{-1/2} b_Q^i for s != t,
-    # with colour i = (s - t) mod d, or s xor t in several dimensions
+
+def triangle_tilde(sys, b: Symbol) -> np.ndarray:
+    """LambdaTilde_b, an independent oracle assembled from its same-cube entries.
+
+    Block diagonal over cubes: row (Q, s), column (Q, t) carries
+    |Q|^{-1/2} b_Q^i for s != t, with colour i = (s - t) mod d, or s xor t in
+    several dimensions.  Called only by checks.check_triangle_split
+    (Lambda_b = pi_{b*}^* + LambdaTilde_b) and the tests.
+    """
+    m = b.blockdim
+    arr = b.blocks
+    D = sys.dim_basis
     lam_tilde = np.zeros((D, m, D, m), dtype=complex)
     s, t = np.nonzero(~np.eye(sys.n_colors, dtype=bool))  # colour - 1 of each pair
     i = (s - t) % sys.params.d - 1 if sys.params.dim == 1 else ((s + 1) ^ (t + 1)) - 1
     for k, (_, cols, _) in enumerate(sys.scale_layouts):
         weight = float(sys.d_eff**-k) ** -0.5  # sys.measure's expression
         lam_tilde[cols[:, s], :, cols[:, t], :] = weight * arr[cols[:, i]]
-    return lam, lam_tilde.reshape(D * m, D * m)
+    return lam_tilde.reshape(D * m, D * m)
 
 
 def r_op(sys, b: Symbol) -> np.ndarray:
@@ -311,13 +328,10 @@ def coarse_op(sys, b: Symbol) -> np.ndarray:
 
 
 def decompose(sys, b: Symbol) -> OperatorBundle:
-    lam, lam_tilde = triangle_ops(sys, b)
-    pi = paraproduct(sys, b)
+    """The operators of M_b = pi_b + Lambda_b + R_b + K_b, with the oracle M_b."""
     return OperatorBundle(
-        pi=pi,
-        pi_adj=adjoint_paraproduct(sys, b),
-        lam=lam,
-        lam_tilde=lam_tilde,
+        pi=paraproduct(sys, b),
+        lam=triangle_op(sys, b),
         r=r_op(sys, b),
         mult=mult_op(sys, b),
         coarse=coarse_op(sys, b),
@@ -329,40 +343,28 @@ def band(sys, b: Symbol, n: int, m_scale: int) -> np.ndarray:
     N = sys.params.depth
     if not (0 <= n < N and 0 <= m_scale < N):
         raise ValueError("band scales must lie inside the window")
-    return _select_band(sys, paraproduct(sys, b), n, m_scale, b.blockdim)
-
-
-def _select_band(sys, pi, n, m_scale, blockdim):
-    """Rows of pi at Haar scale m_scale, columns at Haar scale n; the rest 0."""
-    sel_in = scale_selector(sys, n, blockdim)
-    sel_out = scale_selector(sys, m_scale, blockdim)
-    return sel_out[:, None] * pi * sel_in[None, :]
+    sel_in = scale_selector(sys, n, b.blockdim)
+    sel_out = scale_selector(sys, m_scale, b.blockdim)
+    return sel_out[:, None] * paraproduct(sys, b) * sel_in[None, :]
 
 
 def splitting(sys, b: Symbol, n_step: int, k: int):
-    """Arithmetic-progression band sums (pi_{b,k}, diagonal, off-diagonal)."""
+    """Arithmetic-progression band sums (pi_{b,k}, diagonal, off-diagonal).
+
+    The bands kept have output Haar scale = k+1 and input Haar scale = k
+    (mod n_step); the diagonal ones are those with output = input + 1, the
+    off-diagonal ones those with output > input + 1.
+    """
     if n_step < 2:
         raise ValueError("the progression step must be >= 2")
     if not (0 <= k < n_step):
         raise ValueError("k must lie in 0..n_step-1")
-    N = sys.params.depth
-    D = sys.dim_basis * b.blockdim
+    scales = np.repeat(sys.scale_of_row(), b.blockdim)
+    out, inp = scales[:, None], scales[None, :]
+    kept = (inp >= 0) & (out % n_step == (k + 1) % n_step) & (inp % n_step == k)
     pi = paraproduct(sys, b)
-    diag = np.zeros((D, D), dtype=complex)
-    off = np.zeros((D, D), dtype=complex)
-    for mm in range(-N, N + 1):
-        out_scale = n_step * mm + k + 1
-        if not (0 <= out_scale < N):
-            continue
-        for nn in range(-N, mm + 1):
-            in_scale = n_step * nn + k
-            if not (0 <= in_scale < N):
-                continue
-            block = _select_band(sys, pi, in_scale, out_scale, b.blockdim)
-            if nn == mm:
-                diag += block
-            else:
-                off += block
+    diag = np.where(kept & (out == inp + 1), pi, 0.0)
+    off = np.where(kept & (out > inp + 1), pi, 0.0)
     return diag + off, diag, off
 
 

@@ -217,6 +217,41 @@ def test_cover_random(rng):
                 assert float(q.lower[t] + q.side) <= center + c_n * side / 2 + 1e-12
 
 
+def _cover_cube_per_grid(lower, side, dim):
+    """The per-grid reference: at each scale, from the finest up, the first
+    grid in number order whose cell holds B on every axis."""
+    from fractions import Fraction
+
+    from parahaar.dyadic import CoveringCube, _offset_at
+
+    lo = [Fraction(str(x)) for x in lower]
+    L = Fraction(str(side))
+    k = 0
+    while Fraction(1, 2 ** (k + 1)) >= L:
+        k += 1
+    for scale in range(k, -5, -1):
+        h = Fraction(1, 2**scale) if scale >= 0 else Fraction(2**-scale)
+        for grid in range(2**dim):
+            offs = [_offset_at(scale, (grid >> t) & 1) for t in range(dim)]
+            idx = [(lo[t] - offs[t]) // h for t in range(dim)]
+            if all(lo[t] + L <= offs[t] + (idx[t] + 1) * h for t in range(dim)):
+                return CoveringCube(grid, scale, tuple(idx),
+                                    tuple(offs[t] + idx[t] * h for t in range(dim)), h)
+    raise AssertionError("no covering cube")
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cover_equals_per_grid_loop(rng, dim):
+    fam = make_adjacent_family(dim)
+    for _ in range(300):
+        side = float(rng.uniform(0.001, 0.3))
+        lo = [float(rng.uniform(0, 1 - side)) for _ in range(dim)]
+        assert cover_cube(lo, side, fam) == _cover_cube_per_grid(lo, side, dim)
+    # the examples above, on every axis
+    for lo, side in (([0.4] * dim, 0.2), ([0.1] * dim, 0.1), ([0.301] * dim, 0.09)):
+        assert cover_cube(lo, side, fam) == _cover_cube_per_grid(lo, side, dim)
+
+
 def test_cover_outside_window():
     fam = make_adjacent_family(1)
     with pytest.raises(ValueError):
@@ -558,7 +593,8 @@ def test_build_allocates_little_beyond_the_cell_tables():
 
 def test_no_label_is_built_on_the_array_path(monkeypatch, rng):
     from parahaar import dyadic, kernels, norms
-    from parahaar.paraproducts import apply_paraproduct, paraproduct, random_symbol, triangle_ops
+    from parahaar.paraproducts import (apply_paraproduct, paraproduct, random_symbol,
+                                       triangle_op, triangle_tilde)
 
     built = []
     for cls in (dyadic.CubeId, dyadic.HaarIndex):
@@ -579,7 +615,8 @@ def test_no_label_is_built_on_the_array_path(monkeypatch, rng):
             b = random_symbol(sys, rng, blockdim=m, scales=scales)
             f = StepFunction(rng.standard_normal((sys.n_cells, m, m)))
             paraproduct(sys, b)
-            triangle_ops(sys, b)
+            triangle_op(sys, b)
+            triangle_tilde(sys, b)
             apply_paraproduct(sys, b, f)
             norms.besov_haar(sys, b, 1.0)
         kernels.random_admissible_family(sys, rng)

@@ -199,3 +199,55 @@ def test_grid_ops_apply(rng):
     M = GridOperator(np.diag(vals.astype(complex)), 1, 8)
     f = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert np.allclose(M.apply(f), vals * f)
+
+
+def _testing_quantity_per_cube(C, sys, b_values, A, p, partners):
+    """The per-cube reference, on labels: each scale-k cube I (0 < k < N) is
+    paired with the cube `shift` cells to its right on the first axis, or to
+    its left when the right one leaves the window, and is skipped when
+    neither fits; `partners` counts the three cases."""
+    from parahaar.dyadic import CubeId
+    from parahaar.median import quadrant_sets
+
+    dim = sys.params.dim
+    terms = []
+    for k in range(1, sys.params.depth):
+        per = (sys.params.d if dim == 1 else 2) ** k
+        shift = max(1, min(A, per - 1))
+        meas, meas_q = sys.d_eff ** -k, sys.d_eff ** -(k + 1)
+        for cube in sys.cubes_by_scale[k]:
+            first = cube.index[0]
+            if first + shift < per:
+                partner, case = first + shift, "right"
+            elif first - shift >= 0:
+                partner, case = first - shift, "left"
+            else:
+                partners["none"] += 1
+                continue
+            partners[case] += 1
+            cells_i = sys.cells_of(cube)
+            cells_hat = sys.cells_of(CubeId(k, (partner, *cube.index[1:])))
+            _, _, e_sets, f_sets = quadrant_sets(b_values[cells_i], b_values[cells_hat], meas)
+            for child in sys.children(cube):
+                in_child = set(sys.cells_of(child).tolist())
+                for s in range(4):
+                    e = np.zeros(C.n_cells, dtype=complex)
+                    e[cells_hat[f_sets[s]]] = np.sqrt(meas_q) / meas
+                    f = np.zeros(C.n_cells, dtype=complex)
+                    f[[c for c in cells_i[e_sets[s]] if c in in_child]] = 1 / np.sqrt(meas_q)
+                    terms.append(A ** dim * abs(np.vdot(e, C.apply(f)) * C.cell_measure))
+    return max(terms) if p == np.inf else sum(t ** p for t in terms) ** (1 / p)
+
+
+@pytest.mark.parametrize("dim,depth,A", [(1, 4, 3), (1, 5, 2), (2, 3, 2), (2, 4, 3)])
+def test_testing_quantity_partners_equal_per_cube_loop(rng, dim, depth, A):
+    sys = build_system(DyadicParams(2, depth, dim=dim))
+    n = sys.n_cells
+    C = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
+                     dim, 2**depth)
+    vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for p in (1.0, 2.0, np.inf):
+        partners = dict.fromkeys(("right", "left", "none"), 0)
+        want = _testing_quantity_per_cube(C, sys, vals, A, p, partners)
+        assert tq_separated(C, sys, vals, A=A, p=p) == pytest.approx(want, rel=1e-12)
+        assert partners["right"] > 0 and partners["left"] > 0

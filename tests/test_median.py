@@ -182,7 +182,7 @@ def test_quadrant_sets_trivial():
 
 def test_quadrant_sets_symmetric():
     vh = np.array([1.0, -1.0, 1j, -1j])
-    theta, alpha, e_sets, f_sets = quadrant_sets(np.array([0.5]), vh, 1.0, 1.0)
+    theta, alpha, e_sets, f_sets = quadrant_sets(np.array([0.5]), vh, 1.0)
     masses = [len(f) / 4.0 for f in f_sets]
     assert all(m >= 1 / 16 for m in masses)
 
@@ -293,3 +293,122 @@ def test_median_frames_do_not_depend_on_the_memo(rng, monkeypatch):
     assert [complex_median(pts) for pts in sets] == memo
     assert (med.stats.fallbacks, med.stats.boundary_cases) == memo_counts[:2]
     assert memo_counts[2] < len(calls)
+
+
+# Paths of `complex_median` that the point sets above never take.  Each test
+# reaches one, checks that the returned frame is certified and that
+# `med.stats` counts the call, its fallbacks and its boundary cases.
+
+
+def _certified_with_counts(pts, fallbacks, boundary):
+    med.stats.reset()
+    frame = complex_median(pts)
+    assert med._certify(pts, frame)[0]
+    assert (med.stats.calls, med.stats.fallbacks, med.stats.boundary_cases) == \
+        (1, fallbacks, boundary)
+    return frame
+
+
+@pytest.mark.parametrize("z,w,reached", [
+    ([-1j, 1j, -1 - 1j, 1j], [2, 2, 3, 3], 1),  # the projection median
+    # an atom projection between the two ray origins
+    (np.array([2 - 2j, -1 + 1j, -1 - 2j, 1 - 2j, 1 - 2j, 2j, -1 + 1j]) * 0.5 + 1 / 3,
+     [3, 3, 4, 2, 4, 1, 4], 2),
+])
+def test_offsets_past_the_midpoint(monkeypatch, z, w, reached):
+    drawn = []
+    offsets = med._offsets
+
+    def counted(*args):
+        for i, c2 in enumerate(offsets(*args)):
+            drawn.append(i)
+            yield c2
+
+    monkeypatch.setattr(med, "_offsets", counted)
+    _certified_with_counts(WeightedPointSet(z, w), 0, 0)
+    assert max(drawn) == reached
+
+
+def _spy(monkeypatch, name, calls):
+    fn = getattr(med, name)
+
+    def spied(*args):
+        out = fn(*args)
+        calls.append((name, args, out))
+        return out
+
+    monkeypatch.setattr(med, name, spied)
+
+
+def test_axes_frame_that_fails_its_certificate(monkeypatch):
+    # the conditional median intervals share 0 here, so the axes frame is tried
+    # first; rejected, the search runs with both ray origins at that point
+    pts = WeightedPointSet([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 0.5j], [1, 1, 1, 1, 1])
+    certify, calls = med._certify, []
+
+    def reject_first(p, f):
+        if not calls:
+            calls.append(f)
+            return False, None
+        return certify(p, f)
+
+    monkeypatch.setattr(med, "_certify", reject_first)
+    _spy(monkeypatch, "_search_frame", calls)
+    _certified_with_counts(pts, 0, 0)
+    (_, (work, c, a1, a2), frame), = calls[1:]
+    assert work is pts and a1 == a2 and frame is not None
+    assert calls[0].theta == math.pi / 2
+
+
+@pytest.mark.parametrize("z,mirrored", [
+    ([0, -1, 0, -1 + 0.5j, -1, -0.5 - 0.5j, 0], False),
+    ([0, 1, 0, 1 + 0.5j, 1, 0.5 - 0.5j, 0], True),  # the same set, mirrored
+])
+def test_search_failure_falls_back(monkeypatch, z, mirrored):
+    calls = []
+    monkeypatch.setattr(med, "_search_frame", lambda *args: None)
+    _spy(monkeypatch, "_fallback_frame", calls)
+    pts = WeightedPointSet(z, [4, 4, 1, 1, 3, 1, 2])
+    _certified_with_counts(pts, 1, 0)
+    (_, (work, *_), frame), = calls
+    assert (work is not pts) == mirrored and frame is not None
+
+
+def test_mirrored_frame_that_fails_its_certificate(monkeypatch):
+    # the upper conditional median lies right of the lower one, so the search
+    # runs on the mirrored set; its frame, mapped back, is rejected once
+    pts = WeightedPointSet([0, 1, 0, 1 + 0.5j, 1, 0.5 - 0.5j, 0], [4, 4, 1, 1, 3, 1, 2])
+    certify, rejected, calls = med._certify, [], []
+
+    def once_on_pts(p, f):
+        if p is pts and not rejected:
+            rejected.append(f)
+            return False, None
+        return certify(p, f)
+
+    monkeypatch.setattr(med, "_certify", once_on_pts)
+    monkeypatch.setattr(med, "_search_frame",
+                        lambda work, *args: med._fallback_frame(work, *args))
+    _spy(monkeypatch, "_fallback_frame", calls)
+    _certified_with_counts(pts, 1, 0)
+    assert len(rejected) == 1
+    assert [args[0] is pts for _, args, _ in calls] == [False, True]
+
+
+@pytest.mark.parametrize("z,w,found", [
+    # half of S1's mass sits on the ray from 0 at angle pi/4
+    ([1 + 1j, 2 + 2j, 3 + 3j, -1 - 1j, -2 - 2j, 1 - 1j, -1 + 1j], [1] * 7, True),
+    ([2 - 1j, 2, 1j], [2, 1, 3], True),
+    (np.concatenate([np.exp(0.3j) * np.arange(1, 6), -np.exp(1.1j) * np.arange(1, 6)]),
+     [1] * 10, False),
+])
+def test_ray_concentration_frame(monkeypatch, z, w, found):
+    # every base-point attempt fails, so the search ends at the ray construction
+    calls = []
+    monkeypatch.setattr(med, "_try_frames_at", lambda *args: None)
+    _spy(monkeypatch, "_ray_concentration_frame", calls)
+    _spy(monkeypatch, "_fallback_frame", calls)
+    _certified_with_counts(WeightedPointSet(z, w), 0 if found else 1, 1 if found else 0)
+    assert [name for name, _, _ in calls] == \
+        ["_ray_concentration_frame"] + ([] if found else ["_fallback_frame"])
+    assert (calls[0][2] is not None) == found

@@ -72,6 +72,67 @@ def test_no_dead_code():
     assert dead == []
 
 
+# defaulted parameters that no call site passes, kept on purpose
+UNPASSED_DEFAULTS = {
+    f"checks.{suite}(seed)": "each suite's fixed seed; `parahaar verify` runs it as frozen"
+    for suite in ("exact_identity_suite", "explicit_constant_suite", "transference_suite",
+                  "median_suite", "covering_suite", "kernel_suite", "shift_suite")
+}
+
+
+def _defaulted_parameters(path):
+    """(call name, label, parameter, position or None) of every defaulted
+    parameter of the file's top-level functions, methods and dataclass fields;
+    a method's position does not count `self` or `cls`, a constructor is
+    called by its class name."""
+    out = []
+    for node in ast.parse(path.read_text()).body:
+        funcs = [(node.name, node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            decorators = {getattr(d, "id", getattr(getattr(d, "func", None), "id", None))
+                          for d in node.decorator_list}
+            if "dataclass" in decorators:
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                out += [(node.name, node.name, f.target.id, i)
+                        for i, f in enumerate(fields) if f.value is not None]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    funcs.append((call, f"{node.name}.{item.name}", item, 0 if static else 1))
+        for call, label, fn, skip in funcs:
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            out += [(call, label, a.arg, i - skip) for i, a in enumerate(args) if i >= first]
+            out += [(call, label, a.arg, None)
+                    for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call in the package, the tests or the benchmark
+    overrides is a constant in disguise; it is written as one instead."""
+    calls = {}
+    for path in [*SRC.glob("*.py"), *pathlib.Path(__file__).resolve().parent.glob("*.py"),
+                 *PERFBENCH.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+
+    def passed(call, param, pos):
+        return any(any(k.arg in (param, None) for k in c.keywords)
+                   or (pos is not None and (len(c.args) > pos
+                                            or any(isinstance(a, ast.Starred) for a in c.args)))
+                   for c in calls.get(call, []))
+
+    unpassed = sorted(f"{path.stem}.{label}({param})" for path in SRC.glob("*.py")
+                      for call, label, param, pos in _defaulted_parameters(path)
+                      if not passed(call, param, pos))
+    assert unpassed == sorted(UNPASSED_DEFAULTS)
+
+
 def test_only_dyadic_reads_the_system_internals():
     """The private attributes and methods of FiniteDyadicSystem (the tables,
     the shift digits, the slot offsets) are read in `dyadic.py` alone; every

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
                                    mult_op, paraproduct, r_op, random_symbol,
                                    rank_piece, scale_selector, splitting,
-                                   triangle_ops)
+                                   triangle_op, triangle_tilde)
 from parahaar.spectral import schatten_norm, triangular_project
 
 
@@ -70,14 +72,14 @@ def test_adjoint_rank_one():
 
 def test_lambda_tilde_zero_d2(rng):
     sys = build_system(DyadicParams(2, 3))
-    _, lt = triangle_ops(sys, random_symbol(sys, rng))
+    lt = triangle_tilde(sys, random_symbol(sys, rng))
     assert np.abs(lt).max() == 0.0
 
 
 def test_lambda_tilde_color_shift_d3():
     sys = build_system(DyadicParams(3, 1))
     b = unit_symbol(sys, CubeId(0, (0,)), 1)
-    _, lt = triangle_ops(sys, b)
+    lt = triangle_tilde(sys, b)
     row = sys.position(HaarIndex(CubeId(0, (0,)), 2))
     col = sys.position(HaarIndex(CubeId(0, (0,)), 1))
     assert lt[row, col] == pytest.approx(1.0)
@@ -87,7 +89,7 @@ def test_lambda_tilde_color_shift_d3():
 def test_lambda_tilde_block_diagonal(rng):
     sys = build_system(DyadicParams(3, 2))
     b = random_symbol(sys, rng)
-    _, lt = triangle_ops(sys, b)
+    lt = triangle_tilde(sys, b)
     for r, h in enumerate(sys.haar_indices):
         for c, g in enumerate(sys.haar_indices):
             if h.cube != g.cube:
@@ -98,7 +100,7 @@ def test_constant_symbol_operators(rng):
     sys = build_system(DyadicParams(2, 2))
     c = 1.5 - 0.5j
     b = Symbol(sys, {}, coarse_mean=np.array([[c]]))
-    lam, _ = triangle_ops(sys, b)
+    lam = triangle_op(sys, b)
     assert np.abs(paraproduct(sys, b)).max() == 0.0
     assert np.abs(lam).max() == 0.0
     f = StepFunction(rng.standard_normal(4) + 1j * rng.standard_normal(4))
@@ -117,6 +119,21 @@ def test_multiplication_two_ways(rng):
             bun = decompose(sys, b)
             resid = np.abs(bun.mult - bun.pi - bun.lam - bun.r - bun.coarse).max()
             assert resid < 1e-12 * max(1.0, np.abs(bun.mult).max())
+
+
+def test_decompose_builds_no_oracle(monkeypatch, rng):
+    from parahaar import paraproducts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose built an oracle")
+
+    monkeypatch.setattr(paraproducts, "adjoint_paraproduct", refuse)
+    monkeypatch.setattr(paraproducts, "triangle_tilde", refuse)
+    sys = build_system(DyadicParams(3, 2))
+    b = random_symbol(sys, rng, blockdim=2)
+    bun = decompose(sys, b)
+    assert [f.name for f in dataclasses.fields(bun)] == ["pi", "lam", "r", "mult", "coarse"]
+    assert np.abs(bun.mult - bun.pi - bun.lam - bun.r - bun.coarse).max() < 1e-12
 
 
 def test_haar_times_haar_d2():
@@ -179,6 +196,42 @@ def test_splitting_shapes(rng):
         splitting(sys, b, 3, 3)
 
 
+def _splitting_band_loop(sys, b, n_step, k):
+    """The per-band reference: the sum of band(out, in) over the scales of
+    the progressions out = n_step mm + k + 1 and in = n_step nn + k, nn <= mm."""
+    N = sys.params.depth
+    D = sys.dim_basis * b.blockdim
+    diag = np.zeros((D, D), dtype=complex)
+    off = np.zeros((D, D), dtype=complex)
+    for mm in range(-N, N + 1):
+        out_scale = n_step * mm + k + 1
+        for nn in range(-N, mm + 1):
+            in_scale = n_step * nn + k
+            if 0 <= out_scale < N and 0 <= in_scale < N:
+                if nn == mm:
+                    diag += band(sys, b, in_scale, out_scale)
+                else:
+                    off += band(sys, b, in_scale, out_scale)
+    return diag + off, diag, off
+
+
+def _same_bits(x, y):
+    return all(np.array_equal(f(x), f(y)) for f in (
+        np.real, np.imag, lambda a: np.signbit(a.real), lambda a: np.signbit(a.imag)))
+
+
+@pytest.mark.parametrize("d,N,dim", [(2, 6, 1), (3, 4, 1), (5, 3, 1), (2, 4, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_splitting_equals_band_loop(rng, d, N, dim, m):
+    sys = build_system(DyadicParams(d, N, dim=dim))
+    b = random_symbol(sys, rng, blockdim=m)
+    for n_step in (2, 3, 4):
+        for k in range(n_step):
+            got = splitting(sys, b, n_step, k)
+            want = _splitting_band_loop(sys, b, n_step, k)
+            assert all(_same_bits(x, y) for x, y in zip(got, want))
+
+
 def test_commutator_pieces_identities(rng):
     sys = build_system(DyadicParams(2, 3))
     a = random_symbol(sys, rng)
@@ -186,7 +239,7 @@ def test_commutator_pieces_identities(rng):
     psi, v = commutator_pieces(sys, a, b)
     pa, pb = paraproduct(sys, a), paraproduct(sys, b)
     rb = r_op(sys, b)
-    lam, _ = triangle_ops(sys, b)
+    lam = triangle_op(sys, b)
     haar = np.arange(sys.dim_basis) > 0
     lhs = pa @ rb - rb @ pa + psi + pa @ pb
     assert np.abs(lhs[:, haar]).max() < 1e-11
@@ -272,10 +325,10 @@ def test_identities_on_shifted_system(rng):
     a = random_symbol(sys, rng)
     bun = decompose(sys, b)
     assert np.abs(bun.mult - bun.pi - bun.lam - bun.r - bun.coarse).max() < 1e-12
-    assert np.abs(bun.pi_adj - bun.pi.conj().T).max() == 0.0
+    assert np.abs(adjoint_paraproduct(sys, b) - bun.pi.conj().T).max() == 0.0
     psi, v = commutator_pieces(sys, a, b)
     pa, pb, rb = paraproduct(sys, a), paraproduct(sys, b), r_op(sys, b)
-    lam, _ = triangle_ops(sys, b)
+    lam = triangle_op(sys, b)
     haar = np.arange(sys.dim_basis) > 0
     assert np.abs((pa @ rb - rb @ pa + psi + pa @ pb)[:, haar]).max() < 1e-11
     assert np.abs((pa @ rb - rb @ pa + pa @ (pb + lam) - v)[:, haar]).max() < 1e-11
@@ -289,7 +342,7 @@ def test_commutator_identities_dim2(rng):
     b = random_symbol(sys, rng)
     psi, v = commutator_pieces(sys, a, b)
     pa, pb, rb = paraproduct(sys, a), paraproduct(sys, b), r_op(sys, b)
-    lam, _ = triangle_ops(sys, b)
+    lam = triangle_op(sys, b)
     haar = np.arange(sys.dim_basis) > 0
     assert np.abs((pa @ rb - rb @ pa + psi + pa @ pb)[:, haar]).max() < 1e-11
     assert np.abs((pa @ rb - rb @ pa + pa @ (pb + lam) - v)[:, haar]).max() < 1e-11
@@ -317,7 +370,7 @@ def test_lambda_and_r_against_multiplication_oracle(rng, d, N, m, dim, shift):
 
     sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
     b = random_symbol(sys, rng, blockdim=m)
-    lam, _ = triangle_ops(sys, b)
+    lam = triangle_op(sys, b)
     # Lambda_b = sum_k M_{d_k b} S_{k-1}; R_b = sum_k M_{E_{k-1} b} S_{k-1}
     lam_oracle = _scale_sum_oracle(sys, b, lambda s, k: s == k - 1)
     r_oracle = _scale_sum_oracle(sys, b, lambda s, k: s <= k - 2)
