@@ -356,13 +356,22 @@ class FiniteDyadicSystem:
     @property
     def basis_matrix(self):
         """Columns = basis step functions on cells (coarse first, then Haar),
-        written one scale at a time from `child_values`."""
+        written one scale at a time from `child_values`.
+
+        float64 when every `child_values` table is real (d = 2, any dim: the
+        phases are signs), complex128 otherwise; the values are the same
+        either way.  Built once per system; read-only.
+        """
         if self._basis is None:
-            B = np.zeros((self.n_cells, self.dim_basis), dtype=complex)
+            values = [self.child_values(k) for k in range(self.params.depth)]
+            real = not any(v.imag.any() for v in values)
+            B = np.zeros((self.n_cells, self.dim_basis), dtype=float if real else complex)
             B[:, 0] = 1.0
             for k, (_, cols, _) in enumerate(self.scale_layouts):
                 kids = self.cells_by_scale[k + 1][self.descendants(k, 1)]  # (cube, child, cell)
-                B[kids[..., None], cols[:, None, None, :]] = self.child_values(k)[:, None, :]
+                v = values[k].real if real else values[k]
+                B[kids[..., None], cols[:, None, None, :]] = v[:, None, :]
+            B.flags.writeable = False
             self._basis = B
         return self._basis
 
@@ -382,15 +391,17 @@ class FiniteDyadicSystem:
         I, so every other entry is set to an exact 0 rather than left as
         the roundoff of a dense mean.  The support entries are the same
         `B[cells, support].mean(axis=0)` over I's cells that a dense mean
-        gives, bit for bit.
+        gives, bit for bit.  Same dtype as `basis_matrix`; built once per
+        system; read-only.
         """
         if self._avg is None:
-            A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=complex)
             B = self.basis_matrix
+            A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=B.dtype)
             for cells, cols, rows in self.scale_layouts:
                 support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
                 means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
                 A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
+            A.flags.writeable = False
             self._avg = A
         return self._avg
 
@@ -427,10 +438,31 @@ class FiniteDyadicSystem:
 
     def coeffs(self, f: StepFunction):
         """Basis coefficients, shape (dim_basis, m, m)."""
-        return np.einsum("bc,cij->bij", self.analysis_matrix, f.values)
+        out = np.empty((self.dim_basis,) + f.values.shape[1:], dtype=complex)
+        return _einsum_into("bc,cij->bij", self.analysis_matrix, f.values, out)
 
     def synthesize(self, coeffs):
-        return StepFunction(np.einsum("cb,bij->cij", self.basis_matrix, coeffs))
+        coeffs = np.asarray(coeffs)
+        out = np.empty((self.n_cells,) + coeffs.shape[1:], dtype=complex)
+        return StepFunction(_einsum_into("cb,bij->cij", self.basis_matrix, coeffs, out))
+
+
+def _einsum_into(spec, table, x, out):
+    """np.einsum(spec, table, x) written into the complex array `out`.
+
+    A real `table` meets the real and the imaginary part of `x` (made
+    complex) in two real kernels: a mixed real x complex einsum would cast
+    `table` through numpy's buffered loop, several times slower.  Each part
+    is a strided view, which einsum sums in the order of its complex kernel,
+    so the values are those of einsum on the complex `table`, bit for bit
+    (tested).
+    """
+    if np.iscomplexobj(table):
+        return np.einsum(spec, table, x, out=out)
+    x = np.asarray(x, dtype=complex)
+    np.einsum(spec, table, x.real, out=out.real)
+    np.einsum(spec, table, x.imag, out=out.imag)
+    return out
 
 
 def build_system(params: DyadicParams, shift: Optional[GridShift] = None):

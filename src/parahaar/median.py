@@ -375,9 +375,7 @@ def _search_frame(work, c, a1, a2):
         return -1 if hi1 < lo4 else 1
 
     oA, oB = order(A), order(B)
-    if oA == 0:
-        return attempt(A)
-    if oB == 0 or oA == oB:
+    if oA == 0 or oB == 0 or oA == oB:
         candidates = [B]
     else:
         xl, xh = A, B

@@ -35,7 +35,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction
+from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into
 
 __all__ = [
     "Symbol",
@@ -209,7 +209,7 @@ def paraproduct(sys, b: Symbol) -> np.ndarray:
     """
     D, m = sys.dim_basis, b.blockdim
     out = np.zeros((D, m, D, m), dtype=complex)
-    np.einsum("rij,rg->rigj", b.blocks[1:], sys.cube_average_matrix, out=out[1:])
+    _einsum_into("rg,rij->rigj", sys.cube_average_matrix, b.blocks[1:], out[1:])
     return out.reshape(D * m, D * m)
 
 
@@ -228,7 +228,7 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
         block = b.blocks[col].conj().T
         # output function is (1_I/|I|) b_I^{i*}; its basis coefficients are
         # the conjugated cube averages
-        pattern = avg[r].conj()
+        pattern = avg[r].astype(complex).conj()
         out[:, col * m:(col + 1) * m] += np.einsum("g,ij->gij", pattern, block).reshape(D * m, m)
     return out
 
@@ -246,8 +246,10 @@ def mult_op(sys, b: Symbol) -> np.ndarray:
 def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
     m = g.blockdim
     D = sys.dim_basis
-    a2c = sys.analysis_matrix
-    c2a = sys.basis_matrix
+    # complex tables, one copy each: the contraction runs in BLAS, whose real
+    # and complex kernels may sum in different orders
+    a2c = np.multiply(sys.basis_matrix.conj().T, sys.cell_measure, dtype=complex)
+    c2a = sys.basis_matrix.astype(complex, copy=False)
     out = np.einsum("bc,cij,cg->bigj", a2c, g.values, c2a, optimize=True)
     return out.reshape(D * m, D * m)
 
@@ -272,12 +274,14 @@ def triangle_op(sys, b: Symbol) -> np.ndarray:
     basis = sys.basis_matrix
     lam = np.zeros((D, m, D, m), dtype=complex)
     for cells, cols, rows in sys.scale_layouts:
-        haar = basis[cells[:, :, None], cols[:, None, :]]  # (Q, cell, color)
+        # (Q, cell, color), complex: the products below are complex anyway
+        haar = basis[cells[:, :, None], cols[:, None, :]].astype(complex, copy=False)
         # d_{s+1} b on Q: only Q's own wavelets of scale s are nonzero there
         diff = np.einsum("qct,qtij->qcij", haar, arr[cols])
         prod = np.einsum("qcij,qct->qcitj", diff, haar)
         # entries of the analysis matrix on Q's cells and support rows
-        analysis = basis[cells[:, None, :], rows[:, :, None]].conj() * sys.cell_measure
+        analysis = np.multiply(basis[cells[:, None, :], rows[:, :, None]].conj(),
+                               sys.cell_measure, dtype=complex)
         n_q, per = cells.shape
         block = (analysis @ prod.reshape(n_q, per, -1)).reshape(n_q, rows.shape[1], m, -1, m)
         lam[rows[:, :, None], :, cols[:, None, :], :] = block.transpose(0, 1, 3, 2, 4)
@@ -405,7 +409,7 @@ def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:
     row = sys.position(HaarIndex(cube, color))
     block = b.blocks[row]
     out = np.zeros((D * m, D * m), dtype=complex)
-    pattern = sys.cube_average_matrix[row - 1]
+    pattern = sys.cube_average_matrix[row - 1].astype(complex, copy=False)
     out[row * m:(row + 1) * m, :] = np.einsum("ij,g->igj", block, pattern).reshape(m, D * m)
     return out
 

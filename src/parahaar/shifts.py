@@ -286,5 +286,6 @@ def averaged_shift_cell_matrix(params, i, j):
         values = radius[:, None, None] * np.exp(phase)
         spec = ShiftSpec.from_arrays(i, j, 1, cubes.reshape(-1, 3, 2),
                                      np.ones((values.size, 2)), values.ravel())
-        acc += sysw.basis_matrix @ assemble_shift(sysw, spec) @ sysw.analysis_matrix
+        S = assemble_shift(sysw, spec)  # complex tables for BLAS's complex kernel
+        acc += sysw.basis_matrix.astype(complex) @ S @ sysw.analysis_matrix.astype(complex)
     return acc / 2**N

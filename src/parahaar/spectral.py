@@ -40,19 +40,30 @@ def singular_values(T) -> np.ndarray:
     own backward error.  That covers the checks that read these values at
     fixed tolerances: S_2 against the Frobenius norm at 1e-12 relative, and
     the calibrated ratios against their frozen bands at 1e-6 relative.
+
+    Memory.  Beyond T, the call holds a D x D boolean mask while it finds the
+    nonzero rows and columns, then frees it; C is gathered in one step
+    (nothing full-width is copied), and the real path adds two float
+    arrays of C's shape.  When the real path is taken, the gathered complex
+    C is freed before LAPACK runs, which copies its input and adds its own
+    workspace.  On a d = 2 paraproduct, C is (D - 1) x D/2, half of T.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {T.shape}")
     nonzero = T != 0
-    rows = nonzero.any(axis=1)
-    cols = nonzero.any(axis=0)
-    n, r, c = T.shape[0], np.count_nonzero(rows), np.count_nonzero(cols)
+    rows = nonzero.any(axis=1).nonzero()[0]
+    cols = nonzero.any(axis=0).nonzero()[0]
+    del nonzero
+    n, r, c = T.shape[0], rows.size, cols.size
     sv = np.zeros(n)
     if r and c:
-        core = T if r == n and c == n else T.compress(rows, axis=0).compress(cols, axis=1)
-        real = _real_up_to_row_phases(core) if min(r, c) >= _REAL_PATH_MIN else None
-        sv[: min(r, c)] = np.linalg.svd(core if real is None else real, compute_uv=False)
+        core = T if r == n and c == n else T[rows[:, None], cols]  # np.ix_ without its overhead
+        if min(r, c) >= _REAL_PATH_MIN:
+            real = _real_up_to_row_phases(core)
+            if real is not None:
+                core = real  # frees a gathered complex core before LAPACK runs
+        sv[: min(r, c)] = np.linalg.svd(core, compute_uv=False)
     return sv
 
 

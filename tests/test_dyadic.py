@@ -621,3 +621,50 @@ def test_no_label_is_built_on_the_array_path(monkeypatch, rng):
             norms.besov_haar(sys, b, 1.0)
         kernels.random_admissible_family(sys, rng)
     assert built == []
+
+
+def _complex_tables(sys):
+    """basis_matrix and cube_average_matrix by the complex128 build they replace."""
+    B = np.zeros((sys.n_cells, sys.dim_basis), dtype=complex)
+    B[:, 0] = 1.0
+    for k, (_, cols, _) in enumerate(sys.scale_layouts):
+        kids = sys.cells_by_scale[k + 1][sys.descendants(k, 1)]  # (cube, child, cell)
+        B[kids[..., None], cols[:, None, None, :]] = sys.child_values(k)[:, None, :]
+    A = np.zeros((sys.dim_basis - 1, sys.dim_basis), dtype=complex)
+    for cells, cols, rows in sys.scale_layouts:
+        support = rows[:, : rows.shape[1] - sys.n_colors]  # coarse + strict ancestors
+        means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
+        A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
+    return B, A
+
+
+@pytest.mark.parametrize("d,N,dim,shift,dtype", [
+    (2, 5, 1, None, float), (2, 3, 2, None, float), (2, 4, 1, (1, 0, 1, 1), float),
+    (2, 3, 2, (3, 1, 2), float), (3, 3, 1, None, complex), (4, 3, 1, None, complex),
+])
+def test_tables_are_real_exactly_where_the_phases_are(d, N, dim, shift, dtype, rng):
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    B, A = _complex_tables(sys)
+    assert (dtype is complex) == bool(B.imag.any())  # at d = 4 the phases include +-i
+    assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == dtype
+    assert np.array_equal(sys.basis_matrix, B)
+    assert np.array_equal(sys.cube_average_matrix, A)
+    # the transforms give the values of the complex tables, bit for bit
+    analysis = B.conj().T * sys.cell_measure
+    for m in (1, 2):
+        shape = (sys.n_cells, m, m)
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c = np.einsum("bc,cij->bij", analysis, f)
+        assert np.array_equal(sys.coeffs(StepFunction(f)), c)
+        assert np.array_equal(sys.synthesize(c).values, np.einsum("cb,bij->cij", B, c))
+        x = rng.standard_normal((sys.dim_basis, m, m))  # real coefficients
+        assert np.array_equal(sys.synthesize(x).values, np.einsum("cb,bij->cij", B, x))
+
+
+@pytest.mark.parametrize("d,dim", [(2, 1), (3, 1), (2, 2)])
+def test_basis_tables_are_read_only(d, dim):
+    sys = build_system(DyadicParams(d, 3, dim))
+    for table in (sys.basis_matrix, sys.cube_average_matrix):
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+        assert sys.basis_matrix[0, 0] == 1.0

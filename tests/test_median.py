@@ -412,3 +412,11 @@ def test_ray_concentration_frame(monkeypatch, z, w, found):
     assert [name for name, _, _ in calls] == \
         ["_ray_concentration_frame"] + ([] if found else ["_fallback_frame"])
     assert (calls[0][2] is not None) == found
+
+
+def test_search_goes_on_past_a_failed_touching_base_point():
+    # the intervals at the lower conditional median touch, but no frame there
+    # is certified; the search tries its candidates and the ray construction
+    # instead of giving up, and the fallback is not reached
+    pts = WeightedPointSet([0, 1, 0, 1 + 0.5j, 1, 0.5 - 0.5j, 0], [4, 4, 1, 1, 3, 1, 2])
+    _certified_with_counts(pts, 0, 1)

@@ -469,3 +469,22 @@ def test_from_blocks_copies_its_input():
     b = Symbol.from_blocks(sys, blocks)
     blocks[1] = 5.0
     assert blocks.flags.writeable and not b.blocks.any()
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(2, 5, 1, 1), (2, 4, 1, 2), (2, 3, 2, 1), (2, 2, 2, 2)])
+def test_operators_on_real_tables_equal_complex_tables(rng, d, N, dim, m):
+    # a second system holds the same table values as complex128, which every
+    # reader took before the tables were kept real
+    params = DyadicParams(d, N, dim)
+    sys, cplx = build_system(params), build_system(params)
+    assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == float
+    cplx._basis = sys.basis_matrix.astype(complex)
+    cplx._avg = sys.cube_average_matrix.astype(complex)
+    b = random_symbol(sys, rng, blockdim=m)
+    b_c = Symbol.from_blocks(cplx, b.blocks)
+    for op in (paraproduct, adjoint_paraproduct, triangle_op, mult_op, r_op):
+        assert np.array_equal(op(sys, b), op(cplx, b_c)), op.__name__
+    h = sys.haar_indices[-1]
+    assert np.array_equal(rank_piece(sys, b, h.cube, h.color),
+                          rank_piece(cplx, b_c, h.cube, h.color))
+    assert np.array_equal(b.star().blocks, b_c.star().blocks)

@@ -327,3 +327,67 @@ def test_phase_real_s2_is_frobenius(rng):
     for name, T in _phase_real_cases(rng):
         frob = np.linalg.norm(T)
         assert abs(schatten_norm(T, 2) - frob) <= 1e-12 * frob, name
+
+
+def _two_step_singular_values(T):
+    """The deflation by two `compress` calls that the single gather replaces."""
+    from parahaar.spectral import _REAL_PATH_MIN, _real_up_to_row_phases
+
+    T = np.asarray(T, dtype=complex)
+    nonzero = T != 0
+    rows = nonzero.any(axis=1)
+    cols = nonzero.any(axis=0)
+    n, r, c = T.shape[0], np.count_nonzero(rows), np.count_nonzero(cols)
+    sv = np.zeros(n)
+    if r and c:
+        core = T if r == n and c == n else T.compress(rows, axis=0).compress(cols, axis=1)
+        real = _real_up_to_row_phases(core) if min(r, c) >= _REAL_PATH_MIN else None
+        sv[: min(r, c)] = np.linalg.svd(core if real is None else real, compute_uv=False)
+    return sv
+
+
+def test_single_gather_gives_lapack_the_same_input(rng, monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    generic = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    cases = [
+        ("real-path", _paraproduct_matrix(2, 7, 1), float),
+        ("complex-path", _paraproduct_matrix(3, 4, 1), complex),
+        ("no-zero-row", generic, complex),
+        ("below-real-path-min", _paraproduct_matrix(2, 5, 1), complex),  # core 31 x 16
+        ("all-zero", np.zeros((5, 5)), None),
+        ("1x1", np.array([[2.0 - 1.0j]]), complex),
+    ]
+    for name, T, dtype in cases:
+        del seen[:]
+        sv = singular_values(T)
+        got = list(seen)
+        del seen[:]
+        ref = _two_step_singular_values(T)
+        assert sv.tobytes() == ref.tobytes(), name
+        assert len(got) == len(seen) == (dtype is not None), name
+        for a, b in zip(got, seen):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_deflation_copies_no_full_width_rows():
+    import tracemalloc
+
+    T = _paraproduct_matrix(2, 10, 1)
+    n = T.shape[0]
+    r, c = n - 1, n // 2  # the coarse row and the finest-scale columns are zero
+    tracemalloc.start()
+    try:
+        singular_values(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the complex core, the two real cores of the real path and its boolean
+    # comparison, plus O(n) vectors; a full-width (r, n) copy would add 16 r c
+    assert peak <= 16 * r * c + 2 * 8 * r * c + r * c + 256 * n
