@@ -5,8 +5,7 @@ medians, and non-degenerate-kernel machinery."""
 
 from .dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift,
                      HaarIndex, StepFunction, build_system, cover_cube,
-                     expectation, haar_function, make_adjacent_family,
-                     martingale_difference)
+                     expectation, haar_function, martingale_difference)
 from .median import QuadrantFrame, WeightedPointSet, complex_median, quadrant_masses
 from .paraproducts import OperatorBundle, Symbol, decompose, paraproduct
 from .spectral import schatten_norm
@@ -22,7 +21,6 @@ __all__ = [
     "cover_cube",
     "expectation",
     "haar_function",
-    "make_adjacent_family",
     "martingale_difference",
     "QuadrantFrame",
     "WeightedPointSet",

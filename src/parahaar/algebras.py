@@ -305,7 +305,8 @@ def _paraproduct(table: _WordTable, bhat) -> np.ndarray:
 
 def _besov(table: _WordTable, bhat, ps) -> list[float]:
     """Levels summed in word order; all levels share one batched SVD."""
-    from .norms import _block_lps, _require_positive, _weighted_sum
+    from .norms import _block_lps, _weighted_sum
+    from .spectral import _require_positive
 
     _require_positive(ps)
     c = _coefficients(table, bhat)

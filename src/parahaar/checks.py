@@ -17,9 +17,8 @@ import numpy as np
 
 from . import algebras, kernels, median, norms, shifts, spectral
 from .dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
-                     build_system, cover_cube, dilation_bound, expectation,
-                     make_adjacent_family, martingale_difference,
-                     LENGTH_RATIO_BOUND)
+                     build_system, cover_cube, expectation, martingale_difference,
+                     DILATION_BOUND, LENGTH_RATIO_BOUND)
 from .paraproducts import (Symbol, _scalar_lift, band, commutator_pieces,
                            decompose, paraproduct, adjoint_paraproduct, r_op,
                            random_symbol, rank_piece, splitting, triangle_op,
@@ -138,7 +137,7 @@ def check_orthonormality(rng):
     return _rec("haar-orthonormality-parseval", "haar-basis-expansion", worst, EXACT_TOL)
 
 
-def check_product_rule(rng, corrupt=False):
+def check_product_rule(rng):
     worst = 0.0
     for d in (2, 3, 5):
         sys = build_system(DyadicParams(d, 2))
@@ -146,8 +145,6 @@ def check_product_rule(rng, corrupt=False):
         meas = sys.measure(cube)
         for i in range(1, d):
             hi = sys.haar_values(HaarIndex(cube, i))
-            if corrupt:
-                hi = hi * np.exp(0.1j)
             for j in range(1, d):
                 hj = sys.haar_values(HaarIndex(cube, j))
                 r = (i + j - 1) % d + 1
@@ -350,13 +347,13 @@ def exact_identity_suite(seed=20240801):
 # Explicit-constant inequalities.
 
 
-def check_osc_constants(rng, trials=200):
+def check_osc_constants(rng):
     worst = -np.inf
     for d in (2, 3):
         sys = build_system(DyadicParams(d, 3))
         for p in (1.0, 2.0, 3.0):
             const = 1.0 / (d ** (1.0 / p) - 1.0)
-            for _ in range(trials // 6 + 1):
+            for _ in range(34):
                 b = random_symbol(sys, rng)
                 diff = norms.besov_diff(sys, b, p)
                 osc = norms.besov_osc(sys, b, p)
@@ -365,11 +362,11 @@ def check_osc_constants(rng, trials=200):
     return _rec("oscillation-difference-constants", "two-sided-oscillation-bounds", worst, SLACK)
 
 
-def check_band_bound(rng, trials=200):
+def check_band_bound(rng):
     worst = -np.inf
     sys = build_system(DyadicParams(2, 4))
     for p in (0.3, 0.7):
-        for _ in range(trials // 2):
+        for _ in range(100):
             b = random_symbol(sys, rng)
             n = int(rng.integers(0, 3))
             mm = int(rng.integers(n + 1, 4))
@@ -383,7 +380,7 @@ def check_band_bound(rng, trials=200):
     return _rec("band-norm-bound", "offdiagonal-band-decay", worst, SLACK)
 
 
-def check_splitting_bounds(rng, trials=200):
+def check_splitting_bounds(rng):
     n_step = 3
     worst_off = -np.inf
     worst_diag = -np.inf
@@ -392,7 +389,7 @@ def check_splitting_bounds(rng, trials=200):
     for p in (0.3, 0.7):
         c_off = (d - 1) * d ** (-p / 2.0) / (d ** (n_step * p / 2.0) - 1.0)
         c_diag = (d - 1) ** (p / 2.0 - 1.0) / d ** (p / 2.0 + 1.0)
-        for _ in range(max(1, trials // 2)):
+        for _ in range(100):
             b = random_symbol(sys, rng, scales=range(1, sys.params.depth), with_mean=False)
             besov_p = norms.besov_haar(sys, b, p) ** p
             off = diag = 0.0
@@ -406,11 +403,11 @@ def check_splitting_bounds(rng, trials=200):
     return _rec("progression-splitting-bounds", "diagonal-vs-offdiagonal-mass", worst, SLACK)
 
 
-def check_rank_piece_lower(rng, trials=200):
+def check_rank_piece_lower(rng):
     worst = -np.inf
     sys = build_system(DyadicParams(3, 2))
     for p in (0.5, 1.0, 2.0):
-        for _ in range((trials + 2) // 3):
+        for _ in range(67):
             b = random_symbol(sys, rng)
             norm = spectral.schatten_norm(paraproduct(sys, b), p)
             best = max((norms.block_lp(blk, p) / sys.measure(h.cube) ** 0.5)
@@ -419,9 +416,9 @@ def check_rank_piece_lower(rng, trials=200):
     return _rec("rank-piece-lower-bound", "single-piece-domination", worst, SLACK)
 
 
-def check_blockdiag_contractive(rng, trials=200):
+def check_blockdiag_contractive(rng):
     worst = -np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = 12
         T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         sizes = rng.integers(1, 5, 5)
@@ -441,9 +438,9 @@ def check_blockdiag_contractive(rng, trials=200):
     return _rec("blockdiag-contractive", "conditional-expectation-contraction", worst, SLACK)
 
 
-def check_orthogonal_sum_lower(rng, trials=200):
+def check_orthogonal_sum_lower(rng):
     worst = -np.inf
-    for _ in range(trials):
+    for _ in range(200):
         n = int(rng.integers(2, 6))
         dim = 18
         rows = np.array_split(rng.permutation(dim), n)
@@ -503,15 +500,15 @@ def check_p2_exact_relation(rng):
     return _rec("p2-exact-relation", "square-function-parseval", worst, EXACT_TOL * 100)
 
 
-def explicit_constant_suite(seed=20240802, trials=200):
+def explicit_constant_suite(seed=20240802):
     rng = np.random.default_rng(seed)
     return [
-        check_osc_constants(rng, trials),
-        check_band_bound(rng, trials),
-        check_splitting_bounds(rng, trials),
-        check_rank_piece_lower(rng, trials),
-        check_blockdiag_contractive(rng, trials),
-        check_orthogonal_sum_lower(rng, trials),
+        check_osc_constants(rng),
+        check_band_bound(rng),
+        check_splitting_bounds(rng),
+        check_rank_piece_lower(rng),
+        check_blockdiag_contractive(rng),
+        check_orthogonal_sum_lower(rng),
         check_shift_contractivity(rng),
         check_p2_exact_relation(rng),
     ]
@@ -611,14 +608,14 @@ def transference_suite(seed=20240803):
 # Median.
 
 
-def median_suite(seed=20240804, n_sets=1000, n_pairs=500):
+def median_suite(seed=20240804):
     rng = np.random.default_rng(seed)
     median.stats.reset()
     records = []
     worst = np.inf
     worst_half = np.inf
     worst_quarter = np.inf
-    for t in range(n_sets):
+    for t in range(1000):
         kind = t % 5
         if kind == 0:
             n = int(rng.integers(1, 80))
@@ -666,7 +663,7 @@ def median_suite(seed=20240804, n_sets=1000, n_pairs=500):
                         detail=f"boundary={median.stats.boundary_cases}"))
 
     worst_pair = -np.inf
-    for _ in range(n_pairs):
+    for _ in range(500):
         ni = int(rng.integers(1, 33))
         nh = int(rng.integers(1, 33))
         vi = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
@@ -694,35 +691,31 @@ def median_suite(seed=20240804, n_sets=1000, n_pairs=500):
 
 def _covering_draws(dim, n, rng):
     """Yield (lower corner, side, covering cube) for n random cubes in [0,1)^dim."""
-    fam = make_adjacent_family(dim)
     for _ in range(n):
         side = float(rng.uniform(0.001, 0.3))
         lo = [float(rng.uniform(0, 1.0 - side)) for _ in range(dim)]
-        yield lo, side, cover_cube(lo, side, fam)
+        yield lo, side, cover_cube(lo, side)
 
 
-def covering_suite(seed=20240805, n_cubes=1000):
+def covering_suite(seed=20240805):
     rng = np.random.default_rng(seed)
     records = []
     for dim in (1, 2):
-        c_n = dilation_bound(dim)
-        worst_len = -np.inf
-        worst_dil = -np.inf
+        worst_len = worst_dil = -np.inf
         worst_cont = 0.0
-        for lo, side, q in _covering_draws(dim, n_cubes, rng):
+        for lo, side, q in _covering_draws(dim, 1000, rng):
             worst_len = max(worst_len, float(q.side) - LENGTH_RATIO_BOUND * side)
             for t in range(dim):
                 if not (float(q.lower[t]) <= lo[t] + 1e-15
                         and lo[t] + side <= float(q.lower[t] + q.side) + 1e-15):
                     worst_cont = 1.0
                 center = lo[t] + side / 2
-                lo_d = center - c_n * side / 2
-                hi_d = center + c_n * side / 2
+                lo_d = center - DILATION_BOUND * side / 2
+                hi_d = center + DILATION_BOUND * side / 2
                 worst_dil = max(worst_dil, lo_d - float(q.lower[t]),
                                 float(q.lower[t] + q.side) - hi_d)
-        rec = _rec(f"covering-dim{dim}", "shifted-grid-covering",
-                   max(worst_len, worst_dil, worst_cont), 1e-12)
-        records.append(rec)
+        records.append(_rec(f"covering-dim{dim}", "shifted-grid-covering",
+                            max(worst_len, worst_dil, worst_cont), 1e-12))
     return records
 
 
@@ -857,7 +850,7 @@ def _continuum_trials(dim, depth, trials, rng):
     for _ in range(trials):
         vals = rng.standard_normal(n_axis**dim) + 1j * rng.standard_normal(n_axis**dim)
         conts = norms.besov_continuums(vals, ps, dim=dim, refinement=4)
-        lattices = [norms.besov_haar_adjacents(vals, ps, dim, mask, depth)
+        lattices = [norms.besov_haar_adjacents(vals, ps, dim, mask)
                     for mask in range(2**dim)]
         for i, p in enumerate(ps):
             fam = sum(sums[i] ** p for sums in lattices)
@@ -1073,23 +1066,21 @@ def shift_suite(seed=20240807):
 
 
 SUITES = {
-    "exact-identities": lambda calib: exact_identity_suite(),
-    "explicit-constants": lambda calib: explicit_constant_suite(),
-    "transference": lambda calib: transference_suite(),
-    "median": lambda calib: median_suite(),
-    "covering": lambda calib: covering_suite(),
-    "kernels": lambda calib: kernel_suite(),
-    "shifts": lambda calib: shift_suite(),
-    "calibrated": lambda calib: calibrated_suite(calib),
+    "exact-identities": exact_identity_suite,
+    "explicit-constants": explicit_constant_suite,
+    "transference": transference_suite,
+    "median": median_suite,
+    "covering": covering_suite,
+    "kernels": kernel_suite,
+    "shifts": shift_suite,
+    "calibrated": calibrated_suite,
 }
 
 
 def run_suite(name, calib=None):
+    """The records of suite `name` ("all": every suite); `calib` goes to "calibrated" alone."""
     if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](calib))
-        return out
+        return [r for key in SUITES for r in run_suite(key, calib)]
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](calib)
+    return SUITES[name](calib) if name == "calibrated" else SUITES[name]()

@@ -28,21 +28,16 @@ __all__ = [
     "haar_function",
     "expectation",
     "martingale_difference",
-    "make_adjacent_family",
     "cover_cube",
     "LENGTH_RATIO_BOUND",
-    "dilation_bound",
+    "DILATION_BOUND",
 ]
 
-# Covering constants for the per-coordinate one-third-shift family: the
-# returned cube never exceeds 6x the side of the input, and sits inside the
-# 11-fold concentric dilation (6x side + worst-case off-centering).
+# Covering constants for the per-coordinate one-third-shift family in any
+# dimension: the returned cube never exceeds 6x the side of the input, and sits
+# inside the 11-fold concentric dilation (6x side + worst-case off-centering).
 LENGTH_RATIO_BOUND = 6.0
-
-
-def dilation_bound(dim: int) -> float:
-    """Frozen constant c such that cover_cube guarantees Q <= c*B."""
-    return 11.0
+DILATION_BOUND = 11.0
 
 
 def _is_integer(x) -> bool:
@@ -438,6 +433,7 @@ class FiniteDyadicSystem:
 
     def coeffs(self, f: StepFunction):
         """Basis coefficients, shape (dim_basis, m, m)."""
+        _require_cells(self, f)
         out = np.empty((self.dim_basis,) + f.values.shape[1:], dtype=complex)
         return _einsum_into("bc,cij->bij", self.analysis_matrix, f.values, out)
 
@@ -465,6 +461,12 @@ def _einsum_into(spec, table, x, out):
     return out
 
 
+def _require_cells(sys: FiniteDyadicSystem, f: StepFunction):
+    """ValueError naming both counts unless f has one value per cell of sys."""
+    if f.n_cells != sys.n_cells:
+        raise ValueError(f"step function has {f.n_cells} cells, the system {sys.n_cells}")
+
+
 def build_system(params: DyadicParams, shift: Optional[GridShift] = None):
     return FiniteDyadicSystem(params, shift)
 
@@ -477,6 +479,7 @@ def expectation(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> StepFunctio
     """Conditional expectation onto scale-k cubes, broadcast to the cells."""
     if not (0 <= k <= sys.params.depth):
         raise ValueError(f"scale {k} outside 0..{sys.params.depth}")
+    _require_cells(sys, f)
     cells = sys.cells_by_scale[k]
     out = np.empty_like(f.values)
     out[cells] = f.values[cells].mean(axis=1, keepdims=True)
@@ -501,14 +504,6 @@ def _offset_at(scale: int, variant: int) -> Fraction:
 
 
 @dataclass(frozen=True)
-class AdjacentFamily:
-    """The 2^dim grids of one-third-shifted cubes; bit t of a grid number is
-    the variant (0 unshifted, 1 shifted) of its axis t."""
-
-    dim: int
-
-
-@dataclass(frozen=True)
 class CoveringCube:
     grid: int
     scale: int
@@ -517,19 +512,15 @@ class CoveringCube:
     side: Fraction
 
 
-def make_adjacent_family(dim: int) -> AdjacentFamily:
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    return AdjacentFamily(dim)
-
-
-def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> CoveringCube:
-    """Smallest cube of the family containing B = prod [lower_t, lower_t+side).
+def cover_cube(lower: Sequence[float], side: float) -> CoveringCube:
+    """Smallest cube of the family containing B = prod [lower_t, lower_t+side),
+    in dimension len(lower); bit t of its grid number is axis t's variant.
 
     Guarantees side(Q) <= 6 side(B) and Q inside the 11-fold concentric
     dilation of B; fails loudly if B is not inside the unit window.
     """
-    dim = family.dim
+    if not len(lower):
+        raise ValueError("lower needs one coordinate per axis, got none")
     lo = [Fraction(str(x)) if not isinstance(x, Fraction) else x for x in lower]
     L = Fraction(str(side)) if not isinstance(side, Fraction) else side
     if L <= 0:
@@ -547,7 +538,7 @@ def cover_cube(lower: Sequence[float], side: float, family: AdjacentFamily) -> C
     for scale in range(k, -5, -1):
         h = Fraction(1, 2**scale) if scale >= 0 else Fraction(2**-scale)
         grid, idx, corner = 0, [], []
-        for t in range(dim):
+        for t in range(len(lo)):
             for variant in (0, 1):
                 off = _offset_at(scale, variant)
                 m0 = (lo[t] - off) // h

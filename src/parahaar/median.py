@@ -205,7 +205,6 @@ class _SplitData:
     """
 
     def __init__(self, pts, c, a1, a2):
-        self.c = c
         z = pts.z - 1j * c
         im = z.imag
         re = z.real

@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, expectation
+from .dyadic import StepFunction, _require_cells, expectation
 from .paraproducts import Symbol, _difference_function
+from .spectral import _require_positive
 
 __all__ = [
     "block_lp",
@@ -43,6 +44,7 @@ def block_lp(x, p) -> float:
 
 def _block_lps(blocks, ps) -> list:
     """[block_lp of each block of an (n, m, m) stack for p in ps], one SVD call."""
+    _require_positive(ps)
     sv = np.linalg.svd(blocks, compute_uv=False)
     out = []
     for p in ps:
@@ -60,11 +62,13 @@ def function_lp(sys, f: StepFunction, p) -> float:
 
     At p = inf, the largest cell-wise operator norm.
     """
+    _require_cells(sys, f)
     return _function_lps(sys, f, (p,))[0]
 
 
 def _function_lps(sys, f: StepFunction, ps) -> list[float]:
     """[function_lp(sys, f, p) for p in ps], from one SVD call."""
+    _require_positive(ps)
     sv = np.linalg.svd(f.values, compute_uv=False)
     out = []
     for p in ps:
@@ -76,11 +80,6 @@ def _function_lps(sys, f: StepFunction, ps) -> list[float]:
     return out
 
 
-def _require_positive(ps):
-    if any(p <= 0 for p in ps):
-        raise ValueError("p must be positive")
-
-
 def besov_haar(sys, b: Symbol, p) -> float:
     """(sum_Q (|Q|^{-1/2} ||b_Q||_p)^p)^{1/p}; at p = inf the largest term."""
     return besov_haars(sys, b, (p,))[0]
@@ -88,7 +87,6 @@ def besov_haar(sys, b: Symbol, p) -> float:
 
 def besov_haars(sys, b: Symbol, ps) -> list[float]:
     """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
-    _require_positive(ps)
     # sys.measure's scalar expression, once per scale
     w = np.array([float(sys.d_eff ** -s) ** -0.5 for s in range(sys.params.depth)])
     w = w[sys.scale_of_row()[1:]]
@@ -104,7 +102,6 @@ def besov_diff(sys, b: Symbol, p) -> float:
 def besov_diffs(sys, b: Symbol, ps) -> list[float]:
     """[besov_diff(sys, b, p) for p in ps], synthesizing and decomposing each
     d_k b once."""
-    _require_positive(ps)
     N = sys.params.depth
     by_k = [_function_lps(sys, _difference_function(sys, b.blocks, k), ps) for k in range(1, N + 1)]
     weights = [sys.d_eff ** k for k in range(1, N + 1)]
@@ -113,6 +110,7 @@ def besov_diffs(sys, b: Symbol, ps) -> list[float]:
 
 def besov_osc(sys, b: Symbol, p) -> float:
     """(sum_{k<N} d^k ||b - E_k b||_p^p)^{1/p}; at p = inf, max_k ||b - E_k b||_inf."""
+    _require_positive((p,))
     if p < 1:
         raise ValueError("the oscillation form needs p >= 1")
     f = b.function()
@@ -257,21 +255,23 @@ def _half_overlaps(k: int, variant: int, depth: int):
     return overlap(lo, lo + half), overlap(lo + half, lo + 2 * half)
 
 
-def besov_haar_adjacents(values, ps, dim: int, variant_mask: int, depth: int) -> list[float]:
+def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]:
     """Haar-coefficient Besov sum of a standard-grid step function over one
     shifted lattice of the covering family (cubes fully inside the window), at
     each p in ps, from one set of terms.
 
-    Coefficients are exact overlap integrals of the piecewise-constant input
-    against the shifted wavelets; scalar values only.  Terms run by scale,
-    then cube (last axis fastest), then colour; at p = inf, the largest term.
+    The grid's depth is read from len(values) = 2^(depth dim).  Coefficients
+    are exact overlap integrals of the piecewise-constant input against the
+    shifted wavelets; scalar values only.  Terms run by scale, then cube (last
+    axis fastest), then colour; at p = inf, the largest term.
     """
     _require_positive(ps)
     values = np.asarray(values, dtype=complex)
+    depth = (values.size.bit_length() - 1) // dim
     n_axis = 2**depth
     if values.shape != (n_axis**dim,):
-        raise ValueError(f"values must be one scalar per cell of the standard grid, "
-                         f"shape ({n_axis**dim},); got shape {values.shape}")
+        raise ValueError(f"values must be one scalar per cell of a grid of 2^depth cells "
+                         f"per axis in dimension {dim}; got shape {values.shape}")
     grid = values.reshape([n_axis] * dim, order="F")  # cell id = sum c_t n^t
     terms = []
     for k in range(depth):

@@ -35,7 +35,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into
+from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into, _require_cells
 
 __all__ = [
     "Symbol",
@@ -192,6 +192,7 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
     m = b.blockdim
     if f.blockdim != m:
         raise ValueError("block dimensions of symbol and input differ")
+    _require_cells(sys, f)
     out = np.zeros_like(f.values)
     for k, (cells, cols, _) in enumerate(sys.scale_layouts):
         means = f.values[cells].mean(axis=1)  # (cube, m, m)

@@ -172,7 +172,8 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
 
     Raises ValueError naming the first entry whose cubes or colours the
     system cannot hold: a Haar cube has a scale in 0..depth-1 and an index
-    inside the window, and a colour lies in 1..n_colors.
+    inside the window, a colour lies in 1..n_colors, and I (J) is a
+    generation-i (j) descendant of K in this grid, as the radius assumes.
     """
     N, dim, n_c = sys.params.depth, sys.params.dim, sys.n_colors
     if spec.dim != dim:
@@ -187,8 +188,17 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
         n = int(fits.argmin())
         raise ValueError(f"entry {spec.entry(n)} has a cube or colour the system cannot hold "
                          f"(Haar scales 0..{N - 1}, colours 1..{n_c})")
-    scale, index = scale[:, :2], np.moveaxis(index[:, :2], -1, 0)
-    pos = sys.slot(scale, sys.cube_rank(scale, index), spec.colors)
+    rank = sys.cube_rank(scale, np.moveaxis(index, -1, 0))  # (entry, [I, J, K])
+    inside = (scale[:, :2] == scale[:, 2:] + [spec.i, spec.j]).all(axis=1)
+    for k in np.unique(scale[inside, 2]).tolist():
+        at = np.flatnonzero(inside & (scale[:, 2] == k))
+        for g, col in ((spec.i, 0), (spec.j, 1)):
+            inside[at] &= (sys.descendants(k, g)[rank[at, 2]] == rank[at, col, None]).any(axis=1)
+    if not inside.all():
+        n = int(inside.argmin())
+        raise ValueError(f"entry {spec.entry(n)} has an I or J that is not a generation-"
+                         f"{spec.i} or generation-{spec.j} descendant of its K in the system")
+    pos = sys.slot(scale[:, :2], rank[:, :2], spec.colors)
     return pos[:, 1], pos[:, 0]
 
 

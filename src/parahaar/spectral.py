@@ -107,21 +107,29 @@ def schatten_norm(T, p, blockdim: int = 1) -> float:
     Every call decomposes T afresh; nothing is cached between calls.  For
     norms of one matrix at several p, `schatten_norms` shares one SVD.
     """
+    _require_positive((p,))
     return _from_singular_values(singular_values(T), p, blockdim)
 
 
 def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
     """[schatten_norm(T, p, blockdim) for p in ps], from one SVD of T."""
+    _require_positive(ps)
     sv = singular_values(T)
     return [_from_singular_values(sv, p, blockdim) for p in ps]
 
 
+def _require_positive(ps):
+    """ValueError unless each p of ps is an int or float > 0, or inf (not a bool, str or NaN)."""
+    for p in ps:
+        if (isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating))
+                or not p > 0):
+            raise ValueError(f"p must be positive: an int or float > 0, or inf; got {p!r}")
+
+
 def _from_singular_values(sv, p, blockdim) -> float:
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(sv[0]) if sv.size else 0.0
     p = float(p)
-    if p <= 0:
-        raise ValueError("p must be positive or inf")
     if sv.size and sv[0] > 0:
         # drop numerical-rank noise, which p < 1 would otherwise amplify
         sv = sv[sv > sv[0] * sv.size * np.finfo(float).eps]

@@ -30,7 +30,7 @@ def test_criterion_1_exact_identities():
 
 def test_criterion_2_explicit_constants():
     print("\ncriterion 2: explicit-constant inequalities, 200 symbols each")
-    assert report(2, checks.explicit_constant_suite(trials=200))
+    assert report(2, checks.explicit_constant_suite())
 
 
 def test_criterion_3_p2_relation(rng):
@@ -50,7 +50,7 @@ def test_criterion_3_p2_relation(rng):
 def test_criterion_4_calibrated_ratios():
     print("\ncriterion 4: calibrated bounded-ratio suites")
     calib = checks.load_calibration()
-    assert report(4, checks.calibrated_suite(calib, trials=200))
+    assert report(4, checks.calibrated_suite(calib))
 
 
 def test_criterion_5_transference():
@@ -60,12 +60,12 @@ def test_criterion_5_transference():
 
 def test_criterion_6_median():
     print("\ncriterion 6: complex median, 1000 sets / 500 cube pairs")
-    assert report(6, checks.median_suite(n_sets=1000, n_pairs=500))
+    assert report(6, checks.median_suite())
 
 
 def test_criterion_7_covering():
     print("\ncriterion 7: adjacent-grid covering, 1000 cubes per dimension")
-    assert report(7, checks.covering_suite(n_cubes=1000))
+    assert report(7, checks.covering_suite())
 
 
 def test_criterion_8_kernels():

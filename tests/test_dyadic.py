@@ -6,9 +6,8 @@ import pytest
 
 from parahaar.dyadic import (CubeId, DyadicParams, GridShift,
                              HaarIndex, StepFunction, build_system, cover_cube,
-                             expectation, haar_function, make_adjacent_family,
-                             martingale_difference, LENGTH_RATIO_BOUND,
-                             dilation_bound)
+                             expectation, haar_function, martingale_difference,
+                             DILATION_BOUND, LENGTH_RATIO_BOUND)
 from parahaar.paraproducts import Symbol
 
 
@@ -130,6 +129,23 @@ def test_expectation_scale_bounds():
         martingale_difference(sys, f, 0)
 
 
+@pytest.mark.parametrize("n", [8, 2])
+def test_expectation_rejects_a_cell_count_mismatch(n):
+    # 8 values on a 4-cell system once came back with 4 uninitialised ones
+    sys = build_system(DyadicParams(2, 2))
+    f = StepFunction(np.arange(float(n)))
+    with pytest.raises(ValueError, match=f"{n} cells, the system 4"):
+        expectation(sys, f, 1)
+    with pytest.raises(ValueError, match=f"{n} cells, the system 4"):
+        martingale_difference(sys, f, 1)
+
+
+def test_coeffs_rejects_a_cell_count_mismatch():
+    sys = build_system(DyadicParams(2, 2))
+    with pytest.raises(ValueError, match="8 cells, the system 4"):
+        sys.coeffs(StepFunction(np.arange(8.0)))
+
+
 def test_difference_orthogonality():
     sys = build_system(DyadicParams(2, 3))
     h = haar_function(sys, HaarIndex(CubeId(1, (0,)), 1))
@@ -188,33 +204,30 @@ def test_block_roundtrip(rng):
 
 
 def test_cover_examples():
-    fam = make_adjacent_family(1)
     # the shifted grid offers [1/6, 2/3) at scale 1, beating the unit cube
-    q = cover_cube([0.4], 0.2, fam)
+    q = cover_cube([0.4], 0.2)
     assert float(q.lower[0]) <= 0.4 and 0.6 <= float(q.lower[0] + q.side)
     assert float(q.side) <= 6 * 0.2
-    q2 = cover_cube([0.1], 0.1, fam)
+    q2 = cover_cube([0.1], 0.1)
     assert float(q2.side) <= 0.6 + 1e-15
     # a grid cube covers itself
-    q3 = cover_cube([0.25], 0.25, fam)
+    q3 = cover_cube([0.25], 0.25)
     assert float(q3.side) == 0.25 and float(q3.lower[0]) == 0.25
 
 
 def test_cover_random(rng):
     for dim in (1, 2):
-        fam = make_adjacent_family(dim)
-        c_n = dilation_bound(dim)
         for _ in range(200):
             side = float(rng.uniform(0.002, 0.3))
             lo = [float(rng.uniform(0, 1 - side)) for _ in range(dim)]
-            q = cover_cube(lo, side, fam)
+            q = cover_cube(lo, side)
             assert float(q.side) <= LENGTH_RATIO_BOUND * side + 1e-12
             for t in range(dim):
                 assert float(q.lower[t]) <= lo[t] + 1e-12
                 assert lo[t] + side <= float(q.lower[t] + q.side) + 1e-12
                 center = lo[t] + side / 2
-                assert float(q.lower[t]) >= center - c_n * side / 2 - 1e-12
-                assert float(q.lower[t] + q.side) <= center + c_n * side / 2 + 1e-12
+                assert float(q.lower[t]) >= center - DILATION_BOUND * side / 2 - 1e-12
+                assert float(q.lower[t] + q.side) <= center + DILATION_BOUND * side / 2 + 1e-12
 
 
 def _cover_cube_per_grid(lower, side, dim):
@@ -242,26 +255,35 @@ def _cover_cube_per_grid(lower, side, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_cover_equals_per_grid_loop(rng, dim):
-    fam = make_adjacent_family(dim)
     for _ in range(300):
         side = float(rng.uniform(0.001, 0.3))
         lo = [float(rng.uniform(0, 1 - side)) for _ in range(dim)]
-        assert cover_cube(lo, side, fam) == _cover_cube_per_grid(lo, side, dim)
+        assert cover_cube(lo, side) == _cover_cube_per_grid(lo, side, dim)
     # the examples above, on every axis
     for lo, side in (([0.4] * dim, 0.2), ([0.1] * dim, 0.1), ([0.301] * dim, 0.09)):
-        assert cover_cube(lo, side, fam) == _cover_cube_per_grid(lo, side, dim)
+        assert cover_cube(lo, side) == _cover_cube_per_grid(lo, side, dim)
 
 
 def test_cover_outside_window():
-    fam = make_adjacent_family(1)
     with pytest.raises(ValueError):
-        cover_cube([0.9], 0.2, fam)
+        cover_cube([0.9], 0.2)
+    with pytest.raises(ValueError, match="got none"):
+        cover_cube([], 0.2)
+
+
+def test_cover_takes_its_dimension_from_lower():
+    # a box in the plane is covered on both axes, not by the cube [3/32, 1/8)
+    # that covers its first coordinate alone
+    q = cover_cube([0.1, 0.95], 0.01)
+    assert len(q.index) == len(q.lower) == 2
+    assert q == _cover_cube_per_grid([0.1, 0.95], 0.01, 2)
+    for t, x in enumerate((0.1, 0.95)):
+        assert float(q.lower[t]) <= x and x + 0.01 <= float(q.lower[t] + q.side)
 
 
 def test_cover_contained_cube_count():
     # the covering cube holds at most floor(c)^dim same-scale grid cubes
-    fam = make_adjacent_family(1)
-    q = cover_cube([0.301], 0.09, fam)
+    q = cover_cube([0.301], 0.09)
     per = float(q.side) / 0.09
     assert per <= LENGTH_RATIO_BOUND + 1e-12
 

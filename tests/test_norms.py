@@ -13,6 +13,7 @@ from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_haar_adjacents, besov_haars, besov_osc,
                             bmo_dyadic, block_lp, bmo_operator, function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
+from parahaar.spectral import schatten_norm, schatten_norms
 
 
 def unit_symbol(sys, cube, color, value=1.0):
@@ -175,11 +176,12 @@ def test_continuum_rejects_ragged():
 
 def test_adjacent_rejects_all_but_one_scalar_per_cell(rng):
     blocks = rng.standard_normal((16, 2, 2)) + 1j * rng.standard_normal((16, 2, 2))
-    # 64 entries = 2^6 cells at dim 1, but they are 16 blocks, not 64 scalars
-    for vals, dim, depth in ((blocks, 1, 6), (np.ones((8, 8)), 2, 3), (np.ones((64, 1)), 1, 6),
-                             (np.ones(63), 1, 6), (np.ones(64), 2, 2)):
+    # 64 entries = 2^6 cells at dim 1, but they are 16 blocks, not 64 scalars;
+    # 63, 12, 0 and 32 (at dim 2) are 2^(depth dim) for no depth
+    for vals, dim in ((blocks, 1), (np.ones((8, 8)), 2), (np.ones((64, 1)), 1),
+                      (np.ones(63), 1), (np.ones(12), 1), (np.ones(32), 2), (np.ones(0), 1)):
         with pytest.raises(ValueError, match="one scalar per cell"):
-            besov_haar_adjacents(vals, (2.0,), dim, 0, depth)
+            besov_haar_adjacents(vals, (2.0,), dim, 0)
 
 
 def test_adjacent_matches_standard(rng):
@@ -187,7 +189,7 @@ def test_adjacent_matches_standard(rng):
         sys = build_system(DyadicParams(2, depth, dim=dim))
         vals = rng.standard_normal(sys.n_cells) + 1j * rng.standard_normal(sys.n_cells)
         b = Symbol.from_function(sys, StepFunction(vals))
-        for p, got in zip((1.5, 2.0), besov_haar_adjacents(vals, (1.5, 2.0), dim, 0, depth)):
+        for p, got in zip((1.5, 2.0), besov_haar_adjacents(vals, (1.5, 2.0), dim, 0)):
             assert got == pytest.approx(besov_haar(sys, b, p), rel=1e-10)
 
 
@@ -241,8 +243,8 @@ def test_block_lp_single_blocks(rng):
 def test_adjacent_repeat_call_is_stable(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
     for mask in range(2 ** dim):
-        first = besov_haar_adjacents(vals, (1.5,), dim, mask, depth)
-        assert besov_haar_adjacents(vals, (1.5,), dim, mask, depth) == first
+        first = besov_haar_adjacents(vals, (1.5,), dim, mask)
+        assert besov_haar_adjacents(vals, (1.5,), dim, mask) == first
 
 
 def _adjacent_cell_terms(vals, dim, mask, depth):
@@ -284,7 +286,7 @@ def test_adjacent_matches_refined_cell_loop(rng, dim, depth):
     for mask in range(2**dim):
         terms = _adjacent_cell_terms(vals, dim, mask, depth)
         ps = (1.5, 2.0, 3.0)
-        for p, got in zip(ps, besov_haar_adjacents(vals, ps, dim, mask, depth)):
+        for p, got in zip(ps, besov_haar_adjacents(vals, ps, dim, mask)):
             want = sum(t**p for t in terms) ** (1 / p)
             assert got == pytest.approx(want, rel=1e-12), (mask, p)
 
@@ -382,9 +384,9 @@ def _step_and_word_forms(rng):
     car = {A: complex(*rng.standard_normal(2)) for A in car_subsets(3) if A}
     ten = {a: complex(*rng.standard_normal(2)) for a in tensor_indices(2, 2) if a}
     return {
-        "adjacent-dim1": (lambda c, p: besov_haar_adjacents(c * v1, (p,), 1, 1, 4)[0],
+        "adjacent-dim1": (lambda c, p: besov_haar_adjacents(c * v1, (p,), 1, 1)[0],
                           max(_adjacent_cell_terms(v1, 1, 1, 4))),
-        "adjacent-dim2": (lambda c, p: besov_haar_adjacents(c * v2, (p,), 2, 2, 3)[0],
+        "adjacent-dim2": (lambda c, p: besov_haar_adjacents(c * v2, (p,), 2, 2)[0],
                           max(_adjacent_cell_terms(v2, 2, 2, 3))),
         "continuum-dim1": (lambda c, p: besov_continuums(c * v1, (p,), dim=1)[0],
                            max(abs(x - y) for x in v1 for y in v1)),
@@ -415,13 +417,13 @@ def test_step_and_word_forms_at_inf_are_homogeneous(rng, name):
 
 def test_step_and_word_forms_empty_and_nonpositive_p():
     # no term at all: depth 1 holds no shifted cube, and the symbols are empty
-    assert besov_haar_adjacents(np.arange(2.0), (np.inf,), 1, 1, 1) == [0.0]
+    assert besov_haar_adjacents(np.arange(2.0), (np.inf,), 1, 1) == [0.0]
     assert besov_cars({}, 3, (np.inf,)) == [0.0]
     assert besov_tensors({}, 2, 2, (np.inf,)) == [0.0]
     assert besov_continuums(np.ones(4), (np.inf,)) == [0.0]
     for p in (0, -1.5):
         with pytest.raises(ValueError, match="p must be positive"):
-            besov_haar_adjacents(np.ones(4), (p,), 1, 0, 2)
+            besov_haar_adjacents(np.ones(4), (p,), 1, 0)
         with pytest.raises(ValueError, match="p must be positive"):
             besov_continuums(np.ones(4), (p,))
         with pytest.raises(ValueError, match="p must be positive"):
@@ -504,7 +506,7 @@ def test_besov_continuums_equal_per_p_loop(rng, dim, depth, blockdim):
 def test_besov_haar_adjacents_equal_per_p_loop(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
     for mask in range(2**dim):
-        assert besov_haar_adjacents(vals, PLURAL_PS, dim, mask, depth) == [
+        assert besov_haar_adjacents(vals, PLURAL_PS, dim, mask) == [
             _besov_adjacent_loop(vals, p, dim, mask, depth) for p in PLURAL_PS]
 
 
@@ -514,6 +516,39 @@ def test_plural_forms_reject_any_nonpositive_p(rng):
     for ps in ((2.0, 0), (-1.0, 2.0)):
         for form in (lambda: besov_haars(sys, b, ps), lambda: besov_diffs(sys, b, ps),
                      lambda: besov_continuums(np.ones(4), ps),
-                     lambda: besov_haar_adjacents(np.ones(4), ps, 1, 0, 2)):
+                     lambda: besov_haar_adjacents(np.ones(4), ps, 1, 0)):
             with pytest.raises(ValueError, match="p must be positive"):
                 form()
+
+
+def test_function_lp_rejects_a_cell_count_mismatch():
+    sys = build_system(DyadicParams(2, 2))
+    with pytest.raises(ValueError, match="8 cells, the system 4"):
+        function_lp(sys, StepFunction(np.ones(8)), 2.0)
+
+
+@pytest.mark.parametrize("p", [True, False, "inf", "2", np.nan, None])
+def test_every_form_refuses_a_p_that_is_not_a_number(rng, p):
+    # one rule here and in `spectral`: an int or float > 0, or inf
+    sys = build_system(DyadicParams(2, 3))
+    b = random_symbol(sys, rng)
+    forms = [lambda: block_lp(np.eye(2), p),
+             lambda: function_lp(sys, b.function(), p),
+             lambda: besov_haar(sys, b, p), lambda: besov_diff(sys, b, p),
+             lambda: besov_osc(sys, b, p),
+             lambda: besov_continuums(np.ones(4), (p,)),
+             lambda: besov_haar_adjacents(np.ones(4), (2.0, p), 1, 0),
+             lambda: besov_cars({(1,): 1.0}, 3, (p,)),
+             lambda: schatten_norm(np.eye(2), p), lambda: schatten_norms(np.eye(2), (1.0, p))]
+    for form in forms:
+        with pytest.raises(ValueError, match="p must be positive"):
+            form()
+
+
+def test_every_form_takes_an_int_float_or_inf_p(rng):
+    sys = build_system(DyadicParams(2, 3))
+    b = random_symbol(sys, rng)
+    for p in (2, np.int64(2), np.float64(2.0)):
+        assert besov_haar(sys, b, p) == besov_haar(sys, b, 2.0)
+        assert schatten_norm(np.diag([3.0, 4.0]), p) == 5.0
+    assert schatten_norm(np.diag([3.0, 4.0]), np.inf) == 4.0

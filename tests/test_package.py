@@ -81,10 +81,10 @@ UNPASSED_DEFAULTS = {
 
 
 def _defaulted_parameters(path):
-    """(call name, label, parameter, position or None) of every defaulted
-    parameter of the file's top-level functions, methods and dataclass fields;
-    a method's position does not count `self` or `cls`, a constructor is
-    called by its class name."""
+    """(call name, label, parameter, position or None, default) of every
+    defaulted parameter of the file's top-level functions, methods and
+    dataclass fields; a method's position does not count `self` or `cls`, a
+    constructor is called by its class name."""
     out = []
     for node in ast.parse(path.read_text()).body:
         funcs = [(node.name, node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
@@ -93,7 +93,7 @@ def _defaulted_parameters(path):
                           for d in node.decorator_list}
             if "dataclass" in decorators:
                 fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
-                out += [(node.name, node.name, f.target.id, i)
+                out += [(node.name, node.name, f.target.id, i, f.value)
                         for i, f in enumerate(fields) if f.value is not None]
             for item in node.body:
                 if isinstance(item, ast.FunctionDef):
@@ -104,15 +104,17 @@ def _defaulted_parameters(path):
         for call, label, fn, skip in funcs:
             args = fn.args.posonlyargs + fn.args.args
             first = len(args) - len(fn.args.defaults)
-            out += [(call, label, a.arg, i - skip) for i, a in enumerate(args) if i >= first]
-            out += [(call, label, a.arg, None)
+            out += [(call, label, a.arg, i - skip, d)
+                    for i, (a, d) in enumerate(zip(args[first:], fn.args.defaults), first)]
+            out += [(call, label, a.arg, None, d)
                     for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
     return out
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
     """A default that no call in the package, the tests or the benchmark
-    overrides is a constant in disguise; it is written as one instead."""
+    overrides is a constant in disguise; it is written as one instead.  A
+    call that passes the default's own literal overrides nothing."""
     calls = {}
     for path in [*SRC.glob("*.py"), *pathlib.Path(__file__).resolve().parent.glob("*.py"),
                  *PERFBENCH.glob("*.py")]:
@@ -121,16 +123,64 @@ def test_every_defaulted_parameter_is_passed_somewhere():
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
 
-    def passed(call, param, pos):
-        return any(any(k.arg in (param, None) for k in c.keywords)
-                   or (pos is not None and (len(c.args) > pos
-                                            or any(isinstance(a, ast.Starred) for a in c.args)))
+    def other(value, default):
+        """True unless `value` is the default's own literal."""
+        return ast.dump(value) != ast.dump(default)
+
+    def passed(call, param, pos, default):
+        return any(any(k.arg is None or (k.arg == param and other(k.value, default))
+                       for k in c.keywords)
+                   or (pos is not None
+                       and ((len(c.args) > pos and other(c.args[pos], default))
+                            or any(isinstance(a, ast.Starred) for a in c.args)))
                    for c in calls.get(call, []))
 
     unpassed = sorted(f"{path.stem}.{label}({param})" for path in SRC.glob("*.py")
-                      for call, label, param, pos in _defaulted_parameters(path)
-                      if not passed(call, param, pos))
+                      for call, label, param, pos, default in _defaulted_parameters(path)
+                      if not passed(call, param, pos, default))
     assert unpassed == sorted(UNPASSED_DEFAULTS)
+
+
+# parameters that their function never reads, kept on purpose
+UNREAD = {
+    "cli._experiment_weak_factorization(rng)":
+        "every experiment takes (cfg, rng, outdir), and this one draws nothing",
+    "checks._measure.<lambda>(line)": "the no-op progress callback when none is given",
+}
+
+
+def _unread_parameters(path):
+    """'<module>.<function>(<parameter>)' of every parameter of a function,
+    method or lambda of the file that its body never reads; a lambda is named
+    after the function that holds it, `*args` and `**kwargs` count too."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                name = child.name if not isinstance(child, ast.Lambda) else "<lambda>"
+                label = f"{owner}.{name}" if owner else name
+                args = child.args
+                params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                          args.vararg, args.kwarg) if a is not None]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+                out.extend(f"{path.stem}.{label}({p})" for p in params if p not in read)
+                visit(child, label)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{owner}.{child.name}" if owner else child.name)
+            else:
+                visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "")
+    return out
+
+
+def test_every_parameter_is_read():
+    """A parameter its function ignores is an option that does nothing; it is
+    deleted instead."""
+    unread = sorted(p for path in SRC.glob("*.py") for p in _unread_parameters(path))
+    assert unread == sorted(UNREAD)
 
 
 def test_only_dyadic_reads_the_system_internals():

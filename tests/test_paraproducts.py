@@ -317,6 +317,15 @@ def test_matrix_free_application(rng):
         assert np.abs(direct.values - via_matrix.values).max() < 1e-12
 
 
+def test_matrix_free_application_rejects_a_cell_count_mismatch(rng):
+    from parahaar.paraproducts import apply_paraproduct
+
+    sys = build_system(DyadicParams(2, 2))
+    b = random_symbol(sys, rng)
+    with pytest.raises(ValueError, match="8 cells, the system 4"):
+        apply_paraproduct(sys, b, StepFunction(np.arange(8.0)))
+
+
 def test_identities_on_shifted_system(rng):
     from parahaar.dyadic import GridShift
 

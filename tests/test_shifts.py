@@ -41,6 +41,29 @@ def test_spec_rejects_violation():
         assemble_shift(build_system(DyadicParams(2, 2, dim=2)), ShiftSpec(1, 1, 1, {}))
 
 
+def test_assembly_rejects_cubes_outside_their_generation():
+    # I at scale 2 under a scale-1 K is no generation-1 descendant; nor is a
+    # same-scale cube outside K, nor a child of K on a grid that shifts it away
+    sys = build_system(DyadicParams(2, 4))
+    for key in ((CubeId(2, (3,)), CubeId(1, (1,)), CubeId(1, (0,)), 1, 1),
+                (CubeId(2, (0,)), CubeId(2, (2,)), CubeId(1, (0,)), 1, 1),
+                (CubeId(2, (2,)), CubeId(2, (1,)), CubeId(1, (0,)), 1, 1)):
+        spec = ShiftSpec(1, 1, 1, {key: 0.4})
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            assemble_shift(sys, spec)
+    ok = (CubeId(2, (0,)), CubeId(2, (1,)), CubeId(1, (0,)), 1, 1)
+    assert assemble_shift(sys, ShiftSpec(1, 1, 1, {ok: 0.4})).any()
+    shifted = build_system(DyadicParams(2, 4), GridShift((0, 1, 0, 0)))
+    kids = [c.index for c in shifted.children(CubeId(1, (0,)))]
+    assert kids != [(0,), (1,)]
+    with pytest.raises(ValueError, match="descendant"):
+        assemble_shift(shifted, ShiftSpec(1, 1, 1, {ok: 0.4}))
+    # the generation follows i and j: (0, 2) puts I = K and J two scales down
+    spec = ShiftSpec(0, 2, 1, {(CubeId(0, (0,)), CubeId(1, (0,)), CubeId(0, (0,)), 1, 1): 0.1})
+    with pytest.raises(ValueError, match="descendant"):
+        assemble_shift(sys, spec)
+
+
 def test_random_shift_deterministic():
     sys = build_system(DyadicParams(2, 4))
     s1 = random_shift(sys, 1, 2, 99)
