@@ -1079,6 +1079,8 @@ SUITES = {
 
 def run_suite(name, calib=None):
     """The records of suite `name` ("all": every suite); `calib` goes to "calibrated" alone."""
+    if name in ("all", "calibrated") and calib is None:
+        raise ValueError(f"suite {name!r} needs a calibration: pass load_calibration()")
     if name == "all":
         return [r for key in SUITES for r in run_suite(key, calib)]
     if name not in SUITES:

@@ -227,7 +227,8 @@ class GridOperator:
     def adjoint_apply(self, values):
         values = np.asarray(values, dtype=complex)
         mu = np.sqrt(self.cell_measure)
-        return (self.matrix.conj().T @ (values * mu)) / mu
+        # conj(conj(v)^T M) = M^H v, with no conjugated copy of M
+        return np.conj(np.conj(values * mu) @ self.matrix) / mu
 
 
 def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridOperator:
@@ -245,8 +246,8 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
             va = K.evaluate(mids[a][:, None, :], mids.reshape(-1, dim)[None, :, :])
             avg[a] = va.reshape(nsub, n_cells, nsub).mean(axis=(0, 2))
     np.fill_diagonal(avg, 0.0)
-    mu = cells_per_axis ** (-dim)
-    return GridOperator(avg * mu, dim, cells_per_axis)
+    avg *= cells_per_axis ** (-dim)
+    return GridOperator(avg, dim, cells_per_axis)
 
 
 def commutator_grid_op(T: GridOperator, b_values) -> GridOperator:

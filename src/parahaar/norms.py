@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, _require_cells, expectation
+from .dyadic import StepFunction, _is_integer, _require_cells, expectation
 from .paraproducts import Symbol, _difference_function
 from .spectral import _require_positive
 
@@ -207,6 +207,7 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
     p -> inf limit max_{x != y} ||b_x - b_y||_inf (W > 0 off the diagonal).
     """
     _require_positive(ps)
+    _require_dim(dim)
     values = np.asarray(values, dtype=complex)
     if values.ndim == 1:
         values = values[:, None, None]
@@ -225,6 +226,12 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
         dist_p = (sv ** p).sum(axis=-1) / values.shape[1]
         out.append(float((W * dist_p).sum() ** (1.0 / p)))
     return out
+
+
+def _require_dim(dim):
+    """ValueError unless dim is an integer >= 1 (not a bool or float)."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 @functools.cache
@@ -266,6 +273,7 @@ def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]
     axis fastest), then colour; at p = inf, the largest term.
     """
     _require_positive(ps)
+    _require_dim(dim)
     values = np.asarray(values, dtype=complex)
     depth = (values.size.bit_length() - 1) // dim
     n_axis = 2**depth

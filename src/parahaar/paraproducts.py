@@ -245,13 +245,22 @@ def mult_op(sys, b: Symbol) -> np.ndarray:
 
 
 def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
+    # M = H^H Y with Y[c, i, beta, j] = mu g_c[i, j] H[c, beta], as real
+    # GEMMs on the float view of Y: H^H = Re(H)^T - i Im(H)^T, and
+    # -i Im(H)^T Y = Im(H)^T (-iY).  No copy of either table is made complex,
+    # and a table of real values, held real or complex, sums in one order.
     m = g.blockdim
     D = sys.dim_basis
-    # complex tables, one copy each: the contraction runs in BLAS, whose real
-    # and complex kernels may sum in different orders
-    a2c = np.multiply(sys.basis_matrix.conj().T, sys.cell_measure, dtype=complex)
-    c2a = sys.basis_matrix.astype(complex, copy=False)
-    out = np.einsum("bc,cij,cg->bigj", a2c, g.values, c2a, optimize=True)
+    H = sys.basis_matrix
+    Y = np.multiply(g.values[:, :, None, :], H[:, None, :, None])
+    Y *= sys.cell_measure
+    Yf = Y.reshape(H.shape[0], -1).view(float)
+    out = np.empty((D, m, D, m), dtype=complex)
+    outf = out.reshape(D, -1).view(float)
+    np.matmul(H.real.T, Yf, out=outf)
+    if np.iscomplexobj(H):
+        Y *= -1j
+        outf += H.imag.T @ Yf
     return out.reshape(D * m, D * m)
 
 

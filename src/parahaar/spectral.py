@@ -42,11 +42,14 @@ def singular_values(T) -> np.ndarray:
     the calibrated ratios against their frozen bands at 1e-6 relative.
 
     Memory.  Beyond T, the call holds a D x D boolean mask while it finds the
-    nonzero rows and columns, then frees it; C is gathered in one step
-    (nothing full-width is copied), and the real path adds two float
-    arrays of C's shape.  When the real path is taken, the gathered complex
-    C is freed before LAPACK runs, which copies its input and adds its own
-    workspace.  On a d = 2 paraproduct, C is (D - 1) x D/2, half of T.
+    nonzero rows and columns, then frees it.  When the nonzero rows form one
+    contiguous run and so do the nonzero columns, as on every paraproduct
+    (rows 1..D-1, the columns before the finest scale), C is a slice of T: a
+    view, with nothing copied.  Otherwise C is gathered in one step (nothing
+    full-width is copied).  The real path writes one float array of C's shape,
+    and its test's temporaries are one block of rows in size.  LAPACK copies
+    its input and adds its own workspace.  On a d = 2 paraproduct, C is
+    (D - 1) x D/2, half of T, and the real path holds a quarter of T's bytes.
     """
     T = np.asarray(T, dtype=complex)
     if T.ndim != 2 or T.shape[0] != T.shape[1]:
@@ -58,7 +61,10 @@ def singular_values(T) -> np.ndarray:
     n, r, c = T.shape[0], rows.size, cols.size
     sv = np.zeros(n)
     if r and c:
-        core = T if r == n and c == n else T[rows[:, None], cols]  # np.ix_ without its overhead
+        if rows[-1] - rows[0] == r - 1 and cols[-1] - cols[0] == c - 1:
+            core = T[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]  # a view
+        else:
+            core = T[rows[:, None], cols]  # np.ix_ without its overhead
         if min(r, c) >= _REAL_PATH_MIN:
             real = _real_up_to_row_phases(core)
             if real is not None:
@@ -78,23 +84,34 @@ def _real_up_to_row_phases(C):
     """Re(conj(u_i) C_ij) if every |Im(conj(u_i) C_ij)| <= 4 eps |C_ij|, else None.
 
     u_i is the phase of the first nonzero entry of row i; every row of C
-    must have one.  Works in two float temporaries and leaves C as it is.
+    must have one.  Runs over blocks of _ROW_BLOCK rows and writes into one
+    float array of C's shape, so its temporaries are one block in size; each
+    entry is computed as a one-shot pass over C would, bit for bit.  Leaves C
+    as it is.
     """
-    lead = C[np.arange(C.shape[0]), (C != 0).argmax(axis=1)]
-    u = lead / np.abs(lead)
-    ur, ui = u.real[:, None], u.imag[:, None]
-    resid = ur * C.imag
-    buf = ui * C.real
-    resid -= buf
-    np.abs(resid, out=resid)
-    np.abs(C, out=buf)
-    buf *= 4 * np.finfo(float).eps
-    if not (resid <= buf).all():  # NaN fails too
-        return None
-    np.multiply(ur, C.real, out=resid)
-    np.multiply(ui, C.imag, out=buf)
-    resid += buf
-    return resid
+    out = np.empty(C.shape)
+    tol = 4 * np.finfo(float).eps
+    for lo in range(0, C.shape[0], _ROW_BLOCK):
+        blk, res = C[lo:lo + _ROW_BLOCK], out[lo:lo + _ROW_BLOCK]
+        lead = blk[np.arange(blk.shape[0]), (blk != 0).argmax(axis=1)]
+        u = lead / np.abs(lead)
+        ur, ui = u.real[:, None], u.imag[:, None]
+        np.multiply(ur, blk.imag, out=res)
+        buf = ui * blk.real
+        res -= buf
+        np.abs(res, out=res)
+        np.abs(blk, out=buf)
+        buf *= tol
+        if not (res <= buf).all():  # NaN fails too
+            return None
+        np.multiply(ur, blk.real, out=res)
+        np.multiply(ui, blk.imag, out=buf)
+        res += buf
+    return out
+
+
+# 128 rows of a depth-11 paraproduct core take 1 MB per float temporary
+_ROW_BLOCK = 128
 
 
 def schatten_norm(T, p, blockdim: int = 1) -> float:

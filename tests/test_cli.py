@@ -177,6 +177,15 @@ def test_verify_unknown_suite():
         checks.run_suite("bogus")
 
 
+@pytest.mark.parametrize("name", ["calibrated", "all"])
+def test_calibrated_suites_refuse_a_missing_calibration_before_measuring(monkeypatch, name):
+    measured = []
+    monkeypatch.setattr(checks, "_measure", lambda *args, **kwargs: measured.append(args))
+    with pytest.raises(ValueError, match="needs a calibration"):
+        checks.run_suite(name)
+    assert measured == []
+
+
 def test_verify_suite_cli(tmp_path):
     assert run_cli(["verify", "--suite", "shifts", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "verify.json").read_text())

@@ -251,3 +251,38 @@ def test_testing_quantity_partners_equal_per_cube_loop(rng, dim, depth, A):
         want = _testing_quantity_per_cube(C, sys, vals, A, p, partners)
         assert tq_separated(C, sys, vals, A=A, p=p) == pytest.approx(want, rel=1e-12)
         assert partners["right"] > 0 and partners["left"] > 0
+
+
+def test_adjoint_apply_is_the_conjugate_transpose_without_a_copy(rng):
+    import tracemalloc
+
+    n = 256
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    T = GridOperator(M, 1, n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    mu = np.sqrt(T.cell_measure)
+    # the product with an explicit conjugated copy, which it replaces bit for bit
+    assert T.adjoint_apply(v).tobytes() == ((M.conj().T @ (v * mu)) / mu).tobytes()
+    tracemalloc.start()
+    try:
+        T.adjoint_apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n  # a few vectors; a copy of M would add 16 n^2
+
+
+def test_discretize_holds_one_matrix():
+    import tracemalloc
+
+    n = 128
+    tracemalloc.start()
+    try:
+        T = discretize(hilbert_kernel(), n, refinement=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the matrix, the cell midpoints and one row's kernel values; scaling a
+    # copy would add 16 n^2
+    assert peak <= 16 * n * n + 256 * n
+    assert T.matrix.shape == (n, n)

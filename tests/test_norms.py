@@ -552,3 +552,11 @@ def test_every_form_takes_an_int_float_or_inf_p(rng):
         assert besov_haar(sys, b, p) == besov_haar(sys, b, 2.0)
         assert schatten_norm(np.diag([3.0, 4.0]), p) == 5.0
     assert schatten_norm(np.diag([3.0, 4.0]), np.inf) == 4.0
+
+
+@pytest.mark.parametrize("dim", [0, -1, True, 1.5])
+def test_grid_forms_refuse_a_dim_that_is_not_a_positive_integer(dim):
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        besov_haar_adjacents(np.ones(4), (2.0,), dim, 0)
+    with pytest.raises(ValueError, match="dim must be an integer >= 1"):
+        besov_continuums(np.ones(4), (2.0,), dim=dim)

@@ -391,3 +391,136 @@ def test_deflation_copies_no_full_width_rows():
     # the complex core, the two real cores of the real path and its boolean
     # comparison, plus O(n) vectors; a full-width (r, n) copy would add 16 r c
     assert peak <= 16 * r * c + 2 * 8 * r * c + r * c + 256 * n
+
+
+# -- the core as a slice, and the row-blocked real test --------------------
+
+
+def _one_shot_real_up_to_row_phases(C):
+    """The real test over all of C at once: the reference for the row-blocked one."""
+    lead = C[np.arange(C.shape[0]), (C != 0).argmax(axis=1)]
+    u = lead / np.abs(lead)
+    ur, ui = u.real[:, None], u.imag[:, None]
+    resid = np.abs(ur * C.imag - ui * C.real)
+    if not (resid <= np.abs(C) * (4 * EPS)).all():
+        return None
+    return ur * C.real + ui * C.imag
+
+
+def _gathered_singular_values(T):
+    """LAPACK on the core gathered by np.ix_, through the one-shot real test."""
+    from parahaar.spectral import _REAL_PATH_MIN
+
+    core = _core(T)
+    sv = np.zeros(T.shape[0])
+    if core.size:
+        real = _one_shot_real_up_to_row_phases(core) if min(core.shape) >= _REAL_PATH_MIN else None
+        sv[: min(core.shape)] = np.linalg.svd(core if real is None else real, compute_uv=False)
+    return sv
+
+
+def _sliced_cases():
+    """(name, T, real) for paraproducts, whose nonzero rows and columns are runs."""
+    from parahaar.dyadic import DyadicParams, GridShift, build_system
+    from parahaar.paraproducts import paraproduct, random_symbol
+
+    cases = []
+    for name, d, depth, dim, m, shift, real in [
+        ("d2", 2, 7, 1, 1, None, True), ("d3", 3, 4, 1, 1, None, False),
+        ("dim2", 2, 4, 2, 1, None, True), ("m2", 2, 6, 1, 2, None, False),
+        ("shifted", 2, 7, 1, 1, (1, 0, 1, 1, 0, 0, 1), True),
+    ]:
+        sys_ = build_system(DyadicParams(d, depth, dim), GridShift(shift) if shift else None)
+        b = random_symbol(sys_, np.random.default_rng(depth), blockdim=m)
+        cases.append((name, paraproduct(sys_, b), real))
+    return cases
+
+
+def test_paraproduct_cores_are_sliced_and_match_a_gathered_core_bit_for_bit(monkeypatch):
+    from parahaar import spectral
+
+    inputs = []
+    real_test = spectral._real_up_to_row_phases
+    svd = np.linalg.svd
+
+    def spy_real(C):
+        inputs.append(C)
+        return real_test(C)
+
+    def spy_svd(a, *args, **kwargs):
+        inputs.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_real_up_to_row_phases", spy_real)
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    for name, T, real in _sliced_cases():
+        del inputs[:]
+        sv = singular_values(T)
+        ref = _gathered_singular_values(T)
+        assert sv.tobytes() == ref.tobytes(), name
+        # the complex core LAPACK or the real test reads is a view of T
+        core = inputs[0]
+        assert core.dtype == complex and np.shares_memory(core, T), name
+        assert core.shape == _core(T).shape, name
+        assert (inputs[-1].dtype == float) == real, name
+
+
+def test_scattered_zero_lines_are_gathered_bit_for_bit(rng):
+    for n, real in ((50, True), (50, False), (12, False)):
+        A = rng.standard_normal((n, n)) if real else rng.standard_normal((n, n)) + 1j
+        T = np.exp(2j * np.pi * rng.uniform(size=n))[:, None] * A
+        T[[3, 9, n - 5]] = 0.0
+        T[:, [0, 7, n - 2]] = 0.0
+        assert singular_values(T).tobytes() == _gathered_singular_values(T).tobytes(), n
+
+
+def _real_test_cores(rng):
+    """Complex cores real up to row phases, across one and several row blocks."""
+    from parahaar.spectral import _ROW_BLOCK
+
+    cores = []
+    for rows in (1, 33, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK - 7):
+        A = rng.standard_normal((rows, 40))
+        A[:, :2] = 0.0  # each row's first nonzero entry lies past column 0
+        A[rows // 2, : 20] = 0.0
+        phase = np.exp(2j * np.pi * rng.uniform(size=rows))
+        cores.append(phase[:, None] * A)
+    return cores
+
+
+def test_row_blocked_real_test_equals_the_one_shot_formula(rng):
+    from parahaar.spectral import _ROW_BLOCK, _real_up_to_row_phases
+
+    for C in _real_test_cores(rng):
+        got, ref = _real_up_to_row_phases(C), _one_shot_real_up_to_row_phases(C)
+        assert got.dtype == float and got.tobytes() == ref.tobytes(), C.shape
+        # a core sliced out of a wider matrix reads the same values
+        wide = np.zeros((C.shape[0] + 2, C.shape[1] + 3), dtype=complex)
+        wide[1:-1, 2:-1] = C
+        assert _real_up_to_row_phases(wide[1:-1, 2:-1]).tobytes() == ref.tobytes(), C.shape
+    # the only non-real entry sits in one row of the last block
+    C = _real_test_cores(rng)[-1]
+    C[C.shape[0] - 1, 5] *= np.exp(1e-9j)
+    assert (C.shape[0] - 1) // _ROW_BLOCK > 0
+    assert _one_shot_real_up_to_row_phases(C) is None
+    assert _real_up_to_row_phases(C) is None
+
+
+def test_singular_values_hold_a_real_core_and_one_row_block_at_most():
+    import tracemalloc
+
+    from parahaar.spectral import _ROW_BLOCK
+
+    T = _paraproduct_matrix(2, 9, 1)
+    n = T.shape[0]
+    r, c = n - 1, n // 2  # the coarse row and the finest-scale columns are zero
+    tracemalloc.start()
+    try:
+        singular_values(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the boolean mask, the float core, and per row block two float and a few
+    # boolean temporaries, plus O(n) vectors; a gathered complex core would
+    # add 16 r c
+    assert peak <= n * n + 8 * r * c + 24 * _ROW_BLOCK * c + 256 * n
