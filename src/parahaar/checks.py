@@ -372,7 +372,7 @@ def check_band_bound(rng):
             mm = int(rng.integers(n + 1, 4))
             lhs = spectral.schatten_norm(band(sys, b, n, mm), p) ** p
             rhs = 0.0
-            root_measure = sys.measure(sys.cubes_by_scale[mm][0]) ** 0.5
+            root_measure = sys.scale_measure(mm) ** 0.5
             for blk in b.blocks[sys.scale_of_row() == mm]:
                 rhs += (norms.block_lp(blk, p) / root_measure) ** p
             rhs *= (sys.params.d - 1) * sys.params.d ** ((n - mm) * p / 2.0)
@@ -410,8 +410,8 @@ def check_rank_piece_lower(rng):
         for _ in range(67):
             b = random_symbol(sys, rng)
             norm = spectral.schatten_norm(paraproduct(sys, b), p)
-            best = max((norms.block_lp(blk, p) / sys.measure(h.cube) ** 0.5)
-                       for h, blk in zip(sys.haar_indices, b.blocks[1:]))
+            best = max((norms.block_lp(blk, p) / sys.scale_measure(s) ** 0.5)
+                       for s, blk in zip(sys.scale_of_row()[1:], b.blocks[1:]))
             worst = max(worst, (best - norm) / max(1.0, best))
     return _rec("rank-piece-lower-bound", "single-piece-domination", worst, SLACK)
 

@@ -274,9 +274,13 @@ class FiniteDyadicSystem:
         rank = self._rank(cube)
         return self.cells_by_scale[cube.scale][rank]
 
+    def scale_measure(self, k):
+        """|Q| = d_eff^{-k} of every scale-k cube, as a float."""
+        return float(self.d_eff ** -operator.index(k))
+
     def measure(self, cube: CubeId):
         self._rank(cube)  # KeyError for a label outside the window
-        return float(self.d_eff ** (-cube.scale))
+        return self.scale_measure(cube.scale)
 
     def children(self, cube: CubeId):
         """Children in canonical order (Haar child q / bitmask beta order)."""

@@ -146,6 +146,8 @@ def nondegenerate_probe(K: KernelSpec, x0, r: float, A: float) -> dict:
     kind = K.nondegeneracy[0]
     threshold = 1.0
     if kind == "pointwise":
+        if K.dim > 2:
+            raise ValueError(f"the pointwise direction search covers dim 1 and 2, got dim {K.dim}")
         c0 = K.nondegeneracy[1]
         threshold = 1.0 / (c0 * (A * r) ** K.dim)
         y0 = None
@@ -307,7 +309,7 @@ def random_admissible_family(sys, rng):
     """Per Haar cube, a random cell vector supported there with sup <= |I|^{-1/2}."""
     fams = []
     for k in range(sys.params.depth):
-        bound = float(sys.d_eff**-k) ** -0.5  # sys.measure's expression
+        bound = sys.scale_measure(k) ** -0.5
         for cells in sys.cells_by_scale[k]:  # the cubes in rank order
             e = np.zeros(sys.n_cells, dtype=complex)
             f = np.zeros(sys.n_cells, dtype=complex)
@@ -342,8 +344,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     for k in range(1, sys.params.depth):
         per = sys.axis_count(k)
         shift = max(1, min(A, per - 1))
-        # the measures of a scale-k cube and of its children, as sys.measure
-        meas, meas_q = float(sys.d_eff**-k), float(sys.d_eff ** -(k + 1))
+        meas, meas_q = sys.scale_measure(k), sys.scale_measure(k + 1)  # a cube and its children
         cells, kids = sys.cells_by_scale[k], sys.descendants(k, 1)
         for rank, cells_i in enumerate(cells):
             idx = list(sys.cube_index(k, rank))

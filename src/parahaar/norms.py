@@ -14,8 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, _is_integer, _require_cells, expectation
-from .paraproducts import Symbol, _difference_function
+from .dyadic import (StepFunction, _is_integer, _offset_at, _require_cells, expectation,
+                     martingale_difference)
+from .paraproducts import Symbol
 from .spectral import _require_positive
 
 __all__ = [
@@ -87,8 +88,7 @@ def besov_haar(sys, b: Symbol, p) -> float:
 
 def besov_haars(sys, b: Symbol, ps) -> list[float]:
     """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
-    # sys.measure's scalar expression, once per scale
-    w = np.array([float(sys.d_eff ** -s) ** -0.5 for s in range(sys.params.depth)])
+    w = np.array([sys.scale_measure(s) ** -0.5 for s in range(sys.params.depth)])
     w = w[sys.scale_of_row()[1:]]
     return [_weighted_sum((w * lps).tolist(), [1] * len(w), p)
             for p, lps in zip(ps, _block_lps(b.blocks[1:], ps))]
@@ -100,10 +100,15 @@ def besov_diff(sys, b: Symbol, p) -> float:
 
 
 def besov_diffs(sys, b: Symbol, ps) -> list[float]:
-    """[besov_diff(sys, b, p) for p in ps], synthesizing and decomposing each
-    d_k b once."""
+    """[besov_diff(sys, b, p) for p in ps]: b synthesized once, each
+    d_k b = E_k b - E_{k-1} b decomposed once."""
+    f = b.function()
     N = sys.params.depth
-    by_k = [_function_lps(sys, _difference_function(sys, b.blocks, k), ps) for k in range(1, N + 1)]
+    by_k, coarse = [], expectation(sys, f, 0)
+    for k in range(1, N + 1):
+        fine = expectation(sys, f, k)
+        by_k.append(_function_lps(sys, fine - coarse, ps))
+        coarse = fine
     weights = [sys.d_eff ** k for k in range(1, N + 1)]
     return [_weighted_sum([lps[i] for lps in by_k], weights, p) for i, p in enumerate(ps)]
 
@@ -139,8 +144,6 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
 
     form_a = 0.0
     tail = np.zeros(sys.n_cells)
-    from .dyadic import martingale_difference
-
     diffs = [np.abs(martingale_difference(sys, f, k).scalar()) ** 2 for k in range(1, N + 1)]
     for n in range(N - 1, -1, -1):
         tail = tail + diffs[n]
@@ -154,7 +157,7 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
         if k < N - 1:
             total = total + sum(mass[kids] for kids in sys.descendants(k, 1).T)
         mass = total
-        form_b = max(form_b, float(np.sqrt(total / float(sys.d_eff ** (-k))).max()))
+        form_b = max(form_b, float(np.sqrt(total / sys.scale_measure(k)).max()))
     return BmoForms(form_a, form_b)
 
 
@@ -243,8 +246,6 @@ def _half_overlaps(k: int, variant: int, depth: int):
     Every edge is a multiple of 1/(3 * 2^depth), so the overlaps are counted
     exactly in those units and rounded once.
     """
-    from .dyadic import _offset_at
-
     n = 2**depth
     h = Fraction(1, 2**k)
     off = _offset_at(k, variant)

@@ -35,7 +35,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into, _require_cells
+from .dyadic import (FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into, _require_cells,
+                     martingale_difference)
 
 __all__ = [
     "Symbol",
@@ -54,8 +55,6 @@ __all__ = [
     "splitting",
     "commutator_pieces",
     "rank_piece",
-    "scale_selector",
-    "expectation_projector",
     "apply_op",
 ]
 
@@ -162,19 +161,6 @@ def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
     return Symbol.from_blocks(sys, blocks)
 
 
-def scale_selector(sys, cube_scale: int, blockdim: int = 1) -> np.ndarray:
-    """Diagonal 0/1 matrix keeping Haar coordinates at the given cube scale."""
-    mask = sys.scale_of_row() == cube_scale
-    return np.repeat(mask, blockdim).astype(float)
-
-
-def expectation_projector(sys, k: int, blockdim: int = 1) -> np.ndarray:
-    """Diagonal of E_k in basis coordinates: coarse plus cube scales <= k-1."""
-    scales = sys.scale_of_row()
-    mask = (scales == -1) | (scales <= k - 1)
-    return np.repeat(mask, blockdim).astype(float)
-
-
 def apply_op(op: np.ndarray, sys, f: StepFunction) -> StepFunction:
     m = f.blockdim
     coeffs = sys.coeffs(f).reshape(sys.dim_basis * m, m)
@@ -264,14 +250,6 @@ def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
     return out.reshape(D * m, D * m)
 
 
-def _difference_function(sys, arr, k) -> StepFunction:
-    """Synthesize d_k b from the coefficient array (cube scale k-1)."""
-    coeffs = arr.copy()
-    scales = sys.scale_of_row()
-    coeffs[scales != k - 1] = 0.0
-    return sys.synthesize(coeffs)
-
-
 def triangle_op(sys, b: Symbol) -> np.ndarray:
     """Lambda_b = sum_k M_{d_k b} S_{k-1}, from pointwise products.
 
@@ -313,7 +291,7 @@ def triangle_tilde(sys, b: Symbol) -> np.ndarray:
     s, t = np.nonzero(~np.eye(sys.n_colors, dtype=bool))  # colour - 1 of each pair
     i = (s - t) % sys.params.d - 1 if sys.params.dim == 1 else ((s + 1) ^ (t + 1)) - 1
     for k, (_, cols, _) in enumerate(sys.scale_layouts):
-        weight = float(sys.d_eff**-k) ** -0.5  # sys.measure's expression
+        weight = sys.scale_measure(k) ** -0.5
         lam_tilde[cols[:, s], :, cols[:, t], :] = weight * arr[cols[:, i]]
     return lam_tilde.reshape(D * m, D * m)
 
@@ -357,9 +335,9 @@ def band(sys, b: Symbol, n: int, m_scale: int) -> np.ndarray:
     N = sys.params.depth
     if not (0 <= n < N and 0 <= m_scale < N):
         raise ValueError("band scales must lie inside the window")
-    sel_in = scale_selector(sys, n, b.blockdim)
-    sel_out = scale_selector(sys, m_scale, b.blockdim)
-    return sel_out[:, None] * paraproduct(sys, b) * sel_in[None, :]
+    scales = np.repeat(sys.scale_of_row(), b.blockdim)
+    kept = (scales[:, None] == m_scale) & (scales[None, :] == n)
+    return np.where(kept, paraproduct(sys, b), 0.0)
 
 
 def splitting(sys, b: Symbol, n_step: int, k: int):
@@ -387,16 +365,16 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
     if a.blockdim != 1:
         raise ValueError("the outer symbol must be scalar")
     m = b.blockdim
-    arr_a = _scalar_lift(a, m).blocks
-    arr_b = b.blocks
+    f_a = _scalar_lift(a, m).function()
+    f_b = b.function()
     N = sys.params.depth
     D = sys.dim_basis * m
+    scales = np.repeat(sys.scale_of_row(), m)  # cube scale per row; -1 for the coarse rows
 
-    md_b = []
-    for k in range(1, N + 1):
-        sel = scale_selector(sys, k - 1, m)
-        md_b.append(_mult_matrix(sys, _difference_function(sys, arr_b, k)) * sel[None, :])
-    ma = [_mult_matrix(sys, _difference_function(sys, arr_a, k)) for k in range(1, N + 1)]
+    # M_{d_k b} S_{k-1}: only the input columns of cube scale k-1
+    md_b = [np.where(scales == k - 1, _mult_matrix(sys, martingale_difference(sys, f_b, k)), 0.0)
+            for k in range(1, N + 1)]
+    ma = [_mult_matrix(sys, martingale_difference(sys, f_a, k)) for k in range(1, N + 1)]
 
     psi = np.zeros((D, D), dtype=complex)
     prefix = np.zeros((D, D), dtype=complex)
@@ -408,8 +386,8 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
     suffix = np.zeros((D, D), dtype=complex)
     for k in range(N, 0, -1):
         suffix += md_b[k - 1]
-        proj = expectation_projector(sys, k - 1, m)
-        v += ma[k - 1] @ (proj[:, None] * suffix)
+        # E_{k-1} keeps the coarse rows and the rows of cube scale below k-1
+        v += ma[k - 1] @ np.where(scales[:, None] < k - 1, suffix, 0.0)
     return psi, v
 
 

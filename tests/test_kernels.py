@@ -57,6 +57,33 @@ def test_probe_homogeneous_direction():
     assert pr["y0"][0] == pytest.approx(0.3 + 10 * 0.01, abs=1e-15)
 
 
+def _riesz2(x, y):
+    """The second Riesz kernel in the plane: zero along the first axis."""
+    z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return z[..., 1] / np.linalg.norm(z, axis=-1) ** 3
+
+
+def test_probe_pointwise_dim2_searches_directions():
+    # |K| = |sin a| / (A r)^2 against the threshold 1 / (2 (A r)^2): the first
+    # of the 64 search angles with sin a >= 1/2 is the seventh
+    K = KernelSpec(_riesz2, 2, C=1.0, alpha=1.0, nondegeneracy=("pointwise", 2.0))
+    pr = nondegenerate_probe(K, [0.1, 0.2], 0.5, 10.0)
+    a = np.linspace(0, 2 * np.pi, 64, endpoint=False)[6]
+    assert np.array_equal(pr["y0"], np.array([0.1, 0.2]) + 5.0 * np.array([np.cos(a), np.sin(a)]))
+    assert pr["threshold"] == 1.0 / (2.0 * 5.0**2)
+    assert pr["dist"] == pytest.approx(5.0, rel=1e-15)
+
+
+def test_probe_pointwise_dim3_is_refused():
+    def riesz3(x, y):
+        z = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return z[..., 0] / np.linalg.norm(z, axis=-1) ** 4
+
+    K = KernelSpec(riesz3, 3, C=1.0, alpha=1.0, nondegeneracy=("pointwise", 1.0))
+    with pytest.raises(ValueError, match="got dim 3"):
+        nondegenerate_probe(K, [0.0, 0.0, 0.0], 1.0, 10.0)
+
+
 def test_probe_rejects_small_A():
     with pytest.raises(ValueError):
         nondegenerate_probe(hilbert_kernel(), [0.0], 1.0, 2.0)

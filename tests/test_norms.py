@@ -6,7 +6,7 @@ import pytest
 from parahaar.algebras import (besov_cars, besov_tensors, car_subsets, car_word,
                                tensor_indices, tensor_word)
 from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
-                             build_system, expectation)
+                             build_system, expectation, martingale_difference)
 from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_continuums, besov_diff, besov_diffs,
                             besov_haar,
@@ -438,14 +438,12 @@ PLURAL_PS = (0.5, 1, 2, 4, np.inf)
 
 
 def _besov_diff_loop(sys, b, p):
-    """Per-p reference: synthesize each d_k b and take its cell SVDs afresh."""
-    arr = b.blocks
-    scales = sys.scale_of_row()
+    """Per-p reference: each d_k b from `martingale_difference`, its cell SVDs
+    taken afresh."""
+    f = b.function()
     total = 0.0
     for k in range(1, sys.params.depth + 1):
-        coeffs = arr.copy()
-        coeffs[scales != k - 1] = 0.0
-        sv = np.linalg.svd(sys.synthesize(coeffs).values, compute_uv=False)
+        sv = np.linalg.svd(martingale_difference(sys, f, k).values, compute_uv=False)
         if p == np.inf:
             total = max(total, float(sv[:, 0].max()))
             continue

@@ -199,3 +199,14 @@ def test_only_dyadic_reads_the_system_internals():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.Attribute) and node.attr in private)
     assert reads == []
+
+
+def test_only_dyadic_writes_the_cube_measure():
+    """|Q| = d_eff^{-k} is written once, in `FiniteDyadicSystem.scale_measure`;
+    no other module raises a `d_eff` attribute to a negative power."""
+    sites = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py") if path.stem != "dyadic"
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                   and getattr(node.left, "attr", None) == "d_eff"
+                   and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub))
+    assert sites == []

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from parahaar.dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
-                             build_system, expectation, haar_function)
+from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
+                             build_system, expectation, haar_function, martingale_difference)
 from parahaar.norms import block_lp
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
                                    mult_op, paraproduct, r_op, random_symbol,
-                                   rank_piece, scale_selector, splitting,
+                                   rank_piece, splitting,
                                    triangle_op, triangle_tilde)
 from parahaar.spectral import schatten_norm, triangular_project
 
@@ -327,8 +327,6 @@ def test_matrix_free_application_rejects_a_cell_count_mismatch(rng):
 
 
 def test_identities_on_shifted_system(rng):
-    from parahaar.dyadic import GridShift
-
     sys = build_system(DyadicParams(2, 3), GridShift((1, 0, 1)))
     b = random_symbol(sys, rng)
     a = random_symbol(sys, rng)
@@ -366,7 +364,7 @@ def _scale_sum_oracle(sys, b, keep):
     for k in range(1, sys.params.depth + 1):
         part = Symbol(sys, {h: blk for h, blk in b.coeffs.items() if keep(h.cube.scale, k)},
                       b.coarse_mean if keep(-1, k) else None, blockdim=b.blockdim)
-        out = out + mult_op(sys, part) * scale_selector(sys, k - 1, b.blockdim)[None, :]
+        out = out + mult_op(sys, part) * (np.repeat(sys.scale_of_row(), b.blockdim) == k - 1)
     return out
 
 
@@ -375,8 +373,6 @@ def _scale_sum_oracle(sys, b, keep):
     (2, 3, 1, 1, (1, 0, 1)),
 ])
 def test_lambda_and_r_against_multiplication_oracle(rng, d, N, m, dim, shift):
-    from parahaar.dyadic import GridShift
-
     sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
     b = random_symbol(sys, rng, blockdim=m)
     lam = triangle_op(sys, b)
@@ -385,6 +381,24 @@ def test_lambda_and_r_against_multiplication_oracle(rng, d, N, m, dim, shift):
     r_oracle = _scale_sum_oracle(sys, b, lambda s, k: s <= k - 2)
     assert np.abs(lam - lam_oracle).max() < 1e-12
     assert np.abs(r_op(sys, b) - r_oracle).max() < 1e-12
+
+
+@pytest.mark.parametrize("d,N,dim,m,shift", [
+    (2, 4, 1, 1, None), (3, 3, 1, 2, None), (5, 2, 1, 1, None), (2, 2, 2, 2, None),
+    (2, 4, 1, 2, (1, 0, 1, 1)),
+])
+def test_martingale_difference_is_one_scale_of_coefficients(rng, d, N, dim, m, shift):
+    """d_k b from conditional expectations equals the synthesis of b's
+    coefficients of cube scale k-1, every other row zeroed in a copy."""
+    sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng, blockdim=m)
+    f = b.function()
+    for k in range(1, N + 1):
+        coeffs = b.blocks.copy()
+        coeffs[sys.scale_of_row() != k - 1] = 0.0
+        oracle = sys.synthesize(coeffs).values
+        diff = martingale_difference(sys, f, k).values
+        assert np.abs(diff - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
 def test_r_block_diagonal(rng):
@@ -505,8 +519,6 @@ def test_operators_on_real_tables_equal_complex_tables(rng, d, N, dim, m):
     (2, 3, 1, 2, (1, 0, 1)), (2, 3, 2, 1, (3, 1, 2)),
 ])
 def test_mult_op_is_the_complex_multiplication_matrix(rng, d, N, dim, m, shift):
-    from parahaar.dyadic import GridShift
-
     sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
     b = random_symbol(sys, rng, blockdim=m)
     H = sys.basis_matrix.astype(complex)
