@@ -202,7 +202,7 @@ class FiniteDyadicSystem:
         self._cubes = None
         self._haar = None
         self._basis = None
-        self._avg = None
+        self._averages = None
         self._layouts = None
         self._descendants = {}
 
@@ -352,6 +352,14 @@ class FiniteDyadicSystem:
         vals[kids] = self.child_values(k)[:, color - 1, None]
         return vals
 
+    def _table_values(self):
+        """`child_values(k)` for k = 0..N-1, each as float64 when every table
+        is real (d = 2, any dim: the phases are signs), complex128 otherwise."""
+        values = [self.child_values(k) for k in range(self.params.depth)]
+        if any(v.imag.any() for v in values):
+            return values
+        return [v.real for v in values]
+
     @property
     def basis_matrix(self):
         """Columns = basis step functions on cells (coarse first, then Haar),
@@ -362,14 +370,12 @@ class FiniteDyadicSystem:
         either way.  Built once per system; read-only.
         """
         if self._basis is None:
-            values = [self.child_values(k) for k in range(self.params.depth)]
-            real = not any(v.imag.any() for v in values)
-            B = np.zeros((self.n_cells, self.dim_basis), dtype=float if real else complex)
+            values = self._table_values()
+            B = np.zeros((self.n_cells, self.dim_basis), dtype=values[0].dtype)
             B[:, 0] = 1.0
             for k, (_, cols, _) in enumerate(self.scale_layouts):
                 kids = self.cells_by_scale[k + 1][self.descendants(k, 1)]  # (cube, child, cell)
-                v = values[k].real if real else values[k]
-                B[kids[..., None], cols[:, None, None, :]] = v[:, None, :]
+                B[kids[..., None], cols[:, None, None, :]] = values[k][:, None, :]
             B.flags.writeable = False
             self._basis = B
         return self._basis
@@ -379,8 +385,49 @@ class FiniteDyadicSystem:
         return self.basis_matrix.conj().T * self.cell_measure
 
     @property
+    def cube_averages(self):
+        """(rows, cols, values): the nonzero cube averages of the basis, flat.
+
+        Entry n says that the mean over the cube of the Haar slot rows[n] of
+        the basis function in slot cols[n] is values[n]; every other mean is
+        an exact 0.  The nonzero ones sit on each cube I's tree support: the
+        coarse slot (mean 1) and the wavelets of I's strict ancestors, each
+        constant on I.  They are written down the tree from `child_values`:
+        a cube's values are its parent's plus the parent's wavelet values on
+        that child.  Each is then averaged over the cube's cells as a dense
+        mean over those cells would average it, so the values are those of
+        `cube_average_matrix`, bit for bit (tested).  Per scale s the table
+        holds n_s * n_colors * (1 + s n_colors) entries, O(D N n_colors) in
+        all; no D x D array is built.  The slots are int64 and the values
+        have `basis_matrix`'s dtype.  Built once per system; read-only.
+        """
+        if self._averages is None:
+            values = self._table_values()
+            above = np.ones((1, 1), dtype=values[0].dtype)
+            parts = []
+            for s, (cells, cols, rows) in enumerate(self.scale_layouts):
+                n_q, per = cells.shape
+                width = above.shape[1]  # coarse + strict ancestors of each scale-s cube
+                means = np.broadcast_to(above[:, None, :], (n_q, per, width)).mean(axis=1)
+                shape = (n_q, self.n_colors, width)  # rows repeat across a cube's colours
+                parts.append([np.broadcast_to(a, shape).ravel() for a in
+                              (cols[:, :, None], rows[:, None, :width], means[:, None, :])])
+                below = np.empty((n_q * self.d_eff, width + self.n_colors), dtype=above.dtype)
+                below[self.descendants(s, 1)] = np.concatenate(
+                    [np.broadcast_to(above[:, None, :], (n_q, self.d_eff, width)),
+                     np.broadcast_to(values[s], (n_q,) + values[s].shape)], axis=2)
+                above = below
+            table = tuple(np.concatenate(columns) for columns in zip(*parts))
+            for a in table:
+                a.flags.writeable = False
+            self._averages = table
+        return self._averages
+
+    @property
     def cube_average_matrix(self):
-        """avg[r, beta] = mean over Haar cube r of basis function beta.
+        """avg[r, beta] = mean over Haar cube r of basis function beta; the
+        dense oracle of `cube_averages`, built from `basis_matrix` gathers on
+        every read and never kept.
 
         One row per Haar index; rows repeat across the colors of one cube.
         The mean over a cube I of a basis function is nonzero only on I's
@@ -390,19 +437,16 @@ class FiniteDyadicSystem:
         I, so every other entry is set to an exact 0 rather than left as
         the roundoff of a dense mean.  The support entries are the same
         `B[cells, support].mean(axis=0)` over I's cells that a dense mean
-        gives, bit for bit.  Same dtype as `basis_matrix`; built once per
-        system; read-only.
+        gives, bit for bit.  Same dtype as `basis_matrix`; read-only.
         """
-        if self._avg is None:
-            B = self.basis_matrix
-            A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=B.dtype)
-            for cells, cols, rows in self.scale_layouts:
-                support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
-                means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
-                A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
-            A.flags.writeable = False
-            self._avg = A
-        return self._avg
+        B = self.basis_matrix
+        A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=B.dtype)
+        for cells, cols, rows in self.scale_layouts:
+            support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
+            means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
+            A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
+        A.flags.writeable = False
+        return A
 
     @property
     def scale_layouts(self):

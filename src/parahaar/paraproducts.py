@@ -17,9 +17,10 @@ built where a check compares against it:
 - mult_op, the full multiplication operator from the synthesized function:
   the bundle's `mult`, against which checks.check_decompose (and the
   benchmark) judge the other four fields;
-- adjoint_paraproduct, pi_b^* from cube averages, called by
-  checks.check_adjoint (against paraproduct's conjugate transpose) and
-  checks.check_triangle_split;
+- adjoint_paraproduct, pi_b^* from the dense `cube_average_matrix` (built
+  from `basis_matrix` gathers), called by checks.check_adjoint (against the
+  conjugate transpose of paraproduct, which scatters the flat tree table
+  `cube_averages`) and checks.check_triangle_split;
 - triangle_tilde, LambdaTilde_b from its same-cube entries, called by
   checks.check_triangle_split (Lambda_b = pi_{b*}^* + LambdaTilde_b);
 - apply_paraproduct, the matrix-free action, called by the tests against
@@ -173,7 +174,8 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
 
     One pass per scale, O(n m^2), with h_I^i on each child of I read from
     `sys.child_values`: an independent oracle of apply_op(paraproduct(sys, b),
-    sys, f), which goes through the basis and average matrices.
+    sys, f), which goes through the flat cube-average table and the basis
+    matrix.
     """
     m = b.blockdim
     if f.blockdim != m:
@@ -192,19 +194,39 @@ def paraproduct(sys, b: Symbol) -> np.ndarray:
     """Matrix of f -> sum h_I^i b_I^i <1_I/|I|, f> in the coarse+Haar basis.
 
     Block row (I, i) is b_I^i times the cube averages of the basis on I; the
-    coarse output row stays zero.
+    coarse output row stays zero.  One scatter of the flat table
+    `sys.cube_averages` into the (D m)^2 output, which is the only D^2 array
+    built.
     """
+    return _average_scatter(sys, b, slice(None))
+
+
+def _average_scatter(sys, b: Symbol, keep) -> np.ndarray:
+    """The entries `keep` of `sys.cube_averages`, block (r, g) = value x b_r.
+
+    Each product is einsum's, accumulated onto an exact 0 as the dense
+    einsum over `cube_average_matrix` accumulates it: the real and imaginary
+    parts of the blocks in turn for a real table, one complex product for a
+    complex one.  So the operator is that dense assembly's, bit for bit and
+    sign bits included (tested).
+    """
+    rows, cols, values = (a[keep] for a in sys.cube_averages)
     D, m = sys.dim_basis, b.blockdim
+    prod = np.empty((len(rows), m, m), dtype=complex)
+    _einsum_into("n,nij->nij", values, b.blocks[rows], prod)
     out = np.zeros((D, m, D, m), dtype=complex)
-    _einsum_into("rg,rij->rigj", sys.cube_average_matrix, b.blocks[1:], out[1:])
+    out[rows, :, cols, :] = prod
     return out.reshape(D * m, D * m)
 
 
 def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
     """Independent assembly of f -> sum_k E_{k-1}(d_k b^* d_k f); an oracle.
 
-    Called only by the checks that compare against it: checks.check_adjoint
-    (pi_b^* = paraproduct^H) and checks.check_triangle_split (pi_{b*}^*).
+    Reads the dense `cube_average_matrix`, built from `basis_matrix` gathers,
+    where paraproduct scatters the flat `cube_averages` written down the
+    tree: two tables built independently.  Called only by the checks that
+    compare against it: checks.check_adjoint (pi_b^* = paraproduct^H) and
+    checks.check_triangle_split (pi_{b*}^*).
     """
     m = b.blockdim
     D = sys.dim_basis
@@ -392,12 +414,6 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
 
 
 def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:
-    m = b.blockdim
-    D = sys.dim_basis
+    """The paraproduct's block row of the wavelet (cube, color), alone."""
     row = sys.position(HaarIndex(cube, color))
-    block = b.blocks[row]
-    out = np.zeros((D * m, D * m), dtype=complex)
-    pattern = sys.cube_average_matrix[row - 1].astype(complex, copy=False)
-    out[row * m:(row + 1) * m, :] = np.einsum("ij,g->igj", block, pattern).reshape(m, D * m)
-    return out
-
+    return _average_scatter(sys, b, sys.cube_averages[0] == row)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dyadic import _is_integer
+
 __all__ = [
     "schatten_norm",
     "schatten_norms",
@@ -125,12 +127,14 @@ def schatten_norm(T, p, blockdim: int = 1) -> float:
     norms of one matrix at several p, `schatten_norms` shares one SVD.
     """
     _require_positive((p,))
+    _require_blockdim(blockdim)
     return _from_singular_values(singular_values(T), p, blockdim)
 
 
 def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
     """[schatten_norm(T, p, blockdim) for p in ps], from one SVD of T."""
     _require_positive(ps)
+    _require_blockdim(blockdim)
     sv = singular_values(T)
     return [_from_singular_values(sv, p, blockdim) for p in ps]
 
@@ -141,6 +145,12 @@ def _require_positive(ps):
         if (isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating))
                 or not p > 0):
             raise ValueError(f"p must be positive: an int or float > 0, or inf; got {p!r}")
+
+
+def _require_blockdim(blockdim):
+    """ValueError unless blockdim is an int or numpy integer >= 1 (not a bool)."""
+    if not (_is_integer(blockdim) and blockdim >= 1):
+        raise ValueError(f"blockdim must be an integer >= 1, got {blockdim!r}")
 
 
 def _from_singular_values(sv, p, blockdim) -> float:
@@ -158,18 +168,26 @@ def block_diagonal_project(T, blocks) -> np.ndarray:
 
     `blocks` is an iterable of index collections partitioning 0..dim-1; the
     projection is a trace-preserving conditional expectation, hence Schatten
-    contractive for p >= 1.
+    contractive for p >= 1.  ValueError naming the index for a bool, a
+    non-integer or an integer outside 0..dim-1, for one that two blocks (or
+    one block twice) hold, and for one that no block holds.
     """
     T = np.asarray(T, dtype=complex)
     n = T.shape[0]
     seen = np.zeros(n, dtype=bool)
     out = np.zeros_like(T)
     for block in blocks:
-        idx = np.asarray(list(block), dtype=int)
-        if seen[idx].any():
-            raise ValueError("blocks overlap")
-        seen[idx] = True
+        idx = list(block)
+        for i in idx:
+            if not (_is_integer(i) and 0 <= i < n):
+                raise ValueError(f"block index {i!r} is not an integer in 0..{n - 1}")
+            if seen[i]:
+                raise ValueError(f"blocks overlap at index {i}")
+            seen[i] = True
+        idx = np.array(idx, dtype=int)
         out[np.ix_(idx, idx)] = T[np.ix_(idx, idx)]
+    if not seen.all():
+        raise ValueError(f"no block holds index {int(np.argmin(seen))}")
     return out
 
 

@@ -330,14 +330,22 @@ def _strict_ancestor_support(sys, cube):
 def test_cube_averages_on_tree_support(d, N, dim, shift):
     sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
     avg = sys.cube_average_matrix
+    rows, cols, values = sys.cube_averages
     B = sys.basis_matrix
     assert avg.shape == (len(sys.haar_indices), sys.dim_basis)
+    assert values.dtype == B.dtype and rows.shape == cols.shape == values.shape
     for r, h in enumerate(sys.haar_indices):
         support = _strict_ancestor_support(sys, h.cube)
         assert support.sum() == 1 + h.cube.scale * sys.n_colors
         dense = B[sys.cells_of(h.cube)].mean(axis=0)
         assert np.array_equal(avg[r, support], dense[support])
         assert np.all(avg[r, ~support] == 0)
+        # the flat table holds the support of this row once each, with the
+        # dense mean's values bit for bit
+        mine = rows == sys.position(h)
+        assert np.array_equal(np.sort(cols[mine]), np.flatnonzero(support))
+        assert np.array_equal(values[mine].view(np.uint64), dense[cols[mine]].view(np.uint64))
+    assert rows.size == sum(1 + h.cube.scale * sys.n_colors for h in sys.haar_indices)
 
 
 @pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 3, 2, (3, 1, 2))])
@@ -669,6 +677,7 @@ def test_tables_are_real_exactly_where_the_phases_are(d, N, dim, shift, dtype, r
     B, A = _complex_tables(sys)
     assert (dtype is complex) == bool(B.imag.any())  # at d = 4 the phases include +-i
     assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == dtype
+    assert sys.cube_averages[2].dtype == dtype
     assert np.array_equal(sys.basis_matrix, B)
     assert np.array_equal(sys.cube_average_matrix, A)
     # the transforms give the values of the complex tables, bit for bit
@@ -690,3 +699,9 @@ def test_basis_tables_are_read_only(d, dim):
         with pytest.raises(ValueError):
             table[0, 0] = 2.0
         assert sys.basis_matrix[0, 0] == 1.0
+    assert sys.cube_averages is sys.cube_averages  # built once
+    for column in sys.cube_averages:
+        with pytest.raises(ValueError):
+            column[0] = 2
+    # the dense oracle is built on each read and kept by no one
+    assert sys.cube_average_matrix is not sys.cube_average_matrix

@@ -210,3 +210,46 @@ def test_only_dyadic_writes_the_cube_measure():
                    and getattr(node.left, "attr", None) == "d_eff"
                    and isinstance(node.right, ast.UnaryOp) and isinstance(node.right.op, ast.USub))
     assert sites == []
+
+
+def _functions_reading(path, attr):
+    """Names of the functions in `path` whose own body reads `.attr`, and
+    "<module>" for a read outside every function."""
+    readers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                readers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return readers
+
+
+def test_only_the_adjoint_oracle_reads_the_dense_average_table():
+    """`cube_average_matrix` is the oracle of the flat `cube_averages`: inside
+    the package only `adjoint_paraproduct` reads it, and `paraproduct` and
+    `rank_piece` (with every paraproducts function they call) read neither it
+    nor `basis_matrix`."""
+    readers = sorted(f"{path.stem}:{name}" for path in SRC.glob("*.py")
+                     for name in _functions_reading(path, "cube_average_matrix"))
+    assert readers == ["paraproducts:adjoint_paraproduct"]
+    path = SRC / "paraproducts.py"
+    functions = {node.name: node for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["paraproduct", "rank_piece"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += [node.func.id for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id in functions]
+    assert {"paraproduct", "rank_piece"} < reached  # they share a helper
+    dense = {name for attr in ("basis_matrix", "cube_average_matrix")
+             for name in _functions_reading(path, attr)}
+    assert sorted(reached & dense) == []

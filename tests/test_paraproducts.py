@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
-                             build_system, expectation, haar_function, martingale_difference)
+from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift, HaarIndex,
+                             StepFunction, _einsum_into, build_system, expectation,
+                             haar_function, martingale_difference)
 from parahaar.norms import block_lp
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
@@ -500,9 +501,11 @@ def test_operators_on_real_tables_equal_complex_tables(rng, d, N, dim, m):
     # reader took before the tables were kept real
     params = DyadicParams(d, N, dim)
     sys, cplx = build_system(params), build_system(params)
-    assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == float
+    rows, cols, values = sys.cube_averages
+    assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == values.dtype == float
     cplx._basis = sys.basis_matrix.astype(complex)
-    cplx._avg = sys.cube_average_matrix.astype(complex)
+    cplx._averages = (rows, cols, values.astype(complex))
+    assert cplx.cube_average_matrix.dtype == cplx.cube_averages[2].dtype == complex
     b = random_symbol(sys, rng, blockdim=m)
     b_c = Symbol.from_blocks(cplx, b.blocks)
     for op in (paraproduct, adjoint_paraproduct, triangle_op, mult_op, r_op):
@@ -511,6 +514,75 @@ def test_operators_on_real_tables_equal_complex_tables(rng, d, N, dim, m):
     assert np.array_equal(rank_piece(sys, b, h.cube, h.color),
                           rank_piece(cplx, b_c, h.cube, h.color))
     assert np.array_equal(b.star().blocks, b_c.star().blocks)
+
+
+def _dense_table_paraproduct(sys, b):
+    """The assembly `paraproduct` replaced: one einsum of the dense
+    cube-average table against the blocks, the coarse row left zero."""
+    D, m = sys.dim_basis, b.blockdim
+    out = np.zeros((D, m, D, m), dtype=complex)
+    _einsum_into("rg,rij->rigj", sys.cube_average_matrix, b.blocks[1:], out[1:])
+    return out.reshape(D * m, D * m)
+
+
+def _dense_table_rank_piece(sys, b, cube, color):
+    """The assembly `rank_piece` replaced: the row of the dense table, made complex."""
+    m, D = b.blockdim, sys.dim_basis
+    row = sys.position(HaarIndex(cube, color))
+    out = np.zeros((D * m, D * m), dtype=complex)
+    pattern = sys.cube_average_matrix[row - 1].astype(complex, copy=False)
+    out[row * m:(row + 1) * m, :] = np.einsum("ij,g->igj", b.blocks[row], pattern).reshape(m, D * m)
+    return out
+
+
+@pytest.mark.parametrize("d,N,dim,m,shift", [
+    (2, 5, 1, 1, None), (2, 4, 1, 2, None), (3, 3, 1, 1, None), (3, 3, 1, 2, None),
+    (5, 2, 1, 1, None), (5, 2, 1, 2, None), (2, 3, 2, 1, None), (2, 3, 2, 2, None),
+    (2, 2, 3, 1, None), (2, 2, 3, 2, None), (2, 4, 1, 2, (1, 0, 1, 1)), (2, 3, 2, 1, (3, 1, 2)),
+])
+def test_flat_table_operators_equal_the_dense_table_einsum(rng, d, N, dim, m, shift):
+    # values and sign bits (a zero block or a real symbol makes signed zeros)
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng, blockdim=m)
+    sparse = np.where(rng.random(b.blocks.shape) < 0.3, b.blocks, 0)
+    for sym in (b, Symbol.from_blocks(sys, b.blocks.real), Symbol.from_blocks(sys, sparse)):
+        bits = paraproduct(sys, sym).view(np.uint64)
+        assert np.array_equal(bits, _dense_table_paraproduct(sys, sym).view(np.uint64))
+        for h in (sys.haar_indices[0], sys.haar_indices[len(sys.haar_indices) // 2],
+                  sys.haar_indices[-1]):
+            piece = rank_piece(sys, sym, h.cube, h.color).view(np.uint64)
+            assert np.array_equal(piece, _dense_table_rank_piece(sys, sym, h.cube, h.color)
+                                  .view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_paraproduct_holds_its_output_and_the_flat_table(monkeypatch, rng, m):
+    import tracemalloc
+
+    def refuse(self):
+        raise AssertionError("paraproduct read a dense table")
+
+    monkeypatch.setattr(FiniteDyadicSystem, "basis_matrix", property(refuse))
+    monkeypatch.setattr(FiniteDyadicSystem, "cube_average_matrix", property(refuse))
+    sys = build_system(DyadicParams(2, 9))  # fresh: the call builds the flat table
+    b = random_symbol(sys, rng, blockdim=m)
+    D, N = sys.dim_basis, sys.params.depth
+    h = sys.haar_indices[-1]
+    tracemalloc.start()
+    try:
+        P = paraproduct(sys, b)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rank_piece(sys, b, h.cube, h.color)
+        piece_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # the complex output, plus O(D N m^2) for the flat table and its products;
+    # a dense (D - 1) x D table would add 8 D^2 (2 MB here)
+    assert P.nbytes == 16 * (D * m) ** 2
+    assert peak <= P.nbytes + 64 * D * N * m * m
+    assert piece_peak <= P.nbytes + 64 * D * N * m * m
 
 
 @pytest.mark.parametrize("d,N,dim,m,shift", [

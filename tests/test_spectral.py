@@ -70,6 +70,33 @@ def test_block_project_contracts(rng):
         block_diagonal_project(T, [range(0, 4), range(3, 12)])
 
 
+@pytest.mark.parametrize("blocks,message", [
+    ([[-1], [0, 1, 2]], "index -1 is not"),
+    ([[0.5, 1], [2, 3]], "index 0.5 is not"),
+    ([[True, 1], [0, 2, 3]], "index True is not"),
+    ([[0, 4], [1, 2, 3]], "index 4 is not"),
+    ([[0, 1], [2]], "no block holds index 3"),
+    ([[0, 1, 1], [2, 3]], "overlap at index 1"),
+    ([[0, 1], [1, 2, 3]], "overlap at index 1"),
+])
+def test_block_project_refuses_what_is_not_a_partition(blocks, message):
+    T = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(ValueError, match=message):
+        block_diagonal_project(T, blocks)
+    # numpy integers and ranges are indices like ints
+    E = block_diagonal_project(T, [np.array([0, 1]), range(2, 4)])
+    assert np.array_equal(E, np.where(np.add.outer([0, 0, 1, 1], [0, 0, 1, 1]) % 2 == 0, T, 0))
+
+
+@pytest.mark.parametrize("blockdim", [0, -2, 1.5, True])
+def test_norms_refuse_a_blockdim_that_is_not_a_positive_integer(blockdim):
+    with pytest.raises(ValueError, match="blockdim must be an integer >= 1"):
+        schatten_norm(np.eye(4), 2, blockdim)
+    with pytest.raises(ValueError, match="blockdim must be an integer >= 1"):
+        schatten_norms(np.eye(4), [1, 2], blockdim)
+    assert schatten_norm(np.eye(4), 2, np.int64(4)) == schatten_norm(np.eye(4), 2, 4) == 1.0
+
+
 def test_triangular_examples():
     M = np.array([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(triangular_project(M, [0, 1]), [[0, 0], [3, 0]])
