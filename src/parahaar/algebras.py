@@ -259,15 +259,9 @@ def _tensor_table(d: int, levels: int) -> _WordTable:
         phase_code += (i * (d - dj) % d).astype(phase_code.dtype) * d**lvl
     pos = np.empty(d ** (2 * levels), dtype=np.min_scalar_type(n - 1))
     pos[key] = np.arange(n)
-    # each phase multiplied level by level from the lowest, as a scalar
-    omega = np.exp(2j * np.pi / d)
-    powers = [omega**k for k in range(d)]
-    phases = []
-    for code in range(d**levels):
-        lam = 1.0 + 0j
-        for lvl in range(levels):
-            lam *= powers[code // d**lvl % d]
-        phases.append(lam)
+    # phase code digit lvl is the exponent of omega at that level
+    powers = np.exp(2j * np.pi / d) ** np.arange(d)
+    phases = powers[np.arange(d**levels)[:, None] // d ** np.arange(levels) % d].prod(axis=1)
     return _table(f"tensor_indices({d}, {levels})", words, [len(w) for w in words],
                   pos[eta_key], phase_code, phases, float(d) ** 2,
                   functools.partial(tensor_word, d=d, levels=levels))
@@ -291,13 +285,7 @@ def _coefficients(table: _WordTable, bhat) -> np.ndarray:
 def _paraproduct(table: _WordTable, bhat) -> np.ndarray:
     """Entries conj(phase_ab) bhat(prod_ab) where level(a) > level(b), else 0."""
     c = _coefficients(table, bhat)
-    # every phase times every coefficient in real arithmetic, which rounds as
-    # the scalar complex product does and numpy's vectorized one may not
-    conj = table.phases.conj()[:, None]
-    terms = np.zeros((len(conj), len(c)), dtype=complex)
-    terms.real = conj.real * c.real - conj.imag * c.imag
-    terms.imag = conj.real * c.imag + conj.imag * c.real
-    terms[:, c == 0] = 0
+    terms = np.multiply.outer(table.phases.conj(), c)  # every phase times every coefficient
     out = terms[table.phase_code, table.prod]
     out[table.level[:, None] <= table.level] = 0
     return out
@@ -310,16 +298,16 @@ def _besov(table: _WordTable, bhat, ps) -> list[float]:
 
     _require_positive(ps)
     c = _coefficients(table, bhat)
-    blocks, weights = [], []
+    blocks, levels = [], []
     for k in range(1, int(table.level[-1]) + 1):
         at = np.flatnonzero((table.level == k) & (c != 0))
         if at.size:
             blocks.append(sum(c[i] * table.word(table.words[i]) for i in at))
-            weights.append(table.weight**k)
+            levels.append(k)
     if not blocks:
         return [0.0] * len(ps)
-    return [_weighted_sum(lps.tolist(), weights, p)
-            for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
+    weights = table.weight ** np.array(levels)
+    return [_weighted_sum(lps, p, weights) for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
 
 
 def _transference_checks(table: _WordTable, bhat, p_values):

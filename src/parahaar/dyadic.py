@@ -381,10 +381,6 @@ class FiniteDyadicSystem:
         return self._basis
 
     @property
-    def analysis_matrix(self):
-        return self.basis_matrix.conj().T * self.cell_measure
-
-    @property
     def cube_averages(self):
         """(rows, cols, values): the nonzero cube averages of the basis, flat.
 
@@ -392,11 +388,9 @@ class FiniteDyadicSystem:
         the basis function in slot cols[n] is values[n]; every other mean is
         an exact 0.  The nonzero ones sit on each cube I's tree support: the
         coarse slot (mean 1) and the wavelets of I's strict ancestors, each
-        constant on I.  They are written down the tree from `child_values`:
-        a cube's values are its parent's plus the parent's wavelet values on
-        that child.  Each is then averaged over the cube's cells as a dense
-        mean over those cells would average it, so the values are those of
-        `cube_average_matrix`, bit for bit (tested).  Per scale s the table
+        constant on I, so its mean is that constant.  They are written down
+        the tree from `child_values`: a cube's values are its parent's plus
+        the parent's wavelet values on that child.  Per scale s the table
         holds n_s * n_colors * (1 + s n_colors) entries, O(D N n_colors) in
         all; no D x D array is built.  The slots are int64 and the values
         have `basis_matrix`'s dtype.  Built once per system; read-only.
@@ -406,12 +400,11 @@ class FiniteDyadicSystem:
             above = np.ones((1, 1), dtype=values[0].dtype)
             parts = []
             for s, (cells, cols, rows) in enumerate(self.scale_layouts):
-                n_q, per = cells.shape
+                n_q = len(cells)
                 width = above.shape[1]  # coarse + strict ancestors of each scale-s cube
-                means = np.broadcast_to(above[:, None, :], (n_q, per, width)).mean(axis=1)
                 shape = (n_q, self.n_colors, width)  # rows repeat across a cube's colours
                 parts.append([np.broadcast_to(a, shape).ravel() for a in
-                              (cols[:, :, None], rows[:, None, :width], means[:, None, :])])
+                              (cols[:, :, None], rows[:, None, :width], above[:, None, :])])
                 below = np.empty((n_q * self.d_eff, width + self.n_colors), dtype=above.dtype)
                 below[self.descendants(s, 1)] = np.concatenate(
                     [np.broadcast_to(above[:, None, :], (n_q, self.d_eff, width)),
@@ -435,9 +428,10 @@ class FiniteDyadicSystem:
         ancestors, each constant on I.  A wavelet of I itself or of a
         subcube has mean zero on I, and one of a disjoint cube vanishes on
         I, so every other entry is set to an exact 0 rather than left as
-        the roundoff of a dense mean.  The support entries are the same
-        `B[cells, support].mean(axis=0)` over I's cells that a dense mean
-        gives, bit for bit.  Same dtype as `basis_matrix`; read-only.
+        the roundoff of a dense mean.  The support entries are dense means
+        `B[cells, support].mean(axis=0)` over I's cells, which the constants
+        of `cube_averages` equal to within rounding.  Same dtype as
+        `basis_matrix`; read-only.
         """
         B = self.basis_matrix
         A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=B.dtype)
@@ -480,32 +474,34 @@ class FiniteDyadicSystem:
         return self._scale_of_row
 
     def coeffs(self, f: StepFunction):
-        """Basis coefficients, shape (dim_basis, m, m)."""
+        """Basis coefficients, shape (dim_basis, m, m): B^H (|cell| f)."""
         _require_cells(self, f)
-        out = np.empty((self.dim_basis,) + f.values.shape[1:], dtype=complex)
-        return _einsum_into("bc,cij->bij", self.analysis_matrix, f.values, out)
+        return _table_product(self.basis_matrix, f.values * self.cell_measure, adjoint=True)
 
     def synthesize(self, coeffs):
-        coeffs = np.asarray(coeffs)
-        out = np.empty((self.n_cells,) + coeffs.shape[1:], dtype=complex)
-        return StepFunction(_einsum_into("cb,bij->cij", self.basis_matrix, coeffs, out))
+        return StepFunction(_table_product(self.basis_matrix, coeffs))
 
 
-def _einsum_into(spec, table, x, out):
-    """np.einsum(spec, table, x) written into the complex array `out`.
+def _table_product(table, x, adjoint=False):
+    """table @ x, or table^H @ x when `adjoint`, over the first axis of x; complex.
 
-    A real `table` meets the real and the imaginary part of `x` (made
-    complex) in two real kernels: a mixed real x complex einsum would cast
-    `table` through numpy's buffered loop, several times slower.  Each part
-    is a strided view, which einsum sums in the order of its complex kernel,
-    so the values are those of einsum on the complex `table`, bit for bit
-    (tested).
+    A real table multiplies the float view of x in one real GEMM.  A complex
+    one runs one complex GEMM, the adjoint as conj(table^T conj x), which
+    conjugates a complex x in place: an adjoint's x is scratch.  No copy of
+    the table is made.
     """
-    if np.iscomplexobj(table):
-        return np.einsum(spec, table, x, out=out)
-    x = np.asarray(x, dtype=complex)
-    np.einsum(spec, table, x.real, out=out.real)
-    np.einsum(spec, table, x.imag, out=out.imag)
+    x = np.ascontiguousarray(x, dtype=complex)
+    t = table.T if adjoint else table
+    flat = x.reshape(len(x), -1)
+    out = np.empty((len(t),) + x.shape[1:], dtype=complex)
+    out_flat = out.reshape(len(t), -1)
+    if not np.iscomplexobj(table):
+        np.matmul(t, flat.view(float), out=out_flat.view(float))
+    elif not adjoint:
+        np.matmul(t, flat, out=out_flat)
+    else:
+        np.matmul(t, np.conjugate(flat, out=flat), out=out_flat)
+        np.conjugate(out, out=out)
     return out
 
 

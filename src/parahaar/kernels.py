@@ -240,9 +240,13 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     antisymmetric convolution kernels and a documented bias otherwise.
     """
     dim = K.dim
-    mids = _cell_midgrids(cells_per_axis, dim, refinement)
-    n_cells, nsub, _ = mids.shape
+    # the n x n matrix is allocated before the midpoint grids, so that a
+    # process that discretizes again finds the block the last matrix freed
+    # before a temporary can cut into it and grow the heap by another n^2
+    n_cells = cells_per_axis**dim
     avg = np.zeros((n_cells, n_cells), dtype=complex)
+    mids = _cell_midgrids(cells_per_axis, dim, refinement)
+    nsub = mids.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(n_cells):
             va = K.evaluate(mids[a][:, None, :], mids.reshape(-1, dim)[None, :, :])
@@ -323,8 +327,8 @@ def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
     """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family at
     each p in ps, each pairing taken once; max_I |<e_I, V f_I>| at p = inf."""
     mu = V.cell_measure
-    pairs = [abs(np.vdot(e, V.apply(f)) * mu) for e, f in families]
-    return [float(_weighted_sum(pairs, [1] * len(pairs), p)) for p in ps]
+    pairs = np.array([abs(np.vdot(e, V.apply(f)) * mu) for e, f in families])
+    return [_weighted_sum(pairs, p) for p in ps]
 
 
 def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
@@ -362,5 +366,5 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
                     sel = cells_i[np.intersect1d(e_sets[s], np.nonzero(in_child)[0])]
                     f[sel] = 1.0 / np.sqrt(meas_q)
                     terms.append(A ** sys.params.dim * abs(np.vdot(e, C.apply(f)) * mu))
-    return float(_weighted_sum(terms, [1] * len(terms), p))
+    return _weighted_sum(np.array(terms), p)
 

@@ -43,19 +43,20 @@ def block_lp(x, p) -> float:
     return float(_block_lps(x[None], (p,))[0][0])
 
 
+def _singular_values(blocks) -> np.ndarray:
+    """Singular values of each m x m block of a (..., m, m) stack, largest
+    first; a 1 x 1 block's is its modulus, taken without LAPACK."""
+    if blocks.shape[-1] == 1:
+        return np.abs(blocks[..., 0])
+    return np.linalg.svd(blocks, compute_uv=False)
+
+
 def _block_lps(blocks, ps) -> list:
     """[block_lp of each block of an (n, m, m) stack for p in ps], one SVD call."""
     _require_positive(ps)
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    out = []
-    for p in ps:
-        if p == np.inf:
-            out.append(sv[:, 0])
-            continue
-        means = np.sum(sv ** p, axis=-1) / blocks.shape[-2]
-        # the root stays a scalar pow: numpy's vectorized power may round differently
-        out.append(np.array([x ** (1.0 / p) for x in means.tolist()]))
-    return out
+    sv = _singular_values(blocks)
+    return [sv[:, 0] if p == np.inf else (np.sum(sv ** p, axis=-1) / blocks.shape[-2]) ** (1.0 / p)
+            for p in ps]
 
 
 def function_lp(sys, f: StepFunction, p) -> float:
@@ -70,7 +71,7 @@ def function_lp(sys, f: StepFunction, p) -> float:
 def _function_lps(sys, f: StepFunction, ps) -> list[float]:
     """[function_lp(sys, f, p) for p in ps], from one SVD call."""
     _require_positive(ps)
-    sv = np.linalg.svd(f.values, compute_uv=False)
+    sv = _singular_values(f.values)
     out = []
     for p in ps:
         if p == np.inf:
@@ -90,8 +91,7 @@ def besov_haars(sys, b: Symbol, ps) -> list[float]:
     """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
     w = np.array([sys.scale_measure(s) ** -0.5 for s in range(sys.params.depth)])
     w = w[sys.scale_of_row()[1:]]
-    return [_weighted_sum((w * lps).tolist(), [1] * len(w), p)
-            for p, lps in zip(ps, _block_lps(b.blocks[1:], ps))]
+    return [_weighted_sum(w * lps, p) for p, lps in zip(ps, _block_lps(b.blocks[1:], ps))]
 
 
 def besov_diff(sys, b: Symbol, p) -> float:
@@ -109,8 +109,8 @@ def besov_diffs(sys, b: Symbol, ps) -> list[float]:
         fine = expectation(sys, f, k)
         by_k.append(_function_lps(sys, fine - coarse, ps))
         coarse = fine
-    weights = [sys.d_eff ** k for k in range(1, N + 1)]
-    return [_weighted_sum([lps[i] for lps in by_k], weights, p) for i, p in enumerate(ps)]
+    weights = float(sys.d_eff) ** np.arange(1, N + 1)
+    return [_weighted_sum(terms, p, weights) for terms, p in zip(np.transpose(by_k), ps)]
 
 
 def besov_osc(sys, b: Symbol, p) -> float:
@@ -121,18 +121,16 @@ def besov_osc(sys, b: Symbol, p) -> float:
     f = b.function()
     N = sys.params.depth
     lps = [function_lp(sys, f - expectation(sys, f, k), p) for k in range(N)]
-    return _weighted_sum(lps, [sys.d_eff ** k for k in range(N)], p)
+    return _weighted_sum(lps, p, float(sys.d_eff) ** np.arange(N))
 
 
-def _weighted_sum(terms, weights, p) -> float:
-    """(sum_i w_i t_i^p)^{1/p} by scalar pow and a sequential sum, in order;
-    its p -> inf limit max_i t_i at p = inf; 0.0 for no terms."""
+def _weighted_sum(terms, p, weights=1.0) -> float:
+    """(sum_i w_i t_i^p)^{1/p} of nonnegative terms, one numpy reduction; its
+    p -> inf limit max_i t_i at p = inf; 0.0 for no terms."""
+    terms = np.asarray(terms, dtype=float)
     if p == np.inf:
-        return max(terms, default=0.0)
-    total = 0.0
-    for w, t in zip(weights, terms):
-        total += w * t ** p
-    return float(total ** (1.0 / p))
+        return float(terms.max(initial=0.0))
+    return float(np.sum(weights * terms ** p) ** (1.0 / p))
 
 
 def bmo_dyadic(sys, b: Symbol) -> BmoForms:
@@ -168,7 +166,7 @@ def bmo_operator(sys, b: Symbol) -> float:
     for k in range(0, sys.params.depth):
         fk = expectation(sys, f, k)
         dev = f - fk
-        sv = np.linalg.svd(dev.values, compute_uv=False)[:, 0] ** 2
+        sv = _singular_values(dev.values)[:, 0] ** 2
         best = max(best, float(np.sqrt(sv[sys.cells_by_scale[k]].mean(axis=1)).max()))
     return best
 
@@ -220,7 +218,7 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
         raise ValueError("values must fill a uniform grid over the window")
     W = _grid_weights(cells_per_axis, dim, refinement)
     diffs = values[:, None] - values[None, :]
-    sv = np.linalg.svd(diffs, compute_uv=False)
+    sv = _singular_values(diffs)
     out = []
     for p in ps:
         if p == np.inf:
@@ -282,7 +280,7 @@ def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]
         raise ValueError(f"values must be one scalar per cell of a grid of 2^depth cells "
                          f"per axis in dimension {dim}; got shape {values.shape}")
     grid = values.reshape([n_axis] * dim, order="F")  # cell id = sum c_t n^t
-    terms = []
+    terms = [np.empty(0)]  # a one-cell grid has no terms
     for k in range(depth):
         halves = [_half_overlaps(k, (variant_mask >> t) & 1, depth) for t in range(dim)]
         # colour eta takes L + R on axis t when bit t of eta is 0, else L - R
@@ -297,5 +295,6 @@ def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]
             coeffs.append(c)
         meas = 2.0 ** (-k * dim)
         coeff = np.stack(coeffs, axis=-1).ravel() * meas**-0.5  # wavelet amplitude |Q|^{-1/2}
-        terms.extend((np.abs(coeff) / meas**0.5).tolist())
-    return [_weighted_sum(terms, [1] * len(terms), p) for p in ps]
+        terms.append(np.abs(coeff) / meas**0.5)
+    terms = np.concatenate(terms)
+    return [_weighted_sum(terms, p) for p in ps]

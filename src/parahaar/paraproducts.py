@@ -36,7 +36,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import (FiniteDyadicSystem, HaarIndex, StepFunction, _einsum_into, _require_cells,
+from .dyadic import (FiniteDyadicSystem, HaarIndex, StepFunction, _require_cells, _table_product,
                      martingale_difference)
 
 __all__ = [
@@ -202,18 +202,11 @@ def paraproduct(sys, b: Symbol) -> np.ndarray:
 
 
 def _average_scatter(sys, b: Symbol, keep) -> np.ndarray:
-    """The entries `keep` of `sys.cube_averages`, block (r, g) = value x b_r.
-
-    Each product is einsum's, accumulated onto an exact 0 as the dense
-    einsum over `cube_average_matrix` accumulates it: the real and imaginary
-    parts of the blocks in turn for a real table, one complex product for a
-    complex one.  So the operator is that dense assembly's, bit for bit and
-    sign bits included (tested).
-    """
+    """The entries `keep` of `sys.cube_averages`, block (r, g) = value x b_r."""
     rows, cols, values = (a[keep] for a in sys.cube_averages)
     D, m = sys.dim_basis, b.blockdim
-    prod = np.empty((len(rows), m, m), dtype=complex)
-    _einsum_into("n,nij->nij", values, b.blocks[rows], prod)
+    prod = b.blocks[rows]
+    prod *= values[:, None, None]
     out = np.zeros((D, m, D, m), dtype=complex)
     out[rows, :, cols, :] = prod
     return out.reshape(D * m, D * m)
@@ -237,8 +230,8 @@ def adjoint_paraproduct(sys, b: Symbol) -> np.ndarray:
         block = b.blocks[col].conj().T
         # output function is (1_I/|I|) b_I^{i*}; its basis coefficients are
         # the conjugated cube averages
-        pattern = avg[r].astype(complex).conj()
-        out[:, col * m:(col + 1) * m] += np.einsum("g,ij->gij", pattern, block).reshape(D * m, m)
+        pattern = avg[r].conj()
+        out[:, col * m:(col + 1) * m] += np.multiply.outer(pattern, block).reshape(D * m, m)
     return out
 
 
@@ -253,23 +246,14 @@ def mult_op(sys, b: Symbol) -> np.ndarray:
 
 
 def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
-    # M = H^H Y with Y[c, i, beta, j] = mu g_c[i, j] H[c, beta], as real
-    # GEMMs on the float view of Y: H^H = Re(H)^T - i Im(H)^T, and
-    # -i Im(H)^T Y = Im(H)^T (-iY).  No copy of either table is made complex,
-    # and a table of real values, held real or complex, sums in one order.
+    # M = H^H Y with Y[c, i, beta, j] = mu g_c[i, j] H[c, beta], scratch
+    # that a complex table conjugates in place
     m = g.blockdim
     D = sys.dim_basis
     H = sys.basis_matrix
     Y = np.multiply(g.values[:, :, None, :], H[:, None, :, None])
     Y *= sys.cell_measure
-    Yf = Y.reshape(H.shape[0], -1).view(float)
-    out = np.empty((D, m, D, m), dtype=complex)
-    outf = out.reshape(D, -1).view(float)
-    np.matmul(H.real.T, Yf, out=outf)
-    if np.iscomplexobj(H):
-        Y *= -1j
-        outf += H.imag.T @ Yf
-    return out.reshape(D * m, D * m)
+    return _table_product(H, Y, adjoint=True).reshape(D * m, D * m)
 
 
 def triangle_op(sys, b: Symbol) -> np.ndarray:
@@ -393,23 +377,25 @@ def commutator_pieces(sys, a: Symbol, b: Symbol):
     D = sys.dim_basis * m
     scales = np.repeat(sys.scale_of_row(), m)  # cube scale per row; -1 for the coarse rows
 
-    # M_{d_k b} S_{k-1}: only the input columns of cube scale k-1
-    md_b = [np.where(scales == k - 1, _mult_matrix(sys, martingale_difference(sys, f_b, k)), 0.0)
-            for k in range(1, N + 1)]
-    ma = [_mult_matrix(sys, martingale_difference(sys, f_a, k)) for k in range(1, N + 1)]
-
+    # one pass over k, building M_{d_k b} S_{k-1} (only the input columns of
+    # cube scale k-1) and M_{d_k a} where they are read:
+    #   psi = sum_k M_{d_k a} (sum_{j<k} M_{d_j b} S_{j-1}),
+    #   v   = sum_j (sum_{k<=j} M_{d_k a} E_{k-1}) M_{d_j b} S_{j-1},
+    # E_{k-1} keeping the coarse rows and the rows of cube scale below k-1
     psi = np.zeros((D, D), dtype=complex)
-    prefix = np.zeros((D, D), dtype=complex)
-    for k in range(2, N + 1):
-        prefix += md_b[k - 2]
-        psi += ma[k - 1] @ prefix
-
     v = np.zeros((D, D), dtype=complex)
-    suffix = np.zeros((D, D), dtype=complex)
-    for k in range(N, 0, -1):
-        suffix += md_b[k - 1]
-        # E_{k-1} keeps the coarse rows and the rows of cube scale below k-1
-        v += ma[k - 1] @ np.where(scales[:, None] < k - 1, suffix, 0.0)
+    prefix = np.zeros((D, D), dtype=complex)
+    tail = np.zeros((D, D), dtype=complex)
+    for k in range(1, N + 1):
+        ma = _mult_matrix(sys, martingale_difference(sys, f_a, k))
+        if k > 1:
+            psi += ma @ prefix
+        md_b = _mult_matrix(sys, martingale_difference(sys, f_b, k))
+        md_b[:, scales != k - 1] = 0.0
+        prefix += md_b
+        ma[:, scales >= k - 1] = 0.0
+        tail += ma
+        v += tail @ md_b
     return psi, v
 
 

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import CubeId, FiniteDyadicSystem, GridShift
+from .dyadic import CubeId, FiniteDyadicSystem, GridShift, _table_product
 from .paraproducts import Symbol, mult_op, r_op
 
 __all__ = [
@@ -296,6 +296,8 @@ def averaged_shift_cell_matrix(params, i, j):
         values = radius[:, None, None] * np.exp(phase)
         spec = ShiftSpec.from_arrays(i, j, 1, cubes.reshape(-1, 3, 2),
                                      np.ones((values.size, 2)), values.ravel())
-        S = assemble_shift(sysw, spec)  # complex tables for BLAS's complex kernel
-        acc += sysw.basis_matrix.astype(complex) @ S @ sysw.analysis_matrix.astype(complex)
-    return acc / 2**N
+        S = assemble_shift(sysw, spec)
+        # B S B^H = B (B S^H)^H; the cell measure is applied once at the end
+        H = sysw.basis_matrix
+        acc += _table_product(H, _table_product(H, S.conj().T).conj().T)
+    return acc / (2**N * n_cells)

@@ -5,6 +5,7 @@ import pytest
 
 from parahaar.algebras import (besov_cars, besov_tensors, car_subsets, car_word,
                                tensor_indices, tensor_word)
+from parahaar.checks import model_bound
 from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
                              build_system, expectation, martingale_difference)
 from parahaar.norms import (_grid_weights, _half_overlaps,
@@ -14,6 +15,15 @@ from parahaar.norms import (_grid_weights, _half_overlaps,
                             bmo_dyadic, block_lp, bmo_operator, function_lp)
 from parahaar.paraproducts import Symbol, random_symbol
 from parahaar.spectral import schatten_norm, schatten_norms
+
+
+def assert_within_model(got, want, n, ps):
+    """Two routes to (sum of n nonnegative terms)^(1/p), one value per p, agree
+    within the tolerance model: model_bound(n, sum) on the sum, which the 1/p
+    root carries to 4 n eps / min(p, 1) of the value (p = inf: the max)."""
+    assert len(got) == len(want) == len(ps)
+    for x, y, p in zip(got, want, ps):
+        assert abs(x - y) <= model_bound(n, y) / min(p, 1.0), (p, x, y)
 
 
 def unit_symbol(sys, cube, color, value=1.0):
@@ -147,6 +157,29 @@ def test_bmo_forms_equal_per_cube_loops(d, N, dim, shift, rng):
     assert bmo_operator(sys, b) == best
 
 
+def test_scalar_blocks_take_no_svd(monkeypatch, rng):
+    """A 1 x 1 block's singular value is its modulus: the forms of a scalar
+    symbol take no SVD of a stack of 1 x 1 blocks, block symbols still do."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a)[-2:])
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sys = build_system(DyadicParams(2, 4))
+    for m in (1, 2):
+        b = random_symbol(sys, rng, blockdim=m)
+        shapes.clear()
+        besov_haars(sys, b, (1.0, 2.0, np.inf))
+        besov_diffs(sys, b, (1.0, 2.0, np.inf))
+        besov_osc(sys, b, 2.0)
+        bmo_operator(sys, b)
+        besov_continuums(b.function().values, (2.0,))
+        assert set(shapes) == (set() if m == 1 else {(2, 2)})
+
+
 def test_continuum_constant_zero():
     assert besov_continuums(np.full(16, 3.0 + 1j), (2,), dim=1) == [0.0]
     assert besov_continuums(np.full(16, 1.0), (1.5,), dim=2) == [0.0]
@@ -226,7 +259,9 @@ def test_besov_haar_matches_block_loop_bitwise(rng, d, N, dim, m, p):
                random_symbol(sys, rng, blockdim=m, scales={0, N - 1}),
                Symbol(sys, {}, blockdim=m)]
     for b in symbols:
-        assert besov_haar(sys, b, p) == _besov_haar_loop(sys, b, p)
+        assert_within_model([besov_haar(sys, b, p)], [_besov_haar_loop(sys, b, p)],
+                            sys.dim_basis - 1, [p])
+    assert besov_haar(sys, symbols[-1], p) == 0.0
 
 
 def test_block_lp_single_blocks(rng):
@@ -235,7 +270,7 @@ def test_block_lp_single_blocks(rng):
             x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
             sv = np.linalg.svd(x, compute_uv=False)
             want = float(sv[0]) if p == np.inf else float((np.sum(sv ** p) / m) ** (1.0 / p))
-            assert block_lp(x, p) == want
+            assert_within_model([block_lp(x, p)], [want], m, [p])
     assert block_lp(-2.5, 3) == 2.5
 
 
@@ -488,24 +523,31 @@ def _besov_adjacent_loop(values, p, dim, mask, depth):
 def test_besov_haars_and_diffs_equal_per_p_loops(rng, d, N, dim, m):
     sys = build_system(DyadicParams(d, N, dim))
     for b in (random_symbol(sys, rng, blockdim=m), Symbol(sys, {}, blockdim=m)):
-        assert besov_haars(sys, b, PLURAL_PS) == [_besov_haar_loop(sys, b, p) for p in PLURAL_PS]
-        assert besov_diffs(sys, b, PLURAL_PS) == [_besov_diff_loop(sys, b, p) for p in PLURAL_PS]
+        # n: the Haar blocks, and the cells of each d_k b's L_p sum
+        assert_within_model(besov_haars(sys, b, PLURAL_PS),
+                            [_besov_haar_loop(sys, b, p) for p in PLURAL_PS],
+                            sys.dim_basis - 1, PLURAL_PS)
+        assert_within_model(besov_diffs(sys, b, PLURAL_PS),
+                            [_besov_diff_loop(sys, b, p) for p in PLURAL_PS],
+                            sys.n_cells, PLURAL_PS)
 
 
 @pytest.mark.parametrize("dim,depth,blockdim", [(1, 4, 1), (2, 2, 1), (2, 2, 2)])
 def test_besov_continuums_equal_per_p_loop(rng, dim, depth, blockdim):
     shape = (2 ** (depth * dim),) + ((blockdim, blockdim) if blockdim > 1 else ())
     vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    assert besov_continuums(vals, PLURAL_PS, dim=dim) == [
-        _besov_continuum_loop(vals, p, dim) for p in PLURAL_PS]
+    assert_within_model(besov_continuums(vals, PLURAL_PS, dim=dim),
+                        [_besov_continuum_loop(vals, p, dim) for p in PLURAL_PS],
+                        len(vals) ** 2, PLURAL_PS)
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 4), (2, 3)])
 def test_besov_haar_adjacents_equal_per_p_loop(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
     for mask in range(2**dim):
-        assert besov_haar_adjacents(vals, PLURAL_PS, dim, mask) == [
-            _besov_adjacent_loop(vals, p, dim, mask, depth) for p in PLURAL_PS]
+        assert_within_model(besov_haar_adjacents(vals, PLURAL_PS, dim, mask),
+                            [_besov_adjacent_loop(vals, p, dim, mask, depth) for p in PLURAL_PS],
+                            len(vals), PLURAL_PS)
 
 
 def test_plural_forms_reject_any_nonpositive_p(rng):

@@ -34,6 +34,7 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 ORACLES = {
     "apply_paraproduct": "an independent oracle of the dense paraproduct",
     "apply_op": "the tests apply operators to functions with it",
+    "model_bound": "the tolerance model, which the tests compare two routes within",
 }
 
 
@@ -253,3 +254,17 @@ def test_only_the_adjoint_oracle_reads_the_dense_average_table():
     dense = {name for attr in ("basis_matrix", "cube_average_matrix")
              for name in _functions_reading(path, attr)}
     assert sorted(reached & dense) == []
+
+
+def test_only_dyadic_decides_real_or_complex_tables():
+    """Whether a wavelet table is real or complex is decided in `dyadic.py`
+    alone: no other module calls `np.iscomplexobj`, and no module makes a
+    typed copy of `basis_matrix`."""
+    checks = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                    if path.stem != "dyadic" for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Attribute) and node.attr == "iscomplexobj")
+    casts = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Attribute) and node.attr == "astype"
+                   and getattr(node.value, "attr", None) == "basis_matrix")
+    assert checks == [] and casts == []
