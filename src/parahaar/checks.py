@@ -356,10 +356,14 @@ def check_phi_blocks(rng):
             for j in range(i + 1, len(keys)):
                 worst_cross = max(worst_cross, float(np.abs(
                     blocks[keys[i]].conj().T @ blocks[keys[j]]).max()))
-        for p in (2.0, 4.0):
-            lhs = spectral.schatten_norm(phi[:, haar][haar, :], p) ** p
-            rhs = sum(spectral.schatten_norm(Bk.conj().T @ Bk, p / 2) ** (p / 2)
-                      for Bk in blocks.values())
+        # one SVD per matrix serves both p: S_p(phi)^p against sum_k S_{p/2}(B_k^H B_k)^{p/2}
+        ps = (2.0, 4.0)
+        lhs_norms = spectral.schatten_norms(phi[:, haar][haar, :], ps)
+        rhs_norms = [spectral.schatten_norms(Bk.conj().T @ Bk, [p / 2 for p in ps])
+                     for Bk in blocks.values()]
+        for i, p in enumerate(ps):
+            lhs = lhs_norms[i] ** p
+            rhs = sum(block[i] ** (p / 2) for block in rhs_norms)
             worst_norm = max(worst_norm, abs(lhs - rhs) / max(1.0, rhs))
     worst = max(worst, worst_cross, worst_norm)
     return _rec("shift-commutator-blocks", "per-cube-block-orthogonality", worst, 1e-10)
@@ -659,14 +663,19 @@ def transference_suite(seed=20240803):
 # Median.
 
 
-def median_suite(seed=20240804):
-    rng = np.random.default_rng(seed)
-    median.stats.reset()
-    records = []
-    worst = np.inf
-    worst_half = np.inf
-    worst_quarter = np.inf
-    for t in range(1000):
+def _blocks(count):
+    """range(count) in consecutive ranges of `median.DRAW_BLOCK`: the median
+    draws are made and searched a block at a time, so that few drawn point
+    sets are alive at once."""
+    return [range(start, min(start + median.DRAW_BLOCK, count))
+            for start in range(0, count, median.DRAW_BLOCK)]
+
+
+def _median_draws(rng, ts):
+    """(point sets, half-plane angles) of `median_suite`'s draws t in ts, in
+    its order: each point set, then the angle it is tested at."""
+    sets, angles = [], []
+    for t in ts:
         kind = t % 5
         if kind == 0:
             n = int(rng.integers(1, 80))
@@ -692,19 +701,44 @@ def median_suite(seed=20240804):
             centers = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             z = rng.choice(centers, n) + 1e-13 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
             pts = median.WeightedPointSet(z, np.ones(n))
-        frame = median.complex_median(pts)
-        masses = median.quadrant_masses(pts, frame)
-        worst = min(worst, float(masses.min() - pts.total / 16.0))
-        angle = rng.uniform(0, np.pi)
-        a = median.halfplane_median(pts, angle)
-        # the mass of both closed half-planes at that offset, counted directly
-        u = median._direction(angle)
-        proj = pts.z.real * u.real + pts.z.imag * u.imag
-        worst_half = min(worst_half,
-                         pts.w[proj <= a].sum() - pts.total / 2,
-                         pts.w[proj >= a].sum() - pts.total / 2)
-        c, a1, a2, qmasses = median.quadrant_split(pts)
-        worst_quarter = min(worst_quarter, float(qmasses.min() - pts.total / 4))
+        sets.append(pts)
+        angles.append(rng.uniform(0, np.pi))
+    return sets, angles
+
+
+def _cube_pair_draws(rng, count):
+    """`count` cube pairs of `median_suite` in its order, each (near values,
+    far values, far measure) as `quadrant_sets` takes them."""
+    pairs = []
+    for _ in range(count):
+        ni = int(rng.integers(1, 33))
+        nh = int(rng.integers(1, 33))
+        pairs.append((rng.standard_normal(ni) + 1j * rng.standard_normal(ni),
+                      rng.standard_normal(nh) + 1j * rng.standard_normal(nh), 1.0))
+    return pairs
+
+
+def median_suite(seed=20240804):
+    rng = np.random.default_rng(seed)
+    median.stats.reset()
+    records = []
+    worst = np.inf
+    worst_half = np.inf
+    worst_quarter = np.inf
+    for ts in _blocks(1000):
+        sets, angles = _median_draws(rng, ts)
+        for pts, frame, angle in zip(sets, median.complex_medians(sets), angles):
+            masses = median.quadrant_masses(pts, frame)
+            worst = min(worst, float(masses.min() - pts.total / 16.0))
+            a = median.halfplane_median(pts, angle)
+            # the mass of both closed half-planes at that offset, counted directly
+            u = median._direction(angle)
+            proj = pts.z.real * u.real + pts.z.imag * u.imag
+            worst_half = min(worst_half,
+                             pts.w[proj <= a].sum() - pts.total / 2,
+                             pts.w[proj >= a].sum() - pts.total / 2)
+            c, a1, a2, qmasses = median.quadrant_split(pts)
+            worst_quarter = min(worst_quarter, float(qmasses.min() - pts.total / 4))
     tol = 1e-12 * 100
     records.append(_rec("median-sixteenth", "closed-quadrant-mass", -worst, tol))
     records.append(_rec("halfplane-half", "half-mass-split", -worst_half, tol))
@@ -714,23 +748,21 @@ def median_suite(seed=20240804):
                         detail=f"boundary={median.stats.boundary_cases}"))
 
     worst_pair = -np.inf
-    for _ in range(500):
-        ni = int(rng.integers(1, 33))
-        nh = int(rng.integers(1, 33))
-        vi = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
-        vh = rng.standard_normal(nh) + 1j * rng.standard_normal(nh)
-        theta, alpha, e_sets, f_sets = median.quadrant_sets(vi, vh)
-        rot = np.exp(1j * theta)
-        for s in range(4):
-            spin = rot * np.exp(-1j * s * np.pi / 2)
-            for xi in e_sets[s]:
-                for xh in f_sets[s]:
-                    dzs = vi[xi] - vh[xh]
-                    lhs = abs(vi[xi] - alpha)
-                    worst_pair = max(worst_pair, lhs - 2 * abs(dzs))
-                    w = spin * dzs
-                    worst_pair = max(worst_pair, abs(w) - 2 * w.real)
-                    worst_pair = max(worst_pair, abs(w.imag) - w.real)
+    for ts in _blocks(500):
+        pairs = _cube_pair_draws(rng, len(ts))
+        for (vi, vh, _), (theta, alpha, e_sets, f_sets) in zip(pairs, median.quadrant_sets(pairs)):
+            rot = np.exp(1j * theta)
+            for s in range(4):
+                if not (e_sets[s].size and f_sets[s].size):
+                    continue
+                # every matched pair (x in E_s, x^ in F_s) of the cone at once
+                near, far = vi[e_sets[s]], vh[f_sets[s]]
+                dzs = near[:, None] - far[None, :]
+                w = rot * np.exp(-1j * s * np.pi / 2) * dzs
+                worst_pair = max(worst_pair,
+                                 float((np.abs(near - alpha)[:, None] - 2 * np.abs(dzs)).max()),
+                                 float((np.abs(w) - 2 * w.real).max()),
+                                 float((np.abs(w.imag) - w.real).max()))
     records.append(_rec("quadrant-set-inequalities", "matched-cone-geometry",
                         worst_pair, 1e-9))
     return records

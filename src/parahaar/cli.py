@@ -70,20 +70,28 @@ def _experiment_theorem1(cfg, rng, outdir):
                         f"min={min(ratios)!r} mean={sum(ratios)/len(ratios)!r}")], rows
 
 
+def _median_verify_sets(trials, rng):
+    """The experiment's weighted point sets, drawn in order before any search."""
+    sets = []
+    for _ in range(trials):
+        n = int(rng.integers(1, 64))
+        sets.append(median.WeightedPointSet(
+            rng.standard_normal(n) + 1j * rng.standard_normal(n),
+            rng.uniform(0.25, 2.0, n)))
+    return sets
+
+
 def _experiment_median_verify(cfg, rng, outdir):
     median.stats.reset()
     rows = []
     ok = True
-    for t in range(cfg["trials"]):
-        n = int(rng.integers(1, 64))
-        pts = median.WeightedPointSet(
-            rng.standard_normal(n) + 1j * rng.standard_normal(n),
-            rng.uniform(0.25, 2.0, n))
-        frame = median.complex_median(pts)
-        masses = median.quadrant_masses(pts, frame)
-        margin = float(masses.min() - pts.total / 16.0)
-        ok = ok and margin >= -1e-12 * max(1.0, pts.total)
-        rows.append({"set": t, "n": n, "margin": margin})
+    for ts in checks._blocks(cfg["trials"]):
+        sets = _median_verify_sets(len(ts), rng)
+        for t, pts, frame in zip(ts, sets, median.complex_medians(sets)):
+            masses = median.quadrant_masses(pts, frame)
+            margin = float(masses.min() - pts.total / 16.0)
+            ok = ok and margin >= -1e-12 * max(1.0, pts.total)
+            rows.append({"set": t, "n": pts.z.size, "margin": margin})
     _write_csv(os.path.join(outdir, "median.csv"), ["set", "n", "margin"], rows)
     return [
         CheckRecord("sixteenth-mass", "closed-quadrant-mass", ok,

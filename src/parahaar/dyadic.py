@@ -10,8 +10,10 @@ exact union of its children), and the shifted-grid covering family.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -540,11 +542,27 @@ def martingale_difference(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> S
 # Adjacent (one-third shifted) grid family and cube covering.
 
 
+def _decimal_ratio(x):
+    """(numerator, denominator) of x in lowest terms, read as Fraction(str(x))
+    reads a float: the decimal that str prints, not the binary value."""
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    try:
+        return Decimal(str(x)).as_integer_ratio()
+    except (ArithmeticError, ValueError):
+        raise ValueError(f"{x!r} is not a finite number") from None
+
+
+def _offset_thirds(scale: int) -> int:
+    """Thirds of a scale-`scale` cell by which variant 1 of the grid is shifted."""
+    return 2 if scale % 2 == 0 else 1
+
+
 def _offset_at(scale: int, variant: int) -> Fraction:
     if variant == 0:
         return Fraction(0)
     h = Fraction(1, 2**scale) if scale >= 0 else Fraction(2 ** (-scale))
-    return (Fraction(2, 3) if scale % 2 == 0 else Fraction(1, 3)) * h
+    return Fraction(_offset_thirds(scale), 3) * h
 
 
 @dataclass(frozen=True)
@@ -565,29 +583,38 @@ def cover_cube(lower: Sequence[float], side: float) -> CoveringCube:
     """
     if not len(lower):
         raise ValueError("lower needs one coordinate per axis, got none")
-    lo = [Fraction(str(x)) if not isinstance(x, Fraction) else x for x in lower]
-    L = Fraction(str(side)) if not isinstance(side, Fraction) else side
-    if L <= 0:
+    ratios = [_decimal_ratio(x) for x in lower]
+    p, d = _decimal_ratio(side)
+    if p <= 0:
         raise ValueError("cube side must be positive")
-    if any(x < 0 or x + L > 1 for x in lo):
+    # integers over q, the common denominator of the inputs
+    q = math.lcm(d, *(den for _, den in ratios))
+    starts = [num * (q // den) for num, den in ratios]
+    length = p * (q // d)
+    if any(x < 0 or x + length > q for x in starts):
         raise ValueError("cube is outside the unit window")
 
     # largest scale k with 2^-k >= side, then walk upward in cube size; a fit
     # is guaranteed once the cell exceeds 3x the input side
     k = 0
-    while Fraction(1, 2 ** (k + 1)) >= L:
+    while q >= length << (k + 1):
         k += 1
+    # from here on in units of 1 / (3 2^k q): every cell side and grid offset
+    # from scale k up is an integer
+    unit = 3 * q << k
+    starts = [3 * x << k for x in starts]
+    length = 3 * length << k
     # the variants act on each axis on their own, so the fitting grid of
     # lowest number takes, on every axis, the lowest variant that fits there
     for scale in range(k, -5, -1):
-        h = Fraction(1, 2**scale) if scale >= 0 else Fraction(2**-scale)
+        h = 3 * q << (k - scale)
+        shift = _offset_thirds(scale) * (q << (k - scale))
         grid, idx, corner = 0, [], []
-        for t in range(len(lo)):
-            for variant in (0, 1):
-                off = _offset_at(scale, variant)
-                m0 = (lo[t] - off) // h
+        for t, x in enumerate(starts):
+            for variant, off in ((0, 0), (1, shift)):
+                m0 = (x - off) // h
                 # B_t fits in cell m0 iff its right endpoint stays inside
-                if lo[t] + L <= off + (m0 + 1) * h:
+                if x + length <= off + (m0 + 1) * h:
                     break
             else:
                 break
@@ -595,6 +622,7 @@ def cover_cube(lower: Sequence[float], side: float) -> CoveringCube:
             idx.append(m0)
             corner.append(off + m0 * h)
         else:
-            return CoveringCube(grid, scale, tuple(idx), tuple(corner), h)
+            return CoveringCube(grid, scale, tuple(idx),
+                                tuple(Fraction(c, unit) for c in corner), Fraction(h, unit))
     raise RuntimeError("no covering cube found; input exceeds the supported range")
 

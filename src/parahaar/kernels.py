@@ -344,27 +344,30 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
         raise ValueError("system and operator dimensions differ")
     b_values = np.asarray(b_values, dtype=complex)
     mu = C.cell_measure
-    terms = []
+    pairs = []  # (k, rank, cells of I, cells of its partner)
     for k in range(1, sys.params.depth):
         per = sys.axis_count(k)
         shift = max(1, min(A, per - 1))
-        meas, meas_q = sys.scale_measure(k), sys.scale_measure(k + 1)  # a cube and its children
-        cells, kids = sys.cells_by_scale[k], sys.descendants(k, 1)
+        cells = sys.cells_by_scale[k]
         for rank, cells_i in enumerate(cells):
             idx = list(sys.cube_index(k, rank))
             idx[0] = idx[0] + shift if idx[0] + shift < per else idx[0] - shift
             if idx[0] < 0:
                 continue
-            cells_hat = cells[sys.cube_rank(k, idx)]
-            _, _, e_sets, f_sets = quadrant_sets(b_values[cells_i], b_values[cells_hat], meas)
-            for cells_q in sys.cells_by_scale[k + 1][kids[rank]]:
-                in_child = np.isin(cells_i, cells_q)
-                for s in range(4):
-                    e = np.zeros(C.n_cells, dtype=complex)
-                    e[cells_hat[f_sets[s]]] = np.sqrt(meas_q) / meas
-                    f = np.zeros(C.n_cells, dtype=complex)
-                    sel = cells_i[np.intersect1d(e_sets[s], np.nonzero(in_child)[0])]
-                    f[sel] = 1.0 / np.sqrt(meas_q)
-                    terms.append(A ** sys.params.dim * abs(np.vdot(e, C.apply(f)) * mu))
+            pairs.append((k, rank, cells_i, cells[sys.cube_rank(k, idx)]))
+    cone_sets = quadrant_sets([(b_values[cells_i], b_values[cells_hat], sys.scale_measure(k))
+                               for k, _, cells_i, cells_hat in pairs])
+    terms = []
+    for (k, rank, cells_i, cells_hat), (_, _, e_sets, f_sets) in zip(pairs, cone_sets):
+        meas, meas_q = sys.scale_measure(k), sys.scale_measure(k + 1)  # a cube and its children
+        for cells_q in sys.cells_by_scale[k + 1][sys.descendants(k, 1)[rank]]:
+            in_child = np.isin(cells_i, cells_q)
+            for s in range(4):
+                e = np.zeros(C.n_cells, dtype=complex)
+                e[cells_hat[f_sets[s]]] = np.sqrt(meas_q) / meas
+                f = np.zeros(C.n_cells, dtype=complex)
+                sel = cells_i[np.intersect1d(e_sets[s], np.nonzero(in_child)[0])]
+                f[sel] = 1.0 / np.sqrt(meas_q)
+                terms.append(A ** sys.params.dim * abs(np.vdot(e, C.apply(f)) * mu))
     return _weighted_sum(np.array(terms), p)
 

@@ -7,6 +7,23 @@ the finite breakpoint set induced by atom projections and pairwise atom
 directions.  Every emitted frame is certified by the independent mass oracle
 before being returned; a logged exhaustive fallback exists for pathological
 floating-point ties and must never fire on exact-arithmetic corpora.
+
+`complex_medians` runs the search on many sets in lockstep: the sets of a
+chunk are the zero-weight-padded rows of one array, and each stage of the
+common route is one array pass over the rows still on it.  The stages are
+the half-plane median and the two conditional median intervals; the axes
+frame; the mirror and the S1 / S4 split with base points A and B; the angle
+intervals at one base point per row; the bisection, one step per round; and
+the first candidate frame at each attempted base point, certified by a
+batched mass evaluation.  A set leaves the route when a first candidate
+fails, when its bisection ends without an overlap (the per-set search goes
+on to its candidate list), and where the per-set search would go on to the
+ray construction or the fallback; `complex_median`, the per-set search,
+finishes it.  `complex_median` is also the oracle: each set's frame and
+`stats` counts are the ones it gives.  To keep them, a batched sum of a
+subset is taken as the subset's own compressed sum (numpy's pairwise sum
+groups by length), sorts are stable with the padding last, and per-set
+scalars (directions, offsets, rho) come from the same Python arithmetic.
 """
 
 from __future__ import annotations
@@ -24,6 +41,7 @@ __all__ = [
     "halfplane_median",
     "quadrant_split",
     "complex_median",
+    "complex_medians",
     "quadrant_masses",
     "quadrant_sets",
     "stats",
@@ -76,8 +94,12 @@ class QuadrantFrame:
 
     @property
     def center(self) -> complex:
-        u = _direction(self.theta)
-        return self.c2 * u + self.c1 * 1j * u
+        return _center(self, _direction(self.theta))
+
+
+def _center(frame, u):
+    """The frame's center, u its direction e^{i theta}."""
+    return frame.c2 * u + frame.c1 * 1j * u
 
 
 def _frame_from_two_points(theta, p_on_l1, p_on_l2) -> QuadrantFrame:
@@ -90,19 +112,19 @@ def _frame_from_two_points(theta, p_on_l1, p_on_l2) -> QuadrantFrame:
 
 def quadrant_masses(pts: WeightedPointSet, frame: QuadrantFrame):
     """Closed-quadrant masses; boundary atoms count in every adjacent quadrant."""
-    tol = 1e-12 * max(pts.scale(), abs(frame.c1), abs(frame.c2), 1.0)
-    u = _direction(frame.theta)
-    q = frame.center
     return quadrant_masses_kernel(
         np.ascontiguousarray(pts.z.real),
         np.ascontiguousarray(pts.z.imag),
         np.ascontiguousarray(pts.w),
-        u.real,
-        u.imag,
-        q.real,
-        q.imag,
-        tol,
+        *_kernel_frame(frame, pts.scale()),
     )
+
+
+def _kernel_frame(frame, scale):
+    """(ux, uy, qx, qy, tol): the frame as the mass kernel reads it."""
+    u = _direction(frame.theta)
+    q = _center(frame, u)
+    return u.real, u.imag, q.real, q.imag, 1e-12 * max(scale, abs(frame.c1), abs(frame.c2), 1.0)
 
 
 def _inf_median(values, weights, half):
@@ -274,21 +296,10 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
     lower = im <= c
     l1, h1 = _median_interval(re[upper], pts.w[upper], pts.w[upper].sum() / 2.0)
     l2, h2 = _median_interval(re[lower], pts.w[lower], pts.w[lower].sum() / 2.0)
-
-    if max(l1, l2) <= min(h1, h2):
-        # the two conditional median intervals share a point: axes frame
-        a = max(l1, l2)
-        frame = _frame_from_two_points(math.pi / 2, complex(a, 0), complex(0, c))
-        ok, _ = _certify(pts, frame)
-        if ok:
-            return frame
-        mirrored, work, a1, a2 = False, pts, a, a
-    elif h1 < l2:
-        mirrored, work, a1, a2 = False, pts, h1, l2
-    else:  # h2 < l1: mirror so the upper ray sits left of the lower one
-        mirrored = True
-        work = WeightedPointSet(-np.conj(pts.z), pts.w)
-        a1, a2 = -l1, -h2
+    axes, mirrored, a1, a2 = _route(c, l1, h1, l2, h2)
+    if axes is not None and _certify(pts, axes)[0]:
+        return axes
+    work = WeightedPointSet(-np.conj(pts.z), pts.w) if mirrored else pts
 
     frame = _search_frame(work, c, a1, a2)
     if frame is None:
@@ -297,8 +308,7 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
     if frame is None:
         raise RuntimeError("complex median: no certified frame found")
     if mirrored:
-        point = -frame.center.conjugate()
-        frame = _frame_from_two_points((math.pi - frame.theta) % math.pi, point, point)
+        frame = _unmirrored(frame)
         ok, _ = _certify(pts, frame)
         if not ok:
             stats.fallbacks += 1
@@ -306,6 +316,29 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
             if frame is None:
                 raise RuntimeError("complex median: no certified frame found")
     return frame
+
+
+def _route(c, l1, h1, l2, h2):
+    """(axes frame or None, mirrored, a1, a2) from the conditional median
+    intervals [l1, h1] of the upper and [l2, h2] of the lower half-plane.
+
+    The search runs on the mirrored set z -> -conj(z) when mirrored is set,
+    with ray origins a1 (upper) and a2 (lower) on the base line {Im = c}.
+    """
+    if max(l1, l2) <= min(h1, h2):
+        # the two conditional median intervals share a point: axes frame
+        a = max(l1, l2)
+        return _frame_from_two_points(math.pi / 2, complex(a, 0), complex(0, c)), False, a, a
+    if h1 < l2:
+        return None, False, h1, l2
+    # h2 < l1: mirror so the upper ray sits left of the lower one
+    return None, True, -l1, -h2
+
+
+def _unmirrored(frame):
+    """The frame of the mirrored set, mapped back through z -> -conj(z)."""
+    point = -frame.center.conjugate()
+    return _frame_from_two_points((math.pi - frame.theta) % math.pi, point, point)
 
 
 def _offsets(work, u, a1, a2, c):
@@ -324,24 +357,32 @@ def _offsets(work, u, a1, a2, c):
     yield from np.unique(proj[(proj > t_lo) & (proj < t_hi)])
 
 
-def _try_frames_at(work, data, c, a1, a2, x):
-    """All certified-frame attempts the overlap at base point x suggests."""
-    (lo1, hi1, al1, ah1), (lo4, hi4, al4, ah4) = data.intervals(x)
+def _base_frames(work, x, c, a1, a2, lo1, hi1, lo4, hi4):
+    """Frames through base point x, in the order the search tries them.
+
+    There are none unless the S1 and S4 rho-intervals [lo1, hi1] and
+    [lo4, hi4] at x overlap.  The first frame reads no atom of `work`.
+    """
     lo = max(lo1, lo4)
     hi = min(hi1, hi4)
     if lo > hi + 1e-9:
-        return None
+        return
     if lo > hi:
         lo = hi = 0.5 * (lo + hi)  # touching up to rounding
     base = complex(x, c)
     for rho in (0.5 * (lo + hi), lo, hi):
         u = _direction(rho)
-        c1 = (np.conj(1j * u) * base).real
+        c1 = float((np.conj(1j * u) * base).real)
         for c2 in _offsets(work, u, a1, a2, c):
-            frame = QuadrantFrame(rho % math.pi, float(c1), float(c2))
-            ok, _ = _certify(work, frame)
-            if ok:
-                return frame
+            yield QuadrantFrame(rho % math.pi, c1, float(c2))
+
+
+def _try_frames_at(work, data, c, a1, a2, x):
+    """All certified-frame attempts the overlap at base point x suggests."""
+    (lo1, hi1, _, _), (lo4, hi4, _, _) = data.intervals(x)
+    for frame in _base_frames(work, x, c, a1, a2, lo1, hi1, lo4, hi4):
+        if _certify(work, frame)[0]:
+            return frame
     return None
 
 
@@ -474,23 +515,322 @@ def _fallback_frame(work, c, a1, a2):
 
 
 # ---------------------------------------------------------------------------
+# Many searches in lockstep.
+
+# point sets searched side by side, as the rows of one chunk's arrays; the
+# sets are taken in order of size, so a chunk's rows carry little padding
+_SET_BLOCK = 128
+
+# callers with many sets draw and search this many at a time, so that a few
+# hundred drawn sets are alive at once, not thousands: the process keeps the
+# heap they grew (2000 median-verify sets held at once raised the benchmark's
+# peak RSS by about 4 MB)
+DRAW_BLOCK = 256
+
+
+def complex_medians(point_sets) -> list:
+    """[complex_median(p) for p in point_sets], with the searches in lockstep.
+
+    Each stage of the common route is one array pass over the sets of a
+    chunk still on it; a set that leaves the route is finished by
+    `complex_median`.  Frames and `stats` counts equal those of one
+    `complex_median` call per set, whatever sets share a chunk.
+    """
+    point_sets = list(point_sets)
+    frames = [None] * len(point_sets)
+    by_size = sorted(range(len(point_sets)), key=lambda i: point_sets[i].z.size)
+    for start in range(0, len(by_size), _SET_BLOCK):
+        chunk = by_size[start:start + _SET_BLOCK]
+        for i, frame in zip(chunk, _lockstep_frames([point_sets[i] for i in chunk])):
+            frames[i] = frame
+    return frames
+
+
+def _lockstep_frames(sets):
+    """complex_median of every set of one chunk."""
+    n = np.array([p.z.size for p in sets])
+    valid = np.arange(n.max()) < n[:, None]
+    z = np.zeros(valid.shape, dtype=complex)
+    z[valid] = np.concatenate([p.z for p in sets])
+    w = np.zeros(valid.shape)
+    w[valid] = np.concatenate([p.w for p in sets])
+    total = np.array([p.total for p in sets])
+    frames = [None] * len(sets)
+    # padded entries carry the weight 0; a set with a non-finite point leaves
+    ids = np.flatnonzero(np.isfinite(z).all(axis=1))
+    z, w, valid, total = z[ids], w[ids], valid[ids], total[ids]
+
+    # the median line {Im = c}, the conditional median intervals above and
+    # below it, and from them the axes frame or the search's ray origins
+    u = _direction(math.pi / 2)
+    c = _row_inf_median(z.real * u.real + z.imag * u.imag, w, valid, total / 2.0)
+    halves = np.stack([valid & (z.imag >= c[:, None]), valid & (z.imag <= c[:, None])])
+    half = _row_sums(w, halves) / 2.0
+    l1, h1 = _row_median_interval(z.real, w, halves[0], half[0])
+    l2, h2 = _row_median_interval(z.real, w, halves[1], half[1])
+    routes = list(map(_route, c.tolist(), l1.tolist(), h1.tolist(), l2.tolist(), h2.tolist()))
+    found = [None] * len(ids)
+    axes = [j for j, route in enumerate(routes) if route[0] is not None]
+    ok = _row_certified(z[axes], w[axes], total[axes], [routes[j][0] for j in axes])
+    for j, good in zip(axes, ok.tolist()):
+        if good:
+            found[j] = routes[j][0]
+
+    # the search, on the mirrored set z -> -conj(z) where the route says so
+    rest = np.array([j for j, frame in enumerate(found) if frame is None], dtype=int)
+    mirrored = np.array([routes[j][1] for j in rest], dtype=bool)
+    work = z[rest]
+    work[mirrored] = -np.conj(work[mirrored])
+    searched = _lockstep_search(work, w[rest], valid[rest], total[rest], c[rest],
+                                [routes[j][2] for j in rest], [routes[j][3] for j in rest])
+    back = [k for k, frame in enumerate(searched) if frame is not None and mirrored[k]]
+    unmirrored = [_unmirrored(searched[k]) for k in back]
+    ok = _row_certified(z[rest[back]], w[rest[back]], total[rest[back]], unmirrored)
+    for k, frame, good in zip(back, unmirrored, ok.tolist()):
+        searched[k] = frame if good else None
+    for j, frame in zip(rest.tolist(), searched):
+        found[j] = frame
+
+    for j, frame in zip(ids.tolist(), found):
+        frames[j] = frame
+    stats.calls += len(frames) - frames.count(None)
+    return [complex_median(p) if frame is None else frame for p, frame in zip(sets, frames)]
+
+
+def _lockstep_search(z, w, valid, total, c, a1, a2):
+    """_search_frame of every row, as far as its common route goes.
+
+    Rows are in work coordinates.  A row's entry is its frame, or None when
+    it leaves the route: when a first candidate frame fails its certificate,
+    or where the per-set search goes on to its candidate list, the ray
+    construction or the fallback.
+    """
+    frames = [None] * len(z)
+    zs = z - np.array([1j * ci for ci in c.tolist()], dtype=complex)[:, None]
+    sides = np.stack([valid & (zs.imag >= 0) & (zs.real <= np.array(a1)[:, None]),
+                      valid & (zs.imag <= 0) & (zs.real >= np.array(a2)[:, None])])
+    side_mass = _row_sums(w, sides)
+    quarter = side_mass / 4.0
+    A = _row_inf_median(zs.real, w, sides[0], 2 * quarter[0])
+    B = _row_inf_median(zs.real, w, sides[1], 2 * quarter[1])
+    split = _RowSplit(*_front(np.concatenate(sides), np.concatenate([zs, zs]),
+                              np.concatenate([w, w]),
+                              np.maximum(np.concatenate([zs.imag, -zs.imag]), 0.0)),
+                      quarter.ravel(),
+                      np.maximum(1.0, np.where(valid, np.abs(zs), 0.0).max(axis=1)))
+    cl = c.tolist()
+
+    def attempt(rows, x, intervals):
+        """Certify the first frame at x of each row whose intervals overlap
+        there; returns where one was tried: those rows are finished."""
+        tried, cands = np.zeros(len(rows), dtype=bool), []
+        for j, (r, xr, *bounds) in enumerate(zip(rows.tolist(), x.tolist(),
+                                                 *(v.tolist() for v in intervals))):
+            frame = next(_base_frames(None, xr, cl[r], a1[r], a2[r], *bounds), None)
+            if frame is not None:
+                tried[j] = True
+                cands.append(frame)
+        done = rows[tried]
+        ok = _row_certified(z[done], w[done], total[done], cands)
+        for r, frame, good in zip(done.tolist(), cands, ok.tolist()):
+            frames[r] = frame if good else None
+        return tried
+
+    # an empty S1 or S4 sends the per-set search to its fallback
+    rows = np.flatnonzero((side_mass != 0).all(axis=0))
+    at_a = split.take(rows).intervals(A[rows])
+    on = ~attempt(rows, A[rows], at_a)
+    rows, at_a = rows[on], [v[on] for v in at_a]
+    at_b = split.take(rows).intervals(B[rows])
+    on = ~attempt(rows, B[rows], at_b)
+    o_a, o_b = _order(*(v[on] for v in at_a)), _order(*(v[on] for v in at_b))
+    rows = rows[on]
+
+    # bisection between A and B for a base point where the two intervals meet
+    on = (o_a != 0) & (o_b != 0) & (o_a != o_b)
+    rows, o_a = rows[on], o_a[on]
+    xl, xh = A[rows], B[rows]
+    for _ in range(200):
+        if not rows.size:
+            break
+        xm = 0.5 * (xl + xh)
+        at_m = split.take(rows).intervals(xm)
+        o_m = _order(*at_m)
+        # the per-set search remembers A and B as failed: meeting there, it leaves
+        meet = (o_m == 0) & (xm != A[rows]) & (xm != B[rows])
+        if meet.any():
+            attempt(rows[meet], xm[meet], [v[meet] for v in at_m])
+        xl = np.where(o_m == o_a, xm, xl)
+        xh = np.where(o_m == o_a, xh, xm)
+        on = (o_m != 0) & ~(xh - xl <= 1e-14 * split.scale[rows])
+        rows, o_a, xl, xh = rows[on], o_a[on], xl[on], xh[on]
+    return frames
+
+
+class _RowSplit:
+    """The S1 and S4 atoms of many searches (see `_SplitData`): row i holds
+    search i's S1 atoms and row m + i its S4 atoms, at the front of the row.
+
+    Each row has its member mask, z, w, Im z clipped to the side's
+    half-plane and the side's quarter mass; `scale` is per search.
+    """
+
+    def __init__(self, member, z, w, im, quarter, scale):
+        self.member, self.z, self.w, self.im, self.quarter = member, z, w, im, quarter
+        self.scale = scale
+
+    def take(self, rows):
+        both = np.concatenate([rows, rows + len(self.scale)])
+        return _RowSplit(self.member[both], self.z[both], self.w[both], self.im[both],
+                         self.quarter[both], self.scale[rows])
+
+    def intervals(self, x):
+        """(lo1, hi1, lo4, hi4) of `_SplitData.intervals` at x[i], per search i."""
+        m = len(x)
+        rel = self.z - np.concatenate([x, x])[:, None]
+        tol = np.concatenate([self.scale, self.scale]) * 1e-15
+        apex = self.member & (np.abs(rel) <= tol[:, None])
+        lo, hi = _row_quarter_interval(np.arctan2(self.im, rel.real), self.w,
+                                       self.member & ~apex, _row_sums(self.w, apex),
+                                       self.quarter)
+        return lo[:m], hi[:m], math.pi - hi[m:], math.pi - lo[m:]
+
+
+def _front(member, *arrays):
+    """(member mask, *arrays) with each row's members moved to its front in
+    order, the rows cut to the largest member count."""
+    count = member.sum(axis=1)
+    order = np.argsort(~member, axis=1, kind="stable")[:, :max(count.max(initial=0), 1)]
+    head = np.arange(order.shape[1]) < count[:, None]
+    return (head, *(np.take_along_axis(a, order, axis=1) for a in arrays))
+
+
+def _order(lo1, hi1, lo4, hi4):
+    """order(x) of `_search_frame`, per row: 0 where the intervals overlap."""
+    overlap = (lo1 <= hi1) & (lo1 <= hi4) & (lo4 <= hi1) & (lo4 <= hi4)
+    return np.where(overlap, 0, np.where(hi1 < lo4, -1, 1))
+
+
+def _row_certified(z, w, total, frames):
+    """_certify(row i, frames[i]) per row, with the mass kernel's arithmetic."""
+    if not frames:
+        return np.zeros(0, dtype=bool)
+    scale = np.maximum(1.0, np.abs(z).max(axis=1))  # WeightedPointSet.scale; padding is 0
+    ux, uy, qx, qy, tol = (np.array(v)[:, None]
+                           for v in zip(*map(_kernel_frame, frames, scale.tolist())))
+    s = (z.real - qx) * ux + (z.imag - qy) * uy
+    t = -(z.real - qx) * uy + (z.imag - qy) * ux
+    sp, sm, tp, tm = s >= -tol, s <= tol, t >= -tol, t <= tol
+    quadrants = np.stack([sp & tp, sm & tp, sm & tm, sp & tm]) & (w > 0)  # not the padding
+    need = total / 16.0 - 1e-12 * np.maximum(1.0, total)
+    # A padded row sum and the kernel's compressed sum round differently, but
+    # each is within (n - 1) u total of the exact mass (n terms, u = 2^-53):
+    # only a mass that close to `need` is decided by the compressed sum itself.
+    masses = np.where(quadrants, w, 0.0).sum(axis=-1)
+    close = np.abs(masses - need) <= 4 * w.shape[1] * np.finfo(float).eps * total
+    if close.any():
+        q, r = np.nonzero(close)
+        masses[q, r] = _row_sums(w[r], quadrants[q, r])
+    return (masses >= need).all(axis=0)
+
+
+def _row_sums(w, masks):
+    """w[row][mask].sum() for every row of w under every mask in `masks`.
+
+    numpy's pairwise sum groups the terms by the length summed, so a padded
+    row would round differently: rows of equal count are summed as one
+    contiguous block each, as their compressed sums are.
+    """
+    counts = masks.sum(axis=-1)
+    out = np.zeros(counts.shape)
+    if not counts.any():
+        return out
+    flat = np.broadcast_to(w, masks.shape)[masks]
+    counts = counts.ravel()
+    starts = counts.cumsum() - counts
+    order = counts.argsort(kind="stable")
+    sizes, firsts, nrows = np.unique(counts[order], return_index=True, return_counts=True)
+    sums = np.zeros(counts.size)
+    for k, first, r in zip(sizes.tolist(), firsts.tolist(), nrows.tolist()):
+        if k:
+            rows = order[first:first + r]
+            sums[first:first + r] = flat[starts[rows][:, None] + np.arange(k)].sum(axis=1)
+    out.ravel()[order] = sums
+    return out
+
+
+def _row_sorted(values, w, member):
+    """(values, weights, cumsum, count) of every row's members in stable value
+    order, then the rest with weight 0, so row cumsums are the members' own."""
+    v = np.where(member, values, np.inf)
+    order = v.argsort(axis=1, kind="stable")
+    order += np.arange(0, v.size, v.shape[1])[:, None]
+    ws = np.where(member, w, 0.0).take(order)
+    return v.take(order), ws, ws.cumsum(axis=1), member.sum(axis=1)
+
+
+def _row_bounds(v, ws, cum, count, target):
+    """(lo, hi) per row: the sorted member where the prefix mass first reaches
+    target, and where the suffix mass does, read as the per-set code reads."""
+    r = np.arange(len(v))
+    last = count - 1
+    k = np.minimum((cum < target[:, None]).sum(axis=1), last)
+    rev = ws[:, ::-1].cumsum(axis=1)
+    # reversed, the members are the last `count` entries of the row
+    members = np.arange(ws.shape[1]) >= ws.shape[1] - count[:, None]
+    k_rev = np.minimum(((rev < target[:, None]) & members).sum(axis=1), last)
+    return v[r, k], v[r, last - k_rev]
+
+
+def _row_inf_median(values, w, member, half):
+    """_inf_median(values[member], w[member], half) of every row."""
+    return _row_median_interval(values, w, member, half)[0]
+
+
+def _row_median_interval(values, w, member, half):
+    """_median_interval(values[member], w[member], half) of every row."""
+    v, ws, cum, count = _row_sorted(values, w, member)
+    return _row_bounds(v, ws, cum, count, half - 1e-12 * cum[np.arange(len(v)), count - 1])
+
+
+def _row_quarter_interval(angles, w, keep, apex_w, quarter):
+    """(lo, hi) of _quarter_interval(angles[keep], w[keep], apex_w, quarter) per row."""
+    v, ws, cum, count = _row_sorted(angles, w, keep)
+    total = cum[np.arange(len(v)), np.maximum(count - 1, 0)] + apex_w
+    need = quarter - apex_w
+    eps = 1e-12 * np.maximum(total, 1.0)
+    lo, hi = _row_bounds(v, ws, cum, count, need - eps)
+    whole = (count == 0) | (need <= eps)
+    return np.where(whole, 0.0, lo), np.where(whole, math.pi, hi)
+
+
+# ---------------------------------------------------------------------------
 # Quadrant sets for cube pairs (the separated-cube testing machinery).
 
 
-def quadrant_sets(values_i, values_hat, measure_hat=1.0):
-    """(theta, alpha, E sets, F sets) from the median frame of the far cube.
+def quadrant_sets(cube_pairs):
+    """(theta, alpha, E sets, F sets) of every cube pair, from the median frame
+    of its far cube; the far cubes' medians are searched in lockstep.
 
-    E_s collects the cells of I whose value sits in the s-th closed cone
-    around alpha (axes at +-pi/4 to the rotation), F_s the cells of the far
-    cube whose value, reflected through alpha, sits in the same cone.  The
-    far cube's cells share the mass `measure_hat` equally in the median.
+    A pair is (values on I, values on the far cube, the far cube's measure);
+    the far cube's cells share that measure equally in the median.  E_s
+    collects the cells of I whose value sits in the s-th closed cone around
+    alpha (axes at +-pi/4 to the rotation), F_s the cells of the far cube
+    whose value, reflected through alpha, sits in the same cone.
     """
-    vi = np.asarray(values_i, dtype=complex).ravel()
-    vh = np.asarray(values_hat, dtype=complex).ravel()
-    if vi.size == 0 or vh.size == 0:
-        raise ValueError("both cubes must carry values")
-    pts = WeightedPointSet(vh, np.full(vh.size, measure_hat / vh.size))
-    frame = complex_median(pts)
+    cubes = []
+    for values_i, values_hat, measure_hat in cube_pairs:
+        vi = np.asarray(values_i, dtype=complex).ravel()
+        vh = np.asarray(values_hat, dtype=complex).ravel()
+        if vi.size == 0 or vh.size == 0:
+            raise ValueError("both cubes must carry values")
+        cubes.append((vi, vh, WeightedPointSet(vh, np.full(vh.size, measure_hat / vh.size))))
+    frames = complex_medians([pts for _, _, pts in cubes])
+    return [_cone_sets(vi, vh, frame) for (vi, vh, _), frame in zip(cubes, frames)]
+
+
+def _cone_sets(vi, vh, frame):
+    """One pair's (theta, alpha, E sets, F sets) from its far cube's frame."""
     alpha = frame.center
     theta = (math.pi / 4 - frame.theta) % (2 * math.pi)
     tol = 1e-12 * max(1.0, float(np.abs(vh).max()), float(np.abs(vi).max()), abs(alpha))

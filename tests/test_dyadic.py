@@ -1,10 +1,11 @@
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from parahaar.dyadic import (CubeId, DyadicParams, GridShift,
+from parahaar.dyadic import (CoveringCube, CubeId, DyadicParams, GridShift,
                              HaarIndex, StepFunction, build_system, cover_cube,
                              expectation, haar_function, martingale_difference,
                              DILATION_BOUND, LENGTH_RATIO_BOUND)
@@ -263,6 +264,42 @@ def test_cover_equals_per_grid_loop(rng, dim):
     # the examples above, on every axis
     for lo, side in (([0.4] * dim, 0.2), ([0.1] * dim, 0.1), ([0.301] * dim, 0.09)):
         assert cover_cube(lo, side) == _cover_cube_per_grid(lo, side, dim)
+
+
+def test_cover_equals_per_grid_loop_on_the_covering_draws():
+    # the covering suite's 2000 draws, in its order
+    from parahaar.checks import _covering_draws
+
+    rng = np.random.default_rng(20240805)
+    for dim in (1, 2):
+        for lo, side, q in _covering_draws(dim, 1000, rng):
+            expect = _cover_cube_per_grid(lo, side, dim)
+            assert q == expect
+            assert [type(i) for i in q.index] == [type(i) for i in expect.index]
+
+
+@pytest.mark.parametrize("lo,side", [
+    ([0.0], 1.0), ([0.0], 0.5), ([0.5], 0.5), ([0.25, 0.75], 0.25), ([0.0, 0.0], 1e-9),
+    ([1 - 2.0**-30], 2.0**-30), ([0.1, 0.2, 0.3], 0.1), ([0.7], 0.3), ([1 / 3], 1 / 3),
+    ([np.float64(0.123456789012345)], np.float64(0.004)), ([0], 1),
+    ([Fraction(1, 3), Fraction(2, 7)], Fraction(1, 9)), ([0.2, Fraction(1, 5)], 0.05),
+])
+def test_cover_edge_cases_equal_per_grid_loop(lo, side):
+    # exact powers of two, the window's edges, tiny sides, ints, numpy floats
+    # and Fractions, which are taken as they are
+    assert cover_cube(lo, side) == _cover_cube_per_grid(lo, side, len(lo))
+
+
+def test_cover_reads_the_decimal_a_float_prints():
+    # [0.05, 0.25) as printed ends on the grid line 1/4; the binary floats
+    # 0.05 and 0.2 add up to a hair more, which only the scale-1 cube covers
+    assert cover_cube([0.05], 0.2) == CoveringCube(0, 2, (0,), (Fraction(0),), Fraction(1, 4))
+    assert cover_cube([Fraction(0.05)], Fraction(0.2)).scale == 1
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not a finite number"):
+            cover_cube([0.1], bad)
+    with pytest.raises(ValueError, match="positive"):
+        cover_cube([0.1], 0.0)
 
 
 def test_cover_outside_window():

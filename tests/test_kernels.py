@@ -259,7 +259,8 @@ def _testing_quantity_per_cube(C, sys, b_values, A, p, partners):
             partners[case] += 1
             cells_i = sys.cells_of(cube)
             cells_hat = sys.cells_of(CubeId(k, (partner, *cube.index[1:])))
-            _, _, e_sets, f_sets = quadrant_sets(b_values[cells_i], b_values[cells_hat], meas)
+            (_, _, e_sets, f_sets), = quadrant_sets([(b_values[cells_i], b_values[cells_hat],
+                                                     meas)])
             for child in sys.children(cube):
                 in_child = set(sys.cells_of(child).tolist())
                 for s in range(4):

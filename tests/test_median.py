@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parahaar.median as med
+from parahaar.checks import _cube_pair_draws, _median_draws
+from parahaar.cli import _median_verify_sets as _median_verify_sets_of
 from parahaar.median import (QuadrantFrame, WeightedPointSet, complex_median,
-                             halfplane_median, quadrant_masses, quadrant_sets,
-                             quadrant_split)
+                             complex_medians, halfplane_median, quadrant_masses,
+                             quadrant_sets, quadrant_split)
 
 
 def masses_ok(pts, frame, factor=16.0):
@@ -173,8 +178,8 @@ def test_masses_match_sign_oracle(rng):
 
 
 def test_quadrant_sets_trivial():
-    theta, alpha, e_sets, f_sets = quadrant_sets(np.array([1 + 1j, 2.0]),
-                                                 np.full(4, 5.0 + 1j))
+    (theta, alpha, e_sets, f_sets), = quadrant_sets([(np.array([1 + 1j, 2.0]),
+                                                      np.full(4, 5.0 + 1j), 1.0)])
     assert alpha == pytest.approx(5.0 + 1j)
     for s in range(4):
         assert len(f_sets[s]) == 4  # constant values land in every closed cone
@@ -182,7 +187,7 @@ def test_quadrant_sets_trivial():
 
 def test_quadrant_sets_symmetric():
     vh = np.array([1.0, -1.0, 1j, -1j])
-    theta, alpha, e_sets, f_sets = quadrant_sets(np.array([0.5]), vh, 1.0)
+    (theta, alpha, e_sets, f_sets), = quadrant_sets([(np.array([0.5]), vh, 1.0)])
     masses = [len(f) / 4.0 for f in f_sets]
     assert all(m >= 1 / 16 for m in masses)
 
@@ -193,7 +198,7 @@ def test_quadrant_sets_inequalities(rng):
         ni, nh = int(rng.integers(1, 25)), int(rng.integers(1, 25))
         vi = rng.standard_normal(ni) + 1j * rng.standard_normal(ni)
         vh = rng.standard_normal(nh) + 1j * rng.standard_normal(nh)
-        theta, alpha, e_sets, f_sets = quadrant_sets(vi, vh)
+        (theta, alpha, e_sets, f_sets), = quadrant_sets([(vi, vh, 1.0)])
         rot = np.exp(1j * theta)
         union = set()
         for s in range(4):
@@ -420,3 +425,143 @@ def test_search_goes_on_past_a_failed_touching_base_point():
     # instead of giving up, and the fallback is not reached
     pts = WeightedPointSet([0, 1, 0, 1 + 0.5j, 1, 0.5 - 0.5j, 0], [4, 4, 1, 1, 3, 1, 2])
     _certified_with_counts(pts, 0, 1)
+
+
+# -- many searches in lockstep: complex_medians against complex_median
+
+
+def _experiment_configs(seed):
+    """perfbench/workloads.experiment_configs, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.experiment_configs(seed)
+
+
+def _median_verify_sets(seed):
+    """The point sets of the benchmark's median-verify config at `seed`."""
+    cfg = next(c for c in _experiment_configs(seed) if c["experiment"] == "median-verify")
+    return _median_verify_sets_of(cfg["trials"], np.random.default_rng(cfg["seed"]))
+
+
+_RARE_PATH_SETS = [
+    ([-1j, 1j, -1 - 1j, 1j], [2, 2, 3, 3]),
+    (np.array([2 - 2j, -1 + 1j, -1 - 2j, 1 - 2j, 1 - 2j, 2j, -1 + 1j]) * 0.5 + 1 / 3,
+     [3, 3, 4, 2, 4, 1, 4]),
+    ([1 + 1j, -1 + 1j, 1 - 1j, -1 - 1j, 0.5j], [1, 1, 1, 1, 1]),
+    ([0, -1, 0, -1 + 0.5j, -1, -0.5 - 0.5j, 0], [4, 4, 1, 1, 3, 1, 2]),
+    ([0, 1, 0, 1 + 0.5j, 1, 0.5 - 0.5j, 0], [4, 4, 1, 1, 3, 1, 2]),
+    ([1 + 1j, 2 + 2j, 3 + 3j, -1 - 1j, -2 - 2j, 1 - 1j, -1 + 1j], [1] * 7),
+    ([2 - 1j, 2, 1j], [2, 1, 3]),
+    (np.concatenate([np.exp(0.3j) * np.arange(1, 6), -np.exp(1.1j) * np.arange(1, 6)]), [1] * 10),
+    ([1, -1, 1j, -1j], [1] * 4),
+    ([0, 1, 1 + 1j], [1] * 3),
+    ([0.5 - 0.25j], [3.0]),
+    ([np.inf, 1j, 0], [1, 1, 1]),  # a non-finite point takes the per-set search
+]
+
+
+def _corpus(name):
+    if name.startswith("suite-"):
+        # the median suite's draws: its 1000 point sets, then its 500 cube pairs
+        rng = np.random.default_rng(20240804)
+        sets, _ = _median_draws(rng, range(1000))
+        if name == "suite-sets":
+            return sets
+        return [WeightedPointSet(vh, np.full(vh.size, m / vh.size))
+                for _, vh, m in _cube_pair_draws(rng, 500)]
+    if name.startswith("verify-"):
+        return _median_verify_sets(int(name[len("verify-"):]))
+    if name == "test-suite-sets":
+        return list(_median_suite_sets(np.random.default_rng(20240911), 500))
+    return [WeightedPointSet(z, w) for z, w in _RARE_PATH_SETS]
+
+
+def _per_set(sets):
+    """Frames and stats counts of one complex_median call per set."""
+    med.stats.reset()
+    with np.errstate(invalid="ignore"):
+        frames = [complex_median(pts) for pts in sets]
+    return frames, (med.stats.calls, med.stats.fallbacks, med.stats.boundary_cases)
+
+
+def _lockstep(sets):
+    med.stats.reset()
+    with np.errstate(invalid="ignore"):
+        frames = complex_medians(sets)
+    return frames, (med.stats.calls, med.stats.fallbacks, med.stats.boundary_cases)
+
+
+@pytest.mark.parametrize("name", ["suite-sets", "suite-pairs", "verify-11", "verify-12",
+                                  "test-suite-sets", "rare-paths"])
+def test_lockstep_frames_equal_per_set_frames(name):
+    sets = _corpus(name)
+    assert _lockstep(sets) == _per_set(sets)
+
+
+def test_lockstep_frames_do_not_depend_on_the_chunk(monkeypatch):
+    sets = _corpus("suite-sets")[:300] + _corpus("verify-11")[:300]
+    frames = _lockstep(sets)
+    order = np.random.default_rng(7).permutation(len(sets))
+    for block in (1, 7, 64):
+        monkeypatch.setattr(med, "_SET_BLOCK", block)
+        shuffled, counts = _lockstep([sets[i] for i in order])
+        assert (shuffled, counts) == ([frames[0][i] for i in order], frames[1])
+
+
+def test_lockstep_route_finishes_the_common_searches(monkeypatch):
+    # a set leaves the route only where the per-set search goes past the first
+    # frame at its first base point with an overlap; on random sets that is a
+    # bisection ending without one, a few sets in a thousand
+    tail = []
+    per_set = med.complex_median
+
+    def counted(pts):
+        tail.append(pts)
+        return per_set(pts)
+
+    monkeypatch.setattr(med, "complex_median", counted)
+    for seed in (11, 12):
+        tail.clear()
+        sets = _median_verify_sets(seed)
+        complex_medians(sets)
+        assert len(tail) <= len(sets) // 100
+
+
+def test_lockstep_search_memory():
+    sets = _median_verify_sets(11)
+    tracemalloc.start()
+    try:
+        complex_medians(sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+
+
+def test_row_sums_equal_compressed_sums(rng):
+    for width in (1, 7, 8, 9, 63, 130, 300):
+        w = rng.uniform(0.01, 3.0, (40, width)) * rng.choice([1.0, 1e-9, 1e7], (40, width))
+        mask = rng.random((3, 40, width)) < rng.random((3, 40, 1))
+        expect = [[w[i][mask[q, i]].sum() for i in range(40)] for q in range(3)]
+        assert med._row_sums(w, mask).tolist() == expect
+
+
+def test_row_certificate_decides_as_the_mass_kernel(rng):
+    # totals chosen so that the threshold sits within rounding of a quadrant
+    # mass, where a padded row sum and the compressed sum can disagree
+    for _ in range(200):
+        n = int(rng.integers(1, 40))
+        pts = WeightedPointSet(rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                               rng.uniform(0.1, 1.0, n) * 10.0 ** rng.integers(-3, 4, n))
+        frame = QuadrantFrame(float(rng.uniform(0, np.pi)), float(rng.standard_normal()) * 0.3,
+                              float(rng.standard_normal()) * 0.3)
+        masses = quadrant_masses(pts, frame)
+        for target in (pts.total / 16.0, masses.min(), np.nextafter(masses.min(), 0), 1e-300):
+            total = np.array([16.0 * target / (1.0 - 16e-12)])
+            for nudge in (-1, 0, 1):
+                t = total if nudge == 0 else np.nextafter(total, np.inf * nudge)
+                need = t[0] / 16.0 - 1e-12 * max(1.0, t[0])
+                got = med._row_certified(pts.z[None], pts.w[None], t, [frame])
+                assert got.tolist() == [bool(np.all(masses >= need))]
