@@ -20,11 +20,13 @@ log2(n) eps.  A fixed absolute 1e-12 is inside the model while
 
 The exact records: the scale each is judged at, the n it sums over, and
 whether its fixed tolerance still follows from the model at D = 10^6 (where
-n = D for every sum over cells or basis slots):
+n = D for every sum over cells or basis slots; a tree walk's n = N d_eff, d_eff
+terms per scale, is below that of the cell route it is compared with):
 
   record                          scale                         n          at D = 10^6
   haar-orthonormality-parseval    absolute: Gram (1), Parseval  cells      no
-                                  (||f||^2), round trip (||f||)
+                                  (||f||^2), round trip (||f||);
+                                  walks vs basis_matrix: model_bound(cells, ||f||)
   haar-product-rule               absolute (|Q|^-1 = d)         1          yes
   filtration-telescoping          absolute (||f||)              cells      no
   adjoint-conjugate-transpose     absolute (largest entry)      cells      no
@@ -173,7 +175,9 @@ def load_calibration(path=None):
 
 
 def check_orthonormality(rng):
-    worst = 0.0
+    """Gram, Parseval and round trip within EXACT_TOL; the walks `coeffs` and
+    `synthesize` against the `basis_matrix` products within model_bound(cells, ||f||)."""
+    worst = walks = 0.0
     for d, N, dim in ((2, 3, 1), (3, 2, 1), (5, 1, 1), (2, 2, 2)):
         sys = build_system(DyadicParams(d, N, dim=dim))
         B = sys.basis_matrix
@@ -185,7 +189,13 @@ def check_orthonormality(rng):
                                - float((np.abs(f.values) ** 2).sum() * sys.cell_measure)))
         g = sys.synthesize(c)
         worst = max(worst, float(np.abs(g.values - f.values).max()))
-    return _rec("haar-orthonormality-parseval", "haar-basis-expansion", worst, EXACT_TOL)
+        bound = model_bound(sys.n_cells, float(np.abs(f.values).max()))
+        analysis = B.conj().T @ f.scalar() * sys.cell_measure
+        walks = max(walks, float(np.abs(c[:, 0, 0] - analysis).max()) / bound,
+                    float(np.abs(g.scalar() - B @ c[:, 0, 0]).max()) / bound)
+    return CheckRecord("haar-orthonormality-parseval", "haar-basis-expansion",
+                       worst <= EXACT_TOL and walks <= 1.0, worst,
+                       f"walks at {walks:.2g} of the model bound")
 
 
 def check_product_rule(rng):

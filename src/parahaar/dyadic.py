@@ -113,16 +113,8 @@ class StepFunction:
             raise ValueError("not a scalar step function")
         return self.values[:, 0, 0]
 
-    def __add__(self, other):
-        return StepFunction(self.values + other.values)
-
     def __sub__(self, other):
         return StepFunction(self.values - other.values)
-
-    def __mul__(self, c):
-        return StepFunction(self.values * c)
-
-    __rmul__ = __mul__
 
 
 @dataclass(frozen=True)
@@ -369,7 +361,8 @@ class FiniteDyadicSystem:
 
         float64 when every `child_values` table is real (d = 2, any dim: the
         phases are signs), complex128 otherwise; the values are the same
-        either way.  Built once per system; read-only.
+        either way.  A read-only oracle, built on first read by the dense
+        assemblies and checks that compare against it; the transforms walk the tree.
         """
         if self._basis is None:
             values = self._table_values()
@@ -475,13 +468,40 @@ class FiniteDyadicSystem:
         """Cube scale per basis position; -1 for the coarse slot (read-only)."""
         return self._scale_of_row
 
+    def cube_means(self, coeffs):
+        """Per scale k = 0..N, the (n_k, m, m) means over the scale-k cubes, in
+        rank order, of the function with basis coefficients `coeffs`: one walk
+        down the tree from the coarse block, each child's mean its parent's
+        plus the parent's `child_values(k)` applied to its colour blocks."""
+        coeffs = np.asarray(coeffs, dtype=complex)
+        rest, means = coeffs.shape[1:], [coeffs[:1]]
+        for k, table in enumerate(self._table_values()):
+            n = len(means[k])
+            blocks = coeffs[self._first_slot[k]:self._first_slot[k + 1]].reshape((n, -1) + rest)
+            kids = np.empty((n * self.d_eff,) + rest, dtype=complex)
+            kids[self.descendants(k, 1).T] = means[k] + _table_product(table, blocks.swapaxes(0, 1))
+            means.append(kids)
+        return means
+
     def coeffs(self, f: StepFunction):
-        """Basis coefficients, shape (dim_basis, m, m): B^H (|cell| f)."""
+        """Basis coefficients, shape (dim_basis, m, m): one walk up the tree, each
+        cube's colour blocks its child means through conj(`child_values`) times
+        the child measure."""
         _require_cells(self, f)
-        return _table_product(self.basis_matrix, f.values * self.cell_measure, adjoint=True)
+        means, scales = f.values[self.cells_by_scale[-1][:, 0]], []
+        for k, table in reversed(list(enumerate(self._table_values()))):
+            kids = means[self.descendants(k, 1).T]  # (child, cube, m, m); scratch below
+            means = kids.mean(axis=0)
+            blocks = _table_product(table, kids, adjoint=True) * self.scale_measure(k + 1)
+            scales.append(blocks.swapaxes(0, 1).reshape((-1,) + means.shape[1:]))
+        return np.concatenate([means] + scales[::-1])
 
     def synthesize(self, coeffs):
-        return StepFunction(_table_product(self.basis_matrix, coeffs))
+        """The step function of these basis coefficients: scale-N `cube_means` on the cells."""
+        means = self.cube_means(coeffs)[-1]
+        out = np.empty_like(means)
+        out[self.cells_by_scale[-1][:, 0]] = means
+        return StepFunction(out)
 
 
 def _table_product(table, x, adjoint=False):
@@ -490,7 +510,9 @@ def _table_product(table, x, adjoint=False):
     A real table multiplies the float view of x in one real GEMM.  A complex
     one runs one complex GEMM, the adjoint as conj(table^T conj x), which
     conjugates a complex x in place: an adjoint's x is scratch.  No copy of
-    the table is made.
+    the table is made.  The walks `cube_means` and `coeffs` multiply each
+    scale's `child_values` with it, the oracles `_mult_matrix` and
+    `averaged_shift_cell_matrix` the `basis_matrix`.
     """
     x = np.ascontiguousarray(x, dtype=complex)
     t = table.T if adjoint else table

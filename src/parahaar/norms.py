@@ -14,14 +14,12 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import (StepFunction, _is_integer, _offset_at, _require_cells, expectation,
-                     martingale_difference)
+from .dyadic import StepFunction, _is_integer, _offset_at, expectation, martingale_difference
 from .paraproducts import Symbol
 from .spectral import _require_positive
 
 __all__ = [
     "block_lp",
-    "function_lp",
     "besov_haar",
     "besov_haars",
     "besov_diff",
@@ -59,29 +57,6 @@ def _block_lps(blocks, ps) -> list:
             for p in ps]
 
 
-def function_lp(sys, f: StepFunction, p) -> float:
-    """L_p norm of a block step function, cells weighted by measure.
-
-    At p = inf, the largest cell-wise operator norm.
-    """
-    _require_cells(sys, f)
-    return _function_lps(sys, f, (p,))[0]
-
-
-def _function_lps(sys, f: StepFunction, ps) -> list[float]:
-    """[function_lp(sys, f, p) for p in ps], from one SVD call."""
-    _require_positive(ps)
-    sv = _singular_values(f.values)
-    out = []
-    for p in ps:
-        if p == np.inf:
-            out.append(float(sv[:, 0].max()))
-            continue
-        per_cell = (sv ** p).sum(axis=1) / f.blockdim
-        out.append(float((sys.cell_measure * per_cell.sum()) ** (1.0 / p)))
-    return out
-
-
 def besov_haar(sys, b: Symbol, p) -> float:
     """(sum_Q (|Q|^{-1/2} ||b_Q||_p)^p)^{1/p}; at p = inf the largest term."""
     return besov_haars(sys, b, (p,))[0]
@@ -100,17 +75,22 @@ def besov_diff(sys, b: Symbol, p) -> float:
 
 
 def besov_diffs(sys, b: Symbol, ps) -> list[float]:
-    """[besov_diff(sys, b, p) for p in ps]: b synthesized once, each
-    d_k b = E_k b - E_{k-1} b decomposed once."""
-    f = b.function()
-    N = sys.params.depth
-    by_k, coarse = [], expectation(sys, f, 0)
-    for k in range(1, N + 1):
-        fine = expectation(sys, f, k)
-        by_k.append(_function_lps(sys, fine - coarse, ps))
-        coarse = fine
-    weights = float(sys.d_eff) ** np.arange(1, N + 1)
-    return [_weighted_sum(terms, p, weights) for terms, p in zip(np.transpose(by_k), ps)]
+    """[besov_diff(sys, b, p) for p in ps] from one walk down the tree and one
+    block SVD.  As d^k |Q| = 1 for a scale-k cube Q, the sum runs over the
+    blocks of d_k b, a cube's mean less its parent's, on the cubes of scales
+    1..N."""
+    means = sys.cube_means(b.blocks)
+    diffs = np.concatenate([(means[k][sys.descendants(k - 1, 1)] - means[k - 1][:, None])
+                            .reshape(means[k].shape) for k in range(1, len(means))])
+    return [_weighted_sum(lps, p) for p, lps in zip(ps, _block_lps(diffs, ps))]
+
+
+def _oscillations(sys, b: Symbol):
+    """b - E_k b for k = 0..N-1, each (n_k, cells per cube, m, m): b on the
+    cells of each scale-k cube less its mean from the walk down the tree."""
+    means, values = sys.cube_means(b.blocks), b.function().values
+    for k in range(len(means) - 1):
+        yield values[sys.cells_by_scale[k]] - means[k][:, None]
 
 
 def besov_osc(sys, b: Symbol, p) -> float:
@@ -118,10 +98,9 @@ def besov_osc(sys, b: Symbol, p) -> float:
     _require_positive((p,))
     if p < 1:
         raise ValueError("the oscillation form needs p >= 1")
-    f = b.function()
-    N = sys.params.depth
-    lps = [function_lp(sys, f - expectation(sys, f, k), p) for k in range(N)]
-    return _weighted_sum(lps, p, float(sys.d_eff) ** np.arange(N))
+    lps = [_weighted_sum(_block_lps(dev.reshape((-1,) + dev.shape[2:]), (p,))[0], p,
+                         sys.cell_measure) for dev in _oscillations(sys, b)]
+    return _weighted_sum(lps, p, float(sys.d_eff) ** np.arange(sys.params.depth))
 
 
 def _weighted_sum(terms, p, weights=1.0) -> float:
@@ -150,25 +129,17 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
 
     form_b = 0.0
     energy = np.abs(b.blocks[:, 0, 0]) ** 2
-    for k in range(N - 1, -1, -1):  # per cube, its colours' mass, then its children's
-        total = sum(energy[cols] for cols in sys.scale_layouts[k][1].T)
-        if k < N - 1:
-            total = total + sum(mass[kids] for kids in sys.descendants(k, 1).T)
-        mass = total
-        form_b = max(form_b, float(np.sqrt(total / sys.scale_measure(k)).max()))
+    mass = np.zeros(sys.n_cells)
+    for k in range(N - 1, -1, -1):  # per cube, its colours' mass plus its children's
+        mass = energy[sys.scale_layouts[k][1]].sum(axis=1) + mass[sys.descendants(k, 1)].sum(axis=1)
+        form_b = max(form_b, float(np.sqrt(mass / sys.scale_measure(k)).max()))
     return BmoForms(form_a, form_b)
 
 
 def bmo_operator(sys, b: Symbol) -> float:
     """sup over cubes of the mean quadratic oscillation in the block operator norm."""
-    f = b.function()
-    best = 0.0
-    for k in range(0, sys.params.depth):
-        fk = expectation(sys, f, k)
-        dev = f - fk
-        sv = _singular_values(dev.values)[:, 0] ** 2
-        best = max(best, float(np.sqrt(sv[sys.cells_by_scale[k]].mean(axis=1)).max()))
-    return best
+    return max(float(np.sqrt((_singular_values(dev)[..., 0] ** 2).mean(axis=1)).max())
+               for dev in _oscillations(sys, b))
 
 
 def grid_coords(n_cells: int, cells_per_axis: int, dim: int) -> np.ndarray:

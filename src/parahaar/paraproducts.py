@@ -23,8 +23,8 @@ built where a check compares against it:
   `cube_averages`) and checks.check_triangle_split;
 - triangle_tilde, LambdaTilde_b from its same-cube entries, called by
   checks.check_triangle_split (Lambda_b = pi_{b*}^* + LambdaTilde_b);
-- apply_paraproduct, the matrix-free action, called by the tests against
-  paraproduct.
+- apply_paraproduct, the matrix-free action from cell means, called by the
+  tests against apply_op(paraproduct), which goes through the tree walks.
 No operator is built from one of the identities it is checked by.
 """
 
@@ -174,8 +174,8 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
 
     One pass per scale, O(n m^2), with h_I^i on each child of I read from
     `sys.child_values`: an independent oracle of apply_op(paraproduct(sys, b),
-    sys, f), which goes through the flat cube-average table and the basis
-    matrix.
+    sys, f), which goes through the flat cube-average table and the tree
+    walks `coeffs` and `synthesize`.
     """
     m = b.blockdim
     if f.blockdim != m:
@@ -309,10 +309,8 @@ def r_op(sys, b: Symbol) -> np.ndarray:
     m x m block E_s b on Q, the mean of b over Q; the coarse slot carries 0.
     """
     m = b.blockdim
-    values = b.function().values
     out = np.zeros((sys.dim_basis, m, sys.dim_basis, m), dtype=complex)
-    for cells, cols, _ in sys.scale_layouts:
-        means = values[cells].mean(axis=1)  # (Q, m, m)
+    for (_, cols, _), means in zip(sys.scale_layouts, sys.cube_means(b.blocks)):
         out[cols, :, cols, :] = means[:, None]
     return out.reshape(sys.dim_basis * m, sys.dim_basis * m)
 

@@ -219,13 +219,11 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     if not len(spec.values):
         return phi, {}
 
-    f = b.function()
-    width = spec.cubes.shape[2]
-    cubes, inverse = np.unique(spec.cubes[:, :2].reshape(-1, width), axis=0, return_inverse=True)
-    avg = np.stack([f.values[sys.cells_by_scale[c[0]][sys.cube_rank(c[0], c[1:])]].mean(axis=0)
-                    for c in cubes])  # `_slots` has checked every label
-    inverse = inverse.reshape(-1, 2)
-    terms = spec.values[:, None, None] * (avg[inverse[:, 0]] - avg[inverse[:, 1]])
+    means = sys.cube_means(b.blocks)
+    start = np.cumsum([0] + [len(x) for x in means])  # of each scale in the stacked means
+    scale, index = spec.cubes[:, :2, 0], spec.cubes[:, :2, 1:]  # `_slots` has checked them
+    avg = np.concatenate(means)[start[scale] + sys.cube_rank(scale, np.moveaxis(index, -1, 0))]
+    terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
 
     rows, cols = _slots(sys, spec)
     owners, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True,

@@ -761,3 +761,30 @@ def test_basis_tables_are_read_only(d, dim):
             column[0] = 2
     # the dense oracle is built on each read and kept by no one
     assert sys.cube_average_matrix is not sys.cube_average_matrix
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d,N,dim,shift", [
+    (2, 4, 1, None), (3, 3, 1, None), (5, 2, 1, None), (2, 3, 2, None),
+    (2, 4, 1, (1, 0, 1, 1)), (2, 3, 2, (3, 1, 2)),
+])
+def test_tree_walks_match_the_basis_oracle(d, N, dim, shift, m, rng):
+    """`coeffs` and `synthesize` against the dense `basis_matrix` products, and
+    `cube_means` against per-cube means of the cells, all within the
+    tolerance model at ||f||.  Mutants this kills: `coeffs` applying
+    `child_values` without conj (d = 3, 5), one child order swapped in either
+    walk, the child measure taken at the parent's scale, and `synthesize`
+    writing the finest ranks as cell ids (dim 2 and the shifted grid)."""
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    B = sys.basis_matrix
+    f = rng.standard_normal((sys.n_cells, m, m)) + 1j * rng.standard_normal((sys.n_cells, m, m))
+    bound = model_bound(sys.n_cells, np.abs(f).max())
+    c = sys.coeffs(StepFunction(f))
+    assert c.shape == (sys.dim_basis, m, m)
+    assert np.abs(c - np.einsum("cr,cij->rij", B.conj(), f) * sys.cell_measure).max() <= bound
+    assert np.abs(sys.synthesize(c).values - np.einsum("cr,rij->cij", B, c)).max() <= bound
+    means = sys.cube_means(c)
+    assert len(means) == N + 1
+    for k, cubes in enumerate(sys.cubes_by_scale):
+        want = np.stack([f[sys.cells_of(cube)].mean(axis=0) for cube in cubes])
+        assert means[k].shape == want.shape and np.abs(means[k] - want).max() <= bound

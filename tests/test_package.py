@@ -233,27 +233,29 @@ def _functions_reading(path, attr):
 
 def test_only_the_adjoint_oracle_reads_the_dense_average_table():
     """`cube_average_matrix` is the oracle of the flat `cube_averages`: inside
-    the package only `adjoint_paraproduct` reads it, and `paraproduct` and
-    `rank_piece` (with every paraproducts function they call) read neither it
-    nor `basis_matrix`."""
+    the package only `adjoint_paraproduct` reads it."""
     readers = sorted(f"{path.stem}:{name}" for path in SRC.glob("*.py")
                      for name in _functions_reading(path, "cube_average_matrix"))
     assert readers == ["paraproducts:adjoint_paraproduct"]
-    path = SRC / "paraproducts.py"
-    functions = {node.name: node for node in ast.parse(path.read_text()).body
-                 if isinstance(node, ast.FunctionDef)}
-    reached, todo = set(), ["paraproduct", "rank_piece"]
-    while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        todo += [node.func.id for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Name) and node.func.id in functions]
-    assert {"paraproduct", "rank_piece"} < reached  # they share a helper
-    dense = {name for attr in ("basis_matrix", "cube_average_matrix")
-             for name in _functions_reading(path, attr)}
-    assert sorted(reached & dense) == []
+
+
+# the package functions that may read the dense D x D `basis_matrix`, each an
+# oracle or a dense assembly on the cells; the transforms and the Besov and
+# BMO functionals walk the tree instead
+BASIS_READERS = {
+    "checks:check_orthonormality": "the Gram matrix, and the dense products the walks "
+                                   "`coeffs` and `synthesize` are judged against",
+    "dyadic:cube_average_matrix": "the dense oracle of the flat `cube_averages`",
+    "paraproducts:_mult_matrix": "mult_op, the dense oracle of the decomposition M_b",
+    "paraproducts:triangle_op": "Lambda_b by analysis of pointwise products on the cells",
+    "shifts:averaged_shift_cell_matrix": "each grid's shift carried to a cell matrix, B S B^H",
+}
+
+
+def test_only_the_oracles_read_the_basis_matrix():
+    readers = {f"{path.stem}:{name}" for path in SRC.glob("*.py")
+               for name in _functions_reading(path, "basis_matrix")}
+    assert sorted(readers) == sorted(BASIS_READERS)
 
 
 def test_only_dyadic_decides_real_or_complex_tables():
