@@ -83,6 +83,9 @@ class CheckRecord:
     worst: float
     detail: str = ""
 
+    def __post_init__(self):  # plain Python values: json cannot write a numpy bool
+        self.passed, self.worst = bool(self.passed), float(self.worst)
+
     def as_dict(self):
         return {"name": self.name, "paper_ref": self.paper_ref,
                 "pass": self.passed, "worst": self.worst, "detail": self.detail}
@@ -95,7 +98,7 @@ def model_bound(n, scale):
 
 
 def _rec(name, ref, worst, bound, detail=""):
-    return CheckRecord(name, ref, bool(worst <= bound), float(worst), detail)
+    return CheckRecord(name, ref, worst <= bound, worst, detail)
 
 
 def _read_calibration(path):

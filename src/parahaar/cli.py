@@ -53,9 +53,9 @@ def _write_summary(path, experiment, seed, records, rows):
         "assertions": [r.as_dict() for r in records],
         "rows": rows,
     }
-    with open(path, "w") as fh:
-        json.dump(_finite_json(payload), fh, indent=1, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    text = json.dumps(_finite_json(payload), indent=1, sort_keys=True, allow_nan=False)
+    with open(path, "w") as fh:  # serialized first: a failure leaves no partial file
+        fh.write(text + "\n")
 
 
 def _experiment_theorem1(cfg, rng, outdir):
@@ -97,7 +97,7 @@ def _experiment_median_verify(cfg, rng, outdir):
         CheckRecord("sixteenth-mass", "closed-quadrant-mass", ok,
                     min(r["margin"] for r in rows)),
         CheckRecord("fallbacks", "constructive-path-coverage", median.stats.fallbacks == 0,
-                    float(median.stats.fallbacks), f"boundary={median.stats.boundary_cases}"),
+                    median.stats.fallbacks, f"boundary={median.stats.boundary_cases}"),
     ], rows
 
 

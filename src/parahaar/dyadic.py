@@ -137,10 +137,11 @@ class FiniteDyadicSystem:
 
     A scale-k cube's rank is `cube_rank` of its index (inverse `cube_index`),
     its wavelet of colour c sits at basis position `slot(k, rank, c)`, and row
-    `rank` of the read-only `cells_by_scale[k]` holds its sorted cells.  Only
-    these methods write the numbering down, and the build makes arrays alone:
-    the labels `cubes_by_scale` and `haar_indices` are built on first read,
-    and `position` takes a wavelet label to its slot.
+    `rank` of the read-only `cells_by_scale[k]` holds its sorted cells, read
+    off the children `descendants(k, 1)`.  Only these methods write the
+    numbering down, `descendants` alone the shift, and the build makes
+    arrays alone: the labels `cubes_by_scale` and `haar_indices` are built
+    on first read, and `position` takes a wavelet label to its slot.
     """
 
     def __init__(self, params: DyadicParams, shift: Optional[GridShift] = None):
@@ -162,32 +163,26 @@ class FiniteDyadicSystem:
         self.n_cells = self.d_eff**N
         self.cell_measure = 1.0 / self.n_cells
 
-        # per axis, the shift digit of each scale 0..N-1 and the offset of
-        # each scale's grid in finest cells, sum_{s >= k} digit_s 2^(N-s-1)
+        # per axis, the shift digit of each scale 0..N-1, read by `descendants` alone
         omega = np.array(shift.omega if shift is not None else [0] * N, dtype=np.int64)
         self._digits = (omega >> np.arange(dim)[:, None]) & 1
-        step = np.append(self._digits * 2 ** (N - 1 - np.arange(N)), np.zeros((dim, 1), int), 1)
-        offset = np.cumsum(step[:, ::-1], axis=1)[:, ::-1]
+        self._descendants = {}
 
-        # cell ids are computed in int64 and kept in the narrowest signed dtype
-        # of at least 32 bits that holds them
+        # cell ids sum_t (axis-t cell) * axis_cells**t, in the narrowest signed
+        # dtype of at least 32 bits that holds them.  A finest cube is one
+        # cell, its rank its index read in C order; a coarser cube's cells
+        # are its children's, sorted
         dtype = np.promote_types(np.int32, np.min_scalar_type(1 - self.n_cells))
-        tables = []
-        for k in range(N + 1):
-            count = self.axis_count(k)
-            per = self.axis_cells // count
-            cells = np.zeros((count,) * dim + (per,) * dim, dtype=np.int64)
-            for t in range(dim):  # cell id = sum_t (axis-t cell) * axis_cells**t
-                run = np.arange(count)[:, None] * per + np.arange(per) + offset[t, k]
-                shape = [1] * (2 * dim)
-                shape[t], shape[dim + t] = count, per
-                cells += self.axis_cells**t * (run % self.axis_cells).reshape(shape)
-            cells = np.sort(cells.reshape(count**dim, per**dim).astype(dtype), axis=1)
+        ids = np.arange(self.n_cells, dtype=dtype).reshape((self.axis_cells,) * dim)
+        tables = [ids.T.reshape(-1, 1)]
+        for k in range(N - 1, -1, -1):
+            kids = tables[-1][self.descendants(k, 1)]  # (cube, child, cell)
+            tables.append(np.sort(kids.reshape(len(kids), -1), axis=1))
+        for cells in tables:
             cells.flags.writeable = False
-            tables.append(cells)
-        self.cells_by_scale = tuple(tables)
+        self.cells_by_scale = tuple(tables[::-1])
 
-        sizes = [1] + [self.n_colors * len(c) for c in tables[:N]]  # coarse first
+        sizes = [1] + [self.n_colors * len(c) for c in self.cells_by_scale[:N]]  # coarse first
         self._first_slot = np.cumsum(sizes)  # of each scale's Haar slots; scale N's is dim_basis
         self.dim_basis = int(self._first_slot[N])
         self._scale_of_row = np.repeat(np.arange(-1, N), sizes)
@@ -197,8 +192,8 @@ class FiniteDyadicSystem:
         self._haar = None
         self._basis = None
         self._averages = None
-        self._layouts = None
-        self._descendants = {}
+        self._phases = None
+        self._tables = None
 
     @property
     def cubes_by_scale(self):
@@ -291,13 +286,15 @@ class FiniteDyadicSystem:
         descendants of `cubes_by_scale[k][r]`, in the order `children` lists
         them: on each axis t, child q of index i sits at base * i + the
         scale's shift digit + digit t of q in base `base`, modulo the axis
-        count.  Each table is built on first use and kept; read-only.
+        count.  This is the one place the shift is written: the g = 1 tables
+        are built with the system, which reads its cell tables off them, and
+        the others on first use.  Every table is kept; read-only.
         """
         if not (0 <= k and 0 <= g and k + g <= self.params.depth):
             raise ValueError(f"generation {g} below scale {k} leaves the window")
         table = self._descendants.get((k, g))
         if table is None:
-            n = len(self.cells_by_scale[k])
+            n = self.d_eff**k
             if g == 0:
                 table = np.arange(n)[:, None]
             elif g == 1:
@@ -320,18 +317,19 @@ class FiniteDyadicSystem:
         the sign (-1)^{|beta & colour|} on child beta in several."""
         d, dim = self.params.d, self.params.dim
         amp = d ** (k / 2.0) if dim == 1 else 2.0 ** (k * dim / 2.0)
-        table = np.empty((self.d_eff, self.n_colors), dtype=complex)
-        for q, color in itertools.product(range(self.d_eff), range(1, self.n_colors + 1)):
-            if dim > 1:
-                phase = -1.0 if bin(q & color).count("1") % 2 else 1.0
-            else:
-                rot = (color * (q + 1)) % d
-                if 2 * rot % d == 0:
-                    phase = 1.0 if rot == 0 else -1.0  # exact for half turns
+        if self._phases is None:  # the phase rule, once per system
+            self._phases = np.empty((self.d_eff, self.n_colors), dtype=complex)
+            for q, color in itertools.product(range(self.d_eff), range(1, self.n_colors + 1)):
+                if dim > 1:
+                    phase = -1.0 if bin(q & color).count("1") % 2 else 1.0
                 else:
-                    phase = np.exp(2j * np.pi * rot / d)
-            table[q, color - 1] = amp * phase
-        return table
+                    rot = (color * (q + 1)) % d
+                    if 2 * rot % d == 0:
+                        phase = 1.0 if rot == 0 else -1.0  # exact for half turns
+                    else:
+                        phase = np.exp(2j * np.pi * rot / d)
+                self._phases[q, color - 1] = phase
+        return amp * self._phases
 
     def haar_values(self, h: HaarIndex):
         """Cell values of the wavelet h (unit L2 norm, zero mean)."""
@@ -348,11 +346,16 @@ class FiniteDyadicSystem:
 
     def _table_values(self):
         """`child_values(k)` for k = 0..N-1, each as float64 when every table
-        is real (d = 2, any dim: the phases are signs), complex128 otherwise."""
-        values = [self.child_values(k) for k in range(self.params.depth)]
-        if any(v.imag.any() for v in values):
-            return values
-        return [v.real for v in values]
+        is real (d = 2, any dim: the phases are signs), complex128 otherwise.
+        Built on first use and kept; read-only."""
+        if self._tables is None:
+            values = [self.child_values(k) for k in range(self.params.depth)]
+            if not self._phases.imag.any():
+                values = [v.real for v in values]
+            for v in values:
+                v.flags.writeable = False
+            self._tables = tuple(values)
+        return self._tables
 
     @property
     def basis_matrix(self):
@@ -368,9 +371,9 @@ class FiniteDyadicSystem:
             values = self._table_values()
             B = np.zeros((self.n_cells, self.dim_basis), dtype=values[0].dtype)
             B[:, 0] = 1.0
-            for k, (_, cols, _) in enumerate(self.scale_layouts):
+            for k, table in enumerate(values):
                 kids = self.cells_by_scale[k + 1][self.descendants(k, 1)]  # (cube, child, cell)
-                B[kids[..., None], cols[:, None, None, :]] = values[k][:, None, :]
+                B[kids[..., None], self.haar_slots(k)[:, None, None, :]] = table[:, None, :]
             B.flags.writeable = False
             self._basis = B
         return self._basis
@@ -394,12 +397,11 @@ class FiniteDyadicSystem:
             values = self._table_values()
             above = np.ones((1, 1), dtype=values[0].dtype)
             parts = []
-            for s, (cells, cols, rows) in enumerate(self.scale_layouts):
-                n_q = len(cells)
-                width = above.shape[1]  # coarse + strict ancestors of each scale-s cube
+            for s, (slots, support) in enumerate(self.supports()):
+                n_q, width = support.shape
                 shape = (n_q, self.n_colors, width)  # rows repeat across a cube's colours
                 parts.append([np.broadcast_to(a, shape).ravel() for a in
-                              (cols[:, :, None], rows[:, None, :width], above[:, None, :])])
+                              (slots[:, :, None], support[:, None, :], above[:, None, :])])
                 below = np.empty((n_q * self.d_eff, width + self.n_colors), dtype=above.dtype)
                 below[self.descendants(s, 1)] = np.concatenate(
                     [np.broadcast_to(above[:, None, :], (n_q, self.d_eff, width)),
@@ -430,39 +432,32 @@ class FiniteDyadicSystem:
         """
         B = self.basis_matrix
         A = np.zeros((self.dim_basis - 1, self.dim_basis), dtype=B.dtype)
-        for cells, cols, rows in self.scale_layouts:
-            support = rows[:, : rows.shape[1] - self.n_colors]  # coarse + strict ancestors
+        for cells, (slots, support) in zip(self.cells_by_scale, self.supports()):
             means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
-            A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
+            A[slots[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
         A.flags.writeable = False
         return A
 
-    @property
-    def scale_layouts(self):
-        """Per scale s = 0..N-1, (cells, cols, rows) of the scale-s cubes.
+    def haar_slots(self, k):
+        """(n_k, n_colors) basis positions of the scale-k wavelets, row r those
+        of the cube of rank r: the range of slots the scale occupies."""
+        return np.arange(self._first_slot[k], self._first_slot[k + 1]).reshape(-1, self.n_colors)
 
-        cells (n_Q, cells per cube) is `cells_by_scale[s]`, cols (n_Q,
-        n_colors) the Haar slots of each cube Q, and rows (n_Q, 1 + (s+1)
-        n_colors) the coarse slot, the slots of Q's ancestors and Q's own
-        slots: the support of every function on Q that is constant on Q's
-        children.  Built once per system; the arrays are read-only.
+    def supports(self):
+        """Per scale s = 0..N-1, (slots, support) of the scale-s cubes in rank
+        order: slots is `haar_slots(s)`, and support (n_s, 1 + s n_colors)
+        holds the coarse slot and the slots of the cube's strict ancestors,
+        coarsest first, the support of every function constant on the cube.
+        One walk down `descendants`, each child's support its parent's plus
+        the parent's slots; int64, made afresh on each walk.
         """
-        if self._layouts is None:
-            colors = np.arange(1, self.n_colors + 1)
-            above = np.zeros((self.n_cells, 1), dtype=np.int64)  # per cell: coarse + ancestors
-            layouts = []
-            for s in range(self.params.depth):
-                cells = self.cells_by_scale[s]
-                cols = self.slot(s, np.arange(len(cells))[:, None], colors)
-                rows = np.concatenate([above[cells[:, 0]], cols], axis=1)
-                for a in (cols, rows):
-                    a.flags.writeable = False
-                layouts.append((cells, cols, rows))
-                own = np.empty((self.n_cells, self.n_colors), dtype=np.int64)
-                own[cells] = cols[:, None, :]
-                above = np.concatenate([above, own], axis=1)
-            self._layouts = tuple(layouts)
-        return self._layouts
+        support = np.zeros((1, 1), dtype=np.int64)
+        for s in range(self.params.depth):
+            slots = self.haar_slots(s)
+            yield slots, support
+            below = np.empty((len(slots) * self.d_eff, support.shape[1] + self.n_colors), np.int64)
+            below[self.descendants(s, 1)] = np.concatenate([support, slots], axis=1)[:, None, :]
+            support = below
 
     def scale_of_row(self):
         """Cube scale per basis position; -1 for the coarse slot (read-only)."""

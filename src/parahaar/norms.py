@@ -121,9 +121,8 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
 
     form_a = 0.0
     tail = np.zeros(sys.n_cells)
-    diffs = [np.abs(martingale_difference(sys, f, k).scalar()) ** 2 for k in range(1, N + 1)]
     for n in range(N - 1, -1, -1):
-        tail = tail + diffs[n]
+        tail = tail + np.abs(martingale_difference(sys, f, n + 1).scalar()) ** 2
         cond = expectation(sys, StepFunction(tail.astype(complex)), n)
         form_a = max(form_a, float(np.sqrt(cond.scalar().real.max())))
 
@@ -131,7 +130,7 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
     energy = np.abs(b.blocks[:, 0, 0]) ** 2
     mass = np.zeros(sys.n_cells)
     for k in range(N - 1, -1, -1):  # per cube, its colours' mass plus its children's
-        mass = energy[sys.scale_layouts[k][1]].sum(axis=1) + mass[sys.descendants(k, 1)].sum(axis=1)
+        mass = energy[sys.haar_slots(k)].sum(axis=1) + mass[sys.descendants(k, 1)].sum(axis=1)
         form_b = max(form_b, float(np.sqrt(mass / sys.scale_measure(k)).max()))
     return BmoForms(form_a, form_b)
 

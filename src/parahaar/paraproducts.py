@@ -182,9 +182,9 @@ def apply_paraproduct(sys, b: Symbol, f: StepFunction) -> StepFunction:
         raise ValueError("block dimensions of symbol and input differ")
     _require_cells(sys, f)
     out = np.zeros_like(f.values)
-    for k, (cells, cols, _) in enumerate(sys.scale_layouts):
-        means = f.values[cells].mean(axis=1)  # (cube, m, m)
-        terms = b.blocks[cols] @ means[:, None]  # (cube, colour, m, m)
+    for k in range(sys.params.depth):
+        means = f.values[sys.cells_by_scale[k]].mean(axis=1)  # (cube, m, m)
+        terms = b.blocks[sys.haar_slots(k)] @ means[:, None]  # (cube, colour, m, m)
         kids = sys.cells_by_scale[k + 1][sys.descendants(k, 1)]  # (cube, child, cell)
         out[kids] += np.einsum("qt,itab->iqab", sys.child_values(k), terms)[:, :, None]
     return StepFunction(out)
@@ -267,7 +267,8 @@ def triangle_op(sys, b: Symbol) -> np.ndarray:
     D = sys.dim_basis
     basis = sys.basis_matrix
     lam = np.zeros((D, m, D, m), dtype=complex)
-    for cells, cols, rows in sys.scale_layouts:
+    for cells, (cols, support) in zip(sys.cells_by_scale, sys.supports()):
+        rows = np.concatenate([support, cols], axis=1)  # Q's support and Q's own slots
         # (Q, cell, color), complex: the products below are complex anyway
         haar = basis[cells[:, :, None], cols[:, None, :]].astype(complex, copy=False)
         # d_{s+1} b on Q: only Q's own wavelets of scale s are nonzero there
@@ -296,8 +297,8 @@ def triangle_tilde(sys, b: Symbol) -> np.ndarray:
     lam_tilde = np.zeros((D, m, D, m), dtype=complex)
     s, t = np.nonzero(~np.eye(sys.n_colors, dtype=bool))  # colour - 1 of each pair
     i = (s - t) % sys.params.d - 1 if sys.params.dim == 1 else ((s + 1) ^ (t + 1)) - 1
-    for k, (_, cols, _) in enumerate(sys.scale_layouts):
-        weight = sys.scale_measure(k) ** -0.5
+    for k in range(sys.params.depth):
+        cols, weight = sys.haar_slots(k), sys.scale_measure(k) ** -0.5
         lam_tilde[cols[:, s], :, cols[:, t], :] = weight * arr[cols[:, i]]
     return lam_tilde.reshape(D * m, D * m)
 
@@ -310,7 +311,8 @@ def r_op(sys, b: Symbol) -> np.ndarray:
     """
     m = b.blockdim
     out = np.zeros((sys.dim_basis, m, sys.dim_basis, m), dtype=complex)
-    for (_, cols, _), means in zip(sys.scale_layouts, sys.cube_means(b.blocks)):
+    for k, means in enumerate(sys.cube_means(b.blocks)[:-1]):
+        cols = sys.haar_slots(k)
         out[cols, :, cols, :] = means[:, None]
     return out.reshape(sys.dim_basis * m, sys.dim_basis * m)
 

@@ -186,8 +186,9 @@ def test_calibrated_suites_refuse_a_missing_calibration_before_measuring(monkeyp
     assert measured == []
 
 
-def test_verify_suite_cli(tmp_path):
-    assert run_cli(["verify", "--suite", "shifts", "--out", str(tmp_path)]) == 0
+@pytest.mark.parametrize("suite", ["shifts", "exact-identities"])
+def test_verify_suite_cli(tmp_path, suite):
+    assert run_cli(["verify", "--suite", suite, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "verify.json").read_text())
     assert all(a["pass"] for a in payload["assertions"])
 

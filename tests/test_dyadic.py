@@ -388,28 +388,11 @@ def test_cube_averages_on_tree_support(d, N, dim, shift):
     assert rows.size == sum(1 + h.cube.scale * sys.n_colors for h in sys.haar_indices)
 
 
-@pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 3, 2, (3, 1, 2))])
-def test_scale_layouts_built_once_read_only(d, N, dim, shift):
-    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
-    layouts = sys.scale_layouts
-    assert sys.scale_layouts is layouts and len(layouts) == N
-    for s, (cells, cols, rows) in enumerate(layouts):
-        cubes = sys.cubes_by_scale[s]
-        for q, cube in enumerate(cubes):
-            support = _strict_ancestor_support(sys, cube)
-            assert sorted(rows[q, :-sys.n_colors].tolist()) == np.flatnonzero(support).tolist()
-            assert rows[q, -sys.n_colors:].tolist() == cols[q].tolist()
-        for a in (cells, cols, rows):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
-
-
 @pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 4, 1, (1, 0, 1, 1)),
                                            (2, 3, 2, (3, 1, 2))])
 def test_descendants_repeat_children(d, N, dim, shift):
     sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
-    assert sys._descendants == {}  # nothing is built with the system
+    assert sorted(sys._descendants) == [(k, 1) for k in range(N)]  # only g = 1 with the system
     for k in range(N + 1):
         for g in range(N + 1 - k):
             table = sys.descendants(k, g)
@@ -479,8 +462,9 @@ TABLE_CASES = [
 
 @pytest.mark.parametrize("d,N,dim,shift", TABLE_CASES)
 def test_tables_equal_reference_loops(d, N, dim, shift):
+    """Mutant this kills: a flipped shift digit in `descendants`, which the
+    cell tables are read off."""
     sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
-    layouts = sys.scale_layouts
     rank = {cube: r for cubes in sys.cubes_by_scale for r, cube in enumerate(cubes)}
     scales = [-1]
     for k in range(N + 1):
@@ -500,13 +484,31 @@ def test_tables_equal_reference_loops(d, N, dim, shift):
             assert sys.children(cube) == kids
             cols = [sys.position(HaarIndex(cube, t)) for t in range(1, sys.n_colors + 1)]
             assert [sys.slot(k, r, t) for t in range(1, sys.n_colors + 1)] == cols
-            assert layouts[k][1][r].tolist() == cols
-            assert np.array_equal(layouts[k][0][r], ref)
             scales += [k] * sys.n_colors
         ranks = np.arange(len(cubes))
         assert np.array_equal(sys.cube_rank(k, sys.cube_index(k, ranks)), ranks)
     assert sys.scale_of_row().tolist() == scales == [-1] + [h.cube.scale for h in sys.haar_indices]
     assert not sys.scale_of_row().flags.writeable
+
+
+@pytest.mark.parametrize("d,N,dim,shift", TABLE_CASES)
+def test_supports_and_haar_slots_equal_reference(d, N, dim, shift):
+    """Each scale of the `supports` walk against `position` and the strict
+    ancestors found by cell containment, coarsest first.  Mutants this kills:
+    a child's support without its parent's own slots, `haar_slots(k)`
+    reading scale k + 1, and the walk writing the supports in cube order
+    instead of through `descendants` (shifted or several-dimensional grids)."""
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    walk = list(sys.supports())
+    assert len(walk) == N
+    for s, (slots, support) in enumerate(walk):
+        assert np.array_equal(sys.haar_slots(s), slots)
+        assert support.shape == (len(slots), 1 + s * sys.n_colors)
+        for q, cube in enumerate(sys.cubes_by_scale[s]):
+            colors = range(1, sys.n_colors + 1)
+            assert slots[q].tolist() == [sys.position(HaarIndex(cube, c)) for c in colors]
+            ancestors = np.flatnonzero(_strict_ancestor_support(sys, cube))
+            assert support[q].tolist() == ancestors.tolist()
 
 
 @pytest.mark.parametrize("d,N,dim,shift", [(3, 3, 1, None), (2, 4, 1, (1, 0, 1, 1)),
@@ -697,14 +699,13 @@ def _complex_tables(sys):
     """basis_matrix and cube_average_matrix by the complex128 build they replace."""
     B = np.zeros((sys.n_cells, sys.dim_basis), dtype=complex)
     B[:, 0] = 1.0
-    for k, (_, cols, _) in enumerate(sys.scale_layouts):
+    for k in range(sys.params.depth):
         kids = sys.cells_by_scale[k + 1][sys.descendants(k, 1)]  # (cube, child, cell)
-        B[kids[..., None], cols[:, None, None, :]] = sys.child_values(k)[:, None, :]
+        B[kids[..., None], sys.haar_slots(k)[:, None, None, :]] = sys.child_values(k)[:, None, :]
     A = np.zeros((sys.dim_basis - 1, sys.dim_basis), dtype=complex)
-    for cells, cols, rows in sys.scale_layouts:
-        support = rows[:, : rows.shape[1] - sys.n_colors]  # coarse + strict ancestors
+    for cells, (slots, support) in zip(sys.cells_by_scale, sys.supports()):
         means = B[cells[:, :, None], support[:, None, :]].mean(axis=1)
-        A[cols[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
+        A[slots[:, :, None] - 1, support[:, None, :]] = means[:, None, :]
     return B, A
 
 
@@ -756,6 +757,8 @@ def test_basis_tables_are_read_only(d, dim):
             table[0, 0] = 2.0
         assert sys.basis_matrix[0, 0] == 1.0
     assert sys.cube_averages is sys.cube_averages  # built once
+    assert sys._table_values() is sys._table_values()  # the walks' per-scale tables
+    assert not any(table.flags.writeable for table in sys._table_values())
     for column in sys.cube_averages:
         with pytest.raises(ValueError):
             column[0] = 2

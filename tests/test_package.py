@@ -231,6 +231,15 @@ def _functions_reading(path, attr):
     return readers
 
 
+def test_only_descendants_reads_the_shift_digits():
+    """The grid shift is written in one place: `FiniteDyadicSystem.__init__`
+    sets the digits and `descendants` alone reads them; the cell tables and
+    the tree supports are read off its children."""
+    readers = sorted({f"{path.stem}:{name}" for path in SRC.glob("*.py")
+                      for name in _functions_reading(path, "_digits")})
+    assert readers == ["dyadic:__init__", "dyadic:descendants"]
+
+
 def test_only_the_adjoint_oracle_reads_the_dense_average_table():
     """`cube_average_matrix` is the oracle of the flat `cube_averages`: inside
     the package only `adjoint_paraproduct` reads it."""
