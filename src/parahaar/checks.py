@@ -55,6 +55,7 @@ a failing check pass.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -296,12 +297,8 @@ def check_band_vanishing(rng):
         for mm in range(0, n + 1):
             worst = max(worst, float(np.abs(band(sys, b, n, mm)).max()))
     # resolution: pi = sum of bands over m > n plus the coarse-input column
-    p = paraproduct(sys, b)
-    acc = np.zeros_like(p)
-    for n in range(3):
-        for mm in range(n + 1, 3):
-            acc += band(sys, b, n, mm)
-    resid = (p - acc)[:, 1:]  # the coarse-input column is not banded
+    acc = sum(band(sys, b, n, mm) for n in range(3) for mm in range(n + 1, 3))
+    resid = (paraproduct(sys, b) - acc)[:, 1:]  # the coarse-input column is not banded
     worst = max(worst, float(np.abs(resid).max()))
     return _rec("band-vanishing", "band-scale-support", worst, EXACT_TOL)
 
@@ -311,12 +308,9 @@ def check_rank_piece_orthogonality(rng):
     b = random_symbol(sys, rng)
     pieces = [rank_piece(sys, b, h.cube, h.color) for h in sys.haar_indices]
     worst = 0.0
-    total = np.zeros_like(pieces[0])
-    for i, Pi in enumerate(pieces):
-        total += Pi
-        for j in range(i + 1, len(pieces)):
-            worst = max(worst, float(np.abs(Pi.conj().T @ pieces[j]).max()))
-    worst = max(worst, float(np.abs(total - paraproduct(sys, b)).max()))
+    for Pi, Pj in itertools.combinations(pieces, 2):
+        worst = max(worst, float(np.abs(Pi.conj().T @ Pj).max()))
+    worst = max(worst, float(np.abs(sum(pieces) - paraproduct(sys, b)).max()))
     return _rec("rank-piece-orthogonality", "rank-one-piece-products", worst, 1e-13)
 
 
@@ -360,20 +354,22 @@ def check_phi_blocks(rng):
         spec = shifts.random_shift(sys, 1, min(1, N - 1), rng)
         b = random_symbol(sys, rng)
         phi, blocks = shifts.phi_blocks(sys, spec, b)
-        total = sum(blocks.values())
+        total = np.zeros_like(phi)
+        for rows, cols, Bk in blocks.values():
+            total[np.ix_(rows, cols)] += Bk
         haar = np.arange(sys.dim_basis) > 0
         scale = max(1.0, float(np.abs(phi).max()))
         worst = max(worst, float(np.abs((phi - total)[:, haar]).max()) / scale)
-        keys = list(blocks)
-        for i in range(len(keys)):
-            for j in range(i + 1, len(keys)):
-                worst_cross = max(worst_cross, float(np.abs(
-                    blocks[keys[i]].conj().T @ blocks[keys[j]]).max()))
+        for (rows_i, _, B_i), (rows_j, _, B_j) in itertools.combinations(blocks.values(), 2):
+            # B_i^H B_j sums over the rows the two blocks share
+            _, at_i, at_j = np.intersect1d(rows_i, rows_j, return_indices=True)
+            worst_cross = max(worst_cross,
+                              float(np.abs(B_i[at_i].conj().T @ B_j[at_j]).max(initial=0.0)))
         # one SVD per matrix serves both p: S_p(phi)^p against sum_k S_{p/2}(B_k^H B_k)^{p/2}
         ps = (2.0, 4.0)
         lhs_norms = spectral.schatten_norms(phi[:, haar][haar, :], ps)
         rhs_norms = [spectral.schatten_norms(Bk.conj().T @ Bk, [p / 2 for p in ps])
-                     for Bk in blocks.values()]
+                     for _, _, Bk in blocks.values()]
         for i, p in enumerate(ps):
             lhs = lhs_norms[i] ** p
             rhs = sum(block[i] ** (p / 2) for block in rhs_norms)

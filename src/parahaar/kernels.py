@@ -54,27 +54,25 @@ class KernelSpec:
             raise ValueError("C must be positive")
 
 
-def hilbert_kernel() -> KernelSpec:
-    def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 1.0 / (x[..., 0] - y[..., 0])
+def _reciprocal_difference(x, y):
+    """1 / (x - y) = sign(x - y) / |x - y| on the first coordinate."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return 1.0 / (x[..., 0] - y[..., 0])
 
-    return KernelSpec(ev, 1, C=1.0, alpha=1.0, nondegeneracy=("pointwise", 1.0), name="hilbert")
+
+def hilbert_kernel() -> KernelSpec:
+    return KernelSpec(_reciprocal_difference, 1, C=1.0, alpha=1.0,
+                      nondegeneracy=("pointwise", 1.0), name="hilbert")
 
 
 def homogeneous_sign_kernel() -> KernelSpec:
     """Odd homogeneous kernel sign(x-y)/|x-y| with Lebesgue point theta0 = +1."""
 
-    def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return 1.0 / (x[..., 0] - y[..., 0])
-
     def omega(theta):
         return np.sign(np.asarray(theta, dtype=float)[..., 0]) + 0j
 
-    return KernelSpec(ev, 1, C=1.0, alpha=1.0,
+    return KernelSpec(_reciprocal_difference, 1, C=1.0, alpha=1.0,
                       nondegeneracy=("homogeneous", omega, np.array([1.0])), name="sign")
 
 
@@ -310,24 +308,25 @@ def weak_factorization(f_values, q_cells, qt_cells, T: GridOperator) -> dict:
 
 
 def random_admissible_family(sys, rng):
-    """Per Haar cube, a random cell vector supported there with sup <= |I|^{-1/2}."""
+    """Per Haar cube I, (cells of I, e_I, f_I): random values on I's cells, of
+    modulus <= |I|^{-1/2}; off I the pair vanishes and is not stored."""
     fams = []
     for k in range(sys.params.depth):
         bound = sys.scale_measure(k) ** -0.5
         for cells in sys.cells_by_scale[k]:  # the cubes in rank order
-            e = np.zeros(sys.n_cells, dtype=complex)
-            f = np.zeros(sys.n_cells, dtype=complex)
-            e[cells] = bound * np.sqrt(rng.uniform(0, 1, cells.size)) * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size))
-            f[cells] = bound * np.sqrt(rng.uniform(0, 1, cells.size)) * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size))
-            fams.append((e, f))
+            e, f = (bound * np.sqrt(rng.uniform(0, 1, cells.size))
+                    * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size)) for _ in range(2))
+            fams.append((cells, e, f))
     return fams
 
 
 def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
     """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family at
-    each p in ps, each pairing taken once; max_I |<e_I, V f_I>| at p = inf."""
+    each p in ps, each pairing mu e_I^H V_II f_I read off V's (I, I) block
+    of cells once; max_I |<e_I, V f_I>| at p = inf."""
     mu = V.cell_measure
-    pairs = np.array([abs(np.vdot(e, V.apply(f)) * mu) for e, f in families])
+    pairs = np.array([abs(np.vdot(e, V.matrix[np.ix_(cells, cells)] @ f) * mu)
+                      for cells, e, f in families])
     return [_weighted_sum(pairs, p) for p in ps]
 
 
@@ -335,15 +334,15 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     """Separated-cube quadrant-set pairings against the commutator.
 
     For every dyadic cube I with a same-scale partner at distance ~ A cells,
-    builds the four quadrant-matched (E_s, F_s) test pairs of each child of
+    takes the four quadrant-matched (E_s, F_s) test pairs of each child Q of
     I and sums A^{dim p} |<e, C f>|^p; at p = inf, the largest A^dim |<e, C f>|.
+    A pairing is mu / |I| times the sum of C's (F_s, E_s in Q) block of cells.
     """
     from .median import quadrant_sets
 
     if sys.params.dim != C.dim:
         raise ValueError("system and operator dimensions differ")
     b_values = np.asarray(b_values, dtype=complex)
-    mu = C.cell_measure
     pairs = []  # (k, rank, cells of I, cells of its partner)
     for k in range(1, sys.params.depth):
         per = sys.axis_count(k)
@@ -359,15 +358,11 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
                                for k, _, cells_i, cells_hat in pairs])
     terms = []
     for (k, rank, cells_i, cells_hat), (_, _, e_sets, f_sets) in zip(pairs, cone_sets):
-        meas, meas_q = sys.scale_measure(k), sys.scale_measure(k + 1)  # a cube and its children
+        weight = A ** sys.params.dim * C.cell_measure / sys.scale_measure(k)
+        block = C.matrix[np.ix_(cells_hat, cells_i)]
         for cells_q in sys.cells_by_scale[k + 1][sys.descendants(k, 1)[rank]]:
             in_child = np.isin(cells_i, cells_q)
             for s in range(4):
-                e = np.zeros(C.n_cells, dtype=complex)
-                e[cells_hat[f_sets[s]]] = np.sqrt(meas_q) / meas
-                f = np.zeros(C.n_cells, dtype=complex)
-                sel = cells_i[np.intersect1d(e_sets[s], np.nonzero(in_child)[0])]
-                f[sel] = 1.0 / np.sqrt(meas_q)
-                terms.append(A ** sys.params.dim * abs(np.vdot(e, C.apply(f)) * mu))
+                e_in_q = e_sets[s][in_child[e_sets[s]]]
+                terms.append(weight * abs(block[np.ix_(f_sets[s], e_in_q)].sum()))
     return _weighted_sum(np.array(terms), p)
-

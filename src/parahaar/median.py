@@ -127,15 +127,6 @@ def _kernel_frame(frame, scale):
     return u.real, u.imag, q.real, q.imag, 1e-12 * max(scale, abs(frame.c1), abs(frame.c2), 1.0)
 
 
-def _inf_median(values, weights, half):
-    """inf{x : mass(values <= x) >= half}; assumes weights positive."""
-    order = np.argsort(values, kind="stable")
-    cum = np.cumsum(weights[order])
-    pos = int(np.searchsorted(cum, half - 1e-12 * cum[-1] if cum.size else half))
-    pos = min(pos, len(order) - 1)
-    return float(values[order[pos]])
-
-
 def _median_interval(values, weights, half):
     """All x with both closed sides at least `half`: a closed value interval."""
     order = np.argsort(values, kind="stable")
@@ -162,7 +153,7 @@ def halfplane_median(pts: WeightedPointSet, direction: float) -> float:
     """Offset a with both closed half-planes {<z,e^{i dir}> <= a / >= a} heavy."""
     u = _direction(direction)
     proj = pts.z.real * u.real + pts.z.imag * u.imag
-    return _inf_median(proj, pts.w, pts.total / 2.0)
+    return _median_interval(proj, pts.w, pts.total / 2.0)[0]
 
 
 def quadrant_split(pts: WeightedPointSet):
@@ -176,8 +167,8 @@ def quadrant_split(pts: WeightedPointSet):
     upper = im >= c
     lower = im <= c
     re = pts.z.real
-    a1 = _inf_median(re[upper], pts.w[upper], pts.w[upper].sum() / 2.0)
-    a2 = _inf_median(re[lower], pts.w[lower], pts.w[lower].sum() / 2.0)
+    a1 = _median_interval(re[upper], pts.w[upper], pts.w[upper].sum() / 2.0)[0]
+    a2 = _median_interval(re[lower], pts.w[lower], pts.w[lower].sum() / 2.0)[0]
     masses = np.array(
         [
             pts.w[upper & (re <= a1)].sum(),
@@ -352,7 +343,7 @@ def _offsets(work, u, a1, a2, c):
     t_b = (np.conj(u) * complex(a2, c)).real
     yield 0.5 * (t_a + t_b)
     proj = (work.z * np.conj(u)).real
-    yield _inf_median(proj, work.w, work.total / 2.0)
+    yield _median_interval(proj, work.w, work.total / 2.0)[0]
     t_lo, t_hi = min(t_a, t_b), max(t_a, t_b)
     yield from np.unique(proj[(proj > t_lo) & (proj < t_hi)])
 
@@ -390,8 +381,8 @@ def _search_frame(work, c, a1, a2):
     data = _SplitData(work, c, a1, a2)
     if data.w[data.s1].sum() == 0 or data.w[data.s4].sum() == 0:
         return None
-    A = _inf_median(data.z[data.s1].real, data.w[data.s1], 2 * data.q1)
-    B = _inf_median(data.z[data.s4].real, data.w[data.s4], 2 * data.q4)
+    A = _median_interval(data.z[data.s1].real, data.w[data.s1], 2 * data.q1)[0]
+    B = _median_interval(data.z[data.s4].real, data.w[data.s4], 2 * data.q4)[0]
     failed = set()  # base points whose attempt found no frame; a retry would too
 
     def attempt(x):
@@ -480,7 +471,7 @@ def _ray_concentration_frame(work, data, c, a1, a2):
                     continue
                 # median point along the ray, back in the working coordinates
                 dist = np.abs(rel[on_ray])
-                t = _inf_median(dist, w[on_ray], ray_mass / 2.0)
+                t = _median_interval(dist, w[on_ray], ray_mass / 2.0)[0]
                 sgn = 1.0 if side == "s1" else -1.0
                 tpoint = complex(x, c) + t * complex(math.cos(rho), sgn * math.sin(rho))
                 # sweep lines through tpoint over the other quadrant's angles
@@ -563,7 +554,7 @@ def _lockstep_frames(sets):
     # the median line {Im = c}, the conditional median intervals above and
     # below it, and from them the axes frame or the search's ray origins
     u = _direction(math.pi / 2)
-    c = _row_inf_median(z.real * u.real + z.imag * u.imag, w, valid, total / 2.0)
+    c = _row_median_interval(z.real * u.real + z.imag * u.imag, w, valid, total / 2.0)[0]
     halves = np.stack([valid & (z.imag >= c[:, None]), valid & (z.imag <= c[:, None])])
     half = _row_sums(w, halves) / 2.0
     l1, h1 = _row_median_interval(z.real, w, halves[0], half[0])
@@ -611,8 +602,8 @@ def _lockstep_search(z, w, valid, total, c, a1, a2):
                       valid & (zs.imag <= 0) & (zs.real >= np.array(a2)[:, None])])
     side_mass = _row_sums(w, sides)
     quarter = side_mass / 4.0
-    A = _row_inf_median(zs.real, w, sides[0], 2 * quarter[0])
-    B = _row_inf_median(zs.real, w, sides[1], 2 * quarter[1])
+    A = _row_median_interval(zs.real, w, sides[0], 2 * quarter[0])[0]
+    B = _row_median_interval(zs.real, w, sides[1], 2 * quarter[1])[0]
     split = _RowSplit(*_front(np.concatenate(sides), np.concatenate([zs, zs]),
                               np.concatenate([w, w]),
                               np.maximum(np.concatenate([zs.imag, -zs.imag]), 0.0)),
@@ -780,11 +771,6 @@ def _row_bounds(v, ws, cum, count, target):
     members = np.arange(ws.shape[1]) >= ws.shape[1] - count[:, None]
     k_rev = np.minimum(((rev < target[:, None]) & members).sum(axis=1), last)
     return v[r, k], v[r, last - k_rev]
-
-
-def _row_inf_median(values, w, member, half):
-    """_inf_median(values[member], w[member], half) of every row."""
-    return _row_median_interval(values, w, member, half)[0]
 
 
 def _row_median_interval(values, w, member, half):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, _is_integer, _offset_at, expectation, martingale_difference
+from .dyadic import StepFunction, _is_integer, _offset_at, expectation
 from .paraproducts import Symbol
 from .spectral import _require_positive
 
@@ -87,8 +87,11 @@ def besov_diffs(sys, b: Symbol, ps) -> list[float]:
 
 def _oscillations(sys, b: Symbol):
     """b - E_k b for k = 0..N-1, each (n_k, cells per cube, m, m): b on the
-    cells of each scale-k cube less its mean from the walk down the tree."""
-    means, values = sys.cube_means(b.blocks), b.function().values
+    cells of each scale-k cube less its mean, from one walk down the tree;
+    its scale-N means are b's cell values, placed as `synthesize` does."""
+    means = sys.cube_means(b.blocks)
+    values = np.empty_like(means[-1])
+    values[sys.cells_by_scale[-1][:, 0]] = means[-1]
     for k in range(len(means) - 1):
         yield values[sys.cells_by_scale[k]] - means[k][:, None]
 
@@ -121,10 +124,13 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
 
     form_a = 0.0
     tail = np.zeros(sys.n_cells)
+    upper = expectation(sys, f, N)  # E_{n+1} f; each E_n f is taken once
     for n in range(N - 1, -1, -1):
-        tail = tail + np.abs(martingale_difference(sys, f, n + 1).scalar()) ** 2
+        lower = expectation(sys, f, n)
+        tail = tail + np.abs((upper - lower).scalar()) ** 2
         cond = expectation(sys, StepFunction(tail.astype(complex)), n)
         form_a = max(form_a, float(np.sqrt(cond.scalar().real.max())))
+        upper = lower
 
     form_b = 0.0
     energy = np.abs(b.blocks[:, 0, 0]) ** 2

@@ -337,13 +337,13 @@ def decompose(sys, b: Symbol) -> OperatorBundle:
 
 
 def band(sys, b: Symbol, n: int, m_scale: int) -> np.ndarray:
-    """d_{m+1} pi_b d_{n+1}: input Haar scale n, output Haar scale m."""
+    """d_{m+1} pi_b d_{n+1}: input Haar scale n, output Haar scale m,
+    scattered from the `cube_averages` entries of those scales alone."""
     N = sys.params.depth
     if not (0 <= n < N and 0 <= m_scale < N):
         raise ValueError("band scales must lie inside the window")
-    scales = np.repeat(sys.scale_of_row(), b.blockdim)
-    kept = (scales[:, None] == m_scale) & (scales[None, :] == n)
-    return np.where(kept, paraproduct(sys, b), 0.0)
+    out, inp = sys.scale_of_row()[np.stack(sys.cube_averages[:2])]  # of each entry
+    return _average_scatter(sys, b, (out == m_scale) & (inp == n))
 
 
 def splitting(sys, b: Symbol, n_step: int, k: int):
@@ -351,18 +351,17 @@ def splitting(sys, b: Symbol, n_step: int, k: int):
 
     The bands kept have output Haar scale = k+1 and input Haar scale = k
     (mod n_step); the diagonal ones are those with output = input + 1, the
-    off-diagonal ones those with output > input + 1.
+    off-diagonal ones those with output > input + 1.  Each part is scattered
+    from the `cube_averages` entries it keeps.
     """
     if n_step < 2:
         raise ValueError("the progression step must be >= 2")
     if not (0 <= k < n_step):
         raise ValueError("k must lie in 0..n_step-1")
-    scales = np.repeat(sys.scale_of_row(), b.blockdim)
-    out, inp = scales[:, None], scales[None, :]
+    out, inp = sys.scale_of_row()[np.stack(sys.cube_averages[:2])]  # -1: the coarse column
     kept = (inp >= 0) & (out % n_step == (k + 1) % n_step) & (inp % n_step == k)
-    pi = paraproduct(sys, b)
-    diag = np.where(kept & (out == inp + 1), pi, 0.0)
-    off = np.where(kept & (out > inp + 1), pi, 0.0)
+    diag = _average_scatter(sys, b, kept & (out == inp + 1))
+    off = _average_scatter(sys, b, kept & (out > inp + 1))
     return diag + off, diag, off
 
 

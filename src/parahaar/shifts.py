@@ -211,7 +211,13 @@ def assemble_shift(sys: FiniteDyadicSystem, spec: ShiftSpec, blockdim: int = 1) 
 
 
 def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
-    """Return (Phi = [S, R_b], {K: B_K}) with B_K built independently."""
+    """Return (Phi = [S, R_b], {K: (rows, cols, B_K)}) with B_K built independently.
+
+    B_K, a(I, J, K) times b's mean on I less its mean on J, lives on Phi's
+    rows of K's generation-j slots and columns of its generation-i slots
+    (cubes in `descendants` order, then colours, then the block index).  A
+    cube has one ancestor per generation: distinct K share no row or column.
+    """
     m = b.blockdim
     S = assemble_shift(sys, spec, m)
     R = r_op(sys, b)
@@ -221,21 +227,30 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
 
     means = sys.cube_means(b.blocks)
     start = np.cumsum([0] + [len(x) for x in means])  # of each scale in the stacked means
-    scale, index = spec.cubes[:, :2, 0], spec.cubes[:, :2, 1:]  # `_slots` has checked them
-    avg = np.concatenate(means)[start[scale] + sys.cube_rank(scale, np.moveaxis(index, -1, 0))]
+    scale, index = spec.cubes[:, :, 0], spec.cubes[:, :, 1:]  # `_slots` has checked them
+    rank = sys.cube_rank(scale, np.moveaxis(index, -1, 0))  # (entry, [I, J, K])
+    avg = np.concatenate(means)[start[scale[:, :2]] + rank[:, :2]]
     terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
 
     rows, cols = _slots(sys, spec)
-    owners, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True,
-                                     return_inverse=True)
+    _, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True, return_inverse=True)
     owner = owner.reshape(-1)
-    D = sys.dim_basis
-    B = np.zeros((len(owners), D * m, D * m), dtype=complex)
-    band = np.arange(m)
-    np.add.at(B, (owner[:, None, None], rows[:, None, None] * m + band[:, None],
-                  cols[:, None, None] * m + band), terms)
+    # each K's generation-j (row) and generation-i (column) slots, and the
+    # place of every coefficient's J and I in its K's lists
+    support, place, band = [], [], np.arange(m)
+    for g, slot in ((spec.j, rows), (spec.i, cols)):
+        slots = np.stack([sys.haar_slots(k + g)[sys.descendants(k, g)[r]].ravel()
+                          for k, r in zip(scale[first, 2].tolist(), rank[first, 2].tolist())])
+        local = np.zeros(sys.dim_basis, dtype=np.int64)
+        local[slots] = np.arange(slots.shape[1])
+        place.append(local[slot] * m)
+        support.append((slots[:, :, None] * m + band).reshape(len(first), -1))
+    B = np.zeros((len(first),) + tuple(a.shape[1] for a in support), dtype=complex)
+    np.add.at(B, (owner[:, None, None], place[0][:, None, None] + band[:, None],
+                  place[1][:, None, None] + band), terms)
     # one block per K, in the order the Ks first appear
-    return phi, {spec.entry(n)[2]: B[owner[n]] for n in np.sort(first)}
+    return phi, {spec.entry(n)[2]: (support[0][owner[n]], support[1][owner[n]], B[owner[n]])
+                 for n in np.sort(first)}
 
 
 def commutator_growth_sweep(sys, b: Symbol, p_values, ij_values, seeds):

@@ -163,25 +163,68 @@ def test_nwo_quantity_bounded(rng):
             assert q <= 3.0 * schatten_norm(V.matrix, p)
 
 
+def _reference_admissible_family(sys, rng):
+    """The family as whole-grid vectors, zero off each cube: the layout and
+    the draws `random_admissible_family` had before it kept each cube's cells."""
+    fams = []
+    for k in range(sys.params.depth):
+        bound = sys.scale_measure(k) ** -0.5
+        for cells in sys.cells_by_scale[k]:
+            e = np.zeros(sys.n_cells, dtype=complex)
+            f = np.zeros(sys.n_cells, dtype=complex)
+            e[cells] = bound * np.sqrt(rng.uniform(0, 1, cells.size)) * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size))
+            f[cells] = bound * np.sqrt(rng.uniform(0, 1, cells.size)) * np.exp(2j * np.pi * rng.uniform(0, 1, cells.size))
+            fams.append((e, f))
+    return fams
+
+
+def _full_pairings(V, full):
+    """|<e_I, V f_I>| of whole-grid vectors, through V.apply on every cell."""
+    return [abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in full]
+
+
+def _abs_family(fams):
+    return [(cells, np.abs(e), np.abs(f)) for cells, e, f in fams]
+
+
+@pytest.mark.parametrize("dim,depth", [(1, 4), (2, 3)])
+def test_admissible_family_keeps_each_cubes_cells_from_the_same_stream(dim, depth):
+    sys = build_system(DyadicParams(2, depth, dim=dim))
+    fams = random_admissible_family(sys, np.random.default_rng(7))
+    full = _reference_admissible_family(sys, np.random.default_rng(7))
+    cubes = [cells for k in range(depth) for cells in sys.cells_by_scale[k]]
+    assert len(fams) == len(full) == len(cubes)
+    for (cells, e, f), (E, F), want in zip(fams, full, cubes):
+        assert np.array_equal(cells, want) and e.shape == f.shape == cells.shape
+        for small, big in ((e, E), (f, F)):
+            placed = np.zeros(sys.n_cells, dtype=complex)
+            placed[cells] = small
+            assert placed.tobytes() == big.tobytes()
+
+
 def test_nwo_quantities_equal_per_p_loop(rng):
     sys = build_system(DyadicParams(2, 3, dim=2))
     n = sys.n_cells
-    fams = random_admissible_family(sys, rng)
+    seed = int(rng.integers(2**31))
+    fams = random_admissible_family(sys, np.random.default_rng(seed))
+    full = _reference_admissible_family(sys, np.random.default_rng(seed))
     V = GridOperator((rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / n, 2, 8)
     ps = (0.5, 1, 2, 4, np.inf)
     want = []
-    for p in ps:  # each pairing taken afresh for every p
+    for p in ps:  # each pairing taken afresh for every p, on the whole grid
         total = 0.0
-        terms = [abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in fams]
+        terms = _full_pairings(V, full)
         for t in terms:
             total += t ** p
         want.append(float(max(terms)) if p == np.inf else float(total ** (1.0 / p)))
     got = nwo_quantities(V, fams, ps)
     assert [nwo_quantities(V, fams, (p,))[0] for p in ps] == got
-    # within the tolerance model: 4 n eps of the sum of n = len(fams) terms,
-    # carried through the 1/p root
-    for x, y, p in zip(got, want, ps):
-        assert abs(x - y) <= model_bound(len(fams), y) / min(p, 1.0), p
+    # within the tolerance model: each pairing's block sum against the whole
+    # grid's matrix product (2 n terms) at the scale of |e|^T |V| |f|, then
+    # the sum of the len(fams) pairings, carried through the 1/p root
+    scale = nwo_quantities(GridOperator(np.abs(V.matrix), 2, 8), _abs_family(fams), ps)
+    for x, y, s, p in zip(got, want, scale, ps):
+        assert abs(x - y) <= model_bound(2 * n + len(fams), s) / min(p, 1.0), p
 
 
 def _scaled(V, s):
@@ -191,10 +234,15 @@ def _scaled(V, s):
 def test_nwo_quantity_at_inf_is_the_largest_pairing(rng):
     sys = build_system(DyadicParams(2, 4))
     n = sys.n_cells
-    fams = random_admissible_family(sys, rng)
+    seed = int(rng.integers(2**31))
+    fams = random_admissible_family(sys, np.random.default_rng(seed))
+    full = _reference_admissible_family(sys, np.random.default_rng(seed))
     V = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1, n)
-    top = max(abs(np.vdot(e, V.apply(f)) * V.cell_measure) for e, f in fams)
+    top = max(abs(np.vdot(e, V.matrix[np.ix_(cells, cells)] @ f) * V.cell_measure)
+              for cells, e, f in fams)
     assert nwo_quantities(V, fams, (np.inf,)) == [top]
+    scale = nwo_quantities(GridOperator(np.abs(V.matrix), 1, n), _abs_family(fams), (np.inf,))
+    assert abs(top - max(_full_pairings(V, full))) <= model_bound(2 * n, scale[0])
     for s in (1e-3, 1e3):  # homogeneous of degree 1, like every finite p
         assert nwo_quantities(_scaled(V, s), fams, (np.inf,))[0] == pytest.approx(s * top, rel=1e-12)
 
@@ -279,10 +327,14 @@ def test_testing_quantity_partners_equal_per_cube_loop(rng, dim, depth, A):
     C = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)),
                      dim, 2**depth)
     vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    absolute = GridOperator(np.abs(C.matrix), dim, 2**depth)
     for p in (1.0, 2.0, np.inf):
         partners = dict.fromkeys(("right", "left", "none"), 0)
         want = _testing_quantity_per_cube(C, sys, vals, A, p, partners)
-        assert tq_separated(C, sys, vals, A=A, p=p) == pytest.approx(want, rel=1e-12)
+        # the block sums against the whole grid's products, at the scale of the
+        # same pairings of |C|; n^2 bounds either route's longest inner sum
+        scale = tq_separated(absolute, sys, vals, A=A, p=p)
+        assert abs(tq_separated(C, sys, vals, A=A, p=p) - want) <= model_bound(n * n, scale)
         assert partners["right"] > 0 and partners["left"] > 0
 
 

@@ -112,6 +112,58 @@ def test_bmo_examples(rng):
             assert abs(f.conditional - f.coefficient) < 1e-12 * max(1, f.coefficient)
 
 
+def _conditional_form_loop(sys, b):
+    """The conditional form through `martingale_difference`, which takes each
+    E_n b twice: the loop the walk holding E_{n+1} b and E_n b replaced."""
+    f = b.function()
+    form, tail = 0.0, np.zeros(sys.n_cells)
+    for n in range(sys.params.depth - 1, -1, -1):
+        tail = tail + np.abs(martingale_difference(sys, f, n + 1).scalar()) ** 2
+        cond = expectation(sys, StepFunction(tail.astype(complex)), n)
+        form = max(form, float(np.sqrt(cond.scalar().real.max())))
+    return form
+
+
+@pytest.mark.parametrize("d,N,dim,shift", [(2, 5, 1, None), (3, 3, 1, None),
+                                           (2, 4, 1, (1, 0, 1, 1)), (2, 3, 2, None)])
+def test_bmo_conditional_form_takes_each_expectation_once(monkeypatch, rng, d, N, dim, shift):
+    """2N + 1 conditional expectations: E_N b, then E_n b and E_n of the
+    tail at each n; the form is the martingale-difference loop's bit for bit."""
+    import parahaar.norms as norms_module
+
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng)
+    want = _conditional_form_loop(sys, b)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return expectation(*args)
+
+    monkeypatch.setattr(norms_module, "expectation", spy)
+    assert bmo_dyadic(sys, b).conditional == want
+    assert len(calls) == 2 * N + 1
+
+
+def test_oscillation_forms_walk_the_tree_once(monkeypatch, rng):
+    """besov_osc and bmo_operator read b's cell values off the one walk that
+    gives its cube means."""
+    sys = build_system(DyadicParams(2, 4))
+    b = random_symbol(sys, rng, blockdim=2)
+    walk = sys.cube_means
+    calls = []
+
+    def spy(coeffs):
+        calls.append(1)
+        return walk(coeffs)
+
+    monkeypatch.setattr(sys, "cube_means", spy)
+    for form in (lambda: besov_osc(sys, b, 2.0), lambda: bmo_operator(sys, b)):
+        calls.clear()
+        form()
+        assert len(calls) == 1
+
+
 def test_bmo_rejects_blocks(rng):
     sys = build_system(DyadicParams(2, 2))
     with pytest.raises(ValueError):
@@ -280,7 +332,7 @@ def _besov_haar_loop(sys, b, p):
 @pytest.mark.parametrize("p", [0.5, 1, 2, 3, np.inf])
 @pytest.mark.parametrize("d,N,dim", [(2, 6, 1), (3, 4, 1), (2, 3, 2)])
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_besov_haar_matches_block_loop_bitwise(rng, d, N, dim, m, p):
+def test_besov_haar_matches_block_loop_within_the_model(rng, d, N, dim, m, p):
     sys = build_system(DyadicParams(d, N, dim))
     symbols = [random_symbol(sys, rng, blockdim=m),
                random_symbol(sys, rng, blockdim=m, scales={0, N - 1}),

@@ -248,6 +248,25 @@ def test_only_the_adjoint_oracle_reads_the_dense_average_table():
     assert readers == ["paraproducts:adjoint_paraproduct"]
 
 
+def test_only_decompose_builds_the_whole_paraproduct():
+    """Inside `paraproducts.py` only `decompose` calls `paraproduct`: a band,
+    a splitting or a rank-one piece is scattered from the entries it keeps,
+    not masked out of the whole operator."""
+    callers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "paraproduct":
+                callers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse((SRC / "paraproducts.py").read_text()), "<module>")
+    assert callers == ["decompose"]
+
+
 # the package functions that may read the dense D x D `basis_matrix`, each an
 # oracle or a dense assembly on the cells; the transforms and the Besov and
 # BMO functionals walk the tree instead

@@ -234,6 +234,40 @@ def test_splitting_equals_band_loop(rng, d, N, dim, m):
             assert all(_same_bits(x, y) for x, y in zip(got, want))
 
 
+def _masked_band(sys, b, n, m_scale):
+    """The assembly `band` replaced: the whole paraproduct, masked."""
+    scales = np.repeat(sys.scale_of_row(), b.blockdim)
+    kept = (scales[:, None] == m_scale) & (scales[None, :] == n)
+    return np.where(kept, paraproduct(sys, b), 0.0)
+
+
+def _masked_splitting(sys, b, n_step, k):
+    """The assembly `splitting` replaced: the whole paraproduct, masked."""
+    scales = np.repeat(sys.scale_of_row(), b.blockdim)
+    out, inp = scales[:, None], scales[None, :]
+    kept = (inp >= 0) & (out % n_step == (k + 1) % n_step) & (inp % n_step == k)
+    pi = paraproduct(sys, b)
+    diag = np.where(kept & (out == inp + 1), pi, 0.0)
+    off = np.where(kept & (out > inp + 1), pi, 0.0)
+    return diag + off, diag, off
+
+
+@pytest.mark.parametrize("d,N,dim", [(2, 5, 1), (3, 3, 1), (5, 2, 1), (2, 3, 2)])
+@pytest.mark.parametrize("m", [1, 2])
+def test_bands_and_splittings_equal_the_masked_paraproduct(rng, d, N, dim, m):
+    """Scattered from the entries they keep, band and splitting are the
+    masked whole paraproduct byte for byte."""
+    sys = build_system(DyadicParams(d, N, dim=dim))
+    b = random_symbol(sys, rng, blockdim=m)
+    for n in range(N):
+        for m_scale in range(N):
+            assert band(sys, b, n, m_scale).tobytes() == _masked_band(sys, b, n, m_scale).tobytes()
+    for n_step in (2, 3):
+        for k in range(n_step):
+            got, want = splitting(sys, b, n_step, k), _masked_splitting(sys, b, n_step, k)
+            assert [x.tobytes() for x in got] == [y.tobytes() for y in want]
+
+
 def test_commutator_pieces_identities(rng):
     sys = build_system(DyadicParams(2, 3))
     a = random_symbol(sys, rng)

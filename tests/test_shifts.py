@@ -171,21 +171,33 @@ def test_contractivity(rng):
             assert schatten_norm(S, np.inf) <= 1.0 + 1e-10
 
 
+def _canvas(sys, blocks, m=1):
+    """Each (rows, cols, B_K) placed on its own zero (D m)^2 canvas."""
+    out = {}
+    for K, (rows, cols, B) in blocks.items():
+        dense = np.zeros((sys.dim_basis * m,) * 2, dtype=complex)
+        dense[np.ix_(rows, cols)] = B
+        out[K] = dense
+    return out
+
+
 def test_phi_identity_and_blocks(rng):
     sys = build_system(DyadicParams(2, 4))
     spec = random_shift(sys, 1, 2, 5)
     b = random_symbol(sys, rng)
     phi, blocks = phi_blocks(sys, spec, b)
-    total = sum(blocks.values())
+    total = sum(_canvas(sys, blocks).values())
     haar = np.arange(sys.dim_basis) > 0
     assert np.abs((phi - total)[:, haar]).max() < 1e-12 * max(1, np.abs(phi).max())
     keys = list(blocks)
     for a in range(len(keys)):
         for c in range(a + 1, len(keys)):
-            assert np.abs(blocks[keys[a]].conj().T @ blocks[keys[c]]).max() < 1e-14
+            # distinct cubes K share no row and no column of Phi
+            assert not set(blocks[keys[a]][0]) & set(blocks[keys[c]][0])
+            assert not set(blocks[keys[a]][1]) & set(blocks[keys[c]][1])
     for p in (2.0, 4.0):
         lhs = schatten_norm(phi[np.ix_(haar, haar)], p) ** p
-        rhs = sum(schatten_norm(B.conj().T @ B, p / 2) ** (p / 2) for B in blocks.values())
+        rhs = sum(schatten_norm(B.conj().T @ B, p / 2) ** (p / 2) for _, _, B in blocks.values())
         assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -195,7 +207,7 @@ def test_phi_constant_symbol():
     b = Symbol(sys, {}, coarse_mean=np.array([[2.0]]))
     phi, blocks = phi_blocks(sys, spec, b)
     assert np.abs(phi).max() < 1e-13
-    assert all(np.abs(B).max() < 1e-13 for B in blocks.values())
+    assert all(np.abs(B).max() < 1e-13 for _, _, B in blocks.values())
 
 
 def test_phi_blockvalued(rng):
@@ -203,9 +215,75 @@ def test_phi_blockvalued(rng):
     spec = random_shift(sys, 1, 1, 2)
     b = random_symbol(sys, rng, blockdim=2)
     phi, blocks = phi_blocks(sys, spec, b)
-    total = sum(blocks.values())
+    total = sum(_canvas(sys, blocks, 2).values())
     haar = np.repeat(np.arange(sys.dim_basis) > 0, 2)
     assert np.abs((phi - total)[:, haar]).max() < 1e-12 * max(1, np.abs(phi).max())
+
+
+def _dense_phi_blocks(sys, spec, b):
+    """The dense assembly `phi_blocks` replaced: one zero (D m)^2 block per K."""
+    from parahaar.shifts import _slots
+
+    m = b.blockdim
+    means = sys.cube_means(b.blocks)
+    start = np.cumsum([0] + [len(x) for x in means])
+    scale, index = spec.cubes[:, :2, 0], spec.cubes[:, :2, 1:]
+    avg = np.concatenate(means)[start[scale] + sys.cube_rank(scale, np.moveaxis(index, -1, 0))]
+    terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
+    rows, cols = _slots(sys, spec)
+    owners, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True,
+                                     return_inverse=True)
+    owner = owner.reshape(-1)
+    D = sys.dim_basis
+    B = np.zeros((len(owners), D * m, D * m), dtype=complex)
+    band = np.arange(m)
+    np.add.at(B, (owner[:, None, None], rows[:, None, None] * m + band[:, None],
+                  cols[:, None, None] * m + band), terms)
+    return {spec.entry(n)[2]: B[owner[n]] for n in np.sort(first)}
+
+
+@pytest.mark.parametrize("dim,depth,i,j,m,shift", [
+    (1, 4, 1, 2, 1, None), (1, 4, 2, 0, 1, None), (1, 5, 0, 0, 2, None),
+    (1, 4, 1, 1, 1, (1, 0, 1, 1)), (2, 3, 1, 0, 1, None), (2, 3, 0, 1, 2, None),
+    (2, 2, 1, 1, 1, (3, 1))])
+def test_phi_blocks_on_a_canvas_equal_the_dense_blocks(rng, dim, depth, i, j, m, shift):
+    """Placed on a zero canvas, each compact block is the dense block bit for
+    bit, on K's generation-j rows and generation-i columns; distinct K share
+    no row and no column."""
+    sys = build_system(DyadicParams(2, depth, dim=dim), GridShift(shift) if shift else None)
+    spec = random_shift(sys, i, j, int(rng.integers(2**31)))
+    b = random_symbol(sys, rng, blockdim=m)
+    _, blocks = phi_blocks(sys, spec, b)
+    want = _dense_phi_blocks(sys, spec, b)
+    assert list(blocks) == list(want)
+    for K, dense in _canvas(sys, blocks, m).items():
+        assert dense.tobytes() == want[K].tobytes()
+        rows, cols, _ = blocks[K]
+        k = K.scale
+        for got, g in ((rows, j), (cols, i)):
+            slots = sys.haar_slots(k + g)[sys.descendants(k, g)[sys.cube_rank(k, K.index)]]
+            assert np.array_equal(got, (slots.ravel()[:, None] * m + np.arange(m)).ravel())
+    for axis in (0, 1):
+        seen = np.concatenate([block[axis] for block in blocks.values()])
+        assert len(np.unique(seen)) == len(seen)
+
+
+def test_phi_blocks_hold_no_dense_block_per_cube(rng):
+    """At d = 2 depth 7 and (i, j) = (0, 0) the 127 dense blocks took 34 MB;
+    the compact ones leave the call's peak at no more than 4 MB."""
+    import tracemalloc
+
+    sys = build_system(DyadicParams(2, 7))
+    spec = random_shift(sys, 0, 0, 3)
+    b = random_symbol(sys, rng)
+    phi_blocks(sys, spec, b)  # tables built once per system are not counted
+    tracemalloc.start()
+    try:
+        _, blocks = phi_blocks(sys, spec, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == sys.dim_basis - 1 and peak <= 4 * 2**20
 
 
 def test_growth_sweep_rows(rng):
