@@ -268,12 +268,15 @@ def cmd_calibrate(args) -> int:
     if args.trials < 2:
         print("error: --trials must be at least 2", file=_sys.stderr)
         return 1
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: the folder of --out {args.out!r} does not exist", file=_sys.stderr)
+        return 1
     calib = checks.calibrate_all(seed=args.seed if args.seed is not None else 20240901,
                                  trials=args.trials,
                                  progress=lambda s: print(f"  {s}"))
-    with open(args.out, "w") as fh:
-        json.dump(calib, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(calib, indent=1, sort_keys=True)
+    with open(args.out, "w") as fh:  # serialized first: a failure leaves no partial file
+        fh.write(text + "\n")
     print(f"wrote {args.out}")
     return 0
 
@@ -289,9 +292,7 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run an assertion suite")
-    p_ver.add_argument("--suite", required=True,
-                       help="exact-identities | explicit-constants | transference | "
-                            "median | covering | kernels | shifts | calibrated | all")
+    p_ver.add_argument("--suite", required=True, choices=[*checks.SUITES, "all"])
     p_ver.add_argument("--calibration", default=None)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)

@@ -192,8 +192,24 @@ class FiniteDyadicSystem:
         self._haar = None
         self._basis = None
         self._averages = None
-        self._phases = None
-        self._tables = None
+        # the `child_values` tables: the phase rule once, times each scale's amplitude
+        phases = np.empty((self.d_eff, self.n_colors), dtype=complex)
+        for q, color in itertools.product(range(self.d_eff), range(1, self.n_colors + 1)):
+            if dim > 1:
+                phase = -1.0 if bin(q & color).count("1") % 2 else 1.0
+            else:
+                rot = (color * (q + 1)) % d
+                if 2 * rot % d == 0:
+                    phase = 1.0 if rot == 0 else -1.0  # exact for half turns
+                else:
+                    phase = np.exp(2j * np.pi * rot / d)
+            phases[q, color - 1] = phase
+        if not phases.imag.any():
+            phases = phases.real
+        self._tables = tuple(phases * (d ** (k / 2.0) if dim == 1 else 2.0 ** (k * dim / 2.0))
+                             for k in range(N))
+        for table in self._tables:
+            table.flags.writeable = False
 
     @property
     def cubes_by_scale(self):
@@ -314,22 +330,10 @@ class FiniteDyadicSystem:
         """(d_eff, n_colors) values of every scale-k wavelet on the children of
         its cube, in `descendants` order: the amplitude |I|^{-1/2} times the
         colour's phase on the child, a d-th root of unity in one dimension and
-        the sign (-1)^{|beta & colour|} on child beta in several."""
-        d, dim = self.params.d, self.params.dim
-        amp = d ** (k / 2.0) if dim == 1 else 2.0 ** (k * dim / 2.0)
-        if self._phases is None:  # the phase rule, once per system
-            self._phases = np.empty((self.d_eff, self.n_colors), dtype=complex)
-            for q, color in itertools.product(range(self.d_eff), range(1, self.n_colors + 1)):
-                if dim > 1:
-                    phase = -1.0 if bin(q & color).count("1") % 2 else 1.0
-                else:
-                    rot = (color * (q + 1)) % d
-                    if 2 * rot % d == 0:
-                        phase = 1.0 if rot == 0 else -1.0  # exact for half turns
-                    else:
-                        phase = np.exp(2j * np.pi * rot / d)
-                self._phases[q, color - 1] = phase
-        return amp * self._phases
+        the sign (-1)^{|beta & colour|} on child beta in several.  The one
+        per-scale wavelet table, built with the system and read-only: float64
+        where every phase is real (d = 2, any dim), complex128 otherwise."""
+        return self._tables[k]
 
     def haar_values(self, h: HaarIndex):
         """Cell values of the wavelet h (unit L2 norm, zero mean)."""
@@ -344,34 +348,20 @@ class FiniteDyadicSystem:
         vals[kids] = self.child_values(k)[:, color - 1, None]
         return vals
 
-    def _table_values(self):
-        """`child_values(k)` for k = 0..N-1, each as float64 when every table
-        is real (d = 2, any dim: the phases are signs), complex128 otherwise.
-        Built on first use and kept; read-only."""
-        if self._tables is None:
-            values = [self.child_values(k) for k in range(self.params.depth)]
-            if not self._phases.imag.any():
-                values = [v.real for v in values]
-            for v in values:
-                v.flags.writeable = False
-            self._tables = tuple(values)
-        return self._tables
-
     @property
     def basis_matrix(self):
         """Columns = basis step functions on cells (coarse first, then Haar),
-        written one scale at a time from `child_values`.
+        written one scale at a time from `child_values`, with their dtype.
 
-        float64 when every `child_values` table is real (d = 2, any dim: the
-        phases are signs), complex128 otherwise; the values are the same
-        either way.  A read-only oracle, built on first read by the dense
-        assemblies and checks that compare against it; the transforms walk the tree.
+        A read-only oracle, built on first read by the four oracles that
+        compare against it (`checks.check_orthonormality`, `cube_average_matrix`,
+        `paraproducts._mult_matrix`, `shifts.averaged_shift_cell_matrix`);
+        every operator and transform walks the tree.
         """
         if self._basis is None:
-            values = self._table_values()
-            B = np.zeros((self.n_cells, self.dim_basis), dtype=values[0].dtype)
+            B = np.zeros((self.n_cells, self.dim_basis), dtype=self._tables[0].dtype)
             B[:, 0] = 1.0
-            for k, table in enumerate(values):
+            for k, table in enumerate(self._tables):
                 kids = self.cells_by_scale[k + 1][self.descendants(k, 1)]  # (cube, child, cell)
                 B[kids[..., None], self.haar_slots(k)[:, None, None, :]] = table[:, None, :]
             B.flags.writeable = False
@@ -394,8 +384,7 @@ class FiniteDyadicSystem:
         have `basis_matrix`'s dtype.  Built once per system; read-only.
         """
         if self._averages is None:
-            values = self._table_values()
-            above = np.ones((1, 1), dtype=values[0].dtype)
+            above = np.ones((1, 1), dtype=self._tables[0].dtype)
             parts = []
             for s, (slots, support) in enumerate(self.supports()):
                 n_q, width = support.shape
@@ -405,7 +394,7 @@ class FiniteDyadicSystem:
                 below = np.empty((n_q * self.d_eff, width + self.n_colors), dtype=above.dtype)
                 below[self.descendants(s, 1)] = np.concatenate(
                     [np.broadcast_to(above[:, None, :], (n_q, self.d_eff, width)),
-                     np.broadcast_to(values[s], (n_q,) + values[s].shape)], axis=2)
+                     np.broadcast_to(self._tables[s], (n_q,) + self._tables[s].shape)], axis=2)
                 above = below
             table = tuple(np.concatenate(columns) for columns in zip(*parts))
             for a in table:
@@ -470,7 +459,7 @@ class FiniteDyadicSystem:
         plus the parent's `child_values(k)` applied to its colour blocks."""
         coeffs = np.asarray(coeffs, dtype=complex)
         rest, means = coeffs.shape[1:], [coeffs[:1]]
-        for k, table in enumerate(self._table_values()):
+        for k, table in enumerate(self._tables):
             n = len(means[k])
             blocks = coeffs[self._first_slot[k]:self._first_slot[k + 1]].reshape((n, -1) + rest)
             kids = np.empty((n * self.d_eff,) + rest, dtype=complex)
@@ -484,7 +473,7 @@ class FiniteDyadicSystem:
         the child measure."""
         _require_cells(self, f)
         means, scales = f.values[self.cells_by_scale[-1][:, 0]], []
-        for k, table in reversed(list(enumerate(self._table_values()))):
+        for k, table in reversed(list(enumerate(self._tables))):
             kids = means[self.descendants(k, 1).T]  # (child, cube, m, m); scratch below
             means = kids.mean(axis=0)
             blocks = _table_product(table, kids, adjoint=True) * self.scale_measure(k + 1)

@@ -25,7 +25,10 @@ built where a check compares against it:
   checks.check_triangle_split (Lambda_b = pi_{b*}^* + LambdaTilde_b);
 - apply_paraproduct, the matrix-free action from cell means, called by the
   tests against apply_op(paraproduct), which goes through the tree walks.
-No operator is built from one of the identities it is checked by.
+No operator is built from one of the identities it is checked by.  The
+others are tree assemblies (paraproduct, its pieces and triangle_op scatter
+`cube_averages`, r_op reads `cube_means`) except commutator_pieces, a
+cell-route assembly that multiplies through mult_op's `_mult_matrix`.
 """
 
 from __future__ import annotations
@@ -257,29 +260,29 @@ def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
 
 
 def triangle_op(sys, b: Symbol) -> np.ndarray:
-    """Lambda_b = sum_k M_{d_k b} S_{k-1}, from pointwise products.
+    """Lambda_b = sum_k M_{d_k b} S_{k-1}, from the tree.
 
-    One batched analysis per scale s: the column of the slot (Q, t) is the
-    analysis of d_{s+1} b . h_Q^t, restricted to its tree support.
+    Column (Q, t) of a scale-s cube Q is d_{s+1} b . h_Q^t, which is
+    sum_i b_Q^i h_Q^i h_Q^t on Q: constant on Q's children and zero off Q.
+    With V = `child_values(s)` and mu = `scale_measure(s + 1)` its
+    coefficient on Q's own slot (Q, r) is sum_i T_s[r, i, t] b_Q^i, with
+    T_s[r, i, t] = mu sum_q conj(V[q, r]) V[q, i] V[q, t], and on each slot J
+    of Q's tree support conj(c_J(Q)) sum_i P_s[i, t] b_Q^i, with
+    P_s[i, t] = mu sum_q V[q, i] V[q, t] and c_J(Q) the `cube_averages`
+    value; every other coefficient is an exact 0.  The support entries are
+    one transposed scatter of `cube_averages`.
     """
-    m = b.blockdim
-    arr = b.blocks
-    D = sys.dim_basis
-    basis = sys.basis_matrix
+    D, m = sys.dim_basis, b.blockdim
     lam = np.zeros((D, m, D, m), dtype=complex)
-    for cells, (cols, support) in zip(sys.cells_by_scale, sys.supports()):
-        rows = np.concatenate([support, cols], axis=1)  # Q's support and Q's own slots
-        # (Q, cell, color), complex: the products below are complex anyway
-        haar = basis[cells[:, :, None], cols[:, None, :]].astype(complex, copy=False)
-        # d_{s+1} b on Q: only Q's own wavelets of scale s are nonzero there
-        diff = np.einsum("qct,qtij->qcij", haar, arr[cols])
-        prod = np.einsum("qcij,qct->qcitj", diff, haar)
-        # entries of the analysis matrix on Q's cells and support rows
-        analysis = np.multiply(basis[cells[:, None, :], rows[:, :, None]].conj(),
-                               sys.cell_measure, dtype=complex)
-        n_q, per = cells.shape
-        block = (analysis @ prod.reshape(n_q, per, -1)).reshape(n_q, rows.shape[1], m, -1, m)
-        lam[rows[:, :, None], :, cols[:, None, :], :] = block.transpose(0, 1, 3, 2, 4)
+    support = np.zeros((D, m, m), dtype=complex)  # sum_i P_s[i, t] b_Q^i at slot (Q, t)
+    for s in range(sys.params.depth):
+        V, mu, slots = sys.child_values(s), sys.scale_measure(s + 1), sys.haar_slots(s)
+        blocks = b.blocks[slots]  # (Q, i, m, m)
+        own = mu * np.einsum("qr,qi,qt->rit", V.conj(), V, V)
+        lam[slots[:, :, None], :, slots[:, None, :], :] = np.einsum("rit,Qiab->Qrtab", own, blocks)
+        support[slots] = np.einsum("it,Qiab->Qtab", mu * V.T @ V, blocks)
+    rows, cols, values = sys.cube_averages
+    lam[cols, :, rows, :] = values.conj()[:, None, None] * support[rows]
     return lam.reshape(D * m, D * m)
 
 

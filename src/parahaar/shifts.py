@@ -203,11 +203,14 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
 
 
 def assemble_shift(sys: FiniteDyadicSystem, spec: ShiftSpec, blockdim: int = 1) -> np.ndarray:
+    return _place(sys, _slots(sys, spec), spec.values, blockdim)
+
+
+def _place(sys, slots, values, blockdim):
+    """The shift matrix with `values` at the (rows, cols) `slots`, Kronecker with I_blockdim."""
     S = np.zeros((sys.dim_basis, sys.dim_basis), dtype=complex)
-    np.add.at(S, _slots(sys, spec), spec.values)
-    if blockdim > 1:
-        S = np.kron(S, np.eye(blockdim))
-    return S
+    np.add.at(S, slots, values)
+    return np.kron(S, np.eye(blockdim)) if blockdim > 1 else S
 
 
 def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
@@ -219,7 +222,8 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     cube has one ancestor per generation: distinct K share no row or column.
     """
     m = b.blockdim
-    S = assemble_shift(sys, spec, m)
+    rows, cols = _slots(sys, spec)
+    S = _place(sys, (rows, cols), spec.values, m)
     R = r_op(sys, b)
     phi = S @ R - R @ S
     if not len(spec.values):
@@ -232,7 +236,6 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     avg = np.concatenate(means)[start[scale[:, :2]] + rank[:, :2]]
     terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
 
-    rows, cols = _slots(sys, spec)
     _, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True, return_inverse=True)
     owner = owner.reshape(-1)
     # each K's generation-j (row) and generation-i (column) slots, and the

@@ -177,6 +177,17 @@ def test_verify_unknown_suite():
         checks.run_suite("bogus")
 
 
+def test_verify_cli_rejects_an_unknown_suite_before_reading_a_calibration(monkeypatch, capsys):
+    loaded = []
+    monkeypatch.setattr(checks, "load_calibration", lambda *args: loaded.append(args))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["verify", "--suite", "bogus"])
+    assert exc.value.code == 2 and loaded == []
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(f"'{name}'" in err for name in [*checks.SUITES, "all"])
+
+
 @pytest.mark.parametrize("name", ["calibrated", "all"])
 def test_calibrated_suites_refuse_a_missing_calibration_before_measuring(monkeypatch, name):
     measured = []
@@ -249,6 +260,24 @@ def test_calibrate_rejects_too_few_trials(tmp_path, capsys, trials):
     out = tmp_path / "cal.json"
     assert run_cli(["calibrate", "--out", str(out), "--trials", trials]) == 1
     assert capsys.readouterr().err == "error: --trials must be at least 2\n"
+    assert not out.exists()
+
+
+def test_calibrate_refuses_a_missing_output_folder_before_measuring(monkeypatch, tmp_path, capsys):
+    measured = []
+    monkeypatch.setattr(checks, "_measure", lambda *args, **kwargs: measured.append(args))
+    out = tmp_path / "missing" / "c.json"
+    assert run_cli(["calibrate", "--out", str(out), "--trials", "2"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert measured == [] and not out.parent.exists()
+
+
+def test_calibrate_leaves_no_partial_file(monkeypatch, tmp_path):
+    # a value json cannot write fails before the file is opened
+    monkeypatch.setattr(checks, "calibrate_all", lambda **kwargs: {"a": 1.0, "b": object()})
+    out = tmp_path / "c.json"
+    with pytest.raises(TypeError):
+        run_cli(["calibrate", "--out", str(out), "--trials", "2"])
     assert not out.exists()
 
 

@@ -757,8 +757,9 @@ def test_basis_tables_are_read_only(d, dim):
             table[0, 0] = 2.0
         assert sys.basis_matrix[0, 0] == 1.0
     assert sys.cube_averages is sys.cube_averages  # built once
-    assert sys._table_values() is sys._table_values()  # the walks' per-scale tables
-    assert not any(table.flags.writeable for table in sys._table_values())
+    for k in range(sys.params.depth):  # the per-scale tables, built with the system
+        assert sys.child_values(k) is sys.child_values(k)
+        assert not sys.child_values(k).flags.writeable
     for column in sys.cube_averages:
         with pytest.raises(ValueError):
             column[0] = 2

@@ -213,22 +213,33 @@ def test_only_dyadic_writes_the_cube_measure():
     assert sites == []
 
 
-def _functions_reading(path, attr):
-    """Names of the functions in `path` whose own body reads `.attr`, and
-    "<module>" for a read outside every function."""
-    readers = []
+def _owners(path, match):
+    """Per node of `path` that `match` accepts, the name of the function whose
+    own body holds it, or "<module>" outside every function."""
+    owners = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == attr:
-                readers.append(owner)
+            if match(child):
+                owners.append(owner)
             visit(child, owner)
 
     visit(ast.parse(path.read_text()), "<module>")
-    return readers
+    return owners
+
+
+def _functions_reading(path, attr):
+    """The functions of `path` whose own body reads `.attr`, once per read."""
+    return _owners(path, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+def _functions_calling(path, name):
+    """The functions of `path` whose own body calls `name` or `.name`, once per call."""
+    return _owners(path, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_only_descendants_reads_the_shift_digits():
@@ -252,19 +263,29 @@ def test_only_decompose_builds_the_whole_paraproduct():
     """Inside `paraproducts.py` only `decompose` calls `paraproduct`: a band,
     a splitting or a rank-one piece is scattered from the entries it keeps,
     not masked out of the whole operator."""
-    callers = []
+    assert _functions_calling(SRC / "paraproducts.py", "paraproduct") == ["decompose"]
 
-    def visit(node, owner):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.FunctionDef):
-                visit(child, child.name)
-                continue
-            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "paraproduct":
-                callers.append(owner)
-            visit(child, owner)
 
-    visit(ast.parse((SRC / "paraproducts.py").read_text()), "<module>")
-    assert callers == ["decompose"]
+def test_triangle_op_is_not_built_from_the_split_it_is_checked_by():
+    """`triangle_op` calls none of the operators of Lambda_b = pi_{b*}^* +
+    LambdaTilde_b, the identity `triangle-blockdiag-split` checks it by."""
+    for name in ("paraproduct", "adjoint_paraproduct", "triangle_tilde"):
+        assert "triangle_op" not in _functions_calling(SRC / "paraproducts.py", name), name
+
+
+def test_only_apply_paraproduct_reads_the_cell_tables_among_the_operators():
+    """Inside `paraproducts.py` only `apply_paraproduct`, the matrix-free
+    oracle, reads `cells_by_scale`; every operator is assembled on the tree."""
+    readers = set(_functions_reading(SRC / "paraproducts.py", "cells_by_scale"))
+    assert readers == {"apply_paraproduct"}
+
+
+def test_only_the_average_tables_walk_the_supports():
+    """In the package only `cube_averages` and its dense oracle
+    `cube_average_matrix` call `supports()`; the operators read the flat table."""
+    callers = {f"{path.stem}:{name}" for path in SRC.glob("*.py")
+               for name in _functions_calling(path, "supports")}
+    assert callers == {"dyadic:cube_averages", "dyadic:cube_average_matrix"}
 
 
 # the package functions that may read the dense D x D `basis_matrix`, each an
@@ -275,7 +296,6 @@ BASIS_READERS = {
                                    "`coeffs` and `synthesize` are judged against",
     "dyadic:cube_average_matrix": "the dense oracle of the flat `cube_averages`",
     "paraproducts:_mult_matrix": "mult_op, the dense oracle of the decomposition M_b",
-    "paraproducts:triangle_op": "Lambda_b by analysis of pointwise products on the cells",
     "shifts:averaged_shift_cell_matrix": "each grid's shift carried to a cell matrix, B S B^H",
 }
 

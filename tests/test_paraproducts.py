@@ -424,9 +424,12 @@ def _scale_sum_oracle(sys, b, keep):
 
 @pytest.mark.parametrize("d,N,m,dim,shift", [
     (2, 3, 1, 1, None), (3, 2, 2, 1, None), (5, 2, 1, 1, None), (2, 2, 1, 2, None),
-    (2, 3, 1, 1, (1, 0, 1)),
+    (2, 3, 1, 1, (1, 0, 1)), (4, 3, 1, 1, None), (5, 2, 2, 1, None),
 ])
 def test_lambda_and_r_against_multiplication_oracle(rng, d, N, m, dim, shift):
+    """Mutants this kills: the support entries of `triangle_op` without conj
+    of the `cube_averages` values (d = 3, 4, 5), its own-slot table T_s
+    without conj(V) (d = 3, 4, 5), and mu taken at the parent's scale."""
     sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
     b = random_symbol(sys, rng, blockdim=m)
     lam = triangle_op(sys, b)
@@ -556,9 +559,12 @@ def test_operators_on_real_tables_equal_complex_tables(rng, d, N, dim, m):
     sys, cplx = build_system(params), build_system(params)
     rows, cols, values = sys.cube_averages
     assert sys.basis_matrix.dtype == sys.cube_average_matrix.dtype == values.dtype == float
+    assert all(sys.child_values(k).dtype == float for k in range(N))
     cplx._basis = sys.basis_matrix.astype(complex)
     cplx._averages = (rows, cols, values.astype(complex))
+    cplx._tables = tuple(sys.child_values(k).astype(complex) for k in range(N))
     assert cplx.cube_average_matrix.dtype == cplx.cube_averages[2].dtype == complex
+    assert all(cplx.child_values(k).dtype == complex for k in range(N))
     b = random_symbol(sys, rng, blockdim=m)
     b_c = Symbol.from_blocks(cplx, b.blocks)
     # the same operators within the tolerance model: sums over the cells, at

@@ -6,7 +6,7 @@ import pytest
 from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift, HaarIndex,
                              build_system)
 from parahaar.checks import model_bound
-from parahaar.paraproducts import Symbol, random_symbol
+from parahaar.paraproducts import Symbol, r_op, random_symbol
 from parahaar.shifts import (ShiftSpec, assemble_shift, averaged_shift_cell_matrix,
                              coefficient_radius, commutator_growth_sweep,
                              phi_blocks, random_shift)
@@ -284,6 +284,22 @@ def test_phi_blocks_hold_no_dense_block_per_cube(rng):
     finally:
         tracemalloc.stop()
     assert len(blocks) == sys.dim_basis - 1 and peak <= 4 * 2**20
+
+
+def test_phi_blocks_validates_its_spec_once(monkeypatch, rng):
+    """One `_slots` call per `phi_blocks` call (two while S came from
+    `assemble_shift`), and Phi is [S, R_b] of `assemble_shift`'s S bit for bit."""
+    from parahaar import shifts
+
+    calls, slots = [], shifts._slots
+    monkeypatch.setattr(shifts, "_slots", lambda *args: calls.append(args) or slots(*args))
+    sys = build_system(DyadicParams(2, 4))
+    spec = random_shift(sys, 1, 1, 5)
+    b = random_symbol(sys, rng, blockdim=2)
+    phi, _ = phi_blocks(sys, spec, b)
+    assert len(calls) == 1
+    S, R = assemble_shift(sys, spec, 2), r_op(sys, b)
+    assert phi.tobytes() == (S @ R - R @ S).tobytes()
 
 
 def test_growth_sweep_rows(rng):
