@@ -67,7 +67,7 @@ from . import algebras, kernels, median, norms, shifts, spectral
 from .dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
                      build_system, cover_cube, expectation, martingale_difference,
                      DILATION_BOUND, LENGTH_RATIO_BOUND)
-from .paraproducts import (Symbol, _scalar_lift, band, commutator_pieces,
+from .paraproducts import (Symbol, band, commutator_pieces,
                            decompose, paraproduct, adjoint_paraproduct, r_op,
                            random_symbol, rank_piece, splitting, triangle_op,
                            triangle_tilde)
@@ -322,11 +322,12 @@ def check_commutator_identities(rng):
             a = random_symbol(sys, rng, blockdim=1)
             b = random_symbol(sys, rng, blockdim=m)
             psi, v = commutator_pieces(sys, a, b)
-            pa = paraproduct(sys, _scalar_lift(a, m))
+            pa = paraproduct(sys, Symbol.from_blocks(sys, np.eye(m) * a.blocks[:, :1, :1]))
             pb = paraproduct(sys, b)
             rb = r_op(sys, b)
             lam = triangle_op(sys, b)
-            haar_cols = np.repeat(np.arange(sys.dim_basis) > 0, m)
+            rows = np.repeat(sys.scale_of_row(), m)  # cube scale per row; -1 for the coarse rows
+            haar_cols = rows >= 0
             scale = max(1.0, float(np.abs(pa).max() * np.abs(pb).max()))
             # commutator against R_b, paraproduct-composition form
             lhs = pa @ rb - rb @ pa + psi + pa @ pb
@@ -335,11 +336,9 @@ def check_commutator_identities(rng):
             lhs2 = pa @ rb - rb @ pa + pa @ (pb + lam) - v
             worst = max(worst, float(np.abs(lhs2[:, haar_cols]).max()) / scale)
             # triangular-projection form of the cascade matrix
-            ranks = sys.scale_of_row()
-            tri = spectral.triangular_project(pa @ lam, np.repeat(ranks, m))
+            tri = spectral.triangular_project(pa @ lam, rows)
             worst = max(worst, float(np.abs(psi - tri).max()) / scale)
             # strict-containment zero pattern: Haar row scale <= Haar column scale
-            rows = np.repeat(ranks, m)
             zero = (rows[:, None] <= rows) & (rows[:, None] >= 0)
             worst = max(worst, float(np.abs(psi[zero]).max()) / scale)
     return _rec("commutator-cascade-identities", "paraproduct-commutator-split", worst, EXACT_TOL)

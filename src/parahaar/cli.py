@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checks, kernels, median, shifts
 from .checks import CheckRecord
-from .dyadic import DILATION_BOUND, LENGTH_RATIO_BOUND, DyadicParams, build_system
+from .dyadic import DILATION_BOUND, LENGTH_RATIO_BOUND, DyadicParams, _is_integer, build_system
 from .paraproducts import random_symbol
 
 
@@ -158,22 +158,18 @@ EXPERIMENTS = {
 }
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _bad_value(key, value, default):
     """Why `value` cannot stand in for `default` under `key`; None if it can."""
-    if _is_int(default):
+    if _is_integer(default):
         least = 2 if key == "d" else 1
-        return None if _is_int(value) and value >= least else f"must be an integer >= {least}"
+        return None if _is_integer(value) and value >= least else f"must be an integer >= {least}"
     if not isinstance(value, list) or not value:
         return "must be a nonempty list"
     if key.endswith("_range"):
-        ok = len(value) == 2 and all(map(_is_int, value)) and 0 <= value[0] <= value[1]
+        ok = len(value) == 2 and all(map(_is_integer, value)) and 0 <= value[0] <= value[1]
         return None if ok else "must be [lo, hi] with integers 0 <= lo <= hi"
-    if _is_int(default[0]):
-        ok = all(_is_int(x) and x >= 1 for x in value)
+    if _is_integer(default[0]):
+        ok = all(_is_integer(x) and x >= 1 for x in value)
         return None if ok else "must list integers >= 1"
     ok = all(isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0 for x in value)
     return None if ok else "must list numbers > 0 (Infinity allowed)"
@@ -181,7 +177,7 @@ def _bad_value(key, value, default):
 
 def _config_error(cfg, defaults):
     """'<key>' and why its value is rejected, for the first bad key; None if none is."""
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
+    if not _is_integer(cfg["seed"]) or cfg["seed"] < 0:
         return "'seed' must be an integer >= 0"
     if not isinstance(cfg.get("out", "."), str):
         return "'out' must be a string"
@@ -247,12 +243,13 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 1
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
     records = checks.run_suite(args.suite, calib)
     for r in records:
         flag = "PASS" if r.passed else "FAIL"
         print(f"[{flag}] {r.name} ({r.paper_ref}) worst={r.worst!r} {r.detail}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         _write_summary(os.path.join(args.out, "verify.json"),
                        f"verify:{args.suite}", 0, records, [])
     failed = [r for r in records if not r.passed]
@@ -267,6 +264,9 @@ def cmd_verify(args) -> int:
 def cmd_calibrate(args) -> int:
     if args.trials < 2:
         print("error: --trials must be at least 2", file=_sys.stderr)
+        return 1
+    if args.seed is not None and args.seed < 0:
+        print("error: --seed must be an integer >= 0", file=_sys.stderr)
         return 1
     if not os.path.isdir(os.path.dirname(args.out) or "."):
         print(f"error: the folder of --out {args.out!r} does not exist", file=_sys.stderr)
@@ -304,7 +304,11 @@ def main(argv=None) -> int:
     p_cal.set_defaults(func=cmd_calibrate)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # a folder or file the command cannot make, read or write
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -355,8 +355,8 @@ class FiniteDyadicSystem:
 
         A read-only oracle, built on first read by the four oracles that
         compare against it (`checks.check_orthonormality`, `cube_average_matrix`,
-        `paraproducts._mult_matrix`, `shifts.averaged_shift_cell_matrix`);
-        every operator and transform walks the tree.
+        `paraproducts.mult_op`, `shifts.averaged_shift_cell_matrix`);
+        every other operator and transform walks the tree.
         """
         if self._basis is None:
             B = np.zeros((self.n_cells, self.dim_basis), dtype=self._tables[0].dtype)
@@ -376,7 +376,9 @@ class FiniteDyadicSystem:
         the basis function in slot cols[n] is values[n]; every other mean is
         an exact 0.  The nonzero ones sit on each cube I's tree support: the
         coarse slot (mean 1) and the wavelets of I's strict ancestors, each
-        constant on I, so its mean is that constant.  They are written down
+        constant on I, so its mean is that constant.  A row's entries are
+        consecutive: the coarse slot, then each ancestor's n_colors slots in
+        colour order, coarsest ancestor first.  They are written down
         the tree from `child_values`: a cube's values are its parent's plus
         the parent's wavelet values on that child.  Per scale s the table
         holds n_s * n_colors * (1 + s n_colors) entries, O(D N n_colors) in
@@ -495,7 +497,7 @@ def _table_product(table, x, adjoint=False):
     one runs one complex GEMM, the adjoint as conj(table^T conj x), which
     conjugates a complex x in place: an adjoint's x is scratch.  No copy of
     the table is made.  The walks `cube_means` and `coeffs` multiply each
-    scale's `child_values` with it, the oracles `_mult_matrix` and
+    scale's `child_values` with it, the oracles `mult_op` and
     `averaged_shift_cell_matrix` the `basis_matrix`.
     """
     x = np.ascontiguousarray(x, dtype=complex)

@@ -26,9 +26,8 @@ built where a check compares against it:
 - apply_paraproduct, the matrix-free action from cell means, called by the
   tests against apply_op(paraproduct), which goes through the tree walks.
 No operator is built from one of the identities it is checked by.  The
-others are tree assemblies (paraproduct, its pieces and triangle_op scatter
-`cube_averages`, r_op reads `cube_means`) except commutator_pieces, a
-cell-route assembly that multiplies through mult_op's `_mult_matrix`.
+others are tree assemblies: paraproduct, its pieces, triangle_op and
+commutator_pieces scatter `cube_averages`, and r_op reads `cube_means`.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import (FiniteDyadicSystem, HaarIndex, StepFunction, _require_cells, _table_product,
-                     martingale_difference)
+from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _require_cells, _table_product
 
 __all__ = [
     "Symbol",
@@ -127,13 +125,6 @@ def _square_block(block, m) -> np.ndarray:
         raise ValueError(f"every block, the coarse mean included, must be {m} x {m}; "
                          f"got shape {block.shape}")
     return block
-
-
-def _scalar_lift(a: Symbol, m: int) -> Symbol:
-    """The scalar symbol a as the m x m symbol a I_m."""
-    if m == 1:
-        return a
-    return Symbol.from_blocks(a.sys, np.eye(m) * a.blocks[:, :1, :1])
 
 
 @dataclass
@@ -245,18 +236,22 @@ def mult_op(sys, b: Symbol) -> np.ndarray:
     `decompose` returns it as the bundle's `mult`, which
     checks.check_decompose compares the other four pieces against.
     """
-    return _mult_matrix(sys, b.function())
-
-
-def _mult_matrix(sys, g: StepFunction) -> np.ndarray:
     # M = H^H Y with Y[c, i, beta, j] = mu g_c[i, j] H[c, beta], scratch
     # that a complex table conjugates in place
-    m = g.blockdim
-    D = sys.dim_basis
-    H = sys.basis_matrix
-    Y = np.multiply(g.values[:, :, None, :], H[:, None, :, None])
+    g, m, D, H = b.function().values, b.blockdim, sys.dim_basis, sys.basis_matrix
+    Y = np.multiply(g[:, :, None, :], H[:, None, :, None])
     Y *= sys.cell_measure
     return _table_product(H, Y, adjoint=True).reshape(D * m, D * m)
+
+
+def _colour_integrals(sys, b: Symbol) -> np.ndarray:
+    """(D, m, m): at slot (Q, t) of a scale-s cube Q the integral of d_{s+1} b . h_Q^t,
+    sum_i P_s[i, t] b_Q^i with P_s = mu V^T V, V = `child_values(s)`, mu = |child|."""
+    out = np.zeros((sys.dim_basis, b.blockdim, b.blockdim), dtype=complex)
+    for s in range(sys.params.depth):
+        V, slots = sys.child_values(s), sys.haar_slots(s)
+        out[slots] = np.einsum("it,Qiab->Qtab", sys.scale_measure(s + 1) * V.T @ V, b.blocks[slots])
+    return out
 
 
 def triangle_op(sys, b: Symbol) -> np.ndarray:
@@ -267,22 +262,20 @@ def triangle_op(sys, b: Symbol) -> np.ndarray:
     With V = `child_values(s)` and mu = `scale_measure(s + 1)` its
     coefficient on Q's own slot (Q, r) is sum_i T_s[r, i, t] b_Q^i, with
     T_s[r, i, t] = mu sum_q conj(V[q, r]) V[q, i] V[q, t], and on each slot J
-    of Q's tree support conj(c_J(Q)) sum_i P_s[i, t] b_Q^i, with
-    P_s[i, t] = mu sum_q V[q, i] V[q, t] and c_J(Q) the `cube_averages`
-    value; every other coefficient is an exact 0.  The support entries are
-    one transposed scatter of `cube_averages`.
+    of Q's tree support conj(c_J(Q)) times its integral over Q
+    (`_colour_integrals`), with c_J(Q) the `cube_averages` value; every
+    other coefficient is an exact 0.  The support entries are one
+    transposed scatter of `cube_averages`.
     """
     D, m = sys.dim_basis, b.blockdim
     lam = np.zeros((D, m, D, m), dtype=complex)
-    support = np.zeros((D, m, m), dtype=complex)  # sum_i P_s[i, t] b_Q^i at slot (Q, t)
     for s in range(sys.params.depth):
         V, mu, slots = sys.child_values(s), sys.scale_measure(s + 1), sys.haar_slots(s)
-        blocks = b.blocks[slots]  # (Q, i, m, m)
         own = mu * np.einsum("qr,qi,qt->rit", V.conj(), V, V)
-        lam[slots[:, :, None], :, slots[:, None, :], :] = np.einsum("rit,Qiab->Qrtab", own, blocks)
-        support[slots] = np.einsum("it,Qiab->Qtab", mu * V.T @ V, blocks)
+        lam[slots[:, :, None], :, slots[:, None, :], :] = np.einsum("rit,Qiab->Qrtab", own,
+                                                                    b.blocks[slots])
     rows, cols, values = sys.cube_averages
-    lam[cols, :, rows, :] = values.conj()[:, None, None] * support[rows]
+    lam[cols, :, rows, :] = values.conj()[:, None, None] * _colour_integrals(sys, b)[rows]
     return lam.reshape(D * m, D * m)
 
 
@@ -369,36 +362,36 @@ def splitting(sys, b: Symbol, n_step: int, k: int):
 
 
 def commutator_pieces(sys, a: Symbol, b: Symbol):
-    """(Psi_{a,b}, V_{a,b}) for scalar a; block b allowed."""
+    """(Psi_{a,b}, V_{a,b}) for scalar a and block b, from the tree.
+
+    Column (Q, t) of a scale-s cube Q starts from G = d_{s+1} b . h_Q^t,
+    constant on Q's children; c_{Q,r}(I) is the `cube_averages` value of
+    h_Q^r on a cube I strictly inside Q.  Psi = sum_j M_{(a - E_j a) d_j b}
+    S_{j-1} has the block a_I^i c_{Q,t}(I) sum_r b_Q^r c_{Q,r}(I) at each
+    such wavelet (I, i).  V has a_J^i |J|^{-1} (integral of G) at each
+    wavelet (J, i) of Q and its ancestors: E_{k-1} of a function on Q is its
+    integral over |J| on Q's scale-(k-1) ancestor J.  Every other entry is
+    an exact 0, the coarse row and column included.
+    """
     if a.blockdim != 1:
         raise ValueError("the outer symbol must be scalar")
-    m = b.blockdim
-    f_a = _scalar_lift(a, m).function()
-    f_b = b.function()
-    N = sys.params.depth
-    D = sys.dim_basis * m
-    scales = np.repeat(sys.scale_of_row(), m)  # cube scale per row; -1 for the coarse rows
-
-    # one pass over k, building M_{d_k b} S_{k-1} (only the input columns of
-    # cube scale k-1) and M_{d_k a} where they are read:
-    #   psi = sum_k M_{d_k a} (sum_{j<k} M_{d_j b} S_{j-1}),
-    #   v   = sum_j (sum_{k<=j} M_{d_k a} E_{k-1}) M_{d_j b} S_{j-1},
-    # E_{k-1} keeping the coarse rows and the rows of cube scale below k-1
-    psi = np.zeros((D, D), dtype=complex)
-    v = np.zeros((D, D), dtype=complex)
-    prefix = np.zeros((D, D), dtype=complex)
-    tail = np.zeros((D, D), dtype=complex)
-    for k in range(1, N + 1):
-        ma = _mult_matrix(sys, martingale_difference(sys, f_a, k))
-        if k > 1:
-            psi += ma @ prefix
-        md_b = _mult_matrix(sys, martingale_difference(sys, f_b, k))
-        md_b[:, scales != k - 1] = 0.0
-        prefix += md_b
-        ma[:, scales >= k - 1] = 0.0
-        tail += ma
-        v += tail @ md_b
-    return psi, v
+    D, m, n_colors, alpha = sys.dim_basis, b.blockdim, sys.n_colors, a.blocks[:, 0, 0]
+    rows, cols, values = (x[sys.cube_averages[1] > 0] for x in sys.cube_averages)
+    # the entries of one row and one ancestor Q run over Q's colours in order
+    prod = b.blocks[cols] * values[:, None, None]
+    g = np.repeat(prod.reshape(-1, n_colors, m, m).sum(axis=1), n_colors, axis=0)
+    psi = np.zeros((D, m, D, m), dtype=complex)
+    psi[rows, :, cols, :] = (alpha[rows] * values)[:, None, None] * g
+    integrals = _colour_integrals(sys, b)
+    weights = np.zeros(D, dtype=complex)  # a_J^i / |J| at the slot (J, i)
+    v = np.zeros((D, m, D, m), dtype=complex)
+    for s in range(sys.params.depth):
+        slots = sys.haar_slots(s)
+        weights[slots] = alpha[slots] / sys.scale_measure(s)
+        v[slots[:, :, None], :, slots[:, None, :], :] = (
+            weights[slots][:, :, None, None, None] * integrals[slots][:, None])
+    v[cols, :, rows, :] = weights[cols][:, None, None] * integrals[rows]
+    return psi.reshape(D * m, D * m), v.reshape(D * m, D * m)
 
 
 def rank_piece(sys, b: Symbol, cube, color) -> np.ndarray:

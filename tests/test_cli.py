@@ -204,6 +204,28 @@ def test_verify_suite_cli(tmp_path, suite):
     assert all(a["pass"] for a in payload["assertions"])
 
 
+def test_verify_refuses_an_output_file_before_running(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(checks, "run_suite", lambda *args: calls.append(args))
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    assert run_cli(["verify", "--suite", "all", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert calls == [] and out.read_text() == "kept\n"
+
+
+def test_run_refuses_an_output_file_before_running(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setitem(cli.EXPERIMENTS, "covering",
+                        (lambda *args: calls.append(args), cli.EXPERIMENTS["covering"][1]))
+    cfg, out = tmp_path / "cfg.json", tmp_path / "taken"
+    cfg.write_text(json.dumps({"experiment": "covering", "seed": 1, "trials": 3}))
+    out.write_text("kept\n")
+    assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno ")
+    assert calls == [] and out.read_text() == "kept\n"
+
+
 def test_verify_detects_corruption(monkeypatch, capsys):
     # a corrupted wavelet phase must fail the product-rule assertion by name
     import parahaar.checks as chk
@@ -261,6 +283,15 @@ def test_calibrate_rejects_too_few_trials(tmp_path, capsys, trials):
     assert run_cli(["calibrate", "--out", str(out), "--trials", trials]) == 1
     assert capsys.readouterr().err == "error: --trials must be at least 2\n"
     assert not out.exists()
+
+
+def test_calibrate_rejects_a_negative_seed(monkeypatch, tmp_path, capsys):
+    calls = []
+    monkeypatch.setattr(checks, "calibrate_all", lambda **kwargs: calls.append(kwargs))
+    out = tmp_path / "cal.json"
+    assert run_cli(["calibrate", "--out", str(out), "--seed", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be an integer >= 0\n"
+    assert calls == [] and not out.exists()
 
 
 def test_calibrate_refuses_a_missing_output_folder_before_measuring(monkeypatch, tmp_path, capsys):

@@ -273,6 +273,16 @@ def test_triangle_op_is_not_built_from_the_split_it_is_checked_by():
         assert "triangle_op" not in _functions_calling(SRC / "paraproducts.py", name), name
 
 
+def test_commutator_pieces_is_built_from_neither_its_checks_nor_the_cells():
+    """`commutator_pieces` calls none of the operators that the
+    `commutator-cascade-identities` record checks Psi and V against (pi_a,
+    pi_b, Lambda_b, R_b, the triangular projection), nor the cell route
+    (the multiplication oracle and the conditional expectations)."""
+    for name in ("paraproduct", "_average_scatter", "triangle_op", "r_op", "triangular_project",
+                 "mult_op", "martingale_difference", "expectation"):
+        assert "commutator_pieces" not in _functions_calling(SRC / "paraproducts.py", name), name
+
+
 def test_only_apply_paraproduct_reads_the_cell_tables_among_the_operators():
     """Inside `paraproducts.py` only `apply_paraproduct`, the matrix-free
     oracle, reads `cells_by_scale`; every operator is assembled on the tree."""
@@ -289,13 +299,13 @@ def test_only_the_average_tables_walk_the_supports():
 
 
 # the package functions that may read the dense D x D `basis_matrix`, each an
-# oracle or a dense assembly on the cells; the transforms and the Besov and
-# BMO functionals walk the tree instead
+# oracle; every operator, the transforms and the Besov and BMO functionals
+# walk the tree instead
 BASIS_READERS = {
     "checks:check_orthonormality": "the Gram matrix, and the dense products the walks "
                                    "`coeffs` and `synthesize` are judged against",
     "dyadic:cube_average_matrix": "the dense oracle of the flat `cube_averages`",
-    "paraproducts:_mult_matrix": "mult_op, the dense oracle of the decomposition M_b",
+    "paraproducts:mult_op": "the dense oracle of the decomposition M_b",
     "shifts:averaged_shift_cell_matrix": "each grid's shift carried to a cell matrix, B S B^H",
 }
 

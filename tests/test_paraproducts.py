@@ -285,22 +285,25 @@ def test_commutator_pieces_identities(rng):
     assert np.abs(psi - tri).max() < 1e-11
 
 
-def test_commutator_pieces_holds_a_few_operators(rng):
+def test_commutator_pieces_holds_a_few_operators(monkeypatch, rng):
     import tracemalloc
 
+    def refuse(self):
+        raise AssertionError("commutator_pieces read the dense basis")
+
+    monkeypatch.setattr(FiniteDyadicSystem, "basis_matrix", property(refuse))
     sys = build_system(DyadicParams(2, 8))
     a, b = random_symbol(sys, rng), random_symbol(sys, rng)
-    sys.basis_matrix  # built before tracing, as every caller finds it
+    sys.cube_averages  # built before tracing, as every caller finds it
     tracemalloc.start()
     try:
         psi, v = commutator_pieces(sys, a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # psi, v, two running sums and the two operators of one scale, with their
-    # products: about 8 D^2 complex entries (8 MB at D = 256), not 2N + 4
+    # the two outputs, plus O(D N m^2) for the flat table's gathers
     assert psi.nbytes == v.nbytes == 16 * sys.dim_basis ** 2
-    assert peak <= 10 * 2**20
+    assert peak <= 1.25 * (psi.nbytes + v.nbytes)
 
 
 def test_commutator_pieces_trivial(rng):
@@ -420,6 +423,47 @@ def _scale_sum_oracle(sys, b, keep):
                       b.coarse_mean if keep(-1, k) else None, blockdim=b.blockdim)
         out = out + mult_op(sys, part) * (np.repeat(sys.scale_of_row(), b.blockdim) == k - 1)
     return out
+
+
+def _commutator_oracle(sys, a, b):
+    """(Psi, V) composed from dense multiplication operators: with
+    A_k = M_{d_k a} and B_j = M_{d_j b} S_{j-1},
+    Psi = sum_{j<k} A_k B_j and V = sum_{k<=j} A_k E_{k-1} B_j."""
+    m, N = b.blockdim, sys.params.depth
+    scales = np.repeat(sys.scale_of_row(), m)
+    lifted = Symbol.from_blocks(sys, np.eye(m) * a.blocks[:, :1, :1])  # a I_m
+
+    def difference(sym, k):  # M_{d_k sym}
+        return mult_op(sys, Symbol(sys, {h: blk for h, blk in sym.coeffs.items()
+                                         if h.cube.scale == k - 1}, blockdim=m))
+
+    A = {k: difference(lifted, k) for k in range(1, N + 1)}
+    B = {j: difference(b, j) * (scales == j - 1) for j in range(1, N + 1)}
+    psi = sum(A[k] @ B[j] for k in A for j in B if j < k)
+    v = sum((A[k] * (scales < k - 1)) @ B[j] for k in A for j in B if k <= j)
+    return psi, v
+
+
+@pytest.mark.parametrize("d,N,dim,m,shift", [
+    (2, 3, 1, 1, None), (2, 4, 1, 2, None), (3, 2, 1, 1, None), (3, 3, 1, 2, None),
+    (4, 2, 1, 1, None), (4, 3, 1, 1, None), (5, 2, 1, 2, None), (2, 2, 2, 1, None),
+    (2, 3, 2, 2, None), (2, 3, 1, 2, (1, 0, 1)), (2, 8, 1, 1, None),
+])
+def test_commutator_pieces_against_multiplication_oracle(rng, d, N, dim, m, shift):
+    """Psi and V from the tree equal their composition from dense
+    multiplication operators, and their coarse lines are exact zeros.
+    Mutants this kills: Psi with conj(c) (d = 3, 4, 5), Psi without the
+    sum_r b c factor, mu taken at the parent's scale, V without Q's own
+    block, and |Q|^{-1} in place of |J|^{-1}."""
+    sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
+    a, b = random_symbol(sys, rng), random_symbol(sys, rng, blockdim=m)
+    psi, v = commutator_pieces(sys, a, b)
+    for got, want in zip((psi, v), _commutator_oracle(sys, a, b)):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    D = sys.dim_basis
+    psi, v = psi.reshape(D, m, D, m), v.reshape(D, m, D, m)
+    assert not psi[0].any() and not psi[:, :, 0].any()
+    assert not v[0].any() and not v[:, :, 0].any()
 
 
 @pytest.mark.parametrize("d,N,m,dim,shift", [
