@@ -12,6 +12,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
+from .dyadic import _is_integer
 from .norms import _cell_midgrids, _weighted_sum
 
 __all__ = [
@@ -255,8 +256,9 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
 
 
 def commutator_grid_op(T: GridOperator, b_values) -> GridOperator:
-    M = np.diag(np.asarray(b_values, dtype=complex))
-    return GridOperator(T.matrix @ M - M @ T.matrix, T.dim, T.cells_per_axis)
+    """[T, M_b] = T M_b - M_b T, the products as column and row scalings."""
+    b = np.asarray(b_values, dtype=complex)
+    return GridOperator(T.matrix * b[None, :] - b[:, None] * T.matrix, T.dim, T.cells_per_axis)
 
 
 def weak_factorization(f_values, q_cells, qt_cells, T: GridOperator) -> dict:
@@ -342,6 +344,8 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
 
     if sys.params.dim != C.dim:
         raise ValueError("system and operator dimensions differ")
+    if not (_is_integer(A) and A >= 1):
+        raise ValueError(f"the separation A must be an integer >= 1, not {A!r}")
     b_values = np.asarray(b_values, dtype=complex)
     pairs = []  # (k, rank, cells of I, cells of its partner)
     for k in range(1, sys.params.depth):

@@ -15,15 +15,16 @@ the half-plane median and the two conditional median intervals; the axes
 frame; the mirror and the S1 / S4 split with base points A and B; the angle
 intervals at one base point per row; the bisection, one step per round; and
 the first candidate frame at each attempted base point, certified by a
-batched mass evaluation.  A set leaves the route when a first candidate
-fails, when its bisection ends without an overlap (the per-set search goes
-on to its candidate list), and where the per-set search would go on to the
-ray construction or the fallback; `complex_median`, the per-set search,
-finishes it.  `complex_median` is also the oracle: each set's frame and
-`stats` counts are the ones it gives.  To keep them, a batched sum of a
-subset is taken as the subset's own compressed sum (numpy's pairwise sum
-groups by length), sorts are stable with the padding last, and per-set
-scalars (directions, offsets, rho) come from the same Python arithmetic.
+batched mass evaluation.  A set whose bisection ends without an overlap
+leaves with its final bracket, and the per-set search resumes there at its
+candidate list.  A set whose first candidate fails, or where the per-set
+search would go straight to the ray construction or the fallback, is
+searched again by `complex_median`.  That per-set search is also the
+oracle: each set's frame and `stats` counts are the ones it gives.  To keep
+them, a batched sum of a subset is taken as the subset's own compressed sum
+(numpy's pairwise sum groups by length), sorts are stable with the padding
+last, and per-set scalars (directions, offsets, rho) come from the same
+Python arithmetic.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ class WeightedPointSet:
             raise ValueError("points and weights must have equal length")
         if self.z.size == 0:
             raise ValueError("point set must be nonempty")
+        if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
+            raise ValueError("points and weights must be finite")
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
         self.total = float(self.w.sum())
@@ -205,17 +208,8 @@ def _quarter_interval(angles, weights, apex_w, quarter):
     return lo, float(a_sorted[k]), ilo, int(order[k])
 
 
-def _exact_key(x):
-    """Memo key of a float: its value and its sign, so -0.0 and 0.0 differ."""
-    return x, math.copysign(1.0, x)
-
-
 class _SplitData:
-    """S1 / S4 atom data in normalized coordinates (base line = real axis).
-
-    One instance serves one frame search: it remembers the intervals of
-    every base point it has been asked about, keyed on the exact float.
-    """
+    """S1 / S4 atom data in normalized coordinates (base line = real axis)."""
 
     def __init__(self, pts, c, a1, a2):
         z = pts.z - 1j * c
@@ -234,18 +228,12 @@ class _SplitData:
         z1, z4 = z[self.s1], z[self.s4]
         self._side1 = (z1, self.w[self.s1], z1.real, np.maximum(z1.imag, 0.0))
         self._side4 = (z4, self.w[self.s4], z4.real, np.maximum(-z4.imag, 0.0))
-        self._memo = {}
 
     def intervals(self, x):
         """rho-intervals at base point x for the S1 and the S4 constraints."""
-        key = _exact_key(x)
-        out = self._memo.get(key)
-        if out is None:
-            lo1, hi1, atom_lo1, atom_hi1 = self._side_interval(self._side1, self.s1, self.q1, x)
-            plo, phi_, atom_plo, atom_phi = self._side_interval(self._side4, self.s4, self.q4, x)
-            out = self._memo[key] = ((lo1, hi1, atom_lo1, atom_hi1),
-                                     (math.pi - phi_, math.pi - plo, atom_phi, atom_plo))
-        return out
+        side1 = self._side_interval(self._side1, self.s1, self.q1, x)
+        plo, phi_, atom_plo, atom_phi = self._side_interval(self._side4, self.s4, self.q4, x)
+        return side1, (math.pi - phi_, math.pi - plo, atom_phi, atom_plo)
 
     def _side_interval(self, side, idx, quarter, x):
         """_quarter_interval of one side's angles seen from x, atoms as indices."""
@@ -279,6 +267,12 @@ def _axis_intercept(za, zb):
 
 def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
     """Frame whose four closed quadrants each carry >= total/16 of the mass."""
+    return _median(pts, None)
+
+
+def _median(pts, bracket):
+    """complex_median(pts), its search resumed at `bracket` unless that is
+    None (see `_search_frame`)."""
     stats.calls += 1
     c = halfplane_median(pts, math.pi / 2)
     im = pts.z.imag
@@ -292,7 +286,7 @@ def complex_median(pts: WeightedPointSet) -> QuadrantFrame:
         return axes
     work = WeightedPointSet(-np.conj(pts.z), pts.w) if mirrored else pts
 
-    frame = _search_frame(work, c, a1, a2)
+    frame = _search_frame(work, c, a1, a2, bracket)
     if frame is None:
         stats.fallbacks += 1
         frame = _fallback_frame(work, c, a1, a2)
@@ -377,27 +371,20 @@ def _try_frames_at(work, data, c, a1, a2, x):
     return None
 
 
-def _search_frame(work, c, a1, a2):
+def _search_frame(work, c, a1, a2, bracket):
+    """A certified frame of the S1 / S4 search on `work`, or None.
+
+    The search tries the base points A and B, then bisects between them for
+    one where the S1 and S4 rho-intervals meet.  A bisection that ends
+    without a meeting point leaves a bracket (xl, xh), and the search goes
+    on to the candidates near it; a given `bracket` is where such a
+    bisection ended, and the search starts at its candidates.
+    """
     data = _SplitData(work, c, a1, a2)
     if data.w[data.s1].sum() == 0 or data.w[data.s4].sum() == 0:
         return None
     A = _median_interval(data.z[data.s1].real, data.w[data.s1], 2 * data.q1)[0]
     B = _median_interval(data.z[data.s4].real, data.w[data.s4], 2 * data.q4)[0]
-    failed = set()  # base points whose attempt found no frame; a retry would too
-
-    def attempt(x):
-        key = _exact_key(x)
-        if key in failed:
-            return None
-        frame = _try_frames_at(work, data, c, a1, a2, x)
-        if frame is None:
-            failed.add(key)
-        return frame
-
-    for x in (A, B):
-        frame = attempt(x)
-        if frame is not None:
-            return frame
 
     def order(x):
         (lo1, hi1, _, _), (lo4, hi4, _, _) = data.intervals(x)
@@ -405,25 +392,32 @@ def _search_frame(work, c, a1, a2):
             return 0
         return -1 if hi1 < lo4 else 1
 
-    oA, oB = order(A), order(B)
-    if oA == 0 or oB == 0 or oA == oB:
-        candidates = [B]
-    else:
-        xl, xh = A, B
-        for _ in range(200):
-            xm = 0.5 * (xl + xh)
-            om = order(xm)
-            if om == 0:
-                frame = attempt(xm)
-                if frame is not None:
-                    return frame
-                break
-            if om == oA:
-                xl = xm
-            else:
-                xh = xm
-            if xh - xl <= 1e-14 * data.scale:
-                break
+    if bracket is None:
+        for x in (A, B):
+            frame = _try_frames_at(work, data, c, a1, a2, x)
+            if frame is not None:
+                return frame
+        oA, oB = order(A), order(B)
+        if oA != 0 and oB != 0 and oA != oB:
+            xl, xh = A, B
+            for _ in range(200):
+                xm = 0.5 * (xl + xh)
+                om = order(xm)
+                if om == 0:
+                    frame = _try_frames_at(work, data, c, a1, a2, xm)
+                    if frame is not None:
+                        return frame
+                    break
+                if om == oA:
+                    xl = xm
+                else:
+                    xh = xm
+                if xh - xl <= 1e-14 * data.scale:
+                    break
+            bracket = xl, xh
+    candidates = []
+    if bracket is not None:
+        xl, xh = bracket
         candidates = [xl, xh, 0.5 * (xl + xh)]
         # exact touch: intercepts of lines through the binding atom pairs
         for x in (xl, xh):
@@ -442,7 +436,7 @@ def _search_frame(work, c, a1, a2):
         if not np.isfinite(x) or x in seen:
             continue
         seen.add(x)
-        frame = attempt(x)
+        frame = _try_frames_at(work, data, c, a1, a2, x)
         if frame is not None:
             return frame
     # boundary configurations: mass concentrated on a ray (handled via the
@@ -523,9 +517,9 @@ def complex_medians(point_sets) -> list:
     """[complex_median(p) for p in point_sets], with the searches in lockstep.
 
     Each stage of the common route is one array pass over the sets of a
-    chunk still on it; a set that leaves the route is finished by
-    `complex_median`.  Frames and `stats` counts equal those of one
-    `complex_median` call per set, whatever sets share a chunk.
+    chunk still on it; the per-set search finishes a set that leaves, from
+    its bisection bracket if it has one.  Frames and `stats` counts equal
+    those of one `complex_median` call per set, whatever sets share a chunk.
     """
     point_sets = list(point_sets)
     frames = [None] * len(point_sets)
@@ -545,11 +539,7 @@ def _lockstep_frames(sets):
     z[valid] = np.concatenate([p.z for p in sets])
     w = np.zeros(valid.shape)
     w[valid] = np.concatenate([p.w for p in sets])
-    total = np.array([p.total for p in sets])
-    frames = [None] * len(sets)
-    # padded entries carry the weight 0; a set with a non-finite point leaves
-    ids = np.flatnonzero(np.isfinite(z).all(axis=1))
-    z, w, valid, total = z[ids], w[ids], valid[ids], total[ids]
+    total = np.array([p.total for p in sets])  # padded entries carry the weight 0
 
     # the median line {Im = c}, the conditional median intervals above and
     # below it, and from them the axes frame or the search's ray origins
@@ -560,7 +550,7 @@ def _lockstep_frames(sets):
     l1, h1 = _row_median_interval(z.real, w, halves[0], half[0])
     l2, h2 = _row_median_interval(z.real, w, halves[1], half[1])
     routes = list(map(_route, c.tolist(), l1.tolist(), h1.tolist(), l2.tolist(), h2.tolist()))
-    found = [None] * len(ids)
+    found = [None] * len(sets)
     axes = [j for j, route in enumerate(routes) if route[0] is not None]
     ok = _row_certified(z[axes], w[axes], total[axes], [routes[j][0] for j in axes])
     for j, good in zip(axes, ok.tolist()):
@@ -572,8 +562,9 @@ def _lockstep_frames(sets):
     mirrored = np.array([routes[j][1] for j in rest], dtype=bool)
     work = z[rest]
     work[mirrored] = -np.conj(work[mirrored])
-    searched = _lockstep_search(work, w[rest], valid[rest], total[rest], c[rest],
-                                [routes[j][2] for j in rest], [routes[j][3] for j in rest])
+    searched, brackets = _lockstep_search(work, w[rest], valid[rest], total[rest], c[rest],
+                                          [routes[j][2] for j in rest],
+                                          [routes[j][3] for j in rest])
     back = [k for k, frame in enumerate(searched) if frame is not None and mirrored[k]]
     unmirrored = [_unmirrored(searched[k]) for k in back]
     ok = _row_certified(z[rest[back]], w[rest[back]], total[rest[back]], unmirrored)
@@ -581,22 +572,24 @@ def _lockstep_frames(sets):
         searched[k] = frame if good else None
     for j, frame in zip(rest.tolist(), searched):
         found[j] = frame
+    resume = {int(rest[k]): bracket for k, bracket in brackets.items()}
 
-    for j, frame in zip(ids.tolist(), found):
-        frames[j] = frame
-    stats.calls += len(frames) - frames.count(None)
-    return [complex_median(p) if frame is None else frame for p, frame in zip(sets, frames)]
+    stats.calls += len(found) - found.count(None)
+    return [_median(p, resume.get(j)) if frame is None else frame
+            for j, (p, frame) in enumerate(zip(sets, found))]
 
 
 def _lockstep_search(z, w, valid, total, c, a1, a2):
     """_search_frame of every row, as far as its common route goes.
 
-    Rows are in work coordinates.  A row's entry is its frame, or None when
-    it leaves the route: when a first candidate frame fails its certificate,
-    or where the per-set search goes on to its candidate list, the ray
-    construction or the fallback.
+    Rows are in work coordinates.  Returns (frames, brackets).  A row's frame
+    is None when it leaves the route: when a first candidate frame fails its
+    certificate, or where the per-set search goes on to its candidate list,
+    the ray construction or the fallback.  A row whose bisection ended
+    without a meeting point has its final (xl, xh) in `brackets`, keyed by
+    row: its per-set search resumes there.
     """
-    frames = [None] * len(z)
+    frames, brackets = [None] * len(z), {}
     zs = z - np.array([1j * ci for ci in c.tolist()], dtype=complex)[:, None]
     sides = np.stack([valid & (zs.imag >= 0) & (zs.real <= np.array(a1)[:, None]),
                       valid & (zs.imag <= 0) & (zs.real >= np.array(a2)[:, None])])
@@ -647,15 +640,17 @@ def _lockstep_search(z, w, valid, total, c, a1, a2):
         xm = 0.5 * (xl + xh)
         at_m = split.take(rows).intervals(xm)
         o_m = _order(*at_m)
-        # the per-set search remembers A and B as failed: meeting there, it leaves
-        meet = (o_m == 0) & (xm != A[rows]) & (xm != B[rows])
+        meet = o_m == 0
         if meet.any():
             attempt(rows[meet], xm[meet], [v[meet] for v in at_m])
         xl = np.where(o_m == o_a, xm, xl)
         xh = np.where(o_m == o_a, xh, xm)
-        on = (o_m != 0) & ~(xh - xl <= 1e-14 * split.scale[rows])
+        on = ~meet & ~(xh - xl <= 1e-14 * split.scale[rows])
+        ended = ~meet & ~on
+        brackets.update(zip(rows[ended].tolist(), zip(xl[ended].tolist(), xh[ended].tolist())))
         rows, o_a, xl, xh = rows[on], o_a[on], xl[on], xh[on]
-    return frames
+    brackets.update(zip(rows.tolist(), zip(xl.tolist(), xh.tolist())))  # all 200 rounds
+    return frames, brackets
 
 
 class _RowSplit:

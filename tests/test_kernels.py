@@ -262,6 +262,35 @@ def test_testing_quantity_at_inf_is_the_largest_term(rng):
     assert 1 - 1e-12 <= q <= 1.02
 
 
+def test_commutator_grid_op_equals_the_dense_product(rng):
+    # the package's kernels discretize to real matrices: there each scaled
+    # entry is the one nonzero term of its dense product, bit for bit
+    for kernel, n in ((hilbert_kernel(), 32), (homogeneous_sign_kernel(), 64)):
+        T = discretize(kernel, n, refinement=2)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        M = np.diag(b)
+        C = commutator_grid_op(T, b)
+        assert np.array_equal(C.matrix, T.matrix @ M - M @ T.matrix)
+        assert (C.dim, C.cells_per_axis) == (T.dim, T.cells_per_axis)
+    # a complex T: either route rounds each complex product once, and a
+    # fused multiply-add may round it differently, within a few ulp
+    n = 64
+    T = GridOperator(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)), 1, n)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    M = np.diag(b)
+    size = np.abs(T.matrix) * (np.abs(b)[None, :] + np.abs(b)[:, None])
+    err = np.abs(commutator_grid_op(T, b).matrix - (T.matrix @ M - M @ T.matrix))
+    assert (err <= 4 * np.finfo(float).eps * size).all()
+
+
+@pytest.mark.parametrize("A", [0, -3, True, 2.5, 4.0, "4", None])
+def test_testing_quantity_rejects_a_separation_that_is_not_a_positive_integer(A):
+    sys = build_system(DyadicParams(2, 4))
+    C = GridOperator(np.eye(16, dtype=complex), 1, 16)
+    with pytest.raises(ValueError, match="separation A"):
+        tq_separated(C, sys, np.ones(16), A=A, p=2.0)
+
+
 def test_testing_quantity_positive(rng):
     sys = build_system(DyadicParams(2, 4))
     T = discretize(hilbert_kernel(), 16, refinement=2)

@@ -28,6 +28,20 @@ def test_empty_rejected():
         WeightedPointSet([1.0], [0.0])
 
 
+@pytest.mark.parametrize("bad_point,bad_weight", [
+    (np.inf, 1.0), (complex(0, -np.inf), 1.0), (complex(np.nan, 0), 1.0),
+    (0.5j, np.nan), (0.5j, np.inf),
+])
+def test_non_finite_rejected(rng, bad_point, bad_weight):
+    # accepted, a NaN weight would drive the exhaustive O(n^4) fallback, and
+    # an infinite point would get a frame certified on meaningless masses
+    z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    w = np.ones(64)
+    z[7], w[7] = bad_point, bad_weight
+    with pytest.raises(ValueError, match="finite"):
+        WeightedPointSet(z, w)
+
+
 def test_halfplane_examples():
     pts = WeightedPointSet([-1.0, 1.0], [1.0, 1.0])
     assert halfplane_median(pts, 0.0) == -1.0  # the inf rule
@@ -215,7 +229,7 @@ def test_quadrant_sets_inequalities(rng):
     assert worst <= 1e-9
 
 
-# -- the per-search memo of base-point intervals and failed attempts
+# -- the base-point intervals of one search
 
 
 def _intervals_reference(data, x):
@@ -234,7 +248,7 @@ def _intervals_reference(data, x):
     return tuple(out)
 
 
-def test_memoized_intervals_equal_fresh_computation(rng):
+def test_split_intervals_equal_fresh_computation(rng):
     upper = rng.standard_normal(12) + 1j * np.abs(rng.standard_normal(12))
     lower = rng.standard_normal(12) - 1j * np.abs(rng.standard_normal(12))
     base_line = np.array([-1.5, -0.5, 0.5, 1.0, 1.0])  # atoms on the base line
@@ -244,9 +258,8 @@ def test_memoized_intervals_equal_fresh_computation(rng):
         pts = WeightedPointSet(z, rng.uniform(0.5, 2.0, z.size))
         data = med._SplitData(pts, c, 0.75, -0.75)
         xs = [0.0, -0.0, 0.25, 0.5, 1.0, -1.5, *rng.standard_normal(6), *data.z.real]
-        for x in xs + xs[::-1]:  # the second pass reads the memo
+        for x in xs:
             assert data.intervals(x) == _intervals_reference(data, x)
-        assert {k for k in data._memo if k[0] == 0.0} == {(0.0, 1.0), (0.0, -1.0)}
 
 
 def _median_suite_sets(rng, n_sets):
@@ -277,27 +290,6 @@ def _median_suite_sets(rng, n_sets):
             z = rng.choice(centers, n) + 1e-13 * (rng.standard_normal(n)
                                                   + 1j * rng.standard_normal(n))
             yield WeightedPointSet(z, np.ones(n))
-
-
-def test_median_frames_do_not_depend_on_the_memo(rng, monkeypatch):
-    sets = list(_median_suite_sets(rng, 250))
-    calls = []
-    fresh_side = med._SplitData._side_interval
-
-    def counted(self, *args):
-        calls.append(1)
-        return fresh_side(self, *args)
-
-    monkeypatch.setattr(med._SplitData, "_side_interval", counted)
-    med.stats.reset()
-    memo = [complex_median(pts) for pts in sets]
-    memo_counts = (med.stats.fallbacks, med.stats.boundary_cases, len(calls))
-    calls.clear()
-    monkeypatch.setattr(med, "_exact_key", lambda x: object())  # no key ever matches
-    med.stats.reset()
-    assert [complex_median(pts) for pts in sets] == memo
-    assert (med.stats.fallbacks, med.stats.boundary_cases) == memo_counts[:2]
-    assert memo_counts[2] < len(calls)
 
 
 # Paths of `complex_median` that the point sets above never take.  Each test
@@ -360,8 +352,8 @@ def test_axes_frame_that_fails_its_certificate(monkeypatch):
     monkeypatch.setattr(med, "_certify", reject_first)
     _spy(monkeypatch, "_search_frame", calls)
     _certified_with_counts(pts, 0, 0)
-    (_, (work, c, a1, a2), frame), = calls[1:]
-    assert work is pts and a1 == a2 and frame is not None
+    (_, (work, c, a1, a2, bracket), frame), = calls[1:]
+    assert work is pts and a1 == a2 and bracket is None and frame is not None
     assert calls[0].theta == math.pi / 2
 
 
@@ -393,7 +385,7 @@ def test_mirrored_frame_that_fails_its_certificate(monkeypatch):
 
     monkeypatch.setattr(med, "_certify", once_on_pts)
     monkeypatch.setattr(med, "_search_frame",
-                        lambda work, *args: med._fallback_frame(work, *args))
+                        lambda work, c, a1, a2, bracket: med._fallback_frame(work, c, a1, a2))
     _spy(monkeypatch, "_fallback_frame", calls)
     _certified_with_counts(pts, 1, 0)
     assert len(rejected) == 1
@@ -458,7 +450,6 @@ _RARE_PATH_SETS = [
     ([1, -1, 1j, -1j], [1] * 4),
     ([0, 1, 1 + 1j], [1] * 3),
     ([0.5 - 0.25j], [3.0]),
-    ([np.inf, 1j, 0], [1, 1, 1]),  # a non-finite point takes the per-set search
 ]
 
 
@@ -481,15 +472,13 @@ def _corpus(name):
 def _per_set(sets):
     """Frames and stats counts of one complex_median call per set."""
     med.stats.reset()
-    with np.errstate(invalid="ignore"):
-        frames = [complex_median(pts) for pts in sets]
+    frames = [complex_median(pts) for pts in sets]
     return frames, (med.stats.calls, med.stats.fallbacks, med.stats.boundary_cases)
 
 
 def _lockstep(sets):
     med.stats.reset()
-    with np.errstate(invalid="ignore"):
-        frames = complex_medians(sets)
+    frames = complex_medians(sets)
     return frames, (med.stats.calls, med.stats.fallbacks, med.stats.boundary_cases)
 
 
@@ -511,22 +500,45 @@ def test_lockstep_frames_do_not_depend_on_the_chunk(monkeypatch):
 
 
 def test_lockstep_route_finishes_the_common_searches(monkeypatch):
-    # a set leaves the route only where the per-set search goes past the first
-    # frame at its first base point with an overlap; on random sets that is a
-    # bisection ending without one, a few sets in a thousand
-    tail = []
-    per_set = med.complex_median
+    # a set leaves the route where the per-set search goes past the first
+    # frame at its first base point with an overlap; one whose bisection ended
+    # without an overlap resumes at its bracket, and only the rest (a first
+    # frame that fails, an empty S1 or S4) start the per-set search again
+    restarts = []
+    per_set = med._median
 
-    def counted(pts):
-        tail.append(pts)
-        return per_set(pts)
+    def counted(pts, bracket):
+        if bracket is None:
+            restarts.append(pts)
+        return per_set(pts, bracket)
 
-    monkeypatch.setattr(med, "complex_median", counted)
-    for seed in (11, 12):
-        tail.clear()
-        sets = _median_verify_sets(seed)
+    monkeypatch.setattr(med, "_median", counted)
+    for sets in (_median_verify_sets(11), _median_verify_sets(12), _corpus("suite-sets")):
+        restarts.clear()
         complex_medians(sets)
-        assert len(tail) <= len(sets) // 100
+        assert len(restarts) <= 10
+
+
+def test_resumed_searches_start_at_their_bracket(monkeypatch):
+    # a set that leaves the lockstep with its bracket goes straight to the
+    # candidates: xl, xh and their midpoint, not A and B or a new bisection
+    searches, search, try_at = [], med._search_frame, med._try_frames_at
+
+    def searched(work, c, a1, a2, bracket):
+        searches.append((bracket, []))
+        return search(work, c, a1, a2, bracket)
+
+    def tried(work, data, c, a1, a2, x):
+        searches[-1][1].append(x)
+        return try_at(work, data, c, a1, a2, x)
+
+    monkeypatch.setattr(med, "_search_frame", searched)
+    monkeypatch.setattr(med, "_try_frames_at", tried)
+    complex_medians(_corpus("suite-sets"))
+    resumed = [(bracket, xs) for bracket, xs in searches if bracket is not None]
+    assert len(resumed) >= 100
+    for (xl, xh), xs in resumed:
+        assert xs and xs[:3] == [xl, xh, 0.5 * (xl + xh)][:len(xs)]
 
 
 def test_lockstep_search_memory():
