@@ -185,23 +185,15 @@ def nondegenerate_probe(K: KernelSpec, x0, r: float, A: float) -> dict:
     ys = _ball_samples(y0, r, K.dim)
     vals = K.evaluate(ys[:, None, :], xs[None, :, :])
     diff = np.abs(vals - k00).max()
-    rot = np.exp(-1j * np.angle(k00))
-    rotated = rot * vals
-    re = rotated.real
-    rho = float(np.abs(rotated.imag).max() / re.min()) if re.min() > 0 else np.inf
-    two_re = float((np.abs(rotated) / re).max()) if re.min() > 0 else np.inf
     return {
         "y0": y0,
         "K00": k00,
         "dist": dist,
         "bracket": bracket,
-        "diff_scaled": float(diff * (A ** (K.dim + K.alpha)) * r**K.dim),
         # eps: relative deviation over the witness pairs, the quantity the
-        # far-point argument drives to zero as A grows (strictly, even for
-        # real kernels where the imaginary-part ratio rho is identically 0)
+        # far-point argument drives to zero as A grows (strictly, for real
+        # kernels as well as complex ones)
         "eps": float(diff / abs(k00)),
-        "rho": rho,
-        "two_re_ratio": two_re,
         "threshold": threshold,
     }
 

@@ -6,7 +6,10 @@ angles through base points between the two conditional medians, realized on
 the finite breakpoint set induced by atom projections and pairwise atom
 directions.  Every emitted frame is certified by the independent mass oracle
 before being returned; a logged exhaustive fallback exists for pathological
-floating-point ties and must never fire on exact-arithmetic corpora.
+floating-point ties and must never fire on exact-arithmetic corpora.  A
+point set holds |z| <= max float / 16, so no sum the search forms
+overflows; each bisection ends when its bracket has converged (within 49
+rounds), and a search computes the angle intervals at a base point once.
 
 `complex_medians` runs the search on many sets in lockstep: the sets of a
 chunk are the zero-weight-padded rows of one array, and each stage of the
@@ -61,6 +64,15 @@ class _Stats:
 
 stats = _Stats()
 
+# The largest |z| a point set may hold: no sum the search or the mass kernel
+# forms can overflow.  With r = max |z|, every point the search places (ray
+# origins; base points: midpoints, atoms, or intercepts at t in [0, 1]; the
+# ray construction's point, an atom) has modulus at most r.  The longest sum
+# is the kernel's s = (re - qx) ux + (im - qy) uy for the frame centre
+# (qx, qy) = c2 (ux, uy) + c1 (-uy, ux), with offsets c1 and c2 of two terms
+# each (a point against a unit vector): 2 + 4 + 4 = 10 terms of modulus <= r.
+_MAX_ABS = np.finfo(float).max / 16
+
 
 class WeightedPointSet:
     def __init__(self, points, weights):
@@ -70,12 +82,15 @@ class WeightedPointSet:
             raise ValueError("points and weights must have equal length")
         if self.z.size == 0:
             raise ValueError("point set must be nonempty")
-        if not (np.isfinite(self.z).all() and np.isfinite(self.w).all()):
-            raise ValueError("points and weights must be finite")
+        top = float(np.abs(self.z).max())  # NaN if any point is NaN
+        with np.errstate(over="ignore"):
+            self.total = float(self.w.sum())
+        if not (top <= _MAX_ABS and math.isfinite(self.total)):
+            raise ValueError(f"points must be finite with |z| <= {_MAX_ABS:.6g}, "
+                             "and weights finite with a finite sum")
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
-        self.total = float(self.w.sum())
-        self._scale = max(1.0, float(np.abs(self.z).max()))
+        self._scale = max(1.0, top)
 
     def scale(self):
         return self._scale
@@ -165,22 +180,22 @@ def quadrant_split(pts: WeightedPointSet):
     Returns (c, alpha1, alpha2, masses): the base line is {Im = c}; the rays
     rise from alpha1 (upper half) and drop from alpha2 (lower half).
     """
-    c = halfplane_median(pts, math.pi / 2)
-    im = pts.z.imag
-    upper = im >= c
-    lower = im <= c
+    c, upper, lower, (a1, _), (a2, _) = _halves(pts)
     re = pts.z.real
-    a1 = _median_interval(re[upper], pts.w[upper], pts.w[upper].sum() / 2.0)[0]
-    a2 = _median_interval(re[lower], pts.w[lower], pts.w[lower].sum() / 2.0)[0]
-    masses = np.array(
-        [
-            pts.w[upper & (re <= a1)].sum(),
-            pts.w[upper & (re >= a1)].sum(),
-            pts.w[lower & (re <= a2)].sum(),
-            pts.w[lower & (re >= a2)].sum(),
-        ]
-    )
-    return c, a1, a2, masses
+    quarters = (upper & (re <= a1), upper & (re >= a1), lower & (re <= a2), lower & (re >= a2))
+    return c, a1, a2, np.array([pts.w[q].sum() for q in quarters])
+
+
+def _halves(pts):
+    """(c, upper, lower, (l1, h1), (l2, h2)): the median line {Im = c}, the
+    masks of its two closed half-planes, and the conditional median interval
+    of Re z on the upper and on the lower one."""
+    c = halfplane_median(pts, math.pi / 2)
+    upper = pts.z.imag >= c
+    lower = pts.z.imag <= c
+    re, w = pts.z.real, pts.w
+    return (c, upper, lower, _median_interval(re[upper], w[upper], w[upper].sum() / 2.0),
+            _median_interval(re[lower], w[lower], w[lower].sum() / 2.0))
 
 
 def _quarter_interval(angles, weights, apex_w, quarter):
@@ -212,15 +227,10 @@ class _SplitData:
     """S1 / S4 atom data in normalized coordinates (base line = real axis)."""
 
     def __init__(self, pts, c, a1, a2):
-        z = pts.z - 1j * c
-        im = z.imag
-        re = z.real
-        upper = im >= 0
-        lower = im <= 0
-        self.s1 = (upper & (re <= a1)).nonzero()[0]
-        self.s4 = (lower & (re >= a2)).nonzero()[0]
-        self.z = z
+        z = self.z = pts.z - 1j * c
         self.w = pts.w
+        self.s1 = ((z.imag >= 0) & (z.real <= a1)).nonzero()[0]
+        self.s4 = ((z.imag <= 0) & (z.real >= a2)).nonzero()[0]
         self.q1 = self.w[self.s1].sum() / 4.0
         self.q4 = self.w[self.s4].sum() / 4.0
         self.scale = max(1.0, float(np.abs(z).max()))
@@ -274,13 +284,7 @@ def _median(pts, bracket):
     """complex_median(pts), its search resumed at `bracket` unless that is
     None (see `_search_frame`)."""
     stats.calls += 1
-    c = halfplane_median(pts, math.pi / 2)
-    im = pts.z.imag
-    re = pts.z.real
-    upper = im >= c
-    lower = im <= c
-    l1, h1 = _median_interval(re[upper], pts.w[upper], pts.w[upper].sum() / 2.0)
-    l2, h2 = _median_interval(re[lower], pts.w[lower], pts.w[lower].sum() / 2.0)
+    c, _, _, (l1, h1), (l2, h2) = _halves(pts)
     axes, mirrored, a1, a2 = _route(c, l1, h1, l2, h2)
     if axes is not None and _certify(pts, axes)[0]:
         return axes
@@ -290,16 +294,13 @@ def _median(pts, bracket):
     if frame is None:
         stats.fallbacks += 1
         frame = _fallback_frame(work, c, a1, a2)
-    if frame is None:
-        raise RuntimeError("complex median: no certified frame found")
-    if mirrored:
+    if frame is not None and mirrored:
         frame = _unmirrored(frame)
-        ok, _ = _certify(pts, frame)
-        if not ok:
+        if not _certify(pts, frame)[0]:
             stats.fallbacks += 1
             frame = _fallback_frame(pts, c, -a2, -a1)
-            if frame is None:
-                raise RuntimeError("complex median: no certified frame found")
+    if frame is None:
+        raise RuntimeError("complex median: no certified frame found")
     return frame
 
 
@@ -348,8 +349,7 @@ def _base_frames(work, x, c, a1, a2, lo1, hi1, lo4, hi4):
     There are none unless the S1 and S4 rho-intervals [lo1, hi1] and
     [lo4, hi4] at x overlap.  The first frame reads no atom of `work`.
     """
-    lo = max(lo1, lo4)
-    hi = min(hi1, hi4)
+    lo, hi = max(lo1, lo4), min(hi1, hi4)
     if lo > hi + 1e-9:
         return
     if lo > hi:
@@ -362,9 +362,10 @@ def _base_frames(work, x, c, a1, a2, lo1, hi1, lo4, hi4):
             yield QuadrantFrame(rho % math.pi, c1, float(c2))
 
 
-def _try_frames_at(work, data, c, a1, a2, x):
-    """All certified-frame attempts the overlap at base point x suggests."""
-    (lo1, hi1, _, _), (lo4, hi4, _, _) = data.intervals(x)
+def _try_frames_at(work, c, a1, a2, x, intervals):
+    """The first certified frame through base point x, or None; `intervals`
+    are `_SplitData.intervals(x)`."""
+    (lo1, hi1, _, _), (lo4, hi4, _, _) = intervals
     for frame in _base_frames(work, x, c, a1, a2, lo1, hi1, lo4, hi4):
         if _certify(work, frame)[0]:
             return frame
@@ -378,65 +379,66 @@ def _search_frame(work, c, a1, a2, bracket):
     one where the S1 and S4 rho-intervals meet.  A bisection that ends
     without a meeting point leaves a bracket (xl, xh), and the search goes
     on to the candidates near it; a given `bracket` is where such a
-    bisection ended, and the search starts at its candidates.
+    bisection ended, and the search starts at its candidates.  Each base
+    point's intervals are computed once, and carried as (x, intervals).
     """
     data = _SplitData(work, c, a1, a2)
-    if data.w[data.s1].sum() == 0 or data.w[data.s4].sum() == 0:
+    if data.s1.size == 0 or data.s4.size == 0:
         return None
     A = _median_interval(data.z[data.s1].real, data.w[data.s1], 2 * data.q1)[0]
     B = _median_interval(data.z[data.s4].real, data.w[data.s4], 2 * data.q4)[0]
-
-    def order(x):
-        (lo1, hi1, _, _), (lo4, hi4, _, _) = data.intervals(x)
-        if max(lo1, lo4) <= min(hi1, hi4):
-            return 0
-        return -1 if hi1 < lo4 else 1
-
+    mid = None  # the bracket's midpoint, where a bisection met without a frame
     if bracket is None:
+        ends = []
         for x in (A, B):
-            frame = _try_frames_at(work, data, c, a1, a2, x)
+            ends.append((x, data.intervals(x)))
+            frame = _try_frames_at(work, c, a1, a2, *ends[-1])
             if frame is not None:
                 return frame
-        oA, oB = order(A), order(B)
-        if oA != 0 and oB != 0 and oA != oB:
-            xl, xh = A, B
-            for _ in range(200):
-                xm = 0.5 * (xl + xh)
-                om = order(xm)
-                if om == 0:
-                    frame = _try_frames_at(work, data, c, a1, a2, xm)
+        lo, hi = ends
+        o_lo = _order_at(lo[1])
+        if o_lo * _order_at(hi[1]) != -1:  # bisect only where the orders have opposite signs
+            ends = None
+        else:
+            # |A|, |B| <= data.scale: the bracket reaches 1e-14 of it within 49 rounds
+            while True:
+                xm = 0.5 * (lo[0] + hi[0])
+                at_m = xm, data.intervals(xm)
+                o_mid = _order_at(at_m[1])
+                if o_mid == 0:
+                    frame = _try_frames_at(work, c, a1, a2, *at_m)
                     if frame is not None:
                         return frame
+                    mid = at_m
                     break
-                if om == oA:
-                    xl = xm
-                else:
-                    xh = xm
-                if xh - xl <= 1e-14 * data.scale:
+                lo, hi = (at_m, hi) if o_mid == o_lo else (lo, at_m)
+                if hi[0] - lo[0] <= 1e-14 * data.scale:
                     break
-            bracket = xl, xh
+            ends = [lo, hi]
+    else:
+        ends = [(x, data.intervals(x)) for x in bracket]
     candidates = []
-    if bracket is not None:
-        xl, xh = bracket
-        candidates = [xl, xh, 0.5 * (xl + xh)]
+    if ends is not None:
+        (xl, _), (xh, _) = ends
+        candidates = [*ends, mid or (0.5 * (xl + xh), None)]
         # exact touch: intercepts of lines through the binding atom pairs
-        for x in (xl, xh):
-            (l1, h1, al1, ah1), (l4, h4, al4, ah4) = data.intervals(x)
+        for _, ((_, _, al1, ah1), (_, _, al4, ah4)) in ends:
             for ia in (al1, ah1):
                 for ib in (al4, ah4):
                     if ia >= 0 and ib >= 0:
                         xc = _axis_intercept(data.z[ia], data.z[ib])
                         if xc is not None:
-                            candidates.append(xc)
+                            candidates.append((xc, None))
         # base-line atoms make the quantile curves jump; probe them directly
         on_axis = data.z[np.abs(data.z.imag) == 0.0].real
-        candidates.extend(on_axis[(on_axis >= A) & (on_axis <= B)])
+        candidates.extend((x, None) for x in on_axis[(on_axis >= A) & (on_axis <= B)])
     seen = set()
-    for x in candidates:
-        if not np.isfinite(x) or x in seen:
+    for x, intervals in candidates:
+        if x in seen:
             continue
         seen.add(x)
-        frame = _try_frames_at(work, data, c, a1, a2, x)
+        frame = _try_frames_at(work, c, a1, a2, x,
+                               data.intervals(x) if intervals is None else intervals)
         if frame is not None:
             return frame
     # boundary configurations: mass concentrated on a ray (handled via the
@@ -451,10 +453,8 @@ def _search_frame(work, c, a1, a2, bracket):
 def _ray_concentration_frame(work, data, c, a1, a2):
     """Half the S1 (or S4) mass on one ray: split the ray, halve the other side."""
     for side, idx, q in (("s1", data.s1, data.q1), ("s4", data.s4, data.q4)):
-        z = data.z[idx]
-        w = data.w[idx]
-        other_idx = data.s4 if side == "s1" else data.s1
-        zo = data.z[other_idx]
+        z, w = data.z[idx], data.w[idx]
+        zo = data.z[data.s4 if side == "s1" else data.s1]
         for x in np.unique(np.concatenate([z.real, [a1, a2]])):
             rel = z - x
             ang = np.arctan2(np.abs(rel.imag), rel.real)
@@ -472,8 +472,7 @@ def _ray_concentration_frame(work, data, c, a1, a2):
                 gam = np.angle(zo - (tpoint - 1j * c)) % math.pi
                 for gamma in np.unique(np.concatenate([gam, [rho + math.pi / 2]])):
                     frame = _frame_from_two_points(gamma, tpoint, tpoint)
-                    ok, _ = _certify(work, frame)
-                    if ok:
+                    if _certify(work, frame)[0]:
                         return frame
     return None
 
@@ -493,8 +492,7 @@ def _fallback_frame(work, c, a1, a2):
         for pa in cand_points:
             for pb in cand_points:
                 frame = _frame_from_two_points(theta, pa, pb)
-                ok, _ = _certify(work, frame)
-                if ok:
+                if _certify(work, frame)[0]:
                     return frame
     return None
 
@@ -593,8 +591,7 @@ def _lockstep_search(z, w, valid, total, c, a1, a2):
     zs = z - np.array([1j * ci for ci in c.tolist()], dtype=complex)[:, None]
     sides = np.stack([valid & (zs.imag >= 0) & (zs.real <= np.array(a1)[:, None]),
                       valid & (zs.imag <= 0) & (zs.real >= np.array(a2)[:, None])])
-    side_mass = _row_sums(w, sides)
-    quarter = side_mass / 4.0
+    quarter = _row_sums(w, sides) / 4.0
     A = _row_median_interval(zs.real, w, sides[0], 2 * quarter[0])[0]
     B = _row_median_interval(zs.real, w, sides[1], 2 * quarter[1])[0]
     split = _RowSplit(*_front(np.concatenate(sides), np.concatenate([zs, zs]),
@@ -621,7 +618,7 @@ def _lockstep_search(z, w, valid, total, c, a1, a2):
         return tried
 
     # an empty S1 or S4 sends the per-set search to its fallback
-    rows = np.flatnonzero((side_mass != 0).all(axis=0))
+    rows = np.flatnonzero(sides.any(axis=2).all(axis=0))
     at_a = split.take(rows).intervals(A[rows])
     on = ~attempt(rows, A[rows], at_a)
     rows, at_a = rows[on], [v[on] for v in at_a]
@@ -630,26 +627,23 @@ def _lockstep_search(z, w, valid, total, c, a1, a2):
     o_a, o_b = _order(*(v[on] for v in at_a)), _order(*(v[on] for v in at_b))
     rows = rows[on]
 
-    # bisection between A and B for a base point where the two intervals meet
-    on = (o_a != 0) & (o_b != 0) & (o_a != o_b)
+    # bisection between A and B, where their orders have opposite signs, for
+    # a base point where the two intervals meet
+    on = o_a * o_b == -1
     rows, o_a = rows[on], o_a[on]
     xl, xh = A[rows], B[rows]
-    for _ in range(200):
-        if not rows.size:
-            break
+    while rows.size:  # |A|, |B| <= scale: each row converges within 49 rounds
         xm = 0.5 * (xl + xh)
         at_m = split.take(rows).intervals(xm)
         o_m = _order(*at_m)
         meet = o_m == 0
         if meet.any():
             attempt(rows[meet], xm[meet], [v[meet] for v in at_m])
-        xl = np.where(o_m == o_a, xm, xl)
-        xh = np.where(o_m == o_a, xh, xm)
+        xl, xh = np.where(o_m == o_a, [xm, xh], [xl, xm])
         on = ~meet & ~(xh - xl <= 1e-14 * split.scale[rows])
         ended = ~meet & ~on
         brackets.update(zip(rows[ended].tolist(), zip(xl[ended].tolist(), xh[ended].tolist())))
         rows, o_a, xl, xh = rows[on], o_a[on], xl[on], xh[on]
-    brackets.update(zip(rows.tolist(), zip(xl.tolist(), xh.tolist())))  # all 200 rounds
     return frames, brackets
 
 
@@ -692,9 +686,16 @@ def _front(member, *arrays):
 
 
 def _order(lo1, hi1, lo4, hi4):
-    """order(x) of `_search_frame`, per row: 0 where the intervals overlap."""
+    """0 where the S1 interval [lo1, hi1] and the S4 interval [lo4, hi4]
+    overlap, else -1 (S1's lies below) or 1; per row, or of scalars."""
     overlap = (lo1 <= hi1) & (lo1 <= hi4) & (lo4 <= hi1) & (lo4 <= hi4)
     return np.where(overlap, 0, np.where(hi1 < lo4, -1, 1))
+
+
+def _order_at(intervals):
+    """`_order` of one base point's `_SplitData.intervals`."""
+    (lo1, hi1, _, _), (lo4, hi4, _, _) = intervals
+    return int(_order(lo1, hi1, lo4, hi4))
 
 
 def _row_certified(z, w, total, frames):
@@ -805,6 +806,8 @@ def quadrant_sets(cube_pairs):
         vh = np.asarray(values_hat, dtype=complex).ravel()
         if vi.size == 0 or vh.size == 0:
             raise ValueError("both cubes must carry values")
+        if not np.abs(vi).max() <= _MAX_ABS:  # as WeightedPointSet checks vh
+            raise ValueError(f"values on I must be finite with |z| <= {_MAX_ABS:.6g}")
         cubes.append((vi, vh, WeightedPointSet(vh, np.full(vh.size, measure_hat / vh.size))))
     frames = complex_medians([pts for _, _, pts in cubes])
     return [_cone_sets(vi, vh, frame) for (vi, vh, _), frame in zip(cubes, frames)]
@@ -818,12 +821,8 @@ def _cone_sets(vi, vh, frame):
 
     def cones(w):
         re, im = w.real, w.imag
-        return [
-            (re >= np.abs(im) - tol),
-            (im >= np.abs(re) - tol),
-            (-re >= np.abs(im) - tol),
-            (-im >= np.abs(re) - tol),
-        ]
+        return [re >= np.abs(im) - tol, im >= np.abs(re) - tol,
+                -re >= np.abs(im) - tol, -im >= np.abs(re) - tol]
 
     rot = np.exp(1j * theta)
     e_sets = [np.nonzero(mask)[0] for mask in cones(rot * (vi - alpha))]

@@ -168,7 +168,8 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
 
 
 def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
-    """Basis positions (rows, cols) of each coefficient's (J, eta) and (I, xi).
+    """(rows, cols, scale, rank): the basis positions of each coefficient's
+    (J, eta) and (I, xi), and the scales and ranks of its I, J and K.
 
     Raises ValueError naming the first entry whose cubes or colours the
     system cannot hold: a Haar cube has a scale in 0..depth-1 and an index
@@ -199,11 +200,11 @@ def _slots(sys: FiniteDyadicSystem, spec: ShiftSpec):
         raise ValueError(f"entry {spec.entry(n)} has an I or J that is not a generation-"
                          f"{spec.i} or generation-{spec.j} descendant of its K in the system")
     pos = sys.slot(scale[:, :2], rank[:, :2], spec.colors)
-    return pos[:, 1], pos[:, 0]
+    return pos[:, 1], pos[:, 0], scale, rank
 
 
 def assemble_shift(sys: FiniteDyadicSystem, spec: ShiftSpec, blockdim: int = 1) -> np.ndarray:
-    return _place(sys, _slots(sys, spec), spec.values, blockdim)
+    return _place(sys, _slots(sys, spec)[:2], spec.values, blockdim)
 
 
 def _place(sys, slots, values, blockdim):
@@ -222,7 +223,7 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
     cube has one ancestor per generation: distinct K share no row or column.
     """
     m = b.blockdim
-    rows, cols = _slots(sys, spec)
+    rows, cols, scale, rank = _slots(sys, spec)
     S = _place(sys, (rows, cols), spec.values, m)
     R = r_op(sys, b)
     phi = S @ R - R @ S
@@ -231,8 +232,6 @@ def phi_blocks(sys: FiniteDyadicSystem, spec: ShiftSpec, b: Symbol):
 
     means = sys.cube_means(b.blocks)
     start = np.cumsum([0] + [len(x) for x in means])  # of each scale in the stacked means
-    scale, index = spec.cubes[:, :, 0], spec.cubes[:, :, 1:]  # `_slots` has checked them
-    rank = sys.cube_rank(scale, np.moveaxis(index, -1, 0))  # (entry, [I, J, K])
     avg = np.concatenate(means)[start[scale[:, :2]] + rank[:, :2]]
     terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
 

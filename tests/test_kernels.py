@@ -53,6 +53,11 @@ def test_probe_exact_hilbert():
     assert eps[0] > eps[1] > eps[2]
 
 
+def test_probe_returns_the_witnesses_only():
+    pr = nondegenerate_probe(hilbert_kernel(), [0.0], 1.0, 10.0)
+    assert set(pr) == {"y0", "K00", "dist", "bracket", "eps", "threshold"}
+
+
 def test_probe_homogeneous_direction():
     pr = nondegenerate_probe(homogeneous_sign_kernel(), [0.3], 0.01, 10.0)
     assert pr["y0"][0] == pytest.approx(0.3 + 10 * 0.01, abs=1e-15)

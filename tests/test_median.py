@@ -31,15 +31,30 @@ def test_empty_rejected():
 @pytest.mark.parametrize("bad_point,bad_weight", [
     (np.inf, 1.0), (complex(0, -np.inf), 1.0), (complex(np.nan, 0), 1.0),
     (0.5j, np.nan), (0.5j, np.inf),
+    # just past the bound on |z|, on each axis and off them (1.06 times it)
+    (np.nextafter(med._MAX_ABS, np.inf), 1.0), (-1j * np.nextafter(med._MAX_ABS, np.inf), 1.0),
+    (complex(0.75, 0.75) * med._MAX_ABS, 1.0),
 ])
 def test_non_finite_rejected(rng, bad_point, bad_weight):
-    # accepted, a NaN weight would drive the exhaustive O(n^4) fallback, and
-    # an infinite point would get a frame certified on meaningless masses
+    # accepted, a NaN weight would drive the exhaustive O(n^4) fallback, an
+    # infinite point would get a frame certified on meaningless masses, and a
+    # point past the bound would overflow the search's sums
     z = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     w = np.ones(64)
     z[7], w[7] = bad_point, bad_weight
     with pytest.raises(ValueError, match="finite"):
         WeightedPointSet(z, w)
+
+
+def test_quadrant_sets_reject_near_values_past_the_bound():
+    for bad in (np.nan, complex(0, np.inf), 2 * med._MAX_ABS):
+        with pytest.raises(ValueError, match="finite"):
+            quadrant_sets([(np.array([0.5, bad]), np.array([1.0, 1j]), 1.0)])
+
+
+def test_weights_with_an_infinite_sum_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        WeightedPointSet([0, 1, 1j], [1e308, 1e308, 1.0])
 
 
 def test_halfplane_examples():
@@ -528,9 +543,9 @@ def test_resumed_searches_start_at_their_bracket(monkeypatch):
         searches.append((bracket, []))
         return search(work, c, a1, a2, bracket)
 
-    def tried(work, data, c, a1, a2, x):
+    def tried(work, c, a1, a2, x, intervals):
         searches[-1][1].append(x)
-        return try_at(work, data, c, a1, a2, x)
+        return try_at(work, c, a1, a2, x, intervals)
 
     monkeypatch.setattr(med, "_search_frame", searched)
     monkeypatch.setattr(med, "_try_frames_at", tried)
@@ -539,6 +554,95 @@ def test_resumed_searches_start_at_their_bracket(monkeypatch):
     assert len(resumed) >= 100
     for (xl, xh), xs in resumed:
         assert xs and xs[:3] == [xl, xh, 0.5 * (xl + xh)][:len(xs)]
+
+
+def test_each_base_point_is_evaluated_once(monkeypatch):
+    # per search, the S1 / S4 intervals at a base point are computed once and
+    # are the ones the frames there are built from; +0 and -0 are kept apart
+    keys, intervals, try_at = [], med._SplitData.intervals, med._try_frames_at
+
+    def counted(data, x):
+        keys[-1].append((x, math.copysign(1.0, x)))
+        return intervals(data, x)
+
+    def searched(*args):
+        keys.append([])
+        return search(*args)
+
+    def tried(work, c, a1, a2, x, at_x):
+        assert at_x == _intervals_reference(med._SplitData(work, c, a1, a2), x)
+        return try_at(work, c, a1, a2, x, at_x)
+
+    search = med._search_frame
+    monkeypatch.setattr(med._SplitData, "intervals", counted)
+    monkeypatch.setattr(med, "_search_frame", searched)
+    monkeypatch.setattr(med, "_try_frames_at", tried)
+    sets = _corpus("suite-sets")
+    for run in (_per_set, _lockstep):
+        keys.clear()
+        run(sets)
+        assert keys and all(len(set(k)) == len(k) for k in keys)
+    # the searches that leave the lockstep take 680 distinct base points
+    assert sum(map(len, keys)) <= 680
+
+
+def _at_the_bound(z):
+    """z scaled so that its largest |z| is the largest a point set may hold."""
+    z = np.asarray(z, dtype=complex) * (med._MAX_ABS / np.abs(z).max())
+    while np.abs(z).max() > med._MAX_ABS:
+        z = z * (1 - 2.0**-52)
+    return z
+
+
+def _sets_at_the_bound():
+    """The test suite's five kinds of point sets and 200 collinear sets,
+    each scaled to the bound."""
+    rng = np.random.default_rng(34)
+    sets = [WeightedPointSet(_at_the_bound(p.z), p.w) for p in _median_suite_sets(rng, 200)]
+    for _ in range(200):
+        n = int(rng.integers(2, 40))
+        line = rng.standard_normal(n) * np.exp(1j * rng.uniform(0, np.pi))
+        sets.append(WeightedPointSet(_at_the_bound(line + complex(*rng.standard_normal(2))),
+                                     rng.integers(1, 5, n) * 0.25))
+    return sets
+
+
+def test_sets_at_the_bound():
+    sets = _sets_at_the_bound()
+    assert max(np.abs(p.z).max() for p in sets) == med._MAX_ABS
+    with np.errstate(all="raise"):
+        frames, counts = _per_set(sets)
+        assert _lockstep(sets) == (frames, counts)
+    assert counts == (len(sets), 0, 0)
+    assert all(masses_ok(p, f) for p, f in zip(sets, frames))
+
+
+def test_bisections_converge_within_49_rounds(monkeypatch):
+    # |A|, |B| <= the search's scale, so a bracket at most 2 scale wide is
+    # 1e-14 scale wide after 48 halvings; no round cap stops a bisection
+    rounds, order = [], med._order
+
+    def counted(*args):
+        rounds[-1] += 1
+        return order(*args)
+
+    def started(fn):
+        def run(*args):
+            rounds.append(-2)  # the orders at A and at B
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(med, "_order", counted)
+    monkeypatch.setattr(med, "_lockstep_search", started(med._lockstep_search))
+    monkeypatch.setattr(med, "_search_frame", started(med._search_frame))
+    corpora = [_corpus(name) for name in ("suite-sets", "suite-pairs", "verify-11",
+                                          "verify-12", "test-suite-sets", "rare-paths")]
+    for sets in corpora + [_sets_at_the_bound()]:
+        rounds.clear()
+        _per_set(sets)
+        _lockstep(sets)
+        assert max(rounds) <= 49
+    assert max(rounds) >= 40  # the collinear sets at the bound bisect
 
 
 def test_lockstep_search_memory():

@@ -230,7 +230,7 @@ def _dense_phi_blocks(sys, spec, b):
     scale, index = spec.cubes[:, :2, 0], spec.cubes[:, :2, 1:]
     avg = np.concatenate(means)[start[scale] + sys.cube_rank(scale, np.moveaxis(index, -1, 0))]
     terms = spec.values[:, None, None] * (avg[:, 0] - avg[:, 1])
-    rows, cols = _slots(sys, spec)
+    rows, cols, _, _ = _slots(sys, spec)
     owners, first, owner = np.unique(spec.cubes[:, 2], axis=0, return_index=True,
                                      return_inverse=True)
     owner = owner.reshape(-1)
