@@ -293,8 +293,7 @@ def _paraproduct(table: _WordTable, bhat) -> np.ndarray:
 
 def _besov(table: _WordTable, bhat, ps) -> list[float]:
     """Levels summed in word order; all levels share one batched SVD."""
-    from .norms import _block_lps, _weighted_sum
-    from .spectral import _require_positive
+    from .spectral import _require_positive, _weighted_sum, block_norms
 
     _require_positive(ps)
     c = _coefficients(table, bhat)
@@ -307,7 +306,7 @@ def _besov(table: _WordTable, bhat, ps) -> list[float]:
     if not blocks:
         return [0.0] * len(ps)
     weights = table.weight ** np.array(levels)
-    return [_weighted_sum(lps, p, weights) for p, lps in zip(ps, _block_lps(np.stack(blocks), ps))]
+    return [_weighted_sum(lps, p, weights) for p, lps in zip(ps, block_norms(np.stack(blocks), ps))]
 
 
 def _transference_checks(table: _WordTable, bhat, p_values):

@@ -436,8 +436,8 @@ def check_band_bound(rng):
             lhs = spectral.schatten_norm(band(sys, b, n, mm), p) ** p
             rhs = 0.0
             root_measure = sys.scale_measure(mm) ** 0.5
-            for blk in b.blocks[sys.scale_of_row() == mm]:
-                rhs += (norms.block_lp(blk, p) / root_measure) ** p
+            for lp in spectral.block_norms(b.blocks[sys.scale_of_row() == mm], (p,))[0]:
+                rhs += (lp / root_measure) ** p
             rhs *= (sys.params.d - 1) * sys.params.d ** ((n - mm) * p / 2.0)
             worst = max(worst, (lhs - rhs) / max(1.0, rhs))
     return _rec("band-norm-bound", "offdiagonal-band-decay", worst, SLACK)
@@ -473,8 +473,8 @@ def check_rank_piece_lower(rng):
         for _ in range(67):
             b = random_symbol(sys, rng)
             norm = spectral.schatten_norm(paraproduct(sys, b), p)
-            best = max((norms.block_lp(blk, p) / sys.scale_measure(s) ** 0.5)
-                       for s, blk in zip(sys.scale_of_row()[1:], b.blocks[1:]))
+            best = max((lp / sys.scale_measure(s) ** 0.5) for s, lp in
+                       zip(sys.scale_of_row()[1:], spectral.block_norms(b.blocks[1:], (p,))[0]))
             worst = max(worst, (best - norm) / max(1.0, best))
     return _rec("rank-piece-lower-bound", "single-piece-domination", worst, SLACK)
 
@@ -1150,7 +1150,7 @@ def shift_suite(seed=20240807):
     worst = 0.0
     for _ in range(20):
         spec = shifts.random_shift(sys, int(rng.integers(0, 3)), int(rng.integers(0, 3)), rng)
-        excess = np.hypot(spec.values.real, spec.values.imag) - spec.bounds() * (1 + 1e-12)
+        excess = np.hypot(spec.values.real, spec.values.imag) - spec.radius * (1 + 1e-12)
         worst = max(worst, float(excess.max()))
     records.append(_rec("shift-coefficient-bound", "coefficient-radius", worst, 0.0))
     return records

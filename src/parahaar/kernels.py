@@ -13,7 +13,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .dyadic import _is_integer
-from .norms import _cell_midgrids, _weighted_sum
+from .norms import cell_midgrids
+from .spectral import _weighted_sum
 
 __all__ = [
     "KernelSpec",
@@ -236,7 +237,7 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     # before a temporary can cut into it and grow the heap by another n^2
     n_cells = cells_per_axis**dim
     avg = np.zeros((n_cells, n_cells), dtype=complex)
-    mids = _cell_midgrids(cells_per_axis, dim, refinement)
+    mids = cell_midgrids(cells_per_axis, dim, refinement)
     nsub = mids.shape[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         for a in range(n_cells):

@@ -1,8 +1,9 @@
 """Besov and BMO functionals of symbols and step functions.
 
-Block values are measured in L_p of (M_m, normalized trace); the oscillation
-form sums scales 0..N-1 (the k = 0 term replaces the vanishing k = N one),
-which is exactly the windowed pair the telescoping constants control.
+Block values are measured in L_p of (M_m, normalized trace) by `spectral`;
+the oscillation form sums scales 0..N-1 (the k = 0 term replaces the
+vanishing k = N one), which is exactly the windowed pair the telescoping
+constants control.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 from .accel import pair_power_weights
 from .dyadic import StepFunction, _is_integer, _offset_at, expectation
 from .paraproducts import Symbol
-from .spectral import _require_positive
+from .spectral import (_power_sums, _require_positive, _weighted_sum, block_norms,
+                       block_singular_values)
 
 __all__ = [
-    "block_lp",
     "besov_haar",
     "besov_haars",
     "besov_diff",
@@ -35,28 +36,6 @@ __all__ = [
 BmoForms = namedtuple("BmoForms", ["conditional", "coefficient"])
 
 
-def block_lp(x, p) -> float:
-    """L_p norm of an m x m block under the normalized trace."""
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
-    return float(_block_lps(x[None], (p,))[0][0])
-
-
-def _singular_values(blocks) -> np.ndarray:
-    """Singular values of each m x m block of a (..., m, m) stack, largest
-    first; a 1 x 1 block's is its modulus, taken without LAPACK."""
-    if blocks.shape[-1] == 1:
-        return np.abs(blocks[..., 0])
-    return np.linalg.svd(blocks, compute_uv=False)
-
-
-def _block_lps(blocks, ps) -> list:
-    """[block_lp of each block of an (n, m, m) stack for p in ps], one SVD call."""
-    _require_positive(ps)
-    sv = _singular_values(blocks)
-    return [sv[:, 0] if p == np.inf else (np.sum(sv ** p, axis=-1) / blocks.shape[-2]) ** (1.0 / p)
-            for p in ps]
-
-
 def besov_haar(sys, b: Symbol, p) -> float:
     """(sum_Q (|Q|^{-1/2} ||b_Q||_p)^p)^{1/p}; at p = inf the largest term."""
     return besov_haars(sys, b, (p,))[0]
@@ -66,7 +45,7 @@ def besov_haars(sys, b: Symbol, ps) -> list[float]:
     """[besov_haar(sys, b, p) for p in ps], from one batched block SVD."""
     w = np.array([sys.scale_measure(s) ** -0.5 for s in range(sys.params.depth)])
     w = w[sys.scale_of_row()[1:]]
-    return [_weighted_sum(w * lps, p) for p, lps in zip(ps, _block_lps(b.blocks[1:], ps))]
+    return [_weighted_sum(w * lps, p) for p, lps in zip(ps, block_norms(b.blocks[1:], ps))]
 
 
 def besov_diff(sys, b: Symbol, p) -> float:
@@ -82,7 +61,7 @@ def besov_diffs(sys, b: Symbol, ps) -> list[float]:
     means = sys.cube_means(b.blocks)
     diffs = np.concatenate([(means[k][sys.descendants(k - 1, 1)] - means[k - 1][:, None])
                             .reshape(means[k].shape) for k in range(1, len(means))])
-    return [_weighted_sum(lps, p) for p, lps in zip(ps, _block_lps(diffs, ps))]
+    return [_weighted_sum(lps, p) for p, lps in zip(ps, block_norms(diffs, ps))]
 
 
 def _oscillations(sys, b: Symbol):
@@ -101,18 +80,9 @@ def besov_osc(sys, b: Symbol, p) -> float:
     _require_positive((p,))
     if p < 1:
         raise ValueError("the oscillation form needs p >= 1")
-    lps = [_weighted_sum(_block_lps(dev.reshape((-1,) + dev.shape[2:]), (p,))[0], p,
+    lps = [_weighted_sum(block_norms(dev.reshape((-1,) + dev.shape[2:]), (p,))[0], p,
                          sys.cell_measure) for dev in _oscillations(sys, b)]
     return _weighted_sum(lps, p, float(sys.d_eff) ** np.arange(sys.params.depth))
-
-
-def _weighted_sum(terms, p, weights=1.0) -> float:
-    """(sum_i w_i t_i^p)^{1/p} of nonnegative terms, one numpy reduction; its
-    p -> inf limit max_i t_i at p = inf; 0.0 for no terms."""
-    terms = np.asarray(terms, dtype=float)
-    if p == np.inf:
-        return float(terms.max(initial=0.0))
-    return float(np.sum(weights * terms ** p) ** (1.0 / p))
 
 
 def bmo_dyadic(sys, b: Symbol) -> BmoForms:
@@ -143,7 +113,7 @@ def bmo_dyadic(sys, b: Symbol) -> BmoForms:
 
 def bmo_operator(sys, b: Symbol) -> float:
     """sup over cubes of the mean quadratic oscillation in the block operator norm."""
-    return max(float(np.sqrt((_singular_values(dev)[..., 0] ** 2).mean(axis=1)).max())
+    return max(float(np.sqrt((block_singular_values(dev)[..., 0] ** 2).mean(axis=1)).max())
                for dev in _oscillations(sys, b))
 
 
@@ -153,7 +123,7 @@ def grid_coords(n_cells: int, cells_per_axis: int, dim: int) -> np.ndarray:
     return np.stack([(c // cells_per_axis**t) % cells_per_axis for t in range(dim)], axis=-1)
 
 
-def _cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
+def cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
     """Midpoints of the refinement**dim subcells of each cell, (n_cells, n_sub, dim)."""
     h = 1.0 / cells_per_axis
     sub = h / refinement
@@ -166,7 +136,7 @@ def _cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray
 def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
     """Read-only cell-pair quadrature weights of the continuum form."""
     sub = 1.0 / cells_per_axis / refinement
-    mids = _cell_midgrids(cells_per_axis, dim, refinement)
+    mids = cell_midgrids(cells_per_axis, dim, refinement)
     W = pair_power_weights(
         np.ascontiguousarray(mids.astype(float)), float(sub ** dim), float(2 * dim)
     )
@@ -176,7 +146,8 @@ def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
 
 def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[float]:
     """Double-integral Besov functional of a step function on a uniform grid,
-    at each p in ps, from one SVD of the cell-pair differences.
+    at each p in ps, from one SVD of the cell-pair differences.  `values` is
+    (cells,) or (cells, m, m), as `StepFunction` takes it.
 
     Same-cell pairs contribute 0 exactly; off-cell pairs use the midpoint
     rule with `refinement` subdivisions per axis (monotone increasing in the
@@ -185,24 +156,17 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
     """
     _require_positive(ps)
     _require_dim(dim)
-    values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None, None]
+    values = StepFunction(values).values
     n_cells = values.shape[0]
     cells_per_axis = round(n_cells ** (1.0 / dim))
     if cells_per_axis ** dim != n_cells:
         raise ValueError("values must fill a uniform grid over the window")
     W = _grid_weights(cells_per_axis, dim, refinement)
-    diffs = values[:, None] - values[None, :]
-    sv = _singular_values(diffs)
-    out = []
-    for p in ps:
-        if p == np.inf:
-            out.append(float(sv[..., 0].max()))  # same-cell pairs are 0
-            continue
-        dist_p = (sv ** p).sum(axis=-1) / values.shape[1]
-        out.append(float((W * dist_p).sum() ** (1.0 / p)))
-    return out
+    sv = block_singular_values(values[:, None] - values[None, :])
+    # at p = inf the largest pair value: same-cell pairs are 0
+    return [float(sv[..., 0].max()) if p == np.inf
+            else float((W * _power_sums(sv, p, values.shape[1])).sum() ** (1.0 / float(p)))
+            for p in ps]
 
 
 def _require_dim(dim):
@@ -244,11 +208,15 @@ def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]
 
     The grid's depth is read from len(values) = 2^(depth dim).  Coefficients
     are exact overlap integrals of the piecewise-constant input against the
-    shifted wavelets; scalar values only.  Terms run by scale, then cube (last
-    axis fastest), then colour; at p = inf, the largest term.
+    shifted wavelets; scalar values only.  Bit t of `variant_mask`, an integer
+    in 0..2^dim - 1, picks axis t's lattice variant.  Terms run by scale, then
+    cube (last axis fastest), then colour; at p = inf, the largest term.
     """
     _require_positive(ps)
     _require_dim(dim)
+    if not (_is_integer(variant_mask) and 0 <= variant_mask < 2**dim):
+        raise ValueError(f"variant_mask must be an integer in 0..{2**dim - 1}, "
+                         f"got {variant_mask!r}")
     values = np.asarray(values, dtype=complex)
     depth = (values.size.bit_length() - 1) // dim
     n_axis = 2**depth

@@ -15,6 +15,7 @@ import numpy as np
 
 from .dyadic import CubeId, FiniteDyadicSystem, GridShift, _table_product
 from .paraproducts import Symbol, mult_op, r_op
+from .spectral import block_singular_values
 
 __all__ = [
     "ShiftSpec",
@@ -27,11 +28,9 @@ __all__ = [
 ]
 
 
-def coefficient_radius(dim: int, i: int, j: int, k_scale: int) -> float:
-    """sqrt(|I||J|)/|K| for I, J at generations i, j below a scale-k cube."""
-    d_eff = 2**dim
-    size_k = float(d_eff) ** (-k_scale)
-    return float(np.sqrt(d_eff ** (-(k_scale + i)) * d_eff ** (-(k_scale + j))) / size_k)
+def coefficient_radius(dim: int, i: int, j: int) -> float:
+    """sqrt(|I||J|)/|K| = d_eff^(-(i+j)/2), I and J at generations i and j below any K."""
+    return float(np.sqrt(float(2**dim) ** -(i + j)))
 
 
 class ShiftSpec:
@@ -43,7 +42,7 @@ class ShiftSpec:
     coefficients.  `random_shift` keeps them in (K, I, J, xi, eta) order.  The
     constructor takes a {(I, J, K, xi, eta): a} table of CubeIds;
     `from_arrays` takes the arrays.  Both reject a coefficient that is not
-    finite or exceeds the radius at K's scale.
+    finite or exceeds `radius`, the `coefficient_radius` of (i, j).
     """
 
     def __init__(self, i: int, j: int, dim: int,
@@ -82,19 +81,13 @@ class ShiftSpec:
             a.flags.writeable = False
         self.i, self.j, self.dim = i, j, dim
         self.cubes, self.colors, self.values = cubes, colors, values
-        bound = self.bounds()
+        self.radius = coefficient_radius(dim, i, j)
         # hypot is the scalar abs bit for bit; a NaN fails the comparison
-        outside = ~(np.hypot(values.real, values.imag) <= bound * (1 + 1e-12))
+        outside = ~(np.hypot(values.real, values.imag) <= self.radius * (1 + 1e-12))
         if outside.any():
             n = int(outside.argmax())
             raise ValueError(f"coefficient {abs(values[n]):.6g} at {self.entry(n)} "
-                             f"is not within the bound {bound[n]:.6g}")
-
-    def bounds(self) -> np.ndarray:
-        """coefficient_radius at each coefficient's K scale."""
-        scales, inverse = np.unique(self.cubes[:, 2, 0], return_inverse=True)
-        radius = np.array([coefficient_radius(self.dim, self.i, self.j, int(k)) for k in scales])
-        return radius[inverse.reshape(-1)]
+                             f"is not within the bound {self.radius:.6g}")
 
     def entry(self, n: int):
         """Coefficient n's key (I, J, K, xi, eta)."""
@@ -109,12 +102,11 @@ def _cube_labels(sys: FiniteDyadicSystem, scale, rank) -> np.ndarray:
 
 
 def _generations(sys: FiniteDyadicSystem, i: int, j: int):
-    """(radius, gen_i, gen_j, cubes) of every K whose generations i and j fit the window.
+    """(gen_i, gen_j, cubes) of every K whose generations i and j fit the window.
 
-    K runs by scale and then by rank.  radius (n_K,) is the
-    coefficient radius at K's scale, gen_i (n_K, n_I) and gen_j (n_K, n_J) are
-    K's `descendants` rows, and cubes (n_K, n_I, n_J, 3, 1 + dim) the labels
-    of I, J and K.
+    K runs by scale and then by rank.  gen_i (n_K, n_I) and gen_j (n_K, n_J)
+    are K's `descendants` rows, and cubes (n_K, n_I, n_J, 3, 1 + dim) the
+    labels of I, J and K.
     """
     dim = sys.params.dim
     scales = range(sys.params.depth - max(i, j))
@@ -123,12 +115,11 @@ def _generations(sys: FiniteDyadicSystem, i: int, j: int):
     own = np.concatenate([np.arange(n) for n in counts])  # each K's rank in its scale
     gen_i = np.concatenate([sys.descendants(k, i) for k in scales])
     gen_j = np.concatenate([sys.descendants(k, j) for k in scales])
-    radius = np.array([coefficient_radius(dim, i, j, k) for k in scales])[scale]
     cubes = np.empty(gen_i.shape + gen_j.shape[1:] + (3, 1 + dim), dtype=np.int64)
     cubes[:, :, :, 0] = _cube_labels(sys, scale[:, None] + i, gen_i)[:, :, None]
     cubes[:, :, :, 1] = _cube_labels(sys, scale[:, None] + j, gen_j)[:, None, :]
     cubes[:, :, :, 2] = _cube_labels(sys, scale, own)[:, None, None]
-    return radius, gen_i, gen_j, cubes
+    return gen_i, gen_j, cubes
 
 
 def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
@@ -146,19 +137,18 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
         raise ValueError("window too shallow for this complexity")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim, n_c = sys.params.dim, sys.n_colors
-    radius, gen_i, gen_j, labels = _generations(sys, i, j)
+    gen_i, gen_j, labels = _generations(sys, i, j)
     (n_K, n_I), n_J = gen_i.shape, gen_j.shape[1]
     shape = (n_K, n_I, n_J, n_c, n_c)
     u, v = np.moveaxis(rng.random(shape + (2,)), -1, 0)
-    block = np.sqrt(u) * radius[:, None, None, None, None] * np.exp(1j * (2 * np.pi * v))
+    block = np.sqrt(u) * coefficient_radius(dim, i, j) * np.exp(1j * (2 * np.pi * v))
     # the coefficient bound alone gives contractivity only for dim 1;
     # rescale each K-block so property (1) holds in every dimension.  A
     # block's rows are J by index, then eta; its columns I by index, then xi
     M = block.transpose(0, 2, 4, 1, 3)
     M = np.take_along_axis(M, gen_j.argsort(axis=1)[:, :, None, None, None], axis=1)
     M = np.take_along_axis(M, gen_i.argsort(axis=1)[:, None, None, :, None], axis=3)
-    norm = np.linalg.svd(M.reshape(n_K, n_J * n_c, n_I * n_c), compute_uv=False)[:, 0]
-    norm = norm[:, None, None, None, None]
+    norm = block_singular_values(M.reshape(n_K, n_J * n_c, n_I * n_c))[:, 0].reshape(-1, 1, 1, 1, 1)
     cubes = np.broadcast_to(labels[:, :, :, None, None], shape + labels.shape[3:])
     colors = np.empty(shape + (2,), dtype=np.int64)
     colors[..., 0] = np.arange(1, n_c + 1)[:, None]
@@ -305,10 +295,11 @@ def averaged_shift_cell_matrix(params, i, j):
     n_cells = 2**N
     acc = np.zeros((n_cells, n_cells), dtype=complex)
     phase = 2j * np.pi * (np.arange(2**i)[:, None] / 2**i + np.arange(2**j) / (2 * 2**j))
+    cube_values = coefficient_radius(1, i, j) * np.exp(phase)
     for word in range(2**N):
         sysw = FiniteDyadicSystem(params, GridShift(tuple((word >> s) & 1 for s in range(N))))
-        radius, _, _, cubes = _generations(sysw, i, j)
-        values = radius[:, None, None] * np.exp(phase)
+        _, _, cubes = _generations(sysw, i, j)
+        values = np.broadcast_to(cube_values, cubes.shape[:3])
         spec = ShiftSpec.from_arrays(i, j, 1, cubes.reshape(-1, 3, 2),
                                      np.ones((values.size, 2)), values.ravel())
         S = assemble_shift(sysw, spec)

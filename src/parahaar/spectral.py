@@ -1,4 +1,6 @@
-"""Schatten and trace-weighted norms of dense complex matrices."""
+"""Every singular value of the package and every p-norm of them: Schatten
+norms of dense matrices, normalized-trace norms of blocks, and p-sums of
+terms.  Each p-norm of singular values drops rank noise by `_power_sums`."""
 
 from __future__ import annotations
 
@@ -10,6 +12,8 @@ __all__ = [
     "schatten_norm",
     "schatten_norms",
     "singular_values",
+    "block_singular_values",
+    "block_norms",
     "block_diagonal_project",
     "triangular_project",
 ]
@@ -128,7 +132,7 @@ def schatten_norm(T, p, blockdim: int = 1) -> float:
     """
     _require_positive((p,))
     _require_blockdim(blockdim)
-    return _from_singular_values(singular_values(T), p, blockdim)
+    return float(_lp(singular_values(T), p, blockdim))
 
 
 def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
@@ -136,7 +140,53 @@ def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
     _require_positive(ps)
     _require_blockdim(blockdim)
     sv = singular_values(T)
-    return [_from_singular_values(sv, p, blockdim) for p in ps]
+    return [float(_lp(sv, p, blockdim)) for p in ps]
+
+
+def block_singular_values(blocks) -> np.ndarray:
+    """Singular values of each matrix of a (..., r, c) stack, largest first;
+    a 1 x 1 block's is its modulus, taken without LAPACK."""
+    if blocks.shape[-2:] == (1, 1):
+        return np.abs(blocks[..., 0])
+    return np.linalg.svd(blocks, compute_uv=False)
+
+
+def block_norms(blocks, ps) -> list[np.ndarray]:
+    """[L_p norms under the normalized trace of the blocks of a (..., m, m) stack, per p]."""
+    _require_positive(ps)
+    if blocks.ndim < 2 or blocks.shape[-1] != blocks.shape[-2]:
+        raise ValueError(f"expected a stack of square blocks, got shape {blocks.shape}")
+    sv = block_singular_values(blocks)
+    return [_lp(sv, p, blocks.shape[-1]) for p in ps]
+
+
+def _lp(sv, p, m):
+    """(sum sigma^p / m)^(1/p) over the last axis, by `_power_sums`; the largest at p = inf."""
+    if p == np.inf:
+        return sv.max(axis=-1, initial=0.0)
+    return _power_sums(sv, p, m) ** (1.0 / float(p))
+
+
+def _power_sums(sv, p, m):
+    """sum sigma^p / m over the last axis of descending singular values, less
+    the rank noise sigma <= sigma_max n eps of n values, which p < 1 would
+    amplify.  The kept values are a prefix, which a vector sums alone."""
+    n = sv.shape[-1]
+    if n > 1:  # one value is never noise
+        keep = ~(sv <= sv[..., :1] * n * np.finfo(float).eps)  # a NaN drops nothing
+        if sv.ndim > 1:
+            return np.sum(np.where(keep, sv ** p, 0.0), axis=-1) / m
+        sv = sv[keep]
+    return np.sum(sv ** p, axis=-1) / m
+
+
+def _weighted_sum(terms, p, weights=1.0) -> float:
+    """(sum_i w_i t_i^p)^{1/p} of nonnegative terms, one numpy reduction; its
+    p -> inf limit max_i t_i at p = inf; 0.0 for no terms."""
+    terms = np.asarray(terms, dtype=float)
+    if p == np.inf:
+        return float(terms.max(initial=0.0))
+    return float(np.sum(weights * terms ** p) ** (1.0 / float(p)))
 
 
 def _require_positive(ps):
@@ -151,16 +201,6 @@ def _require_blockdim(blockdim):
     """ValueError unless blockdim is an int or numpy integer >= 1 (not a bool)."""
     if not (_is_integer(blockdim) and blockdim >= 1):
         raise ValueError(f"blockdim must be an integer >= 1, got {blockdim!r}")
-
-
-def _from_singular_values(sv, p, blockdim) -> float:
-    if p == np.inf:
-        return float(sv[0]) if sv.size else 0.0
-    p = float(p)
-    if sv.size and sv[0] > 0:
-        # drop numerical-rank noise, which p < 1 would otherwise amplify
-        sv = sv[sv > sv[0] * sv.size * np.finfo(float).eps]
-    return float((np.sum(sv**p) / blockdim) ** (1.0 / p))
 
 
 def block_diagonal_project(T, blocks) -> np.ndarray:

@@ -62,10 +62,10 @@ def _pair_power_weights_loop(mids, vol, power):
 
 
 def test_pair_weights_equal_pair_loop_bitwise(rng):
-    from parahaar.norms import _cell_midgrids
+    from parahaar.norms import cell_midgrids
 
     cases = [(rng.uniform(0, 1, (9, 7, dim)), dim) for dim in (1, 2, 3)]
-    cases += [(np.ascontiguousarray(_cell_midgrids(n, dim, 4).astype(float)), dim)
+    cases += [(np.ascontiguousarray(cell_midgrids(n, dim, 4).astype(float)), dim)
               for n, dim in ((16, 1), (4, 2))]
     for mids, dim in cases:
         vol = 0.013**dim  # not a power of 2, so the order of the products shows

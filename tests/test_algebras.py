@@ -12,8 +12,7 @@ from parahaar.algebras import (_car_table, _tensor_table, besov_cars,
                                tensor_indices, tensor_paraproduct,
                                tensor_transference_checks, tensor_word)
 from parahaar.checks import model_bound
-from parahaar.norms import block_lp
-from parahaar.spectral import schatten_norms
+from parahaar.spectral import schatten_norm, schatten_norms
 
 
 def test_pauli_construction():
@@ -79,7 +78,7 @@ def test_besov_car_single_level():
         bhat = {(k,): 2.0}
         dk = 2.0 * car_word((k,), 3)
         for p, got in zip((1, 2, 3), besov_cars(bhat, 3, (1, 2, 3))):
-            assert got == pytest.approx(2 ** (k / p) * block_lp(dk, p))
+            assert got == pytest.approx(2 ** (k / p) * schatten_norm(dk, p, len(dk)))
 
 
 def test_car_transference(rng):
@@ -180,7 +179,14 @@ def test_besov_tensor_single_level():
     dk = 3.0 * tensor_word(((1, 1), (1, 2)), 2, 2)
     for p, got in zip((1, 2), besov_tensors(bhat, 2, 2, (1, 2))):
         # single level k=2: weight d^{2k} = 2^4 inside the p-th root
-        assert got == pytest.approx(2.0 ** (4.0 / p) * block_lp(dk, p))
+        assert got == pytest.approx(2.0 ** (4.0 / p) * schatten_norm(dk, p, len(dk)))
+
+
+def test_besov_cars_of_a_rank_deficient_level():
+    # level 2 holds c_2 + c_1 c_2, of singular values (2, 0): its L_p norm at
+    # p = 1/2 is 1/2, and with the weight 2^2 the form is (4 (1/2)^(1/2))^2 = 8
+    [got] = besov_cars({(2,): 1, (1, 2): 1}, 2, (0.5,))
+    assert abs(got - 8.0) <= model_bound(2, 8.0) / 0.5
 
 
 PLURAL_PS = (0.5, 1, 2, 4, np.inf)

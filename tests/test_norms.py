@@ -12,9 +12,9 @@ from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_continuums, besov_diff, besov_diffs,
                             besov_haar,
                             besov_haar_adjacents, besov_haars, besov_osc,
-                            bmo_dyadic, block_lp, bmo_operator)
+                            bmo_dyadic, bmo_operator)
 from parahaar.paraproducts import Symbol, random_symbol
-from parahaar.spectral import schatten_norm, schatten_norms
+from parahaar.spectral import block_norms, schatten_norm, schatten_norms
 
 
 def assert_within_model(got, want, n, ps):
@@ -343,16 +343,6 @@ def test_besov_haar_matches_block_loop_within_the_model(rng, d, N, dim, m, p):
     assert besov_haar(sys, symbols[-1], p) == 0.0
 
 
-def test_block_lp_single_blocks(rng):
-    for m in (1, 2, 3, 5):
-        for p in (0.5, 1, 2, 3, np.inf):
-            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            sv = np.linalg.svd(x, compute_uv=False)
-            want = float(sv[0]) if p == np.inf else float((np.sum(sv ** p) / m) ** (1.0 / p))
-            assert_within_model([block_lp(x, p)], [want], m, [p])
-    assert block_lp(-2.5, 3) == 2.5
-
-
 @pytest.mark.parametrize("dim,depth", [(1, 4), (2, 2)])
 def test_adjacent_repeat_call_is_stable(rng, dim, depth):
     vals = rng.standard_normal(2 ** (depth * dim)) + 1j * rng.standard_normal(2 ** (depth * dim))
@@ -644,7 +634,7 @@ def test_every_form_refuses_a_p_that_is_not_a_number(rng, p):
     # one rule here and in `spectral`: an int or float > 0, or inf
     sys = build_system(DyadicParams(2, 3))
     b = random_symbol(sys, rng)
-    forms = [lambda: block_lp(np.eye(2), p),
+    forms = [lambda: block_norms(np.eye(2)[None], (p,)),
              lambda: besov_haar(sys, b, p), lambda: besov_diff(sys, b, p),
              lambda: besov_osc(sys, b, p),
              lambda: besov_continuums(np.ones(4), (p,)),
@@ -662,7 +652,38 @@ def test_every_form_takes_an_int_float_or_inf_p(rng):
     for p in (2, np.int64(2), np.float64(2.0)):
         assert besov_haar(sys, b, p) == besov_haar(sys, b, 2.0)
         assert schatten_norm(np.diag([3.0, 4.0]), p) == 5.0
+    # a float32 p is read as the float64 it equals: its root 1/p is not rounded to float32
+    for p in (3, np.int64(3), np.float32(3.0)):
+        assert besov_haar(sys, b, p) == besov_haar(sys, b, 3.0)
+        assert besov_continuums(np.arange(4.0), (p,)) == besov_continuums(np.arange(4.0), (3.0,))
+        assert schatten_norm(np.diag([3.0, 4.0]), p) == schatten_norm(np.diag([3.0, 4.0]), 3.0)
     assert schatten_norm(np.diag([3.0, 4.0]), np.inf) == 4.0
+
+
+def test_besov_haar_of_rank_one_blocks_at_small_p(rng):
+    # every Haar block u v^H is rank one: ||b_Q||_p = |u||v| 2^(-1/p) exactly
+    sys = build_system(DyadicParams(2, 5))
+    u, v = (rng.standard_normal((sys.dim_basis, 2)) + 1j * rng.standard_normal((sys.dim_basis, 2))
+            for _ in range(2))
+    b = Symbol.from_blocks(sys, u[:, :, None] * v[:, None, :].conj())
+    lps = (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))[1:] / 2 ** (1 / 0.5)
+    w = np.array([sys.scale_measure(s) ** -0.5 for s in sys.scale_of_row()[1:]])
+    want = np.sum((w * lps) ** 0.5) ** 2
+    assert_within_model([besov_haar(sys, b, 0.5)], [want], sys.dim_basis - 1, [0.5])
+
+
+@pytest.mark.parametrize("dim,mask", [(1, 2), (1, 5), (1, -1), (1, True), (1, 1.0),
+                                      (1, np.int64(2)), (2, 4)])
+def test_adjacent_lattices_refuse_a_mask_outside_the_variants(dim, mask):
+    # dim has the variants 0..2^dim - 1; no other mask aliases one of them
+    with pytest.raises(ValueError, match=f"variant_mask must be an integer in 0..{2**dim - 1}"):
+        besov_haar_adjacents(np.ones(4**dim), (2.0,), dim, mask)
+
+
+@pytest.mark.parametrize("shape", [(4, 2, 3), (4, 2), (4, 1, 1, 1)])
+def test_continuum_form_refuses_values_that_are_not_square_blocks(shape):
+    with pytest.raises(ValueError, match=r"values must be \(cells,\) or \(cells, m, m\)"):
+        besov_continuums(np.ones(shape), (2.0,))
 
 
 @pytest.mark.parametrize("dim", [0, -1, True, 1.5])

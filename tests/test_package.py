@@ -328,3 +328,28 @@ def test_only_dyadic_decides_real_or_complex_tables():
                    if isinstance(node, ast.Attribute) and node.attr == "astype"
                    and getattr(node.value, "attr", None) == "basis_matrix")
     assert checks == [] and casts == []
+
+
+def test_only_spectral_decomposes_a_matrix():
+    """Every singular value of the package comes from `spectral.py`, which
+    applies one rank-noise rule to all its p-norms: no other module calls
+    an SVD or imports one."""
+    sites = sorted(f"{path.stem}:{node.lineno}" for path in SRC.glob("*.py")
+                   if path.stem != "spectral" for node in ast.walk(ast.parse(path.read_text()))
+                   if (isinstance(node, ast.Attribute) and node.attr in ("svd", "svdvals"))
+                   or (isinstance(node, ast.alias) and node.name in ("svd", "svdvals")))
+    assert sites == []
+
+
+def test_no_module_imports_a_private_of_norms():
+    """`norms` keeps its helpers to itself; what the other modules share with
+    it lives in `spectral` or is public."""
+    reads = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "norms":
+                reads += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and getattr(node.value, "id", None) == "norms"):
+                reads.append(f"{path.stem}: {node.attr}")
+    assert reads == []

@@ -7,7 +7,6 @@ from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift
                              StepFunction, build_system, expectation,
                              haar_function, martingale_difference)
 from parahaar.checks import model_bound
-from parahaar.norms import block_lp
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
                                    mult_op, paraproduct, r_op, random_symbol,
@@ -182,7 +181,7 @@ def test_band_bound_small_p(rng):
         n, m = 1, 3
         lhs = schatten_norm(band(sys, b, n, m), p) ** p
         rhs = (2 - 1) * 2.0 ** ((n - m) * p / 2) * sum(
-            (block_lp(blk, p) / sys.measure(h.cube) ** 0.5) ** p
+            (schatten_norm(blk, p, len(blk)) / sys.measure(h.cube) ** 0.5) ** p
             for h, blk in b.coeffs.items() if h.cube.scale == m)
         assert lhs <= rhs + 1e-10
 
@@ -348,7 +347,7 @@ def test_rank_pieces(rng):
     for p in (0.5, 1, 2):
         norm = schatten_norm(paraproduct(sys, b), p)
         for h, blk in b.coeffs.items():
-            assert norm >= block_lp(blk, p) / sys.measure(h.cube) ** 0.5 - 1e-10
+            assert norm >= schatten_norm(blk, p, len(blk)) / sys.measure(h.cube) ** 0.5 - 1e-10
 
 
 def test_linearity_in_symbol(rng):

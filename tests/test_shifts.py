@@ -14,9 +14,21 @@ from parahaar.spectral import schatten_norm
 
 
 def test_coefficient_radius_examples():
-    assert coefficient_radius(1, 1, 1, 0) == pytest.approx(0.5)
-    assert coefficient_radius(1, 0, 0, 0) == pytest.approx(1.0)
-    assert coefficient_radius(2, 1, 1, 0) == pytest.approx(0.25)
+    assert coefficient_radius(1, 1, 1) == 0.5
+    assert coefficient_radius(1, 0, 0) == 1.0
+    assert coefficient_radius(2, 1, 1) == 0.25
+    assert coefficient_radius(1, 0, 1) == np.sqrt(0.5)
+
+
+def test_coefficient_radius_is_one_float_at_every_scale_of_k():
+    # sqrt(|I||J|)/|K| with |Q| = d_eff^-scale, the same float for every K
+    for dim in (1, 2, 3):
+        d_eff = 2**dim
+        for i in range(6):
+            for j in range(6):
+                for k in range(40):
+                    size = [d_eff ** -(k + g) for g in (i, j, 0)]
+                    assert coefficient_radius(dim, i, j) == np.sqrt(size[0] * size[1]) / size[2]
 
 
 def test_spec_rejects_violation():
@@ -91,7 +103,7 @@ def _reference_shift_matrix(sys, i, j, rng, blockdim=1):
     colors = range(1, sys.n_colors + 1)
     coeffs = {}
     for k in range(0, sys.params.depth - max(i, j)):
-        bound = coefficient_radius(sys.params.dim, i, j, k)
+        bound = coefficient_radius(sys.params.dim, i, j)
         for K in sys.cubes_by_scale[k]:
             block = {}
             for I in generation(K, i):
@@ -352,7 +364,7 @@ def _phase_rule(sys, I, J, K):
 
     rel_i = ((start(I) - start(K)) % A) // (A // 2**I.scale)
     rel_j = ((start(J) - start(K)) % A) // (A // 2**J.scale)
-    bound = coefficient_radius(1, I.scale - K.scale, J.scale - K.scale, K.scale)
+    bound = coefficient_radius(1, I.scale - K.scale, J.scale - K.scale)
     n_i = 2 ** (I.scale - K.scale)
     n_j = 2 ** (J.scale - K.scale)
     return bound * np.exp(2j * np.pi * (rel_i / n_i + rel_j / (2 * n_j)))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parahaar.spectral import (block_diagonal_project, schatten_norm,
+from parahaar.checks import model_bound
+from parahaar.spectral import (block_diagonal_project, block_norms, schatten_norm,
                                schatten_norms, singular_values, triangular_project)
 
 
@@ -20,6 +21,40 @@ def test_unitary_invariance(rng):
     V, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     for p in (0.5, 1, 2, np.inf):
         assert schatten_norm(U @ A @ V, p) == pytest.approx(schatten_norm(A, p), abs=1e-10)
+
+
+def test_block_norms_single_blocks(rng):
+    for m in (1, 2, 3, 5):
+        x = rng.standard_normal((4, m, m)) + 1j * rng.standard_normal((4, m, m))
+        ps = (0.5, 1, 2, 3, np.inf)
+        for p, got in zip(ps, block_norms(x, ps)):
+            for blk, lp in zip(x, got):
+                sv = np.linalg.svd(blk, compute_uv=False)
+                want = sv[0] if p == np.inf else (np.sum(sv ** p) / m) ** (1.0 / p)
+                assert abs(lp - want) <= model_bound(m, want) / min(p, 1.0), (m, p)
+    assert block_norms(np.array([[[-2.5]]]), (3,))[0].tolist() == [2.5]
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (1, 2, 3), (3,)])
+def test_block_norms_refuse_blocks_that_are_not_square(shape):
+    with pytest.raises(ValueError, match="square blocks"):
+        block_norms(np.ones(shape), (2.0,))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_rank_one_blocks_at_small_p(rng, m):
+    """A rank-one m x m block has sigma_1 = |u||v| and m - 1 zero values, so its
+    L_p norm is sigma_1 m^(-1/p); the rounding noise in the zero values, which
+    p < 1 would amplify, is dropped by the batched and the dense routes alike."""
+    u = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+    v = rng.standard_normal((20, m)) + 1j * rng.standard_normal((20, m))
+    x = u[:, :, None] * v[:, None, :].conj()
+    for p in (0.3, 0.5):
+        want = np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1) * m ** (-1.0 / p)
+        tol = model_bound(m, want) / p
+        assert (np.abs(block_norms(x, (p,))[0] - want) <= tol).all(), p
+        dense = [schatten_norm(blk, p, m) for blk in x]
+        assert (np.abs(np.array(dense) - want) <= tol).all(), p
 
 
 def test_norm_rejects():
