@@ -39,6 +39,8 @@ terms per scale, is below that of the cell route it is compared with):
   commutator-cascade-identities   max(1, |pi_a| |pi_b|)         D          no
   shift-commutator-blocks         max(1, largest entry) (1e-10) D          no
   bmo-two-forms                   max(1, coefficient form)      cells      no
+  paraproduct-core-spectrum       model_bound(D m, sigma_max)   D m        yes: the model's own
+                                  per singular value
   p2-exact-relation               absolute (1e-10)              D          no
   car-relations                   absolute (unit entries)       side <= 4  yes: no D
   tensor-word-products            absolute (unit entries)       side <= 8  yes: no D
@@ -64,13 +66,14 @@ from importlib import resources
 import numpy as np
 
 from . import algebras, kernels, median, norms, shifts, spectral
-from .dyadic import (CubeId, DyadicParams, HaarIndex, StepFunction,
+from .dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
                      build_system, cover_cube, expectation, martingale_difference,
                      DILATION_BOUND, LENGTH_RATIO_BOUND)
 from .paraproducts import (Symbol, band, commutator_pieces,
-                           decompose, paraproduct, adjoint_paraproduct, r_op,
+                           decompose, paraproduct, adjoint_paraproduct, paraproduct_core, r_op,
                            random_symbol, rank_piece, splitting, triangle_op,
                            triangle_tilde)
+from .spectral import _padded_schatten_norms
 
 EXACT_TOL = 1e-12
 SLACK = 1e-10
@@ -314,6 +317,31 @@ def check_rank_piece_orthogonality(rng):
     return _rec("rank-piece-orthogonality", "rank-one-piece-products", worst, 1e-13)
 
 
+def check_paraproduct_core(rng):
+    """The spectrum of `paraproduct_core`, padded with zeros, against the dense
+    `singular_values(paraproduct)` within model_bound(D m, sigma_max)."""
+    worst = 0.0
+    for d, N, dim, m, shift in ((2, 6, 1, 1, (1, 0, 0, 1, 1, 0)), (3, 4, 1, 1, None),
+                                (3, 3, 1, 2, None), (5, 3, 1, 1, None), (2, 3, 2, 1, (2, 1, 3))):
+        sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
+        b = random_symbol(sys, rng, blockdim=m)
+        dense = spectral.singular_values(paraproduct(sys, b))
+        sv = spectral.singular_values(paraproduct_core(sys, b))
+        core = np.zeros(dense.size)
+        core[: sv.size] = sv
+        worst = max(worst, float(np.abs(core - dense).max()) / model_bound(dense.size, dense[0]))
+    return _rec("paraproduct-core-spectrum", "paraproduct-tree-spectrum", worst, 1.0,
+                "of the model bound")
+
+
+def _paraproduct_norms(sys, b, ps):
+    """schatten_norms(paraproduct(sys, b), ps, m) from `paraproduct_core`, whose
+    singular values are pi_b's padded with zeros up to D m; the operator is
+    never built."""
+    return _padded_schatten_norms(paraproduct_core(sys, b), sys.dim_basis * b.blockdim, ps,
+                                  b.blockdim)
+
+
 def check_commutator_identities(rng):
     worst = 0.0
     for d, N in ((2, 3), (3, 2)):
@@ -403,6 +431,7 @@ def exact_identity_suite(seed=20240801):
         check_commutator_identities(rng),
         check_phi_blocks(rng),
         check_bmo_forms(rng),
+        check_paraproduct_core(rng),
     ]
 
 
@@ -472,7 +501,7 @@ def check_rank_piece_lower(rng):
     for p in (0.5, 1.0, 2.0):
         for _ in range(67):
             b = random_symbol(sys, rng)
-            norm = spectral.schatten_norm(paraproduct(sys, b), p)
+            norm = _paraproduct_norms(sys, b, (p,))[0]
             best = max((lp / sys.scale_measure(s) ** 0.5) for s, lp in
                        zip(sys.scale_of_row()[1:], spectral.block_norms(b.blocks[1:], (p,))[0]))
             worst = max(worst, (best - norm) / max(1.0, best))
@@ -876,7 +905,7 @@ def _paraproduct_draws(sys, p_values, trials, rng, blockdim):
     """Yield (trial, p, ||pi_b||_{S_p}, ||b||_{B_p}) for random symbols b."""
     for trial in range(trials):
         b = random_symbol(sys, rng, blockdim=blockdim)
-        s_p = spectral.schatten_norms(paraproduct(sys, b), p_values, blockdim)
+        s_p = _paraproduct_norms(sys, b, p_values)
         for p, norm, besov in zip(p_values, s_p, norms.besov_haars(sys, b, p_values)):
             yield trial, p, norm, besov
 

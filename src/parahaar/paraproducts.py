@@ -28,6 +28,9 @@ built where a check compares against it:
 No operator is built from one of the identities it is checked by.  The
 others are tree assemblies: paraproduct, its pieces, triangle_op and
 commutator_pieces scatter `cube_averages`, and r_op reads `cube_means`.
+paraproduct_core, a matrix with pi_b's nonzero singular values, reads the
+`descendants` tables alone; the dense paraproduct is its oracle
+(checks.check_paraproduct_core).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "OperatorBundle",
     "random_symbol",
     "paraproduct",
+    "paraproduct_core",
     "apply_paraproduct",
     "adjoint_paraproduct",
     "triangle_op",
@@ -195,6 +199,45 @@ def paraproduct(sys, b: Symbol) -> np.ndarray:
     return _average_scatter(sys, b, slice(None))
 
 
+def paraproduct_core(sys, b: Symbol) -> np.ndarray:
+    """A matrix C with the nonzero singular values of pi_b, from the tree.
+
+    One row block per cube I at scales 0..N-1 (in basis order), one column
+    block per scale-(N-1) cube Q; block (I, Q) is R_I |Q|^{1/2} / |I| when
+    Q lies in I, read off `descendants`, and 0 otherwise.
+    R_I^* R_I = W_I = sum_t (b_I^t)^* b_I^t: for m = 1, R_I is the real
+    scalar (sum_t |b_I^t|^2)^{1/2}; for m > 1 it is the stacked colour
+    blocks [b_I^1; ...; b_I^c], n_colors m rows.
+
+    Why.  pi_b f = sum h_I^t b_I^t <f>_I sees f through E_{N-1} f alone, and
+    the mean over I of the normalized indicator 1_Q |Q|^{-1/2} is
+    |Q|^{1/2} / |I| for Q inside I, 0 otherwise.  Changing the columns from
+    the coarse and Haar slots below scale N-1 to those indicators is
+    unitary (the scale-(N-1) Haar columns of pi_b are zero), and the rows
+    (I, t) of one cube are B_I = [b_I^t]_t times one row: for m = 1 the
+    isometry B_I / |B_I| takes them to R_I.  So C is pi_b's nonzero rows
+    after an isometry per cube and a unitary on the columns: its singular
+    values are pi_b's, padded with zeros up to D m.  C is real for every
+    scalar symbol, and has n_{N-1} m columns against pi_b's D m.
+
+    Reads the symbol's blocks in basis order and the `descendants` tables,
+    none of the tables `paraproduct` scatters, which stays its dense oracle.
+    """
+    N, m, c = sys.params.depth, b.blockdim, sys.n_colors
+    n_cubes, n_last = (sys.dim_basis - 1) // c, len(sys.descendants(N - 1, 0))
+    blocks = b.blocks[1:].reshape(n_cubes, c * m, m)  # each cube's colour blocks, stacked
+    R = np.linalg.norm(blocks, axis=1, keepdims=True) if m == 1 else blocks
+    C = np.zeros((n_cubes, R.shape[1], n_last, m), dtype=R.dtype)
+    first = 0  # the scale's first cube, in basis order
+    for s in range(N):
+        inside = sys.descendants(s, N - 1 - s)  # the scale-(N-1) cubes in each scale-s cube
+        n_s = len(inside)
+        C[first + np.arange(n_s)[:, None], :, inside, :] = (
+            R[first:first + n_s] * (sys.scale_measure(N - 1) ** 0.5 / sys.scale_measure(s)))[:, None]
+        first += n_s
+    return C.reshape(-1, n_last * m)
+
+
 def _average_scatter(sys, b: Symbol, keep) -> np.ndarray:
     """The entries `keep` of `sys.cube_averages`, block (r, g) = value x b_r."""
     rows, cols, values = (a[keep] for a in sys.cube_averages)
@@ -244,13 +287,25 @@ def mult_op(sys, b: Symbol) -> np.ndarray:
     return _table_product(H, Y, adjoint=True).reshape(D * m, D * m)
 
 
+def _colour_sums(sys) -> np.ndarray:
+    """(n_colors, n_colors): the colour r of h^i h^t's phase on the children,
+    i + t mod d, or i xor t in several dimensions (0: a constant).  With
+    V = `child_values(s)`, mu = |child| and c = 1..n_colors, this is why
+    mu sum_q V[q, i] V[q, t] = delta(r = 0) and
+    mu sum_q conj(V[q, r]) V[q, i] V[q, t] = |Q|^{-1/2} delta(r = i + t):
+    the phases are characters of Z_d, or of Z_2^dim, summed over the group."""
+    c = np.arange(1, sys.n_colors + 1)
+    return (c[:, None] + c) % sys.params.d if sys.params.dim == 1 else c[:, None] ^ c
+
+
 def _colour_integrals(sys, b: Symbol) -> np.ndarray:
     """(D, m, m): at slot (Q, t) of a scale-s cube Q the integral of d_{s+1} b . h_Q^t,
-    sum_i P_s[i, t] b_Q^i with P_s = mu V^T V, V = `child_values(s)`, mu = |child|."""
-    out = np.zeros((sys.dim_basis, b.blockdim, b.blockdim), dtype=complex)
-    for s in range(sys.params.depth):
-        V, slots = sys.child_values(s), sys.haar_slots(s)
-        out[slots] = np.einsum("it,Qiab->Qtab", sys.scale_measure(s + 1) * V.T @ V, b.blocks[slots])
+    sum_i P[i, t] b_Q^i with P[i, t] = delta(i + t = 0) from `_colour_sums`,
+    the same at every scale: one colour's block, exactly."""
+    c, m = sys.n_colors, b.blockdim
+    P = (_colour_sums(sys) == 0).astype(float)
+    out = np.zeros((sys.dim_basis, m, m), dtype=complex)
+    out[1:] = np.einsum("it,Qiab->Qtab", P, b.blocks[1:].reshape(-1, c, m, m)).reshape(-1, m, m)
     return out
 
 
@@ -259,21 +314,22 @@ def triangle_op(sys, b: Symbol) -> np.ndarray:
 
     Column (Q, t) of a scale-s cube Q is d_{s+1} b . h_Q^t, which is
     sum_i b_Q^i h_Q^i h_Q^t on Q: constant on Q's children and zero off Q.
-    With V = `child_values(s)` and mu = `scale_measure(s + 1)` its
-    coefficient on Q's own slot (Q, r) is sum_i T_s[r, i, t] b_Q^i, with
-    T_s[r, i, t] = mu sum_q conj(V[q, r]) V[q, i] V[q, t], and on each slot J
-    of Q's tree support conj(c_J(Q)) times its integral over Q
+    Its coefficient on Q's own slot (Q, r) is sum_i T_s[r, i, t] b_Q^i, with
+    T_s[r, i, t] = |Q|^{-1/2} delta(r = i + t) in the colour arithmetic of
+    `_colour_sums`, so the diagonal r = t is an exact 0; on each slot J of
+    Q's tree support it is conj(c_J(Q)) times its integral over Q
     (`_colour_integrals`), with c_J(Q) the `cube_averages` value; every
     other coefficient is an exact 0.  The support entries are one
     transposed scatter of `cube_averages`.
     """
     D, m = sys.dim_basis, b.blockdim
+    colours = np.arange(1, sys.n_colors + 1)
+    T = (_colour_sums(sys)[None] == colours[:, None, None]).astype(float)  # (r, i, t)
     lam = np.zeros((D, m, D, m), dtype=complex)
     for s in range(sys.params.depth):
-        V, mu, slots = sys.child_values(s), sys.scale_measure(s + 1), sys.haar_slots(s)
-        own = mu * np.einsum("qr,qi,qt->rit", V.conj(), V, V)
-        lam[slots[:, :, None], :, slots[:, None, :], :] = np.einsum("rit,Qiab->Qrtab", own,
-                                                                    b.blocks[slots])
+        slots = sys.haar_slots(s)
+        lam[slots[:, :, None], :, slots[:, None, :], :] = np.einsum(
+            "rit,Qiab->Qrtab", sys.scale_measure(s) ** -0.5 * T, b.blocks[slots])
     rows, cols, values = sys.cube_averages
     lam[cols, :, rows, :] = values.conj()[:, None, None] * _colour_integrals(sys, b)[rows]
     return lam.reshape(D * m, D * m)

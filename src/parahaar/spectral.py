@@ -4,6 +4,8 @@ terms.  Each p-norm of singular values drops rank noise by `_power_sums`."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .dyadic import _is_integer
@@ -20,7 +22,15 @@ __all__ = [
 
 
 def singular_values(T) -> np.ndarray:
-    """All D singular values of the D x D matrix T, in descending order.
+    """All singular values of T, in descending order: D of a D x D matrix,
+    min(r, c) of an r x c core.
+
+    A T that is not square is a core its caller has already reduced, as
+    `paraproducts.paraproduct_core` is: LAPACK runs on it as it is, in its
+    dtype (real for a real core).  A square T is an operator and takes the
+    rules below.  Either way a non-finite entry raises ValueError, seen on
+    the output (LAPACK returns a non-finite value or fails to converge), so
+    no pass over T is added.
 
     Rows and columns of T that are exactly zero are deflated before the SVD.
     With permutations P, Q that move them last, T = P [C 0; 0 0] Q, where C
@@ -57,9 +67,12 @@ def singular_values(T) -> np.ndarray:
     its input and adds its own workspace.  On a d = 2 paraproduct, C is
     (D - 1) x D/2, half of T, and the real path holds a quarter of T's bytes.
     """
-    T = np.asarray(T, dtype=complex)
-    if T.ndim != 2 or T.shape[0] != T.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {T.shape}")
+    T = np.asarray(T)
+    if T.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {T.shape}")
+    if T.shape[0] != T.shape[1]:
+        return _lapack(T)
+    T = T.astype(complex, copy=False)
     nonzero = T != 0
     rows = nonzero.any(axis=1).nonzero()[0]
     cols = nonzero.any(axis=0).nonzero()[0]
@@ -75,7 +88,24 @@ def singular_values(T) -> np.ndarray:
             real = _real_up_to_row_phases(core)
             if real is not None:
                 core = real  # frees a gathered complex core before LAPACK runs
-        sv[: min(r, c)] = np.linalg.svd(core, compute_uv=False)
+        sv[: min(r, c)] = _lapack(core)
+    return sv
+
+
+def _lapack(a):
+    """LAPACK's singular values of a matrix or a stack of them, by `_finite`;
+    an input with a non-finite entry makes LAPACK fail or return one."""
+    try:
+        sv = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:
+        sv = np.array(np.nan)
+    return _finite(sv)
+
+
+def _finite(sv):
+    """sv, unless a value is not finite: then ValueError, as for the input it came from."""
+    if not math.isfinite(sv.max(initial=0.0)):  # a NaN anywhere makes the max NaN
+        raise ValueError("singular values need a matrix with finite entries")
     return sv
 
 
@@ -132,6 +162,7 @@ def schatten_norm(T, p, blockdim: int = 1) -> float:
     """
     _require_positive((p,))
     _require_blockdim(blockdim)
+    _require_square(T)
     return float(_lp(singular_values(T), p, blockdim))
 
 
@@ -139,16 +170,29 @@ def schatten_norms(T, ps, blockdim: int = 1) -> list[float]:
     """[schatten_norm(T, p, blockdim) for p in ps], from one SVD of T."""
     _require_positive(ps)
     _require_blockdim(blockdim)
+    _require_square(T)
     sv = singular_values(T)
+    return [float(_lp(sv, p, blockdim)) for p in ps]
+
+
+def _padded_schatten_norms(core, n, ps, blockdim):
+    """schatten_norms of an n x n matrix whose singular values are those of
+    `core` padded with zeros up to n, as `singular_values` pads a deflated
+    core: `_power_sums` reads the same n values, so drops the same noise."""
+    _require_positive(ps)
+    _require_blockdim(blockdim)
+    sv = np.zeros(n)
+    sv[: min(np.shape(core))] = singular_values(core)
     return [float(_lp(sv, p, blockdim)) for p in ps]
 
 
 def block_singular_values(blocks) -> np.ndarray:
     """Singular values of each matrix of a (..., r, c) stack, largest first;
-    a 1 x 1 block's is its modulus, taken without LAPACK."""
+    a 1 x 1 block's is its modulus, taken without LAPACK.  ValueError if a
+    block has a non-finite entry, seen on the output as in `singular_values`."""
     if blocks.shape[-2:] == (1, 1):
-        return np.abs(blocks[..., 0])
-    return np.linalg.svd(blocks, compute_uv=False)
+        return _finite(np.abs(blocks[..., 0]))
+    return _lapack(blocks)
 
 
 def block_norms(blocks, ps) -> list[np.ndarray]:
@@ -195,6 +239,13 @@ def _require_positive(ps):
         if (isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating))
                 or not p > 0):
             raise ValueError(f"p must be positive: an int or float > 0, or inf; got {p!r}")
+
+
+def _require_square(T):
+    """ValueError unless T is a square matrix: a Schatten norm is an operator's."""
+    shape = np.shape(T)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {shape}")
 
 
 def _require_blockdim(blockdim):

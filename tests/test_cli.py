@@ -90,7 +90,12 @@ def test_theorem1_inf_rows_are_the_operator_norm(tmp_path):
     rng = np.random.default_rng(1)
     want = [schatten_norm(paraproduct(sys_, random_symbol(sys_, rng)), np.inf)
             for _ in range(3)]
-    assert [r["norm"] for r in rows if float(r["p"]) == np.inf] == want
+    # the rows come from `paraproduct_core`, the dense operator's spectrum by
+    # another route: equal within the tolerance model, not bit for bit
+    got = [r["norm"] for r in rows if float(r["p"]) == np.inf]
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert abs(g - w) <= checks.model_bound(sys_.dim_basis, w)
     assert want[0] == pytest.approx(9.41, abs=0.005)
 
 

@@ -283,6 +283,30 @@ def test_commutator_pieces_is_built_from_neither_its_checks_nor_the_cells():
         assert "commutator_pieces" not in _functions_calling(SRC / "paraproducts.py", name), name
 
 
+def test_paraproduct_core_reads_none_of_its_oracles_tables():
+    """`paraproduct_core` reads the symbol's blocks and the tree alone
+    (`descendants`, `scale_measure`): none of the tables the dense
+    `paraproduct`, its oracle, is scattered from or checked against, so the
+    two stay two routes."""
+    for attr in ("cube_averages", "child_values", "basis_matrix", "cube_average_matrix",
+                 "cells_by_scale"):
+        assert "paraproduct_core" not in _functions_reading(SRC / "paraproducts.py", attr), attr
+    for name in ("paraproduct", "_average_scatter", "cube_means", "supports"):
+        assert "paraproduct_core" not in _functions_calling(SRC / "paraproducts.py", name), name
+
+
+def test_the_samplers_take_s_p_from_the_core():
+    """The calibrated sampler and the rank-piece record take S_p from
+    `paraproduct_core` through `_paraproduct_norms`; none of them builds the
+    (D m)^2 operator."""
+    samplers = {"_paraproduct_draws", "check_rank_piece_lower", "_paraproduct_norms"}
+    assert not samplers & set(_functions_calling(SRC / "checks.py", "paraproduct"))
+    assert set(_functions_calling(SRC / "checks.py", "_paraproduct_norms")) == {
+        "_paraproduct_draws", "check_rank_piece_lower"}
+    assert sorted(_functions_calling(SRC / "checks.py", "paraproduct_core")) == [
+        "_paraproduct_norms", "check_paraproduct_core"]
+
+
 def test_only_apply_paraproduct_reads_the_cell_tables_among_the_operators():
     """Inside `paraproducts.py` only `apply_paraproduct`, the matrix-free
     oracle, reads `cells_by_scale`; every operator is assembled on the tree."""

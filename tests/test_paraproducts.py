@@ -6,13 +6,13 @@ import pytest
 from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift, HaarIndex,
                              StepFunction, build_system, expectation,
                              haar_function, martingale_difference)
-from parahaar.checks import model_bound
+from parahaar.checks import _paraproduct_norms, model_bound
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
                                    coarse_op, commutator_pieces, decompose,
-                                   mult_op, paraproduct, r_op, random_symbol,
+                                   mult_op, paraproduct, paraproduct_core, r_op, random_symbol,
                                    rank_piece, splitting,
                                    triangle_op, triangle_tilde)
-from parahaar.spectral import schatten_norm, triangular_project
+from parahaar.spectral import schatten_norm, schatten_norms, singular_values, triangular_project
 
 
 def unit_symbol(sys, cube, color, value=1.0):
@@ -749,3 +749,76 @@ def test_mult_op_holds_its_output_and_one_product_array(rng, m):
     # plus O(D m^2) for the synthesized symbol; a complex copy of a table adds
     # 16 D^2
     assert peak <= 2 * 16 * (D * m) ** 2 + 256 * D * m * m
+
+
+# -- the paraproduct's spectrum from the cube tree ---------------------------
+
+
+@pytest.mark.parametrize("d,N,dim,m,shift", [
+    (2, 1, 1, 1, None), (2, 6, 1, 1, None), (2, 5, 1, 2, None), (2, 4, 1, 3, None),
+    (3, 4, 1, 1, None), (3, 3, 1, 2, None), (3, 3, 1, 3, None), (5, 3, 1, 1, None),
+    (5, 2, 1, 2, None), (2, 3, 2, 1, None), (2, 3, 2, 2, None), (2, 2, 3, 1, None),
+    (2, 6, 1, 1, (1, 0, 1, 1, 0, 0)), (2, 4, 1, 2, (1, 0, 1, 1)), (2, 3, 2, 1, (3, 1, 2)),
+])
+def test_core_spectrum_is_the_dense_spectrum(rng, d, N, dim, m, shift):
+    """`paraproduct_core` has one row block per cube of scales 0..N-1 and one
+    column block per scale-(N-1) cube, is real for a scalar symbol, and its
+    singular values padded with zeros are those of the dense operator within
+    model_bound(D m, sigma_max); so are the sampler's norms."""
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    n_cubes, n_last = (sys.dim_basis - 1) // sys.n_colors, sys.n_cells // sys.d_eff
+    ps = (0.3, 0.5, 1.0, 2.0, 4.0, np.inf)
+    for _ in range(3):
+        b = random_symbol(sys, rng, blockdim=m)
+        C = paraproduct_core(sys, b)
+        assert C.shape == (n_cubes * (1 if m == 1 else sys.n_colors * m), n_last * m)
+        assert C.dtype == (float if m == 1 else complex)
+        P = paraproduct(sys, b)
+        dense = singular_values(P)
+        sv = np.zeros(dense.size)
+        sv[:min(C.shape)] = singular_values(C)
+        assert np.abs(sv - dense).max() <= model_bound(dense.size, dense[0])
+        assert _paraproduct_norms(sys, b, ps) == pytest.approx(schatten_norms(P, ps, m),
+                                                               rel=1e-13)
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(2, 6, 1, 1), (3, 4, 1, 1), (2, 5, 1, 2), (3, 3, 1, 2),
+                                       (2, 3, 2, 1)])
+def test_core_norms_drop_the_same_rank_noise_on_sparse_symbols(rng, d, N, dim, m):
+    """A symbol on a few scales leaves the operator rank-deficient: at p = 0.3
+    a zero value read as LAPACK's noise would add about (1e-16)^0.3 = 2e-5 of
+    the norm.  Padded to the same D m values, the core and the dense route
+    drop the same noise, and agree to rounding."""
+    sys = build_system(DyadicParams(d, N, dim))
+    for scales in ((0,), (N - 1,), (0, 2)):
+        b = random_symbol(sys, rng, blockdim=m, scales=scales)
+        want = schatten_norms(paraproduct(sys, b), (0.3,), m)[0]
+        assert _paraproduct_norms(sys, b, (0.3,))[0] == pytest.approx(want, rel=1e-13), scales
+
+
+def test_core_draw_holds_the_core_not_the_operator(rng):
+    import tracemalloc
+
+    sys = build_system(DyadicParams(3, 6))
+    b = random_symbol(sys, rng)
+    core_bytes = paraproduct_core(sys, b).nbytes
+    _paraproduct_norms(sys, b, (1.0,))  # the descendant tables are kept with the system
+    tracemalloc.start()
+    try:
+        _paraproduct_norms(sys, b, (0.5, 1.0, 2.0, np.inf))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the real core plus O(D) vectors; the complex operator alone is 16 D^2,
+    # twelve times the core here
+    assert peak <= 2 * core_bytes
+    assert 16 * sys.dim_basis ** 2 >= 10 * core_bytes
+
+
+@pytest.mark.parametrize("d,N,dim,m", [(3, 3, 1, 2), (4, 3, 1, 1), (5, 3, 1, 1), (2, 2, 3, 2)])
+def test_triangle_op_structural_zeros_are_exact(rng, d, N, dim, m):
+    """The own-slot diagonal blocks of Lambda_b (r = t) come out as exact 0,
+    not as roots of unity that sum to rounding: no entry is a tiny nonzero."""
+    sys = build_system(DyadicParams(d, N, dim))
+    lam = np.abs(triangle_op(sys, random_symbol(sys, rng, blockdim=m)))
+    assert not ((lam > 0) & (lam <= 1e-13 * lam.max())).any()

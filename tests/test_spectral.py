@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parahaar.checks import model_bound
-from parahaar.spectral import (block_diagonal_project, block_norms, schatten_norm,
-                               schatten_norms, singular_values, triangular_project)
+from parahaar.spectral import (block_diagonal_project, block_norms, block_singular_values,
+                               schatten_norm, schatten_norms, singular_values,
+                               triangular_project)
 
 
 def test_identity_norms():
@@ -586,3 +587,45 @@ def test_singular_values_hold_a_real_core_and_one_row_block_at_most():
     # boolean temporaries, plus O(n) vectors; a gathered complex core would
     # add 16 r c
     assert peak <= n * n + 8 * r * c + 24 * _ROW_BLOCK * c + 256 * n
+
+
+# -- rectangular cores and non-finite input ---------------------------------
+
+
+def test_a_rectangular_core_goes_to_lapack_as_it_is(rng, svd_dtypes):
+    real = rng.standard_normal((50, 20))
+    real[3] = 0.0  # a zero row is not deflated: the caller reduced the core
+    cplx = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    for C, dtype in ((real, float), (cplx, complex)):
+        del svd_dtypes[:]
+        sv = singular_values(C)
+        assert svd_dtypes == [np.dtype(dtype)]
+        assert sv.tobytes() == np.linalg.svd(C, compute_uv=False).tobytes()
+    with pytest.raises(ValueError, match="square"):
+        schatten_norms(real, (1.0,))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_entries_raise(rng, bad):
+    """A non-finite entry raises ValueError rather than giving nan or inf
+    norms or LAPACK's LinAlgError, on every path that reaches LAPACK and on
+    the 1 x 1 blocks that do not."""
+    real = rng.standard_normal((40, 40))  # the real path's size
+    real[7, 3] = bad
+    small = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    small[2, 1] = bad
+    core = rng.standard_normal((50, 33))  # a real rectangular core
+    core[10, 30] = bad
+    for T in (real, small, core, np.diag([bad, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            singular_values(T)
+    for T in (real, small, np.diag([bad, 1.0])):
+        with pytest.raises(ValueError, match="finite"):
+            schatten_norm(T, 1)
+    block = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    block[1, 0, 1] = bad
+    for blocks in (np.array([[[bad]]]), block):
+        with pytest.raises(ValueError, match="finite"):
+            block_singular_values(blocks)
+        with pytest.raises(ValueError, match="finite"):
+            block_norms(blocks, (1.0,))
