@@ -20,6 +20,8 @@ from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .dyadic import _integer_field
+
 __all__ = [
     "pauli_matrices",
     "car_generators",
@@ -131,8 +133,8 @@ def car_transference_checks(bhat, n_gen: int, p_values):
 def tensor_basis(i: int, j: int, d: int) -> np.ndarray:
     """U_(i,j) = sum_l omega^{i l} e_{l, sigma^j(l)} for the d-cycle
     sigma = (1 2 ... d); U_(d,d) = identity."""
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise ValueError("indices must lie in 1..d")
+    d = _integer_field("d", d, 1)
+    i, j = _integer_field("i", i, 1, d), _integer_field("j", j, 1, d)
     omega = np.exp(2j * np.pi / d)
     U = np.zeros((d, d), dtype=complex)
     for l in range(1, d + 1):

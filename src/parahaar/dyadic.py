@@ -47,11 +47,14 @@ def _is_integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
-def _integer_field(name, value) -> int:
-    """`value` as an int; ValueError naming the field for a float, bool or other."""
-    if _is_integer(value):
+def _integer_field(name, value, lo=None, hi=None) -> int:
+    """`value` as an int, the one rule for an integer argument: ValueError
+    naming it for a float, bool or other, and for an int below `lo` or above
+    `hi` (each bound optional; `hi` only with `lo`)."""
+    if _is_integer(value) and (lo is None or lo <= value) and (hi is None or value <= hi):
         return operator.index(value)
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    rule = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise ValueError(f"{name} must be an integer{rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,8 @@ class DyadicParams:
     dim: int = 1
 
     def __post_init__(self):
-        for name in ("d", "depth", "dim"):
-            object.__setattr__(self, name, _integer_field(name, getattr(self, name)))
-        if self.d < 2:
-            raise ValueError(f"branching factor must be >= 2, got {self.d}")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        for name, lo in (("d", 2), ("depth", 1), ("dim", 1)):
+            object.__setattr__(self, name, _integer_field(name, getattr(self, name), lo))
         if self.dim > 1 and self.d != 2:
             raise ValueError("dim > 1 requires per-coordinate branching d = 2")
 
@@ -154,8 +151,8 @@ class FiniteDyadicSystem:
                 raise ValueError(
                     f"shift needs one digit per scale 0..{N-1}, got {len(shift.omega)}"
                 )
-            if any(w < 0 or w >= 2**dim for w in shift.omega):
-                raise ValueError("shift digits must be dim-bit masks")
+            for s, w in enumerate(shift.omega):
+                _integer_field(f"omega[{s}]", w, 0, 2**dim - 1)  # a dim-bit mask
         self.shift = shift
         self.d_eff = d if dim == 1 else 2**dim
         self.n_colors = (d - 1) if dim == 1 else 2**dim - 1
@@ -337,10 +334,8 @@ class FiniteDyadicSystem:
 
     def haar_values(self, h: HaarIndex):
         """Cell values of the wavelet h (unit L2 norm, zero mean)."""
-        cube, color = h.cube, h.color
-        if not (_is_integer(color) and 1 <= color <= self.n_colors):
-            raise ValueError(f"color {color} out of range 1..{self.n_colors}")
-        rank, k = self._rank(cube), cube.scale
+        color = _integer_field("color", h.color, 1, self.n_colors)
+        rank, k = self._rank(h.cube), h.cube.scale
         if k == self.params.depth:
             raise ValueError("Haar cubes live at scales 0..N-1")
         vals = np.zeros(self.n_cells, dtype=complex)
@@ -531,8 +526,7 @@ def haar_function(sys: FiniteDyadicSystem, h: HaarIndex) -> StepFunction:
 
 def expectation(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> StepFunction:
     """Conditional expectation onto scale-k cubes, broadcast to the cells."""
-    if not (0 <= k <= sys.params.depth):
-        raise ValueError(f"scale {k} outside 0..{sys.params.depth}")
+    k = _integer_field("k", k, 0, sys.params.depth)
     _require_cells(sys, f)
     cells = sys.cells_by_scale[k]
     out = np.empty_like(f.values)
@@ -541,8 +535,7 @@ def expectation(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> StepFunctio
 
 
 def martingale_difference(sys: FiniteDyadicSystem, f: StepFunction, k: int) -> StepFunction:
-    if not (1 <= k <= sys.params.depth):
-        raise ValueError(f"difference scale {k} outside 1..{sys.params.depth}")
+    k = _integer_field("k", k, 1, sys.params.depth)
     return expectation(sys, f, k) - expectation(sys, f, k - 1)
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .dyadic import _is_integer
+from .dyadic import _integer_field
 from .norms import cell_midgrids
 from .spectral import _weighted_sum
 
@@ -232,6 +232,8 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     antisymmetric convolution kernels and a documented bias otherwise.
     """
     dim = K.dim
+    cells_per_axis = _integer_field("cells_per_axis", cells_per_axis, 1)
+    refinement = _integer_field("refinement", refinement, 1)
     # the n x n matrix is allocated before the midpoint grids, so that a
     # process that discretizes again finds the block the last matrix freed
     # before a temporary can cut into it and grow the heap by another n^2
@@ -337,8 +339,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
 
     if sys.params.dim != C.dim:
         raise ValueError("system and operator dimensions differ")
-    if not (_is_integer(A) and A >= 1):
-        raise ValueError(f"the separation A must be an integer >= 1, not {A!r}")
+    A = _integer_field("the separation A", A, 1)
     b_values = np.asarray(b_values, dtype=complex)
     pairs = []  # (k, rank, cells of I, cells of its partner)
     for k in range(1, sys.params.depth):

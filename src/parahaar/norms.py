@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .accel import pair_power_weights
-from .dyadic import StepFunction, _is_integer, _offset_at, expectation
+from .dyadic import StepFunction, _integer_field, _offset_at, expectation
 from .paraproducts import Symbol
 from .spectral import (_power_sums, _require_positive, _weighted_sum, block_norms,
                        block_singular_values)
@@ -155,7 +155,8 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
     p -> inf limit max_{x != y} ||b_x - b_y||_inf (W > 0 off the diagonal).
     """
     _require_positive(ps)
-    _require_dim(dim)
+    dim = _integer_field("dim", dim, 1)
+    refinement = _integer_field("refinement", refinement, 1)
     values = StepFunction(values).values
     n_cells = values.shape[0]
     cells_per_axis = round(n_cells ** (1.0 / dim))
@@ -167,12 +168,6 @@ def besov_continuums(values, ps, dim: int = 1, refinement: int = 4) -> list[floa
     return [float(sv[..., 0].max()) if p == np.inf
             else float((W * _power_sums(sv, p, values.shape[1])).sum() ** (1.0 / float(p)))
             for p in ps]
-
-
-def _require_dim(dim):
-    """ValueError unless dim is an integer >= 1 (not a bool or float)."""
-    if not (_is_integer(dim) and dim >= 1):
-        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
 
 
 @functools.cache
@@ -213,10 +208,8 @@ def besov_haar_adjacents(values, ps, dim: int, variant_mask: int) -> list[float]
     cube (last axis fastest), then colour; at p = inf, the largest term.
     """
     _require_positive(ps)
-    _require_dim(dim)
-    if not (_is_integer(variant_mask) and 0 <= variant_mask < 2**dim):
-        raise ValueError(f"variant_mask must be an integer in 0..{2**dim - 1}, "
-                         f"got {variant_mask!r}")
+    dim = _integer_field("dim", dim, 1)
+    variant_mask = _integer_field("variant_mask", variant_mask, 0, 2**dim - 1)
     values = np.asarray(values, dtype=complex)
     depth = (values.size.bit_length() - 1) // dim
     n_axis = 2**depth

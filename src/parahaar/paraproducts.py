@@ -41,7 +41,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .dyadic import FiniteDyadicSystem, HaarIndex, StepFunction, _require_cells, _table_product
+from .dyadic import (FiniteDyadicSystem, HaarIndex, StepFunction, _integer_field, _require_cells,
+                     _table_product)
 
 __all__ = [
     "Symbol",
@@ -149,7 +150,10 @@ def random_symbol(sys, rng, blockdim=1, scales=None, with_mean=True) -> Symbol:
     stream is sequential, so each row gets the same real and imaginary parts
     as a draw per index would give.
     """
-    kept = [k for k in range(sys.params.depth) if scales is None or k in scales]
+    blockdim = _integer_field("blockdim", blockdim, 1)
+    N = sys.params.depth
+    kept = range(N) if scales is None else [
+        _integer_field(f"scales[{t}]", k, 0, N - 1) for t, k in enumerate(scales)]
     rows = np.flatnonzero(np.isin(sys.scale_of_row(), kept))
     z = rng.standard_normal((len(rows), 2, blockdim, blockdim))
     blocks = np.zeros((sys.dim_basis, blockdim, blockdim), dtype=complex)
@@ -392,8 +396,7 @@ def band(sys, b: Symbol, n: int, m_scale: int) -> np.ndarray:
     """d_{m+1} pi_b d_{n+1}: input Haar scale n, output Haar scale m,
     scattered from the `cube_averages` entries of those scales alone."""
     N = sys.params.depth
-    if not (0 <= n < N and 0 <= m_scale < N):
-        raise ValueError("band scales must lie inside the window")
+    n, m_scale = _integer_field("n", n, 0, N - 1), _integer_field("m_scale", m_scale, 0, N - 1)
     out, inp = sys.scale_of_row()[np.stack(sys.cube_averages[:2])]  # of each entry
     return _average_scatter(sys, b, (out == m_scale) & (inp == n))
 
@@ -406,10 +409,8 @@ def splitting(sys, b: Symbol, n_step: int, k: int):
     off-diagonal ones those with output > input + 1.  Each part is scattered
     from the `cube_averages` entries it keeps.
     """
-    if n_step < 2:
-        raise ValueError("the progression step must be >= 2")
-    if not (0 <= k < n_step):
-        raise ValueError("k must lie in 0..n_step-1")
+    n_step = _integer_field("n_step", n_step, 2)
+    k = _integer_field("k", k, 0, n_step - 1)
     out, inp = sys.scale_of_row()[np.stack(sys.cube_averages[:2])]  # -1: the coarse column
     kept = (inp >= 0) & (out % n_step == (k + 1) % n_step) & (inp % n_step == k)
     diag = _average_scatter(sys, b, kept & (out == inp + 1))

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .dyadic import CubeId, FiniteDyadicSystem, GridShift, _table_product
+from .dyadic import CubeId, FiniteDyadicSystem, GridShift, _integer_field, _table_product
 from .paraproducts import Symbol, mult_op, r_op
 from .spectral import block_singular_values
 
@@ -133,8 +133,7 @@ def random_shift(sys: FiniteDyadicSystem, i: int, j: int, seed) -> ShiftSpec:
     if sys.params.d != 2:
         raise ValueError("shifts are defined on binary systems")
     N = sys.params.depth
-    if max(i, j) + 1 > N:
-        raise ValueError("window too shallow for this complexity")
+    i, j = _integer_field("i", i, 0, N - 1), _integer_field("j", j, 0, N - 1)
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     dim, n_c = sys.params.dim, sys.n_colors
     gen_i, gen_j, labels = _generations(sys, i, j)

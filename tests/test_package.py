@@ -1,8 +1,10 @@
 import ast
 import importlib
 import pathlib
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import parahaar
@@ -377,3 +379,73 @@ def test_no_module_imports_a_private_of_norms():
                   and getattr(node.value, "id", None) == "norms"):
                 reads.append(f"{path.stem}: {node.attr}")
     assert reads == []
+
+
+def test_the_integer_rule_is_written_once():
+    """What counts as an integer argument, and how its refusal reads, is
+    `dyadic._integer_field`'s alone; `cli` keeps its config and flag
+    messages, which its tests pin."""
+    owners = sorted({f"{path.stem}:{name}" for path in SRC.glob("*.py") if path.stem != "cli"
+                     for name in _owners(path, lambda node: isinstance(node, ast.Constant)
+                                         and "must be an integer" in str(node.value))})
+    assert owners == ["dyadic:_integer_field"]
+
+
+def _integer_sites():
+    """Per site: the argument, an int out of its range, an int in it, and a
+    call of the site with the value."""
+    from parahaar import algebras, kernels, norms, shifts, spectral
+    from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift, HaarIndex,
+                                 StepFunction, build_system, expectation, martingale_difference)
+    from parahaar.paraproducts import band, random_symbol, splitting
+
+    sys, colours = build_system(DyadicParams(2, 3)), build_system(DyadicParams(3, 2))
+    rng = np.random.default_rng(0)
+    b, f = random_symbol(sys, rng), StepFunction(np.arange(8.0))
+    K = kernels.hilbert_kernel()
+    C = kernels.discretize(K, 8, refinement=1)
+    cases = {
+        "DyadicParams.d": ("d", 1, 2, lambda v: DyadicParams(v, 2)),
+        "DyadicParams.depth": ("depth", 0, 2, lambda v: DyadicParams(2, v)),
+        "DyadicParams.dim": ("dim", 0, 2, lambda v: DyadicParams(2, 2, dim=v)),
+        "shift-digit": ("omega[0]", 2, 1, lambda v: FiniteDyadicSystem(DyadicParams(2, 2),
+                                                                       GridShift((v, 0)))),
+        "haar_values": ("color", 3, 2,
+                        lambda v: colours.haar_values(HaarIndex(CubeId(0, (0,)), v))),
+        "schatten_norm": ("blockdim", 0, 2, lambda v: spectral.schatten_norm(np.eye(4), 1, v)),
+        "besov_continuums.dim": ("dim", 0, 2, lambda v: norms.besov_continuums(np.ones(4), [1], v)),
+        "besov_haar_adjacents.dim": ("dim", 0, 2,
+                                     lambda v: norms.besov_haar_adjacents(np.ones(4), [1], v, 0)),
+        "variant_mask": ("variant_mask", 2, 1,
+                         lambda v: norms.besov_haar_adjacents(np.ones(4), [1], 1, v)),
+        "testing_quantity": ("separation A", 0, 1,
+                             lambda v: kernels.testing_quantity(C, sys, np.ones(8), v, 2.0)),
+        "band.n": ("n", 3, 0, lambda v: band(sys, b, v, 1)),
+        "band.m_scale": ("m_scale", 3, 1, lambda v: band(sys, b, 0, v)),
+        "splitting.n_step": ("n_step", 1, 2, lambda v: splitting(sys, b, v, 0)),
+        "splitting.k": ("k", 3, 1, lambda v: splitting(sys, b, 3, v)),
+        "expectation": ("k", 4, 1, lambda v: expectation(sys, f, v)),
+        "martingale_difference": ("k", 0, 2, lambda v: martingale_difference(sys, f, v)),
+        "random_shift.i": ("i", 3, 1, lambda v: shifts.random_shift(sys, v, 0, 0)),
+        "random_shift.j": ("j", 3, 1, lambda v: shifts.random_shift(sys, 0, v, 0)),
+        "tensor_basis.i": ("i", 3, 1, lambda v: algebras.tensor_basis(v, 1, 2)),
+        "tensor_basis.j": ("j", 0, 2, lambda v: algebras.tensor_basis(1, v, 2)),
+        "tensor_basis.d": ("d", 0, 2, lambda v: algebras.tensor_basis(1, 1, v)),
+        "random_symbol.blockdim": ("blockdim", 0, 2, lambda v: random_symbol(sys, rng, blockdim=v)),
+        "random_symbol.scales": ("scales[0]", 3, 1, lambda v: random_symbol(sys, rng, scales=[v])),
+        "discretize.cells_per_axis": ("cells_per_axis", 0, 2, lambda v: kernels.discretize(K, v)),
+        "discretize.refinement": ("refinement", 0, 1, lambda v: kernels.discretize(K, 4, v)),
+        "besov_continuums.refinement": ("refinement", 0, 1, lambda v: norms.besov_continuums(
+            np.ones(4), [1], refinement=v)),
+    }
+    return [pytest.param(*case, id=label) for label, case in cases.items()]
+
+
+@pytest.mark.parametrize("name,outside,inside,call", _integer_sites())
+def test_every_integer_argument_takes_the_one_rule(name, outside, inside, call):
+    """A float, a bool and an int out of range each raise ValueError naming
+    the argument; a numpy integer is accepted."""
+    for value in (0.5, True, outside):
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer")):
+            call(value)
+    call(np.int64(inside))

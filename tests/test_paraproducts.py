@@ -548,6 +548,10 @@ def _random_symbol_loop(sys, rng, m, scales=None, with_mean=True):
 def test_random_symbol_matches_per_index_draws(d, N, dim, m, scales, with_mean):
     sys = build_system(DyadicParams(d, N, dim))
     rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    if scales is not None and max(scales) >= N:  # {0, 3} in a depth-3 window
+        with pytest.raises(ValueError, match=rf"must be an integer in 0..{N - 1}, got 3"):
+            random_symbol(sys, rng, blockdim=m, scales=scales, with_mean=with_mean)
+        scales = {s for s in scales if s < N}
     b = random_symbol(sys, rng, blockdim=m, scales=scales, with_mean=with_mean)
     table, mean = _random_symbol_loop(sys, ref, m, scales, with_mean)
     assert list(b.coeffs) == list(table)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -144,6 +146,18 @@ def test_triangular_preorder_ties():
     M = np.ones((4, 4))
     out = triangular_project(M, [0, 0, 1, 1])
     assert out.sum() == 4.0  # only the strict scale-2 x scale-1 block survives
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2)])
+def test_projections_refuse_a_matrix_that_is_not_square(shape):
+    """A projection of an operator keeps its square shape: a wide matrix lost
+    its last columns, and a tall one raised IndexError or numpy's broadcast
+    message."""
+    message = re.escape(f"expected a square matrix, got shape {shape}")
+    with pytest.raises(ValueError, match=message):
+        block_diagonal_project(np.ones(shape), [[0, 1]])
+    with pytest.raises(ValueError, match=message):
+        triangular_project(np.ones(shape), [0, 1])
 
 
 def test_power_identity(rng):
