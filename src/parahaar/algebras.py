@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from typing import Callable, Dict, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -53,14 +52,26 @@ def _qubits(n_gen: int) -> int:
     return (n_gen + 1) // 2
 
 
-@functools.cache
+def _integer_cache(*rules):
+    """functools.cache of a function whose arguments are read by the integer
+    rule first, one (name, lowest value) per position: a float or a bool is
+    refused before it can reach the cache, or hit the entry of the int it equals."""
+    def decorate(build):
+        cached = functools.cache(build)
+
+        @functools.wraps(build)
+        def read(*args):
+            return cached(*(_integer_field(name, v, lo) for (name, lo), v in zip(rules, args)))
+        return read
+    return decorate
+
+
+@_integer_cache(("n_gen", 1))
 def car_generators(n_gen: int):
     """Self-adjoint unitaries c_1..c_n with c_j c_k + c_k c_j = 2 delta_jk.
 
     A tuple of read-only arrays, built once per n_gen.
     """
-    if n_gen < 1:
-        raise ValueError("need at least one generator")
     s0, s1, s2 = pauli_matrices()
     q = _qubits(n_gen)
     eye = np.eye(2, dtype=complex)
@@ -80,14 +91,20 @@ def car_generators(n_gen: int):
 
 def car_word(subset: Sequence[int], n_gen: int) -> np.ndarray:
     """c_A = product of generators in increasing order; c_empty = identity."""
-    subset = sorted(set(subset))
-    if subset and (subset[0] < 1 or subset[-1] > n_gen):
-        raise ValueError(f"subset {subset} lies outside the generators 1..{n_gen}")
-    gens = car_generators(n_gen)
+    gens = car_generators(n_gen)  # n_gen read by the integer rule first
+    subset = _subset(subset, n_gen)
     M = np.eye(2 ** _qubits(n_gen), dtype=complex)
     for k in subset:
         M = M @ gens[k - 1]
     return M
+
+
+def _subset(subset, n_gen: int) -> list:
+    """The generators of `subset`, each read by the integer rule, sorted."""
+    subset = sorted({_integer_field(f"subset[{k}]", g) for k, g in enumerate(subset)})
+    if subset and (subset[0] < 1 or subset[-1] > n_gen):
+        raise ValueError(f"subset {subset} lies outside the generators 1..{n_gen}")
+    return subset
 
 
 def car_trace(x) -> complex:
@@ -98,12 +115,13 @@ def car_trace(x) -> complex:
 def car_sign(A, B, n_gen: int) -> int:
     """Sign s with c_A c_B^* = s c_{A xor B}, read from the word table."""
     table = _car_table(n_gen)
-    a, b = (_position(table, tuple(sorted(set(X)))) for X in (A, B))
+    a, b = (_position(table, tuple(_subset(X, n_gen))) for X in (A, B))
     return int(table.phases[table.phase_code[a, b]].real)
 
 
 def car_subsets(n_gen: int):
     """All subsets of {1..n_gen}, ordered by (max, size, lex); empty first."""
+    n_gen = _integer_field("n_gen", n_gen, 1)
     subs = [tuple(sorted(s)) for r in range(n_gen + 1)
             for s in itertools.combinations(range(1, n_gen + 1), r)]
     return sorted(subs, key=lambda s: (max(s) if s else 0, len(s), s))
@@ -148,7 +166,9 @@ def eta_lambda(alpha, beta, d: int):
     alpha, beta are words of `tensor_indices`: tuples of (i, j) pairs per
     level (level = position + 1), trailing identity pairs (d, d) trimmed away.
     """
-    alpha, beta = tuple(map(tuple, alpha)), tuple(map(tuple, beta))
+    d = _integer_field("d", d, 1)
+    alpha, beta = (tuple((_integer_field("i", i, 1, d), _integer_field("j", j, 1, d))
+                         for i, j in w) for w in (alpha, beta))
     table = _tensor_table(d, max(len(alpha), len(beta), 1))
     a, b = _position(table, alpha), _position(table, beta)
     return table.words[table.prod[a, b]], table.phases[table.phase_code[a, b]]
@@ -157,6 +177,7 @@ def eta_lambda(alpha, beta, d: int):
 def tensor_indices(d: int, levels: int):
     """All words with entries in [1,d]^2 whose top level is not (d, d),
     ordered by (length, lex); empty first."""
+    d, levels = _integer_field("d", d, 1), _integer_field("levels", levels, 1)
     pairs = list(itertools.product(range(1, d + 1), repeat=2))
     return [()] + [w for top in range(1, levels + 1)
                    for w in itertools.product(pairs, repeat=top) if w[-1] != (d, d)]
@@ -168,8 +189,10 @@ def tensor_word(alpha, d: int, levels: int) -> np.ndarray:
     A read-only array, built on each call: a cache would keep every word of
     a table alive, d^(2 levels) matrices of side d^levels.
     """
-    alpha = [(operator.index(i), operator.index(j)) for i, j in alpha]
-    d, levels = operator.index(d), operator.index(levels)
+    d, levels = _integer_field("d", d, 1), _integer_field("levels", levels, 1)
+    alpha = list(alpha)  # each (i, j) read by `tensor_basis`
+    if len(alpha) > levels:
+        raise ValueError(f"the word {alpha} has {len(alpha)} levels, more than levels = {levels}")
     M = np.eye(1, dtype=complex)
     for lvl in range(levels):
         i, j = alpha[lvl] if lvl < len(alpha) else (d, d)
@@ -219,7 +242,7 @@ def _table(name, words, level, prod, phase_code, phases, weight, word):
                       np.asarray(phases, dtype=complex), weight, word)
 
 
-@functools.cache
+@_integer_cache(("n_gen", 1))
 def _car_table(n_gen: int) -> _WordTable:
     words = car_subsets(n_gen)
     masks = np.array([sum(1 << (g - 1) for g in w) for w in words],
@@ -240,7 +263,7 @@ def _car_table(n_gen: int) -> _WordTable:
                   functools.partial(car_word, n_gen=n_gen))
 
 
-@functools.cache
+@_integer_cache(("d", 1), ("levels", 1))
 def _tensor_table(d: int, levels: int) -> _WordTable:
     words = tensor_indices(d, levels)
     n = len(words)

@@ -13,8 +13,8 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from .dyadic import _integer_field
-from .norms import cell_midgrids
-from .spectral import _weighted_sum
+from .norms import cell_pair_means
+from .spectral import _require_number, _require_positive, _weighted_sum
 
 __all__ = [
     "KernelSpec",
@@ -50,11 +50,9 @@ class KernelSpec:
     name: str = "kernel"
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
-
+        self.dim = _integer_field("dim", self.dim, 1)
+        _require_number("C", self.C, "a finite number > 0", lambda C: 0 < C < np.inf)
+        _require_number("alpha", self.alpha, "a number in (0, 1]", lambda alpha: 0 < alpha <= 1)
 
 def _reciprocal_difference(x, y):
     """1 / (x - y) = sign(x - y) / |x - y| on the first coordinate."""
@@ -140,8 +138,8 @@ def _ball_samples(center, r, dim):
 
 def nondegenerate_probe(K: KernelSpec, x0, r: float, A: float) -> dict:
     """Find the far point of the critical-decay property and its witnesses."""
-    if A < 3:
-        raise ValueError("A must be at least 3")
+    _require_number("r", r, "a finite number > 0", lambda r: 0 < r < np.inf)
+    _require_number("A", A, "a finite number >= 3", lambda A: 3 <= A < np.inf)
     x0 = np.asarray(x0, dtype=float).reshape(K.dim)
     kind = K.nondegeneracy[0]
     threshold = 1.0
@@ -205,6 +203,12 @@ class GridOperator:
     dim: int
     cells_per_axis: int
 
+    def __post_init__(self):
+        n = self.cells_per_axis ** self.dim
+        if np.shape(self.matrix) != (n, n):
+            raise ValueError(f"matrix must be {n} x {n}, one row per cell, "
+                             f"got shape {np.shape(self.matrix)}")
+
     @property
     def n_cells(self):
         return self.matrix.shape[0]
@@ -231,23 +235,10 @@ def discretize(K: KernelSpec, cells_per_axis: int, refinement: int = 2) -> GridO
     The zero diagonal is the principal-value surrogate, unbiased exactly for
     antisymmetric convolution kernels and a documented bias otherwise.
     """
-    dim = K.dim
     cells_per_axis = _integer_field("cells_per_axis", cells_per_axis, 1)
     refinement = _integer_field("refinement", refinement, 1)
-    # the n x n matrix is allocated before the midpoint grids, so that a
-    # process that discretizes again finds the block the last matrix freed
-    # before a temporary can cut into it and grow the heap by another n^2
-    n_cells = cells_per_axis**dim
-    avg = np.zeros((n_cells, n_cells), dtype=complex)
-    mids = cell_midgrids(cells_per_axis, dim, refinement)
-    nsub = mids.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(n_cells):
-            va = K.evaluate(mids[a][:, None, :], mids.reshape(-1, dim)[None, :, :])
-            avg[a] = va.reshape(nsub, n_cells, nsub).mean(axis=(0, 2))
-    np.fill_diagonal(avg, 0.0)
-    avg *= cells_per_axis ** (-dim)
-    return GridOperator(avg, dim, cells_per_axis)
+    return GridOperator(cell_pair_means(K.evaluate, cells_per_axis, K.dim, refinement),
+                        K.dim, cells_per_axis)
 
 
 def commutator_grid_op(T: GridOperator, b_values) -> GridOperator:
@@ -321,6 +312,7 @@ def nwo_quantities(V: GridOperator, families, ps) -> list[float]:
     """(sum_I |<e_I, V f_I>|^p)^(1/p) over the supplied admissible family at
     each p in ps, each pairing mu e_I^H V_II f_I read off V's (I, I) block
     of cells once; max_I |<e_I, V f_I>| at p = inf."""
+    _require_positive(ps)
     mu = V.cell_measure
     pairs = np.array([abs(np.vdot(e, V.matrix[np.ix_(cells, cells)] @ f) * mu)
                       for cells, e, f in families])
@@ -337,6 +329,7 @@ def testing_quantity(C: GridOperator, sys, b_values, A: int, p) -> float:
     """
     from .median import quadrant_sets
 
+    _require_positive((p,))
     if sys.params.dim != C.dim:
         raise ValueError("system and operator dimensions differ")
     A = _integer_field("the separation A", A, 1)

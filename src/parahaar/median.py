@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import quadrant_masses_kernel
+from .accel import quadrant_masks, quadrant_masses_kernel
 
 __all__ = [
     "WeightedPointSet",
@@ -699,16 +699,14 @@ def _order_at(intervals):
 
 
 def _row_certified(z, w, total, frames):
-    """_certify(row i, frames[i]) per row, with the mass kernel's arithmetic."""
+    """_certify(row i, frames[i]) per row, on the mass kernel's quadrant masks."""
     if not frames:
         return np.zeros(0, dtype=bool)
     scale = np.maximum(1.0, np.abs(z).max(axis=1))  # WeightedPointSet.scale; padding is 0
     ux, uy, qx, qy, tol = (np.array(v)[:, None]
                            for v in zip(*map(_kernel_frame, frames, scale.tolist())))
-    s = (z.real - qx) * ux + (z.imag - qy) * uy
-    t = -(z.real - qx) * uy + (z.imag - qy) * ux
-    sp, sm, tp, tm = s >= -tol, s <= tol, t >= -tol, t <= tol
-    quadrants = np.stack([sp & tp, sm & tp, sm & tm, sp & tm]) & (w > 0)  # not the padding
+    quadrants = np.stack(quadrant_masks(z.real, z.imag, ux, uy, qx, qy, tol))
+    quadrants &= w > 0  # not the padding
     need = total / 16.0 - 1e-12 * np.maximum(1.0, total)
     # A padded row sum and the kernel's compressed sum round differently, but
     # each is within (n - 1) u total of the exact mass (n terms, u = 2^-53):

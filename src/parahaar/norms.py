@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .accel import pair_power_weights
 from .dyadic import StepFunction, _integer_field, _offset_at, expectation
 from .paraproducts import Symbol
 from .spectral import (_power_sums, _require_positive, _weighted_sum, block_norms,
@@ -132,14 +131,32 @@ def cell_midgrids(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
     return lowers[:, None, :] + offs[None, :, :]
 
 
+def cell_pair_means(evaluate, cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
+    """|cell| times the mean of evaluate(x, y) over the refinement**dim subcell
+    midpoints of each ordered cell pair, a complex (n_cells, n_cells) matrix
+    with a zero diagonal; `evaluate` takes points of shape (..., dim)."""
+    # the n x n matrix is allocated before the midpoint grids, so that a
+    # process that discretizes again finds the block the last matrix freed
+    # before a temporary can cut into it and grow the heap by another n^2
+    n_cells = cells_per_axis**dim
+    avg = np.zeros((n_cells, n_cells), dtype=complex)
+    mids = cell_midgrids(cells_per_axis, dim, refinement)
+    nsub = mids.shape[1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(n_cells):
+            va = evaluate(mids[a][:, None, :], mids.reshape(-1, dim)[None, :, :])
+            avg[a] = va.reshape(nsub, n_cells, nsub).mean(axis=(0, 2))
+    np.fill_diagonal(avg, 0.0)
+    avg *= cells_per_axis ** (-dim)
+    return avg
+
+
 @functools.cache
 def _grid_weights(cells_per_axis: int, dim: int, refinement: int) -> np.ndarray:
-    """Read-only cell-pair quadrature weights of the continuum form."""
-    sub = 1.0 / cells_per_axis / refinement
-    mids = cell_midgrids(cells_per_axis, dim, refinement)
-    W = pair_power_weights(
-        np.ascontiguousarray(mids.astype(float)), float(sub ** dim), float(2 * dim)
-    )
+    """Read-only cell-pair quadrature weights of the continuum form: the
+    kernel |x - y|^(-2 dim) integrated over each pair of distinct cells."""
+    W = cell_pair_means(lambda x, y: ((x - y) ** 2).sum(axis=-1) ** -float(dim),
+                        cells_per_axis, dim, refinement).real * cells_per_axis ** (-dim)
     W.setflags(write=False)
     return W
 

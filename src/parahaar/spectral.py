@@ -237,12 +237,18 @@ def _weighted_sum(terms, p, weights=1.0) -> float:
     return float(np.sum(weights * terms ** p) ** (1.0 / float(p)))
 
 
+def _require_number(name, value, rule, ok):
+    """ValueError naming `value` unless it is an int or float, numpy's too
+    (not a bool or str), that `ok` accepts; NaN fails every comparison."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not ok(value)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
 def _require_positive(ps):
     """ValueError unless each p of ps is an int or float > 0, or inf (not a bool, str or NaN)."""
     for p in ps:
-        if (isinstance(p, bool) or not isinstance(p, (int, float, np.integer, np.floating))
-                or not p > 0):
-            raise ValueError(f"p must be positive: an int or float > 0, or inf; got {p!r}")
+        _require_number("p", p, "positive: an int or float > 0, or inf", lambda p: p > 0)
 
 
 def _require_square(T):

@@ -1,6 +1,7 @@
 import numpy as np
 
-from parahaar import accel
+from parahaar import accel, norms
+from parahaar.norms import cell_midgrids
 
 
 def _quadrant_masses_loop(re, im, w, ux, uy, qx, qy, tol):
@@ -35,39 +36,32 @@ def test_quadrant_masses_match_point_loop(rng):
         assert masses.sum() >= w.sum() + 3 * w[-1] - 1e-12
 
 
-def test_pair_weights_match_two_cell_sum(rng):
-    mids = rng.uniform(0, 1, (6, 4, 2))
-    vol, power = 0.01, 4.0
-    got = accel.pair_power_weights(mids, vol, power)
-    assert np.all(np.diag(got) == 0.0)
-    for a in range(6):
-        for b in range(6):
-            if a != b:
-                acc = sum(float(np.sum((x - y) ** 2)) ** (-power / 2)
-                          for x in mids[a] for y in mids[b])
-                assert np.isclose(got[a, b], vol * vol * acc, rtol=1e-12, atol=0)
+def test_quadrant_masks_broadcast_one_frame_per_row(rng):
+    # the frames as columns against rows of points: each row's masks are
+    # those of its own frame alone
+    z = rng.standard_normal((5, 30)) + 1j * rng.standard_normal((5, 30))
+    u = np.exp(1j * rng.uniform(0, np.pi, 5))[:, None]
+    q = (rng.standard_normal(5) + 1j * rng.standard_normal(5))[:, None]
+    z[:, 0] = q[:, 0]  # each centre in all four quadrants
+    masks = np.stack(accel.quadrant_masks(z.real, z.imag, u.real, u.imag, q.real, q.imag, 1e-12))
+    assert masks.shape == (4, 5, 30) and masks[:, :, 0].all()
+    for r in range(5):
+        row = accel.quadrant_masks(z[r].real, z[r].imag, u[r, 0].real, u[r, 0].imag,
+                                   q[r, 0].real, q[r, 0].imag, 1e-12)
+        assert np.array_equal(masks[:, r], np.stack(row))
 
 
-def _pair_power_weights_loop(mids, vol, power):
-    """One numpy sum per ordered cell pair: the reference the kernel must equal bit for bit."""
-    ncell = mids.shape[0]
-    out = np.zeros((ncell, ncell))
-    for a in range(ncell):
-        for b in range(ncell):
-            if a != b:
-                diff = mids[a][:, None, :] - mids[b][None, :, :]
-                r2 = (diff * diff).sum(axis=2)
-                out[a, b] = vol * vol * (r2 ** (-power / 2.0)).sum()
-    return out
-
-
-def test_pair_weights_equal_pair_loop_bitwise(rng):
-    from parahaar.norms import cell_midgrids
-
-    cases = [(rng.uniform(0, 1, (9, 7, dim)), dim) for dim in (1, 2, 3)]
-    cases += [(np.ascontiguousarray(cell_midgrids(n, dim, 4).astype(float)), dim)
-              for n, dim in ((16, 1), (4, 2))]
-    for mids, dim in cases:
-        vol = 0.013**dim  # not a power of 2, so the order of the products shows
-        got = accel.pair_power_weights(mids, vol, 2.0 * dim)
-        assert np.array_equal(got, _pair_power_weights_loop(mids, vol, 2.0 * dim)), mids.shape
+def test_pair_weights_match_two_cell_sum():
+    # the continuum form's weights against the double sum over subcell
+    # midpoints: |subcell|^2 sum |x - y|^(-2 dim) per pair of distinct cells
+    refinement = 2
+    for cells_per_axis, dim in ((6, 1), (3, 2), (2, 3)):
+        mids = cell_midgrids(cells_per_axis, dim, refinement)
+        vol = (1.0 / cells_per_axis / refinement) ** dim
+        got = norms._grid_weights(cells_per_axis, dim, refinement)
+        assert np.all(np.diag(got) == 0.0)
+        for a in range(len(mids)):
+            for b in range(len(mids)):
+                if a != b:
+                    acc = sum(float(np.sum((x - y) ** 2)) ** -dim for x in mids[a] for y in mids[b])
+                    assert np.isclose(got[a, b], vol * vol * acc, rtol=1e-12, atol=0), (dim, a, b)

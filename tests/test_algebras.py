@@ -260,7 +260,7 @@ def test_tensor_words_are_read_only_kron_products(d, levels):
         assert not got.flags.writeable
         # lists, numpy integers and tuples name the same word
         assert np.array_equal(tensor_word([list(map(np.int64, ij)) for ij in a], d, levels), got)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match=re.escape("i must be an integer in 1..2, got 1.0")):
         tensor_word(((1.0, 2),), 2, 1)
 
 
@@ -446,6 +446,25 @@ def test_every_form_rejects_a_key_that_is_not_a_word(forms, key):
     for form in forms:
         with pytest.raises(ValueError, match=re.escape(f"{key} is not a word")):
             form({key: 1.0})
+
+
+def test_words_take_their_entries_by_the_integer_rule():
+    # a bool or a float entry is refused, not read as the int it equals
+    for call in (lambda: car_word((True,), 2), lambda: car_word((1, 1.5), 3),
+                 lambda: car_sign((1,), (True,), 2)):
+        with pytest.raises(ValueError, match=r"subset\[\d\] must be an integer"):
+            call()
+    with pytest.raises(ValueError, match=re.escape("i must be an integer in 1..2, got True")):
+        tensor_word([(True, 1)], 2, 1)
+    # a word above the top level is refused, not cut to it
+    with pytest.raises(ValueError, match="2 levels, more than levels = 1"):
+        tensor_word([(1, 1), (1, 2)], 2, 1)
+
+
+def test_car_generators_cache_one_tuple_per_integer():
+    assert car_generators(3) is car_generators(3) is car_generators(np.int64(3))
+    with pytest.raises(ValueError, match="n_gen must be an integer"):
+        car_generators(True)
 
 
 def test_car_word_rejects_generators_outside_range():

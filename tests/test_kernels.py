@@ -95,6 +95,38 @@ def test_probe_rejects_small_A():
         nondegenerate_probe(hilbert_kernel(), [0.0], 1.0, 2.0)
 
 
+@pytest.mark.parametrize("field,value", [("C", np.nan), ("C", np.inf), ("C", 0.0), ("C", -1.0),
+                                         ("C", True), ("C", "1"), ("alpha", 0.0), ("alpha", 1.5),
+                                         ("alpha", np.nan), ("alpha", True), ("alpha", None)])
+def test_kernel_spec_refuses_constants_that_make_its_checks_vacuous(field, value):
+    # a NaN C would have every size and difference ratio compare false: no violations
+    constants = {"C": 1.0, "alpha": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        KernelSpec(hilbert_kernel().evaluate, 1, **constants)
+
+
+def test_kernel_spec_takes_numpy_constants():
+    K = KernelSpec(hilbert_kernel().evaluate, np.int64(1), C=np.float64(2.0), alpha=np.int64(1))
+    assert type(K.dim) is int and K.C == 2.0 and K.alpha == 1
+
+
+@pytest.mark.parametrize("field,value", [("r", -1.0), ("r", 0.0), ("r", np.nan), ("r", np.inf),
+                                         ("r", True), ("A", np.nan), ("A", np.inf),
+                                         ("A", 2.0), ("A", True)])
+def test_probe_refuses_a_radius_or_separation_out_of_range(field, value):
+    args = {"r": 1.0, "A": 10.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        nondegenerate_probe(hilbert_kernel(), [0.0], args["r"], args["A"])
+
+
+@pytest.mark.parametrize("matrix,dim,cells_per_axis", [(np.eye(4), 1, 8), (np.eye(8), 2, 4),
+                                                       (np.ones((8, 4)), 1, 8),
+                                                       (np.ones(8), 1, 8)])
+def test_grid_operator_refuses_a_matrix_off_its_cells(matrix, dim, cells_per_axis):
+    with pytest.raises(ValueError, match="matrix must be"):
+        GridOperator(matrix, dim, cells_per_axis)
+
+
 def test_probe_failure_diagnostics():
     dead = KernelSpec(lambda x, y: 1e-9 / (x[..., 0] - y[..., 0]), 1,
                       C=1.0, alpha=1.0, nondegeneracy=("pointwise", 1.0))

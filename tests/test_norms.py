@@ -8,6 +8,8 @@ from parahaar.algebras import (besov_cars, besov_tensors, car_subsets, car_word,
 from parahaar.checks import model_bound
 from parahaar.dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
                              build_system, expectation, martingale_difference)
+from parahaar.kernels import GridOperator, nwo_quantities, random_admissible_family
+from parahaar.kernels import testing_quantity as tq_separated
 from parahaar.norms import (_grid_weights, _half_overlaps,
                             besov_continuums, besov_diff, besov_diffs,
                             besov_haar,
@@ -621,10 +623,13 @@ def test_besov_haar_adjacents_equal_per_p_loop(rng, dim, depth):
 def test_plural_forms_reject_any_nonpositive_p(rng):
     sys = build_system(DyadicParams(2, 3))
     b = random_symbol(sys, rng)
-    for ps in ((2.0, 0), (-1.0, 2.0)):
+    V, fams = GridOperator(np.eye(8, dtype=complex), 1, 8), random_admissible_family(sys, rng)
+    for ps in ((2.0, 0), (-1.0, 2.0), (-2.0,)):
         for form in (lambda: besov_haars(sys, b, ps), lambda: besov_diffs(sys, b, ps),
                      lambda: besov_continuums(np.ones(4), ps),
-                     lambda: besov_haar_adjacents(np.ones(4), ps, 1, 0)):
+                     lambda: besov_haar_adjacents(np.ones(4), ps, 1, 0),
+                     lambda: nwo_quantities(V, fams, ps),
+                     lambda: [tq_separated(V, sys, np.ones(8), 1, p) for p in ps]):
             with pytest.raises(ValueError, match="p must be positive"):
                 form()
 
@@ -634,7 +639,10 @@ def test_every_form_refuses_a_p_that_is_not_a_number(rng, p):
     # one rule here and in `spectral`: an int or float > 0, or inf
     sys = build_system(DyadicParams(2, 3))
     b = random_symbol(sys, rng)
+    V, fams = GridOperator(np.eye(8, dtype=complex), 1, 8), random_admissible_family(sys, rng)
     forms = [lambda: block_norms(np.eye(2)[None], (p,)),
+             lambda: nwo_quantities(V, fams, (2.0, p)),
+             lambda: tq_separated(V, sys, np.ones(8), 1, p),
              lambda: besov_haar(sys, b, p), lambda: besov_diff(sys, b, p),
              lambda: besov_osc(sys, b, p),
              lambda: besov_continuums(np.ones(4), (p,)),

@@ -316,6 +316,25 @@ def test_only_apply_paraproduct_reads_the_cell_tables_among_the_operators():
     assert readers == {"apply_paraproduct"}
 
 
+def test_one_cell_pair_quadrature():
+    """The midpoint rule over cell pairs is written once: `cell_pair_means`
+    alone builds the subcell grids, and both the discretized kernel and the
+    continuum form's weights read it."""
+    callers = sorted(f"{path.stem}:{name}" for path in SRC.glob("*.py")
+                     for name in _functions_calling(path, "cell_midgrids"))
+    assert callers == ["norms:cell_pair_means"]
+    users = sorted(f"{path.stem}:{name}" for path in SRC.glob("*.py")
+                   for name in _functions_calling(path, "cell_pair_means"))
+    assert users == ["kernels:discretize", "norms:_grid_weights"]
+
+
+def test_the_row_certificate_takes_the_kernels_quadrant_masks():
+    """The closed-quadrant side test is written once, in `accel.quadrant_masks`:
+    the mass kernel and the median search's row certificate both call it."""
+    assert _functions_calling(SRC / "median.py", "quadrant_masks") == ["_row_certified"]
+    assert _functions_calling(SRC / "accel.py", "quadrant_masks") == ["quadrant_masses_kernel"]
+
+
 def test_only_the_average_tables_walk_the_supports():
     """In the package only `cube_averages` and its dense oracle
     `cube_average_matrix` call `supports()`; the operators read the flat table."""
@@ -437,6 +456,30 @@ def _integer_sites():
         "discretize.refinement": ("refinement", 0, 1, lambda v: kernels.discretize(K, 4, v)),
         "besov_continuums.refinement": ("refinement", 0, 1, lambda v: norms.besov_continuums(
             np.ones(4), [1], refinement=v)),
+        "KernelSpec.dim": ("dim", 0, 1, lambda v: kernels.KernelSpec(K.evaluate, v, 1.0, 1.0)),
+        "car_generators": ("n_gen", 0, 1, algebras.car_generators),
+        "car_subsets": ("n_gen", 0, 1, algebras.car_subsets),
+        "car_word.n_gen": ("n_gen", 0, 2, lambda v: algebras.car_word((1,), v)),
+        "car_sign": ("n_gen", 0, 1, lambda v: algebras.car_sign((), (), v)),
+        "car_paraproduct": ("n_gen", 0, 1, lambda v: algebras.car_paraproduct({}, v)),
+        "besov_cars": ("n_gen", 0, 1, lambda v: algebras.besov_cars({}, v, [1])),
+        "car_transference_checks": ("n_gen", 0, 1, lambda v: algebras.car_transference_checks(
+            {}, v, [1])),
+        "tensor_indices.d": ("d", 0, 2, lambda v: algebras.tensor_indices(v, 1)),
+        "tensor_indices.levels": ("levels", 0, 1, lambda v: algebras.tensor_indices(2, v)),
+        "tensor_word.d": ("d", 0, 2, lambda v: algebras.tensor_word((), v, 1)),
+        "tensor_word.levels": ("levels", 0, 1, lambda v: algebras.tensor_word((), 2, v)),
+        "tensor_word.i": ("i", 3, 1, lambda v: algebras.tensor_word([(v, 1)], 2, 1)),
+        "tensor_word.j": ("j", 0, 2, lambda v: algebras.tensor_word([(1, v)], 2, 1)),
+        "eta_lambda.d": ("d", 0, 2, lambda v: algebras.eta_lambda((), (), v)),
+        "eta_lambda.i": ("i", 3, 1, lambda v: algebras.eta_lambda(((v, 1),), (), 2)),
+        "eta_lambda.j": ("j", 0, 2, lambda v: algebras.eta_lambda((), ((1, v),), 2)),
+        "tensor_paraproduct.d": ("d", 0, 2, lambda v: algebras.tensor_paraproduct({}, v, 1)),
+        "tensor_paraproduct.levels": ("levels", 0, 1, lambda v: algebras.tensor_paraproduct(
+            {}, 2, v)),
+        "besov_tensors.levels": ("levels", 0, 1, lambda v: algebras.besov_tensors({}, 2, v, [1])),
+        "tensor_transference_checks.d": ("d", 0, 2, lambda v: algebras.tensor_transference_checks(
+            {}, v, 1, [1])),
     }
     return [pytest.param(*case, id=label) for label, case in cases.items()]
 
