@@ -100,8 +100,12 @@ def car_word(subset: Sequence[int], n_gen: int) -> np.ndarray:
 
 
 def _subset(subset, n_gen: int) -> list:
-    """The generators of `subset`, each read by the integer rule, sorted."""
-    subset = sorted({_integer_field(f"subset[{k}]", g) for k, g in enumerate(subset)})
+    """The generators of `subset`, each read by the integer rule, sorted; a
+    repeated one raises, since c_g c_g = 1 is not the word of a subset."""
+    subset = sorted(_integer_field(f"subset[{k}]", g) for k, g in enumerate(subset))
+    for g, h in zip(subset, subset[1:]):
+        if g == h:
+            raise ValueError(f"subset repeats the generator {g}")
     if subset and (subset[0] < 1 or subset[-1] > n_gen):
         raise ValueError(f"subset {subset} lies outside the generators 1..{n_gen}")
     return subset
@@ -300,11 +304,28 @@ def _position(table: _WordTable, word) -> int:
 
 
 def _coefficients(table: _WordTable, bhat) -> np.ndarray:
-    """bhat as a vector over the table's words; a key that is not a word raises."""
+    """bhat as a vector over the table's words; a key that is not a word
+    raises, and so does a key entry that is not an int (a bool or a float
+    would otherwise find the word of the int it equals)."""
     c = np.zeros(len(table.words), dtype=complex)
     for key, value in bhat.items():
-        c[_position(table, key)] = value
+        c[_position(table, _key_entries(key))] = value
     return c
+
+
+def _key_entries(key, name="key"):
+    """A tuple key with every entry, at any depth, read by the integer rule
+    under its name (`key[0][1]`); any other key as it is, for `_position` to
+    refuse.  A key of ints or of int pairs, as every word is, is returned as
+    it is without a call per entry."""
+    if not isinstance(key, tuple):
+        return key
+    for x in key:
+        if not (type(x) is int or type(x) is tuple and len(x) == 2
+                and type(x[0]) is int and type(x[1]) is int):
+            return tuple(_key_entries(x, f"{name}[{k}]") if isinstance(x, tuple)
+                         else _integer_field(f"{name}[{k}]", x) for k, x in enumerate(key))
+    return key
 
 
 def _paraproduct(table: _WordTable, bhat) -> np.ndarray:

@@ -41,6 +41,8 @@ terms per scale, is below that of the cell route it is compared with):
   bmo-two-forms                   max(1, coefficient form)      cells      no
   paraproduct-core-spectrum       model_bound(D m, sigma_max)   D m        yes: the model's own
                                   per singular value
+  paraproduct-trace-norms         model_bound(D m, S_p), p = 2  D m        yes: the model's own
+                                  and 4; S_2 also against B_2
   p2-exact-relation               absolute (1e-10)              D          no
   car-relations                   absolute (unit entries)       side <= 4  yes: no D
   tensor-word-products            absolute (unit entries)       side <= 8  yes: no D
@@ -69,11 +71,11 @@ from . import algebras, kernels, median, norms, shifts, spectral
 from .dyadic import (CubeId, DyadicParams, GridShift, HaarIndex, StepFunction,
                      build_system, cover_cube, expectation, martingale_difference,
                      DILATION_BOUND, LENGTH_RATIO_BOUND)
-from .paraproducts import (Symbol, band, commutator_pieces,
+from .paraproducts import (Symbol, band, commutator_pieces, cube_grams,
                            decompose, paraproduct, adjoint_paraproduct, paraproduct_core, r_op,
-                           random_symbol, rank_piece, splitting, triangle_op,
+                           random_symbol, rank_piece, splitting, subtree_sums, triangle_op,
                            triangle_tilde)
-from .spectral import _padded_schatten_norms
+from .spectral import _lp, _padded_schatten_norms, _require_positive
 
 EXACT_TOL = 1e-12
 SLACK = 1e-10
@@ -318,9 +320,14 @@ def check_rank_piece_orthogonality(rng):
 
 
 def check_paraproduct_core(rng):
-    """The spectrum of `paraproduct_core`, padded with zeros, against the dense
-    `singular_values(paraproduct)` within model_bound(D m, sigma_max)."""
-    worst = 0.0
+    """Two records from one draw on each of five systems.
+    `paraproduct-core-spectrum`: the spectrum of `paraproduct_core`, padded
+    with zeros, against the dense `singular_values(paraproduct)` within
+    model_bound(D m, sigma_max).  `paraproduct-trace-norms`: the samplers'
+    S_2 and S_4 from the tree walk against S_p of both spectra, and S_2
+    against besov_haar(b, 2), which Parseval makes equal, within
+    model_bound(D m, S_p)."""
+    worst = worst_trace = 0.0
     for d, N, dim, m, shift in ((2, 6, 1, 1, (1, 0, 0, 1, 1, 0)), (3, 4, 1, 1, None),
                                 (3, 3, 1, 2, None), (5, 3, 1, 1, None), (2, 3, 2, 1, (2, 1, 3))):
         sys = build_system(DyadicParams(d, N, dim=dim), GridShift(shift) if shift else None)
@@ -330,16 +337,40 @@ def check_paraproduct_core(rng):
         core = np.zeros(dense.size)
         core[: sv.size] = sv
         worst = max(worst, float(np.abs(core - dense).max()) / model_bound(dense.size, dense[0]))
-    return _rec("paraproduct-core-spectrum", "paraproduct-tree-spectrum", worst, 1.0,
-                "of the model bound")
+        s2, s4 = _paraproduct_norms(sys, b, (2, 4))
+        for p, tree, refs in ((2, s2, (norms.besov_haar(sys, b, 2),)), (4, s4, ())):
+            for ref in (*refs, _lp(core, p, m), _lp(dense, p, m)):
+                worst_trace = max(worst_trace, abs(tree - ref) / model_bound(dense.size, ref))
+    return [_rec("paraproduct-core-spectrum", "paraproduct-tree-spectrum", worst, 1.0,
+                 "of the model bound"),
+            _rec("paraproduct-trace-norms", "paraproduct-tree-traces", worst_trace, 1.0,
+                 "of the model bound")]
 
 
 def _paraproduct_norms(sys, b, ps):
-    """schatten_norms(paraproduct(sys, b), ps, m) from `paraproduct_core`, whose
-    singular values are pi_b's padded with zeros up to D m; the operator is
-    never built."""
-    return _padded_schatten_norms(paraproduct_core(sys, b), sys.dim_basis * b.blockdim, ps,
-                                  b.blockdim)
+    """schatten_norms(paraproduct(sys, b), ps, m); the operator is never built.
+
+    p = 2 and p = 4 come from the cube tree.  pi_b^* pi_b is
+    sum_I a_I a_I^* (x) W_I (`cube_grams`), with <a_I, a_J> = 1/max(|I|, |J|)
+    for nested cubes and 0 otherwise, so S_2^2 = (1/m) sum_I tr W_I / |I|
+    and S_4^4 = (1/m) sum_I tr(W_I (W_I + 2 V_I)) / |I|^2, with V_I the sum
+    of W_J over the cubes J strictly inside I (`subtree_sums`, walked only
+    for p = 4).  Every other p comes from `paraproduct_core`, whose singular
+    values are pi_b's padded with zeros up to D m.
+    """
+    _require_positive(ps)
+    m, tree = b.blockdim, {}
+    if 2 in ps or 4 in ps:
+        W = cube_grams(sys, b)
+        inverse = float(sys.d_eff) ** sys.scale_of_row()[1::sys.n_colors]  # 1/|I| per cube
+        tree[2] = float(np.einsum("qaa,q->", W, inverse).real / m) ** 0.5
+        if 4 in ps:
+            X = W + 2 * subtree_sums(sys, W)
+            tree[4] = float(np.einsum("qab,qba,q->", W, X, inverse ** 2).real / m) ** 0.25
+    rest = [p for p in ps if p not in tree]
+    core = iter(_padded_schatten_norms(paraproduct_core(sys, b), sys.dim_basis * m, rest, m)
+                if rest else ())
+    return [tree[p] if p in tree else next(core) for p in ps]
 
 
 def check_commutator_identities(rng):
@@ -431,7 +462,7 @@ def exact_identity_suite(seed=20240801):
         check_commutator_identities(rng),
         check_phi_blocks(rng),
         check_bmo_forms(rng),
-        check_paraproduct_core(rng),
+        *check_paraproduct_core(rng),
     ]
 
 

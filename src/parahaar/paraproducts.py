@@ -30,7 +30,9 @@ others are tree assemblies: paraproduct, its pieces, triangle_op and
 commutator_pieces scatter `cube_averages`, and r_op reads `cube_means`.
 paraproduct_core, a matrix with pi_b's nonzero singular values, reads the
 `descendants` tables alone; the dense paraproduct is its oracle
-(checks.check_paraproduct_core).
+(checks.check_paraproduct_core).  cube_grams and subtree_sums, the tree
+walk S_2 and S_4 are read from, have the core's spectrum and the dense
+operator as their oracles (the `paraproduct-trace-norms` record).
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
     "random_symbol",
     "paraproduct",
     "paraproduct_core",
+    "cube_grams",
+    "subtree_sums",
     "apply_paraproduct",
     "adjoint_paraproduct",
     "triangle_op",
@@ -240,6 +244,35 @@ def paraproduct_core(sys, b: Symbol) -> np.ndarray:
             R[first:first + n_s] * (sys.scale_measure(N - 1) ** 0.5 / sys.scale_measure(s)))[:, None]
         first += n_s
     return C.reshape(-1, n_last * m)
+
+
+def cube_grams(sys, b: Symbol) -> np.ndarray:
+    """(n_cubes, m, m): W_I = sum_t (b_I^t)^* b_I^t for every cube I of scales
+    0..N-1, in basis order, the R_I^* R_I of `paraproduct_core`.
+
+    pi_b^* pi_b = sum_I a_I a_I^* (x) W_I, where a_I represents f -> <f>_I;
+    with `subtree_sums` this gives pi_b's S_2 and S_4 without its spectrum
+    (checks._paraproduct_norms).  Reads the symbol's blocks alone.
+    """
+    blocks = b.blocks[1:].reshape(-1, sys.n_colors * b.blockdim, b.blockdim)
+    return blocks.conj().swapaxes(1, 2) @ blocks
+
+
+def subtree_sums(sys, W) -> np.ndarray:
+    """V_I = sum of W_J over the cubes J strictly inside I, for a per-cube
+    table W of scales 0..N-1 in basis order, as `cube_grams` returns it.
+
+    One walk up `descendants(s, 1)` from scale N-1, where V is 0: a cube's V
+    is the sum over its children J of W_J + V_J.
+    """
+    V = np.zeros_like(W)
+    end = len(W)  # one past the last cube of scale s + 1
+    for s in range(sys.params.depth - 2, -1, -1):
+        kids = sys.descendants(s, 1)
+        below = end - kids.size  # the first cube of scale s + 1
+        V[below - len(kids):below] = (W[below:end] + V[below:end])[kids].sum(axis=1)
+        end = below
+    return V
 
 
 def _average_scatter(sys, b: Symbol, keep) -> np.ndarray:

@@ -54,7 +54,8 @@ def singular_values(T) -> np.ndarray:
     ||E||_2 <= ||E||_F <= 4 eps ||C||_F <= 4 eps sqrt(D) sigma_max, plus
     the rounding of forming A (a few eps per entry): the order of LAPACK's
     own backward error.  The calibrated samplers never reach this rule:
-    they take S_p from `paraproduct_core`, a rectangular core.  Its readers
+    they take S_2 and S_4 from the cube tree and every other S_p from
+    `paraproduct_core`, a rectangular core.  Its readers
     are the dense oracle of `checks.check_paraproduct_core`, the only caller
     in `verify --suite all` whose core passes the test, and the benchmark's
     d = 2 deep-window rungs.

@@ -461,6 +461,29 @@ def test_words_take_their_entries_by_the_integer_rule():
         tensor_word([(1, 1), (1, 2)], 2, 1)
 
 
+@pytest.mark.parametrize("forms,key,name", [
+    (_CAR_FORMS, (True,), "key[0]"), (_CAR_FORMS, (1.0,), "key[0]"),
+    (_CAR_FORMS, (1, 2.0), "key[1]"), (_TENSOR_FORMS, ((1.0, 1),), "key[0][0]"),
+    (_TENSOR_FORMS, ((1, 1), (2, True)), "key[1][1]"),
+])
+def test_every_form_reads_its_key_entries_by_the_integer_rule(forms, key, name):
+    """A bool or float entry is refused, not read as the word of the int it
+    equals; a numpy integer entry is that int."""
+    for form in forms:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer")):
+            form({key: 1.0})
+    assert besov_cars({(np.int64(1),): 1.0}, 2, (2.0,)) == besov_cars({(1,): 1.0}, 2, (2.0,))
+
+
+def test_a_repeated_generator_is_refused():
+    """c_1 c_1 = 1, so (1, 1) names no subset: it is refused, not read as (1,)."""
+    for call in (lambda: car_word((1, 1), 2), lambda: car_word((2, 1, 2), 3),
+                 lambda: car_sign((1, 1), (), 2), lambda: car_sign((), (2, np.int64(2)), 2)):
+        with pytest.raises(ValueError, match="subset repeats the generator"):
+            call()
+    assert np.array_equal(car_word((2, 1), 2), car_word((1, 2), 2))
+
+
 def test_car_generators_cache_one_tuple_per_integer():
     assert car_generators(3) is car_generators(3) is car_generators(np.int64(3))
     with pytest.raises(ValueError, match="n_gen must be an integer"):

@@ -299,14 +299,34 @@ def test_paraproduct_core_reads_none_of_its_oracles_tables():
 
 def test_the_samplers_take_s_p_from_the_core():
     """The calibrated sampler and the rank-piece record take S_p from
-    `paraproduct_core` through `_paraproduct_norms`; none of them builds the
-    (D m)^2 operator."""
+    `_paraproduct_norms`: p = 2 and 4 from the tree walk, every other p from
+    `paraproduct_core`; none of them builds the (D m)^2 operator.  In
+    `checks` only `_paraproduct_norms` walks the tree, and the
+    `paraproduct-trace-norms` record (in `check_paraproduct_core`) judges it
+    against both spectra."""
     samplers = {"_paraproduct_draws", "check_rank_piece_lower", "_paraproduct_norms"}
     assert not samplers & set(_functions_calling(SRC / "checks.py", "paraproduct"))
     assert set(_functions_calling(SRC / "checks.py", "_paraproduct_norms")) == {
-        "_paraproduct_draws", "check_rank_piece_lower"}
+        "_paraproduct_draws", "check_rank_piece_lower", "check_paraproduct_core"}
     assert sorted(_functions_calling(SRC / "checks.py", "paraproduct_core")) == [
         "_paraproduct_norms", "check_paraproduct_core"]
+    for walk in ("cube_grams", "subtree_sums"):
+        assert _functions_calling(SRC / "checks.py", walk) == ["_paraproduct_norms"], walk
+    assert _functions_calling(SRC / "paraproducts.py", "cube_grams") == []
+    assert _functions_calling(SRC / "paraproducts.py", "subtree_sums") == []
+
+
+def test_the_tree_walk_reads_the_blocks_and_descendants_alone():
+    """`cube_grams` and `subtree_sums` read none of the tables of the dense
+    `paraproduct` and call neither oracle of the `paraproduct-trace-norms`
+    record (the core and the dense operator), so the record compares two
+    routes."""
+    for walk in ("cube_grams", "subtree_sums"):
+        for attr in ("cube_averages", "child_values", "basis_matrix", "cube_average_matrix",
+                     "cells_by_scale"):
+            assert walk not in _functions_reading(SRC / "paraproducts.py", attr), (walk, attr)
+        for name in ("paraproduct", "paraproduct_core", "_average_scatter", "cube_means"):
+            assert walk not in _functions_calling(SRC / "paraproducts.py", name), (walk, name)
 
 
 def test_only_apply_paraproduct_reads_the_cell_tables_among_the_operators():
@@ -460,6 +480,12 @@ def _integer_sites():
         "car_generators": ("n_gen", 0, 1, algebras.car_generators),
         "car_subsets": ("n_gen", 0, 1, algebras.car_subsets),
         "car_word.n_gen": ("n_gen", 0, 2, lambda v: algebras.car_word((1,), v)),
+        # a coefficient key entry has no range of its own (a word outside the
+        # table is refused as such), so the third value refused is the float
+        # that equals a generator
+        "car key entry": ("key[0]", 1.0, 1, lambda v: algebras.besov_cars({(v,): 1.0}, 2, [2.0])),
+        "tensor key entry": ("key[0][1]", 2.0, 2, lambda v: algebras.tensor_paraproduct(
+            {((1, v),): 1.0}, 2, 1)),
         "car_sign": ("n_gen", 0, 1, lambda v: algebras.car_sign((), (), v)),
         "car_paraproduct": ("n_gen", 0, 1, lambda v: algebras.car_paraproduct({}, v)),
         "besov_cars": ("n_gen", 0, 1, lambda v: algebras.besov_cars({}, v, [1])),

@@ -8,11 +8,12 @@ from parahaar.dyadic import (CubeId, DyadicParams, FiniteDyadicSystem, GridShift
                              haar_function, martingale_difference)
 from parahaar.checks import _paraproduct_norms, model_bound
 from parahaar.paraproducts import (Symbol, adjoint_paraproduct, apply_op, band,
-                                   coarse_op, commutator_pieces, decompose,
+                                   coarse_op, commutator_pieces, cube_grams, decompose,
                                    mult_op, paraproduct, paraproduct_core, r_op, random_symbol,
-                                   rank_piece, splitting,
+                                   rank_piece, splitting, subtree_sums,
                                    triangle_op, triangle_tilde)
-from parahaar.spectral import schatten_norm, schatten_norms, singular_values, triangular_project
+from parahaar.spectral import (_padded_schatten_norms, schatten_norm, schatten_norms,
+                               singular_values, triangular_project)
 
 
 def unit_symbol(sys, cube, color, value=1.0):
@@ -768,7 +769,9 @@ def test_core_spectrum_is_the_dense_spectrum(rng, d, N, dim, m, shift):
     """`paraproduct_core` has one row block per cube of scales 0..N-1 and one
     column block per scale-(N-1) cube, is real for a scalar symbol, and its
     singular values padded with zeros are those of the dense operator within
-    model_bound(D m, sigma_max); so are the sampler's norms."""
+    model_bound(D m, sigma_max); so are the sampler's norms.  Its S_2 and
+    S_4, from the tree walk, are S_p of both spectra within
+    model_bound(D m, S_p), on full symbols and on symbols of a few scales."""
     sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
     n_cubes, n_last = (sys.dim_basis - 1) // sys.n_colors, sys.n_cells // sys.d_eff
     ps = (0.3, 0.5, 1.0, 2.0, 4.0, np.inf)
@@ -784,6 +787,14 @@ def test_core_spectrum_is_the_dense_spectrum(rng, d, N, dim, m, shift):
         assert np.abs(sv - dense).max() <= model_bound(dense.size, dense[0])
         assert _paraproduct_norms(sys, b, ps) == pytest.approx(schatten_norms(P, ps, m),
                                                                rel=1e-13)
+    n = sys.dim_basis * m
+    for scales in (None, (0,), (N - 1,), (0, N - 1)):
+        b = random_symbol(sys, rng, blockdim=m, scales=scales)
+        tree = _paraproduct_norms(sys, b, (2, 4))
+        for ref in (_padded_schatten_norms(paraproduct_core(sys, b), n, (2, 4), m),
+                    schatten_norms(paraproduct(sys, b), (2, 4), m)):
+            for got, want in zip(tree, ref):
+                assert abs(got - want) <= model_bound(n, want), (scales, got, want)
 
 
 @pytest.mark.parametrize("d,N,dim,m", [(2, 6, 1, 1), (3, 4, 1, 1), (2, 5, 1, 2), (3, 3, 1, 2),
@@ -817,6 +828,88 @@ def test_core_draw_holds_the_core_not_the_operator(rng):
     # twelve times the core here
     assert peak <= 2 * core_bytes
     assert 16 * sys.dim_basis ** 2 >= 10 * core_bytes
+
+
+# -- S_2 and S_4 from the cube tree ------------------------------------------
+
+
+@pytest.mark.parametrize("d,N,dim,m,shift", [(2, 5, 1, 1, None), (3, 3, 1, 2, None),
+                                             (2, 3, 2, 1, (3, 1, 2)), (2, 3, 1, 3, (1, 0, 1))])
+def test_the_walk_reads_the_cores_blocks_and_the_tree(rng, d, N, dim, m, shift):
+    """W_I is R_I^* R_I of the core's row block of I, and V_I the sum of W
+    over the cubes strictly inside I, read off `descendants`; V is 0 at
+    scale N - 1."""
+    sys = build_system(DyadicParams(d, N, dim), GridShift(shift) if shift else None)
+    b = random_symbol(sys, rng, blockdim=m)
+    W = cube_grams(sys, b)
+    V = subtree_sums(sys, W)
+    n_cubes = (sys.dim_basis - 1) // sys.n_colors
+    assert W.shape == V.shape == (n_cubes, m, m)
+    R = b.blocks[1:].reshape(n_cubes, -1, m)
+    assert np.allclose(W, np.einsum("qta,qtb->qab", R.conj(), R), rtol=1e-14, atol=0)
+    first = np.cumsum([0] + [sys.d_eff ** s for s in range(N)])  # each scale's first cube
+    assert not V[first[N - 1]:].any()
+    for s in range(N - 1):
+        want = sum(W[first[k] + sys.descendants(s, k - s)].sum(axis=1) for k in range(s + 1, N))
+        assert np.allclose(V[first[s]:first[s + 1]], want, rtol=1e-14, atol=0)
+
+
+def test_tree_norms_build_no_core_and_call_no_lapack(rng, monkeypatch):
+    """Every p is 2 or 4: the norms come from the walk alone."""
+    import parahaar.checks as checks
+    import parahaar.spectral as spectral
+
+    def refuse(*args):
+        raise AssertionError("no SVD and no core when every p is 2 or 4")
+
+    sys = build_system(DyadicParams(3, 4))
+    b = random_symbol(sys, rng)
+    want = schatten_norms(paraproduct(sys, b), (2, 4))
+    monkeypatch.setattr(spectral, "_lapack", refuse)
+    monkeypatch.setattr(checks, "paraproduct_core", refuse)
+    got = _paraproduct_norms(sys, b, (2, 4.0))
+    assert got == pytest.approx(want, rel=1e-14)
+    with pytest.raises(AssertionError, match="no SVD"):
+        _paraproduct_norms(sys, b, (2, 1.0))
+
+
+def test_every_form_of_an_even_p_takes_the_walk(rng):
+    """p = 2 and p = 4 as an int, a float or a numpy scalar give one value;
+    the other p of a list still come from the core, in the list's order."""
+    sys = build_system(DyadicParams(2, 4, 2))
+    b = random_symbol(sys, rng, blockdim=2)
+    for p in (2, 4):
+        forms = (p, float(p), np.float64(p), np.int64(p))
+        values = [_paraproduct_norms(sys, b, (form,))[0] for form in forms]
+        assert len(set(values)) == 1, (p, values)
+    mixed = _paraproduct_norms(sys, b, (1.0, 4, np.inf, 2.0, 0.5))
+    assert mixed == [_paraproduct_norms(sys, b, (p,))[0] for p in (1.0, 4, np.inf, 2.0, 0.5)]
+    with pytest.raises(ValueError, match="p must be positive"):
+        _paraproduct_norms(sys, b, (2, True))
+
+
+def test_deep_even_p_run_holds_no_core(tmp_path):
+    """A depth-16 theorem1 run at p = 2 and 4: the core there would be
+    (2^16 - 1) x 2^15 floats, 17 GB; the run's traced peak is a few
+    per-cube tables."""
+    import json
+    import tracemalloc
+
+    from parahaar import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"experiment": "theorem1", "d": 2, "depth": 16, "p": [2, 4.0],
+                               "trials": 2, "seed": 3}))
+    tracemalloc.start()
+    try:
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    core_bytes = (2**16 - 1) * 2**15 * 8
+    assert peak <= 64 * 2**20 < core_bytes / 250
+    rows = (tmp_path / "out" / "theorem1.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 2
 
 
 @pytest.mark.parametrize("d,N,dim,m", [(3, 3, 1, 2), (4, 3, 1, 1), (5, 3, 1, 1), (2, 2, 3, 2)])
